@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-megafleet bench bench-smoke bench-json trace-artifact determinism-single-core service-smoke crash-gate lint ci
+.PHONY: all build test race race-megafleet bench bench-smoke trace-artifact determinism-single-core fuzz service-smoke crash-gate lint ci
 
 all: build
 
@@ -36,27 +36,21 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 # The determinism-vs-parallelism proof: every digest pin and every
-# serial/parallel/lazy/eager/calendar-vs-heap/sharded-advance
-# equivalence gate (the *MatchesSerial pattern includes the pod-sharded
-# windowed advance, its randomized cross-pod scenario, and the fat-tree
-# cross-pod gate), plus the checkpoint-resume byte-identity and
-# study-digest gates, executed with a single scheduler thread. Together with the default-GOMAXPROCS test
+# equivalence gate against a reference mode (serial vs parallel solve,
+# lazy vs eager accounting, incremental vs full solver, serial vs
+# parallel fleet build), the scheduler's total-order gate, plus the
+# checkpoint-resume byte-identity and study-digest gates, executed with
+# a single scheduler thread. Together with the default-GOMAXPROCS test
 # job this shows the traces are independent of how much hardware ran
-# them.
+# them. `go test -run` passes silently on zero matches: check with -v
+# that every listed package still selects a test.
 determinism-single-core:
-	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesSerial|MatchesEager|MatchesFullSolver|BitwiseEquivalence|MatchesClassicHeap|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim
+	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesSerial|MatchesEager|MatchesFullSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim ./internal/fleet
 
-# The benchmark trajectory: one run of every canned scenario, written as
-# BENCH_PR10.json (per-scenario sim-s/wall-s, events/s, peak-RSS,
-# run-phase wall series, the fleet-construction wall-time series, the
-# flush/solve phase-profile wall split, trace digests, the
-# classic-vs-calendar scheduler events/s series at 10k/100k/1M nodes,
-# the serial-vs-sharded advance series at the same scales, and the
-# synthesis-vs-Dijkstra routing series on the 100k fat-tree — digest
-# equality between arms asserted before the file is written — plus the
-# PR 1–PR 4 baselines). CI uploads it as an artifact.
-bench-json:
-	$(GO) run ./cmd/piscale -bench-json BENCH_PR10.json
+# Fuzz the wire-spec decoder: arbitrary bytes through decode → Resolve →
+# re-marshal → decode must never panic and must round-trip exactly.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecRequestResolve$$' -fuzztime 30s ./internal/cliconfig
 
 # A Perfetto-loadable span trace of the 1000-node scale scenario:
 # advance slices, per-domain netsim flushes and checkpoint spans with
@@ -91,4 +85,4 @@ lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
-ci: build lint test race race-megafleet bench-smoke determinism-single-core service-smoke crash-gate
+ci: build lint test race race-megafleet bench-smoke determinism-single-core fuzz service-smoke crash-gate

@@ -325,49 +325,6 @@ func BenchmarkScenarioMegafleet100000(b *testing.B) {
 	b.ReportMetric(float64(r.Nodes), "nodes")
 }
 
-// BenchmarkScenarioMegafleet100000Sharded re-runs the 10⁵-node scale
-// gate with the pod-sharded conservative-parallel advance on (auto
-// shard count — one shard per rack group up to GOMAXPROCS — staged by
-// 4 workers): the serial-vs-sharded events/s comparison CI tracks
-// next to BenchmarkScenarioMegafleet100000, under the same wall-time
-// budget. Bit-equality of the two arms is proved by the determinism
-// gates (TestShardedAdvanceMatchesSerial and the bench-json digest
-// cross-check), so this benchmark only tracks the throughput side.
-func BenchmarkScenarioMegafleet100000Sharded(b *testing.B) {
-	budget := megafleet100kBudget
-	if s := os.Getenv("MEGAFLEET100K_BUDGET"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			b.Fatalf("bad MEGAFLEET100K_BUDGET %q: %v", s, err)
-		}
-		budget = d
-	}
-	var last *scenario.Report
-	for i := 0; i < b.N; i++ {
-		spec, err := scenario.Catalog("megafleet-100000")
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec.Cloud.Kernel.ShardedAdvance = true
-		spec.Cloud.Kernel.ShardWorkers = 4
-		rep, err := scenario.Execute(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rep
-	}
-	if last.Nodes < 100000 {
-		b.Fatalf("megafleet ran on %d nodes, want ≥ 100000", last.Nodes)
-	}
-	if total := last.BuildWallTime + last.WallTime; total > budget {
-		b.Fatalf("sharded scale gate blew its wall-time budget: built in %v + ran in %v > %v",
-			last.BuildWallTime.Round(time.Millisecond), last.WallTime.Round(time.Millisecond), budget)
-	}
-	b.ReportMetric(last.SimTime.Seconds()/last.WallTime.Seconds(), "sim-s/wall-s")
-	b.ReportMetric(float64(last.EventsFired)/last.WallTime.Seconds(), "events/s")
-	b.ReportMetric(float64(last.Nodes), "nodes")
-}
-
 // BenchmarkScenarioMegafleetFattree1000 runs the k=16 fat-tree
 // megafleet: 1024 nodes, gravity-heavy cross-pod load, churn, and an
 // edge-uplink outage. Every cross-pod cold route must be answered by
@@ -396,19 +353,6 @@ func BenchmarkScenarioMegafleetFattree1000(b *testing.B) {
 // hardware.
 const megafleetFattree100kBudget = 4 * time.Minute
 
-func fattree100kBudget(b *testing.B) time.Duration {
-	b.Helper()
-	budget := megafleetFattree100kBudget
-	if s := os.Getenv("MEGAFLEET_FATTREE100K_BUDGET"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			b.Fatalf("bad MEGAFLEET_FATTREE100K_BUDGET %q: %v", s, err)
-		}
-		budget = d
-	}
-	return budget
-}
-
 // BenchmarkScenarioMegafleetFattree100000 is the PR 10 scale gate for
 // cross-pod route synthesis: 101,306 nodes in a k=74 fat-tree where
 // the gravity mix makes almost every cold route cross-pod. All links
@@ -418,7 +362,14 @@ func fattree100kBudget(b *testing.B) time.Duration {
 // exists to avoid. The gate therefore requires zero fallbacks, not
 // just a fast run.
 func BenchmarkScenarioMegafleetFattree100000(b *testing.B) {
-	budget := fattree100kBudget(b)
+	budget := megafleetFattree100kBudget
+	if s := os.Getenv("MEGAFLEET_FATTREE100K_BUDGET"); s != "" {
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			b.Fatalf("bad MEGAFLEET_FATTREE100K_BUDGET %q: %v", s, err)
+		}
+		budget = d
+	}
 	r := runScenario(b, "megafleet-fattree-100000")
 	if r.Nodes < 100000 {
 		b.Fatalf("fat-tree megafleet ran on %d nodes, want ≥ 100000", r.Nodes)
@@ -435,43 +386,6 @@ func BenchmarkScenarioMegafleetFattree100000(b *testing.B) {
 	}
 	b.ReportMetric(r.BuildWallTime.Seconds(), "build-s")
 	b.ReportMetric(float64(r.Nodes), "nodes")
-}
-
-// BenchmarkScenarioMegafleetFattree100000Sharded re-runs the fat-tree
-// scale gate with the pod-sharded advance (racks are pods, so shards
-// align with fat-tree pods and every cross-shard message is core-tier
-// cross-pod traffic). Bit-equality with the serial arm is proved by
-// TestFatTreeCrossPodShardedAdvanceMatchesSerial and the bench-json
-// digest cross-check; this benchmark tracks the throughput side.
-func BenchmarkScenarioMegafleetFattree100000Sharded(b *testing.B) {
-	budget := fattree100kBudget(b)
-	var last *scenario.Report
-	for i := 0; i < b.N; i++ {
-		spec, err := scenario.Catalog("megafleet-fattree-100000")
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec.Cloud.Kernel.ShardedAdvance = true
-		spec.Cloud.Kernel.ShardWorkers = 4
-		rep, err := scenario.Execute(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rep
-	}
-	if last.Nodes < 100000 {
-		b.Fatalf("fat-tree megafleet ran on %d nodes, want ≥ 100000", last.Nodes)
-	}
-	if fb := last.Metrics["dijkstra_fallbacks"]; fb != 0 {
-		b.Fatalf("%v Dijkstra fallbacks on an all-links-up fat-tree", fb)
-	}
-	if total := last.BuildWallTime + last.WallTime; total > budget {
-		b.Fatalf("sharded fat-tree scale gate blew its wall-time budget: built in %v + ran in %v > %v",
-			last.BuildWallTime.Round(time.Millisecond), last.WallTime.Round(time.Millisecond), budget)
-	}
-	b.ReportMetric(last.SimTime.Seconds()/last.WallTime.Seconds(), "sim-s/wall-s")
-	b.ReportMetric(float64(last.EventsFired)/last.WallTime.Seconds(), "events/s")
-	b.ReportMetric(float64(last.Nodes), "nodes")
 }
 
 // megafleet1MBudget is the wall-time budget of the 10⁶-node scale

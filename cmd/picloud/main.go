@@ -37,9 +37,9 @@ func main() {
 	placer := flag.String("placer", "best-fit", "default placement algorithm")
 	scen := flag.String("scenario", "", "canned scenario to replay against the live cloud (see -scenarios)")
 	listScen := flag.Bool("scenarios", false, "list canned scenarios and exit")
-	// The fleet shape, fabric and kernel-mode knobs are the cliconfig
-	// surface shared with piscale and piscaled; picloud's defaults stay
-	// the published 56-node PiCloud.
+	// The fleet shape, fabric and seed flags are the cliconfig surface
+	// shared with piscale and piscaled; picloud's defaults stay the
+	// published 56-node PiCloud.
 	common := cliconfig.Common{
 		Racks:        topology.DefaultRacks,
 		HostsPerRack: topology.DefaultHostsPerRack,
@@ -73,7 +73,6 @@ func run(addr string, speed float64, common cliconfig.Common, placerName, scenar
 		HostsPerRack: common.HostsPerRack,
 		Fabric:       fabric,
 		Placer:       pl,
-		Kernel:       common.Kernel(),
 	}
 	if common.Seed >= 0 {
 		cfg.Seed = common.Seed

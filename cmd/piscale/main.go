@@ -10,14 +10,11 @@
 //	piscale -scenario migration-storm
 //	piscale -scenario megafleet-1000 -trace 20
 //	piscale -scenario megafleet-1000 -trace-out run.trace.json -metrics-dump
-//	piscale -scenario megafleet-1000000 -serial-solve -eager-advance -classic-heap
 //	piscale -scenario diurnal-day -racks 10 -hosts-per-rack 30 -duration 20m
+//	piscale -scenario megafleet-fattree-100000 -q
 //	piscale -scenario rack-blackout -checkpoint-at 45s
 //	piscale -resume-from rack-blackout.ckpt.json
 //	piscale -study bisect-blackout
-//	piscale -scenario megafleet-100000 -sharded-advance -shard-workers 4
-//	piscale -scenario megafleet-fattree-100000 -no-route-synth
-//	piscale -bench-json BENCH_PR10.json
 package main
 
 import (
@@ -25,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/cliconfig"
@@ -40,13 +36,11 @@ func main() {
 	study := flag.String("study", "", "canned checkpoint study to run (see -list)")
 	traceTail := flag.Int("trace", 0, "print the last N trace events")
 	quiet := flag.Bool("q", false, "suppress live event streaming")
-	benchJSON := flag.String("bench-json", "", "run every canned scenario once and write the benchmark trajectory to FILE")
 	traceOut := flag.String("trace-out", "", "write the run's kernel spans as Chrome trace-event JSON to FILE (Perfetto-loadable)")
 	metricsDump := flag.Bool("metrics-dump", false, "print the final kernel metrics in Prometheus text format after the run")
-	// The shared surface — fleet shape, fabric, sampling and the run-phase
-	// kernel knobs (all modes byte-identical to the defaults; the
-	// determinism gates prove it) — registers through cliconfig, so
-	// piscale, picloud and piscaled parse identically.
+	// The shared surface — fleet shape, fabric, seed, run length and
+	// sampling — registers through cliconfig, so piscale, picloud and
+	// piscaled parse identically.
 	common := cliconfig.Common{Seed: -1}
 	common.Register(flag.CommandLine)
 	// Checkpointing: pause the run at an instant, record the cross-layer
@@ -60,13 +54,6 @@ func main() {
 	if *list {
 		fmt.Print("canned scenarios:\n" + scenario.Describe())
 		fmt.Print("checkpoint studies:\n" + scenario.DescribeStudies())
-		return
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "piscale:", err)
-			os.Exit(1)
-		}
 		return
 	}
 	if *study != "" {
@@ -92,7 +79,7 @@ func main() {
 		return
 	}
 	if *name == "" {
-		fmt.Fprintln(os.Stderr, "piscale: -scenario is required (or -list / -study / -resume-from / -bench-json)")
+		fmt.Fprintln(os.Stderr, "piscale: -scenario is required (or -list / -study / -resume-from)")
 		os.Exit(2)
 	}
 	if err := run(*name, opts); err != nil {
@@ -165,367 +152,6 @@ func finishObs(r *scenario.Run, o runOpts, tr *obs.Tracer) error {
 	return nil
 }
 
-// benchEntry is one scenario's row of the benchmark trajectory.
-type benchEntry struct {
-	Name        string  `json:"name"`
-	Nodes       int     `json:"nodes"`
-	Racks       int     `json:"racks,omitempty"`
-	SimSeconds  float64 `json:"sim_s,omitempty"`
-	WallSeconds float64 `json:"wall_s,omitempty"`
-	// BuildSeconds is the fleet-construction wall time (cloud assembly
-	// plus fleet spawn) — the series the PR 3 fleet builder moves.
-	BuildSeconds float64 `json:"build_s,omitempty"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	Events       uint64  `json:"events,omitempty"`
-	EventsPerS   float64 `json:"events_per_s"`
-	SimPerWall   float64 `json:"sim_s_per_wall_s"`
-	TraceDigest  string  `json:"trace_digest,omitempty"`
-	// FlushSeconds/SolveSeconds attribute run-phase wall time to the
-	// network kernel's flush passes and to the congestion solver inside
-	// them — the PR 8 phase profiler, enabled only for bench runs (the
-	// zero-perturbation gate proves enabling it cannot change results).
-	// wall_s - flush_s is scheduler+workload time; flush_s - solve_s is
-	// domain bookkeeping around the solves.
-	FlushSeconds float64 `json:"flush_s,omitempty"`
-	SolveSeconds float64 `json:"solve_s,omitempty"`
-	// MaxRSSBytes is the process's peak resident set size (getrusage
-	// ru_maxrss) sampled as this arm finished. Peak RSS is monotone
-	// over the process, so each row is the high-water mark so far —
-	// the series the PR 9 sharded advance must not regress.
-	MaxRSSBytes uint64 `json:"max_rss_bytes,omitempty"`
-	// RouteSynthHits/DijkstraFallbacks split cold-route work between
-	// the structured synthesis and the full Dijkstra — the PR 10
-	// cross-pod series. An all-links-up fat-tree run must show zero
-	// fallbacks (asserted before the artifact is written).
-	RouteSynthHits    uint64 `json:"route_synth_hits,omitempty"`
-	DijkstraFallbacks uint64 `json:"dijkstra_fallbacks,omitempty"`
-}
-
-// pr1Baseline records the PR 1 numbers for the scenarios that existed
-// then. Keeping earlier baselines in the emitted JSON makes every
-// BENCH_PR<N>.json self-contained: the improvement claim travels with
-// the data.
-var pr1Baseline = map[string]benchEntry{
-	"megafleet-1000": {Name: "megafleet-1000", Nodes: 1040, NsPerOp: 2714070664, EventsPerS: 3204, SimPerWall: 71.42},
-	"flash-crowd":    {Name: "flash-crowd", Nodes: 200, NsPerOp: 713221764, EventsPerS: 18173, SimPerWall: 426.7},
-}
-
-// pr2Baseline is BENCH_PR2.json's recorded trajectory. Note ns_per_op
-// there is the run phase only — PR 2 measured wall time inside Execute,
-// after construction — so it is comparable to this file's ns_per_op but
-// NOT to build_s: no construction series existed before PR 3. Before
-// the fleet builder, megafleet construction ran one node at a time
-// through Sscanf parsing, eager per-node HTTP muxes and JSON status
-// polling per placement (~10.4 s for megafleet-10000 on the PR 3
-// reference machine, vs the build_s this file records).
-var pr2Baseline = map[string]benchEntry{
-	"brownout-fabric": {Name: "brownout-fabric", Nodes: 56, NsPerOp: 26216472, EventsPerS: 238590, SimPerWall: 11443.2},
-	"diurnal-day":     {Name: "diurnal-day", Nodes: 56, NsPerOp: 9344399, EventsPerS: 271821, SimPerWall: 64209.6},
-	"flash-crowd":     {Name: "flash-crowd", Nodes: 200, NsPerOp: 111724842, EventsPerS: 114361, SimPerWall: 2685.2},
-	"megafleet-1000":  {Name: "megafleet-1000", Nodes: 1040, NsPerOp: 68087063, EventsPerS: 79061, SimPerWall: 1762.4},
-	"megafleet-10000": {Name: "megafleet-10000", Nodes: 10000, NsPerOp: 345515660, EventsPerS: 14856, SimPerWall: 173.7},
-	"migration-storm": {Name: "migration-storm", Nodes: 56, NsPerOp: 5631652, EventsPerS: 166736, SimPerWall: 53270.3},
-	"node-churn":      {Name: "node-churn", Nodes: 56, NsPerOp: 5666202, EventsPerS: 415622, SimPerWall: 52945.5},
-	"rack-blackout":   {Name: "rack-blackout", Nodes: 56, NsPerOp: 8412538, EventsPerS: 337354, SimPerWall: 35661.1},
-}
-
-// pr3Baseline is BENCH_PR3.json's recorded trajectory: the parallel
-// fleet builder's numbers, before the PR 4 run-phase kernel (lazy flow
-// accounting, parallel domain solving, hierarchical telemetry,
-// structured route synthesis). ns_per_op and events_per_s measure the
-// run phase; build_s the construction phase.
-var pr3Baseline = map[string]benchEntry{
-	"brownout-fabric":  {Name: "brownout-fabric", Nodes: 56, NsPerOp: 20582778, BuildSeconds: 0.0013, EventsPerS: 303895, SimPerWall: 14575.3},
-	"diurnal-day":      {Name: "diurnal-day", Nodes: 56, NsPerOp: 7797693, BuildSeconds: 0.0015, EventsPerS: 325737, SimPerWall: 76945.8},
-	"flash-crowd":      {Name: "flash-crowd", Nodes: 200, NsPerOp: 106647457, BuildSeconds: 0.0015, EventsPerS: 119806, SimPerWall: 2813.0},
-	"megafleet-1000":   {Name: "megafleet-1000", Nodes: 1040, NsPerOp: 57730180, BuildSeconds: 0.0148, EventsPerS: 93244, SimPerWall: 2078.6},
-	"megafleet-10000":  {Name: "megafleet-10000", Nodes: 10000, NsPerOp: 328762373, BuildSeconds: 0.1450, EventsPerS: 15613, SimPerWall: 182.5},
-	"megafleet-100000": {Name: "megafleet-100000", Nodes: 100000, NsPerOp: 2132795391, BuildSeconds: 2.1306, EventsPerS: 746, SimPerWall: 14.1},
-	"migration-storm":  {Name: "migration-storm", Nodes: 56, NsPerOp: 3535367, BuildSeconds: 0.0017, EventsPerS: 265602, SimPerWall: 84856.8},
-	"node-churn":       {Name: "node-churn", Nodes: 56, NsPerOp: 5029564, BuildSeconds: 0.0011, EventsPerS: 468231, SimPerWall: 59647.3},
-	"rack-blackout":    {Name: "rack-blackout", Nodes: 56, NsPerOp: 6347473, BuildSeconds: 0.0012, EventsPerS: 447107, SimPerWall: 47262.9},
-}
-
-// schedulerSeriesScenarios are the megafleets the classic-vs-calendar
-// scheduler comparison reruns: the scales where the event scheduler is
-// a measurable share of the run phase.
-var schedulerSeriesScenarios = []string{"megafleet-10000", "megafleet-100000", "megafleet-1000000"}
-
-// schedEntry is one arm of the scheduler comparison series.
-type schedEntry struct {
-	benchEntry
-	Scheduler string `json:"scheduler"`
-}
-
-// advEntry is one arm of the serial-vs-sharded advance series.
-type advEntry struct {
-	benchEntry
-	// Advance is "serial" (single-loop engine) or "sharded(KxW)" for K
-	// pod shards staged by W workers.
-	Advance string `json:"advance"`
-}
-
-// routeSynthSeriesScenarios is where cold-route cost is the dominant
-// run-phase term: the k=74 fat-tree, whose gravity mix makes almost
-// every cold pair cross-pod.
-var routeSynthSeriesScenarios = []string{"megafleet-fattree-100000"}
-
-// routeEntry is one arm of the synthesis-vs-Dijkstra routing series.
-type routeEntry struct {
-	benchEntry
-	// Routes is "synth" (the default: structured synthesis with
-	// Dijkstra fallback), "dijkstra-only" (the -no-route-synth
-	// ablation), or "synth+sharded(W workers)".
-	Routes string `json:"routes"`
-}
-
-// runBenchJSON executes every canned scenario once (the calendar
-// scheduler is the default), reruns the megafleets on the classic heap
-// for the scheduler events/s series and under the pod-sharded advance
-// for the serial-vs-sharded series, reruns the 100k fat-tree with
-// route synthesis ablated (and sharded) for the synthesis-vs-Dijkstra
-// series, and writes the whole trajectory —
-// plus the PR 1–PR 3 baselines; the classic arm doubles as the PR 4
-// kernel baseline, since the scheduler is the only run-phase change —
-// to path. The emitted series also records each arm's trace digest, so
-// the artifact itself witnesses that both schedulers produced identical
-// runs. Every arm runs with the network kernel's phase profiler on, so
-// each row splits its run wall time into flush_s/solve_s.
-func runBenchJSON(path string) error {
-	type trajectory struct {
-		GeneratedBy string                `json:"generated_by"`
-		GoVersion   string                `json:"go_version"`
-		GoosGoarch  string                `json:"goos_goarch"`
-		BaselinePR1 map[string]benchEntry `json:"baseline_pr1"`
-		BaselinePR2 map[string]benchEntry `json:"baseline_pr2"`
-		BaselinePR3 map[string]benchEntry `json:"baseline_pr3"`
-		// BaselinePR4 is the classic-heap (PR 4 kernel) rerun of the
-		// megafleets, recorded in the same run on the same machine.
-		BaselinePR4 map[string]benchEntry `json:"baseline_pr4"`
-		Scenarios   []benchEntry          `json:"scenarios"`
-		// SchedulerSeries is the classic-vs-calendar events/s comparison
-		// at 10k/100k/1M nodes.
-		SchedulerSeries []schedEntry `json:"scheduler_series"`
-		// AdvanceSeries is the serial-vs-sharded advance events/s
-		// comparison at the same scales; both arms' trace digests are
-		// asserted identical before the artifact is written, so the
-		// file itself witnesses the equivalence claim.
-		AdvanceSeries []advEntry `json:"advance_series"`
-		// RouteSynthSeries is the synthesis-vs-Dijkstra comparison on
-		// the 100k-node fat-tree: the default arm (which must finish
-		// with zero fallbacks), the -no-route-synth ablation (every
-		// cold route pays the full Dijkstra), and the pod-sharded
-		// rerun. All three digests are asserted identical, and the
-		// synth arm is asserted faster than the ablation, before the
-		// artifact is written.
-		RouteSynthSeries []routeEntry `json:"route_synth_series"`
-	}
-	out := trajectory{
-		GeneratedBy: "piscale -bench-json",
-		GoVersion:   runtime.Version(),
-		GoosGoarch:  runtime.GOOS + "/" + runtime.GOARCH,
-		BaselinePR1: pr1Baseline,
-		BaselinePR2: pr2Baseline,
-		BaselinePR3: pr3Baseline,
-		BaselinePR4: map[string]benchEntry{},
-	}
-	execute := func(spec scenario.Spec) (benchEntry, error) {
-		r, err := scenario.New(spec)
-		if err != nil {
-			return benchEntry{}, fmt.Errorf("scenario %s: %w", spec.Name, err)
-		}
-		defer r.Cloud.Close()
-		// Phase profiling is on for every bench arm so each row carries
-		// its flush/solve wall split; the digest cross-checks below (and
-		// the zero-perturbation gate) prove it cannot change the run.
-		r.Cloud.Net.EnableProfiling(true)
-		rep, err := r.Execute()
-		if err != nil {
-			return benchEntry{}, fmt.Errorf("scenario %s: %w", spec.Name, err)
-		}
-		wall := rep.WallTime.Seconds()
-		return benchEntry{
-			Name:              rep.Name,
-			Nodes:             rep.Nodes,
-			Racks:             rep.Racks,
-			SimSeconds:        rep.SimTime.Seconds(),
-			WallSeconds:       wall,
-			BuildSeconds:      rep.BuildWallTime.Seconds(),
-			NsPerOp:           rep.WallTime.Nanoseconds(),
-			Events:            rep.EventsFired,
-			EventsPerS:        float64(rep.EventsFired) / wall,
-			SimPerWall:        rep.SimTime.Seconds() / wall,
-			TraceDigest:       rep.TraceDigest(),
-			FlushSeconds:      rep.Metrics["phase_flush_wall_s"],
-			SolveSeconds:      rep.Metrics["phase_solve_wall_s"],
-			MaxRSSBytes:       maxRSSBytes(),
-			RouteSynthHits:    uint64(rep.Metrics["route_synth_hits"]),
-			DijkstraFallbacks: uint64(rep.Metrics["dijkstra_fallbacks"]),
-		}, nil
-	}
-	calendar := map[string]benchEntry{}
-	for _, n := range scenario.Names() {
-		spec, err := scenario.Catalog(n)
-		if err != nil {
-			return err
-		}
-		e, err := execute(spec)
-		if err != nil {
-			return err
-		}
-		out.Scenarios = append(out.Scenarios, e)
-		calendar[n] = e
-		fmt.Printf("%-18s %7d nodes  built %6.2fs  %8.0f events/s  %9.1f sim-s/wall-s  flush %4.1f%%\n",
-			e.Name, e.Nodes, e.BuildSeconds, e.EventsPerS, e.SimPerWall, 100*e.FlushSeconds/e.WallSeconds)
-	}
-	for _, n := range schedulerSeriesScenarios {
-		spec, err := scenario.Catalog(n)
-		if err != nil {
-			return err
-		}
-		spec.Cloud.ClassicHeap = true
-		classic, err := execute(spec)
-		if err != nil {
-			return err
-		}
-		cal := calendar[n]
-		if classic.TraceDigest != cal.TraceDigest {
-			return fmt.Errorf("scenario %s: classic-heap trace digest %s differs from calendar %s",
-				n, classic.TraceDigest, cal.TraceDigest)
-		}
-		out.SchedulerSeries = append(out.SchedulerSeries,
-			schedEntry{benchEntry: cal, Scheduler: "calendar"},
-			schedEntry{benchEntry: classic, Scheduler: "classic-heap"})
-		out.BaselinePR4[n] = classic
-		fmt.Printf("%-18s classic-heap rerun: %8.0f events/s (calendar %8.0f), digests identical\n",
-			n, classic.EventsPerS, cal.EventsPerS)
-	}
-	for _, n := range schedulerSeriesScenarios {
-		spec, err := scenario.Catalog(n)
-		if err != nil {
-			return err
-		}
-		// Auto shard/worker counts: one shard per rack group up to
-		// GOMAXPROCS, staged by up to GOMAXPROCS workers. The serial arm
-		// is the calendar run already recorded above.
-		spec.Cloud.Kernel.ShardedAdvance = true
-		sharded, err := execute(spec)
-		if err != nil {
-			return err
-		}
-		cal := calendar[n]
-		if sharded.TraceDigest != cal.TraceDigest {
-			return fmt.Errorf("scenario %s: sharded-advance trace digest %s differs from serial %s",
-				n, sharded.TraceDigest, cal.TraceDigest)
-		}
-		out.AdvanceSeries = append(out.AdvanceSeries,
-			advEntry{benchEntry: cal, Advance: "serial"},
-			advEntry{benchEntry: sharded, Advance: fmt.Sprintf("sharded(%d workers)", runtime.GOMAXPROCS(0))})
-		fmt.Printf("%-18s sharded rerun: %8.0f events/s (serial %8.0f), digests identical\n",
-			n, sharded.EventsPerS, cal.EventsPerS)
-	}
-	for _, n := range routeSynthSeriesScenarios {
-		cal := calendar[n]
-		// The headline claim first: the default arm settled every cold
-		// route by synthesis. On an all-links-up fat-tree a single
-		// fallback is a coverage bug, not noise.
-		if cal.DijkstraFallbacks != 0 {
-			return fmt.Errorf("scenario %s: %d Dijkstra fallbacks on an all-links-up fat-tree", n, cal.DijkstraFallbacks)
-		}
-		if cal.RouteSynthHits == 0 {
-			return fmt.Errorf("scenario %s: route synthesis never engaged", n)
-		}
-		spec, err := scenario.Catalog(n)
-		if err != nil {
-			return err
-		}
-		spec.Cloud.Kernel.DisableRouteSynthesis = true
-		ablated, err := execute(spec)
-		if err != nil {
-			return err
-		}
-		if ablated.TraceDigest != cal.TraceDigest {
-			return fmt.Errorf("scenario %s: dijkstra-only trace digest %s differs from synth %s",
-				n, ablated.TraceDigest, cal.TraceDigest)
-		}
-		if ablated.RouteSynthHits != 0 || ablated.DijkstraFallbacks == 0 {
-			return fmt.Errorf("scenario %s: ablation arm did not disable synthesis (synth %d, dijkstra %d)",
-				n, ablated.RouteSynthHits, ablated.DijkstraFallbacks)
-		}
-		if ablated.EventsPerS >= cal.EventsPerS {
-			return fmt.Errorf("scenario %s: dijkstra-only arm (%0.f events/s) not slower than synthesis (%0.f events/s) — the optimisation claim failed",
-				n, ablated.EventsPerS, cal.EventsPerS)
-		}
-		spec, err = scenario.Catalog(n)
-		if err != nil {
-			return err
-		}
-		spec.Cloud.Kernel.ShardedAdvance = true
-		spec.Cloud.Kernel.ShardWorkers = 4
-		sharded, err := execute(spec)
-		if err != nil {
-			return err
-		}
-		if sharded.TraceDigest != cal.TraceDigest {
-			return fmt.Errorf("scenario %s: sharded trace digest %s differs from serial %s",
-				n, sharded.TraceDigest, cal.TraceDigest)
-		}
-		out.RouteSynthSeries = append(out.RouteSynthSeries,
-			routeEntry{benchEntry: cal, Routes: "synth"},
-			routeEntry{benchEntry: ablated, Routes: "dijkstra-only"},
-			routeEntry{benchEntry: sharded, Routes: "synth+sharded(4 workers)"})
-		fmt.Printf("%-18s routes: synth %8.0f events/s (0 fallbacks), dijkstra-only %8.0f, sharded %8.0f — digests identical\n",
-			n, cal.EventsPerS, ablated.EventsPerS, sharded.EventsPerS)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d scenarios, %d scheduler-series arms, %d advance-series arms, %d route-series arms)\n",
-		path, len(out.Scenarios), len(out.SchedulerSeries), len(out.AdvanceSeries), len(out.RouteSynthSeries))
-	return nil
-}
-
-// kernelModeLine renders the run header's scheduler/solver/advance
-// summary.
-func kernelModeLine(c cliconfig.Common) string {
-	scheduler := "calendar"
-	if c.ClassicHeap {
-		scheduler = "classic-heap"
-	}
-	solver := "parallel(auto)"
-	switch {
-	case c.SerialSolve:
-		solver = "serial"
-	case c.SolveWorkers > 0:
-		solver = fmt.Sprintf("parallel(%d workers, forced)", c.SolveWorkers)
-	}
-	advance := "lazy"
-	if c.EagerAdvance {
-		advance = "eager"
-	}
-	run := "single-loop"
-	if c.ShardedAdvance || c.ShardWorkers > 0 || c.Shards > 0 {
-		shards, workers := "auto", "auto"
-		if c.Shards > 0 {
-			shards = fmt.Sprintf("%d", c.Shards)
-		}
-		if c.ShardWorkers > 0 {
-			workers = fmt.Sprintf("%d", c.ShardWorkers)
-		}
-		run = fmt.Sprintf("sharded(shards=%s workers=%s)", shards, workers)
-	}
-	routes := "synth+dijkstra"
-	if c.NoRouteSynth {
-		routes = "dijkstra-only"
-	}
-	return fmt.Sprintf("run-phase kernel: scheduler=%s solver=%s advance=%s run=%s routes=%s", scheduler, solver, advance, run, routes)
-}
-
 // specFor resolves a catalog scenario with the command-line overrides
 // applied — shared by run, checkpointing and resume (a checkpoint file
 // records exactly these overrides, so the resuming process rebuilds the
@@ -558,8 +184,8 @@ func run(name string, o runOpts) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario %s: %d nodes, %v simulated\n%s\n",
-		spec.Name, scenario.NodeCount(spec), spec.Duration, kernelModeLine(o.common))
+	fmt.Printf("scenario %s: %d nodes, %v simulated\n",
+		spec.Name, scenario.NodeCount(spec), spec.Duration)
 
 	r, err := scenario.New(spec)
 	if err != nil {
@@ -626,43 +252,11 @@ func resume(path string, o runOpts) error {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return fmt.Errorf("reading checkpoint %s: %w", path, err)
 	}
-	req := p.SpecRequest
-	// Kernel knobs passed on the resume command line win over the
-	// recorded ones: all four modes are byte-identical by construction,
-	// so ablating the resume (e.g. -classic-heap) is safe and the
-	// verification below still must pass.
-	if o.common.ClassicHeap {
-		req.ClassicHeap = true
-	}
-	if o.common.SerialSolve {
-		req.SerialSolve = true
-	}
-	if o.common.EagerAdvance {
-		req.EagerAdvance = true
-	}
-	if o.common.SolveWorkers > 0 {
-		req.SolveWorkers = o.common.SolveWorkers
-	}
-	if o.common.ShardedAdvance || o.common.ShardWorkers > 0 || o.common.Shards > 0 {
-		req.ShardedAdvance = true
-	}
-	if o.common.ShardWorkers > 0 {
-		req.ShardWorkers = o.common.ShardWorkers
-	}
-	if o.common.Shards > 0 {
-		req.Shards = o.common.Shards
-	}
-	spec, err := req.Resolve()
+	spec, err := p.SpecRequest.Resolve()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("resuming %s from %s: replaying to %v\n%s\n",
-		spec.Name, path, p.At, kernelModeLine(cliconfig.Common{
-			ClassicHeap: req.ClassicHeap, SerialSolve: req.SerialSolve,
-			EagerAdvance: req.EagerAdvance, SolveWorkers: req.SolveWorkers,
-			ShardedAdvance: req.ShardedAdvance, ShardWorkers: req.ShardWorkers,
-			Shards: req.Shards,
-		}))
+	fmt.Printf("resuming %s from %s: replaying to %v\n", spec.Name, path, p.At)
 	r, err := scenario.New(spec)
 	if err != nil {
 		return err

@@ -1,11 +1,17 @@
 // Package cliconfig is the configuration surface shared by the three
 // binaries: the flag set piscale and picloud both register (fleet
-// shape, fabric, kernel-mode knobs), the fabric-name parser, and the
-// wire-level spec and fault decoding the session service (piscaled)
-// and piscale's checkpoint files both speak. One package, one set of
-// JSON field names, one override order — a spec decoded from a
-// checkpoint file, a command line or a POST body resolves through the
+// shape, fabric, seed, run length, sampling), the fabric-name parser,
+// and the wire-level spec and fault decoding the session service
+// (piscaled) and piscale's checkpoint files both speak. One package,
+// one set of JSON field names, one override order — a spec decoded from
+// a checkpoint file, a command line or a POST body resolves through the
 // identical code path.
+//
+// Nothing here selects a kernel: there is one scheduler, one flow
+// solver and one route engine. Files and bodies written before the
+// kernel-mode fields were retired (solve_workers, serial_solve,
+// eager_advance, classic_heap, sharded_advance, shard_workers, shards,
+// disable_route_synthesis) still decode; the fields are ignored.
 package cliconfig
 
 import (
@@ -14,7 +20,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/topology"
@@ -33,16 +38,6 @@ type Common struct {
 	Seed         int64
 	Duration     time.Duration
 	Sample       time.Duration
-	SolveWorkers int
-	SerialSolve  bool
-	EagerAdvance bool
-	ClassicHeap  bool
-
-	ShardedAdvance bool
-	ShardWorkers   int
-	Shards         int
-
-	NoRouteSynth bool
 }
 
 // Register installs the shared flags on fs, with the receiver's current
@@ -54,31 +49,6 @@ func (c *Common) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "override the scenario's RNG seed (-1 = keep)")
 	fs.DurationVar(&c.Duration, "duration", c.Duration, "override the simulated duration")
 	fs.DurationVar(&c.Sample, "sample", c.Sample, "override the metrics sampling cadence")
-	fs.IntVar(&c.SolveWorkers, "solve-workers", c.SolveWorkers, "parallel domain-solve pool size (0 = auto with work threshold; >0 forces fan-out)")
-	fs.BoolVar(&c.SerialSolve, "serial-solve", c.SerialSolve, "solve dirty congestion domains serially on the engine goroutine")
-	fs.BoolVar(&c.EagerAdvance, "eager-advance", c.EagerAdvance, "restore the whole-fleet flow accounting sweep at every instant (seed kernel cost model)")
-	fs.BoolVar(&c.ClassicHeap, "classic-heap", c.ClassicHeap, "restore the seed binary event heap in place of the calendar scheduler")
-	fs.BoolVar(&c.ShardedAdvance, "sharded-advance", c.ShardedAdvance, "advance the run phase in pod-sharded conservative windows (traces stay byte-identical)")
-	fs.IntVar(&c.ShardWorkers, "shard-workers", c.ShardWorkers, "stage-phase worker pool for the sharded advance (0 = one per core, min 2; implies -sharded-advance when >0)")
-	fs.IntVar(&c.Shards, "shards", c.Shards, "pod-shard count for the sharded advance (0 = one per core capped at racks; implies -sharded-advance when >0)")
-	fs.BoolVar(&c.NoRouteSynth, "no-route-synth", c.NoRouteSynth, "disable structured route synthesis: every route-cache miss runs the full Dijkstra (ablation; traces stay byte-identical)")
-}
-
-// Kernel renders the kernel-mode knobs as the unified options struct.
-// Setting an explicit shard or shard-worker count implies the sharded
-// advance itself, so `-shard-workers 4` alone does what it reads as.
-func (c Common) Kernel() core.KernelOptions {
-	return core.KernelOptions{
-		ClassicHeap:    c.ClassicHeap,
-		EagerAdvance:   c.EagerAdvance,
-		SerialSolve:    c.SerialSolve,
-		SolveWorkers:   c.SolveWorkers,
-		ShardedAdvance: c.ShardedAdvance || c.ShardWorkers > 0 || c.Shards > 0,
-		ShardWorkers:   c.ShardWorkers,
-		Shards:         c.Shards,
-
-		DisableRouteSynthesis: c.NoRouteSynth,
-	}
 }
 
 // SpecRequest renders the overrides as the wire form for the named
@@ -91,16 +61,6 @@ func (c Common) SpecRequest(scenarioName string) SpecRequest {
 		HostsPerRack: c.HostsPerRack,
 		Fabric:       c.Fabric,
 		Sample:       Duration(c.Sample),
-		SolveWorkers: c.SolveWorkers,
-		SerialSolve:  c.SerialSolve,
-		EagerAdvance: c.EagerAdvance,
-		ClassicHeap:  c.ClassicHeap,
-
-		ShardedAdvance: c.ShardedAdvance,
-		ShardWorkers:   c.ShardWorkers,
-		Shards:         c.Shards,
-
-		DisableRouteSynthesis: c.NoRouteSynth,
 	}
 	if c.Seed >= 0 {
 		s := c.Seed
@@ -158,8 +118,7 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // the field names are piscale's checkpoint-file fields, so a checkpoint
 // payload, a -scenario command line and a POST /v1/sessions body all
 // decode through Resolve. A nil (or negative) Seed keeps the catalog
-// seed; zero numeric fields keep the catalog values; the kernel-mode
-// booleans apply unconditionally (false is the default kernel).
+// seed; zero numeric fields keep the catalog values.
 type SpecRequest struct {
 	Scenario     string   `json:"scenario"`
 	Seed         *int64   `json:"seed,omitempty"`
@@ -168,20 +127,10 @@ type SpecRequest struct {
 	HostsPerRack int      `json:"hosts_per_rack,omitempty"`
 	Fabric       string   `json:"fabric,omitempty"`
 	Sample       Duration `json:"sample_ns,omitempty"`
-	SolveWorkers int      `json:"solve_workers,omitempty"`
-	SerialSolve  bool     `json:"serial_solve,omitempty"`
-	EagerAdvance bool     `json:"eager_advance,omitempty"`
-	ClassicHeap  bool     `json:"classic_heap,omitempty"`
-
-	ShardedAdvance bool `json:"sharded_advance,omitempty"`
-	ShardWorkers   int  `json:"shard_workers,omitempty"`
-	Shards         int  `json:"shards,omitempty"`
-
-	DisableRouteSynthesis bool `json:"disable_route_synthesis,omitempty"`
 }
 
 // Resolve looks the scenario up in the catalog and applies the
-// overrides, kernel options included.
+// overrides.
 func (r SpecRequest) Resolve() (scenario.Spec, error) {
 	spec, err := scenario.Catalog(r.Scenario)
 	if err != nil {
@@ -209,17 +158,6 @@ func (r SpecRequest) Resolve() (scenario.Spec, error) {
 	if r.Sample > 0 {
 		spec.SampleEvery = time.Duration(r.Sample)
 	}
-	spec.Cloud.Kernel = spec.Cloud.Kernel.Union(core.KernelOptions{
-		ClassicHeap:    r.ClassicHeap,
-		EagerAdvance:   r.EagerAdvance,
-		SerialSolve:    r.SerialSolve,
-		SolveWorkers:   r.SolveWorkers,
-		ShardedAdvance: r.ShardedAdvance || r.ShardWorkers > 0 || r.Shards > 0,
-		ShardWorkers:   r.ShardWorkers,
-		Shards:         r.Shards,
-
-		DisableRouteSynthesis: r.DisableRouteSynthesis,
-	})
 	return spec, nil
 }
 

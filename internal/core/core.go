@@ -40,12 +40,6 @@ import (
 // applied) is the published PiCloud: 4 racks × 14 Raspberry Pi Model B.
 type Config = fleet.Config
 
-// KernelOptions is the unified kernel ablation surface (see
-// fleet.KernelOptions). Set Config.Kernel to choose scheduler, flow
-// solver, and builder variants atomically at construction or resume;
-// the scattered per-layer setters remain as deprecated shims.
-type KernelOptions = fleet.KernelOptions
-
 // Node bundles everything attached to one Pi.
 type Node = fleet.Node
 

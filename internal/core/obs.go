@@ -11,8 +11,6 @@
 package core
 
 import (
-	"strconv"
-
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sdn"
@@ -28,16 +26,6 @@ func (c *Cloud) SetTracer(t *obs.Tracer) {
 	defer c.Mu.Unlock()
 	c.tracer = t
 	c.Net.SetTracer(t)
-	if t == nil {
-		c.Engine.SetWindowHook(nil)
-	} else if c.Engine.Sharded() {
-		// One span per conservative window of the sharded advance. The
-		// hook fires between windows, after the barrier, so it observes
-		// the advance without entering it.
-		c.Engine.SetWindowHook(func(start, end sim.Time, staged int) {
-			t.Begin("shard-window", "sim", start).End(end)
-		})
-	}
 }
 
 // Tracer returns the attached tracer (nil when tracing is off).
@@ -70,9 +58,6 @@ type KernelStats struct {
 	Net    netsim.Stats
 	Sdn    SdnStats
 	PowerW float64
-	// Shard is the pod-sharded advance's telemetry; the zero value
-	// (Shards == 0) when the single-loop engine is running.
-	Shard sim.ShardStats
 }
 
 // CollectKernelStats emits the canonical pisim_* series set for one
@@ -85,11 +70,6 @@ func CollectKernelStats(e *obs.Emitter, ks KernelStats, labels ...obs.Label) {
 	e.Counter("pisim_sched_events_fired_total", float64(ks.Sched.Fired), labels...)
 	e.Gauge("pisim_sched_events_pending", float64(ks.Sched.Pending), labels...)
 	e.Counter("pisim_sched_tombstones_total", float64(ks.Sched.Tombstones), labels...)
-	if !ks.Sched.Classic {
-		e.Counter("pisim_sched_reshapes_total", float64(ks.Sched.Reshapes), labels...)
-		e.Gauge("pisim_sched_calendar_buckets", float64(ks.Sched.Buckets), labels...)
-		e.Gauge("pisim_sched_calendar_width_log2_ns", float64(ks.Sched.WidthLog), labels...)
-	}
 	e.Counter("pisim_net_flushes_total", float64(ks.Net.Flushes), labels...)
 	e.Counter("pisim_net_domains_solved_total", float64(ks.Net.DomainsSolved), labels...)
 	e.Counter("pisim_net_parallel_flushes_total", float64(ks.Net.ParallelFlushes), labels...)
@@ -113,29 +93,6 @@ func CollectKernelStats(e *obs.Emitter, ks KernelStats, labels ...obs.Label) {
 	}
 	e.Counter("pisim_sdn_dijkstra_fallbacks_total", float64(ks.Sdn.DijkstraFallbacks), labels...)
 	e.Gauge("pisim_power_watts", ks.PowerW, labels...)
-	if ks.Shard.Shards > 0 {
-		e.Counter("pisim_shard_windows_total", float64(ks.Shard.Windows), labels...)
-		e.Counter("pisim_shard_barrier_stalls_total", float64(ks.Shard.Stalls), labels...)
-		e.Counter("pisim_shard_cross_messages_total", float64(ks.Shard.CrossShardMessages), labels...)
-		e.Counter("pisim_net_cross_shard_domains_total", float64(ks.Net.CrossShardDomains), labels...)
-		e.Gauge("pisim_shard_workers", float64(ks.Shard.Workers), labels...)
-		e.Gauge("pisim_shard_lookahead_seconds", ks.Shard.Lookahead.Seconds(), labels...)
-		// Per-shard series carry the shard=<n> label the ROADMAP
-		// reserves for process federation (the future coordinator
-		// federates per-process registries without renaming); the
-		// engine's unpartitioned global queue reports as shard="global".
-		for i := range ks.Shard.StagedPerShard {
-			lbl := "global"
-			if i < ks.Shard.Shards {
-				lbl = strconv.Itoa(i)
-			}
-			shardLabels := append(append([]obs.Label(nil), labels...), obs.L("shard", lbl))
-			e.Counter("pisim_shard_staged_events_total", float64(ks.Shard.StagedPerShard[i]), shardLabels...)
-			if i < len(ks.Shard.PendingPerShard) {
-				e.Gauge("pisim_shard_pending_events", float64(ks.Shard.PendingPerShard[i]), shardLabels...)
-			}
-		}
-	}
 }
 
 // KernelStats samples all layers under the cloud lock. The capture is
@@ -168,6 +125,5 @@ func (c *Cloud) kernelStatsLocked() KernelStats {
 			DijkstraFallbacks:    misses - synth,
 		},
 		PowerW: c.Meter.TotalWatts(),
-		Shard:  c.Engine.ShardStats(),
 	}
 }

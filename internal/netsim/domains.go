@@ -26,8 +26,8 @@
 // pure function of the domain's own links and flows, and completion
 // events are (re)armed in one global admission-order pass gated on the
 // flow's rate actually changing. A full re-solve of every domain
-// (SetFullRecompute) therefore produces byte-identical traces to the
-// incremental path — the property TestIncrementalMatchesFullSolver
+// (KernelMode.FullRecompute) therefore produces byte-identical traces
+// to the incremental path — the property TestIncrementalMatchesFullSolver
 // pins across the whole canned-scenario catalog.
 package netsim
 
@@ -160,9 +160,9 @@ func (n *Network) adoptFlow(f *Flow, links []*Link) {
 // parallelSolveMinFlows is the auto-mode fan-out threshold: a flush
 // whose dirty domains hold fewer member flows than this is solved
 // serially — goroutine handoff costs more than rack-sized fills. The
-// threshold only bites in auto mode (SetSolveWorkers(0)); an explicit
-// worker count forces fan-out so the gates can exercise the pool on
-// small fabrics. BenchmarkParallelSolve locates the crossover.
+// threshold only bites in auto mode (KernelMode.SolveWorkers 0); an
+// explicit worker count forces fan-out so the gates can exercise the
+// pool on small fabrics. BenchmarkParallelSolve locates the crossover.
 const parallelSolveMinFlows = 4096
 
 // solveDirty is the flush body: rebuild split-suspect domains, claim
@@ -204,19 +204,6 @@ func (n *Network) solveDirty() {
 		n.dirtyDomains[i] = nil
 	}
 	n.dirtyDomains = n.dirtyDomains[:0]
-	if n.shardOf != nil {
-		// Telemetry for the sharded advance: how many solved domains
-		// span pods this flush — the contention surface a multi-process
-		// split would have to exchange at window boundaries. The union-
-		// find partition already merges cross-pod flows into one domain,
-		// so sharding composes with parallel solving by construction;
-		// this just measures how often it happens.
-		for _, d := range claimed {
-			if n.domainSpansShards(d) {
-				n.stats.crossShardDomains++
-			}
-		}
-	}
 
 	now := n.engine.Now()
 	var solveStart time.Time
@@ -552,27 +539,6 @@ func rateChanged(old, new float64) bool {
 	return diff > rateReschedEps*limit
 }
 
-// domainSpansShards reports whether a domain's live member flows touch
-// more than one pod shard (sources and destinations both considered —
-// a flow is traffic on every pod it terminates in).
-func (n *Network) domainSpansShards(d *domain) bool {
-	first, seen := 0, false
-	for _, f := range d.flows {
-		if f.ended {
-			continue
-		}
-		for _, id := range [2]NodeID{f.Spec.Src, f.Spec.Dst} {
-			sh := n.shardOf(id)
-			if !seen {
-				first, seen = sh, true
-			} else if sh != first {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // rescheduleChanged re-arms the completion event of every finite flow
 // whose rate actually changed, in admission (flow-ID) order so the
 // engine's event sequence — and with it whole-run determinism — is
@@ -628,14 +594,7 @@ func (n *Network) rescheduleChanged() {
 			n.endFlow(f, EndCompleted)
 			n.markDirty()
 		}
-		if n.shardOf != nil {
-			// Tag the completion with the source pod so the standing
-			// mass of pending completions spreads over the per-shard
-			// scheduler queues (routing hint only; see SetShardMap).
-			f.complete = n.engine.ScheduleShard(d, n.shardOf(f.Spec.Src), fn)
-		} else {
-			f.complete = n.engine.Schedule(d, fn)
-		}
+		f.complete = n.engine.Schedule(d, fn)
 	}
 	for i := range n.changedFlows {
 		n.changedFlows[i] = nil

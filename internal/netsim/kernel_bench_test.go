@@ -53,7 +53,7 @@ func buildLoadedRig(b *testing.B, e *sim.Engine, racks, hostsPerRack int, mode f
 // benchAdvance drives churn in rack 0 while every other rack idles.
 func benchAdvance(b *testing.B, eager bool) {
 	e := sim.NewEngine(1)
-	rig := buildLoadedRig(b, e, 16, 64, func(n *Network) { n.SetEagerAdvance(eager) })
+	rig := buildLoadedRig(b, e, 16, 64, func(n *Network) { n.SetKernelMode(KernelMode{EagerAdvance: eager}) })
 	n := rig.n
 	src, tor, dst := rig.racks[0][0], rig.tors[0], rig.racks[0][2]
 	b.ReportAllocs()
@@ -87,11 +87,11 @@ func benchParallelSolve(b *testing.B, racks, hostsPerRack int, serial bool) {
 	e := sim.NewEngine(1)
 	rig := buildLoadedRig(b, e, racks, hostsPerRack, func(n *Network) {
 		if serial {
-			n.SetSerialSolve(true)
+			n.SetKernelMode(KernelMode{SerialSolve: true})
 		} else {
 			// Forced pool, so the small shapes exercise fan-out too
 			// (auto mode would keep them under the work threshold).
-			n.SetSolveWorkers(4)
+			n.SetKernelMode(KernelMode{SolveWorkers: 4})
 		}
 	})
 	n := rig.n

@@ -309,8 +309,8 @@ type Network struct {
 	nextID       int64
 	dirty        bool
 	// eagerAdvance restores the seed kernel's O(live flows) sweep at
-	// every time-advancing mutation — the test/ablation mode behind
-	// SetEagerAdvance. The sweep materialises every flow (recreating the
+	// every time-advancing mutation — the KernelMode.EagerAdvance
+	// reference mode. The sweep materialises every flow (recreating the
 	// old cost model for benchmarks) and cross-checks the lazy
 	// accounting, but never commits, so both modes are byte-identical.
 	eagerAdvance bool
@@ -327,9 +327,8 @@ type Network struct {
 	fullRecompute bool
 	// serialSolve forces single-goroutine domain solving; the parallel
 	// fan-out is byte-identical by construction (disjoint domains,
-	// admission-ordered rescheduling), and this knob exists so the
-	// determinism gate can prove it — the solver mirror of the fleet
-	// builder's SerialBuild.
+	// admission-ordered rescheduling), and this mode exists so the
+	// determinism gate can prove it.
 	serialSolve bool
 	// solveWorkers sizes the solve pool: 0 auto-sizes from GOMAXPROCS
 	// and applies the parallelSolveMinFlows work threshold; an explicit
@@ -358,11 +357,6 @@ type Network struct {
 	groupOrder  []int
 	groupStale  bool
 	removedTags map[linkKey]int
-	// shardOf maps a node to its pod shard under the engine's sharded
-	// advance (SetShardMap); nil when sharding is off. Used only to tag
-	// completion events with a locality hint — tags are routing, never
-	// ordering, so the map cannot affect a trace.
-	shardOf func(NodeID) int
 	// stats and tracer are the observability taps (see stats.go):
 	// telemetry counters outside every digest, an optional dual-clock
 	// span per flush, and opt-in phase profiling.
@@ -405,30 +399,6 @@ func New(engine *sim.Engine) *Network {
 	return n
 }
 
-// SetShardMap installs (or, with nil, removes) the node → pod-shard map
-// the engine's sharded advance partitions by. With a map installed,
-// each flow-completion event is tagged with the shard of the flow's
-// source node, so the standing mass of pending completions lands in
-// per-pod scheduler queues and the stage phase parallelises across
-// pods. The map is a locality hint only: execution order stays the
-// global (time, seq) total order, so traces are identical with any map
-// — including none.
-func (n *Network) SetShardMap(fn func(NodeID) int) { n.shardOf = fn }
-
-// MinLinkLatency returns the smallest base (unshaped) latency over all
-// current links — the conservative lookahead bound for the sharded
-// advance: no effect can cross between nodes, and so between pods,
-// faster than the fastest cable. Zero when the network has no links.
-func (n *Network) MinLinkLatency() time.Duration {
-	var min time.Duration
-	for _, l := range n.linkList {
-		if l.baseLatency > 0 && (min == 0 || l.baseLatency < min) {
-			min = l.baseLatency
-		}
-	}
-	return min
-}
-
 // markDirty defers rate recomputation to the end of the current virtual
 // instant. The zero-delay event fires before time can advance, so no flow
 // ever accrues bits at a stale rate.
@@ -465,12 +435,13 @@ func (n *Network) TopoEpoch() uint64 { return n.topoEpoch }
 // beyond the automatic bumps netsim's own mutators perform.
 func (n *Network) BumpTopoEpoch() { n.topoEpoch++ }
 
-// KernelMode bundles the network kernel's ablation and escape-hatch
-// knobs: every mode is byte-identical to the defaults (the determinism
-// gates prove it); they exist for differential tests, ablation
-// benchmarks and as escape hatches. The zero value is the production
-// kernel: lazy accounting, incremental solving, auto-sized parallel
-// fan-out.
+// KernelMode bundles the network kernel's reference modes: every mode is
+// byte-identical to the defaults, and the determinism gates prove it by
+// running each against the production kernel. They are verification
+// oracles, set on a built network by tests and kernel benchmarks; no
+// production configuration selects them. The zero value is the
+// production kernel: lazy accounting, incremental solving, auto-sized
+// parallel fan-out.
 type KernelMode struct {
 	// EagerAdvance restores the seed kernel's whole-fleet accounting
 	// sweep at every time-advancing mutation. The sweep materialises
@@ -501,69 +472,14 @@ type KernelMode struct {
 	FullRecompute bool
 }
 
-// KernelMode returns the currently applied knob values.
-func (n *Network) KernelMode() KernelMode {
-	return KernelMode{
-		EagerAdvance:  n.eagerAdvance,
-		SerialSolve:   n.serialSolve,
-		SolveWorkers:  n.solveWorkers,
-		FullRecompute: n.fullRecompute,
-	}
-}
-
-// SetKernelMode applies the whole knob surface in one step — the single
-// entry point construction and resume use (core.Config.Kernel reaches
-// the network through it), so a cloud can never run with a half-applied
-// mix of ablation modes.
+// SetKernelMode applies the whole mode set in one step, so a network can
+// never run with a half-applied mix of reference modes. Call it before
+// the run starts (on a freshly built cloud) or between run slices.
 func (n *Network) SetKernelMode(m KernelMode) {
 	n.eagerAdvance = m.EagerAdvance
 	n.serialSolve = m.SerialSolve
 	n.solveWorkers = m.SolveWorkers
 	n.fullRecompute = m.FullRecompute
-}
-
-// SetFullRecompute switches the allocator between incremental (default,
-// dirty domains only) and full re-solve of every domain at each flush.
-//
-// Deprecated: set core.KernelOptions on core.Config (or use
-// SetKernelMode) instead; this shim survives for the differential tests.
-func (n *Network) SetFullRecompute(v bool) {
-	m := n.KernelMode()
-	m.FullRecompute = v
-	n.SetKernelMode(m)
-}
-
-// SetEagerAdvance restores the seed kernel's whole-fleet accounting
-// sweep at every time-advancing mutation (see KernelMode.EagerAdvance).
-//
-// Deprecated: set core.KernelOptions on core.Config (or use
-// SetKernelMode) instead; this shim survives for the differential tests.
-func (n *Network) SetEagerAdvance(v bool) {
-	m := n.KernelMode()
-	m.EagerAdvance = v
-	n.SetKernelMode(m)
-}
-
-// SetSerialSolve forces dirty congestion domains to be solved on the
-// engine goroutine, one after another (see KernelMode.SerialSolve).
-//
-// Deprecated: set core.KernelOptions on core.Config (or use
-// SetKernelMode) instead; this shim survives for the differential tests.
-func (n *Network) SetSerialSolve(v bool) {
-	m := n.KernelMode()
-	m.SerialSolve = v
-	n.SetKernelMode(m)
-}
-
-// SetSolveWorkers sizes the parallel solve pool (see
-// KernelMode.SolveWorkers).
-//
-// Deprecated: set core.KernelOptions on core.Config (or use
-// SetKernelMode) instead; this shim survives for the differential tests.
-func (n *Network) SetSolveWorkers(k int) {
-	m := n.KernelMode()
-	m.SolveWorkers = k
-	n.SetKernelMode(m)
 }
 
 // AddNode registers a device.
@@ -1015,8 +931,8 @@ func (n *Network) advance() {
 // materialises every live flow, verifies the lazy accounting invariant
 // (a flow's materialised total never decreases — a decrease means a
 // rate change was applied without committing the preceding span), and
-// compacts ended flows eagerly. It exists as the SetEagerAdvance test
-// and ablation mode; the lazy path compacts on a counter instead.
+// compacts ended flows eagerly. It exists as the EagerAdvance reference
+// mode; the lazy path compacts on a counter instead.
 func (n *Network) advanceAll() {
 	now := n.engine.Now()
 	if now == n.lastAdvance {

@@ -26,10 +26,6 @@ type Stats struct {
 	FlowsCommitted   uint64 // accounting spans materialised (commitFlow)
 	FlowsRescheduled uint64 // completion events re-armed after a rate change
 	ActiveFlows      int    // live flows right now
-	// CrossShardDomains counts solved domains whose member flows span
-	// more than one pod shard — populated only while a shard map is
-	// installed (the engine's sharded advance).
-	CrossShardDomains uint64
 
 	// Wall-clock phase attribution, populated only after
 	// EnableProfiling(true): total time inside solveDirty (flush) and
@@ -44,13 +40,12 @@ type Stats struct {
 // total is still deterministic — every member flow of a solved domain
 // commits exactly once per solve, whichever worker gets it.
 type netStats struct {
-	flushes           uint64
-	domains           uint64
-	parallel          uint64
-	maxFanout         int
-	commits           atomic.Uint64
-	rescheduled       uint64
-	crossShardDomains uint64
+	flushes     uint64
+	domains     uint64
+	parallel    uint64
+	maxFanout   int
+	commits     atomic.Uint64
+	rescheduled uint64
 
 	profEnabled bool
 	flushWall   time.Duration
@@ -60,16 +55,15 @@ type netStats struct {
 // Stats samples the kernel counters.
 func (n *Network) Stats() Stats {
 	return Stats{
-		Flushes:           n.stats.flushes,
-		DomainsSolved:     n.stats.domains,
-		ParallelFlushes:   n.stats.parallel,
-		MaxFanout:         n.stats.maxFanout,
-		FlowsCommitted:    n.stats.commits.Load(),
-		FlowsRescheduled:  n.stats.rescheduled,
-		ActiveFlows:       n.active,
-		CrossShardDomains: n.stats.crossShardDomains,
-		FlushWall:         n.stats.flushWall,
-		SolveWall:         n.stats.solveWall,
+		Flushes:          n.stats.flushes,
+		DomainsSolved:    n.stats.domains,
+		ParallelFlushes:  n.stats.parallel,
+		MaxFanout:        n.stats.maxFanout,
+		FlowsCommitted:   n.stats.commits.Load(),
+		FlowsRescheduled: n.stats.rescheduled,
+		ActiveFlows:      n.active,
+		FlushWall:        n.stats.flushWall,
+		SolveWall:        n.stats.solveWall,
 	}
 }
 

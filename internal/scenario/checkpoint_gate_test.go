@@ -1,14 +1,6 @@
 package scenario
 
-// Gates for the PR 5 scheduler + checkpoint work:
-//
-//   - TestCalendarMatchesClassicHeap is the scheduler differential: every
-//     canned scenario (including the cancellation-heavy migration-storm,
-//     whose completion re-arms exercise the tombstone path hard) runs
-//     once on the default two-level calendar scheduler and once on the
-//     seed binary heap, and the traces must be bitwise identical. The
-//     (time, sequence) total order is the contract; the scheduler is an
-//     implementation detail that must be invisible.
+// Gates for the checkpoint work:
 //
 //   - TestCheckpointResumeByteIdentical pins both halves of the restore
 //     contract on every small-catalog scenario, at multiple capture
@@ -29,26 +21,7 @@ package scenario
 import (
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
-
-func TestCalendarMatchesClassicHeap(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec, err := Catalog(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec = shrinkForGate(spec)
-			base := kernelBaseline(t, name) // default: calendar scheduler
-
-			classic := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.ClassicHeap = true })
-			requireIdentical(t, "calendar vs classic heap", base, classic)
-		})
-	}
-}
 
 // smallCatalog lists the scenarios fast enough to run several times per
 // gate — the same set whose digests scenarioDigests pins.

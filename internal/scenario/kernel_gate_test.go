@@ -4,9 +4,10 @@ package scenario
 // domain solving) at scenario level:
 //
 //   - TestParallelSolveMatchesSerial runs every canned scenario under
-//     the default auto fan-out, under SerialSolve, and with an explicit
-//     worker count forcing the pool on even for small flushes, and
-//     requires byte-identical traces, event counts and metrics. With
+//     the default auto fan-out, under the serial-solve reference mode,
+//     and with an explicit worker count forcing the pool on even for
+//     small flushes, and requires byte-identical traces, event counts
+//     and metrics. With
 //     `go test -race ./...` (the CI race job) this doubles as the
 //     race-detector run of a parallel-solve megafleet-1000: that
 //     scenario executes at full 1040-node size with the pool forced on.
@@ -21,6 +22,11 @@ package scenario
 //   - TestScenarioTraceDigests pins the trace fingerprint of every
 //     fast catalog scenario, extending the megafleet-1000 pin to the
 //     whole small catalog.
+//
+// The reference modes (serial solve, forced pool, eager sweep, full
+// recompute) are netsim.KernelMode values set on a built cloud through
+// Net.SetKernelMode: verification oracles reachable from tests only,
+// never from a production config.
 //
 // Why these digests survived the kernel refactor, and why PR 2's
 // migration-storm digest moved 1 ns: a completion event's time is
@@ -44,6 +50,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 )
 
 // shrinkForGate cuts the megafleets down for double-build gates; the
@@ -67,18 +74,25 @@ func shrinkForGate(spec Spec) Spec {
 	return spec
 }
 
-// executeKernelVariant builds the spec's cloud with the given config
-// tweaks applied and runs the whole timeline.
-func executeKernelVariant(t *testing.T, spec Spec, configure func(*core.Config)) *Report {
+// executeKernelVariant builds the spec's cloud, applies configure to
+// the built cloud (nil for the production kernel) and runs the whole
+// timeline.
+func executeKernelVariant(t *testing.T, spec Spec, configure func(*core.Cloud)) *Report {
 	t.Helper()
-	if configure != nil {
-		configure(&spec.Cloud)
-	}
 	cloud, err := core.New(spec.Cloud)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if configure != nil {
+		configure(cloud)
+	}
 	return executeOn(t, cloud, spec)
+}
+
+// netMode returns a configure func that sets the network kernel's
+// reference mode m on the built cloud.
+func netMode(m netsim.KernelMode) func(*core.Cloud) {
+	return func(c *core.Cloud) { c.Net.SetKernelMode(m) }
 }
 
 // kernelBaselines caches the default-mode report per scenario so the
@@ -115,14 +129,14 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 			spec = shrinkForGate(spec)
 			base := kernelBaseline(t, name)
 
-			serial := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.SerialSolve = true })
+			serial := executeKernelVariant(t, spec, netMode(netsim.KernelMode{SerialSolve: true}))
 			requireIdentical(t, "default vs serial solve", base, serial)
 
 			// An explicit worker count forces the pool on for every
 			// flush with ≥ 2 dirty domains, however small — the
 			// deterministic-partition proof on fabrics that would
 			// otherwise stay under the auto threshold.
-			forced := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.SolveWorkers = 4 })
+			forced := executeKernelVariant(t, spec, netMode(netsim.KernelMode{SolveWorkers: 4}))
 			requireIdentical(t, "default vs forced parallel solve", base, forced)
 		})
 	}
@@ -139,15 +153,12 @@ func TestLazyAdvanceMatchesEager(t *testing.T) {
 			spec = shrinkForGate(spec)
 			base := kernelBaseline(t, name)
 
-			eager := executeKernelVariant(t, spec, func(cfg *core.Config) { cfg.EagerAdvance = true })
+			eager := executeKernelVariant(t, spec, netMode(netsim.KernelMode{EagerAdvance: true}))
 			requireIdentical(t, "lazy vs eager advance", base, eager)
 
 			// Both knobs together: the seed kernel's sweep cadence with
 			// the solve pool forced on.
-			both := executeKernelVariant(t, spec, func(cfg *core.Config) {
-				cfg.EagerAdvance = true
-				cfg.SolveWorkers = 3
-			})
+			both := executeKernelVariant(t, spec, netMode(netsim.KernelMode{EagerAdvance: true, SolveWorkers: 3}))
 			requireIdentical(t, "lazy vs eager+parallel", base, both)
 		})
 	}

@@ -4,7 +4,8 @@ package scenario
 //
 //   - TestIncrementalMatchesFullSolver runs every canned scenario twice,
 //     once with the default incremental allocator and once with netsim's
-//     full re-solve-every-domain mode, and requires byte-identical event
+//     full re-solve-every-domain reference mode (KernelMode.FullRecompute,
+//     set on the built cloud), and requires byte-identical event
 //     traces, identical engine event counts and identical metrics. This
 //     is the whole-system half of the solver contract (the per-rate
 //     mathematical half lives in netsim's differential test).
@@ -19,29 +20,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/netsim"
 )
-
-// executeWithMode builds the spec's cloud, forces the allocator mode,
-// and runs the whole timeline.
-func executeWithMode(t *testing.T, spec Spec, fullRecompute bool) *Report {
-	t.Helper()
-	cloud, err := core.New(spec.Cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cloud.Close()
-	cloud.Net.SetFullRecompute(fullRecompute)
-	r, err := Install(cloud, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
 
 func TestIncrementalMatchesFullSolver(t *testing.T) {
 	for _, name := range Names() {
@@ -54,29 +34,8 @@ func TestIncrementalMatchesFullSolver(t *testing.T) {
 			// The megafleets are too big to build twice in a unit test;
 			// ~1000-node slices of them exercise the same machinery.
 			spec = shrinkForGate(spec)
-			inc := executeWithMode(t, spec, false)
-			full := executeWithMode(t, spec, true)
-			if a, b := inc.TraceDigest(), full.TraceDigest(); a != b {
-				la, lb := inc.Trace, full.Trace
-				for i := range la {
-					if i >= len(lb) || la[i].String() != lb[i].String() {
-						t.Fatalf("traces diverge at event %d:\n  incremental: %s\n  full:        %s",
-							i, la[i], lb[i])
-					}
-				}
-				t.Fatalf("trace digests differ: %s vs %s (lengths %d vs %d)",
-					a, b, len(la), len(lb))
-			}
-			if inc.EventsFired != full.EventsFired {
-				t.Fatalf("event counts differ: incremental %d, full %d",
-					inc.EventsFired, full.EventsFired)
-			}
-			for k, v := range inc.Metrics {
-				if full.Metrics[k] != v {
-					t.Fatalf("metric %s differs: incremental %v, full %v",
-						k, v, full.Metrics[k])
-				}
-			}
+			full := executeKernelVariant(t, spec, netMode(netsim.KernelMode{FullRecompute: true}))
+			requireIdentical(t, "incremental vs full solver", kernelBaseline(t, name), full)
 		})
 	}
 }

@@ -71,9 +71,9 @@ type Config struct {
 	CongestionExponent float64
 	// DisableRouteSynthesis turns off the structured route synthesis
 	// fast path on cache misses, forcing every cold pair through the
-	// full Dijkstra (ablation and belt-and-braces escape hatch; the
-	// synthesised DAGs are provably identical where the fast path
-	// answers — see synthDAG).
+	// full Dijkstra — the reference the synthesis tests compare against
+	// (the synthesised DAGs are provably identical where the fast path
+	// answers — see synthDAG). The fleet builder never sets it.
 	DisableRouteSynthesis bool
 	// RouteCacheEntries caps the (src, dst) route cache; when full the
 	// least-recently-used entry is evicted, so a hot working set of

@@ -45,7 +45,6 @@ func (m *Manager) initObs() {
 	m.obs.SetHelp("pisim_session_mailbox_depth", "Commands queued in the session mailbox.")
 	m.obs.SetHelp("pisim_kernel_virtual_time_seconds", "The session kernel's virtual clock.")
 	m.obs.SetHelp("pisim_sched_tombstones_total", "Cancelled events discarded by the scheduler on pop/peek.")
-	m.obs.SetHelp("pisim_sched_reshapes_total", "Calendar queue adaptive rebuilds.")
 	m.obs.SetHelp("pisim_net_flushes_total", "Network kernel dirty-domain flush passes.")
 	m.obs.SetHelp("pisim_net_domains_solved_total", "Dirty congestion domains claimed and re-solved.")
 	m.obs.SetHelp("pisim_sdn_route_synth_hits_total", "Route cache misses answered by structured synthesis; the tier label (same-edge/adjacent/one-mid/cross-pod) splits the unlabelled monotone total by which case answered.")

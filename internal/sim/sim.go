@@ -7,15 +7,11 @@
 // whole-cloud run is a totally ordered, reproducible sequence. Wall-clock
 // time never enters simulation results.
 //
-// Two schedulers implement the same exact (time, sequence) total order:
-// the default two-level calendar ladder (calendar.go), whose pending set
-// is an explicit walkable value, and the seed binary heap kept behind
-// SetClassicHeap as the ablation and cross-check mode. Event traces are
-// byte-identical under either.
+// The pending set is one binary min-heap ordered by (time, sequence),
+// driven by a single event loop.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"io"
@@ -69,7 +65,7 @@ func (e Event) At() Time { return e.at }
 // event was still pending.
 func (e Event) Cancel() bool {
 	n := e.n
-	if n == nil || n.gen != e.gen || n.canceled || n.index < 0 {
+	if n == nil || n.gen != e.gen || n.canceled {
 		return false
 	}
 	n.canceled = true
@@ -79,106 +75,76 @@ func (e Event) Cancel() bool {
 // eventNode is the engine-owned storage behind an Event handle. Nodes are
 // pooled: after firing (or being discarded while cancelled) a node's
 // generation is bumped and it returns to the engine free list, so steady
-// event churn allocates nothing.
+// event churn allocates nothing. Every path that takes a node off the
+// queue releases it at once, so a matching generation means the event is
+// still queued.
 type eventNode struct {
 	at       Time
 	seq      uint64
-	index    int // scheduler slot (heap index / calendar stored marker), -1 once removed
 	gen      uint64
 	canceled bool
-	shard    int32 // owning shard under the sharded advance; GlobalShard otherwise
 	fn       func()
 }
 
-// scheduler is the engine's pending-event store. Implementations must
-// surface nodes in exact (time, sequence) order — cancelled tombstones
-// included, which the engine discards on the pop path — and support
-// non-destructive iteration for state capture.
-type scheduler interface {
-	push(n *eventNode)
-	// peekMin returns the earliest stored node without removing it, or
-	// nil when empty.
-	peekMin() *eventNode
-	// popMin removes and returns the earliest stored node, or nil.
-	popMin() *eventNode
-	size() int
-	// forEach visits every stored node in unspecified order.
-	forEach(fn func(*eventNode))
-	// drain removes and returns every stored node in unspecified order
-	// (scheduler migration).
-	drain() []*eventNode
+// eventLess is the engine's total order: (time, sequence) ascending.
+// Sequence numbers are unique, so the order is strict and the pop
+// sequence is independent of the heap's internal layout.
+func eventLess(a, b *eventNode) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
-// eventQueue is a min-heap of events ordered by (time, sequence).
+// eventQueue is the engine's pending-event store: a binary min-heap
+// under eventLess. Cancelled events stay in place as tombstones until
+// they surface at the top, where the engine discards them.
 type eventQueue []*eventNode
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// push adds n, sifting it up from the new leaf.
+func (q *eventQueue) push(n *eventNode) {
+	h := append(*q, nil)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(n, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = n
+	*q = h
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*eventNode)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
-
-// heapQueue adapts the seed binary heap to the scheduler interface —
-// the SetClassicHeap ablation mode.
-type heapQueue struct{ q eventQueue }
-
-func (h *heapQueue) push(n *eventNode) { heap.Push(&h.q, n) }
-
-func (h *heapQueue) peekMin() *eventNode {
-	if len(h.q) == 0 {
-		return nil
+// pop removes and returns the earliest node; the queue must be non-empty.
+func (q *eventQueue) pop() *eventNode {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	n := h[last]
+	h[last] = nil
+	h = h[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if r := c + 1; r < last && eventLess(h[r], h[c]) {
+				c = r
+			}
+			if !eventLess(h[c], n) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = n
 	}
-	return h.q[0]
-}
-
-func (h *heapQueue) popMin() *eventNode {
-	if len(h.q) == 0 {
-		return nil
-	}
-	return heap.Pop(&h.q).(*eventNode)
-}
-
-func (h *heapQueue) size() int { return len(h.q) }
-
-func (h *heapQueue) forEach(fn func(*eventNode)) {
-	for _, n := range h.q {
-		fn(n)
-	}
-}
-
-func (h *heapQueue) drain() []*eventNode {
-	out := append([]*eventNode(nil), h.q...)
-	for i := range h.q {
-		h.q[i] = nil
-		out[i].index = -1
-	}
-	h.q = h.q[:0]
-	return out
+	*q = h
+	return top
 }
 
 // Engine is a deterministic discrete-event simulator. The zero value is
@@ -187,8 +153,7 @@ func (h *heapQueue) drain() []*eventNode {
 // their own lock, which is how the management plane integrates.
 type Engine struct {
 	now     Time
-	sched   scheduler
-	classic bool
+	queue   eventQueue
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -200,53 +165,13 @@ type Engine struct {
 	// node. Telemetry only: not part of WriteState, so observing it can
 	// never shift a kernel fingerprint.
 	tombstones uint64
-
-	// shard is the pod-sharded advance state (shard.go); nil in the
-	// default single-loop mode. affinity is the shard of the currently
-	// executing event — inherited by anything it schedules — and
-	// onWindow observes executed windows for the tracer.
-	shard    *shardState
-	affinity int32
-	onWindow func(start, end Time, staged int)
 }
 
 // NewEngine returns an engine at the epoch using the given RNG seed.
-// The same seed always yields the same event interleaving. The pending
-// set lives in the two-level calendar scheduler; SetClassicHeap restores
-// the seed binary heap.
+// The same seed always yields the same event interleaving.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), sched: newCalendarQueue(), affinity: GlobalShard}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
-
-// SetClassicHeap switches the pending-event store between the default
-// calendar ladder (false) and the seed binary min-heap (true), migrating
-// any queued events. Both schedulers realise the identical (time,
-// sequence) total order, so traces are byte-identical either way — the
-// knob exists for ablation benchmarks and the differential gates, the
-// scheduler mirror of the solver's SerialSolve and the accounting's
-// EagerAdvance.
-func (e *Engine) SetClassicHeap(v bool) {
-	if v == e.classic {
-		return
-	}
-	e.classic = v
-	migrate := func(q scheduler) scheduler {
-		ns := e.newSched()
-		for _, n := range q.drain() {
-			ns.push(n)
-		}
-		return ns
-	}
-	e.sched = migrate(e.sched)
-	if s := e.shard; s != nil {
-		for i, q := range s.scheds {
-			s.scheds[i] = migrate(q)
-		}
-	}
-}
-
-// ClassicHeap reports whether the seed binary heap is in use.
-func (e *Engine) ClassicHeap() bool { return e.classic }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -262,55 +187,34 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events waiting in the queue (all shard
-// queues included), including cancelled events not yet discarded.
-func (e *Engine) Pending() int {
-	n := e.sched.size()
-	if s := e.shard; s != nil {
-		for _, q := range s.scheds {
-			n += q.size()
-		}
-	}
-	return n
-}
+// Pending returns the number of events waiting in the queue, including
+// cancelled events not yet discarded.
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // SchedStats is a read-only snapshot of the scheduler's operational
 // counters for the observability layer: everything here is either
 // already part of the engine's explicit state (scheduled, fired,
-// pending) or a pure telemetry counter outside WriteState (tombstones,
-// calendar shape), so sampling it cannot perturb a run.
+// pending) or a pure telemetry counter outside WriteState (tombstones),
+// so sampling it cannot perturb a run.
 type SchedStats struct {
 	Now        Time
 	Scheduled  uint64 // events scheduled so far (the sequence counter)
 	Fired      uint64 // events executed
 	Pending    int    // queued, including undiscarded tombstones
 	Tombstones uint64 // cancelled events discarded on pop/peek
-	Classic    bool   // seed binary heap in use (ablation mode)
-
-	// Calendar shape; zero when the classic heap is active.
-	Buckets  int    // current bucket count
-	WidthLog int    // log2 of the bucket day width in ns
-	Reshapes uint64 // adaptive rebuilds since construction
 }
 
 // SchedStats samples the scheduler counters. Like all engine methods it
 // must be called from the goroutine that owns the engine (or under the
 // cloud lock).
 func (e *Engine) SchedStats() SchedStats {
-	st := SchedStats{
+	return SchedStats{
 		Now:        e.now,
 		Scheduled:  e.seq,
 		Fired:      e.fired,
-		Pending:    e.Pending(),
+		Pending:    len(e.queue),
 		Tombstones: e.tombstones,
-		Classic:    e.classic,
 	}
-	if cq, ok := e.sched.(*calendarQueue); ok {
-		st.Buckets = len(cq.buckets)
-		st.WidthLog = int(cq.widthLog)
-		st.Reshapes = cq.reshapes
-	}
-	return st
 }
 
 // PendingEvent is the externally visible identity of one queued event:
@@ -325,16 +229,10 @@ type PendingEvent struct {
 // order. The walk is non-destructive — cancelled tombstones are skipped,
 // not discarded — so capturing the pending set never perturbs a run.
 func (e *Engine) PendingEvents() []PendingEvent {
-	out := make([]PendingEvent, 0, e.Pending())
-	collect := func(n *eventNode) {
+	out := make([]PendingEvent, 0, len(e.queue))
+	for _, n := range e.queue {
 		if !n.canceled {
 			out = append(out, PendingEvent{At: n.at, Seq: n.seq})
-		}
-	}
-	e.sched.forEach(collect)
-	if s := e.shard; s != nil {
-		for _, q := range s.scheds {
-			q.forEach(collect)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -369,18 +267,8 @@ func (e *Engine) Schedule(d Duration, fn func()) Event {
 }
 
 // ScheduleAt queues fn to run at absolute virtual time t. Times in the
-// past are clamped to the current time. The event inherits the shard of
-// the currently executing event (GlobalShard outside callbacks); see
-// ScheduleAtShard for explicit placement.
+// past are clamped to the current time.
 func (e *Engine) ScheduleAt(t Time, fn func()) Event {
-	return e.scheduleAt(t, e.affinity, fn)
-}
-
-// scheduleAt is the single scheduling path: assign the sequence number,
-// tag the node with its shard and route it to the owning queue. The
-// shard tag never enters the (time, seq) total order, so routing cannot
-// shift a trace.
-func (e *Engine) scheduleAt(t Time, shard int32, fn func()) Event {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil function")
 	}
@@ -399,21 +287,8 @@ func (e *Engine) scheduleAt(t Time, shard int32, fn func()) Event {
 	n.at = t
 	n.seq = e.seq
 	n.canceled = false
-	n.shard = shard
 	n.fn = fn
-	if s := e.shard; s != nil {
-		qi := len(s.scheds)
-		if int(shard) >= 0 && int(shard) < len(s.scheds) {
-			qi = int(shard)
-		}
-		e.queueAt(qi).push(n)
-		s.liveDirty[qi] = true
-		if e.affinity >= 0 && shard >= 0 && shard != e.affinity {
-			s.crossShard++
-		}
-	} else {
-		e.sched.push(n)
-	}
+	e.queue.push(n)
 	return Event{n: n, gen: n.gen, at: t}
 }
 
@@ -423,7 +298,6 @@ func (e *Engine) release(n *eventNode) {
 	n.gen++
 	n.fn = nil
 	n.canceled = false
-	n.index = -1
 	e.free = append(e.free, n)
 }
 
@@ -434,14 +308,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // It reports whether an event was executed (false when the queue is
 // empty). Cancelled events are discarded without executing.
 func (e *Engine) Step() bool {
-	if e.shard != nil {
-		return e.stepSharded()
-	}
-	for {
-		ev := e.sched.popMin()
-		if ev == nil {
-			return false
-		}
+	for len(e.queue) > 0 {
+		ev := e.queue.pop()
 		if ev.canceled {
 			e.tombstones++
 			e.release(ev)
@@ -457,6 +325,7 @@ func (e *Engine) Step() bool {
 		fn()
 		return true
 	}
+	return false
 }
 
 // Run executes events until the queue drains or Stop is called. It
@@ -475,9 +344,6 @@ func (e *Engine) Run() error {
 // exactly t. Events scheduled beyond t remain queued. It returns
 // ErrStopped if Stop was called during the run.
 func (e *Engine) RunUntil(t Time) error {
-	if e.shard != nil {
-		return e.runWindowedUntil(t)
-	}
 	e.stopped = false
 	for !e.stopped {
 		next := e.peek()
@@ -503,23 +369,18 @@ func (e *Engine) RunFor(d Duration) error { return e.RunUntil(e.now.Add(d)) }
 
 // peek returns the earliest non-cancelled event without removing it,
 // discarding cancelled tombstones it encounters at the front of the
-// schedule (the cancelled-on-top compaction both schedulers share).
+// schedule (the cancelled-on-top compaction).
 func (e *Engine) peek() *eventNode {
-	if e.shard != nil {
-		return e.peekSharded()
-	}
-	for {
-		ev := e.sched.peekMin()
-		if ev == nil {
-			return nil
-		}
+	for len(e.queue) > 0 {
+		ev := e.queue[0]
 		if !ev.canceled {
 			return ev
 		}
-		e.sched.popMin()
+		e.queue.pop()
 		e.tombstones++
 		e.release(ev)
 	}
+	return nil
 }
 
 // NextEventAt returns the time of the earliest pending event and true, or

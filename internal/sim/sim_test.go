@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -304,6 +305,167 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomChurnFiresInTotalOrder drives a randomized schedule/cancel/
+// run workload — same-instant bursts (zero-delay flushes), near-term and
+// far-future delays, heavy cancellation (completion re-arms) — and
+// requires every fired event to come out in strict (time, sequence)
+// order, exactly the live events to fire, and the queue to end empty.
+func TestRandomChurnFiresInTotalOrder(t *testing.T) {
+	e := NewEngine(1)
+	script := rand.New(rand.NewSource(99))
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	var fired []key
+	var evs []Event
+	live := map[uint64]bool{}
+	for round := 0; round < 60; round++ {
+		n := 20 + script.Intn(400)
+		for i := 0; i < n; i++ {
+			var d Duration
+			switch script.Intn(10) {
+			case 0: // same-instant burst
+			case 1, 2: // far future
+				d = time.Duration(script.Intn(5000)) * time.Millisecond
+			default: // near term
+				d = time.Duration(script.Intn(2000)) * time.Microsecond
+			}
+			seq := e.Seq() + 1
+			evs = append(evs, e.Schedule(d, func() {
+				fired = append(fired, key{e.Now(), seq})
+				delete(live, seq)
+			}))
+			live[seq] = true
+		}
+		for i := 0; i < n/4; i++ {
+			if ev := evs[script.Intn(len(evs))]; ev.Cancel() {
+				delete(live, ev.n.seq)
+			}
+		}
+		if err := e.RunFor(time.Duration(script.Intn(800)) * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if b.at < a.at || (b.at == a.at && b.seq <= a.seq) {
+			t.Fatalf("event %d fired out of order: %+v after %+v", i, b, a)
+		}
+	}
+	if len(live) != 0 {
+		t.Fatalf("%d live events never fired", len(live))
+	}
+	if e.Pending() != 0 || e.Fired() != uint64(len(fired)) {
+		t.Fatalf("end state: pending=%d fired=%d, want 0 and %d", e.Pending(), e.Fired(), len(fired))
+	}
+}
+
+// TestCancelThenRescheduleSameHandle is the tombstone regression: the
+// completion re-arm pattern (cancel the pending event, schedule the
+// replacement, repeatedly) must leave exactly one live event, stale
+// handles from earlier generations must never cancel the replacement
+// even after the engine recycles the node storage, and the
+// cancelled-on-top compaction must release tombstones exactly once.
+func TestCancelThenRescheduleSameHandle(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	var ev Event
+	arm := func(d Duration) {
+		ev.Cancel()
+		ev = e.Schedule(d, func() { fired++ })
+	}
+	stale := make([]Event, 0, 64)
+	for i := 0; i < 64; i++ {
+		arm(time.Duration(10+i) * time.Millisecond)
+		stale = append(stale, ev)
+	}
+	// Drain the head tombstones via peek (NextEventAt discards cancelled
+	// nodes at the front and returns them to the free list).
+	if at, ok := e.NextEventAt(); !ok || at != Time(73*time.Millisecond) {
+		t.Fatalf("NextEventAt = %v,%v; want 73ms,true", at, ok)
+	}
+	// Nodes released by the compaction are recycled for new events with a
+	// bumped generation: every stale handle must now be inert.
+	marker := e.Schedule(time.Millisecond, func() { fired += 100 })
+	for i, s := range stale[:63] {
+		if s.Cancel() {
+			t.Fatalf("stale handle %d cancelled a recycled node", i)
+		}
+	}
+	if !marker.Cancel() {
+		t.Fatal("live marker handle failed to cancel")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("fired = %d, want exactly 1 (the last re-arm)", fired)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after drain, want 0", e.Pending())
+	}
+}
+
+// TestPendingEventsSnapshotIsNonDestructive pins the state-capture
+// contract: PendingEvents lists live events in fire order, skips
+// tombstones, and reading it twice (or firing afterwards) behaves as if
+// it was never called.
+func TestPendingEventsSnapshotIsNonDestructive(t *testing.T) {
+	e := NewEngine(1)
+	var keep []Event
+	for i := 1; i <= 10; i++ {
+		keep = append(keep, e.Schedule(time.Duration(i)*time.Second, func() {}))
+	}
+	keep[3].Cancel()
+	keep[7].Cancel()
+	a := e.PendingEvents()
+	b := e.PendingEvents()
+	if len(a) != 8 || len(b) != 8 {
+		t.Fatalf("snapshot lengths = %d, %d; want 8 (tombstones skipped)", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("snapshots differ at %d: %+v vs %+v", i, a[i], b[i])
+		}
+		if i > 0 && (a[i].At < a[i-1].At || (a[i].At == a[i-1].At && a[i].Seq <= a[i-1].Seq)) {
+			t.Fatalf("snapshot not in (time, seq) order at %d: %+v after %+v", i, a[i], a[i-1])
+		}
+	}
+	if e.Pending() != 10 {
+		t.Fatalf("Pending = %d after snapshots, want 10 (capture must not discard)", e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Fired() != 8 {
+		t.Fatalf("Fired = %d, want 8", e.Fired())
+	}
+}
+
+// BenchmarkSchedulerChurn is a steady-state mix of schedule,
+// cancel-then-reschedule (the completion re-arm pattern) and fire over
+// a standing population of pending events.
+func BenchmarkSchedulerChurn(b *testing.B) {
+	e := NewEngine(1)
+	const standing = 16384
+	evs := make([]Event, standing)
+	for i := range evs {
+		evs[i] = e.Schedule(time.Duration(1+i%997)*time.Millisecond, func() {})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % standing
+		evs[k].Cancel()
+		evs[k] = e.Schedule(time.Duration(1+(i*31)%997)*time.Millisecond, func() {})
+		e.Step()
 	}
 }
 
