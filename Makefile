@@ -17,10 +17,7 @@ race:
 	$(GO) test -race ./...
 
 # The 1000-node scale gate under the race detector: the scenario engine,
-# incremental solver, parallel domain solving and route cache all run
-# full-size with -race on. (`go test -race ./...` additionally runs
-# TestParallelSolveMatchesSerial, which forces the solve pool on for
-# every catalog scenario — the full race coverage of the kernel.)
+# incremental solver and route cache run full-size with -race on.
 race-megafleet:
 	$(GO) test -race -run='^$$' -bench='^BenchmarkScenarioMegafleet1000$$' -benchtime=1x .
 
@@ -35,22 +32,24 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
-# The determinism-vs-parallelism proof: every digest pin and every
-# equivalence gate against a reference mode (serial vs parallel solve,
-# lazy vs eager accounting, incremental vs full solver, serial vs
-# parallel fleet build), the scheduler's total-order gate, plus the
-# checkpoint-resume byte-identity and study-digest gates, executed with
-# a single scheduler thread. Together with the default-GOMAXPROCS test
-# job this shows the traces are independent of how much hardware ran
-# them. `go test -run` passes silently on zero matches: check with -v
-# that every listed package still selects a test.
+# Every digest pin and every equivalence gate against a reference mode
+# (lazy vs eager accounting, incremental vs full solver), the
+# scheduler's total-order gate, plus the checkpoint-resume
+# byte-identity, study-digest and zero-perturbation gates, executed
+# with a single scheduler thread. Together with the default-GOMAXPROCS
+# test job this shows the traces do not depend on how many threads the
+# Go runtime schedules. `go test -run` passes silently on zero matches:
+# check with -v that every listed package still selects a test.
 determinism-single-core:
-	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesSerial|MatchesEager|MatchesFullSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim ./internal/fleet
+	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesEager|MatchesFullSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim
 
-# Fuzz the wire-spec decoder: arbitrary bytes through decode → Resolve →
-# re-marshal → decode must never panic and must round-trip exactly.
+# Fuzz the two parsers untrusted bytes reach, 30 s each: the wire-spec
+# decoder (decode → Resolve → re-marshal → decode must never panic and
+# must round-trip exactly) and the journal reader (a torn final line is
+# dropped, a malformed line with records after it is refused).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecRequestResolve$$' -fuzztime 30s ./internal/cliconfig
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 30s ./internal/store
 
 # A Perfetto-loadable span trace of the 1000-node scale scenario:
 # advance slices, per-domain netsim flushes and checkpoint spans with

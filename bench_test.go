@@ -273,7 +273,7 @@ func BenchmarkScenarioMegafleet1000(b *testing.B) {
 // incremental congestion-domain solver and the SDN route cache: 10,000
 // simulated nodes in 40 racks, with churn and a fabric brownout, must
 // complete inside the CI bench-smoke job. Since PR 3's fleet builder
-// (template stamping, sharded bring-up, JSON-free boot) the wall time
+// (template stamping, construction plans, JSON-free boot) the wall time
 // is no longer dominated by cloud construction.
 func BenchmarkScenarioMegafleet10000(b *testing.B) {
 	r := runScenario(b, "megafleet-10000")
@@ -297,7 +297,7 @@ func BenchmarkScenarioMegafleet10000(b *testing.B) {
 const megafleet100kBudget = 2 * time.Minute
 
 // BenchmarkScenarioMegafleet100000 is the PR 3 scale gate for the
-// parallel, template-based fleet builder: 100,000 simulated nodes in
+// template-based fleet builder: 100,000 simulated nodes in
 // 250 racks boot through the full control plane (kernels, suites,
 // daemons, DHCP, DNS, placement) and survive churn plus a fabric
 // brownout — inside a hard wall-time budget.
@@ -392,7 +392,7 @@ func BenchmarkScenarioMegafleetFattree100000(b *testing.B) {
 // gate: construction plus the full fault-and-traffic timeline. A
 // single-core reference box builds the 1,000,192-node fleet in ~50 s
 // and runs the 20 s timeline in well under a second (lazy accounting,
-// parallel solving, hierarchical meters, synthesised routes); ten
+// incremental solving, hierarchical meters, synthesised routes); ten
 // minutes leaves slow shared CI runners an order of magnitude of
 // headroom while still catching a regression of the run phase back to
 // whole-fleet-per-instant costs. Override with MEGAFLEET1M_BUDGET.

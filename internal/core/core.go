@@ -10,9 +10,9 @@
 // pimaster's API, exactly as a user of the physical testbed would.
 //
 // Construction itself lives in the fleet subsystem (internal/fleet):
-// node templates, a per-shape construction plan, rack-sharded parallel
-// bring-up and bulk registration. New is a thin composition over it;
-// Snapshot/Restore expose warm-boot for repeated runs of one shape.
+// node templates, a per-shape construction plan and bulk registration.
+// New is a thin composition over it; Snapshot/Restore expose warm-boot
+// for repeated runs of one shape.
 package core
 
 import (

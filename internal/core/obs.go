@@ -72,8 +72,6 @@ func CollectKernelStats(e *obs.Emitter, ks KernelStats, labels ...obs.Label) {
 	e.Counter("pisim_sched_tombstones_total", float64(ks.Sched.Tombstones), labels...)
 	e.Counter("pisim_net_flushes_total", float64(ks.Net.Flushes), labels...)
 	e.Counter("pisim_net_domains_solved_total", float64(ks.Net.DomainsSolved), labels...)
-	e.Counter("pisim_net_parallel_flushes_total", float64(ks.Net.ParallelFlushes), labels...)
-	e.Gauge("pisim_net_solve_max_fanout", float64(ks.Net.MaxFanout), labels...)
 	e.Counter("pisim_net_flows_committed_total", float64(ks.Net.FlowsCommitted), labels...)
 	e.Counter("pisim_net_flows_rescheduled_total", float64(ks.Net.FlowsRescheduled), labels...)
 	e.Gauge("pisim_net_active_flows", float64(ks.Net.ActiveFlows), labels...)

@@ -3,7 +3,7 @@
 // stamped onto every host, daemons addressable, pimaster populated —
 // as fast as the hardware allows.
 //
-// The subsystem is built around four ideas:
+// The subsystem is built around three ideas:
 //
 //   - A node Template: the immutable kernel/suite/image/meter prototype
 //     is validated once per board config, then cheaply stamped per host
@@ -11,12 +11,6 @@
 //   - A construction Plan: every shape-derived value (host names, rack
 //     assignments, MACs, static addresses, FQDNs, pool CIDRs) is
 //     computed once per fleet shape and reused — see plan.go.
-//   - Sharded parallel bring-up: hosts are partitioned into
-//     rack-granular shards built on worker goroutines. Workers only
-//     construct per-node objects (no shared mutable state, no engine
-//     events, no RNG draws); the shards are merged and registered
-//     strictly in rack order, so the resulting cloud — and every event
-//     trace it produces — is byte-identical to a serial build.
 //   - Bulk registration: nodes enter pimaster through RegisterNodes
 //     with plan-precomputed addressing, and node clients are bound
 //     directly to their in-process daemons, so boot performs no JSON
@@ -33,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync"
 	"time"
 
@@ -99,11 +92,6 @@ type Config struct {
 	RoutingPolicy sdn.Policy
 	// MigrationConfig tunes pre-copy.
 	MigrationConfig migration.Config
-
-	// serialBuild stamps every host on the calling goroutine — the
-	// reference the sharded parallel bring-up is compared against. Only
-	// tests set it (export_test.go).
-	serialBuild bool
 }
 
 // FillDefaults resolves the zero-value fields to the published PiCloud.
@@ -181,8 +169,7 @@ func NewTemplate(board hw.BoardSpec, images *image.Store) (*Template, error) {
 
 // Stamp instantiates the template on one host: kernel, energy meter
 // wired to CPU utilisation, LXC suite, management daemon, and a client
-// bound directly to the daemon (boot calls skip HTTP/JSON). It touches
-// no shared mutable state, so shards stamp concurrently.
+// bound directly to the daemon (boot calls skip HTTP/JSON).
 func (t *Template) Stamp(engine *sim.Engine, cloudMu *sync.Mutex, httpClient *http.Client, name string, rack int, at sim.Time) (*Node, error) {
 	kernel, err := oslinux.NewKernel(engine, t.board, name)
 	if err != nil {
@@ -329,9 +316,7 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	}
 	r.Master = master
 
-	// Sharded bring-up: stamp every host's software stack on worker
-	// goroutines, then merge and register in rack order.
-	nodes, err := stampAll(cfg, tmpl, engine, cloudMu, httpClient, plan)
+	nodes, err := stampAll(tmpl, engine, cloudMu, httpClient, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -359,89 +344,19 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	return r, nil
 }
 
-// stampAll builds every node from the template. Shards are contiguous
-// runs of whole racks; workers write disjoint index ranges of the
-// result slice, so no synchronisation beyond the final join is needed
-// and the merged order is exactly the serial order.
-func stampAll(cfg Config, tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, httpClient *http.Client, plan *Plan) ([]*Node, error) {
+// stampAll builds every node from the template, in plan (rack) order.
+func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, httpClient *http.Client, plan *Plan) ([]*Node, error) {
 	nodes := make([]*Node, len(plan.hosts))
 	at := engine.Now()
-	stampRange := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			hp := &plan.hosts[i]
-			node, err := tmpl.Stamp(engine, cloudMu, httpClient, hp.name, hp.rack, at)
-			if err != nil {
-				return err
-			}
-			nodes[i] = node
-		}
-		return nil
-	}
-	shards := rackShards(plan, workerCount(cfg, plan))
-	if len(shards) <= 1 {
-		if err := stampRange(0, len(plan.hosts)); err != nil {
-			return nil, err
-		}
-		return nodes, nil
-	}
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for s, span := range shards {
-		wg.Add(1)
-		go func(s int, lo, hi int) {
-			defer wg.Done()
-			errs[s] = stampRange(lo, hi)
-		}(s, span[0], span[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for i := range plan.hosts {
+		hp := &plan.hosts[i]
+		node, err := tmpl.Stamp(engine, cloudMu, httpClient, hp.name, hp.rack, at)
 		if err != nil {
 			return nil, err
 		}
+		nodes[i] = node
 	}
 	return nodes, nil
-}
-
-// workerCount sizes the shard pool: one worker per core, at least two
-// (so the parallel path is exercised — and its determinism proven —
-// even on single-core machines), never more than there are racks.
-func workerCount(cfg Config, plan *Plan) int {
-	if cfg.serialBuild {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w < 2 {
-		w = 2
-	}
-	if racks := len(plan.rackSpans); w > racks {
-		w = racks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// rackShards partitions the plan's hosts into n contiguous index spans
-// aligned on rack boundaries (a rack is never split across shards).
-func rackShards(plan *Plan, n int) [][2]int {
-	spans := plan.rackSpans
-	if n <= 1 || len(spans) <= 1 {
-		return [][2]int{{0, len(plan.hosts)}}
-	}
-	if n > len(spans) {
-		n = len(spans)
-	}
-	out := make([][2]int, 0, n)
-	perShard := (len(spans) + n - 1) / n
-	for i := 0; i < len(spans); i += perShard {
-		j := i + perShard
-		if j > len(spans) {
-			j = len(spans)
-		}
-		out = append(out, [2]int{spans[i][0], spans[j-1][1]})
-	}
-	return out
 }
 
 // buildTopology wires the configured fabric.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -91,31 +90,6 @@ func TestPlanMatchesRegistrationDerivations(t *testing.T) {
 		addrs, err := r.Master.DNS().LookupA(hp.fqdn)
 		if err != nil || len(addrs) == 0 || addrs[0] != hp.addr {
 			t.Fatalf("host %s: DNS %v (%v), plan %v", hp.name, addrs, err, hp.addr)
-		}
-	}
-}
-
-func TestRackShardsAlignToRackBoundaries(t *testing.T) {
-	r := assembleFleet(t, Config{Racks: 7, HostsPerRack: 3, Seed: 1})
-	plan := r.plan
-	for _, workers := range []int{1, 2, 3, 7, 50} {
-		spans := rackShards(plan, workers)
-		// Spans are contiguous, ordered, and cover every host once.
-		next := 0
-		for _, span := range spans {
-			if span[0] != next {
-				t.Fatalf("workers=%d: span starts at %d, want %d", workers, span[0], next)
-			}
-			next = span[1]
-		}
-		if next != plan.Hosts() {
-			t.Fatalf("workers=%d: spans cover %d of %d hosts", workers, next, plan.Hosts())
-		}
-		// No span splits a rack.
-		for _, span := range spans {
-			if plan.hosts[span[0]].idx != 0 {
-				t.Fatalf("workers=%d: span %v starts mid-rack", workers, span)
-			}
 		}
 	}
 }
@@ -216,47 +190,10 @@ func TestWarmCacheKeyedOnShape(t *testing.T) {
 	}
 }
 
-func TestSerialAndShardedProduceSameRegistry(t *testing.T) {
-	for _, fabric := range []topology.Fabric{
-		topology.FabricMultiRoot, topology.FabricFatTree, topology.FabricLeafSpine,
-	} {
-		t.Run(fabric.String(), func(t *testing.T) {
-			cfg := Config{Racks: 4, HostsPerRack: 4, Seed: 3, Fabric: fabric}
-			serial := assembleFleet(t, SerialBuild(cfg))
-			sharded := assembleFleet(t, cfg)
-			if len(serial.Nodes) != len(sharded.Nodes) {
-				t.Fatalf("node counts differ: %d vs %d", len(serial.Nodes), len(sharded.Nodes))
-			}
-			for i := range serial.Nodes {
-				a, b := serial.Nodes[i], sharded.Nodes[i]
-				if a.Name != b.Name || a.Rack != b.Rack || a.Host != b.Host {
-					t.Fatalf("node %d differs: %s/r%d vs %s/r%d", i, a.Name, a.Rack, b.Name, b.Rack)
-				}
-			}
-			leaseStr := func(r *Result) string {
-				var b strings.Builder
-				for _, l := range r.Master.DHCP().Leases() {
-					fmt.Fprintf(&b, "%s %s %s %v\n", l.MAC, l.Addr, l.Pool, l.Static)
-				}
-				return b.String()
-			}
-			if leaseStr(serial) != leaseStr(sharded) {
-				t.Fatal("DHCP registries differ between serial and sharded builds")
-			}
-			da := fmt.Sprint(serial.Master.DNS().Dump())
-			db := fmt.Sprint(sharded.Master.DNS().Dump())
-			if da != db {
-				t.Fatal("DNS registries differ between serial and sharded builds")
-			}
-		})
-	}
-}
-
 // TestFatTreePodShardAlignment pins the pod → rack mapping the fat-tree
 // megafleet scenarios rely on: topology racks ARE fat-tree pods and the
 // construction plan assigns every host the rack index of its pod, so
-// the build's rack-granular shards never split a pod and per-rack
-// telemetry (energy groups, rack faults) is per-pod telemetry.
+// per-rack telemetry (energy groups, rack faults) is per-pod telemetry.
 func TestFatTreePodShardAlignment(t *testing.T) {
 	cfg := Config{
 		Racks: 8, HostsPerRack: 16,

@@ -32,9 +32,6 @@ type hostPlan struct {
 type Plan struct {
 	key   shapeKey
 	hosts []hostPlan
-	// rackSpans lists each rack's contiguous [start, end) index range
-	// in hosts — the shard boundaries of the parallel bring-up.
-	rackSpans [][2]int
 	// validated records that the wired fabric passed topology.Validate
 	// for this shape, so warm boots skip the whole-fabric BFS.
 	validated bool
@@ -106,7 +103,6 @@ func planFor(cfg Config, topo *topology.Topology) *Plan {
 		validated: true,
 	}
 	idxInRack := make([]int, len(topo.Racks))
-	prevRack := -1
 	for _, host := range topo.Hosts {
 		rack := topo.RackOf(host)
 		idx := 0
@@ -122,12 +118,6 @@ func planFor(cfg Config, topo *topology.Topology) *Plan {
 			addr: pimaster.NodeAddr(rack, idx),
 			fqdn: dns.NodeFQDN(rack, idx),
 		})
-		if rack != prevRack {
-			p.rackSpans = append(p.rackSpans, [2]int{len(p.hosts) - 1, len(p.hosts)})
-			prevRack = rack
-		} else {
-			p.rackSpans[len(p.rackSpans)-1][1] = len(p.hosts)
-		}
 	}
 	return p
 }
@@ -206,8 +196,7 @@ func ResetWarmCache() {
 // fleet can be warm-booted later. Simulated state (kernels, flows,
 // meters) is inherently per-run and is rebuilt fresh; what the snapshot
 // carries — and Restore skips — is everything derivable: the full
-// registration manifest, the shard layout, and the fabric-validation
-// proof. Restored fleets are byte-identical to cold-built ones, traces
+// registration manifest and the fabric-validation proof. Restored fleets are byte-identical to cold-built ones, traces
 // included.
 type Snapshot struct {
 	cfg  Config
@@ -217,15 +206,6 @@ type Snapshot struct {
 // Snapshot captures this fleet's shape and construction plan.
 func (r *Result) Snapshot() *Snapshot {
 	return &Snapshot{cfg: r.Config, plan: r.plan}
-}
-
-// BuildShards reports how many rack shards the construction plan
-// partitioned bring-up into (the parallel build fan-out).
-func (r *Result) BuildShards() int {
-	if r.plan == nil {
-		return 0
-	}
-	return len(r.plan.rackSpans)
 }
 
 // Config returns the captured (defaults-filled) configuration.

@@ -3,59 +3,12 @@ package metrics
 import (
 	"math"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/sim"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(2.5)
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("Value = %v, want 3.5", got)
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative delta")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 5000 {
-		t.Fatalf("Value = %v, want 5000", got)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("Value = %v, want 7", got)
-	}
-}
 
 func TestTimeSeriesBasics(t *testing.T) {
 	var ts TimeSeries
@@ -86,28 +39,6 @@ func TestTimeSeriesSamplesIsCopy(t *testing.T) {
 	s[0].Value = 99
 	if got := ts.Samples()[0].Value; got != 1 {
 		t.Fatalf("internal sample mutated via returned slice: %v", got)
-	}
-}
-
-func TestTimeWeightedMean(t *testing.T) {
-	var ts TimeSeries
-	// 1.0 for 2s, then 3.0 for 2s → mean 2.0 over [0,4s].
-	ts.Record(0, 1)
-	ts.Record(sim.Time(2*time.Second), 3)
-	got := ts.TimeWeightedMean(sim.Time(4 * time.Second))
-	if math.Abs(got-2.0) > 1e-9 {
-		t.Fatalf("TimeWeightedMean = %v, want 2.0", got)
-	}
-}
-
-func TestTimeWeightedMeanEdge(t *testing.T) {
-	var ts TimeSeries
-	if got := ts.TimeWeightedMean(sim.Time(time.Second)); got != 0 {
-		t.Fatalf("empty series = %v, want 0", got)
-	}
-	ts.Record(sim.Time(time.Second), 5)
-	if got := ts.TimeWeightedMean(sim.Time(time.Second)); got != 5 {
-		t.Fatalf("zero span = %v, want 5", got)
 	}
 }
 
@@ -186,81 +117,9 @@ func TestPropertyQuantileMonotonic(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("requests").Inc()
-	r.Counter("requests").Inc()
-	r.Gauge("load").Set(0.5)
-	r.Series("util").Record(0, 1)
-	r.Histogram("latency").Observe(10)
-	r.Histogram("latency").Observe(20)
-
-	if got := r.Counter("requests").Value(); got != 2 {
-		t.Fatalf("counter = %v", got)
-	}
-	snap := r.Snapshot()
-	if snap["requests"] != 2 {
-		t.Fatalf("snapshot requests = %v", snap["requests"])
-	}
-	if snap["load"] != 0.5 {
-		t.Fatalf("snapshot load = %v", snap["load"])
-	}
-	if snap["latency_count"] != 2 {
-		t.Fatalf("snapshot latency_count = %v", snap["latency_count"])
-	}
-	if snap["latency_mean"] != 15 {
-		t.Fatalf("snapshot latency_mean = %v", snap["latency_mean"])
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 1000))
 	}
-}
-
-// mutexCounter is the pre-PR-8 Counter implementation, kept here as the
-// baseline for the parallel-increment benchmark pair below: the atomic
-// CAS counter must beat the mutex under contention (on one core the two
-// are comparable; the win shows up with -cpu 4,8).
-type mutexCounter struct {
-	mu sync.Mutex
-	v  float64
-}
-
-func (c *mutexCounter) Inc() {
-	c.mu.Lock()
-	c.v++
-	c.mu.Unlock()
-}
-
-func BenchmarkCounterParallelAtomic(b *testing.B) {
-	var c Counter
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-	if got := c.Value(); got != float64(b.N) {
-		b.Fatalf("counter = %v, want %v", got, b.N)
-	}
-}
-
-func BenchmarkCounterParallelMutex(b *testing.B) {
-	var c mutexCounter
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-}
-
-func BenchmarkGaugeSetParallel(b *testing.B) {
-	var g Gauge
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			g.Set(1)
-		}
-	})
 }

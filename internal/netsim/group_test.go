@@ -175,7 +175,7 @@ func TestGroupedBitsCaching(t *testing.T) {
 		if g.live != 0 {
 			t.Fatalf("group %d still marked live after drain", id)
 		}
-		if g.dirty.Load() {
+		if g.dirty {
 			t.Fatalf("group %d still dirty after a clean read", id)
 		}
 	}

@@ -9,10 +9,7 @@
 // Caching contract: a group's committed sub-total is valid while the
 // group is undisturbed — no member link carries a live flow (live
 // flows accrue a continuously growing pending span) and no commit has
-// touched a member since the cache was taken. Commits may run on solve
-// workers, so the disturbance flag is an atomic store (no float math
-// crosses goroutines — the cached sums are only read and written on
-// the engine goroutine, between flushes). Disturbed groups re-read
+// touched a member since the cache was taken. Disturbed groups re-read
 // their members in link-creation order, so the float summation order —
 // and therefore the reported total — is identical run over run.
 package netsim
@@ -20,7 +17,6 @@ package netsim
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // linkGroup is one telemetry sub-total: the set of links tagged with
@@ -30,9 +26,8 @@ type linkGroup struct {
 	links []*Link // tag order (deterministic summation order)
 	// committed caches Σ member BitsCarried as of the last clean read.
 	committed float64
-	// dirty is set — atomically, commits can run on solve workers —
-	// whenever a member link's committed volume moves.
-	dirty atomic.Bool
+	// dirty is set whenever a member link's committed volume moves.
+	dirty bool
 	// live counts member links currently carrying at least one flow;
 	// while non-zero the group total includes growing pending spans and
 	// the cache stands down.
@@ -70,7 +65,7 @@ func (n *Network) tagLink(l *Link, id int) {
 		n.groupStale = true
 	}
 	g.links = append(g.links, l)
-	g.dirty.Store(true)
+	g.dirty = true
 	if len(l.flows) > 0 {
 		g.live++
 	}
@@ -96,14 +91,12 @@ func (n *Network) untagLink(l *Link) {
 	if len(l.flows) > 0 {
 		g.live--
 	}
-	g.dirty.Store(true)
+	g.dirty = true
 	l.grp = nil
 }
 
 // linkGainedFlow / linkLostFlow maintain the live-member count on the
-// 0↔1 flow transitions. Flow-map mutations only happen on the engine
-// goroutine (admission, re-path, end), never inside parallel solves, so
-// the counter needs no synchronisation.
+// 0↔1 flow transitions (admission, re-path, end).
 func linkGainedFlow(l *Link) {
 	if l.grp != nil && len(l.flows) == 1 {
 		l.grp.live++
@@ -115,7 +108,7 @@ func linkLostFlow(l *Link) {
 		l.grp.live--
 		// The flow's final span was committed as it left: refresh the
 		// cache lazily on the next read.
-		l.grp.dirty.Store(true)
+		l.grp.dirty = true
 	}
 }
 
@@ -124,7 +117,7 @@ func linkLostFlow(l *Link) {
 // their members (BitsCarried materialises live pending spans exactly)
 // and re-cache once no member carries a live flow.
 func (g *linkGroup) bits() float64 {
-	if g.live == 0 && !g.dirty.Load() {
+	if g.live == 0 && !g.dirty {
 		return g.committed
 	}
 	total := 0.0
@@ -132,7 +125,7 @@ func (g *linkGroup) bits() float64 {
 		total += l.BitsCarried()
 	}
 	if g.live == 0 {
-		g.dirty.Store(false)
+		g.dirty = false
 		g.committed = total
 	}
 	return total

@@ -3,15 +3,14 @@ package netsim
 // Randomized differential gate for the run-phase kernel: the same
 // seeded mutation script — flow starts (finite, capped, unbounded),
 // cancellations, completions, shaping, duplex link failures and
-// re-paths — is replayed against three identically wired rigs running
-// the lazy accounting (default), the eager whole-fleet sweep
-// (KernelMode.EagerAdvance), and a forced-parallel domain solve
-// (KernelMode.SolveWorkers). After every step all committed and materialised
-// accounting state must agree BITWISE across the rigs, and at the end
-// the completion logs (who ended, when, why, with how many bits) must
-// be identical. This is the flow-level half of the lazy/parallel
-// contract; the trace-level half lives in internal/scenario's
-// TestLazyAdvanceMatchesEager and TestParallelSolveMatchesSerial.
+// re-paths — is replayed against two identically wired rigs running
+// the lazy accounting (default) and the eager whole-fleet sweep
+// (KernelMode.EagerAdvance). After every step all committed and
+// materialised accounting state must agree BITWISE across the rigs, and
+// at the end the completion logs (who ended, when, why, with how many
+// bits) must be identical. This is the flow-level half of the lazy
+// accounting contract; the trace-level half lives in internal/scenario's
+// TestLazyAdvanceMatchesEager.
 
 import (
 	"fmt"
@@ -39,16 +38,15 @@ func newKernelRig(t *testing.T, seed int64, mode func(*Network)) *kernelRig {
 	return &kernelRig{e: e, rig: r}
 }
 
-func TestLazyEagerParallelBitwiseEquivalence(t *testing.T) {
+func TestLazyEagerBitwiseEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rigs := []*kernelRig{
 				newKernelRig(t, seed, nil),
 				newKernelRig(t, seed, func(n *Network) { n.SetKernelMode(KernelMode{EagerAdvance: true}) }),
-				newKernelRig(t, seed, func(n *Network) { n.SetKernelMode(KernelMode{SolveWorkers: 4}) }),
 			}
-			labels := []string{"lazy", "eager", "parallel"}
+			labels := []string{"lazy", "eager"}
 			rng := rand.New(rand.NewSource(seed * 7919))
 			type liveSet struct{ flows []*Flow }
 			lives := make([]liveSet, len(rigs))

@@ -202,10 +202,9 @@ type Flow struct {
 	dom *domain
 	// pass is the solver's visited/dedup marker.
 	pass uint64
-	// fillRate is the progressive fill's scratch allocation, owned by
-	// the goroutine solving the flow's domain; f.rate (and the flow's
-	// accounting span) is only touched when the two differ at the end of
-	// a solve.
+	// fillRate is the progressive fill's scratch allocation; f.rate (and
+	// the flow's accounting span) is only touched when the two differ at
+	// the end of a solve.
 	fillRate float64
 	// schedRate is the rate the armed completion event was computed
 	// from; comparing fresh solves against it (not against the previous
@@ -325,30 +324,16 @@ type Network struct {
 	// fullRecompute forces every domain to re-solve at each flush —
 	// the "full solver" the incremental path is byte-compared against.
 	fullRecompute bool
-	// serialSolve forces single-goroutine domain solving; the parallel
-	// fan-out is byte-identical by construction (disjoint domains,
-	// admission-ordered rescheduling), and this mode exists so the
-	// determinism gate can prove it.
-	serialSolve bool
-	// solveWorkers sizes the solve pool: 0 auto-sizes from GOMAXPROCS
-	// and applies the parallelSolveMinFlows work threshold; an explicit
-	// count forces fan-out regardless of threshold (tests, ablation).
-	solveWorkers int
 	// flushFn is the pre-bound flush closure (no per-instant alloc).
 	flushFn func()
 	// dirtyDomains is the flush worklist: every dirty root appears here
 	// (possibly more than once; dedup is the dirty flag itself).
 	dirtyDomains []*domain
-	// claimed is the deduped per-flush list of unique dirty roots (the
-	// deterministic work partition the solve pool fans out over).
-	claimed []*domain
 	// changedFlows collects flows whose rate moved this flush, for the
 	// admission-ordered completion rescheduling pass.
 	changedFlows []*Flow
-	// scratch is the serial solver's reusable buffers; workerScratch
-	// holds one set per solve worker.
-	scratch       solveScratch
-	workerScratch []*solveScratch
+	// scratch is the domain solver's reusable buffers.
+	scratch solveScratch
 	// groups are the hierarchical traffic-telemetry sub-totals (see
 	// groups.go); groupOrder caches the stable ascending-id iteration
 	// order the grand total sums in. removedTags remembers the group of
@@ -364,13 +349,12 @@ type Network struct {
 	tracer *obs.Tracer
 }
 
-// solveScratch is one solver goroutine's private buffers, reused across
-// domain solves to keep the hot path allocation-free.
+// solveScratch holds the domain solver's buffers, reused across domain
+// solves to keep the hot path allocation-free.
 type solveScratch struct {
-	flows   []*Flow
-	links   []*Link
-	active  []*Flow
-	changed []*Flow
+	flows  []*Flow
+	links  []*Link
+	active []*Flow
 }
 
 type linkKey struct{ from, to NodeID }
@@ -440,8 +424,7 @@ func (n *Network) BumpTopoEpoch() { n.topoEpoch++ }
 // running each against the production kernel. They are verification
 // oracles, set on a built network by tests and kernel benchmarks; no
 // production configuration selects them. The zero value is the
-// production kernel: lazy accounting, incremental solving, auto-sized
-// parallel fan-out.
+// production kernel: lazy accounting and incremental solving.
 type KernelMode struct {
 	// EagerAdvance restores the seed kernel's whole-fleet accounting
 	// sweep at every time-advancing mutation. The sweep materialises
@@ -452,19 +435,6 @@ type KernelMode struct {
 	// commits, so eager and lazy runs are byte-identical by
 	// construction.
 	EagerAdvance bool
-	// SerialSolve forces dirty congestion domains to be solved on the
-	// engine goroutine, one after another. Off (the default), solves
-	// fan out to a bounded worker pool when the flush carries enough
-	// work; both paths produce byte-identical traces
-	// (TestParallelSolveMatchesSerial).
-	SerialSolve bool
-	// SolveWorkers sizes the parallel solve pool. Zero (the default)
-	// auto-sizes from GOMAXPROCS and only fans out when a flush
-	// carries at least parallelSolveMinFlows of work; an explicit
-	// count forces fan-out whenever two or more domains are dirty,
-	// which is how the determinism gates exercise the parallel path
-	// even on small fabrics.
-	SolveWorkers int
 	// FullRecompute switches the allocator from incremental (default,
 	// dirty domains only) to a full re-solve of every domain at each
 	// flush — the "full solver" the incremental path is byte-compared
@@ -477,8 +447,6 @@ type KernelMode struct {
 // the run starts (on a freshly built cloud) or between run slices.
 func (n *Network) SetKernelMode(m KernelMode) {
 	n.eagerAdvance = m.EagerAdvance
-	n.serialSolve = m.SerialSolve
-	n.solveWorkers = m.SolveWorkers
 	n.fullRecompute = m.FullRecompute
 }
 
@@ -884,17 +852,13 @@ func (n *Network) endFlow(f *Flow, reason EndReason) {
 // instants. Because the span arithmetic is one multiply per span, the
 // committed state is a pure function of the flow's rate-change history,
 // independent of how many mutations elsewhere in the fabric advanced
-// time in between. That independence is what makes lazy, eager, serial
-// and parallel runs byte-identical; the seed kernel's per-instant sweep
-// instead chunked each span at every fleet-wide mutation, making its
-// float rounding (and occasionally a completion event's nanosecond)
-// depend on unrelated traffic.
-//
-// During a parallel solve, commitFlow is called from the worker that
-// owns the flow's domain; it touches only the flow and its path links,
-// which belong to that domain alone, so no synchronisation is needed.
+// time in between. That independence is what makes lazy and eager runs
+// byte-identical; the seed kernel's per-instant sweep instead chunked
+// each span at every fleet-wide mutation, making its float rounding
+// (and occasionally a completion event's nanosecond) depend on
+// unrelated traffic.
 func (n *Network) commitFlow(f *Flow, now sim.Time) {
-	n.stats.commits.Add(1)
+	n.stats.commits++
 	dt := now.Sub(f.lastCalc).Seconds()
 	if dt > 0 && f.rate > 0 {
 		moved := f.rate * dt
@@ -908,9 +872,7 @@ func (n *Network) commitFlow(f *Flow, now sim.Time) {
 		for _, l := range f.path {
 			l.bitsCarried += moved
 			if l.grp != nil {
-				// Atomic store only — the worker that owns this domain
-				// never touches the group's cached floats.
-				l.grp.dirty.Store(true)
+				l.grp.dirty = true
 			}
 		}
 	}

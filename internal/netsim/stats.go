@@ -1,15 +1,13 @@
 // Observability taps for the network kernel: operational counters the
-// flush/solve machinery increments on its serial paths (plus one
-// atomic for the worker-concurrent commit path), an optional span
-// tracer around domain flushes, and opt-in wall-clock phase profiling
-// for the bench harness. None of this state is written into
-// WriteState, so sampling it — or leaving it enabled for a whole run —
-// cannot shift a kernel fingerprint; the zero-perturbation digest gate
-// in internal/scenario holds the proof.
+// flush/solve machinery increments, an optional span tracer around
+// domain flushes, and opt-in wall-clock phase profiling for the bench
+// harness. None of this state is written into WriteState, so sampling
+// it — or leaving it enabled for a whole run — cannot shift a kernel
+// fingerprint; the zero-perturbation digest gate in internal/scenario
+// holds the proof.
 package netsim
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -21,8 +19,6 @@ import (
 type Stats struct {
 	Flushes          uint64 // solveDirty passes
 	DomainsSolved    uint64 // dirty domains claimed and re-solved
-	ParallelFlushes  uint64 // flushes that fanned out to >1 worker
-	MaxFanout        int    // widest worker fan-out seen
 	FlowsCommitted   uint64 // accounting spans materialised (commitFlow)
 	FlowsRescheduled uint64 // completion events re-armed after a rate change
 	ActiveFlows      int    // live flows right now
@@ -34,17 +30,11 @@ type Stats struct {
 	SolveWall time.Duration
 }
 
-// netStats is the mutable counterpart embedded in Network. All fields
-// except commits are touched only on the serial flush path; commits is
-// atomic because commitFlow runs inside parallel solve workers. The
-// total is still deterministic — every member flow of a solved domain
-// commits exactly once per solve, whichever worker gets it.
+// netStats is the mutable counterpart embedded in Network.
 type netStats struct {
 	flushes     uint64
 	domains     uint64
-	parallel    uint64
-	maxFanout   int
-	commits     atomic.Uint64
+	commits     uint64
 	rescheduled uint64
 
 	profEnabled bool
@@ -57,9 +47,7 @@ func (n *Network) Stats() Stats {
 	return Stats{
 		Flushes:          n.stats.flushes,
 		DomainsSolved:    n.stats.domains,
-		ParallelFlushes:  n.stats.parallel,
-		MaxFanout:        n.stats.maxFanout,
-		FlowsCommitted:   n.stats.commits.Load(),
+		FlowsCommitted:   n.stats.commits,
 		FlowsRescheduled: n.stats.rescheduled,
 		ActiveFlows:      n.active,
 		FlushWall:        n.stats.flushWall,

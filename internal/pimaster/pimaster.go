@@ -217,9 +217,9 @@ func NodeAddr(rack, idxInRack int) netip.Addr {
 
 // NodeReg is one entry of a bulk registration: a node ref plus its
 // precomputed addressing, so registration is pure map inserts. The
-// fleet builder derives MAC, Addr and FQDN in parallel on its worker
-// shards; they must equal dhcp.NodeMAC(rack, idx), NodeAddr(rack, idx)
-// and dns.NodeFQDN(rack, idx) respectively.
+// fleet builder derives MAC, Addr and FQDN once per fleet shape in its
+// construction plan; they must equal dhcp.NodeMAC(rack, idx),
+// NodeAddr(rack, idx) and dns.NodeFQDN(rack, idx) respectively.
 type NodeReg struct {
 	Ref  *NodeRef
 	Idx  int

@@ -100,9 +100,11 @@ type Daemon struct {
 	engine   *sim.Engine
 	suite    *lxc.Suite
 	meter    *energy.Meter
-	reg      *metrics.Registry
 
-	requests uint64
+	// Request and container-lifecycle totals, guarded by mu.
+	requests, spawns, destroys uint64
+	// Monitoring series recorded by StartSampling.
+	cpuUtil, memUsed, powerWatts metrics.TimeSeries
 }
 
 // New builds a daemon for one node. meter may be nil.
@@ -115,12 +117,8 @@ func New(mu *sync.Mutex, engine *sim.Engine, node string, rack int, netsimID str
 		engine:   engine,
 		suite:    suite,
 		meter:    meter,
-		reg:      metrics.NewRegistry(),
 	}
 }
-
-// Registry exposes the daemon's metrics registry.
-func (d *Daemon) Registry() *metrics.Registry { return d.reg }
 
 // Handler returns the daemon's HTTP handler.
 func (d *Daemon) Handler() http.Handler {
@@ -266,7 +264,7 @@ func (d *Daemon) spawnLocked(req SpawnRequest, netMode lxc.NetMode) (ContainerDo
 		_ = d.suite.Destroy(req.Name)
 		return ContainerDoc{}, err
 	}
-	d.reg.Counter("spawns").Inc()
+	d.spawns++
 	info, _ := d.suite.InfoOf(req.Name)
 	return docFromInfo(info), nil
 }
@@ -293,7 +291,7 @@ func (d *Daemon) deleteLocked(name string) error {
 	if err := d.suite.Destroy(name); err != nil {
 		return err
 	}
-	d.reg.Counter("destroys").Inc()
+	d.destroys++
 	return nil
 }
 
@@ -429,10 +427,13 @@ func (d *Daemon) handleLimits(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
-	snap := d.reg.Snapshot()
 	k := d.suite.Kernel()
-	snap["cpu_util"] = k.CPUUtil()
-	snap["mem_used_bytes"] = float64(k.MemUsed())
+	snap := map[string]float64{
+		"spawns":         float64(d.spawns),
+		"destroys":       float64(d.destroys),
+		"cpu_util":       k.CPUUtil(),
+		"mem_used_bytes": float64(k.MemUsed()),
+	}
 	if d.meter != nil {
 		snap["power_watts"] = d.meter.CurrentWatts()
 	}
@@ -441,17 +442,17 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // StartSampling begins periodic monitoring: every period the daemon
-// records CPU utilisation, memory and power into its registry's time
-// series — the data behind the panel's load bars and the paper's
-// "remote monitoring of the CPU load on some/all Pi nodes". Call under
-// the cloud lock (it arms a simulation ticker). Returns a stop function.
+// records CPU utilisation, memory and power into its time series — the
+// data behind the panel's load bars and the paper's "remote monitoring
+// of the CPU load on some/all Pi nodes". Call under the cloud lock (it
+// arms a simulation ticker). Returns a stop function.
 func (d *Daemon) StartSampling(period sim.Duration) func() {
 	ticker := d.engine.NewTicker(period, func(at sim.Time) {
 		k := d.suite.Kernel()
-		d.reg.Series("cpu_util").Record(at, k.CPUUtil())
-		d.reg.Series("mem_used_bytes").Record(at, float64(k.MemUsed()))
+		d.cpuUtil.Record(at, k.CPUUtil())
+		d.memUsed.Record(at, float64(k.MemUsed()))
 		if d.meter != nil {
-			d.reg.Series("power_watts").Record(at, d.meter.CurrentWatts())
+			d.powerWatts.Record(at, d.meter.CurrentWatts())
 		}
 	})
 	return ticker.Stop
@@ -470,8 +471,11 @@ type SeriesSummary struct {
 func (d *Daemon) handleSeries(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	out := make([]SeriesSummary, 0, 3)
-	for _, name := range []string{"cpu_util", "mem_used_bytes", "power_watts"} {
-		s := d.reg.Series(name)
+	for _, series := range []struct {
+		name string
+		s    *metrics.TimeSeries
+	}{{"cpu_util", &d.cpuUtil}, {"mem_used_bytes", &d.memUsed}, {"power_watts", &d.powerWatts}} {
+		name, s := series.name, series.s
 		sum := SeriesSummary{Name: name, Samples: s.Len(), Mean: s.Mean(), Max: s.Max()}
 		if last, ok := s.Last(); ok {
 			sum.Last = last.Value

@@ -203,6 +203,26 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, ok := m["mem_used_bytes"]; !ok {
 		t.Fatal("mem_used_bytes missing")
 	}
+	if err := r.client.Delete("c"); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = r.client.Metrics(); err != nil {
+		t.Fatal(err)
+	}
+	if m["destroys"] != 1 {
+		t.Fatalf("destroys = %v", m["destroys"])
+	}
+	series, err := r.client.Series()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range series {
+		names = append(names, s.Name)
+	}
+	if got := strings.Join(names, ","); got != "cpu_util,mem_used_bytes,power_watts" {
+		t.Fatalf("series = %s", got)
+	}
 }
 
 func TestDeleteRunningContainerStopsFirst(t *testing.T) {

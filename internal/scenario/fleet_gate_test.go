@@ -5,10 +5,7 @@ package scenario
 // restored from a fleet snapshot must replay a scenario to the
 // byte-identical trace a cold-built cloud produces. It extends
 // solver_gate_test.go's pinned-digest pattern: any divergence surfaces
-// as a loud trace diff, not a silent drift. The serial-vs-parallel
-// build gate over the whole catalog is fleet's
-// TestShardedBuildMatchesSerial, next to the serial reference build it
-// needs.
+// as a loud trace diff, not a silent drift.
 
 import (
 	"testing"

@@ -1,30 +1,20 @@
 package scenario
 
-// Gates for the run-phase kernel (lazy flow accounting + parallel
-// domain solving) at scenario level:
-//
-//   - TestParallelSolveMatchesSerial runs every canned scenario under
-//     the default auto fan-out, under the serial-solve reference mode,
-//     and with an explicit worker count forcing the pool on even for
-//     small flushes, and requires byte-identical traces, event counts
-//     and metrics. With
-//     `go test -race ./...` (the CI race job) this doubles as the
-//     race-detector run of a parallel-solve megafleet-1000: that
-//     scenario executes at full 1040-node size with the pool forced on.
+// Gates for the run-phase kernel (lazy flow accounting) at scenario
+// level:
 //
 //   - TestLazyAdvanceMatchesEager proves the lazy accounting contract:
 //     the default mode (flows committed only at their own rate changes)
 //     and the eager mode (the seed kernel's whole-fleet sweep at every
 //     time-advancing instant, which also cross-checks materialised
-//     totals) produce byte-identical runs — including combined with a
-//     forced-parallel solve.
+//     totals) produce byte-identical runs.
 //
 //   - TestScenarioTraceDigests pins the trace fingerprint of every
 //     fast catalog scenario, extending the megafleet-1000 pin to the
 //     whole small catalog.
 //
-// The reference modes (serial solve, forced pool, eager sweep, full
-// recompute) are netsim.KernelMode values set on a built cloud through
+// The reference modes (eager sweep, full recompute) are
+// netsim.KernelMode values set on a built cloud through
 // Net.SetKernelMode: verification oracles reachable from tests only,
 // never from a production config.
 //
@@ -41,8 +31,8 @@ package scenario
 // moves only at a flow's own rate changes, and completions are armed
 // exactly at those instants (rescheduleChanged asserts it), so event
 // times are a pure function of each flow's rate history. Under that
-// invariant the digests are stable against sweep cadence, solver
-// fan-out, and GOMAXPROCS — which is what lets this table pin them.
+// invariant the digests are stable against sweep cadence and domain
+// solve order — which is what lets this table pin them.
 
 import (
 	"runtime"
@@ -118,30 +108,6 @@ func kernelBaseline(t *testing.T, name string) *Report {
 	return rep
 }
 
-func TestParallelSolveMatchesSerial(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec, err := Catalog(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec = shrinkForGate(spec)
-			base := kernelBaseline(t, name)
-
-			serial := executeKernelVariant(t, spec, netMode(netsim.KernelMode{SerialSolve: true}))
-			requireIdentical(t, "default vs serial solve", base, serial)
-
-			// An explicit worker count forces the pool on for every
-			// flush with ≥ 2 dirty domains, however small — the
-			// deterministic-partition proof on fabrics that would
-			// otherwise stay under the auto threshold.
-			forced := executeKernelVariant(t, spec, netMode(netsim.KernelMode{SolveWorkers: 4}))
-			requireIdentical(t, "default vs forced parallel solve", base, forced)
-		})
-	}
-}
-
 func TestLazyAdvanceMatchesEager(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -155,18 +121,13 @@ func TestLazyAdvanceMatchesEager(t *testing.T) {
 
 			eager := executeKernelVariant(t, spec, netMode(netsim.KernelMode{EagerAdvance: true}))
 			requireIdentical(t, "lazy vs eager advance", base, eager)
-
-			// Both knobs together: the seed kernel's sweep cadence with
-			// the solve pool forced on.
-			both := executeKernelVariant(t, spec, netMode(netsim.KernelMode{EagerAdvance: true, SolveWorkers: 3}))
-			requireIdentical(t, "lazy vs eager+parallel", base, both)
 		})
 	}
 }
 
 // scenarioDigests pins the trace fingerprint of every fast catalog
 // scenario (the megafleets keep their own gates). Values are the seed
-// kernel's digests, reproduced bit-for-bit by the lazy/parallel kernel.
+// kernel's digests, reproduced bit-for-bit by the lazy kernel.
 // Update an entry only for an intentional behaviour change, and explain
 // the mechanism in the commit (see the package comment above for the
 // nanosecond-rounding root cause behind the PR 2 migration-storm

@@ -3,8 +3,8 @@
 //
 // Three sources feed it:
 //
-//   - the manager's own metrics.Registry of service counters, published
-//     under the pisim_manager_ prefix (images built/shared, sessions
+//   - the manager's service counters, registered as
+//     pisim_manager_<name> (images built/shared, sessions
 //     created/closed/recovered/failed, forks, journal records,
 //     quarantines);
 //   - per-session latency histograms (advance slice wall time, journal
@@ -32,10 +32,34 @@ import (
 	"repro/internal/scenario"
 )
 
-// initObs wires the manager's observability registry: help strings,
-// the service-counter bridge, and the per-session collector.
+// namedCounter is one service counter with its bare name.
+type namedCounter struct {
+	name string
+	*obs.Counter
+}
+
+// initObs wires the manager's observability registry: the service
+// counters, help strings, and the per-session collector.
 func (m *Manager) initObs() {
-	m.reg.Publish(m.obs, "pisim_manager_")
+	for _, c := range []struct {
+		name string
+		dst  **obs.Counter
+	}{
+		{"images_created", &m.imagesCreated},
+		{"images_shared", &m.imagesShared},
+		{"image_forks", &m.imageForks},
+		{"images_quarantined", &m.imagesQuarantined},
+		{"journal_records", &m.journalRecords},
+		{"sessions_created", &m.sessionsCreated},
+		{"sessions_closed", &m.sessionsClosed},
+		{"sessions_failed", &m.sessionsFailed},
+		{"sessions_quarantined", &m.sessionsQuarantined},
+		{"sessions_recovered", &m.sessionsRecovered},
+		{"session_forks", &m.sessionForks},
+	} {
+		*c.dst = m.obs.Counter("pisim_manager_" + c.name)
+		m.counters = append(m.counters, namedCounter{c.name, *c.dst})
+	}
 	m.obs.SetHelp("pisim_sessions", "Live sessions.")
 	m.obs.SetHelp("pisim_images", "Registered base images.")
 	m.obs.SetHelp("pisim_sessions_quarantined", "Session ids refused after failed recovery verification.")
@@ -124,13 +148,9 @@ func (s *Session) collect(e *obs.Emitter) {
 	e.Gauge("pisim_session_journal_lag_ns", float64(lag), lbl)
 	e.Gauge("pisim_session_subscribers", float64(subs), lbl)
 	e.Gauge("pisim_session_mailbox_depth", float64(len(s.cmds)), lbl)
-	snap := s.reg.Snapshot()
-	e.Counter("pisim_session_advances_total", snap["advances"], lbl)
-	e.Counter("pisim_session_injects_total", snap["injects"], lbl)
-	e.Counter("pisim_session_checkpoints_total", snap["checkpoints"], lbl)
-	e.Counter("pisim_session_forks_total", snap["forks"], lbl)
-	e.Counter("pisim_session_events_total", snap["events"], lbl)
-	e.Counter("pisim_session_events_dropped_total", snap["events_dropped"], lbl)
+	for _, c := range s.serviceCounters() {
+		e.Counter("pisim_session_"+c.name+"_total", c.Value(), lbl)
+	}
 	if !valid {
 		return
 	}

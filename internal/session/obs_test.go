@@ -90,7 +90,12 @@ func TestMetricsEndpointDuringAdvance(t *testing.T) {
 	core := []string{
 		"pisim_sessions", "pisim_images",
 		"pisim_fleet_plan_cache_hits_total", "pisim_fleet_plans_cached",
-		"pisim_manager_sessions_created", "pisim_manager_images_created",
+		"pisim_manager_images_created", "pisim_manager_images_shared",
+		"pisim_manager_image_forks", "pisim_manager_images_quarantined",
+		"pisim_manager_journal_records", "pisim_manager_sessions_created",
+		"pisim_manager_sessions_closed", "pisim_manager_sessions_failed",
+		"pisim_manager_sessions_quarantined", "pisim_manager_sessions_recovered",
+		"pisim_manager_session_forks",
 		"pisim_session_offset_ns" + sess,
 		"pisim_session_advances_total" + sess,
 		"pisim_session_mailbox_depth" + sess,

@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/cliconfig"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -109,7 +108,6 @@ type Session struct {
 	BaseImage string
 
 	mgr *Manager
-	reg *metrics.Registry
 	// rootReq is the wire spec the session's whole history resolves
 	// from — its own spec for cold builds, the base image's root spec
 	// for forks — so recipes journaled for this session (and for images
@@ -149,6 +147,10 @@ type Session struct {
 	// journal append+fsync.
 	sliceHist   *obs.Histogram
 	journalHist *obs.Histogram
+
+	// Service counters, reported in Status.Metrics and scraped as
+	// pisim_session_<name>_total.
+	advances, injects, checkpoints, forks, events, eventsDropped obs.Counter
 }
 
 // loop is the session kernel goroutine: it owns r exclusively.
@@ -214,7 +216,7 @@ func (s *Session) advance(r *scenario.Run, to time.Duration) error {
 	if slice <= 0 {
 		slice = time.Second
 	}
-	s.reg.Counter("advances").Inc()
+	s.advances.Inc()
 	moved := false
 	for r.Offset() < to {
 		next := r.Offset() + slice
@@ -369,7 +371,7 @@ func (s *Session) Inject(f scenario.Fault) error {
 		if err := s.journal(r, store.Record{Op: "inject", At: int64(r.Offset()), Fault: wire}); err != nil {
 			return nil, err
 		}
-		s.reg.Counter("injects").Inc()
+		s.injects.Inc()
 		s.emit(Event{Type: "lifecycle", Offset: int64(r.Offset()), Kind: "injected",
 			Detail: fmt.Sprintf("%T", f)})
 		return nil, nil
@@ -406,7 +408,7 @@ func (s *Session) Checkpoint(image string) (CheckpointInfo, error) {
 		if err := s.journalStamped(rec); err != nil {
 			return nil, err
 		}
-		s.reg.Counter("checkpoints").Inc()
+		s.checkpoints.Inc()
 		s.emit(Event{Type: "lifecycle", Offset: int64(chk.At), Kind: "checkpointed",
 			Detail: info.Fingerprint})
 		return info, nil
@@ -458,8 +460,8 @@ func (s *Session) Fork() (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session %s: fork: %w", s.ID, err)
 	}
-	s.reg.Counter("forks").Inc()
-	s.mgr.reg.Counter("session_forks").Inc()
+	s.forks.Inc()
+	s.mgr.sessionForks.Inc()
 	st := chk.Core.State()
 	child, err := s.mgr.adopt(r, adoptConfig{
 		baseImage: s.BaseImage,
@@ -501,7 +503,7 @@ func (s *Session) Status() (Status, error) {
 		st.Finished = r.Finished()
 		st.TraceLen = len(trace)
 		st.TraceDigest = scenario.DigestTrace(trace)
-		st.Metrics = s.reg.Snapshot()
+		st.Metrics = s.metrics()
 		return st, nil
 	})
 	if err != nil {
@@ -548,7 +550,27 @@ func (s *Session) setOffset(o time.Duration) {
 	s.mu.Lock()
 	s.offset = o
 	s.mu.Unlock()
-	s.reg.Gauge("offset_ns").Set(float64(o))
+}
+
+// serviceCounters pairs the session's service counters with their bare
+// names: the Status.Metrics keys and the <name> of the scraped
+// pisim_session_<name>_total series.
+func (s *Session) serviceCounters() []namedCounter {
+	return []namedCounter{
+		{"advances", &s.advances}, {"injects", &s.injects},
+		{"checkpoints", &s.checkpoints}, {"forks", &s.forks},
+		{"events", &s.events}, {"events_dropped", &s.eventsDropped},
+	}
+}
+
+// metrics snapshots the session's service counters and its last paused
+// offset by bare name — the Status.Metrics document.
+func (s *Session) metrics() map[string]float64 {
+	out := map[string]float64{"offset_ns": float64(s.Offset())}
+	for _, c := range s.serviceCounters() {
+		out[c.name] = c.Value()
+	}
+	return out
 }
 
 // State returns the session's lifecycle state.
@@ -595,7 +617,7 @@ func (s *Session) markFailed(reason string, stack []byte) {
 	s.failure = reason
 	off := s.offset
 	s.mu.Unlock()
-	s.mgr.reg.Counter("sessions_failed").Inc()
+	s.mgr.sessionsFailed.Inc()
 	detail := reason
 	if len(stack) > 0 {
 		detail += "\n" + string(stack)
@@ -645,7 +667,7 @@ func (s *Session) journalStamped(rec store.Record) error {
 		s.lastTraceDigest = rec.TraceDigest
 	}
 	s.mu.Unlock()
-	s.mgr.reg.Counter("journal_records").Inc()
+	s.mgr.journalRecords.Inc()
 	return nil
 }
 
@@ -722,14 +744,14 @@ func (s *Session) Subscribers() int {
 
 // emit fans an event out to every subscriber, dropping on full buffers.
 func (s *Session) emit(ev Event) {
-	s.reg.Counter("events").Inc()
+	s.events.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for ch := range s.subs {
 		select {
 		case ch <- ev:
 		default:
-			s.reg.Counter("events_dropped").Inc()
+			s.eventsDropped.Inc()
 		}
 	}
 }

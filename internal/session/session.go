@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/cliconfig"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -121,16 +120,21 @@ type Manager struct {
 	// drainCh is closed (once) by Drain; session advance loops yield at
 	// the next slice boundary when they observe it.
 	drainCh chan struct{}
-	// reg holds service-level counters: images built, images shared via
-	// fingerprint, sessions created/closed/recovered/failed, forks,
-	// journal records, quarantines.
-	reg *metrics.Registry
-	// obs is the unified observability registry behind GET /v1/metrics:
-	// the service counters above (published under pisim_manager_), every
-	// live session's kernel and service series (labelled by session id),
-	// the per-session latency histograms, and the process-wide fleet
+	// obs is the observability registry behind GET /v1/metrics: the
+	// service counters below (as pisim_manager_<name>), every live
+	// session's kernel and service series (labelled by session id), the
+	// per-session latency histograms, and the process-wide fleet
 	// warm-cache series. See obs.go.
 	obs *obs.Registry
+	// Service-level counters, registered in obs by initObs: images
+	// built, shared via fingerprint and quarantined, sessions
+	// created/closed/failed/quarantined/recovered, forks, journal
+	// records. counters lists them by bare name for Metrics.
+	imagesCreated, imagesShared, imageForks, imagesQuarantined *obs.Counter
+	sessionsCreated, sessionsClosed, sessionsFailed            *obs.Counter
+	sessionsQuarantined, sessionsRecovered, sessionForks       *obs.Counter
+	journalRecords                                             *obs.Counter
+	counters                                                   []namedCounter
 	// tracer, when non-nil, attaches to every subsequently adopted
 	// session's cloud and receives recovery-replay spans.
 	tracer *obs.Tracer
@@ -144,15 +148,21 @@ func NewManager() *Manager {
 		sessions:    map[string]*Session{},
 		quarantined: map[string]string{},
 		drainCh:     make(chan struct{}),
-		reg:         metrics.NewRegistry(),
 		obs:         obs.NewRegistry(),
 	}
 	m.initObs()
 	return m
 }
 
-// Metrics exposes the service-level registry snapshot.
-func (m *Manager) Metrics() map[string]float64 { return m.reg.Snapshot() }
+// Metrics snapshots the service-level counters by bare name
+// (images_created, sessions_failed, ...).
+func (m *Manager) Metrics() map[string]float64 {
+	out := make(map[string]float64, len(m.counters))
+	for _, c := range m.counters {
+		out[c.name] = c.Value()
+	}
+	return out
+}
 
 // Store returns the attached durable store, or nil.
 func (m *Manager) Store() *store.Store {
@@ -269,7 +279,7 @@ func (m *Manager) registerImage(name string, chk *scenario.Checkpoint, recipe st
 	}
 	if shared, ok := m.byFP[fp]; ok {
 		chk = shared.chk
-		m.reg.Counter("images_shared").Inc()
+		m.imagesShared.Inc()
 	}
 	img := &BaseImage{
 		Name:        name,
@@ -296,7 +306,7 @@ func (m *Manager) registerImage(name string, chk *scenario.Checkpoint, recipe st
 			return nil, fmt.Errorf("session: image %q: persist: %w", name, err)
 		}
 	}
-	m.reg.Counter("images_created").Inc()
+	m.imagesCreated.Inc()
 	return img, nil
 }
 
@@ -343,7 +353,7 @@ func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*
 		m.mu.Lock()
 		img.forks++
 		m.mu.Unlock()
-		m.reg.Counter("image_forks").Inc()
+		m.imageForks.Inc()
 		cfg = adoptConfig{
 			baseImage: baseImage,
 			rootReq:   img.rec.Recipe.Spec,
@@ -428,7 +438,7 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 			}
 			return nil, fmt.Errorf("session %s: journal: %w", id, err)
 		}
-		m.reg.Counter("journal_records").Inc()
+		m.journalRecords.Inc()
 		durOff = time.Duration(cfg.create.At)
 		traceLen, traceDigest = cfg.create.TraceLen, cfg.create.TraceDigest
 	}
@@ -441,7 +451,6 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 		Scenario:        r.Spec.Name,
 		BaseImage:       cfg.baseImage,
 		mgr:             m,
-		reg:             metrics.NewRegistry(),
 		rootReq:         cfg.rootReq,
 		jr:              jr,
 		cmds:            make(chan sessCmd, 16),
@@ -466,7 +475,7 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 	m.mu.Lock()
 	m.sessions[id] = s
 	m.mu.Unlock()
-	m.reg.Counter("sessions_created").Inc()
+	m.sessionsCreated.Inc()
 	// Every recorded trace event fans out to the session's SSE
 	// subscribers as it happens.
 	r.OnEvent = func(ev scenario.TraceEvent) {
@@ -512,5 +521,5 @@ func (m *Manager) remove(id string) {
 	m.mu.Lock()
 	delete(m.sessions, id)
 	m.mu.Unlock()
-	m.reg.Counter("sessions_closed").Inc()
+	m.sessionsClosed.Inc()
 }

@@ -120,6 +120,14 @@ func TestSessionConcurrentOpsOneSession(t *testing.T) {
 		// land exactly on the end.
 		t.Fatalf("session ended at %v (finished=%v), want 40s", st.Offset, st.Finished)
 	}
+	// Two of each quick command ran, whichever order they landed in.
+	for key, want := range map[string]float64{
+		"injects": 2, "checkpoints": 2, "forks": 2, "offset_ns": float64(40 * time.Second),
+	} {
+		if got := st.Metrics[key]; got != want {
+			t.Errorf("Status().Metrics[%q] = %v, want %v", key, got, want)
+		}
+	}
 }
 
 func TestSessionsSharedImageDeterministic(t *testing.T) {

@@ -35,6 +35,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -311,8 +312,13 @@ func (st *Store) ReadJournal(id string) ([]Record, error) {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
 	defer f.Close()
+	return decodeJournal(f, id)
+}
+
+// decodeJournal parses journal lines under ReadJournal's torn-tail rule.
+func decodeJournal(r io.Reader, id string) ([]Record, error) {
 	var out []Record
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	pendingErr := error(nil)
 	line := 0

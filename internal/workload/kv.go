@@ -50,21 +50,11 @@ type KVStore struct {
 	keys     map[string]struct{}
 	hotBytes int64
 	// OpLatency records per-op latency in milliseconds.
-	//
-	// Deprecated: direct field access is the pre-registry shim; new code
-	// should reach the instrument through PublishMetrics' registry.
 	OpLatency metrics.Histogram // ms
 	Gets      uint64
 	Puts      uint64
 	Misses    uint64
 	Errors    uint64
-}
-
-// PublishMetrics files the store's embedded instruments into reg under
-// the prefix — the registrable path to the unified observability
-// registry (reg.Publish bridges it into internal/obs for scraping).
-func (s *KVStore) PublishMetrics(reg *metrics.Registry, prefix string) {
-	reg.RegisterHistogram(prefix+"op_latency_ms", &s.OpLatency)
 }
 
 // NewKVStore attaches a database to a running container.

@@ -170,19 +170,9 @@ type GravityGenerator struct {
 
 	// EpochThroughput records bytes launched per epoch; its dispersion
 	// is the unpredictability measure of experiment R5.
-	//
-	// Deprecated: direct field access is the pre-registry shim; new code
-	// should reach the instrument through PublishMetrics' registry.
 	EpochThroughput metrics.TimeSeries
 	Epochs          uint64
 	stopped         bool
-}
-
-// PublishMetrics files the generator's embedded instruments into reg
-// under the prefix — the registrable path to the unified observability
-// registry (reg.Publish bridges it into internal/obs for scraping).
-func (g *GravityGenerator) PublishMetrics(reg *metrics.Registry, prefix string) {
-	reg.RegisterSeries(prefix+"epoch_throughput_bytes", &g.EpochThroughput)
 }
 
 // NewGravityGenerator builds a generator over the topology's racks.

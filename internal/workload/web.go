@@ -126,9 +126,6 @@ type LoadGen struct {
 	cfg     LoadGenConfig
 
 	// Latency records request latency in milliseconds.
-	//
-	// Deprecated: direct field access is the pre-registry shim; new code
-	// should reach the instrument through PublishMetrics' registry.
 	Latency   metrics.Histogram
 	Issued    uint64
 	Completed uint64
@@ -137,13 +134,6 @@ type LoadGen struct {
 	stopped bool
 	started sim.Time
 	nextCli int
-}
-
-// PublishMetrics files the generator's embedded instruments into reg
-// under the prefix — the registrable path to the unified observability
-// registry (reg.Publish bridges it into internal/obs for scraping).
-func (g *LoadGen) PublishMetrics(reg *metrics.Registry, prefix string) {
-	reg.RegisterHistogram(prefix+"request_latency_ms", &g.Latency)
 }
 
 // NewLoadGen builds a generator: each request originates at one of the
