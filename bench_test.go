@@ -12,6 +12,7 @@ package repro_test
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -353,6 +354,14 @@ func BenchmarkScenarioMegafleetFattree1000(b *testing.B) {
 // hardware.
 const megafleetFattree100kBudget = 4 * time.Minute
 
+// megafleetFattree100kKernelDigest pins the kernel state at the end of
+// the catalog megafleet-fattree-100000 run (seed 181, 30 s simulated).
+// It covers every ECMP choice the k=74 fabric made: the fabric's 1,369
+// cores number past 999, so their name order differs from creation
+// order, and a route DAG whose parent runs drift from name order moves
+// this digest while every smaller fabric in the tests still agrees.
+const megafleetFattree100kKernelDigest = "2967d0bc7fe63e06d6c8076a66c69e6042a47090ea1ac44aeaf7b0a5d642e7dc"
+
 // BenchmarkScenarioMegafleetFattree100000 is the PR 10 scale gate for
 // cross-pod route synthesis: 101,306 nodes in a k=74 fat-tree where
 // the gravity mix makes almost every cold route cross-pod. All links
@@ -360,7 +369,8 @@ const megafleetFattree100kBudget = 4 * time.Minute
 // cover a provable shape — at this scale one fallback settles the
 // whole 100k-node fabric, which is exactly the cost the synthesis
 // exists to avoid. The gate therefore requires zero fallbacks, not
-// just a fast run.
+// just a fast run, and the kernel digest it ends on (amd64 only, like
+// the other digest pins: Go may fuse float multiply-adds elsewhere).
 func BenchmarkScenarioMegafleetFattree100000(b *testing.B) {
 	budget := megafleetFattree100kBudget
 	if s := os.Getenv("MEGAFLEET_FATTREE100K_BUDGET"); s != "" {
@@ -370,7 +380,28 @@ func BenchmarkScenarioMegafleetFattree100000(b *testing.B) {
 		}
 		budget = d
 	}
-	r := runScenario(b, "megafleet-fattree-100000")
+	var r *scenario.Report
+	for i := 0; i < b.N; i++ {
+		spec, err := scenario.Catalog("megafleet-fattree-100000")
+		if err != nil {
+			b.Fatal(err)
+		}
+		run, err := scenario.New(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err = run.Execute()
+		if err != nil {
+			b.Fatal(err)
+		}
+		digest := run.Cloud.KernelState().Digest
+		run.Cloud.Close()
+		if runtime.GOARCH == "amd64" && digest != megafleetFattree100kKernelDigest {
+			b.Fatalf("k=74 kernel digest drifted:\n  got  %s\n  want %s", digest, megafleetFattree100kKernelDigest)
+		}
+	}
+	b.ReportMetric(r.SimTime.Seconds()/r.WallTime.Seconds(), "sim-s/wall-s")
+	b.ReportMetric(float64(r.EventsFired)/r.WallTime.Seconds(), "events/s")
 	if r.Nodes < 100000 {
 		b.Fatalf("fat-tree megafleet ran on %d nodes, want ≥ 100000", r.Nodes)
 	}

@@ -46,21 +46,40 @@ func (k NodeKind) String() string {
 	}
 }
 
-// Node is a network-attached device.
+// Node is a network-attached device. Besides its name every node has a
+// dense index: its position in creation order (0, 1, 2, ...). Nodes are
+// never removed, so an index is stable for the network's lifetime, and
+// the routing layer keys its per-node scratch arrays and route DAGs on
+// it instead of hashing names.
 type Node struct {
 	ID   NodeID
 	Kind NodeKind
+	idx  int32
 }
+
+// Index returns the node's dense creation-order index.
+func (nd *Node) Index() int32 { return nd.idx }
 
 // Link is one direction of a cable: a fixed-capacity, fixed-latency pipe.
 // Capacity and Latency are the effective values after any Shaping; the
 // nominal cable parameters are retained so shaping can be cleared.
+//
+// Links are created and removed only as duplex pairs, so every link has
+// a reverse leg (To→From) for as long as it exists. The pair shares its
+// up/down state, but readers that need the To→From direction use
+// Reverse rather than assume it.
 type Link struct {
-	From     NodeID
-	To       NodeID
+	From NodeID
+	To   NodeID
+	// The fields a routing walk reads sit together: up, the destination
+	// node's index and kind (cached so routing loops skip a node lookup
+	// per edge), and the reverse leg of the duplex pair.
+	up       bool
+	to       int32
+	toKind   NodeKind
+	rev      *Link
 	Capacity float64 // bits per second (effective)
 	Latency  time.Duration
-	up       bool
 	net      *Network
 	flows    map[*Flow]struct{}
 	// Nominal (unshaped) cable parameters.
@@ -70,9 +89,6 @@ type Link struct {
 	// BitsCarried accumulates the total traffic volume for utilisation
 	// reporting and the congestion experiments.
 	bitsCarried float64
-	// toKind caches the destination node's kind so routing loops skip a
-	// node-map lookup per edge.
-	toKind NodeKind
 	// grp is the telemetry group this link reports under (nil until
 	// tagged): the per-rack traffic sub-total, mirroring the energy
 	// layer's per-rack sub-meters.
@@ -277,6 +293,11 @@ func (f *Flow) PathLatency() time.Duration {
 // engine; callers integrating with real goroutines must serialise access
 // externally (the cloud facade does).
 //
+// The graph is stored by dense node index (see Node): the nodes and each
+// node's outgoing links live in slices indexed by it, and the name-keyed
+// accessors (Node, Link, NeighborLinks, Neighbors, flow paths) resolve a
+// name once and then read those slices.
+//
 // Rate recomputation is batched and incremental: mutations (flow
 // start/end, link events, shaping) mark the affected congestion
 // domain(s) dirty, and a single flush runs once per virtual instant —
@@ -289,12 +310,14 @@ type Network struct {
 	engine *sim.Engine
 	nodes  map[NodeID]*Node
 	links  map[linkKey]*Link
+	// nodeList holds the nodes by index; out holds each node's outgoing
+	// links, by the same index, in creation order, so routing explores
+	// the graph without ranging over or probing the link map.
+	nodeList []*Node
+	out      [][]*Link
 	// linkList iterates links in creation order (deterministic, no map
 	// ranging on the hot path). Removed links are filtered out in place.
 	linkList []*Link
-	// adjacency holds each node's outgoing links in creation order, so
-	// routing explores the graph without ranging over the link map.
-	adjacency map[NodeID][]*Link
 	// flowOrder iterates live flows in admission order; ended flows are
 	// compacted out lazily. Determinism of completion-event sequence
 	// numbers depends on this ordering.
@@ -376,7 +399,6 @@ func New(engine *sim.Engine) *Network {
 		engine:      engine,
 		nodes:       make(map[NodeID]*Node),
 		links:       make(map[linkKey]*Link),
-		adjacency:   make(map[NodeID][]*Link),
 		lastAdvance: -1,
 	}
 	n.flushFn = n.flush
@@ -455,13 +477,19 @@ func (n *Network) AddNode(id NodeID, kind NodeKind) error {
 	if _, dup := n.nodes[id]; dup {
 		return fmt.Errorf("%w: %s", ErrNodeExists, id)
 	}
-	n.nodes[id] = &Node{ID: id, Kind: kind}
+	nd := &Node{ID: id, Kind: kind, idx: int32(len(n.nodeList))}
+	n.nodes[id] = nd
+	n.nodeList = append(n.nodeList, nd)
+	n.out = append(n.out, nil)
 	n.topoEpoch++
 	return nil
 }
 
 // Node returns the named device, or nil.
 func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
+
+// NodeAt returns the node with dense index i (see Node.Index).
+func (n *Network) NodeAt(i int32) *Node { return n.nodeList[i] }
 
 // NodeCount returns the number of registered devices.
 func (n *Network) NodeCount() int { return len(n.nodes) }
@@ -483,22 +511,26 @@ func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.D
 			return fmt.Errorf("%w: %s->%s", ErrLinkExists, k.from, k.to)
 		}
 	}
-	for _, k := range []linkKey{{a, b}, {b, a}} {
+	var pair [2]*Link
+	for i, k := range []linkKey{{a, b}, {b, a}} {
+		from, to := n.nodes[k.from], n.nodes[k.to]
 		l := &Link{
 			From: k.from, To: k.to,
 			Capacity: capacityBps, Latency: latency,
 			baseCapacity: capacityBps, baseLatency: latency,
 			up: true, net: n, flows: make(map[*Flow]struct{}),
-			toKind: n.nodes[k.to].Kind,
+			to: to.idx, toKind: to.Kind,
 		}
+		pair[i] = l
 		n.links[k] = l
 		n.linkList = append(n.linkList, l)
-		n.adjacency[k.from] = append(n.adjacency[k.from], l)
+		n.out[from.idx] = append(n.out[from.idx], l)
 		if id, ok := n.removedTags[k]; ok {
 			delete(n.removedTags, k)
 			n.tagLink(l, id)
 		}
 	}
+	pair[0].rev, pair[1].rev = pair[1], pair[0]
 	n.topoEpoch++
 	return nil
 }
@@ -587,13 +619,14 @@ func (n *Network) RemoveDuplexLink(a, b NodeID) error {
 			n.untagLink(l)
 		}
 		delete(n.links, k)
-		adj := n.adjacency[k.from][:0]
-		for _, al := range n.adjacency[k.from] {
+		from := n.nodes[k.from].idx
+		adj := n.out[from][:0]
+		for _, al := range n.out[from] {
 			if al != l {
 				adj = append(adj, al)
 			}
 		}
-		n.adjacency[k.from] = adj
+		n.out[from] = adj
 	}
 	kept := n.linkList[:0]
 	for _, l := range n.linkList {
@@ -630,20 +663,11 @@ func (n *Network) endLinkFlows(l *Link, reason EndReason) {
 // Link returns the directed link from a to b, or nil.
 func (n *Network) Link(a, b NodeID) *Link { return n.links[linkKey{a, b}] }
 
-// Links returns all directed links (shared structs; treat as read-only).
-func (n *Network) Links() []*Link {
-	out := make([]*Link, 0, len(n.links))
-	for _, l := range n.links {
-		out = append(out, l)
-	}
-	return out
-}
-
 // Neighbors returns the IDs reachable over one up link from id, in link
 // creation order (deterministic).
 func (n *Network) Neighbors(id NodeID) []NodeID {
 	var out []NodeID
-	for _, l := range n.adjacency[id] {
+	for _, l := range n.NeighborLinks(id) {
 		if l.up {
 			out = append(out, l.To)
 		}
@@ -655,12 +679,28 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 // down links (callers filter with Up). The slice is shared — read-only.
 // Routing uses it to walk the graph with zero per-node allocation.
 func (n *Network) NeighborLinks(id NodeID) []*Link {
-	return n.adjacency[id]
+	nd := n.nodes[id]
+	if nd == nil {
+		return nil
+	}
+	return n.out[nd.idx]
 }
+
+// LinksFrom is NeighborLinks by dense node index: the outgoing links of
+// the node with index i, in creation order. The slice is shared —
+// read-only.
+func (n *Network) LinksFrom(i int32) []*Link { return n.out[i] }
 
 // DstKind returns the kind of the link's destination node (cached at
 // wiring time for the routing hot path).
 func (l *Link) DstKind() NodeKind { return l.toKind }
+
+// ToIndex returns the destination node's dense index.
+func (l *Link) ToIndex() int32 { return l.to }
+
+// Reverse returns the link's reverse leg: the To→From direction of the
+// same duplex cable.
+func (l *Link) Reverse() *Link { return l.rev }
 
 // SetLinkUp raises or fails the duplex cable between a and b. Failing a
 // link ends every flow that traverses either direction with EndLinkDown —

@@ -274,11 +274,23 @@ func BenchmarkSDNAdmitCached(b *testing.B) {
 }
 
 // BenchmarkSDNAdmitUncached is the contrast case: every iteration pays
-// the full Dijkstra because the pair alternates (cold pair each time
-// would grow the cache unboundedly, so we bust it with an epoch bump).
+// a full Dijkstra across a 10,000-host multi-root tree (40 racks × 250,
+// 8 roots). An epoch bump busts the cached pair each time (a cold pair
+// each time would grow the cache unboundedly), and synthesis is off so
+// the miss cannot take the structured fast path.
 func BenchmarkSDNAdmitUncached(b *testing.B) {
-	n, topo, ctrl := benchRig(b)
-	src, dst := topo.Racks[0][0], topo.Racks[19][51]
+	e := sim.NewEngine(1)
+	n := netsim.New(e)
+	topo, err := topology.BuildMultiRoot(n, topology.MultiRootConfig{
+		Racks: 40, HostsPerRack: 250, AggSwitches: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.DisableRouteSynthesis = true
+	ctrl := NewController(e, n, cfg)
+	src, dst := topo.Racks[0][0], topo.Racks[39][249]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,6 @@
 package sdn
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -133,14 +132,39 @@ type Controller struct {
 	synthHits     uint64
 	synthTierHits [numSynthTiers]uint64
 
-	// uplinkCache memoises soleUplink per host for the current
-	// topology epoch: every cache-miss route consults both endpoints'
-	// uplinks, and re-scanning NeighborLinks for each is the dominant
-	// cost of the short synthesis cases. Any epoch bump (link state,
-	// shaping, re-cable) discards the whole map, exactly like the
+	// uplink memoises soleUplink per host, by node index, for the
+	// topology epoch uplinkEpoch: every cache-miss route consults both
+	// endpoints' uplinks, and re-scanning their adjacency for each is
+	// the dominant cost of the short synthesis cases. uplinkSeen marks
+	// the resolved entries (negative answers included); any epoch bump
+	// (link state, shaping, re-cable) empties it, exactly like the
 	// route cache.
-	uplinkCache map[netsim.NodeID]*netsim.Link
+	uplink      []*netsim.Link
+	uplinkSeen  stampSet
 	uplinkEpoch uint64
+
+	// scratch is route computation's reusable working memory.
+	scratch routeScratch
+}
+
+// routeScratch is the controller-owned working memory of synthesis and
+// Dijkstra, indexed by node and reused across calls, so a cold route
+// allocates little beyond the DAG it caches.
+type routeScratch struct {
+	// into holds eB's live in-neighbours; s2 and s3 are the cross-pod
+	// distance-2 and distance-3 relays, and used marks the cores the
+	// cross-pod DAG routes over.
+	into, s2, s3, used stampSet
+	s2list             []int32
+	dag                dagBuilder
+	// Dijkstra: seen marks nodes given a distance, done the settled
+	// ones; dist and par are valid for seen nodes. stack is the
+	// walk-back over dst's ancestors.
+	seen, done stampSet
+	dist       []float64
+	par        [][]int32
+	frontier   distHeap
+	stack      []int32
 }
 
 // pairKey identifies one cached routing question.
@@ -151,11 +175,12 @@ type pairKey struct{ src, dst netsim.NodeID }
 type routeEntry struct {
 	key   pairKey
 	epoch uint64
-	// parents holds, per reached node, the equal-cost predecessors in
-	// sorted order (ready for the deterministic ECMP walk-back).
-	parents map[netsim.NodeID][]netsim.NodeID
-	// visited bounds the walk-back loop guard (nodes with a distance).
-	visited int
+	// src and dst are the pair's node indices.
+	src, dst int32
+	// dag holds, per reached node, its equal-cost predecessors in name
+	// order — ready for the deterministic ECMP walk-back. It is one
+	// int32 allocation (see routeDAG).
+	dag routeDAG
 	// shortest is the tiebreak-0 path, shared across callers: treat as
 	// read-only. Returning it is what makes the cache hit path
 	// allocation-free.
@@ -182,6 +207,7 @@ func NewController(engine *sim.Engine, net *netsim.Network, cfg Config) *Control
 		labelName:  make(map[string]openflow.Label),
 		routeCache: make(map[pairKey]*routeEntry),
 		cacheCap:   cfg.RouteCacheEntries,
+		scratch:    routeScratch{frontier: distHeap{net: net}},
 	}
 }
 
@@ -393,9 +419,10 @@ func (c *Controller) weightCongestion(l *netsim.Link) float64 {
 //
 // Shortest-path and ECMP run against the route cache: the hop-count
 // shortest-path DAG for (src, dst) is computed once per topology epoch
-// and every later admission is a map lookup. On a cache hit with no ECMP
-// tiebreak the returned slice is the shared cached path — treat it as
-// read-only (no caller mutates paths; netsim copies on SetPath).
+// and every later admission is a map lookup plus, for an ECMP key, a
+// walk down the cached DAG. On a cache hit with no ECMP tiebreak the
+// returned slice is the shared cached path — treat it as read-only (no
+// caller mutates paths; netsim copies on SetPath).
 func (c *Controller) PathFor(src, dst netsim.NodeID, policy Policy, key uint64) ([]netsim.NodeID, error) {
 	if policy == PolicyCongestionAware {
 		// Utilisation-weighted routing re-reads link state every time;
@@ -414,64 +441,86 @@ func (c *Controller) PathFor(src, dst netsim.NodeID, policy Policy, key uint64) 
 		if tiebreak == 0 {
 			return e.shortest, nil
 		}
-		return materialisePath(e.parents, src, dst, tiebreak, e.visited)
+		return c.materialisePath(&e.dag, e.src, e.dst, tiebreak)
 	}
 	c.cacheMisses++
-	parents, visited, tier, ok := c.synthDAG(src, dst)
+	si, di, err := c.endpoints(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	dag, tier, ok := c.synthDAG(si, di)
 	if ok {
 		c.synthHits++
 		c.synthTierHits[tier]++
 	} else {
-		var err error
-		parents, visited, err = c.shortestDAG(src, dst, weightHops)
+		dag, err = c.shortestDAG(si, di, weightHops)
 		if err != nil {
 			return nil, err
 		}
 	}
-	shortest, err := materialisePath(parents, src, dst, 0, visited)
+	shortest, err := c.materialisePath(&dag, si, di, 0)
 	if err != nil {
 		return nil, err
 	}
 	if e := c.routeCache[k]; e != nil {
 		// Stale entry from an earlier epoch: refresh in place.
-		e.epoch, e.parents, e.visited, e.shortest = epoch, parents, visited, shortest
+		e.epoch, e.dag, e.shortest = epoch, dag, shortest
 		c.lruTouch(e)
 	} else {
-		c.lruInsert(&routeEntry{key: k, epoch: epoch, parents: parents, visited: visited, shortest: shortest})
+		c.lruInsert(&routeEntry{key: k, epoch: epoch, src: si, dst: di, dag: dag, shortest: shortest})
 	}
 	if tiebreak == 0 {
 		return shortest, nil
 	}
-	return materialisePath(parents, src, dst, tiebreak, visited)
+	return c.materialisePath(&dag, si, di, tiebreak)
 }
+
+// endpoints resolves a routing question's names to node indices.
+func (c *Controller) endpoints(src, dst netsim.NodeID) (int32, int32, error) {
+	sn, dn := c.net.Node(src), c.net.Node(dst)
+	if sn == nil || dn == nil {
+		return 0, 0, fmt.Errorf("%w: %s -> %s (unknown node)", ErrNoPath, src, dst)
+	}
+	if src == dst {
+		return 0, 0, fmt.Errorf("%w: src equals dst %s", ErrNoPath, src)
+	}
+	return sn.Index(), dn.Index(), nil
+}
+
+// name returns the name of the node with index i.
+func (c *Controller) name(i int32) netsim.NodeID { return c.net.NodeAt(i).ID }
 
 // soleUplink returns the single up link leaving host h, or nil when h
 // is not a host with exactly one live uplink to a switch. Resolutions
 // (including negative ones) are memoised per topology epoch: the
 // answer is a pure function of wiring and link state, both of which
 // bump the epoch on every change.
-func (c *Controller) soleUplink(h netsim.NodeID) *netsim.Link {
-	if epoch := c.net.TopoEpoch(); epoch != c.uplinkEpoch || c.uplinkCache == nil {
-		c.uplinkCache = make(map[netsim.NodeID]*netsim.Link, len(c.uplinkCache))
+func (c *Controller) soleUplink(h int32) *netsim.Link {
+	if epoch := c.net.TopoEpoch(); epoch != c.uplinkEpoch || c.uplinkSeen.gen == 0 {
+		n := c.net.NodeCount()
+		c.uplinkSeen.reset(n)
+		if len(c.uplink) < n {
+			c.uplink = append(c.uplink, make([]*netsim.Link, n-len(c.uplink))...)
+		}
 		c.uplinkEpoch = epoch
 	}
-	if up, ok := c.uplinkCache[h]; ok {
-		return up
+	if c.uplinkSeen.has(h) {
+		return c.uplink[h]
 	}
 	up := c.scanSoleUplink(h)
-	c.uplinkCache[h] = up
+	c.uplink[h] = up
+	c.uplinkSeen.add(h)
 	return up
 }
 
 // scanSoleUplink is the uncached resolution: one pass over h's
 // adjacency list.
-func (c *Controller) scanSoleUplink(h netsim.NodeID) *netsim.Link {
-	node := c.net.Node(h)
-	if node == nil || node.Kind != netsim.KindHost {
+func (c *Controller) scanSoleUplink(h int32) *netsim.Link {
+	if c.net.NodeAt(h).Kind != netsim.KindHost {
 		return nil
 	}
 	var up *netsim.Link
-	for _, l := range c.net.NeighborLinks(h) {
+	for _, l := range c.net.LinksFrom(h) {
 		if !l.Up() {
 			continue
 		}
@@ -484,12 +533,6 @@ func (c *Controller) scanSoleUplink(h netsim.NodeID) *netsim.Link {
 		return nil
 	}
 	return up
-}
-
-// upLink reports the directed link a→b when it exists and is up.
-func (c *Controller) upLink(a, b netsim.NodeID) bool {
-	l := c.net.Link(a, b)
-	return l != nil && l.Up()
 }
 
 // synthDAG is the structured route synthesis fast path: for host pairs
@@ -505,7 +548,7 @@ func (c *Controller) upLink(a, b netsim.NodeID) bool {
 //
 // The fast path must be invisible: where it answers (ok=true), the DAG
 // is provably the one shortestDAG would compute — same parent sets,
-// same sorted order, so the tiebreak-0 path and every ECMP choice are
+// same name order, so the tiebreak-0 path and every ECMP choice are
 // identical and cached traces cannot depend on which path built the
 // entry. The proof sketch, relying on hosts never relaying traffic and
 // each host having one uplink:
@@ -525,6 +568,12 @@ func (c *Controller) upLink(a, b netsim.NodeID) bool {
 //     settles at 6 hops; see crossPodDAG for the construction and the
 //     proof.
 //
+// Every "x→eB is up" probe is answered by the set into: the switches x
+// whose link x→eB is up, read as the reverse legs of eB's own
+// adjacency (links exist only as duplex pairs, so every link into eB
+// is the reverse leg of one out of it): one pass over eB's links
+// answers them all.
+//
 // If none of the four shapes applies — any uplink asymmetry or partial
 // failure that would put dst at 5 hops, or at ≥ 7 — the pair is beyond
 // the fast path and falls back (ok=false), e.g. a multi-root fabric
@@ -532,58 +581,55 @@ func (c *Controller) upLink(a, b netsim.NodeID) bool {
 //
 // Link state is read live (l.Up), so a synthesised entry is exactly as
 // valid as a Dijkstra one for the topology epoch it is cached under.
-func (c *Controller) synthDAG(src, dst netsim.NodeID) (map[netsim.NodeID][]netsim.NodeID, int, synthTier, bool) {
-	if c.cfg.DisableRouteSynthesis || src == dst {
-		return nil, 0, 0, false
+func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
+	if c.cfg.DisableRouteSynthesis {
+		return routeDAG{}, 0, false
 	}
 	upA := c.soleUplink(src)
 	upB := c.soleUplink(dst)
 	if upA == nil || upB == nil {
-		return nil, 0, 0, false
+		return routeDAG{}, 0, false
 	}
-	eA, eB := upA.To, upB.To
-	// The return legs of the duplex cables (SetLinkUp fails both
+	eA, eB := upA.ToIndex(), upB.ToIndex()
+	// The return leg eB→dst of dst's cable (SetLinkUp fails both
 	// directions together, but verify — the DAG walks src→dst).
-	if !c.upLink(eB, dst) {
-		return nil, 0, 0, false
+	if !upB.Reverse().Up() {
+		return routeDAG{}, 0, false
 	}
+	s := &c.scratch
+	b := &s.dag
+	b.reset()
 	if eA == eB {
-		parents := map[netsim.NodeID][]netsim.NodeID{
-			dst: {eA},
-			eA:  {src},
-		}
-		return parents, len(parents) + 1, tierSameEdge, true
+		b.add(dst, eA)
+		b.add(eA, src)
+		return b.build(c.net), tierSameEdge, true
 	}
-	if c.upLink(eA, eB) {
-		parents := map[netsim.NodeID][]netsim.NodeID{
-			dst: {eB},
-			eB:  {eA},
-			eA:  {src},
-		}
-		return parents, len(parents) + 1, tierAdjacent, true
-	}
-	var mids []netsim.NodeID
-	for _, l := range c.net.NeighborLinks(eA) {
-		if !l.Up() || l.DstKind() != netsim.KindSwitch {
-			continue
-		}
-		if c.upLink(l.To, eB) {
-			mids = append(mids, l.To)
+	s.into.reset(c.net.NodeCount())
+	for _, l := range c.net.LinksFrom(eB) {
+		if l.DstKind() == netsim.KindSwitch && l.Reverse().Up() {
+			s.into.add(l.ToIndex())
 		}
 	}
-	if len(mids) == 0 {
+	if s.into.has(eA) {
+		b.add(dst, eB)
+		b.add(eB, eA)
+		b.add(eA, src)
+		return b.build(c.net), tierAdjacent, true
+	}
+	mids := 0
+	for _, l := range c.net.LinksFrom(eA) {
+		if m := l.ToIndex(); l.Up() && l.DstKind() == netsim.KindSwitch && s.into.has(m) {
+			b.add(eB, m)
+			b.add(m, eA)
+			mids++
+		}
+	}
+	if mids == 0 {
 		return c.crossPodDAG(src, dst, eA, eB)
 	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	parents := map[netsim.NodeID][]netsim.NodeID{
-		dst: {eB},
-		eB:  mids,
-		eA:  {src},
-	}
-	for _, m := range mids {
-		parents[m] = []netsim.NodeID{eA}
-	}
-	return parents, len(parents) + 1, tierOneMid, true
+	b.add(dst, eB)
+	b.add(eA, src)
+	return b.build(c.net), tierOneMid, true
 }
 
 // crossPodDAG synthesizes the fourth structured shape: dst at exactly
@@ -591,17 +637,20 @@ func (c *Controller) synthDAG(src, dst netsim.NodeID) (map[netsim.NodeID][]netsi
 // cross-pod case of a k-ary fat-tree. It is entered only from synthDAG
 // with the first three cases already excluded: soleUplinks exist on
 // both sides, eB→dst is up, eA ≠ eB, eA→eB is not up, and no single
-// mid connects them.
+// mid connects them; scratch.into holds eB's live in-neighbours.
 //
 // Construction, mirroring the BFS layers Dijkstra would settle:
 //
 //	S2 = up switch neighbours of eA            (all distance-2 relays)
 //	S3 = up switch neighbours of S2 \ (S2∪{eA}) (all distance-3 relays)
-//	P  = switches b with b→eB up whose up-neighbour intersection
-//	     Cb = S3 ∩ upNbr(b) is non-empty       (eB's distance-4 parents)
+//	P  = switches b with b→eB up whose set Cb of S3 members c with
+//	     c→b up is non-empty                   (eB's distance-4 parents)
 //
 // and the DAG is dst←eB←P, each b∈P←Cb, each used core←its S2 aggs,
-// each used agg←eA←src, every parent list sorted ascending.
+// each used agg←eA←src, every parent list in ascending name order.
+// Every "x→y is up" probe with y on the dst side (c→b, b→eB) reads the
+// reverse leg of the y→x link found in y's adjacency: links exist only
+// as duplex pairs, so that leg is exactly the link x→y.
 //
 // Proof that this is exactly shortestDAG's answer when it returns
 // ok=true (relying, like the other cases, on hosts never relaying and
@@ -616,172 +665,154 @@ func (c *Controller) synthDAG(src, dst netsim.NodeID) (map[netsim.NodeID][]netsi
 //     exactly the mid condition, and mids was empty.
 //   - dst settles at 6: eB is not at distance ≤ 3 (the same-edge,
 //     adjacent and mid checks excluded distances 1–3), and the guard
-//     below falls back if any S3 member reaches eB — so dist(eB) ≥ 5,
-//     and a non-empty P pins dist(eB) = 5, dist(dst) = 6. An empty P
-//     means dist(eB) ≥ 6 (beyond the shape) — fall back.
+//     below falls back if any S3 member has a live link into eB — so
+//     dist(eB) ≥ 5, and a non-empty P pins dist(eB) = 5, dist(dst) = 6.
+//     An empty P means dist(eB) ≥ 6 (beyond the shape) — fall back.
 //   - The parent sets match: every candidate b with Cb non-empty is at
 //     distance exactly 4 (it has a distance-3 predecessor, and b ∈
 //     S2∪S3∪{eA} is impossible — a b ∈ S2 with b→eB up would have been
 //     a mid, b ∈ S3 trips the guard, b = eA failed the adjacent
 //     check), so P is exactly eB's equal-cost parent set, Cb exactly
-//     b's, and the used cores' parents are exactly their up S2
-//     neighbours. parents(dst) = {eB} because dst's sole up link
-//     pairs with the only live link into dst (SetLinkUp fails both
-//     directions of a cable together). Sorting each list ascending
-//     reproduces shortestDAG's post-sort, so materialisePath draws
-//     identical ECMP tiebreaks no matter which path built the entry.
-func (c *Controller) crossPodDAG(src, dst, eA, eB netsim.NodeID) (map[netsim.NodeID][]netsim.NodeID, int, synthTier, bool) {
-	s2 := map[netsim.NodeID]bool{}
-	var s2list []netsim.NodeID
-	for _, l := range c.net.NeighborLinks(eA) {
-		if !l.Up() || l.DstKind() != netsim.KindSwitch {
-			continue
-		}
-		s2[l.To] = true
-		s2list = append(s2list, l.To)
-	}
-	s3 := map[netsim.NodeID]bool{}
-	for _, a := range s2list {
-		for _, l := range c.net.NeighborLinks(a) {
-			if !l.Up() || l.DstKind() != netsim.KindSwitch {
-				continue
-			}
-			if l.To == eA || s2[l.To] {
-				continue
-			}
-			s3[l.To] = true
+//     b's, and the used cores' parents are exactly their S2 neighbours
+//     a with a→core up. parents(dst) = {eB} because the reverse leg of
+//     dst's sole up link is the only live link into dst. The builder
+//     sorts each list by name, reproducing shortestDAG's order, so
+//     materialisePath draws identical ECMP tiebreaks no matter which
+//     path built the entry.
+func (c *Controller) crossPodDAG(src, dst, eA, eB int32) (routeDAG, synthTier, bool) {
+	s := &c.scratch
+	n := c.net.NodeCount()
+	s.s2.reset(n)
+	s.s2list = s.s2list[:0]
+	for _, l := range c.net.LinksFrom(eA) {
+		if l.Up() && l.DstKind() == netsim.KindSwitch {
+			s.s2.add(l.ToIndex())
+			s.s2list = append(s.s2list, l.ToIndex())
 		}
 	}
-	if len(s3) == 0 {
-		return nil, 0, 0, false
+	s.s3.reset(n)
+	s3empty := true
+	for _, a := range s.s2list {
+		for _, l := range c.net.LinksFrom(a) {
+			m := l.ToIndex()
+			if !l.Up() || l.DstKind() != netsim.KindSwitch || m == eA || s.s2.has(m) {
+				continue
+			}
+			s.s3.add(m)
+			s3empty = false
+		}
+	}
+	if s3empty {
+		return routeDAG{}, 0, false
 	}
 	// Guard: a live S3→eB link would settle eB at distance 4 — a
 	// 5-hop DAG this case does not model. Fall back to Dijkstra.
-	for m := range s3 {
-		if c.upLink(m, eB) {
-			return nil, 0, 0, false
+	for _, l := range c.net.LinksFrom(eB) {
+		if s.s3.has(l.ToIndex()) && s.into.has(l.ToIndex()) {
+			return routeDAG{}, 0, false
 		}
 	}
-	// P(eB): enumerate eB's adjacency (duplex creation guarantees
-	// every link into eB has its return leg here), keep switches with
-	// a live leg towards eB, and compute each candidate's distance-3
-	// parent set Cb from its own adjacency list.
-	parents := map[netsim.NodeID][]netsim.NodeID{}
-	var pB []netsim.NodeID
-	usedCore := map[netsim.NodeID]bool{}
-	for _, l := range c.net.NeighborLinks(eB) {
-		b := l.To
-		if l.DstKind() != netsim.KindSwitch || !c.upLink(b, eB) {
+	// P(eB): enumerate eB's adjacency, keep switches with a live leg
+	// towards eB, and compute each candidate's distance-3 parent set Cb
+	// from its own adjacency list.
+	b := &s.dag
+	b.reset()
+	s.used.reset(n)
+	inP := 0
+	for _, l := range c.net.LinksFrom(eB) {
+		p := l.ToIndex()
+		if !s.into.has(p) {
 			continue
 		}
-		var cb []netsim.NodeID
-		for _, lb := range c.net.NeighborLinks(b) {
-			if s3[lb.To] && c.upLink(lb.To, b) {
-				cb = append(cb, lb.To)
+		cb := 0
+		for _, lb := range c.net.LinksFrom(p) {
+			if cn := lb.ToIndex(); s.s3.has(cn) && lb.Reverse().Up() {
+				b.add(p, cn)
+				s.used.add(cn)
+				cb++
 			}
 		}
-		if len(cb) == 0 {
-			continue // dist(b) > 4: not a parent of eB
+		if cb > 0 {
+			b.add(eB, p)
+			inP++
 		}
-		sort.Slice(cb, func(i, j int) bool { return cb[i] < cb[j] })
-		parents[b] = cb
-		pB = append(pB, b)
-		for _, cn := range cb {
-			usedCore[cn] = true
-		}
+		// cb == 0: dist(p) > 4, not a parent of eB.
 	}
-	if len(pB) == 0 {
-		return nil, 0, 0, false
+	if inP == 0 {
+		return routeDAG{}, 0, false
 	}
-	sort.Slice(pB, func(i, j int) bool { return pB[i] < pB[j] })
 	// The used cores' parents, inverted: one pass over the S2 aggs'
 	// adjacency lists instead of one pass per core (a fat-tree core
 	// sees every pod; its parent agg is found from the src side).
-	usedAgg := map[netsim.NodeID]bool{}
-	for _, a := range s2list {
-		for _, l := range c.net.NeighborLinks(a) {
-			if !l.Up() || !usedCore[l.To] {
-				continue
+	for _, a := range s.s2list {
+		usedAgg := false
+		for _, l := range c.net.LinksFrom(a) {
+			if l.Up() && s.used.has(l.ToIndex()) {
+				b.add(l.ToIndex(), a)
+				usedAgg = true
 			}
-			parents[l.To] = append(parents[l.To], a)
-			usedAgg[a] = true
+		}
+		if usedAgg {
+			b.add(a, eA)
 		}
 	}
-	for cn := range usedCore {
-		ps := parents[cn]
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	}
-	for a := range usedAgg {
-		parents[a] = []netsim.NodeID{eA}
-	}
-	parents[eA] = []netsim.NodeID{src}
-	parents[eB] = pB
-	parents[dst] = []netsim.NodeID{eB}
-	return parents, len(parents) + 1, tierCrossPod, true
+	b.add(eA, src)
+	b.add(dst, eB)
+	return b.build(c.net), tierCrossPod, true
 }
-
-// pqItem is a priority-queue element for Dijkstra.
-type pqItem struct {
-	node netsim.NodeID
-	dist float64
-}
-
-type pq []pqItem
-
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	return q[i].node < q[j].node
-}
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)   { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-func (q pq) empty() bool   { return len(q) == 0 }
 
 // dijkstra computes a least-weight path keeping all equal-cost parents,
 // then materialises one path choosing among parents by tiebreak hash
-// (deterministic ECMP). Uncached — the congestion-aware policy and the
-// cache-miss path both come through here via shortestDAG.
+// (deterministic ECMP). Uncached — the congestion-aware policy comes
+// through here; the cache-miss path calls shortestDAG directly.
 func (c *Controller) dijkstra(src, dst netsim.NodeID, w weightFunc, tiebreak uint64) ([]netsim.NodeID, error) {
-	parents, visited, err := c.shortestDAG(src, dst, w)
+	si, di, err := c.endpoints(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return materialisePath(parents, src, dst, tiebreak, visited)
+	dag, err := c.shortestDAG(si, di, w)
+	if err != nil {
+		return nil, err
+	}
+	return c.materialisePath(&dag, si, di, tiebreak)
 }
 
 // shortestDAG runs Dijkstra from src until dst is settled, returning the
-// equal-cost predecessor DAG (parent lists pre-sorted for the ECMP
-// walk-back) and the number of nodes given a distance (the walk-back
-// loop bound). Neighbours are explored over the network's creation-order
-// adjacency lists — deterministic without sorting, and without the
-// per-edge link-map lookups the old implementation paid.
-func (c *Controller) shortestDAG(src, dst netsim.NodeID, w weightFunc) (map[netsim.NodeID][]netsim.NodeID, int, error) {
-	if c.net.Node(src) == nil || c.net.Node(dst) == nil {
-		return nil, 0, fmt.Errorf("%w: %s -> %s (unknown node)", ErrNoPath, src, dst)
-	}
-	if src == dst {
-		return nil, 0, fmt.Errorf("%w: src equals dst %s", ErrNoPath, src)
-	}
+// equal-cost predecessor DAG of dst's ancestors (parent runs in name
+// order for the ECMP walk-back) — the rest of the search tree never
+// routes this pair. Neighbours are explored over the network's
+// creation-order adjacency lists and equal-distance nodes settle in
+// name order (see distHeap), so the parent sets the float tolerance
+// admits are deterministic. All working state is the controller's
+// index-keyed scratch.
+func (c *Controller) shortestDAG(src, dst int32, w weightFunc) (routeDAG, error) {
 	const eps = 1e-12
-	dist := map[netsim.NodeID]float64{src: 0}
-	parents := make(map[netsim.NodeID][]netsim.NodeID)
-	done := make(map[netsim.NodeID]bool)
-	q := &pq{{node: src, dist: 0}}
-	for !q.empty() {
-		it := heap.Pop(q).(pqItem)
-		if done[it.node] {
+	s := &c.scratch
+	n := c.net.NodeCount()
+	s.seen.reset(n)
+	s.done.reset(n)
+	if len(s.dist) < n {
+		s.dist = append(s.dist, make([]float64, n-len(s.dist))...)
+		s.par = append(s.par, make([][]int32, n-len(s.par))...)
+	}
+	s.seen.add(src)
+	s.dist[src] = 0
+	s.par[src] = s.par[src][:0]
+	q := &s.frontier
+	q.items = q.items[:0]
+	q.push(distItem{node: src, dist: 0})
+	for len(q.items) > 0 {
+		it := q.pop()
+		if s.done.has(it.node) {
 			continue
 		}
-		done[it.node] = true
+		s.done.add(it.node)
 		if it.node == dst {
 			break
 		}
-		for _, l := range c.net.NeighborLinks(it.node) {
-			nb := l.To
-			if !l.Up() || done[nb] {
+		for _, l := range c.net.LinksFrom(it.node) {
+			nb := l.ToIndex()
+			if !l.Up() || s.done.has(nb) {
 				continue
 			}
 			// Hosts other than src/dst never relay traffic.
@@ -789,59 +820,82 @@ func (c *Controller) shortestDAG(src, dst netsim.NodeID, w weightFunc) (map[nets
 				continue
 			}
 			nd := it.dist + w(l)
-			old, seen := dist[nb]
 			switch {
-			case !seen || nd < old-eps:
-				dist[nb] = nd
-				parents[nb] = []netsim.NodeID{it.node}
-				heap.Push(q, pqItem{node: nb, dist: nd})
-			case nd <= old+eps:
-				parents[nb] = append(parents[nb], it.node)
+			case !s.seen.has(nb) || nd < s.dist[nb]-eps:
+				s.seen.add(nb)
+				s.dist[nb] = nd
+				s.par[nb] = append(s.par[nb][:0], it.node)
+				q.push(distItem{node: nb, dist: nd})
+			case nd <= s.dist[nb]+eps:
+				s.par[nb] = append(s.par[nb], it.node)
 			}
 		}
 	}
-	if !done[dst] {
-		return nil, 0, fmt.Errorf("%w: %s -> %s", ErrNoPath, src, dst)
+	if !s.done.has(dst) {
+		return routeDAG{}, fmt.Errorf("%w: %s -> %s", ErrNoPath, c.name(src), c.name(dst))
 	}
-	for _, ps := range parents {
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	// Walk back from dst, reusing seen to mark the ancestors found.
+	s.dag.reset()
+	s.seen.reset(n)
+	s.seen.add(dst)
+	s.stack = append(s.stack[:0], dst)
+	for len(s.stack) > 0 {
+		x := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		for _, p := range s.par[x] {
+			s.dag.add(x, p)
+			if !s.seen.has(p) {
+				s.seen.add(p)
+				s.stack = append(s.stack, p)
+			}
+		}
 	}
-	return parents, len(dist), nil
+	return s.dag.build(c.net), nil
+}
+
+// ecmpHash is the 64-bit FNV-1a hash of a hop's name followed by the
+// tiebreak's eight little-endian bytes: the deterministic ECMP choice
+// among a hop's equal-cost parents.
+func ecmpHash(hop netsim.NodeID, tiebreak uint64) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := 0; i < len(hop); i++ {
+		h = (h ^ uint64(hop[i])) * prime
+	}
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(tiebreak>>(8*i)))) * prime
+	}
+	return h
 }
 
 // materialisePath walks the predecessor DAG back from dst, choosing
 // among equal-cost parents by tiebreak hash (deterministic ECMP), and
 // returns the src..dst hop sequence.
-func materialisePath(parents map[netsim.NodeID][]netsim.NodeID, src, dst netsim.NodeID, tiebreak uint64, visited int) ([]netsim.NodeID, error) {
-	var rev []netsim.NodeID
+func (c *Controller) materialisePath(d *routeDAG, src, dst int32, tiebreak uint64) ([]netsim.NodeID, error) {
+	var buf [16]int32
+	rev := buf[:0]
 	cur := dst
 	for cur != src {
 		rev = append(rev, cur)
-		ps := parents[cur]
+		ps := d.parents(cur)
 		if len(ps) == 0 {
-			return nil, fmt.Errorf("%w: broken parent chain at %s", ErrNoPath, cur)
+			return nil, fmt.Errorf("%w: broken parent chain at %s", ErrNoPath, c.name(cur))
 		}
 		idx := 0
 		if tiebreak != 0 && len(ps) > 1 {
-			h := fnv.New64a()
-			h.Write([]byte(cur))
-			var b [8]byte
-			for i := 0; i < 8; i++ {
-				b[i] = byte(tiebreak >> (8 * i))
-			}
-			h.Write(b[:])
-			idx = int(h.Sum64() % uint64(len(ps)))
+			idx = int(ecmpHash(c.name(cur), tiebreak) % uint64(len(ps)))
 		}
 		cur = ps[idx]
-		if len(rev) > visited+1 {
+		if len(rev) > len(d.nodes)+1 {
 			return nil, ErrForwardLoop
 		}
 	}
 	rev = append(rev, src)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]netsim.NodeID, len(rev))
+	for i, x := range rev {
+		path[len(rev)-1-i] = c.name(x)
 	}
-	return rev, nil
+	return path, nil
 }
 
 // Admit runs the OpenFlow pipeline for a new flow described by pkt: walk

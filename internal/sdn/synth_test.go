@@ -310,7 +310,7 @@ func TestRouteSynthesisMatchesDijkstraRandomFatTree(t *testing.T) {
 }
 
 // BenchmarkSoleUplink pins the satellite optimisation: resolving a
-// host's sole uplink is one map probe per topology epoch instead of an
+// host's sole uplink is one array read per topology epoch instead of an
 // adjacency-list scan per cache miss. The cold arm bumps the epoch
 // every iteration, forcing the pre-cache rescan behaviour.
 func BenchmarkSoleUplink(b *testing.B) {
@@ -321,7 +321,10 @@ func BenchmarkSoleUplink(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctrl := NewController(engine, net, DefaultConfig())
-	hosts := topo.Hosts
+	hosts := make([]int32, len(topo.Hosts))
+	for i, h := range topo.Hosts {
+		hosts[i] = net.Node(h).Index()
+	}
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if ctrl.soleUplink(hosts[i%len(hosts)]) == nil {
