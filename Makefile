@@ -43,13 +43,17 @@ bench-smoke:
 determinism-single-core:
 	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesEager|MatchesFullSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim
 
-# Fuzz the two parsers untrusted bytes reach, 30 s each: the wire-spec
-# decoder (decode → Resolve → re-marshal → decode must never panic and
-# must round-trip exactly) and the journal reader (a torn final line is
-# dropped, a malformed line with records after it is refused).
+# Fuzz the two parsers untrusted bytes reach and the naming service, 30 s
+# each: the wire-spec decoder (decode → Resolve → re-marshal → decode
+# must never panic and must round-trip exactly), the journal reader (a
+# torn final line is dropped, a malformed line with records after it is
+# refused) and DNS records (arbitrary names and values through Add,
+# Resolve and RemoveName never panic, and only names inside a zone on a
+# label boundary are answered).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecRequestResolve$$' -fuzztime 30s ./internal/cliconfig
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 30s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDNSRecords$$' -fuzztime 30s ./internal/dns
 
 # A Perfetto-loadable span trace of the 1000-node scale scenario:
 # advance slices, per-domain netsim flushes and checkpoint spans with

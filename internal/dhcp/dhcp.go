@@ -93,13 +93,23 @@ func NewServer(engine *sim.Engine, leaseDuration time.Duration) *Server {
 // network address and the first host address (reserved for the gateway)
 // are never leased.
 func (s *Server) AddPool(name, cidr string) error {
-	if _, dup := s.pools[name]; dup {
-		return fmt.Errorf("%w: %s", ErrPoolExists, name)
-	}
 	pfx, err := netip.ParsePrefix(cidr)
 	if err != nil {
 		return fmt.Errorf("%w: %q: %v", ErrBadPrefix, cidr, err)
 	}
+	return s.AddPoolPrefix(name, pfx)
+}
+
+// AddPoolPrefix is AddPool for a prefix the caller already holds, so it
+// is not formatted and parsed back.
+func (s *Server) AddPoolPrefix(name string, pfx netip.Prefix) error {
+	if _, dup := s.pools[name]; dup {
+		return fmt.Errorf("%w: %s", ErrPoolExists, name)
+	}
+	if !pfx.IsValid() {
+		return fmt.Errorf("%w: %v", ErrBadPrefix, pfx)
+	}
+	given := pfx
 	pfx = pfx.Masked()
 	first := pfx.Addr().Next().Next() // skip network + gateway
 	capacity := 0
@@ -107,7 +117,7 @@ func (s *Server) AddPool(name, cidr string) error {
 		capacity++
 	}
 	if capacity == 0 {
-		return fmt.Errorf("%w: %q has no assignable addresses", ErrBadPrefix, cidr)
+		return fmt.Errorf("%w: %q has no assignable addresses", ErrBadPrefix, given.String())
 	}
 	s.pools[name] = &pool{
 		name:     name,
@@ -150,7 +160,9 @@ func (s *Server) GatewayAddr(poolName string) (netip.Addr, error) {
 }
 
 // Reserve pins a static address for a MAC (e.g. pimaster itself). The
-// address must lie in the pool and be free.
+// address must lie in the pool, at or above its first assignable
+// address (the network and gateway addresses are never leased), and be
+// free. A MAC holds one address: re-reserving it frees the previous one.
 func (s *Server) Reserve(poolName string, mac MAC, addr netip.Addr) (*Lease, error) {
 	p, ok := s.pools[poolName]
 	if !ok {
@@ -159,8 +171,16 @@ func (s *Server) Reserve(poolName string, mac MAC, addr netip.Addr) (*Lease, err
 	if !p.prefix.Contains(addr) {
 		return nil, fmt.Errorf("%w: %s outside %s", ErrBadPrefix, addr, p.prefix)
 	}
-	if holder, busy := p.inUse[addr]; busy {
+	if addr.Less(p.first) {
+		return nil, fmt.Errorf("%w: %s is below the first assignable address %s of %s", ErrReserved, addr, p.first, p.prefix)
+	}
+	if holder, busy := p.inUse[addr]; busy && holder != mac {
 		return nil, fmt.Errorf("%w: %s held by %s", ErrReserved, addr, holder)
+	}
+	if old, have := s.leases[mac]; have {
+		if op := s.pools[old.Pool]; op != nil && op.inUse[old.Addr] == mac {
+			delete(op.inUse, old.Addr)
+		}
 	}
 	l := &Lease{MAC: mac, Addr: addr, Pool: poolName, IssuedAt: s.engine.Now(), Static: true}
 	p.inUse[addr] = mac

@@ -188,6 +188,76 @@ func TestReservation(t *testing.T) {
 	}
 }
 
+// TestReserveRefusesNetworkAndGateway: the addresses AddPool never
+// leases cannot be pinned either.
+func TestReserveRefusesNetworkAndGateway(t *testing.T) {
+	_, s := newServer(t, 0)
+	if err := s.AddPool("r", "10.1.0.0/24"); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"10.1.0.0", "10.1.0.1"} {
+		if _, err := s.Reserve("r", "aa:aa:aa:aa:aa:aa", netip.MustParseAddr(a)); !errors.Is(err, ErrReserved) {
+			t.Fatalf("Reserve(%s) = %v, want ErrReserved", a, err)
+		}
+	}
+	if _, ok := s.LeaseOf("aa:aa:aa:aa:aa:aa"); ok {
+		t.Fatal("refused reservation left a lease")
+	}
+	if free, _ := s.FreeCount("r"); free != 254 {
+		t.Fatalf("free = %d after refused reservations, want 254", free)
+	}
+	if _, err := s.Reserve("r", "aa:aa:aa:aa:aa:aa", netip.MustParseAddr("10.1.0.2")); err != nil {
+		t.Fatalf("first assignable address refused: %v", err)
+	}
+}
+
+// TestReReserveFreesPreviousAddress: a MAC holds one address, so moving
+// its reservation returns the old address to the pool, including across
+// pools; re-reserving the same address is a no-op.
+func TestReReserveFreesPreviousAddress(t *testing.T) {
+	_, s := newServer(t, 0)
+	for _, p := range [][2]string{{"r", "10.1.0.0/24"}, {"q", "10.2.0.0/24"}} {
+		if err := s.AddPool(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mac := MAC("b8:27:eb:00:00:01")
+	moves := []struct{ pool, addr string }{
+		{"r", "10.1.0.10"}, {"r", "10.1.0.20"}, {"r", "10.1.0.20"}, {"q", "10.2.0.30"},
+	}
+	for _, m := range moves {
+		l, err := s.Reserve(m.pool, mac, netip.MustParseAddr(m.addr))
+		if err != nil {
+			t.Fatalf("reserve %s in %s: %v", m.addr, m.pool, err)
+		}
+		if got, _ := s.LeaseOf(mac); got != l || got.Addr.String() != m.addr {
+			t.Fatalf("lease after reserving %s = %+v", m.addr, got)
+		}
+	}
+	if free, _ := s.FreeCount("r"); free != 254 {
+		t.Fatalf("pool r has %d free addresses after the MAC moved out, want 254", free)
+	}
+	if free, _ := s.FreeCount("q"); free != 253 {
+		t.Fatalf("pool q has %d free addresses, want 253", free)
+	}
+	// The old addresses are really free: another client can pin them.
+	for _, a := range []string{"10.1.0.10", "10.1.0.20"} {
+		if _, err := s.Reserve("r", "cc:cc:cc:cc:cc:cc", netip.MustParseAddr(a)); err != nil {
+			t.Fatalf("freed address %s not reusable: %v", a, err)
+		}
+	}
+	// A failed move keeps the existing reservation.
+	if _, err := s.Reserve("r", mac, netip.MustParseAddr("10.1.0.20")); !errors.Is(err, ErrReserved) {
+		t.Fatalf("move onto a held address = %v", err)
+	}
+	if l, _ := s.LeaseOf(mac); l.Addr.String() != "10.2.0.30" {
+		t.Fatalf("failed move changed the lease to %v", l.Addr)
+	}
+	if free, _ := s.FreeCount("q"); free != 253 {
+		t.Fatalf("failed move freed the held address: pool q has %d free", free)
+	}
+}
+
 func TestSweepExpired(t *testing.T) {
 	e, s := newServer(t, time.Hour)
 	if err := s.AddPool("r", "10.1.0.0/24"); err != nil {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -88,7 +89,12 @@ func ContainerFQDN(container string, rack, idx int) string {
 // ReverseName converts an IPv4 address to its in-addr.arpa name.
 func ReverseName(addr netip.Addr) string {
 	b := addr.As4()
-	return fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa.", b[3], b[2], b[1], b[0])
+	buf := make([]byte, 0, len("255.255.255.255.in-addr.arpa."))
+	for i := 3; i >= 0; i-- {
+		buf = strconv.AppendUint(buf, uint64(b[i]), 10)
+		buf = append(buf, '.')
+	}
+	return string(append(buf, "in-addr.arpa."...))
 }
 
 // zone holds the records under one apex.
@@ -129,11 +135,22 @@ func (s *Server) Zones() []string {
 	return out
 }
 
+// inZone reports whether the canonical name lies in the zone with the
+// given apex: it is the apex or ends in it on a label boundary, so
+// evilpicloud.example. is not inside picloud.example.
+func inZone(name, apex string) bool {
+	if !strings.HasSuffix(name, apex) {
+		return false
+	}
+	rest := len(name) - len(apex)
+	return rest == 0 || apex == "." || name[rest-1] == '.'
+}
+
 // zoneFor finds the most specific zone containing name.
 func (s *Server) zoneFor(name string) (*zone, error) {
 	best := ""
 	for apex := range s.zones {
-		if strings.HasSuffix(name, apex) && len(apex) > len(best) {
+		if inZone(name, apex) && len(apex) > len(best) {
 			best = apex
 		}
 	}
@@ -161,6 +178,11 @@ func (s *Server) Add(r Record) error {
 	if r.Type == TypePTR || r.Type == TypeCNAME {
 		r.Value = Canonical(r.Value)
 	}
+	return s.insert(r)
+}
+
+// insert files a validated record with a canonical name into its zone.
+func (s *Server) insert(r Record) error {
 	if r.TTL <= 0 {
 		r.TTL = DefaultTTL
 	}
@@ -186,12 +208,20 @@ func (s *Server) Add(r Record) error {
 }
 
 // RegisterHost adds the A record and matching PTR for a host, the usual
-// pimaster registration path.
+// pimaster registration path. It checks what Add would, but on the
+// address itself rather than on its text.
 func (s *Server) RegisterHost(fqdn string, addr netip.Addr) error {
-	if err := s.Add(Record{Name: fqdn, Type: TypeA, Value: addr.String()}); err != nil {
+	fqdn = Canonical(fqdn)
+	if fqdn == "" {
+		return fmt.Errorf("%w: empty name", ErrBadName)
+	}
+	if !addr.Is4() {
+		return fmt.Errorf("%w: %q is not an IPv4 address", ErrBadRecord, addr.String())
+	}
+	if err := s.insert(Record{Name: fqdn, Type: TypeA, Value: addr.String()}); err != nil {
 		return err
 	}
-	return s.Add(Record{Name: ReverseName(addr), Type: TypePTR, Value: fqdn})
+	return s.insert(Record{Name: ReverseName(addr), Type: TypePTR, Value: fqdn})
 }
 
 // RemoveName deletes all records under a name (and returns how many).

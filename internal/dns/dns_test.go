@@ -2,6 +2,7 @@ package dns
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -289,5 +290,67 @@ func BenchmarkLookupA(b *testing.B) {
 		if _, err := s.LookupA(NodeFQDN(i%4, i%14)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestZoneMatchesOnLabelBoundary: a zone holds its apex and the names
+// under it, never a name that merely ends in the same characters.
+func TestZoneMatchesOnLabelBoundary(t *testing.T) {
+	s := newPiZone(t)
+	evil := "evil" + DefaultZone
+	if err := s.Add(Record{Name: evil, Type: TypeA, Value: "10.6.6.6"}); !errors.Is(err, ErrNoSuchZone) {
+		t.Fatalf("Add(%s) = %v, want ErrNoSuchZone", evil, err)
+	}
+	if _, err := s.Resolve(evil, TypeA); !errors.Is(err, ErrNoSuchZone) {
+		t.Fatalf("Resolve(%s) = %v, want ErrNoSuchZone", evil, err)
+	}
+	if got := s.RemoveName(evil); got != 0 {
+		t.Fatalf("RemoveName(%s) = %d", evil, got)
+	}
+	// The apex itself and names under it are inside.
+	for _, name := range []string{DefaultZone, "web." + DefaultZone, "3.2.1.10.in-addr.arpa."} {
+		if err := s.Add(Record{Name: name, Type: TypeCNAME, Value: "target." + DefaultZone}); err != nil {
+			t.Fatalf("Add(%s): %v", name, err)
+		}
+	}
+	// A sub-zone on a boundary wins over its parent; a look-alike does not.
+	if err := s.AddZone("sub." + DefaultZone); err != nil {
+		t.Fatal(err)
+	}
+	if z, err := s.zoneFor("a.sub." + DefaultZone); err != nil || z.apex != "sub."+DefaultZone {
+		t.Fatalf("zoneFor(a.sub...) = %v, %v", z, err)
+	}
+	if z, err := s.zoneFor("asub." + DefaultZone); err != nil || z.apex != DefaultZone {
+		t.Fatalf("zoneFor(asub...) = %v, %v", z, err)
+	}
+}
+
+// TestRegisterHostValidates: registration checks the name and address
+// directly and files the same records Add would.
+func TestRegisterHostValidates(t *testing.T) {
+	s := newPiZone(t)
+	if err := s.RegisterHost("  ", netip.MustParseAddr("10.0.0.2")); !errors.Is(err, ErrBadName) {
+		t.Fatalf("empty name = %v", err)
+	}
+	for _, addr := range []netip.Addr{{}, netip.MustParseAddr("fe80::1"), netip.MustParseAddr("::ffff:10.0.0.2")} {
+		if err := s.RegisterHost(NodeFQDN(0, 0), addr); !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("RegisterHost(%v) = %v, want ErrBadRecord", addr, err)
+		}
+	}
+	if err := s.RegisterHost("evil"+DefaultZone, netip.MustParseAddr("10.0.0.2")); !errors.Is(err, ErrNoSuchZone) {
+		t.Fatalf("out-of-zone host = %v", err)
+	}
+	if err := s.RegisterHost("Pi-R00-N00.PiCloud.dcs.gla.ac.uk", netip.MustParseAddr("10.0.0.2")); err != nil {
+		t.Fatal(err)
+	}
+	want := newPiZone(t)
+	if err := want.Add(Record{Name: NodeFQDN(0, 0), Type: TypeA, Value: "10.0.0.2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Add(Record{Name: "2.0.0.10.in-addr.arpa.", Type: TypePTR, Value: NodeFQDN(0, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, exp := s.Dump(), want.Dump(); fmt.Sprint(got) != fmt.Sprint(exp) {
+		t.Fatalf("RegisterHost filed %v, Add files %v", got, exp)
 	}
 }

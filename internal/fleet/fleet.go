@@ -320,21 +320,24 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.Nodes = nodes
 	regs := make([]pimaster.NodeReg, len(nodes))
+	// One allocation holds every node's pimaster record.
+	refs := make([]pimaster.NodeRef, len(nodes))
 	for i, node := range nodes {
 		hp := &plan.hosts[i]
 		transport.daemons[node.Name] = node.Daemon
 		if err := r.Meter.AttachGrouped(node.Name, node.Rack, node.Meter); err != nil {
 			return nil, err
 		}
-		r.Nodes = append(r.Nodes, node)
 		r.ByHost[node.Host] = node
 		r.ByName[node.Name] = node
+		refs[i] = pimaster.NodeRef{
+			Name: node.Name, Host: node.Host, Rack: node.Rack,
+			Client: node.Client, Suite: node.Suite, Meter: node.Meter,
+		}
 		regs[i] = pimaster.NodeReg{
-			Ref: &pimaster.NodeRef{
-				Name: node.Name, Host: node.Host, Rack: node.Rack,
-				Client: node.Client, Suite: node.Suite, Meter: node.Meter,
-			},
+			Ref: &refs[i],
 			Idx: hp.idx, MAC: hp.mac, Addr: hp.addr, FQDN: hp.fqdn,
 		}
 	}

@@ -139,6 +139,8 @@ type Suite struct {
 	kernel *oslinux.Kernel
 	store  *image.Store
 
+	// The three maps are made by the first Create: most nodes of a large
+	// fleet never host a container.
 	containers map[string]*Container
 	// layerRefs counts how many containers reference each SD-cached
 	// layer; layers are evicted at zero references.
@@ -149,14 +151,7 @@ type Suite struct {
 
 // NewSuite installs the LXC tooling on a node.
 func NewSuite(engine *sim.Engine, kernel *oslinux.Kernel, store *image.Store) *Suite {
-	return &Suite{
-		engine:     engine,
-		kernel:     kernel,
-		store:      store,
-		containers: make(map[string]*Container),
-		layerRefs:  make(map[string]int),
-		layerSize:  make(map[string]int64),
-	}
+	return &Suite{engine: engine, kernel: kernel, store: store}
 }
 
 // Kernel exposes the node OS (for workloads running inside containers).
@@ -204,6 +199,11 @@ func (s *Suite) Create(spec Spec) (*Container, error) {
 		MemLimitBytes: spec.MemLimitBytes,
 	}); err != nil {
 		return nil, fmt.Errorf("lxc: creating cgroup for %s: %w", spec.Name, err)
+	}
+	if s.containers == nil {
+		s.containers = make(map[string]*Container)
+		s.layerRefs = make(map[string]int)
+		s.layerSize = make(map[string]int64)
 	}
 	for _, l := range img.Layers {
 		if s.layerRefs[l.ID] == 0 {

@@ -41,7 +41,7 @@ type linkGroup struct {
 // the new link rejoins its group, so the grouped totals keep agreeing
 // with the direct walk.
 func (n *Network) TagLinkGroup(from, to NodeID, id int) error {
-	l := n.links[linkKey{from, to}]
+	l := n.Link(from, to)
 	if l == nil {
 		return fmt.Errorf("%w: %s->%s", ErrNoSuchLink, from, to)
 	}

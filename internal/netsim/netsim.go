@@ -64,28 +64,31 @@ func (nd *Node) Index() int32 { return nd.idx }
 // Capacity and Latency are the effective values after any Shaping; the
 // nominal cable parameters are retained so shaping can be cleared.
 //
-// Links are created and removed only as duplex pairs, so every link has
-// a reverse leg (To→From) for as long as it exists. The pair shares its
-// up/down state, but readers that need the To→From direction use
-// Reverse rather than assume it.
+// Links are created and removed only as duplex pairs, both legs in one
+// allocation, so every link has a reverse leg (To→From) for as long as
+// it exists. The pair shares its up/down state, but readers that need
+// the To→From direction use Reverse rather than assume it.
 type Link struct {
 	From NodeID
 	To   NodeID
 	// The fields a routing walk reads sit together: up, the destination
 	// node's index and kind (cached so routing loops skip a node lookup
-	// per edge), and the reverse leg of the duplex pair.
+	// per edge), and the reverse leg of the duplex pair. shaped fills
+	// the padding after up.
 	up       bool
+	shaped   bool
 	to       int32
 	toKind   NodeKind
 	rev      *Link
 	Capacity float64 // bits per second (effective)
 	Latency  time.Duration
 	net      *Network
-	flows    map[*Flow]struct{}
+	// flows is the set of live flows routed over the link, made when the
+	// first one arrives: most links of a large fabric never carry one.
+	flows map[*Flow]struct{}
 	// Nominal (unshaped) cable parameters.
 	baseCapacity float64
 	baseLatency  time.Duration
-	shaped       bool
 	// BitsCarried accumulates the total traffic volume for utilisation
 	// reporting and the congestion experiments.
 	bitsCarried float64
@@ -108,6 +111,15 @@ type Link struct {
 
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return l.up }
+
+// addFlow routes f over the link, making the flow set on first use.
+func (l *Link) addFlow(f *Flow) {
+	if l.flows == nil {
+		l.flows = make(map[*Flow]struct{})
+	}
+	l.flows[f] = struct{}{}
+	linkGainedFlow(l)
+}
 
 // FlowCount returns the number of flows currently routed over the link.
 func (l *Link) FlowCount() int { return len(l.flows) }
@@ -294,9 +306,10 @@ func (f *Flow) PathLatency() time.Duration {
 // externally (the cloud facade does).
 //
 // The graph is stored by dense node index (see Node): the nodes and each
-// node's outgoing links live in slices indexed by it, and the name-keyed
-// accessors (Node, Link, NeighborLinks, Neighbors, flow paths) resolve a
-// name once and then read those slices.
+// node's outgoing links live in slices indexed by it, the link table is
+// keyed by the endpoints' indices, and the name-keyed accessors (Node,
+// Link, NeighborLinks, Neighbors, flow paths) resolve a name once and
+// then read those.
 //
 // Rate recomputation is batched and incremental: mutations (flow
 // start/end, link events, shaping) mark the affected congestion
@@ -309,7 +322,8 @@ func (f *Flow) PathLatency() time.Duration {
 type Network struct {
 	engine *sim.Engine
 	nodes  map[NodeID]*Node
-	links  map[linkKey]*Link
+	// links holds every directed link by its endpoints' node indices.
+	links map[linkKey]*Link
 	// nodeList holds the nodes by index; out holds each node's outgoing
 	// links, by the same index, in creation order, so routing explores
 	// the graph without ranging over or probing the link map.
@@ -380,7 +394,8 @@ type solveScratch struct {
 	active []*Flow
 }
 
-type linkKey struct{ from, to NodeID }
+// linkKey names a directed link by its endpoints' dense node indices.
+type linkKey struct{ from, to int32 }
 
 // Errors returned by Network operations.
 var (
@@ -495,33 +510,37 @@ func (n *Network) NodeAt(i int32) *Node { return n.nodeList[i] }
 func (n *Network) NodeCount() int { return len(n.nodes) }
 
 // AddDuplexLink wires a full-duplex cable between a and b: two directed
-// links, each with the given capacity and latency.
+// links, each with the given capacity and latency. A node cannot be
+// cabled to itself.
 func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.Duration) error {
-	if _, ok := n.nodes[a]; !ok {
+	na, nb := n.nodes[a], n.nodes[b]
+	if na == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchNode, a)
 	}
-	if _, ok := n.nodes[b]; !ok {
+	if nb == nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchNode, b)
+	}
+	if na == nb {
+		return fmt.Errorf("netsim: self-loop link on %s", a)
 	}
 	if capacityBps <= 0 {
 		return fmt.Errorf("netsim: non-positive capacity on link %s-%s", a, b)
 	}
-	for _, k := range []linkKey{{a, b}, {b, a}} {
-		if _, dup := n.links[k]; dup {
-			return fmt.Errorf("%w: %s->%s", ErrLinkExists, k.from, k.to)
-		}
+	// Legs exist only in pairs, so one probe covers both directions.
+	if n.links[linkKey{na.idx, nb.idx}] != nil {
+		return fmt.Errorf("%w: %s->%s", ErrLinkExists, a, b)
 	}
-	var pair [2]*Link
-	for i, k := range []linkKey{{a, b}, {b, a}} {
-		from, to := n.nodes[k.from], n.nodes[k.to]
-		l := &Link{
-			From: k.from, To: k.to,
-			Capacity: capacityBps, Latency: latency,
-			baseCapacity: capacityBps, baseLatency: latency,
-			up: true, net: n, flows: make(map[*Flow]struct{}),
-			to: to.idx, toKind: to.Kind,
-		}
-		pair[i] = l
+	pair := &[2]Link{
+		{From: a, To: b, to: nb.idx, toKind: nb.Kind},
+		{From: b, To: a, to: na.idx, toKind: na.Kind},
+	}
+	pair[0].rev, pair[1].rev = &pair[1], &pair[0]
+	for i, from := range [2]*Node{na, nb} {
+		l := &pair[i]
+		l.up, l.net = true, n
+		l.Capacity, l.Latency = capacityBps, latency
+		l.baseCapacity, l.baseLatency = capacityBps, latency
+		k := linkKey{from.idx, l.to}
 		n.links[k] = l
 		n.linkList = append(n.linkList, l)
 		n.out[from.idx] = append(n.out[from.idx], l)
@@ -530,7 +549,6 @@ func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.D
 			n.tagLink(l, id)
 		}
 	}
-	pair[0].rev, pair[1].rev = pair[1], pair[0]
 	n.topoEpoch++
 	return nil
 }
@@ -552,8 +570,8 @@ type Shaping struct {
 // ShapeLink applies shaping to both directions of the cable between a and
 // b, replacing any previous shaping. Live flows re-share immediately.
 func (n *Network) ShapeLink(a, b NodeID, s Shaping) error {
-	la, lb := n.links[linkKey{a, b}], n.links[linkKey{b, a}]
-	if la == nil || lb == nil {
+	la := n.Link(a, b)
+	if la == nil {
 		return fmt.Errorf("%w: %s-%s", ErrNoSuchLink, a, b)
 	}
 	if s.Loss < 0 || s.Loss >= 1 {
@@ -564,7 +582,7 @@ func (n *Network) ShapeLink(a, b NodeID, s Shaping) error {
 		scale = 1
 	}
 	n.advance()
-	for _, l := range []*Link{la, lb} {
+	for _, l := range [2]*Link{la, la.rev} {
 		l.Capacity = l.baseCapacity * scale * (1 - s.Loss)
 		l.Latency = l.baseLatency + s.ExtraLatency
 		l.shaped = true
@@ -579,12 +597,12 @@ func (n *Network) ShapeLink(a, b NodeID, s Shaping) error {
 // ClearShaping restores the nominal parameters of the cable between a and
 // b.
 func (n *Network) ClearShaping(a, b NodeID) error {
-	la, lb := n.links[linkKey{a, b}], n.links[linkKey{b, a}]
-	if la == nil || lb == nil {
+	la := n.Link(a, b)
+	if la == nil {
 		return fmt.Errorf("%w: %s-%s", ErrNoSuchLink, a, b)
 	}
 	n.advance()
-	for _, l := range []*Link{la, lb} {
+	for _, l := range [2]*Link{la, la.rev} {
 		l.Capacity = l.baseCapacity
 		l.Latency = l.baseLatency
 		l.shaped = false
@@ -600,14 +618,17 @@ func (n *Network) ClearShaping(a, b NodeID) error {
 // ending any flows that traversed it ("re-cabling" the testbed). It is an
 // error if no such cable exists.
 func (n *Network) RemoveDuplexLink(a, b NodeID) error {
-	ka, kb := linkKey{a, b}, linkKey{b, a}
-	if _, ok := n.links[ka]; !ok {
+	la := n.Link(a, b)
+	if la == nil {
 		return fmt.Errorf("%w: %s->%s", ErrNoSuchLink, a, b)
 	}
 	n.advance()
-	for _, k := range []linkKey{ka, kb} {
-		l := n.links[k]
+	pair := [2]*Link{la, la.rev}
+	for _, l := range pair {
 		n.endLinkFlows(l, EndLinkDown)
+		// The reverse leg ends where this one starts.
+		from := l.rev.to
+		k := linkKey{from, l.to}
 		if l.grp != nil {
 			// A removed link takes its carried volume out of the
 			// telemetry, exactly as it leaves the direct link walk; the
@@ -619,7 +640,6 @@ func (n *Network) RemoveDuplexLink(a, b NodeID) error {
 			n.untagLink(l)
 		}
 		delete(n.links, k)
-		from := n.nodes[k.from].idx
 		adj := n.out[from][:0]
 		for _, al := range n.out[from] {
 			if al != l {
@@ -630,7 +650,7 @@ func (n *Network) RemoveDuplexLink(a, b NodeID) error {
 	}
 	kept := n.linkList[:0]
 	for _, l := range n.linkList {
-		if n.links[linkKey{l.From, l.To}] == l {
+		if l != pair[0] && l != pair[1] {
 			kept = append(kept, l)
 		}
 	}
@@ -661,7 +681,13 @@ func (n *Network) endLinkFlows(l *Link, reason EndReason) {
 }
 
 // Link returns the directed link from a to b, or nil.
-func (n *Network) Link(a, b NodeID) *Link { return n.links[linkKey{a, b}] }
+func (n *Network) Link(a, b NodeID) *Link {
+	na, nb := n.nodes[a], n.nodes[b]
+	if na == nil || nb == nil {
+		return nil
+	}
+	return n.links[linkKey{na.idx, nb.idx}]
+}
 
 // Neighbors returns the IDs reachable over one up link from id, in link
 // creation order (deterministic).
@@ -706,11 +732,11 @@ func (l *Link) Reverse() *Link { return l.rev }
 // link ends every flow that traverses either direction with EndLinkDown —
 // the "link down" failure-injection hook.
 func (n *Network) SetLinkUp(a, b NodeID, up bool) error {
-	ka, kb := linkKey{a, b}, linkKey{b, a}
-	la, lb := n.links[ka], n.links[kb]
-	if la == nil || lb == nil {
+	la := n.Link(a, b)
+	if la == nil {
 		return fmt.Errorf("%w: %s-%s", ErrNoSuchLink, a, b)
 	}
+	lb := la.rev
 	n.advance()
 	la.up, lb.up = up, up
 	if !up {
@@ -752,8 +778,7 @@ func (n *Network) StartFlow(spec FlowSpec) (*Flow, error) {
 		lastCalc:  n.engine.Now(),
 	}
 	for _, l := range links {
-		l.flows[f] = struct{}{}
-		linkGainedFlow(l)
+		l.addFlow(f)
 	}
 	n.flowOrder = append(n.flowOrder, f)
 	n.active++
@@ -761,32 +786,42 @@ func (n *Network) StartFlow(spec FlowSpec) (*Flow, error) {
 	return f, nil
 }
 
-// resolvePath maps a hop sequence to directed links, validating it.
+// resolvePath maps a hop sequence to directed links, validating it. A
+// path is a handful of hops, so a repeat is found by comparing each hop
+// with the ones before it rather than by building a set per call.
 func (n *Network) resolvePath(path []NodeID) ([]*Link, error) {
 	if len(path) < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 hops, got %d", ErrBadPath, len(path))
 	}
-	seen := make(map[NodeID]struct{}, len(path))
+	first := n.nodes[path[0]]
+	if first == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchNode, path[0])
+	}
 	links := make([]*Link, 0, len(path)-1)
-	for i, hop := range path {
-		if _, ok := n.nodes[hop]; !ok {
+	from := first
+	for _, hop := range path[1:] {
+		nd := n.nodes[hop]
+		if nd == nil {
 			return nil, fmt.Errorf("%w: %s", ErrNoSuchNode, hop)
 		}
-		if _, dup := seen[hop]; dup {
+		// The hops so far are the first node and the heads of the links
+		// resolved before this one.
+		repeat := nd == first
+		for _, l := range links {
+			repeat = repeat || l.to == nd.idx
+		}
+		if repeat {
 			return nil, fmt.Errorf("%w: hop %s repeats", ErrBadPath, hop)
 		}
-		seen[hop] = struct{}{}
-		if i == 0 {
-			continue
-		}
-		l := n.links[linkKey{path[i-1], hop}]
+		l := n.links[linkKey{from.idx, nd.idx}]
 		if l == nil {
-			return nil, fmt.Errorf("%w: %s->%s", ErrNoSuchLink, path[i-1], hop)
+			return nil, fmt.Errorf("%w: %s->%s", ErrNoSuchLink, from.ID, hop)
 		}
 		if !l.up {
-			return nil, fmt.Errorf("%w: %s->%s", ErrLinkDownPath, path[i-1], hop)
+			return nil, fmt.Errorf("%w: %s->%s", ErrLinkDownPath, from.ID, hop)
 		}
 		links = append(links, l)
+		from = nd
 	}
 	return links, nil
 }
@@ -826,8 +861,7 @@ func (n *Network) SetPath(f *Flow, path []NodeID) error {
 	f.path = links
 	f.Spec.Path = append([]NodeID(nil), path...)
 	for _, l := range links {
-		l.flows[f] = struct{}{}
-		linkGainedFlow(l)
+		l.addFlow(f)
 	}
 	n.adoptFlow(f, links)
 	return nil

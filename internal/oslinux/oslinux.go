@@ -111,6 +111,8 @@ type Kernel struct {
 	engine *sim.Engine
 	spec   hw.BoardSpec
 
+	// cgroups is made by the first CreateCGroup: most nodes of a large
+	// fleet never run a container.
 	cgroups map[string]*CGroup
 	nextPID int
 	memUsed int64 // includes OS reservation
@@ -135,7 +137,6 @@ func NewKernel(engine *sim.Engine, spec hw.BoardSpec, name string) (*Kernel, err
 		Name:     name,
 		engine:   engine,
 		spec:     spec,
-		cgroups:  make(map[string]*CGroup),
 		reserved: DefaultOSReservedBytes,
 	}
 	if k.reserved > spec.MemBytes {
@@ -170,6 +171,9 @@ func (k *Kernel) CreateCGroup(name string, l Limits) (*CGroup, error) {
 		return nil, fmt.Errorf("oslinux: negative limits for cgroup %s", name)
 	}
 	cg := &CGroup{Name: name, limits: l, tasks: make(map[*Task]struct{})}
+	if k.cgroups == nil {
+		k.cgroups = make(map[string]*CGroup)
+	}
 	k.cgroups[name] = cg
 	return cg, nil
 }

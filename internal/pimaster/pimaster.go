@@ -17,9 +17,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/netip"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/dhcp"
@@ -243,24 +246,51 @@ func (m *Master) RegisterNode(ref *NodeRef, idxInRack int) error {
 		MAC:  dhcp.NodeMAC(ref.Rack, idxInRack),
 		Addr: NodeAddr(ref.Rack, idxInRack),
 		FQDN: dns.NodeFQDN(ref.Rack, idxInRack),
-	})
+	}, rackPool(ref.Rack))
 }
 
 // RegisterNodes bulk-registers nodes with precomputed addressing — the
 // fleet builder's boot path. Entries must arrive in topology (rack)
 // order; the resulting registry state is identical to calling
-// RegisterNode per entry.
+// RegisterNode per entry. The registries are sized once for the whole
+// batch and each rack's pool name is formatted once.
 func (m *Master) RegisterNodes(regs []NodeReg) error {
+	m.growRegistries(len(regs))
+	pool, poolRack := "", -1
 	for i := range regs {
-		if err := checkReg(regs[i].Ref, regs[i].Idx); err != nil {
+		reg := &regs[i]
+		if err := checkReg(reg.Ref, reg.Idx); err != nil {
 			return err
 		}
-		if err := m.registerOne(regs[i]); err != nil {
+		if reg.Ref.Rack != poolRack {
+			pool, poolRack = rackPool(reg.Ref.Rack), reg.Ref.Rack
+		}
+		if err := m.registerOne(*reg, pool); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// growRegistries makes room for n more nodes in the node registries, so
+// a bulk registration fills them without growing them step by step.
+func (m *Master) growRegistries(n int) {
+	m.nodes = slices.Grow(m.nodes, n)
+	m.byName = grownMap(m.byName, n)
+	m.byHost = grownMap(m.byHost, n)
+	m.nodeIdx = grownMap(m.nodeIdx, n)
+	m.rackOf = grownMap(m.rackOf, n)
+}
+
+// grownMap returns a copy of m with room for n more entries.
+func grownMap[K comparable, V any](m map[K]V, n int) map[K]V {
+	g := make(map[K]V, len(m)+n)
+	maps.Copy(g, m)
+	return g
+}
+
+// rackPool names the DHCP pool of a rack.
+func rackPool(rack int) string { return "rack" + strconv.Itoa(rack) }
 
 // checkReg validates one registration's shape against the /20 plan.
 func checkReg(ref *NodeRef, idxInRack int) error {
@@ -277,16 +307,16 @@ func checkReg(ref *NodeRef, idxInRack int) error {
 	return nil
 }
 
-// registerOne performs the validated registration.
-func (m *Master) registerOne(reg NodeReg) error {
+// registerOne performs the validated registration into the rack's
+// DHCP pool.
+func (m *Master) registerOne(reg NodeReg, pool string) error {
 	ref := reg.Ref
 	if _, dup := m.byName[ref.Name]; dup {
 		return fmt.Errorf("pimaster: node %s already registered", ref.Name)
 	}
-	pool := fmt.Sprintf("rack%d", ref.Rack)
 	if _, known := m.dhcp.Pool(pool); !known {
-		cidr := fmt.Sprintf("10.%d.0.0/20", ref.Rack)
-		if err := m.dhcp.AddPool(pool, cidr); err != nil && !errors.Is(err, dhcp.ErrPoolExists) {
+		subnet := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(ref.Rack), 0, 0}), 20)
+		if err := m.dhcp.AddPoolPrefix(pool, subnet); err != nil && !errors.Is(err, dhcp.ErrPoolExists) {
 			return err
 		}
 	}

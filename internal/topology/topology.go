@@ -405,47 +405,62 @@ func BuildLeafSpine(net *netsim.Network, cfg LeafSpineConfig) (*Topology, error)
 
 // Validate checks structural invariants of the wired fabric: every host
 // has exactly one up link (to its edge switch), every node is reachable
-// from the first host, and racks partition the hosts.
+// from the first host, and racks partition the hosts. It walks the
+// network by dense node index, with one mark per node.
 func Validate(t *Topology, net *netsim.Network) error {
 	if len(t.Hosts) == 0 {
 		return fmt.Errorf("topology: no hosts")
 	}
-	seen := make(map[netsim.NodeID]struct{})
+	inRack := make([]bool, net.NodeCount())
+	racked := 0
 	for _, rack := range t.Racks {
 		for _, h := range rack {
-			if _, dup := seen[h]; dup {
+			nd := net.Node(h)
+			if nd == nil {
+				return fmt.Errorf("topology: rack host %s is not in the network", h)
+			}
+			if inRack[nd.Index()] {
 				return fmt.Errorf("topology: host %s in two racks", h)
 			}
-			seen[h] = struct{}{}
+			inRack[nd.Index()] = true
+			racked++
 		}
 	}
-	if len(seen) != len(t.Hosts) {
-		return fmt.Errorf("topology: racks hold %d hosts, topology lists %d", len(seen), len(t.Hosts))
+	if racked != len(t.Hosts) {
+		return fmt.Errorf("topology: racks hold %d hosts, topology lists %d", racked, len(t.Hosts))
 	}
 	for _, h := range t.Hosts {
-		if _, ok := seen[h]; !ok {
+		nd := net.Node(h)
+		if nd == nil || !inRack[nd.Index()] {
 			return fmt.Errorf("topology: host %s not in any rack", h)
 		}
-		if got := len(net.Neighbors(h)); got != 1 {
-			return fmt.Errorf("topology: host %s has %d links, want 1", h, got)
+		up := 0
+		for _, l := range net.LinksFrom(nd.Index()) {
+			if l.Up() {
+				up++
+			}
+		}
+		if up != 1 {
+			return fmt.Errorf("topology: host %s has %d links, want 1", h, up)
 		}
 	}
 	// BFS connectivity from the first host.
-	visited := map[netsim.NodeID]struct{}{t.Hosts[0]: {}}
-	queue := []netsim.NodeID{t.Hosts[0]}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range net.Neighbors(cur) {
-			if _, ok := visited[nb]; !ok {
-				visited[nb] = struct{}{}
+	start := net.Node(t.Hosts[0]).Index()
+	visited := make([]bool, net.NodeCount())
+	visited[start] = true
+	queue := make([]int32, 1, net.NodeCount())
+	queue[0] = start
+	for head := 0; head < len(queue); head++ {
+		for _, l := range net.LinksFrom(queue[head]) {
+			if nb := l.ToIndex(); l.Up() && !visited[nb] {
+				visited[nb] = true
 				queue = append(queue, nb)
 			}
 		}
 	}
 	want := len(t.Hosts) + len(t.Switches())
-	if len(visited) != want {
-		return fmt.Errorf("topology: only %d of %d nodes reachable", len(visited), want)
+	if len(queue) != want {
+		return fmt.Errorf("topology: only %d of %d nodes reachable", len(queue), want)
 	}
 	return nil
 }
