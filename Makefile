@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-megafleet bench bench-smoke trace-artifact determinism-single-core fuzz service-smoke crash-gate lint ci
+.PHONY: all build test race race-megafleet bench bench-smoke trace-artifact determinism-single-core fuzz perfbench-selftest service-smoke crash-gate lint ci
 
 all: build
 
@@ -55,6 +55,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSRecords$$' -fuzztime 30s ./internal/dns
 
+# The benchmark's self-test: each perfbench workload (fattree-100k,
+# steady-1k, fork-10k) at its shrunk size, against the digest pins in
+# perfbench/pins.json, the fork pins included. perfbench is its own Go
+# module, so the root `go test ./...` does not reach it.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
+
 # A Perfetto-loadable span trace of the 1000-node scale scenario:
 # advance slices, per-domain netsim flushes and checkpoint spans with
 # dual virtual/wall stamps. CI uploads run.trace.json as an artifact.
@@ -88,4 +95,4 @@ lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
-ci: build lint test race race-megafleet bench-smoke determinism-single-core fuzz service-smoke crash-gate
+ci: build lint test race race-megafleet bench-smoke determinism-single-core fuzz perfbench-selftest service-smoke crash-gate

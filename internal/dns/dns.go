@@ -311,15 +311,17 @@ func (s *Server) RecordCount() int {
 }
 
 // Dump lists every record, sorted by name then type, for the control
-// panel.
+// panel. Records of one name and type keep the order they were added in
+// (the order Resolve answers in), zone by zone in apex order, so every
+// call lists the same records in the same order.
 func (s *Server) Dump() []Record {
 	var out []Record
-	for _, z := range s.zones {
-		for _, rs := range z.records {
+	for _, apex := range s.Zones() {
+		for _, rs := range s.zones[apex].records {
 			out = append(out, rs...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
 		}

@@ -245,6 +245,56 @@ func TestDumpSorted(t *testing.T) {
 	}
 }
 
+// TestDumpKeepsInsertionOrder: several A records on one name are listed
+// in the order they were added, on every fresh server; an unstable sort
+// over records gathered in map order would list them differently from
+// server to server. The listing is also the same for a name whose
+// records sit in two zones, because a more specific zone was added
+// after its first record.
+func TestDumpKeepsInsertionOrder(t *testing.T) {
+	web := "web." + DefaultZone
+	addrs := []string{"10.0.0.9", "10.0.0.3", "10.0.0.7", "10.0.0.5"}
+	var first []Record
+	for run := 0; run < 200; run++ {
+		s := newPiZone(t)
+		for i := 0; i < 6; i++ {
+			if err := s.RegisterHost(NodeFQDN(1, i), netip.AddrFrom4([4]byte{10, 1, 0, byte(10 + i)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, a := range addrs {
+			if err := s.Add(Record{Name: web, Type: TypeA, Value: a}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		split := "db.lab." + DefaultZone
+		if err := s.Add(Record{Name: split, Type: TypeA, Value: "10.2.0.1"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddZone("lab." + DefaultZone); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add(Record{Name: split, Type: TypeA, Value: "10.2.0.2"}); err != nil {
+			t.Fatal(err)
+		}
+		dump := s.Dump()
+		var got []string
+		for _, r := range dump {
+			if r.Name == web {
+				got = append(got, r.Value)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(addrs) {
+			t.Fatalf("run %d: Dump lists %s's A records as %v, added as %v", run, web, got, addrs)
+		}
+		if run == 0 {
+			first = dump
+		} else if fmt.Sprint(dump) != fmt.Sprint(first) {
+			t.Fatalf("run %d: Dump differs from the first fresh server's:\n%v\n%v", run, dump, first)
+		}
+	}
+}
+
 // Property: RegisterHost always round-trips name→addr→name for distinct
 // hosts.
 func TestPropertyRegisterRoundTrip(t *testing.T) {

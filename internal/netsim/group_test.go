@@ -42,9 +42,9 @@ func buildGroupedFabric(t *testing.T) (*sim.Engine, *Network, []NodeID) {
 	link("h3", "tor-1", 1e8)
 	edges := []NodeID{"tor-0", "tor-1"}
 	for i, tor := range edges {
-		for _, l := range n.NeighborLinks(tor) {
-			if l.DstKind() == KindSwitch {
-				if err := n.TagLinkGroup(tor, l.To, i); err != nil {
+		for _, h := range n.NeighborLinks(tor) {
+			if h.Kind() == KindSwitch {
+				if err := n.TagLinkGroup(tor, h.Link().To, i); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -62,9 +62,9 @@ func uplinkWalk(n *Network, edges []NodeID) float64 {
 	total := 0.0
 	for _, e := range edges {
 		sub := 0.0
-		for _, l := range n.NeighborLinks(e) {
-			if l.DstKind() == KindSwitch {
-				sub += l.BitsCarried()
+		for _, h := range n.NeighborLinks(e) {
+			if h.Kind() == KindSwitch {
+				sub += h.Link().BitsCarried()
 			}
 		}
 		total += sub

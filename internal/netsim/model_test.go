@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -22,15 +23,24 @@ func TestSelfLoopRejected(t *testing.T) {
 	if err := n.AddDuplexLink("a", "a", mbps, 0); err == nil {
 		t.Fatal("self-loop accepted")
 	}
-	if n.Link("a", "a") != nil || len(n.LinksFrom(0)) != 0 || len(n.linkList) != 0 || len(n.links) != 0 {
-		t.Fatalf("rejected self-loop left state behind: link=%v out=%d list=%d table=%d",
-			n.Link("a", "a"), len(n.LinksFrom(0)), len(n.linkList), len(n.links))
+	if n.Link("a", "a") != nil || len(n.LinksFrom(0)) != 0 || len(n.linkList) != 0 || hopCount(n) != 0 {
+		t.Fatalf("rejected self-loop left state behind: link=%v out=%d list=%d hops=%d",
+			n.Link("a", "a"), len(n.LinksFrom(0)), len(n.linkList), hopCount(n))
 	}
 	if n.TopoEpoch() != epoch {
 		t.Fatal("rejected self-loop bumped the topology epoch")
 	}
 	if err := n.RemoveDuplexLink("a", "a"); !errors.Is(err, ErrNoSuchLink) {
 		t.Fatalf("removing a self-loop = %v, want ErrNoSuchLink", err)
+	}
+}
+
+// TestHopEntryIs16Bytes: routing walks hop arrays entry by entry, and a
+// wider field (a NodeKind back on int, say) would double every walk's
+// memory traffic.
+func TestHopEntryIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Hop{}); size != 16 {
+		t.Fatalf("a hop entry is %d bytes, want 16", size)
 	}
 }
 
@@ -56,6 +66,55 @@ type refNet struct {
 	epoch uint64
 }
 
+func newRefNet(n *Network) *refNet {
+	return &refNet{
+		links: map[[2]NodeID]*refLink{},
+		out:   map[NodeID][]NodeID{},
+		tags:  map[[2]NodeID]int{},
+		epoch: n.TopoEpoch(),
+	}
+}
+
+// wire records a cable the network accepted.
+func (ref *refNet) wire(a, b NodeID, capacity float64, latency time.Duration) {
+	for _, k := range [][2]NodeID{{a, b}, {b, a}} {
+		ref.links[k] = &refLink{up: true, capacity: capacity, latency: latency}
+		ref.out[k[0]] = append(ref.out[k[0]], k[1])
+		ref.order = append(ref.order, k)
+	}
+	ref.epoch++
+}
+
+// remove records a cable the network removed.
+func (ref *refNet) remove(a, b NodeID) {
+	for _, k := range [][2]NodeID{{a, b}, {b, a}} {
+		delete(ref.links, k)
+		ref.out[k[0]] = without(ref.out[k[0]], k[1])
+		ref.order = without(ref.order, k)
+	}
+	ref.epoch++
+}
+
+// setUp records a cable raised or failed; failing it ends its flows.
+func (ref *refNet) setUp(a, b NodeID, up bool) {
+	for _, k := range [][2]NodeID{{a, b}, {b, a}} {
+		ref.links[k].up = up
+		if !up {
+			ref.links[k].flows = 0
+		}
+	}
+	ref.epoch++
+}
+
+// hopCount returns the number of entries across every hop array.
+func hopCount(n *Network) int {
+	total := 0
+	for _, out := range n.out {
+		total += len(out)
+	}
+	return total
+}
+
 func without[T comparable](s []T, v T) []T {
 	kept := s[:0]
 	for _, x := range s {
@@ -69,9 +128,10 @@ func without[T comparable](s []T, v T) []T {
 // TestLinkTableMatchesNameModel drives random wiring, removal,
 // re-wiring, up/down, shaping, tagging and single-link flows against the
 // name-keyed reference, and after every step checks each ordered node
-// pair's Link, every LinksFrom order, Reverse, the link list, the flow
-// counts, group membership (tags survive re-cabling) and the topology
-// epoch.
+// pair's Link, every hop array (order, and each entry's destination,
+// kind and up flag against its link and the model), the reverse legs,
+// the link list, the total number of hop entries, the flow counts,
+// group membership (tags survive re-cabling) and the topology epoch.
 func TestLinkTableMatchesNameModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -95,12 +155,7 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 		}
 		names = append(names, id)
 	}
-	ref := &refNet{
-		links: map[[2]NodeID]*refLink{},
-		out:   map[NodeID][]NodeID{},
-		tags:  map[[2]NodeID]int{},
-		epoch: n.TopoEpoch(),
-	}
+	ref := newRefNet(n)
 	pick := func() (NodeID, NodeID) {
 		a := names[rng.Intn(len(names))]
 		b := names[rng.Intn(len(names))]
@@ -113,10 +168,6 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 		}
 		k := ref.order[rng.Intn(len(ref.order))]
 		return k[0], k[1], true
-	}
-	endFlows := func(a, b NodeID) {
-		ref.links[[2]NodeID{a, b}].flows = 0
-		ref.links[[2]NodeID{b, a}].flows = 0
 	}
 	for step := 0; step < steps; step++ {
 		op := rng.Intn(8)
@@ -139,12 +190,7 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 				if err != nil {
 					t.Fatalf("step %d: wire %s-%s: %v", step, a, b, err)
 				}
-				for _, k := range [][2]NodeID{{a, b}, {b, a}} {
-					ref.links[k] = &refLink{up: true, capacity: capacity, latency: latency}
-					ref.out[k[0]] = append(ref.out[k[0]], k[1])
-					ref.order = append(ref.order, k)
-				}
-				ref.epoch++
+				ref.wire(a, b, capacity, latency)
 			}
 		case 2: // remove a cable, sometimes one that is not there
 			a, b, ok := cable()
@@ -161,12 +207,7 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 			if err != nil {
 				t.Fatalf("step %d: remove %s-%s: %v", step, a, b, err)
 			}
-			for _, k := range [][2]NodeID{{a, b}, {b, a}} {
-				delete(ref.links, k)
-				ref.out[k[0]] = without(ref.out[k[0]], k[1])
-				ref.order = without(ref.order, k)
-			}
-			ref.epoch++
+			ref.remove(a, b)
 		case 3: // raise or fail a cable
 			a, b, ok := cable()
 			if !ok {
@@ -176,12 +217,7 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 			if err := n.SetLinkUp(a, b, up); err != nil {
 				t.Fatalf("step %d: set %s-%s up=%v: %v", step, a, b, up, err)
 			}
-			ref.links[[2]NodeID{a, b}].up = up
-			ref.links[[2]NodeID{b, a}].up = up
-			if !up {
-				endFlows(a, b)
-			}
-			ref.epoch++
+			ref.setUp(a, b, up)
 		case 4: // shape or clear a cable
 			a, b, ok := cable()
 			if !ok {
@@ -235,9 +271,9 @@ func checkAgainstModel(t *testing.T, step int, n *Network, ref *refNet, names []
 	if got := n.TopoEpoch(); got != ref.epoch {
 		t.Fatalf("step %d: topology epoch %d, model %d", step, got, ref.epoch)
 	}
-	if len(n.links) != len(ref.links) || len(n.linkList) != len(ref.order) {
-		t.Fatalf("step %d: %d table entries and %d listed links, model %d",
-			step, len(n.links), len(n.linkList), len(ref.links))
+	if hops := hopCount(n); hops != len(n.linkList) || len(n.linkList) != len(ref.order) || len(ref.order) != len(ref.links) {
+		t.Fatalf("step %d: %d hop entries and %d listed links, model %d",
+			step, hops, len(n.linkList), len(ref.links))
 	}
 	for i, l := range n.linkList {
 		if k := ref.order[i]; l.From != k[0] || l.To != k[1] {
@@ -250,9 +286,16 @@ func checkAgainstModel(t *testing.T, step int, n *Network, ref *refNet, names []
 		if len(outs) != len(ref.out[a]) {
 			t.Fatalf("step %d: %s has %d outgoing links, model %v", step, a, len(outs), ref.out[a])
 		}
-		for i, l := range outs {
-			if l.From != a || l.To != ref.out[a][i] {
-				t.Fatalf("step %d: LinksFrom(%s)[%d] = %s->%s, model ->%s", step, a, i, l.From, l.To, ref.out[a][i])
+		for i, h := range outs {
+			l, b := h.Link(), ref.out[a][i]
+			nb := n.Node(b)
+			switch {
+			case l.From != a || l.To != b:
+				t.Fatalf("step %d: LinksFrom(%s)[%d] = %s->%s, model ->%s", step, a, i, l.From, l.To, b)
+			case h.To() != nb.Index() || h.To() != l.to || h.Kind() != nb.Kind:
+				t.Fatalf("step %d: hop %s->%s reads #%d %v, node is #%d %v", step, a, b, h.To(), h.Kind(), nb.Index(), nb.Kind)
+			case h.Up() != l.Up() || h.Up() != ref.links[[2]NodeID{a, b}].up:
+				t.Fatalf("step %d: hop %s->%s up=%v, link up=%v, model up=%v", step, a, b, h.Up(), l.Up(), ref.links[[2]NodeID{a, b}].up)
 			}
 		}
 		for _, b := range names {
@@ -267,9 +310,9 @@ func checkAgainstModel(t *testing.T, step int, n *Network, ref *refNet, names []
 			switch {
 			case l == nil:
 				t.Fatalf("step %d: Link(%s, %s) missing", step, a, b)
-			case l.From != a || l.To != b || l.ToIndex() != nb.Index() || l.DstKind() != nb.Kind:
-				t.Fatalf("step %d: Link(%s, %s) is %s->%s to #%d", step, a, b, l.From, l.To, l.ToIndex())
-			case l.Reverse() != n.Link(b, a) || l.Reverse().Reverse() != l:
+			case l.From != a || l.To != b || l.to != nb.Index():
+				t.Fatalf("step %d: Link(%s, %s) is %s->%s to #%d", step, a, b, l.From, l.To, l.to)
+			case l.rev != n.Link(b, a) || l.rev.rev != l:
 				t.Fatalf("step %d: Link(%s, %s) has the wrong reverse leg", step, a, b)
 			case l.Up() != want.up || l.Shaped() != want.shaped:
 				t.Fatalf("step %d: Link(%s, %s) up=%v shaped=%v, model %+v", step, a, b, l.Up(), l.Shaped(), *want)
@@ -311,4 +354,110 @@ func checkAgainstModel(t *testing.T, step int, n *Network, ref *refNet, names []
 	if members != tagged {
 		t.Fatalf("step %d: groups hold %d links, model %d tagged live links", step, members, tagged)
 	}
+}
+
+// TestLinkLookupHighDegree wires a switch with a few hundred hosts and
+// asks for every link from both ends. Link scans the hop array of the
+// endpoint with fewer links, so a host's side answers for the switch's;
+// the answer must be the same leg either way, and the hop entries must
+// stay in step, through duplicate wiring, failures and removals asked
+// from either end, and re-wiring.
+func TestLinkLookupHighDegree(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	names := []NodeID{"agg-0", "agg-1", "tor"}
+	for _, id := range names {
+		if err := n.AddNode(id, KindSwitch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var hosts []NodeID
+	for i := 0; i < 300; i++ {
+		id := NodeID(fmt.Sprintf("h%03d", i))
+		if err := n.AddNode(id, KindHost); err != nil {
+			t.Fatal(err)
+		}
+		hosts = append(hosts, id)
+	}
+	names = append(names, hosts...)
+	ref := newRefNet(n)
+	// ends orders a host's cable: from the host on even i, from the
+	// switch on odd i.
+	ends := func(i int) (NodeID, NodeID) {
+		if i%2 == 0 {
+			return hosts[i], "tor"
+		}
+		return "tor", hosts[i]
+	}
+	wire := func(a, b NodeID) {
+		t.Helper()
+		if err := n.AddDuplexLink(a, b, mbps, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		ref.wire(a, b, mbps, time.Millisecond)
+	}
+	wire("tor", "agg-0")
+	wire("agg-1", "tor")
+	for i := range hosts {
+		wire(ends(i))
+	}
+	step := 0
+	check := func() {
+		t.Helper()
+		checkAgainstModel(t, step, n, ref, names)
+		step++
+	}
+	check()
+	if got := len(n.LinksFrom(n.Node("tor").Index())); got != len(hosts)+2 {
+		t.Fatalf("tor has %d links, want %d", got, len(hosts)+2)
+	}
+	for i := 0; i < len(hosts); i += 13 {
+		a, b := ends(i)
+		for _, pair := range [][2]NodeID{{a, b}, {b, a}} {
+			if err := n.AddDuplexLink(pair[0], pair[1], mbps, 0); !errors.Is(err, ErrLinkExists) {
+				t.Fatalf("duplicate %s-%s = %v", pair[0], pair[1], err)
+			}
+		}
+	}
+	check()
+	for i := 0; i < len(hosts); i += 7 {
+		a, b := ends(i)
+		if i%3 == 0 {
+			a, b = b, a
+		}
+		if err := n.SetLinkUp(a, b, false); err != nil {
+			t.Fatal(err)
+		}
+		ref.setUp(a, b, false)
+	}
+	check()
+	removed := map[int]bool{}
+	for i := 3; i < len(hosts); i += 11 {
+		a, b := ends(i)
+		if i%4 == 0 {
+			a, b = b, a
+		}
+		if err := n.RemoveDuplexLink(a, b); err != nil {
+			t.Fatal(err)
+		}
+		ref.remove(a, b)
+		removed[i] = true
+	}
+	check()
+	for i := 0; i < len(hosts); i += 14 {
+		if removed[i] {
+			continue
+		}
+		a, b := ends(i)
+		if err := n.SetLinkUp(b, a, true); err != nil {
+			t.Fatal(err)
+		}
+		ref.setUp(a, b, true)
+	}
+	check()
+	for i := range hosts {
+		if removed[i] {
+			wire(ends(i))
+		}
+	}
+	check()
 }

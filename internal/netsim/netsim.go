@@ -15,6 +15,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,8 +26,9 @@ import (
 // NodeID names a network-attached device (host NIC or switch).
 type NodeID string
 
-// NodeKind distinguishes end hosts from fabric switches.
-type NodeKind int
+// NodeKind distinguishes end hosts from fabric switches. It is one byte
+// so that a hop entry (see Hop) packs into 16.
+type NodeKind uint8
 
 // Node kinds.
 const (
@@ -66,19 +68,17 @@ func (nd *Node) Index() int32 { return nd.idx }
 //
 // Links are created and removed only as duplex pairs, both legs in one
 // allocation, so every link has a reverse leg (To→From) for as long as
-// it exists. The pair shares its up/down state, but readers that need
-// the To→From direction use Reverse rather than assume it.
+// it exists. The pair shares its up/down state: the cable's flag, which
+// both legs and both legs' hop entries carry and SetLinkUp writes
+// together.
 type Link struct {
 	From NodeID
 	To   NodeID
-	// The fields a routing walk reads sit together: up, the destination
-	// node's index and kind (cached so routing loops skip a node lookup
-	// per edge), and the reverse leg of the duplex pair. shaped fills
-	// the padding after up.
+	// up is the cable's state; shaped fills the padding after it. to is
+	// the destination node's index and rev the reverse leg of the pair.
 	up       bool
 	shaped   bool
 	to       int32
-	toKind   NodeKind
 	rev      *Link
 	Capacity float64 // bits per second (effective)
 	Latency  time.Duration
@@ -301,15 +301,45 @@ func (f *Flow) PathLatency() time.Duration {
 	return total
 }
 
+// Hop is one entry of a node's hop array, the node's outgoing links in
+// creation order. Beside the link it holds what a routing walk reads:
+// the destination node's index and kind and the cable's up flag. An
+// entry is 16 bytes, so a walk over a switch's ports reads one
+// contiguous array instead of chasing a pointer per port. The network
+// writes the up flag wherever the cable's state changes (wiring and
+// SetLinkUp), in both legs' entries.
+type Hop struct {
+	to   int32
+	kind NodeKind
+	up   bool
+	link *Link
+}
+
+// To returns the destination node's dense index.
+func (h Hop) To() int32 { return h.to }
+
+// Kind returns the destination node's kind.
+func (h Hop) Kind() NodeKind { return h.kind }
+
+// Up reports whether the cable is in service. Both legs of a cable share
+// the flag, so it also answers whether the link back is up.
+func (h Hop) Up() bool { return h.up }
+
+// Link returns the directed link.
+func (h Hop) Link() *Link { return h.link }
+
 // Network is the flow simulator. It is single-threaded on the simulation
 // engine; callers integrating with real goroutines must serialise access
 // externally (the cloud facade does).
 //
-// The graph is stored by dense node index (see Node): the nodes and each
-// node's outgoing links live in slices indexed by it, the link table is
-// keyed by the endpoints' indices, and the name-keyed accessors (Node,
-// Link, NeighborLinks, Neighbors, flow paths) resolve a name once and
-// then read those.
+// The graph is stored by dense node index (see Node): the nodes live in
+// a slice indexed by it, and so do their hop arrays (see Hop), which
+// are also the link table. There is no second index of links: Link(a,
+// b) scans the hop array of whichever endpoint has fewer links, so a
+// lookup costs at most the smaller degree and a host's uplink is found
+// in one step even when its switch has thousands of ports. The
+// name-keyed accessors (Node, Link, NeighborLinks, Neighbors, flow
+// paths) resolve a name once and then read those.
 //
 // Rate recomputation is batched and incremental: mutations (flow
 // start/end, link events, shaping) mark the affected congestion
@@ -322,13 +352,10 @@ func (f *Flow) PathLatency() time.Duration {
 type Network struct {
 	engine *sim.Engine
 	nodes  map[NodeID]*Node
-	// links holds every directed link by its endpoints' node indices.
-	links map[linkKey]*Link
-	// nodeList holds the nodes by index; out holds each node's outgoing
-	// links, by the same index, in creation order, so routing explores
-	// the graph without ranging over or probing the link map.
+	// nodeList holds the nodes by index; out holds each node's hop array,
+	// by the same index.
 	nodeList []*Node
-	out      [][]*Link
+	out      [][]Hop
 	// linkList iterates links in creation order (deterministic, no map
 	// ranging on the hot path). Removed links are filtered out in place.
 	linkList []*Link
@@ -413,7 +440,6 @@ func New(engine *sim.Engine) *Network {
 	n := &Network{
 		engine:      engine,
 		nodes:       make(map[NodeID]*Node),
-		links:       make(map[linkKey]*Link),
 		lastAdvance: -1,
 	}
 	n.flushFn = n.flush
@@ -527,23 +553,23 @@ func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.D
 		return fmt.Errorf("netsim: non-positive capacity on link %s-%s", a, b)
 	}
 	// Legs exist only in pairs, so one probe covers both directions.
-	if n.links[linkKey{na.idx, nb.idx}] != nil {
+	if n.link(na.idx, nb.idx) != nil {
 		return fmt.Errorf("%w: %s->%s", ErrLinkExists, a, b)
 	}
 	pair := &[2]Link{
-		{From: a, To: b, to: nb.idx, toKind: nb.Kind},
-		{From: b, To: a, to: na.idx, toKind: na.Kind},
+		{From: a, To: b, to: nb.idx},
+		{From: b, To: a, to: na.idx},
 	}
 	pair[0].rev, pair[1].rev = &pair[1], &pair[0]
-	for i, from := range [2]*Node{na, nb} {
+	ends := [2]*Node{na, nb}
+	for i, from := range ends {
 		l := &pair[i]
 		l.up, l.net = true, n
 		l.Capacity, l.Latency = capacityBps, latency
 		l.baseCapacity, l.baseLatency = capacityBps, latency
 		k := linkKey{from.idx, l.to}
-		n.links[k] = l
 		n.linkList = append(n.linkList, l)
-		n.out[from.idx] = append(n.out[from.idx], l)
+		n.out[from.idx] = append(n.out[from.idx], Hop{to: l.to, kind: ends[1-i].Kind, up: true, link: l})
 		if id, ok := n.removedTags[k]; ok {
 			delete(n.removedTags, k)
 			n.tagLink(l, id)
@@ -639,14 +665,8 @@ func (n *Network) RemoveDuplexLink(a, b NodeID) error {
 			n.removedTags[k] = l.grp.id
 			n.untagLink(l)
 		}
-		delete(n.links, k)
-		adj := n.out[from][:0]
-		for _, al := range n.out[from] {
-			if al != l {
-				adj = append(adj, al)
-			}
-		}
-		n.out[from] = adj
+		i := n.hopAt(from, l.to)
+		n.out[from] = slices.Delete(n.out[from], i, i+1)
 	}
 	kept := n.linkList[:0]
 	for _, l := range n.linkList {
@@ -686,25 +706,53 @@ func (n *Network) Link(a, b NodeID) *Link {
 	if na == nil || nb == nil {
 		return nil
 	}
-	return n.links[linkKey{na.idx, nb.idx}]
+	return n.link(na.idx, nb.idx)
+}
+
+// link returns the directed link from node a to node b, or nil. It scans
+// the hop array of whichever endpoint has fewer links: legs exist only
+// in pairs, so b's entry for a holds the reverse leg.
+func (n *Network) link(a, b int32) *Link {
+	if len(n.out[b]) < len(n.out[a]) {
+		if i := n.hopAt(b, a); i >= 0 {
+			return n.out[b][i].link.rev
+		}
+		return nil
+	}
+	if i := n.hopAt(a, b); i >= 0 {
+		return n.out[a][i].link
+	}
+	return nil
+}
+
+// hopAt returns the position of the link from→to in from's hop array,
+// or -1.
+func (n *Network) hopAt(from, to int32) int {
+	for i, h := range n.out[from] {
+		if h.to == to {
+			return i
+		}
+	}
+	return -1
 }
 
 // Neighbors returns the IDs reachable over one up link from id, in link
 // creation order (deterministic).
 func (n *Network) Neighbors(id NodeID) []NodeID {
 	var out []NodeID
-	for _, l := range n.NeighborLinks(id) {
-		if l.up {
-			out = append(out, l.To)
+	for _, h := range n.NeighborLinks(id) {
+		if h.up {
+			out = append(out, h.link.To)
 		}
 	}
 	return out
 }
 
-// NeighborLinks returns id's outgoing links in creation order, including
-// down links (callers filter with Up). The slice is shared — read-only.
-// Routing uses it to walk the graph with zero per-node allocation.
-func (n *Network) NeighborLinks(id NodeID) []*Link {
+// NeighborLinks returns id's hop array: its outgoing links in creation
+// order, including down ones (callers filter with Up). The slice is
+// shared — read-only. Routing uses it to walk the graph with zero
+// per-node allocation.
+func (n *Network) NeighborLinks(id NodeID) []Hop {
 	nd := n.nodes[id]
 	if nd == nil {
 		return nil
@@ -712,21 +760,9 @@ func (n *Network) NeighborLinks(id NodeID) []*Link {
 	return n.out[nd.idx]
 }
 
-// LinksFrom is NeighborLinks by dense node index: the outgoing links of
-// the node with index i, in creation order. The slice is shared —
-// read-only.
-func (n *Network) LinksFrom(i int32) []*Link { return n.out[i] }
-
-// DstKind returns the kind of the link's destination node (cached at
-// wiring time for the routing hot path).
-func (l *Link) DstKind() NodeKind { return l.toKind }
-
-// ToIndex returns the destination node's dense index.
-func (l *Link) ToIndex() int32 { return l.to }
-
-// Reverse returns the link's reverse leg: the To→From direction of the
-// same duplex cable.
-func (l *Link) Reverse() *Link { return l.rev }
+// LinksFrom is NeighborLinks by dense node index: the hop array of the
+// node with index i. The slice is shared — read-only.
+func (n *Network) LinksFrom(i int32) []Hop { return n.out[i] }
 
 // SetLinkUp raises or fails the duplex cable between a and b. Failing a
 // link ends every flow that traverses either direction with EndLinkDown —
@@ -738,7 +774,12 @@ func (n *Network) SetLinkUp(a, b NodeID, up bool) error {
 	}
 	lb := la.rev
 	n.advance()
-	la.up, lb.up = up, up
+	for _, l := range [2]*Link{la, lb} {
+		// The reverse leg ends where this one starts.
+		from := l.rev.to
+		l.up = up
+		n.out[from][n.hopAt(from, l.to)].up = up
+	}
 	if !up {
 		n.endLinkFlows(la, EndLinkDown)
 		n.endLinkFlows(lb, EndLinkDown)
@@ -813,7 +854,7 @@ func (n *Network) resolvePath(path []NodeID) ([]*Link, error) {
 		if repeat {
 			return nil, fmt.Errorf("%w: hop %s repeats", ErrBadPath, hop)
 		}
-		l := n.links[linkKey{from.idx, nd.idx}]
+		l := n.link(from.idx, nd.idx)
 		if l == nil {
 			return nil, fmt.Errorf("%w: %s->%s", ErrNoSuchLink, from.ID, hop)
 		}
@@ -1036,18 +1077,26 @@ func (n *Network) TransferOnce(spec FlowSpec) (*Flow, error) {
 }
 
 // MaxLinkUtilisation returns the highest instantaneous utilisation across
-// all up links — the congestion metric used by experiment R4. It walks
-// the ordered linkList (not the link map), so the scan is deterministic
-// and allocation-free.
+// all up links — the congestion metric used by experiment R4 and the
+// scenario sampler. Only a link that carries a live flow can have a
+// non-zero utilisation (the last flow to leave a link zeroes its
+// allocation), so the maximum is taken over the path links of the live
+// flows: the cost follows the traffic, not the fabric's size, and a
+// maximum does not depend on the order it is taken in.
 func (n *Network) MaxLinkUtilisation() float64 {
 	n.flush()
 	max := 0.0
-	for _, l := range n.linkList {
-		if !l.up || l.Capacity <= 0 {
+	for _, f := range n.flowOrder {
+		if f.ended {
 			continue
 		}
-		if u := l.allocated / l.Capacity; u > max {
-			max = u
+		for _, l := range f.path {
+			if !l.up || l.Capacity <= 0 {
+				continue
+			}
+			if u := l.allocated / l.Capacity; u > max {
+				max = u
+			}
 		}
 	}
 	return max

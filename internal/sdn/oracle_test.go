@@ -74,12 +74,13 @@ func oracleShortestDAG(net *netsim.Network, src, dst netsim.NodeID, w weightFunc
 		if it.node == dst {
 			break
 		}
-		for _, l := range net.NeighborLinks(it.node) {
+		for _, h := range net.NeighborLinks(it.node) {
+			l := h.Link()
 			nb := l.To
 			if !l.Up() || done[nb] {
 				continue
 			}
-			if nb != dst && l.DstKind() == netsim.KindHost {
+			if nb != dst && net.Node(nb).Kind == netsim.KindHost {
 				continue
 			}
 			nd := it.dist + w(l)
@@ -213,9 +214,9 @@ func TestIndexRoutingMatchesNameOracle(t *testing.T) {
 
 	var fabric [][2]netsim.NodeID
 	for _, sw := range append(append([]netsim.NodeID{}, rig.topo.Edge...), rig.topo.Agg...) {
-		for _, l := range rig.net.NeighborLinks(sw) {
-			if l.DstKind() == netsim.KindSwitch && sw < l.To {
-				fabric = append(fabric, [2]netsim.NodeID{sw, l.To})
+		for _, h := range rig.net.NeighborLinks(sw) {
+			if to := h.Link().To; h.Kind() == netsim.KindSwitch && sw < to {
+				fabric = append(fabric, [2]netsim.NodeID{sw, to})
 			}
 		}
 	}

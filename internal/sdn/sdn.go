@@ -134,12 +134,12 @@ type Controller struct {
 
 	// uplink memoises soleUplink per host, by node index, for the
 	// topology epoch uplinkEpoch: every cache-miss route consults both
-	// endpoints' uplinks, and re-scanning their adjacency for each is
+	// endpoints' uplinks, and re-scanning their hop arrays for each is
 	// the dominant cost of the short synthesis cases. uplinkSeen marks
 	// the resolved entries (negative answers included); any epoch bump
 	// (link state, shaping, re-cable) empties it, exactly like the
 	// route cache.
-	uplink      []*netsim.Link
+	uplink      []int32
 	uplinkSeen  stampSet
 	uplinkEpoch uint64
 
@@ -490,17 +490,17 @@ func (c *Controller) endpoints(src, dst netsim.NodeID) (int32, int32, error) {
 // name returns the name of the node with index i.
 func (c *Controller) name(i int32) netsim.NodeID { return c.net.NodeAt(i).ID }
 
-// soleUplink returns the single up link leaving host h, or nil when h
-// is not a host with exactly one live uplink to a switch. Resolutions
-// (including negative ones) are memoised per topology epoch: the
-// answer is a pure function of wiring and link state, both of which
-// bump the epoch on every change.
-func (c *Controller) soleUplink(h int32) *netsim.Link {
+// soleUplink returns the index of the switch at the far end of host h's
+// single up link, or -1 when h is not a host with exactly one live
+// uplink to a switch. Resolutions (including negative ones) are
+// memoised per topology epoch: the answer is a pure function of wiring
+// and link state, both of which bump the epoch on every change.
+func (c *Controller) soleUplink(h int32) int32 {
 	if epoch := c.net.TopoEpoch(); epoch != c.uplinkEpoch || c.uplinkSeen.gen == 0 {
 		n := c.net.NodeCount()
 		c.uplinkSeen.reset(n)
 		if len(c.uplink) < n {
-			c.uplink = append(c.uplink, make([]*netsim.Link, n-len(c.uplink))...)
+			c.uplink = append(c.uplink, make([]int32, n-len(c.uplink))...)
 		}
 		c.uplinkEpoch = epoch
 	}
@@ -513,26 +513,26 @@ func (c *Controller) soleUplink(h int32) *netsim.Link {
 	return up
 }
 
-// scanSoleUplink is the uncached resolution: one pass over h's
-// adjacency list.
-func (c *Controller) scanSoleUplink(h int32) *netsim.Link {
+// scanSoleUplink is the uncached resolution: one pass over h's hop
+// array.
+func (c *Controller) scanSoleUplink(h int32) int32 {
 	if c.net.NodeAt(h).Kind != netsim.KindHost {
-		return nil
+		return -1
 	}
-	var up *netsim.Link
-	for _, l := range c.net.LinksFrom(h) {
-		if !l.Up() {
+	var up netsim.Hop
+	for _, hop := range c.net.LinksFrom(h) {
+		if !hop.Up() {
 			continue
 		}
-		if up != nil {
-			return nil
+		if up.Link() != nil {
+			return -1
 		}
-		up = l
+		up = hop
 	}
-	if up == nil || up.DstKind() != netsim.KindSwitch {
-		return nil
+	if up.Link() == nil || up.Kind() != netsim.KindSwitch {
+		return -1
 	}
-	return up
+	return up.To()
 }
 
 // synthDAG is the structured route synthesis fast path: for host pairs
@@ -543,8 +543,7 @@ func (c *Controller) scanSoleUplink(h int32) *netsim.Link {
 // shortest-path DAG is written down directly from the local wiring
 // instead of running Dijkstra over the whole fabric. At 10⁵–10⁶ nodes
 // a cold cross-rack Dijkstra settles every host in the fleet before
-// reaching dst; the synthesised answer touches a handful of adjacency
-// lists.
+// reaching dst; the synthesised answer touches a handful of hop arrays.
 //
 // The fast path must be invisible: where it answers (ok=true), the DAG
 // is provably the one shortestDAG would compute — same parent sets,
@@ -568,32 +567,26 @@ func (c *Controller) scanSoleUplink(h int32) *netsim.Link {
 //     settles at 6 hops; see crossPodDAG for the construction and the
 //     proof.
 //
-// Every "x→eB is up" probe is answered by the set into: the switches x
-// whose link x→eB is up, read as the reverse legs of eB's own
-// adjacency (links exist only as duplex pairs, so every link into eB
-// is the reverse leg of one out of it): one pass over eB's links
-// answers them all.
+// Every "x→y is up" probe reads the cable's up flag, which both legs of
+// a duplex cable share and both legs' hop entries carry: so "x→eB is
+// up" is the flag on eB's hop entry for x, and the set into (the
+// switches x whose link x→eB is up) is one pass over eB's hop array.
+// For the same reason dst's sole up uplink means the return leg eB→dst
+// is up too.
 //
 // If none of the four shapes applies — any uplink asymmetry or partial
 // failure that would put dst at 5 hops, or at ≥ 7 — the pair is beyond
 // the fast path and falls back (ok=false), e.g. a multi-root fabric
 // whose agg tier is down and detours via the gateway.
 //
-// Link state is read live (l.Up), so a synthesised entry is exactly as
-// valid as a Dijkstra one for the topology epoch it is cached under.
+// Link state is read live, so a synthesised entry is exactly as valid
+// as a Dijkstra one for the topology epoch it is cached under.
 func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
 	if c.cfg.DisableRouteSynthesis {
 		return routeDAG{}, 0, false
 	}
-	upA := c.soleUplink(src)
-	upB := c.soleUplink(dst)
-	if upA == nil || upB == nil {
-		return routeDAG{}, 0, false
-	}
-	eA, eB := upA.ToIndex(), upB.ToIndex()
-	// The return leg eB→dst of dst's cable (SetLinkUp fails both
-	// directions together, but verify — the DAG walks src→dst).
-	if !upB.Reverse().Up() {
+	eA, eB := c.soleUplink(src), c.soleUplink(dst)
+	if eA < 0 || eB < 0 {
 		return routeDAG{}, 0, false
 	}
 	s := &c.scratch
@@ -605,9 +598,9 @@ func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
 		return b.build(c.net), tierSameEdge, true
 	}
 	s.into.reset(c.net.NodeCount())
-	for _, l := range c.net.LinksFrom(eB) {
-		if l.DstKind() == netsim.KindSwitch && l.Reverse().Up() {
-			s.into.add(l.ToIndex())
+	for _, h := range c.net.LinksFrom(eB) {
+		if h.Up() && h.Kind() == netsim.KindSwitch {
+			s.into.add(h.To())
 		}
 	}
 	if s.into.has(eA) {
@@ -617,8 +610,8 @@ func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
 		return b.build(c.net), tierAdjacent, true
 	}
 	mids := 0
-	for _, l := range c.net.LinksFrom(eA) {
-		if m := l.ToIndex(); l.Up() && l.DstKind() == netsim.KindSwitch && s.into.has(m) {
+	for _, h := range c.net.LinksFrom(eA) {
+		if m := h.To(); h.Up() && h.Kind() == netsim.KindSwitch && s.into.has(m) {
 			b.add(eB, m)
 			b.add(m, eA)
 			mids++
@@ -636,8 +629,8 @@ func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
 // six hops through two middle tiers — src→eA→agg→core→agg→eB→dst, the
 // cross-pod case of a k-ary fat-tree. It is entered only from synthDAG
 // with the first three cases already excluded: soleUplinks exist on
-// both sides, eB→dst is up, eA ≠ eB, eA→eB is not up, and no single
-// mid connects them; scratch.into holds eB's live in-neighbours.
+// both sides, eA ≠ eB, eA→eB is not up, and no single mid connects
+// them; scratch.into holds eB's live in-neighbours.
 //
 // Construction, mirroring the BFS layers Dijkstra would settle:
 //
@@ -648,9 +641,10 @@ func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
 //
 // and the DAG is dst←eB←P, each b∈P←Cb, each used core←its S2 aggs,
 // each used agg←eA←src, every parent list in ascending name order.
-// Every "x→y is up" probe with y on the dst side (c→b, b→eB) reads the
-// reverse leg of the y→x link found in y's adjacency: links exist only
-// as duplex pairs, so that leg is exactly the link x→y.
+// Every "x→y is up" probe is a cable-flag probe: both legs of a duplex
+// cable share one up flag, carried by both legs' hop entries, so c→b
+// and b→eB are read from the entries for c and b in b's and eB's own
+// hop arrays, found while walking them.
 //
 // Proof that this is exactly shortestDAG's answer when it returns
 // ok=true (relying, like the other cases, on hosts never relaying and
@@ -674,28 +668,28 @@ func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
 //     a mid, b ∈ S3 trips the guard, b = eA failed the adjacent
 //     check), so P is exactly eB's equal-cost parent set, Cb exactly
 //     b's, and the used cores' parents are exactly their S2 neighbours
-//     a with a→core up. parents(dst) = {eB} because the reverse leg of
-//     dst's sole up link is the only live link into dst. The builder
-//     sorts each list by name, reproducing shortestDAG's order, so
-//     materialisePath draws identical ECMP tiebreaks no matter which
-//     path built the entry.
+//     a with a→core up. parents(dst) = {eB} because dst's sole up
+//     cable is the only live link into dst, and its flag also makes
+//     eB→dst up. The builder sorts each list by name, reproducing
+//     shortestDAG's order, so materialisePath draws identical ECMP
+//     tiebreaks no matter which path built the entry.
 func (c *Controller) crossPodDAG(src, dst, eA, eB int32) (routeDAG, synthTier, bool) {
 	s := &c.scratch
 	n := c.net.NodeCount()
 	s.s2.reset(n)
 	s.s2list = s.s2list[:0]
-	for _, l := range c.net.LinksFrom(eA) {
-		if l.Up() && l.DstKind() == netsim.KindSwitch {
-			s.s2.add(l.ToIndex())
-			s.s2list = append(s.s2list, l.ToIndex())
+	for _, h := range c.net.LinksFrom(eA) {
+		if h.Up() && h.Kind() == netsim.KindSwitch {
+			s.s2.add(h.To())
+			s.s2list = append(s.s2list, h.To())
 		}
 	}
 	s.s3.reset(n)
 	s3empty := true
 	for _, a := range s.s2list {
-		for _, l := range c.net.LinksFrom(a) {
-			m := l.ToIndex()
-			if !l.Up() || l.DstKind() != netsim.KindSwitch || m == eA || s.s2.has(m) {
+		for _, h := range c.net.LinksFrom(a) {
+			m := h.To()
+			if !h.Up() || h.Kind() != netsim.KindSwitch || m == eA || s.s2.has(m) {
 				continue
 			}
 			s.s3.add(m)
@@ -707,26 +701,26 @@ func (c *Controller) crossPodDAG(src, dst, eA, eB int32) (routeDAG, synthTier, b
 	}
 	// Guard: a live S3→eB link would settle eB at distance 4 — a
 	// 5-hop DAG this case does not model. Fall back to Dijkstra.
-	for _, l := range c.net.LinksFrom(eB) {
-		if s.s3.has(l.ToIndex()) && s.into.has(l.ToIndex()) {
+	for _, h := range c.net.LinksFrom(eB) {
+		if s.s3.has(h.To()) && s.into.has(h.To()) {
 			return routeDAG{}, 0, false
 		}
 	}
-	// P(eB): enumerate eB's adjacency, keep switches with a live leg
-	// towards eB, and compute each candidate's distance-3 parent set Cb
-	// from its own adjacency list.
+	// P(eB): enumerate eB's hop array, keep switches with a live cable
+	// to eB, and compute each candidate's distance-3 parent set Cb from
+	// its own hop array.
 	b := &s.dag
 	b.reset()
 	s.used.reset(n)
 	inP := 0
-	for _, l := range c.net.LinksFrom(eB) {
-		p := l.ToIndex()
+	for _, h := range c.net.LinksFrom(eB) {
+		p := h.To()
 		if !s.into.has(p) {
 			continue
 		}
 		cb := 0
-		for _, lb := range c.net.LinksFrom(p) {
-			if cn := lb.ToIndex(); s.s3.has(cn) && lb.Reverse().Up() {
+		for _, hb := range c.net.LinksFrom(p) {
+			if cn := hb.To(); s.s3.has(cn) && hb.Up() {
 				b.add(p, cn)
 				s.used.add(cn)
 				cb++
@@ -741,14 +735,14 @@ func (c *Controller) crossPodDAG(src, dst, eA, eB int32) (routeDAG, synthTier, b
 	if inP == 0 {
 		return routeDAG{}, 0, false
 	}
-	// The used cores' parents, inverted: one pass over the S2 aggs'
-	// adjacency lists instead of one pass per core (a fat-tree core
-	// sees every pod; its parent agg is found from the src side).
+	// The used cores' parents, inverted: one pass over the S2 aggs' hop
+	// arrays instead of one pass per core (a fat-tree core sees every
+	// pod; its parent agg is found from the src side).
 	for _, a := range s.s2list {
 		usedAgg := false
-		for _, l := range c.net.LinksFrom(a) {
-			if l.Up() && s.used.has(l.ToIndex()) {
-				b.add(l.ToIndex(), a)
+		for _, h := range c.net.LinksFrom(a) {
+			if h.Up() && s.used.has(h.To()) {
+				b.add(h.To(), a)
 				usedAgg = true
 			}
 		}
@@ -810,16 +804,16 @@ func (c *Controller) shortestDAG(src, dst int32, w weightFunc) (routeDAG, error)
 		if it.node == dst {
 			break
 		}
-		for _, l := range c.net.LinksFrom(it.node) {
-			nb := l.ToIndex()
-			if !l.Up() || s.done.has(nb) {
+		for _, h := range c.net.LinksFrom(it.node) {
+			nb := h.To()
+			if !h.Up() || s.done.has(nb) {
 				continue
 			}
 			// Hosts other than src/dst never relay traffic.
-			if nb != dst && l.DstKind() == netsim.KindHost {
+			if nb != dst && h.Kind() == netsim.KindHost {
 				continue
 			}
-			nd := it.dist + w(l)
+			nd := it.dist + w(h.Link())
 			switch {
 			case !s.seen.has(nb) || nd < s.dist[nb]-eps:
 				s.seen.add(nb)

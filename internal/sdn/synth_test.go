@@ -117,9 +117,9 @@ func TestRouteSynthesisMatchesDijkstra(t *testing.T) {
 			// answers must keep matching.
 			edge := rig.topo.Edge[0]
 			var mid netsim.NodeID
-			for _, l := range rig.net.NeighborLinks(edge) {
-				if l.Up() && l.DstKind() == netsim.KindSwitch {
-					mid = l.To
+			for _, h := range rig.net.NeighborLinks(edge) {
+				if h.Up() && h.Kind() == netsim.KindSwitch {
+					mid = h.Link().To
 					break
 				}
 			}
@@ -141,9 +141,9 @@ func TestRouteSynthesisMatchesDijkstra(t *testing.T) {
 
 			// Isolate rack 0 entirely: every cross pair involving it must
 			// fail identically on both controllers.
-			for _, l := range rig.net.NeighborLinks(edge) {
-				if l.DstKind() == netsim.KindSwitch && l.Up() {
-					if err := rig.net.SetLinkUp(edge, l.To, false); err != nil {
+			for _, h := range rig.net.NeighborLinks(edge) {
+				if h.Kind() == netsim.KindSwitch && h.Up() {
+					if err := rig.net.SetLinkUp(edge, h.Link().To, false); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -279,9 +279,9 @@ func TestRouteSynthesisMatchesDijkstraRandomFatTree(t *testing.T) {
 				// Every edge→agg and agg→core cable of the fabric.
 				var fabric [][2]netsim.NodeID
 				for _, sw := range append(append([]netsim.NodeID{}, rig.topo.Edge...), rig.topo.Agg...) {
-					for _, l := range rig.net.NeighborLinks(sw) {
-						if l.DstKind() == netsim.KindSwitch && sw < l.To {
-							fabric = append(fabric, [2]netsim.NodeID{sw, l.To})
+					for _, h := range rig.net.NeighborLinks(sw) {
+						if to := h.Link().To; h.Kind() == netsim.KindSwitch && sw < to {
+							fabric = append(fabric, [2]netsim.NodeID{sw, to})
 						}
 					}
 				}
@@ -327,7 +327,7 @@ func BenchmarkSoleUplink(b *testing.B) {
 	}
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if ctrl.soleUplink(hosts[i%len(hosts)]) == nil {
+			if ctrl.soleUplink(hosts[i%len(hosts)]) < 0 {
 				b.Fatal("host lost its uplink")
 			}
 		}
@@ -335,7 +335,7 @@ func BenchmarkSoleUplink(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			net.BumpTopoEpoch()
-			if ctrl.soleUplink(hosts[i%len(hosts)]) == nil {
+			if ctrl.soleUplink(hosts[i%len(hosts)]) < 0 {
 				b.Fatal("host lost its uplink")
 			}
 		}

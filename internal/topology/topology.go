@@ -213,9 +213,9 @@ func BuildMultiRoot(net *netsim.Network, cfg MultiRootConfig) (*Topology, error)
 // fabric.
 func finishBuild(net *netsim.Network, t *Topology) (*Topology, error) {
 	for i, e := range t.Edge {
-		for _, l := range net.NeighborLinks(e) {
-			if l.DstKind() == netsim.KindSwitch {
-				if err := net.TagLinkGroup(e, l.To, i); err != nil {
+		for _, h := range net.NeighborLinks(e) {
+			if h.Kind() == netsim.KindSwitch {
+				if err := net.TagLinkGroup(e, h.Link().To, i); err != nil {
 					return nil, err
 				}
 			}
@@ -435,8 +435,8 @@ func Validate(t *Topology, net *netsim.Network) error {
 			return fmt.Errorf("topology: host %s not in any rack", h)
 		}
 		up := 0
-		for _, l := range net.LinksFrom(nd.Index()) {
-			if l.Up() {
+		for _, hop := range net.LinksFrom(nd.Index()) {
+			if hop.Up() {
 				up++
 			}
 		}
@@ -451,8 +451,8 @@ func Validate(t *Topology, net *netsim.Network) error {
 	queue := make([]int32, 1, net.NodeCount())
 	queue[0] = start
 	for head := 0; head < len(queue); head++ {
-		for _, l := range net.LinksFrom(queue[head]) {
-			if nb := l.ToIndex(); l.Up() && !visited[nb] {
+		for _, hop := range net.LinksFrom(queue[head]) {
+			if nb := hop.To(); hop.Up() && !visited[nb] {
 				visited[nb] = true
 				queue = append(queue, nb)
 			}

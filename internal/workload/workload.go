@@ -105,9 +105,9 @@ func CrossRackBytes(net *netsim.Network, edges []netsim.NodeID) float64 {
 	total := 0.0
 	for _, e := range edges {
 		sub := 0.0
-		for _, l := range net.NeighborLinks(e) {
-			if l.DstKind() == netsim.KindSwitch {
-				sub += l.BitsCarried()
+		for _, h := range net.NeighborLinks(e) {
+			if h.Kind() == netsim.KindSwitch {
+				sub += h.Link().BitsCarried()
 			}
 		}
 		total += sub
