@@ -38,10 +38,17 @@ bench-smoke:
 # byte-identity, study-digest and zero-perturbation gates, executed
 # with a single scheduler thread. Together with the default-GOMAXPROCS
 # test job this shows the traces do not depend on how many threads the
-# Go runtime schedules. `go test -run` passes silently on zero matches:
-# check with -v that every listed package still selects a test.
+# Go runtime schedules. `go test -run` passes silently on zero matches,
+# so the target first fails if a listed package selects no test.
+DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests
+DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim
+
 determinism-single-core:
-	GOMAXPROCS=1 $(GO) test -run 'TraceDigest|MatchesEager|MatchesFullSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests' ./internal/scenario ./internal/netsim ./internal/sim
+	@for p in $(DETERMINISM_PKGS); do \
+		$(GO) test -list '$(DETERMINISM_TESTS)' $$p | grep -q '^Test' || \
+			{ echo "determinism-single-core: $$p selects no test"; exit 1; }; \
+	done
+	GOMAXPROCS=1 $(GO) test -run '$(DETERMINISM_TESTS)' $(DETERMINISM_PKGS)
 
 # Fuzz the two parsers untrusted bytes reach and the naming service, 30 s
 # each: the wire-spec decoder (decode → Resolve → re-marshal → decode

@@ -40,17 +40,16 @@ type Meter struct {
 	joules  float64
 	on      bool
 	// group is the CloudMeter sub-meter this device reports under (nil
-	// until attached). State changes invalidate the group's caches.
+	// until attached). State changes invalidate the group's watts cache.
 	group *meterGroup
 }
 
 // invalidate flags the parent sub-meter after a power-state change.
-// Called with m.mu held; the flags are atomics, so readers on other
+// Called with m.mu held; the flag is atomic, so readers on other
 // goroutines (HTTP handlers polling totals) need no meter locks.
 func (m *Meter) invalidate() {
 	if m.group != nil {
 		m.group.wattsDirty.Store(true)
-		m.group.energyDirty.Store(true)
 	}
 }
 
@@ -143,13 +142,14 @@ func (m *Meter) EnergyWh(at sim.Time) float64 { return m.EnergyJoules(at) / 3600
 // CloudMeter aggregates many device meters: the PiCloud "run from a
 // single trailing power socket board".
 //
-// Aggregation is hierarchical: meters attach under an integer group —
-// the rack, for a fleet — and each group keeps a cached power sum and
-// energy anchor that a member's state change invalidates. A total is
-// therefore O(groups + members of dirty groups): on a 10⁶-node fleet
-// where a sampling tick follows a handful of container events, the old
-// flat walk touched a million meter locks per reading, the hierarchical
-// walk touches 256 cached sub-meters and the one rack that changed.
+// Meters attach under an integer group — the rack, for a fleet — and
+// every aggregate sums group by group, members in name order, groups
+// in ascending order. Power is read every sample, so each group caches
+// its power sum until a member's state change invalidates it: a
+// TotalWatts is O(groups + members of dirty groups), which on a
+// 10⁶-node fleet is 256 cached sub-meters and the one rack that
+// changed instead of a million meter locks. Energy keeps no cache: a
+// TotalEnergyJoules reads every meter, exactly as WriteState does.
 type CloudMeter struct {
 	mu     sync.Mutex
 	meters map[string]*Meter
@@ -167,17 +167,11 @@ type meterGroup struct {
 	// membersStale defers the per-group name sort to the next reading
 	// after attachments.
 	membersStale bool
-	// wattsDirty / energyDirty are set by member meters on any power
-	// state change; the caches below are valid only while clear.
-	wattsDirty  atomic.Bool
-	energyDirty atomic.Bool
+	// wattsDirty is set by member meters on any power state change;
+	// watts is valid only while it is clear.
+	wattsDirty atomic.Bool
 	// watts is Σ member CurrentWatts as of the last clean reading.
 	watts float64
-	// joules is Σ member EnergyJoules(at); while the group stays clean
-	// the total extrapolates as joules + watts·Δt (the members are
-	// piecewise-constant and unchanged since the anchor).
-	joules float64
-	at     sim.Time
 }
 
 type groupMember struct {
@@ -203,31 +197,15 @@ func (g *meterGroup) recomputeWatts() {
 	g.watts = total
 }
 
-// energyAt returns the group's aggregate energy up to at, refreshing
-// the anchor. A dirty group re-reads every member (each meter
-// self-integrates exactly, whatever happened mid-interval); a clean
-// group extrapolates from the anchor at its cached constant power. The
-// watts cache is refreshed together with the energy anchor so a clean
-// group's extrapolation can never use a power reading older than its
-// anchor.
-func (g *meterGroup) energyAt(at sim.Time) float64 {
-	if g.energyDirty.Swap(false) || at < g.at {
-		g.wattsDirty.Store(false)
-		total := 0.0
-		for _, mm := range g.sorted() {
-			total += mm.m.EnergyJoules(at)
-		}
-		g.joules = total
-		g.recomputeWatts()
-		g.at = at
-	} else if at > g.at {
-		if g.wattsDirty.Swap(false) {
-			g.recomputeWatts()
-		}
-		g.joules += g.watts * at.Sub(g.at).Seconds()
-		g.at = at
+// read sums the members' energy up to at and their current draw,
+// straight from the meters (each materialises its pending span without
+// committing it), bypassing the watts cache.
+func (g *meterGroup) read(at sim.Time) (joules, watts float64) {
+	for _, mm := range g.sorted() {
+		joules += mm.m.EnergyJoules(at)
+		watts += mm.m.CurrentWatts()
 	}
-	return g.joules
+	return joules, watts
 }
 
 // NewCloudMeter returns an empty aggregate meter.
@@ -264,7 +242,6 @@ func (c *CloudMeter) AttachGrouped(name string, group int, m *Meter) error {
 	g.members = append(g.members, groupMember{name: name, m: m})
 	g.membersStale = true
 	g.wattsDirty.Store(true)
-	g.energyDirty.Store(true)
 	m.mu.Lock()
 	m.group = g
 	m.mu.Unlock()
@@ -339,15 +316,17 @@ func (c *CloudMeter) TotalWatts() float64 {
 	return total
 }
 
-// TotalEnergyJoules returns the aggregate energy consumed up to at:
-// clean sub-meters extrapolate from their anchor, dirty ones re-read
-// their members.
+// TotalEnergyJoules returns the aggregate energy consumed up to at, read
+// from every meter: the sum of the per-group energies WriteState
+// records. It is a pure read, so the answer does not depend on which
+// totals were read before.
 func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0.0
 	for _, id := range c.sortedGroups() {
-		total += c.groups[id].energyAt(at)
+		joules, _ := c.groups[id].read(at)
+		total += joules
 	}
 	return total
 }
@@ -355,10 +334,8 @@ func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
 // WriteState writes the power-accounting state up to virtual time at in
 // a deterministic text form — one layer of the cross-layer kernel
 // fingerprint behind core's Checkpoint/Resume. The capture is pure and
-// exact: it sums each group's members directly (meters materialise
-// their pending span without committing it), bypassing the extrapolating
-// group caches, whose anchors legitimately depend on when totals were
-// sampled. Two clouds that executed the same power-state history write
+// exact: it reads each group's members directly, bypassing the watts
+// cache. Two clouds that executed the same power-state history write
 // the same bytes — per-group energy and draw as raw IEEE-754 bits, in
 // stable ascending group order — regardless of who read what in
 // between.
@@ -368,11 +345,7 @@ func (c *CloudMeter) WriteState(w io.Writer, at sim.Time) {
 	fmt.Fprintf(w, "energy meters=%d groups=%d at=%d\n", len(c.meters), len(c.groups), int64(at))
 	for _, id := range c.sortedGroups() {
 		g := c.groups[id]
-		joules, watts := 0.0, 0.0
-		for _, mm := range g.sorted() {
-			joules += mm.m.EnergyJoules(at)
-			watts += mm.m.CurrentWatts()
-		}
+		joules, watts := g.read(at)
 		fmt.Fprintf(w, "group %d joules=%016x watts=%016x members=%d\n",
 			id, math.Float64bits(joules), math.Float64bits(watts), len(g.members))
 	}

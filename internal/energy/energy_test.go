@@ -127,7 +127,7 @@ func flatTotals(cm *CloudMeter, at sim.Time) (watts, joules float64) {
 // TestCloudMeterHierarchicalTotals drives grouped meters through power
 // cycles and utilisation changes, reading totals at every step: the
 // cached sub-meter path must track the flat walk, and a member change
-// must invalidate exactly its group's caches.
+// must invalidate exactly its group's watts cache.
 func TestCloudMeterHierarchicalTotals(t *testing.T) {
 	cm := NewCloudMeter()
 	p := hw.PowerProfile{IdleWatts: 2, PeakWatts: 4}
@@ -157,7 +157,7 @@ func TestCloudMeterHierarchicalTotals(t *testing.T) {
 		meters[i].SetUtilisation(at(5), 1)
 	}
 	check("group-1 busy", at(10))
-	// Idle stretch: totals are extrapolated from clean caches.
+	// Idle stretch: the watts caches stay clean.
 	check("idle stretch", at(100))
 	// Power-cycle one board in group 2.
 	meters[9].PowerOff(at(120))
@@ -174,8 +174,9 @@ func TestCloudMeterHierarchicalTotals(t *testing.T) {
 }
 
 // TestCloudMeterGroupCacheStaysClean pins the O(dirty groups) claim:
-// reading totals twice with no member changes in between must not
-// re-read any meter (the group caches answer).
+// reading the total draw leaves the group's watts cache clean, so a
+// second reading with no member change in between re-reads no meter,
+// and a member change dirties it again. Energy is read from the meters.
 func TestCloudMeterGroupCacheStaysClean(t *testing.T) {
 	cm := NewCloudMeter()
 	p := hw.PowerProfile{IdleWatts: 3, PeakWatts: 3}
@@ -194,21 +195,62 @@ func TestCloudMeterGroupCacheStaysClean(t *testing.T) {
 	if g.wattsDirty.Load() {
 		t.Fatal("group watts cache still dirty after a read")
 	}
-	_ = cm.TotalEnergyJoules(at(10))
-	if g.energyDirty.Load() {
-		t.Fatal("group energy cache still dirty after a read")
-	}
-	// Extrapolated second read: 10 more seconds at 3 W.
 	if got := cm.TotalEnergyJoules(at(20)); math.Abs(got-60) > 1e-9 {
-		t.Fatalf("extrapolated energy = %v, want 60", got)
+		t.Fatalf("energy = %v, want 60", got)
 	}
 	// A member change re-dirties exactly this group.
 	m.SetUtilisation(at(25), 0.5)
-	if !g.wattsDirty.Load() || !g.energyDirty.Load() {
-		t.Fatal("member change did not invalidate the group caches")
+	if !g.wattsDirty.Load() {
+		t.Fatal("member change did not invalidate the group watts cache")
 	}
 	if got := cm.TotalEnergyJoules(at(30)); math.Abs(got-90) > 1e-9 {
-		t.Fatalf("energy after re-read = %v, want 90 (flat profile)", got)
+		t.Fatalf("energy after the change = %v, want 90 (flat profile)", got)
+	}
+}
+
+// TestTotalEnergyJoulesIsPureRead: the total energy up to an instant is
+// the sum of the per-group energies, whatever was read before. Reading
+// it at other instants, in and out of order, between power changes, must
+// not move a bit of any later answer.
+func TestTotalEnergyJoulesIsPureRead(t *testing.T) {
+	build := func() (*CloudMeter, []*Meter) {
+		cm := NewCloudMeter()
+		p := hw.PowerProfile{IdleWatts: 2.31, PeakWatts: 3.77}
+		meters := make([]*Meter, 9)
+		for i := range meters {
+			meters[i] = NewMeter(p, 0)
+			meters[i].PowerOn(0)
+			if err := cm.AttachGrouped(fmt.Sprintf("pi-%02d", i), i%3, meters[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cm, meters
+	}
+	ms := func(v int) sim.Time { return sim.Time(time.Duration(v) * time.Millisecond) }
+	// Both clouds see the same power history; only the probed one is
+	// read between its steps.
+	fresh, freshMeters := build()
+	probed, probedMeters := build()
+	steps := []struct {
+		at    int
+		meter int
+		util  float64
+	}{{1300, 1, 0.37}, {4700, 4, 0.91}, {9100, 1, 0.13}, {15300, 8, 0.55}}
+	for i, st := range steps {
+		for _, probe := range []int{st.at + 700, st.at - 300, st.at + 3100, st.at + 11} {
+			probed.TotalWatts()
+			probed.TotalEnergyJoules(ms(probe))
+		}
+		freshMeters[st.meter].SetUtilisation(ms(st.at), st.util)
+		probedMeters[st.meter].SetUtilisation(ms(st.at), st.util)
+		for _, probe := range []int{st.at + 1999, st.at + 517} {
+			probed.TotalEnergyJoules(ms(probe))
+		}
+		when := ms(st.at + 2500)
+		got, want := probed.TotalEnergyJoules(when), fresh.TotalEnergyJoules(when)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: energy at %v reads %v after other reads, %v without", i, when, got, want)
+		}
 	}
 }
 

@@ -244,7 +244,6 @@ func (s *Suite) Start(name string, onRunning func()) error {
 		}
 		idle, err := s.kernel.StartTask(c.cgroup, oslinux.TaskSpec{
 			RateCapMIPS: 5, // container init + daemons ticking over
-			Label:       name + "/init",
 		})
 		if err != nil {
 			// Cannot start the init task: roll back to stopped.

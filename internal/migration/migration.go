@@ -235,7 +235,6 @@ func (s *state) round() {
 	_, err = s.mgr.net.StartFlow(netsim.FlowSpec{
 		Src: s.req.SrcHost, Dst: s.req.DstHost, Path: path,
 		SizeBits: float64(copied) * 8,
-		Label:    "migration/" + s.req.Container,
 		OnEnd: func(f *netsim.Flow, reason netsim.EndReason) {
 			if reason != netsim.EndCompleted {
 				s.fail(fmt.Errorf("migration: copy flow ended: %s", reason))
@@ -284,7 +283,6 @@ func (s *state) stopAndCopy() {
 	_, err = s.mgr.net.StartFlow(netsim.FlowSpec{
 		Src: req.SrcHost, Dst: req.DstHost, Path: path,
 		SizeBits: float64(s.remaining) * 8,
-		Label:    "migration-final/" + req.Container,
 		OnEnd: func(_ *netsim.Flow, reason netsim.EndReason) {
 			if reason != netsim.EndCompleted {
 				s.fail(fmt.Errorf("migration: final copy ended: %s", reason))

@@ -53,16 +53,14 @@ type refLink struct {
 }
 
 // refNet is a name-keyed reference for the link table: what the network
-// should hold after any sequence of wiring, link-state, shaping and
-// tagging calls, written without node indices.
+// should hold after any sequence of wiring, link-state and shaping
+// calls, written without node indices.
 type refNet struct {
 	links map[[2]NodeID]*refLink
 	// out lists each node's outgoing destinations in creation order;
 	// order lists every directed link in creation order.
 	out   map[NodeID][]NodeID
 	order [][2]NodeID
-	// tags remembers each directed link's group, across removal.
-	tags  map[[2]NodeID]int
 	epoch uint64
 }
 
@@ -70,7 +68,6 @@ func newRefNet(n *Network) *refNet {
 	return &refNet{
 		links: map[[2]NodeID]*refLink{},
 		out:   map[NodeID][]NodeID{},
-		tags:  map[[2]NodeID]int{},
 		epoch: n.TopoEpoch(),
 	}
 }
@@ -126,12 +123,12 @@ func without[T comparable](s []T, v T) []T {
 }
 
 // TestLinkTableMatchesNameModel drives random wiring, removal,
-// re-wiring, up/down, shaping, tagging and single-link flows against the
+// re-wiring, up/down, shaping and single-link flows against the
 // name-keyed reference, and after every step checks each ordered node
 // pair's Link, every hop array (order, and each entry's destination,
 // kind and up flag against its link and the model), the reverse legs,
-// the link list, the total number of hop entries, the flow counts,
-// group membership (tags survive re-cabling) and the topology epoch.
+// the link list, the total number of hop entries, the flow counts and
+// the topology epoch.
 func TestLinkTableMatchesNameModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -170,7 +167,7 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 		return k[0], k[1], true
 	}
 	for step := 0; step < steps; step++ {
-		op := rng.Intn(8)
+		op := rng.Intn(7)
 		switch op {
 		case 0, 1: // wire a cable (or be refused)
 			a, b := pick()
@@ -240,17 +237,7 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 				}
 			}
 			ref.epoch++
-		case 5: // tag one direction of a cable
-			a, b, ok := cable()
-			if !ok {
-				continue
-			}
-			id := rng.Intn(3)
-			if err := n.TagLinkGroup(a, b, id); err != nil {
-				t.Fatalf("step %d: tag %s->%s: %v", step, a, b, err)
-			}
-			ref.tags[[2]NodeID{a, b}] = id
-		case 6: // a stream over one up link
+		case 5: // a stream over one up link
 			a, b, ok := cable()
 			if !ok || !ref.links[[2]NodeID{a, b}].up {
 				continue
@@ -259,7 +246,7 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d: flow %s->%s: %v", step, a, b, err)
 			}
 			ref.links[[2]NodeID{a, b}].flows++
-		case 7: // settle rates: the solver walks links whose flow sets were made lazily
+		case 6: // settle rates: the solver walks links whose flow sets were made lazily
 			n.MaxLinkUtilisation()
 		}
 		checkAgainstModel(t, step, n, ref, names)
@@ -326,33 +313,7 @@ func checkAgainstModel(t *testing.T, step int, n *Network, ref *refNet, names []
 			if l.Capacity != wantCap || l.Latency != wantLat {
 				t.Fatalf("step %d: Link(%s, %s) cap=%v lat=%v, model %v %v", step, a, b, l.Capacity, l.Latency, wantCap, wantLat)
 			}
-			id, tagged := ref.tags[[2]NodeID{a, b}]
-			switch {
-			case !tagged && l.grp != nil:
-				t.Fatalf("step %d: untagged Link(%s, %s) is in group %d", step, a, b, l.grp.id)
-			case tagged && (l.grp == nil || l.grp.id != id):
-				t.Fatalf("step %d: Link(%s, %s) lost its group %d", step, a, b, id)
-			}
 		}
-	}
-	// Every group lists exactly its live tagged links.
-	members := 0
-	for _, g := range n.groups {
-		for _, l := range g.links {
-			if l.grp != g || n.Link(l.From, l.To) != l {
-				t.Fatalf("step %d: group %d lists a stale link %s->%s", step, g.id, l.From, l.To)
-			}
-		}
-		members += len(g.links)
-	}
-	tagged := 0
-	for k := range ref.tags {
-		if ref.links[k] != nil {
-			tagged++
-		}
-	}
-	if members != tagged {
-		t.Fatalf("step %d: groups hold %d links, model %d tagged live links", step, members, tagged)
 	}
 }
 

@@ -92,10 +92,6 @@ type Link struct {
 	// BitsCarried accumulates the total traffic volume for utilisation
 	// reporting and the congestion experiments.
 	bitsCarried float64
-	// grp is the telemetry group this link reports under (nil until
-	// tagged): the per-rack traffic sub-total, mirroring the energy
-	// layer's per-rack sub-meters.
-	grp *linkGroup
 	// dom resolves to the congestion domain of this link's flows; only
 	// meaningful while the link carries at least one live flow.
 	dom *domain
@@ -118,7 +114,6 @@ func (l *Link) addFlow(f *Flow) {
 		l.flows = make(map[*Flow]struct{})
 	}
 	l.flows[f] = struct{}{}
-	linkGainedFlow(l)
 }
 
 // FlowCount returns the number of flows currently routed over the link.
@@ -199,8 +194,6 @@ type FlowSpec struct {
 	RateCapBps float64
 	// OnEnd is invoked when the flow stops for any reason.
 	OnEnd func(*Flow, EndReason)
-	// Label optionally tags the flow for the experiments.
-	Label string
 }
 
 // Flow is a live transfer.
@@ -398,14 +391,6 @@ type Network struct {
 	changedFlows []*Flow
 	// scratch is the domain solver's reusable buffers.
 	scratch solveScratch
-	// groups are the hierarchical traffic-telemetry sub-totals (see
-	// groups.go); groupOrder caches the stable ascending-id iteration
-	// order the grand total sums in. removedTags remembers the group of
-	// removed tagged links so a re-wired cable rejoins it.
-	groups      map[int]*linkGroup
-	groupOrder  []int
-	groupStale  bool
-	removedTags map[linkKey]int
 	// stats and tracer are the observability taps (see stats.go):
 	// telemetry counters outside every digest, an optional dual-clock
 	// span per flush, and opt-in phase profiling.
@@ -420,9 +405,6 @@ type solveScratch struct {
 	links  []*Link
 	active []*Flow
 }
-
-// linkKey names a directed link by its endpoints' dense node indices.
-type linkKey struct{ from, to int32 }
 
 // Errors returned by Network operations.
 var (
@@ -567,13 +549,8 @@ func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.D
 		l.up, l.net = true, n
 		l.Capacity, l.Latency = capacityBps, latency
 		l.baseCapacity, l.baseLatency = capacityBps, latency
-		k := linkKey{from.idx, l.to}
 		n.linkList = append(n.linkList, l)
 		n.out[from.idx] = append(n.out[from.idx], Hop{to: l.to, kind: ends[1-i].Kind, up: true, link: l})
-		if id, ok := n.removedTags[k]; ok {
-			delete(n.removedTags, k)
-			n.tagLink(l, id)
-		}
 	}
 	n.topoEpoch++
 	return nil
@@ -654,17 +631,6 @@ func (n *Network) RemoveDuplexLink(a, b NodeID) error {
 		n.endLinkFlows(l, EndLinkDown)
 		// The reverse leg ends where this one starts.
 		from := l.rev.to
-		k := linkKey{from, l.to}
-		if l.grp != nil {
-			// A removed link takes its carried volume out of the
-			// telemetry, exactly as it leaves the direct link walk; the
-			// tag is remembered so a re-wired cable rejoins its group.
-			if n.removedTags == nil {
-				n.removedTags = make(map[linkKey]int)
-			}
-			n.removedTags[k] = l.grp.id
-			n.untagLink(l)
-		}
 		i := n.hopAt(from, l.to)
 		n.out[from] = slices.Delete(n.out[from], i, i+1)
 	}
@@ -892,7 +858,6 @@ func (n *Network) SetPath(f *Flow, path []NodeID) error {
 	}
 	for _, l := range f.path {
 		delete(l.flows, f)
-		linkLostFlow(l)
 		if len(l.flows) == 0 {
 			// Abandoned links are never re-solved; zero the allocation
 			// so utilisation reads don't see a phantom load.
@@ -938,7 +903,6 @@ func (n *Network) endFlow(f *Flow, reason EndReason) {
 	f.complete = sim.Event{}
 	for _, l := range f.path {
 		delete(l.flows, f)
-		linkLostFlow(l)
 		if len(l.flows) == 0 {
 			// No solver pass will visit this link again until a new
 			// flow claims it; zero its allocation for utilisation reads.
@@ -986,9 +950,6 @@ func (n *Network) commitFlow(f *Flow, now sim.Time) {
 		}
 		for _, l := range f.path {
 			l.bitsCarried += moved
-			if l.grp != nil {
-				l.grp.dirty = true
-			}
 		}
 	}
 	f.lastCalc = now

@@ -82,8 +82,6 @@ type TaskSpec struct {
 	RateCapMIPS hw.MIPS
 	// OnDone fires when a finite task finishes.
 	OnDone func()
-	// Label tags the task for debugging.
-	Label string
 }
 
 // Task is a running unit of CPU demand.

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pimaster"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -601,9 +603,8 @@ func (r *Run) report(wall time.Duration) *Report {
 	// fallbacks on an all-links-up run).
 	rep.Metrics["route_synth_hits"] = float64(c.Ctrl.RouteSynthHits())
 	rep.Metrics["dijkstra_fallbacks"] = float64(c.Ctrl.RouteCacheMisses() - c.Ctrl.RouteSynthHits())
-	// Cross-rack volume from the hierarchical per-rack sub-totals —
-	// O(racks + disturbed racks), so it is affordable even at megafleet
-	// scale.
+	// Cross-rack volume: every edge switch's uplink traffic, read once
+	// per report.
 	rep.Metrics["cross_rack_bytes"] = workload.CrossRackBytes(c.Net, c.Topo.Edge)
 	if r.onoff != nil {
 		rep.Metrics["onoff_flows_done"] = float64(r.onoff.FlowsDone)
@@ -668,8 +669,8 @@ type Fault interface {
 }
 
 // LinkFail takes the duplex cable between two netsim nodes down At into
-// the run and restores it after Outage. Zero A/B means the first
-// ToR-to-aggregation uplink — the paper's shared-uplink bottleneck.
+// the run and restores it after Outage. Zero A/B means rack 0's first
+// uplink (see topology.Uplinks) — the paper's shared-uplink bottleneck.
 // Both edges bump netsim's topology epoch (via SetLinkUp), so cached SDN
 // routes across the cable are invalidated the instant it changes state.
 type LinkFail struct {
@@ -686,11 +687,13 @@ func (f LinkFail) validate(s *Spec) error {
 }
 
 func (f LinkFail) endpoints(r *Run) (netsim.NodeID, netsim.NodeID) {
-	a, b := f.A, f.B
-	if a == "" || b == "" {
-		a, b = r.Cloud.Topo.Edge[0], r.Cloud.Topo.Agg[0]
+	if f.A != "" && f.B != "" {
+		return f.A, f.B
 	}
-	return a, b
+	if ups := rackUplinks(r, 0); len(ups) > 0 {
+		return ups[0].From, ups[0].To
+	}
+	return f.A, f.B
 }
 
 func (f LinkFail) actions(r *Run) []timedAction {
@@ -737,15 +740,21 @@ func (f Degrade) validate(s *Spec) error {
 	return nil
 }
 
-// uplinkPairs enumerates ToR-to-aggregation cables.
-func uplinkPairs(r *Run) [][2]netsim.NodeID {
-	var out [][2]netsim.NodeID
-	for _, tor := range r.Cloud.Topo.Edge {
-		for _, agg := range r.Cloud.Topo.Agg {
-			if r.Cloud.Net.Link(tor, agg) != nil {
-				out = append(out, [2]netsim.NodeID{tor, agg})
-			}
-		}
+// rackUplinks lists rack's uplinks: those of its edge switches, in
+// RackEdges order, each in hop order (topology.Uplinks).
+func rackUplinks(r *Run, rack int) []*netsim.Link {
+	var out []*netsim.Link
+	for _, e := range r.Cloud.Topo.RackEdges[rack] {
+		out = slices.AppendSeq(out, topology.Uplinks(r.Cloud.Net, e))
+	}
+	return out
+}
+
+// allUplinks lists every rack's uplinks, rack by rack.
+func allUplinks(r *Run) []*netsim.Link {
+	var out []*netsim.Link
+	for rack := range r.Cloud.Topo.RackEdges {
+		out = append(out, rackUplinks(r, rack)...)
 	}
 	return out
 }
@@ -754,27 +763,27 @@ func (f Degrade) actions(r *Run) []timedAction {
 	apply := func(r *Run) error {
 		r.Cloud.Mu.Lock()
 		defer r.Cloud.Mu.Unlock()
-		pairs := uplinkPairs(r)
-		for _, p := range pairs {
-			if err := r.Cloud.Net.ShapeLink(p[0], p[1], f.Shaping); err != nil {
+		ups := allUplinks(r)
+		for _, l := range ups {
+			if err := r.Cloud.Net.ShapeLink(l.From, l.To, f.Shaping); err != nil {
 				return err
 			}
 		}
 		r.faultsInjected++
 		r.recordLocked("degrade", fmt.Sprintf("%d uplinks shaped: cap×%.2f +%v loss %.1f%%",
-			len(pairs), math.Max(f.Shaping.CapacityScale, 0), f.Shaping.ExtraLatency, f.Shaping.Loss*100))
+			len(ups), math.Max(f.Shaping.CapacityScale, 0), f.Shaping.ExtraLatency, f.Shaping.Loss*100))
 		return nil
 	}
 	clear := func(r *Run) error {
 		r.Cloud.Mu.Lock()
 		defer r.Cloud.Mu.Unlock()
-		pairs := uplinkPairs(r)
-		for _, p := range pairs {
-			if err := r.Cloud.Net.ClearShaping(p[0], p[1]); err != nil {
+		ups := allUplinks(r)
+		for _, l := range ups {
+			if err := r.Cloud.Net.ClearShaping(l.From, l.To); err != nil {
 				return err
 			}
 		}
-		r.recordLocked("degrade-clear", fmt.Sprintf("%d uplinks restored", len(pairs)))
+		r.recordLocked("degrade-clear", fmt.Sprintf("%d uplinks restored", len(ups)))
 		return nil
 	}
 	return []timedAction{
@@ -784,9 +793,10 @@ func (f Degrade) actions(r *Run) []timedAction {
 }
 
 // RackFail blacks out a whole rack At into the run: every container on it
-// is killed, every board powered off, and the ToR's uplinks go down. The
-// rack powers back up after Outage (containers stay dead — the control
-// plane records the losses, as a real blackout would leave them).
+// is killed, every board powered off, and the rack's uplinks (those of
+// its ToR, leaf or pod edge switches) go down. The rack powers back up
+// after Outage (containers stay dead — the control plane records the
+// losses, as a real blackout would leave them).
 type RackFail struct {
 	Rack   int
 	At     time.Duration
@@ -817,15 +827,10 @@ func (f RackFail) actions(r *Run) []timedAction {
 			}
 			killed += n
 		}
-		tor := topo.Edge[f.Rack]
 		r.Cloud.Mu.Lock()
-		for _, agg := range topo.Agg {
-			if r.Cloud.Net.Link(tor, agg) != nil {
-				if err := r.Cloud.Net.SetLinkUp(tor, agg, false); err != nil {
-					r.Cloud.Mu.Unlock()
-					return err
-				}
-			}
+		if err := setRackUplinks(r, f.Rack, false); err != nil {
+			r.Cloud.Mu.Unlock()
+			return err
 		}
 		r.faultsInjected++
 		r.recordLocked("rack-fail", fmt.Sprintf("rack %d dark: %d hosts off, %d containers killed",
@@ -840,15 +845,10 @@ func (f RackFail) actions(r *Run) []timedAction {
 				return err
 			}
 		}
-		tor := topo.Edge[f.Rack]
 		r.Cloud.Mu.Lock()
-		for _, agg := range topo.Agg {
-			if r.Cloud.Net.Link(tor, agg) != nil {
-				if err := r.Cloud.Net.SetLinkUp(tor, agg, true); err != nil {
-					r.Cloud.Mu.Unlock()
-					return err
-				}
-			}
+		if err := setRackUplinks(r, f.Rack, true); err != nil {
+			r.Cloud.Mu.Unlock()
+			return err
 		}
 		r.recordLocked("rack-recover", fmt.Sprintf("rack %d back up", f.Rack))
 		r.Cloud.Mu.Unlock()
@@ -858,6 +858,17 @@ func (f RackFail) actions(r *Run) []timedAction {
 		{at: f.At, name: "rack-fail", run: fail},
 		{at: f.At + f.Outage, name: "rack-recover", run: recover},
 	}
+}
+
+// setRackUplinks raises or fails every uplink of rack. Caller holds
+// Cloud.Mu.
+func setRackUplinks(r *Run, rack int, up bool) error {
+	for _, l := range rackUplinks(r, rack) {
+		if err := r.Cloud.Net.SetLinkUp(l.From, l.To, up); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // crashNode kills every container on the node through pimaster (so DNS,

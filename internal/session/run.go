@@ -42,6 +42,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // ErrBusy is returned to commands that arrive while the session is
@@ -756,10 +757,10 @@ func (s *Session) emit(ev Event) {
 	}
 }
 
-// emitTelemetry samples the hierarchical meters and per-rack flow
-// groups at a paused slice boundary: aggregate draw, per-rack draw
-// (energy sub-meter groups) and per-rack bits carried (netsim link
-// groups).
+// emitTelemetry samples the cloud at a paused slice boundary, keyed by
+// rack: aggregate draw, per-rack draw (energy sub-meter groups) and the
+// bits each rack has carried out over its uplinks (the UplinkBits of
+// its edge switches, summed in RackEdges order).
 func (s *Session) emitTelemetry(r *scenario.Run) {
 	c := r.Cloud
 	c.Mu.Lock()
@@ -769,8 +770,12 @@ func (s *Session) emitTelemetry(r *scenario.Run) {
 		rackW[strconv.Itoa(g)] = c.Meter.GroupWatts(g)
 	}
 	rackBits := map[string]float64{}
-	for _, g := range c.Net.LinkGroupIDs() {
-		rackBits[strconv.Itoa(g)] = c.Net.GroupBitsCarried(g)
+	for rack, edges := range c.Topo.RackEdges {
+		bits := 0.0
+		for _, e := range edges {
+			bits += workload.UplinkBits(c.Net, e)
+		}
+		rackBits[strconv.Itoa(rack)] = bits
 	}
 	c.Mu.Unlock()
 	s.emit(Event{

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"time"
 
@@ -62,9 +63,15 @@ type Topology struct {
 	// Racks groups hosts by rack (or pod/leaf for the alternative
 	// fabrics); Racks[i] lists the hosts in rack i.
 	Racks [][]netsim.NodeID
-	// Edge lists the ToR/edge switch of each rack, index-aligned with
-	// Racks.
+	// Edge lists every ToR, leaf or edge switch in creation order. On
+	// the multi-root tree and leaf-spine there is one per rack, so Edge
+	// is index-aligned with Racks; a fat-tree rack is a pod with k/2 of
+	// them. RackEdges says which belong to which rack.
 	Edge []netsim.NodeID
+	// RackEdges lists each rack's edge switches, index-aligned with
+	// Racks: the rack's ToR or leaf, or a fat-tree pod's k/2 edge
+	// switches.
+	RackEdges [][]netsim.NodeID
 	// Agg lists the aggregation (OpenFlow) switches.
 	Agg []netsim.NodeID
 	// Core lists core switches; for the PiCloud multi-root tree this is
@@ -185,6 +192,7 @@ func BuildMultiRoot(net *netsim.Network, cfg MultiRootConfig) (*Topology, error)
 			}
 		}
 		t.Edge = append(t.Edge, tor)
+		t.RackEdges = append(t.RackEdges, []netsim.NodeID{tor})
 
 		var rack []netsim.NodeID
 		for h := 0; h < cfg.HostsPerRack; h++ {
@@ -204,25 +212,28 @@ func BuildMultiRoot(net *netsim.Network, cfg MultiRootConfig) (*Topology, error)
 	return finishBuild(net, t)
 }
 
-// finishBuild seals a wired fabric: every edge switch's uplinks are
-// tagged into a traffic-telemetry group keyed by the edge index (the
-// rack, pod edge or leaf), so cross-rack volume queries read per-rack
-// sub-totals instead of walking every link; then the topology epoch is
-// bumped once more so SDN route caches keyed on it can never survive a
-// build or re-cable, whatever mix of netsim mutations produced the
-// fabric.
+// finishBuild seals a wired fabric: the topology epoch is bumped once
+// more so SDN route caches keyed on it can never survive a build or
+// re-cable, whatever mix of netsim mutations produced the fabric.
 func finishBuild(net *netsim.Network, t *Topology) (*Topology, error) {
-	for i, e := range t.Edge {
+	net.BumpTopoEpoch()
+	return t, nil
+}
+
+// Uplinks yields the uplinks of edge switch e: its links to other
+// switches, in the order of its hop array, down ones included. A rack's
+// uplinks are those of its edge switches (RackEdges); its cross-rack
+// traffic and the rack faults both read them here. Every builder cables
+// an edge switch to its uplink switches in Agg (or Core, for the
+// leaf-spine spines) order before its hosts.
+func Uplinks(net *netsim.Network, e netsim.NodeID) iter.Seq[*netsim.Link] {
+	return func(yield func(*netsim.Link) bool) {
 		for _, h := range net.NeighborLinks(e) {
-			if h.Kind() == netsim.KindSwitch {
-				if err := net.TagLinkGroup(e, h.Link().To, i); err != nil {
-					return nil, err
-				}
+			if h.Kind() == netsim.KindSwitch && !yield(h.Link()) {
+				return
 			}
 		}
 	}
-	net.BumpTopoEpoch()
-	return t, nil
 }
 
 // FatTreeConfig parameterises a k-ary fat-tree. k must be even and ≥ 2.
@@ -272,8 +283,9 @@ func BuildFatTree(net *netsim.Network, cfg FatTreeConfig) (*Topology, error) {
 		}
 		t.Core = append(t.Core, id)
 	}
-	// Pods.
-	edges := make([]netsim.NodeID, 0, k*k/2)
+	// Pods. A pod's edge switches are its rack's, so each pod's run of
+	// t.Edge doubles as its RackEdges entry.
+	t.Edge = make([]netsim.NodeID, 0, k*k/2)
 	for p := 0; p < k; p++ {
 		var podAggs []netsim.NodeID
 		for a := 0; a < k/2; a++ {
@@ -301,14 +313,15 @@ func BuildFatTree(net *netsim.Network, cfg FatTreeConfig) (*Topology, error) {
 				}
 			}
 			t.Edge = append(t.Edge, edge)
-			edges = append(edges, edge)
 		}
 		t.Racks = append(t.Racks, nil)
+		n := len(t.Edge)
+		t.RackEdges = append(t.RackEdges, t.Edge[n-k/2:n:n])
 	}
 	// Hosts round-robin over edge switches; rack = pod of the edge.
 	perEdge := k / 2 // max hosts per edge switch
 	placed := 0
-	for ei, edge := range edges {
+	for ei, edge := range t.Edge {
 		pod := ei / (k / 2)
 		for s := 0; s < perEdge && placed < hosts; s++ {
 			host := HostName(pod, len(t.Racks[pod]))
@@ -385,6 +398,7 @@ func BuildLeafSpine(net *netsim.Network, cfg LeafSpineConfig) (*Topology, error)
 			}
 		}
 		t.Edge = append(t.Edge, leaf)
+		t.RackEdges = append(t.RackEdges, []netsim.NodeID{leaf})
 		var rack []netsim.NodeID
 		for h := 0; h < cfg.HostsPerLeaf; h++ {
 			host := HostName(l, h)
@@ -471,11 +485,7 @@ func Render(t *Topology) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "PiCloud fabric: %s — %d hosts in %d racks\n", t.Fabric, len(t.Hosts), len(t.Racks))
 	for r, rack := range t.Racks {
-		edge := netsim.NodeID("?")
-		if r < len(t.Edge) {
-			edge = t.Edge[r]
-		}
-		fmt.Fprintf(&b, "rack %d [%s]\n", r, edge)
+		fmt.Fprintf(&b, "rack %d %v\n", r, t.RackEdges[r])
 		for _, h := range rack {
 			fmt.Fprintf(&b, "  ├─ %s\n", h)
 		}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -269,5 +270,77 @@ func BenchmarkBuildMultiRoot56(b *testing.B) {
 		if _, err := BuildMultiRoot(net, DefaultMultiRoot()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRackEdgesOwnTheirRacks: on every fabric, a rack's edge switches
+// are the ones its hosts are cabled to (a fat-tree pod has k/2 of them,
+// so Edge alone is not index-aligned with Racks), RackEdges lists Edge
+// rack by rack, and Uplinks yields exactly an edge switch's links to
+// other switches.
+func TestRackEdgesOwnTheirRacks(t *testing.T) {
+	cases := []struct {
+		name    string
+		build   func(*netsim.Network) (*Topology, error)
+		perRack int // edge switches per rack
+		uplinks int // uplinks per edge switch
+	}{
+		{"multi-root", func(n *netsim.Network) (*Topology, error) { return BuildMultiRoot(n, DefaultMultiRoot()) }, 1, DefaultAggSwitches},
+		{"fat-tree", func(n *netsim.Network) (*Topology, error) { return BuildFatTree(n, FatTreeConfig{K: 8}) }, 4, 4},
+		{"fat-tree-partial", func(n *netsim.Network) (*Topology, error) { return BuildFatTree(n, FatTreeConfig{K: 8, Hosts: 56}) }, 4, 4},
+		{"leaf-spine", func(n *netsim.Network) (*Topology, error) { return BuildLeafSpine(n, DefaultLeafSpine()) }, 1, DefaultSpineSwitches},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := newNet()
+			topo, err := tc.build(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(topo.RackEdges) != len(topo.Racks) {
+				t.Fatalf("%d racks, %d RackEdges entries", len(topo.Racks), len(topo.RackEdges))
+			}
+			var flat []netsim.NodeID
+			for r, edges := range topo.RackEdges {
+				if len(edges) != tc.perRack {
+					t.Fatalf("rack %d has edge switches %v, want %d", r, edges, tc.perRack)
+				}
+				flat = append(flat, edges...)
+				for _, h := range topo.Racks[r] {
+					hops := net.NeighborLinks(h)
+					if len(hops) != 1 || !slices.Contains(edges, hops[0].Link().To) {
+						t.Fatalf("host %s of rack %d is cabled outside its edge switches %v", h, r, edges)
+					}
+				}
+				for _, e := range edges {
+					n := 0
+					for l := range Uplinks(net, e) {
+						if l.From != e || net.Node(l.To).Kind != netsim.KindSwitch {
+							t.Fatalf("uplink %s->%s of %s", l.From, l.To, e)
+						}
+						n++
+					}
+					if n != tc.uplinks {
+						t.Fatalf("%s has %d uplinks, want %d", e, n, tc.uplinks)
+					}
+				}
+			}
+			if !slices.Equal(flat, topo.Edge) {
+				t.Fatalf("RackEdges %v do not list Edge %v rack by rack", topo.RackEdges, topo.Edge)
+			}
+		})
+	}
+}
+
+// TestRenderLabelsPods: a fat-tree rack is a pod and is labelled with
+// its own edge switches, not with the switch at its index in Edge.
+func TestRenderLabelsPods(t *testing.T) {
+	topo, err := BuildFatTree(newNet(), FatTreeConfig{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "rack 5 [edge-p05-00 edge-p05-01 edge-p05-02 edge-p05-03]\n"
+	if art := Render(topo); !strings.Contains(art, want) {
+		t.Fatalf("render lacks %q:\n%s", want, art)
 	}
 }

@@ -77,7 +77,6 @@ func (s *KVStore) Put(clientHost netsim.NodeID, key string, onDone func(error)) 
 	t0 := s.fabric.Engine.Now()
 	_, err := s.Endpoint.Suite.Exec(s.Endpoint.Container, oslinux.TaskSpec{
 		WorkMI: s.Config.PutCPUMI,
-		Label:  s.Endpoint.Container + "/put",
 		OnDone: func() {
 			k := s.Endpoint.Suite.Kernel()
 			k.StorageWrite(s.Config.ValueBytes, func() {
@@ -106,7 +105,6 @@ func (s *KVStore) Get(clientHost netsim.NodeID, key string, onDone func(error)) 
 	t0 := s.fabric.Engine.Now()
 	_, err := s.Endpoint.Suite.Exec(s.Endpoint.Container, oslinux.TaskSpec{
 		WorkMI: s.Config.GetCPUMI,
-		Label:  s.Endpoint.Container + "/get",
 		OnDone: func() {
 			_, present := s.keys[key]
 			respond := func() {

@@ -130,7 +130,6 @@ func (run *mrRun) startMap(i int) {
 	w.Suite.Kernel().StorageRead(run.job.InputSplitBytes, func() {
 		_, err := w.Suite.Exec(w.Container, oslinux.TaskSpec{
 			WorkMI: run.job.MapCPUMI,
-			Label:  fmt.Sprintf("%s/map-%d", run.job.Name, i),
 			OnDone: func() { run.mapDone(i) },
 		})
 		if err != nil {
@@ -208,7 +207,6 @@ func (run *mrRun) startReduce() {
 		w := run.worker(i)
 		_, err := w.Suite.Exec(w.Container, oslinux.TaskSpec{
 			WorkMI: run.job.ReduceCPUMI,
-			Label:  fmt.Sprintf("%s/reduce-%d", run.job.Name, i),
 			OnDone: func() {
 				w.Suite.Kernel().StorageWrite(run.job.InputSplitBytes/4, func() {
 					run.reduceDone()

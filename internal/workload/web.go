@@ -63,7 +63,6 @@ func (w *WebServer) Rejected() uint64 { return w.rejected }
 func (w *WebServer) HandleRequest(clientHost netsim.NodeID, onDone func(error)) {
 	_, err := w.Endpoint.Suite.Exec(w.Endpoint.Container, oslinux.TaskSpec{
 		WorkMI: w.Config.CPUPerRequestMI,
-		Label:  w.Endpoint.Container + "/req",
 		OnDone: func() {
 			if err := w.fabric.Send(w.Endpoint.Host, clientHost, w.Config.ResponseBytes, HTTPPort, func(serr error) {
 				if serr != nil {

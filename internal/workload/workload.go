@@ -20,6 +20,7 @@ import (
 	"repro/internal/openflow"
 	"repro/internal/sdn"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // Errors.
@@ -66,7 +67,6 @@ func (f *Fabric) Send(src, dst netsim.NodeID, bytes int64, port uint16, onDone f
 	_, err = f.Net.StartFlow(netsim.FlowSpec{
 		Src: src, Dst: dst, Path: path,
 		SizeBits: float64(bytes) * 8,
-		Label:    fmt.Sprintf("app/%s->%s:%d", src, dst, port),
 		OnEnd: func(_ *netsim.Flow, reason netsim.EndReason) {
 			if onDone == nil {
 				return
@@ -81,36 +81,25 @@ func (f *Fabric) Send(src, dst netsim.NodeID, bytes int64, port uint16, onDone f
 	return err
 }
 
-// CrossRackBytes sums traffic that crossed any ToR uplink — the metric
-// the network-aware placement experiment compares.
-//
-// On a fabric built by the topology package the answer comes from the
-// hierarchical telemetry groups (each rack's uplinks are tagged at
-// build time), costing O(racks + members of disturbed racks) instead of
-// O(edges × links); idle racks are one cached read each. The direct
-// walk remains for hand-wired networks and accumulates per-edge
-// subtotals in the same order the grouped path does (float addition is
-// not associative, so the summation *shape* — per-rack partials, then
-// the rack totals in edge order — must match for the two paths to
-// report identical bytes).
-// The grouped fast path answers for the whole fabric, so it only
-// engages when the caller asked for every edge; a subset query takes
-// the walk.
-func CrossRackBytes(net *netsim.Network, edges []netsim.NodeID) float64 {
-	if len(edges) == net.LinkGroupCount() {
-		if bits, ok := net.GroupedBitsCarried(); ok {
-			return bits / 8
-		}
+// UplinkBits returns the traffic edge switch e has carried out of its
+// rack: the BitsCarried of its uplinks (topology.Uplinks), summed in hop
+// order, live flows' pending spans included. It defines a rack's
+// traffic for CrossRackBytes and the session telemetry alike.
+func UplinkBits(net *netsim.Network, e netsim.NodeID) float64 {
+	total := 0.0
+	for l := range topology.Uplinks(net, e) {
+		total += l.BitsCarried()
 	}
+	return total
+}
+
+// CrossRackBytes sums traffic that crossed any uplink of the given edge
+// switches — the metric the network-aware placement experiment
+// compares: UplinkBits per edge, added up in the order given.
+func CrossRackBytes(net *netsim.Network, edges []netsim.NodeID) float64 {
 	total := 0.0
 	for _, e := range edges {
-		sub := 0.0
-		for _, h := range net.NeighborLinks(e) {
-			if h.Kind() == netsim.KindSwitch {
-				sub += h.Link().BitsCarried()
-			}
-		}
-		total += sub
+		total += UplinkBits(net, e)
 	}
 	return total / 8
 }
