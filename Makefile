@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-megafleet bench bench-smoke trace-artifact determinism-single-core fuzz perfbench-selftest service-smoke crash-gate lint ci
+.PHONY: all build test race race-megafleet bench bench-smoke trace-artifact determinism-single-core fuzz perfbench-selftest examples service-smoke crash-gate lint ci
 
 all: build
 
@@ -69,6 +69,16 @@ fuzz:
 perfbench-selftest:
 	cd perfbench && $(GO) test ./...
 
+# Run every program under examples/ once (`go build ./...` only compiles
+# them); the target fails on the first one that exits non-zero.
+EXAMPLES = $(patsubst examples/%/main.go,%,$(wildcard examples/*/main.go))
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || { echo "examples: $$e failed"; exit 1; }; \
+	done
+
 # A Perfetto-loadable span trace of the 1000-node scale scenario:
 # advance slices, per-domain netsim flushes and checkpoint spans with
 # dual virtual/wall stamps. CI uploads run.trace.json as an artifact.
@@ -102,4 +112,4 @@ lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
-ci: build lint test race race-megafleet bench-smoke determinism-single-core fuzz perfbench-selftest service-smoke crash-gate
+ci: build lint test race race-megafleet bench-smoke determinism-single-core fuzz perfbench-selftest examples service-smoke crash-gate

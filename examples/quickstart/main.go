@@ -6,10 +6,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/http/httptest"
 
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/pimaster"
+	"repro/internal/restapi"
 )
 
 func main() {
@@ -45,7 +47,8 @@ func run() error {
 		return err
 	}
 
-	// 4. Inspect one node over its real REST API.
+	// 4. Inspect one node over its real REST API, served on a local
+	// listener the way a remote client reaches a Pi.
 	rec, err := cloud.Master.VM("demo-webserver")
 	if err != nil {
 		return err
@@ -54,7 +57,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	st, err := node.Client.Status()
+	daemon := httptest.NewServer(node.Daemon.Handler())
+	defer daemon.Close()
+	st, err := restapi.NewClient(daemon.URL, daemon.Client()).Status()
 	if err != nil {
 		return err
 	}

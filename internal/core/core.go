@@ -40,7 +40,8 @@ import (
 // applied) is the published PiCloud: 4 racks × 14 Raspberry Pi Model B.
 type Config = fleet.Config
 
-// Node bundles everything attached to one Pi.
+// Node bundles everything attached to one Pi: the fleet builder's and
+// pimaster's record of it (pimaster.NodeRef).
 type Node = fleet.Node
 
 // Cloud is a running PiCloud.
@@ -59,10 +60,6 @@ type Cloud struct {
 	Master *pimaster.Master
 	Mig    *migration.Manager
 
-	nodes  []*Node
-	byHost map[netsim.NodeID]*Node
-	byName map[string]*Node
-
 	fleet *fleet.Result
 
 	// tracer, when set, receives dual-stamped spans from the cloud's
@@ -73,7 +70,7 @@ type Cloud struct {
 }
 
 // New assembles and boots a cloud at virtual time zero: all boards
-// powered, fabric wired, daemons serving, pimaster populated. Repeated
+// powered, fabric wired, daemons stamped, pimaster populated. Repeated
 // builds of the same fleet shape warm-boot from the fleet subsystem's
 // plan cache automatically.
 func New(cfg Config) (*Cloud, error) {
@@ -114,28 +111,25 @@ func (c *Cloud) adopt(res *fleet.Result) {
 	c.Meter = res.Meter
 	c.Master = res.Master
 	c.Mig = res.Mig
-	c.nodes = res.Nodes
-	c.byHost = res.ByHost
-	c.byName = res.ByName
 	c.fleet = res
 }
 
 // Nodes returns all nodes in topology order.
-func (c *Cloud) Nodes() []*Node { return append([]*Node(nil), c.nodes...) }
+func (c *Cloud) Nodes() []*Node { return c.Master.Nodes() }
 
-// NodeByName resolves a node.
+// NodeByName resolves a node through pimaster's registry.
 func (c *Cloud) NodeByName(name string) (*Node, error) {
-	n, ok := c.byName[name]
-	if !ok {
+	n, err := c.Master.Node(name)
+	if err != nil {
 		return nil, fmt.Errorf("core: no node %q", name)
 	}
 	return n, nil
 }
 
-// NodeByHost resolves a node by its network identity.
+// NodeByHost resolves a node by its network identity, which is its name.
 func (c *Cloud) NodeByHost(host netsim.NodeID) (*Node, error) {
-	n, ok := c.byHost[host]
-	if !ok {
+	n, err := c.Master.Node(string(host))
+	if err != nil {
 		return nil, fmt.Errorf("core: no node at %q", host)
 	}
 	return n, nil

@@ -446,16 +446,31 @@ func TestAlternativeFabricsBoot(t *testing.T) {
 	}
 }
 
+// TestNodeLookups: a host has one record, so every lookup of it —
+// the node list, by name, by host, pimaster's registry — returns the
+// same pointer, the fleet's own.
 func TestNodeLookups(t *testing.T) {
-	c := newCloud(t, Config{Racks: 1, HostsPerRack: 2})
-	n := c.Nodes()[1]
-	byName, err := c.NodeByName(n.Name)
-	if err != nil || byName != n {
-		t.Fatalf("NodeByName = %v, %v", byName, err)
+	c := newCloud(t, Config{Racks: 2, HostsPerRack: 3})
+	nodes := c.Nodes()
+	if len(nodes) != 6 {
+		t.Fatalf("%d nodes, want 6", len(nodes))
 	}
-	byHost, err := c.NodeByHost(n.Host)
-	if err != nil || byHost != n {
-		t.Fatalf("NodeByHost = %v, %v", byHost, err)
+	for i, n := range nodes {
+		if n != &c.fleet.Nodes[i] {
+			t.Fatalf("Nodes()[%d] is not the fleet's record", i)
+		}
+		named, err := c.NodeByName(n.Name)
+		if err != nil || named != n {
+			t.Fatalf("NodeByName(%s) = %p, %v; want %p", n.Name, named, err, n)
+		}
+		hosted, err := c.NodeByHost(n.Host)
+		if err != nil || hosted != n {
+			t.Fatalf("NodeByHost(%s) = %p, %v; want %p", n.Host, hosted, err, n)
+		}
+		ref, err := c.Master.Node(n.Name)
+		if err != nil || ref != n {
+			t.Fatalf("Master.Node(%s) = %p, %v; want %p", n.Name, ref, err, n)
+		}
 	}
 	if _, err := c.NodeByName("ghost"); err == nil {
 		t.Fatal("unknown name accepted")

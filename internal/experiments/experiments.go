@@ -6,9 +6,11 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 
@@ -242,11 +244,21 @@ func Fig4() (*Result, error) {
 	if err := c.Settle(); err != nil {
 		return nil, err
 	}
-	// Use case 2: remote monitoring of CPU load on all nodes.
+	// Use case 2: remote monitoring of CPU load on all nodes, through
+	// pimaster's node listing.
+	resp, err = http.Get(base + "/api/v1/nodes")
+	if err != nil {
+		return nil, err
+	}
+	var statuses []restapi.NodeStatus
+	err = json.NewDecoder(resp.Body).Decode(&statuses)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
 	monitored := 0
-	for _, n := range c.Nodes() {
-		st, err := n.Client.Status()
-		if err == nil && st.CPUMIPS > 0 {
+	for _, st := range statuses {
+		if st.CPUMIPS > 0 {
 			monitored++
 		}
 	}
@@ -259,8 +271,11 @@ func Fig4() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A remote client reaches the node's daemon over HTTP.
+	daemon := httptest.NewServer(node.Daemon.Handler())
+	defer daemon.Close()
 	limitsOK := 0.0
-	if _, err := node.Client.SetLimits("panel-vm", limitsDoc()); err == nil {
+	if _, err := restapi.NewClient(daemon.URL, daemon.Client()).SetLimits("panel-vm", limitsDoc()); err == nil {
 		limitsOK = 1
 	}
 	// The panel itself.

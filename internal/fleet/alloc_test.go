@@ -15,13 +15,15 @@ var raceEnabled bool
 // made on first use, an index-keyed link table), template stamping (no
 // empty maps per host) and bulk registration (registries sized once,
 // one pool name per rack, records built without a format-then-parse
-// round trip). Before those changes a k=16 fat-tree build made 43.8
-// objects per host and the published 4×14 tree 39.2.
+// round trip), and one record per host (pimaster's NodeRef, stamped
+// by value into one slice, with no per-host REST client or client URL).
+// Before those changes a k=16 fat-tree build made 43.8 objects per host
+// and the published 4×14 tree 39.2.
 func TestColdBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const perHost = 27
+	const perHost = 24
 	shapes := []struct {
 		name string
 		cfg  Config

@@ -1,7 +1,7 @@
 // Package fleet owns cloud construction: it turns a Config into a fully
-// booted PiCloud fleet — fabric wired, kernels and container suites
-// stamped onto every host, daemons addressable, pimaster populated —
-// as fast as the hardware allows.
+// booted PiCloud fleet — fabric wired, kernels, container suites and
+// daemons stamped onto every host, pimaster populated — as fast as the
+// hardware allows.
 //
 // The subsystem is built around three ideas:
 //
@@ -11,10 +11,10 @@
 //   - A construction Plan: every shape-derived value (host names, rack
 //     assignments, MACs, static addresses, FQDNs, pool CIDRs) is
 //     computed once per fleet shape and reused — see plan.go.
-//   - Bulk registration: nodes enter pimaster through RegisterNodes
-//     with plan-precomputed addressing, and node clients are bound
-//     directly to their in-process daemons, so boot performs no JSON
-//     encode/decode round trips through the REST transport.
+//   - Bulk registration: every host's record (pimaster.NodeRef) is
+//     stamped into one slice and enters pimaster through RegisterNodes
+//     with plan-precomputed addressing. pimaster calls each daemon in
+//     process, so boot makes no HTTP request and no JSON round trip.
 //
 // A booted fleet can be captured as a Snapshot and warm-booted with
 // Restore; repeated runs of the same shape (CI, bench sweeps,
@@ -25,8 +25,6 @@ package fleet
 
 import (
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"time"
 
@@ -135,16 +133,9 @@ func (c *Config) Validate() error {
 	return c.Board.Validate()
 }
 
-// Node bundles everything attached to one Pi.
-type Node struct {
-	Name   string
-	Host   netsim.NodeID
-	Rack   int
-	Suite  *lxc.Suite
-	Meter  *energy.Meter
-	Daemon *restapi.Daemon
-	Client *restapi.Client
-}
+// Node bundles everything attached to one Pi. It is pimaster's record
+// of the node, so every layer resolves a host to the same record.
+type Node = pimaster.NodeRef
 
 // Template is the immutable per-board prototype: the board spec is
 // validated once (including a probe kernel boot, so per-host stamping
@@ -168,55 +159,22 @@ func NewTemplate(board hw.BoardSpec, images *image.Store) (*Template, error) {
 }
 
 // Stamp instantiates the template on one host: kernel, energy meter
-// wired to CPU utilisation, LXC suite, management daemon, and a client
-// bound directly to the daemon (boot calls skip HTTP/JSON).
-func (t *Template) Stamp(engine *sim.Engine, cloudMu *sync.Mutex, httpClient *http.Client, name string, rack int, at sim.Time) (*Node, error) {
+// wired to CPU utilisation, LXC suite and management daemon. The record
+// is returned by value so a fleet keeps all of them in one slice.
+func (t *Template) Stamp(engine *sim.Engine, cloudMu *sync.Mutex, name string, rack int, at sim.Time) (Node, error) {
 	kernel, err := oslinux.NewKernel(engine, t.board, name)
 	if err != nil {
-		return nil, err
+		return Node{}, err
 	}
 	meter := energy.NewMeter(t.board.Power, at)
 	meter.PowerOn(at)
 	kernel.OnUtilChange(func(at sim.Time, util float64) { meter.SetUtilisation(at, util) })
 	suite := lxc.NewSuite(engine, kernel, t.images)
 	daemon := restapi.New(cloudMu, engine, name, rack, name, suite, meter)
-	client := restapi.NewDirectClient(daemon, "http://"+name, httpClient)
-	return &Node{
+	return Node{
 		Name: name, Host: netsim.NodeID(name), Rack: rack,
-		Suite: suite, Meter: meter, Daemon: daemon, Client: client,
+		Daemon: daemon, Suite: suite, Meter: meter,
 	}, nil
-}
-
-// dispatchTransport routes HTTP requests to in-process node daemons by
-// host name, so REST traffic that does go over the wire-shaped path
-// needs no TCP listeners. Handlers (a ServeMux per node) are built
-// lazily on first request: most nodes of a 10⁵ fleet never receive
-// HTTP, and eagerly building 9 routes per node dominated boot.
-type dispatchTransport struct {
-	mu       sync.Mutex
-	daemons  map[string]*restapi.Daemon
-	handlers map[string]http.Handler
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *dispatchTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.mu.Lock()
-	h, ok := t.handlers[req.URL.Host]
-	if !ok {
-		d, known := t.daemons[req.URL.Host]
-		if !known {
-			t.mu.Unlock()
-			return nil, fmt.Errorf("fleet: no daemon for host %q", req.URL.Host)
-		}
-		h = d.Handler()
-		t.handlers[req.URL.Host] = h
-	}
-	t.mu.Unlock()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
 }
 
 // Result is an assembled fleet: every component of a running cloud.
@@ -230,15 +188,15 @@ type Result struct {
 	Meter  *energy.CloudMeter
 	Master *pimaster.Master
 	Mig    *migration.Manager
-	Nodes  []*Node
-	ByHost map[netsim.NodeID]*Node
-	ByName map[string]*Node
+	// Nodes holds every host's record in plan (rack) order; pimaster
+	// registers pointers into it.
+	Nodes []Node
 
 	plan *Plan
 }
 
 // Assemble builds and boots a fleet at virtual time zero: all boards
-// powered, fabric wired, daemons addressable, pimaster populated.
+// powered, fabric wired, daemons stamped, pimaster populated.
 // cloudMu is the cloud-wide lock shared with the daemons and the engine
 // driver. Construction plans are warm-cached per fleet shape, so a
 // second Assemble of the same shape warm-boots automatically.
@@ -289,17 +247,9 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		Topo:   topo,
 		Ctrl:   ctrl,
 		Meter:  energy.NewCloudMeter(),
-		ByHost: make(map[netsim.NodeID]*Node, len(plan.hosts)),
-		ByName: make(map[string]*Node, len(plan.hosts)),
 		plan:   plan,
 	}
 	r.Mig = migration.NewManager(engine, net, ctrl, cfg.MigrationConfig)
-
-	transport := &dispatchTransport{
-		daemons:  make(map[string]*restapi.Daemon, len(plan.hosts)),
-		handlers: make(map[string]http.Handler),
-	}
-	httpClient := &http.Client{Transport: transport}
 
 	master, err := pimaster.New(pimaster.Config{
 		Engine:     engine,
@@ -316,28 +266,19 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	}
 	r.Master = master
 
-	nodes, err := stampAll(tmpl, engine, cloudMu, httpClient, plan)
+	nodes, err := stampAll(tmpl, engine, cloudMu, plan)
 	if err != nil {
 		return nil, err
 	}
 	r.Nodes = nodes
 	regs := make([]pimaster.NodeReg, len(nodes))
-	// One allocation holds every node's pimaster record.
-	refs := make([]pimaster.NodeRef, len(nodes))
-	for i, node := range nodes {
-		hp := &plan.hosts[i]
-		transport.daemons[node.Name] = node.Daemon
+	for i := range nodes {
+		node, hp := &nodes[i], &plan.hosts[i]
 		if err := r.Meter.AttachGrouped(node.Name, node.Rack, node.Meter); err != nil {
 			return nil, err
 		}
-		r.ByHost[node.Host] = node
-		r.ByName[node.Name] = node
-		refs[i] = pimaster.NodeRef{
-			Name: node.Name, Host: node.Host, Rack: node.Rack,
-			Client: node.Client, Suite: node.Suite, Meter: node.Meter,
-		}
 		regs[i] = pimaster.NodeReg{
-			Ref: &refs[i],
+			Ref: node,
 			Idx: hp.idx, MAC: hp.mac, Addr: hp.addr, FQDN: hp.fqdn,
 		}
 	}
@@ -347,13 +288,14 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	return r, nil
 }
 
-// stampAll builds every node from the template, in plan (rack) order.
-func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, httpClient *http.Client, plan *Plan) ([]*Node, error) {
-	nodes := make([]*Node, len(plan.hosts))
+// stampAll builds every node from the template, in plan (rack) order,
+// into one slice of records.
+func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, plan *Plan) ([]Node, error) {
+	nodes := make([]Node, len(plan.hosts))
 	at := engine.Now()
 	for i := range plan.hosts {
 		hp := &plan.hosts[i]
-		node, err := tmpl.Stamp(engine, cloudMu, httpClient, hp.name, hp.rack, at)
+		node, err := tmpl.Stamp(engine, cloudMu, hp.name, hp.rack, at)
 		if err != nil {
 			return nil, err
 		}

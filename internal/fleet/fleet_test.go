@@ -63,70 +63,63 @@ func TestTemplateRejectsBadBoard(t *testing.T) {
 	}
 }
 
+// TestPlanMatchesRegistrationDerivations checks, on every fabric, that
+// the plan's addressing is what registration would derive, and that each
+// host's record is the one pimaster resolves and carries the in-rack
+// index of its canonical name (VM names are derived from Rack and Idx).
 func TestPlanMatchesRegistrationDerivations(t *testing.T) {
-	r := assembleFleet(t, Config{Racks: 3, HostsPerRack: 5, Seed: 1})
-	plan := r.plan
-	if plan.Hosts() != 15 {
-		t.Fatalf("plan holds %d hosts, want 15", plan.Hosts())
-	}
-	for i, hp := range plan.hosts {
-		if want := string(r.Topo.Hosts[i]); hp.name != want {
-			t.Fatalf("host %d: plan name %s, topology %s", i, hp.name, want)
+	for _, cfg := range []Config{
+		{Racks: 3, HostsPerRack: 5, Seed: 1},
+		{Racks: 4, HostsPerRack: 3, Fabric: topology.FabricLeafSpine, Seed: 1},
+		{Racks: 4, HostsPerRack: 4, Fabric: topology.FabricFatTree, FatTreeK: 4, Seed: 1},
+	} {
+		r := assembleFleet(t, cfg)
+		plan := r.plan
+		if want := cfg.Racks * cfg.HostsPerRack; plan.Hosts() != want {
+			t.Fatalf("%v: plan holds %d hosts, want %d", cfg.Fabric, plan.Hosts(), want)
 		}
-		if hp.mac != dhcp.NodeMAC(hp.rack, hp.idx) {
-			t.Fatalf("host %s: mac %s != NodeMAC(%d,%d)", hp.name, hp.mac, hp.rack, hp.idx)
+		for i, hp := range plan.hosts {
+			if want := string(r.Topo.Hosts[i]); hp.name != want {
+				t.Fatalf("host %d: plan name %s, topology %s", i, hp.name, want)
+			}
+			node := &r.Nodes[i]
+			if ref, err := r.Master.Node(hp.name); err != nil || ref != node {
+				t.Fatalf("host %s: pimaster resolves %p (%v), fleet holds %p", hp.name, ref, err, node)
+			}
+			if node.Idx != hp.idx || topology.HostName(node.Rack, node.Idx) != node.Host {
+				t.Fatalf("host %s recorded as rack %d index %d, plan index %d", node.Host, node.Rack, node.Idx, hp.idx)
+			}
+			if hp.mac != dhcp.NodeMAC(hp.rack, hp.idx) {
+				t.Fatalf("host %s: mac %s != NodeMAC(%d,%d)", hp.name, hp.mac, hp.rack, hp.idx)
+			}
+			if hp.fqdn != dns.NodeFQDN(hp.rack, hp.idx) {
+				t.Fatalf("host %s: fqdn %s", hp.name, hp.fqdn)
+			}
+			// The registered lease must carry exactly the planned address.
+			lease, ok := r.Master.DHCP().LeaseOf(hp.mac)
+			if !ok {
+				t.Fatalf("host %s: no lease", hp.name)
+			}
+			if lease.Addr != hp.addr || !lease.Static {
+				t.Fatalf("host %s: lease %v static=%v, plan %v", hp.name, lease.Addr, lease.Static, hp.addr)
+			}
+			addrs, err := r.Master.DNS().LookupA(hp.fqdn)
+			if err != nil || len(addrs) == 0 || addrs[0] != hp.addr {
+				t.Fatalf("host %s: DNS %v (%v), plan %v", hp.name, addrs, err, hp.addr)
+			}
 		}
-		if hp.fqdn != dns.NodeFQDN(hp.rack, hp.idx) {
-			t.Fatalf("host %s: fqdn %s", hp.name, hp.fqdn)
-		}
-		// The registered lease must carry exactly the planned address.
-		lease, ok := r.Master.DHCP().LeaseOf(hp.mac)
-		if !ok {
-			t.Fatalf("host %s: no lease", hp.name)
-		}
-		if lease.Addr != hp.addr || !lease.Static {
-			t.Fatalf("host %s: lease %v static=%v, plan %v", hp.name, lease.Addr, lease.Static, hp.addr)
-		}
-		addrs, err := r.Master.DNS().LookupA(hp.fqdn)
-		if err != nil || len(addrs) == 0 || addrs[0] != hp.addr {
-			t.Fatalf("host %s: DNS %v (%v), plan %v", hp.name, addrs, err, hp.addr)
-		}
-	}
-}
-
-func TestLazyTransportServesHTTPPaths(t *testing.T) {
-	r := assembleFleet(t, Config{Racks: 1, HostsPerRack: 2, Seed: 1})
-	// Metrics is not on the direct fast path: it exercises the lazily
-	// built HTTP handler through the dispatch transport.
-	node := r.Nodes[0]
-	m, err := node.Client.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m["cpu_util"]; !ok {
-		t.Fatalf("metrics over lazy transport = %v", m)
-	}
-	// Unknown hosts still error.
-	bogus := *node.Client
-	bogus.BaseURL = "http://no-such-host"
-	if _, err := bogus.Metrics(); err == nil {
-		t.Fatal("transport served a host that does not exist")
 	}
 }
 
-func TestDirectClientSkipsJSONButCounts(t *testing.T) {
+func TestDirectStatusSkipsJSONButCounts(t *testing.T) {
 	r := assembleFleet(t, Config{Racks: 1, HostsPerRack: 1, Seed: 1})
-	node := r.Nodes[0]
-	st, err := node.Client.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := &r.Nodes[0]
+	st := node.Daemon.StatusDirect()
 	if st.Node != node.Name {
 		t.Fatalf("status for %s, want %s", st.Node, node.Name)
 	}
 	// Direct calls keep the API-request accounting honest.
-	st2, _ := node.Client.Status()
-	if st2.APIRequests <= st.APIRequests {
+	if st2 := node.Daemon.StatusDirect(); st2.APIRequests <= st.APIRequests {
 		t.Fatalf("direct status not counted: %d then %d", st.APIRequests, st2.APIRequests)
 	}
 }

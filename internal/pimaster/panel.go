@@ -96,11 +96,7 @@ func (m *Master) handlePanel(w http.ResponseWriter, _ *http.Request) {
 	rackMap := make(map[int]*panelRack)
 	var rackOrder []int
 	for _, ref := range m.nodes {
-		st, err := ref.Client.Status()
-		if err != nil {
-			m.writeErr(w, err)
-			return
-		}
+		st := ref.Daemon.StatusDirect()
 		pr, ok := rackMap[ref.Rack]
 		if !ok {
 			pr = &panelRack{Index: ref.Rack}

@@ -6,11 +6,17 @@
 // administrators ... [which] interacts with the local daemons, and
 // controls workloads running on the Pi devices using RESTful interfaces".
 //
+// Every node daemon runs in pimaster's process, so pimaster calls it
+// through the daemon's direct methods (StatusDirect, SpawnDirect,
+// DeleteDirect): the same work and request accounting as the daemon's
+// HTTP handlers, without the transport. The daemon's HTTP API stays its
+// outside surface, which remote callers reach through restapi.Client.
+//
 // Locking: pimaster's own registries are guarded by its internal mutex;
 // the simulated cloud is guarded by the cloud-wide mutex shared with the
 // node daemons and the engine driver. pimaster never holds its own mutex
-// while acquiring the cloud mutex, and talks to node daemons over real
-// HTTP (each daemon request locks the cloud itself).
+// while acquiring the cloud mutex or calling a daemon (each daemon call
+// locks the cloud itself).
 package pimaster
 
 import (
@@ -47,12 +53,18 @@ var (
 	ErrVMExists   = errors.New("pimaster: vm already exists")
 )
 
-// NodeRef is one managed node.
+// NodeRef is one managed node: the one record of a Pi that the fleet
+// builder stamps, pimaster registers and every layer above resolves.
 type NodeRef struct {
-	Name   string
-	Host   netsim.NodeID
-	Rack   int
-	Client *restapi.Client
+	// Name is the node's host name and also its netsim host id (Host).
+	Name string
+	Host netsim.NodeID
+	Rack int
+	// Idx is the node's position within its rack, recorded at
+	// registration; it fixes the node's static address and names its
+	// VMs.
+	Idx    int
+	Daemon *restapi.Daemon
 	// Suite and Meter are direct handles used for migration and power
 	// accounting; all simulated-state access goes through the cloud
 	// mutex.
@@ -124,11 +136,9 @@ type Master struct {
 	dhcp *dhcp.Server
 	dns  *dns.Server
 
-	nodes  []*NodeRef
-	byName map[string]*NodeRef
-	byHost map[netsim.NodeID]*NodeRef
-	// nodeIdx maps node name → index in nodes, for O(1) view updates.
-	nodeIdx map[string]int
+	nodes []*NodeRef
+	// byName maps a node's name (its host id) to its index in nodes.
+	byName map[string]int
 	// rackOf is the immutable host → rack map shared (read-only) with
 	// every placement view, so views skip an O(nodes) rebuild.
 	rackOf map[netsim.NodeID]int
@@ -177,9 +187,7 @@ func New(cfg Config) (*Master, error) {
 		mig:             cfg.Migrations,
 		dhcp:            dhcp.NewServer(cfg.Engine, cfg.LeaseDuration),
 		dns:             dns.NewServer(),
-		byName:          make(map[string]*NodeRef),
-		byHost:          make(map[netsim.NodeID]*NodeRef),
-		nodeIdx:         make(map[string]int),
+		byName:          make(map[string]int),
 		rackOf:          make(map[netsim.NodeID]int),
 		placer:          cfg.Placer,
 		policy:          cfg.Policy,
@@ -232,10 +240,10 @@ type NodeReg struct {
 }
 
 // RegisterNode adds a node: a DHCP pool/lease for its rack, DNS records,
-// and the REST client. Racks get pool "rack<N>" with subnet 10.<N>.0.0/20
-// — room for ~4000 addresses per rack so scale-out fleets keep the same
-// addressing plan as the published 4×14 testbed (small indices yield the
-// identical 10.<rack>.0.<2+idx> addresses).
+// and its in-rack index on the record. Racks get pool "rack<N>" with
+// subnet 10.<N>.0.0/20 — room for ~4000 addresses per rack so scale-out
+// fleets keep the same addressing plan as the published 4×14 testbed
+// (small indices yield the identical 10.<rack>.0.<2+idx> addresses).
 func (m *Master) RegisterNode(ref *NodeRef, idxInRack int) error {
 	if err := checkReg(ref, idxInRack); err != nil {
 		return err
@@ -277,8 +285,6 @@ func (m *Master) RegisterNodes(regs []NodeReg) error {
 func (m *Master) growRegistries(n int) {
 	m.nodes = slices.Grow(m.nodes, n)
 	m.byName = grownMap(m.byName, n)
-	m.byHost = grownMap(m.byHost, n)
-	m.nodeIdx = grownMap(m.nodeIdx, n)
 	m.rackOf = grownMap(m.rackOf, n)
 }
 
@@ -294,8 +300,11 @@ func rackPool(rack int) string { return "rack" + strconv.Itoa(rack) }
 
 // checkReg validates one registration's shape against the /20 plan.
 func checkReg(ref *NodeRef, idxInRack int) error {
-	if ref == nil || ref.Name == "" || ref.Client == nil {
+	if ref == nil || ref.Name == "" || ref.Daemon == nil {
 		return fmt.Errorf("pimaster: incomplete node ref")
+	}
+	if string(ref.Host) != ref.Name {
+		return fmt.Errorf("pimaster: node %s has host id %q; a node's name is its host id", ref.Name, ref.Host)
 	}
 	if ref.Rack < 0 || ref.Rack > 255 {
 		return fmt.Errorf("pimaster: rack %d outside the 10.<rack>.0.0/20 addressing plan", ref.Rack)
@@ -329,10 +338,9 @@ func (m *Master) registerOne(reg NodeReg, pool string) error {
 	if err := m.dns.RegisterHost(reg.FQDN, lease.Addr); err != nil {
 		return err
 	}
-	m.nodeIdx[ref.Name] = len(m.nodes)
+	ref.Idx = reg.Idx
+	m.byName[ref.Name] = len(m.nodes)
 	m.nodes = append(m.nodes, ref)
-	m.byName[ref.Name] = ref
-	m.byHost[ref.Host] = ref
 	m.rackOf[ref.Host] = ref.Rack
 	m.invalidateView()
 	return nil
@@ -341,13 +349,13 @@ func (m *Master) registerOne(reg NodeReg, pool string) error {
 // Nodes returns the registered nodes in order.
 func (m *Master) Nodes() []*NodeRef { return append([]*NodeRef(nil), m.nodes...) }
 
-// Node resolves a node by name.
+// Node resolves a node by name, which is also its host id.
 func (m *Master) Node(name string) (*NodeRef, error) {
-	ref, ok := m.byName[name]
+	i, ok := m.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchNode, name)
 	}
-	return ref, nil
+	return m.nodes[i], nil
 }
 
 // BeginBootBatch enables the incremental placement-view cache for a
@@ -377,11 +385,8 @@ func (m *Master) EndBootBatch() {
 func (m *Master) invalidateView() { m.viewCache = nil }
 
 // pollNode converts one daemon status into the placement view row.
-func (m *Master) pollNode(ref *NodeRef) (placement.NodeView, error) {
-	st, err := ref.Client.Status()
-	if err != nil {
-		return placement.NodeView{}, fmt.Errorf("pimaster: polling %s: %w", ref.Name, err)
-	}
+func (m *Master) pollNode(ref *NodeRef) placement.NodeView {
+	st := ref.Daemon.StatusDirect()
 	return placement.NodeView{
 		ID:            ref.Host,
 		Rack:          ref.Rack,
@@ -392,14 +397,14 @@ func (m *Master) pollNode(ref *NodeRef) (placement.NodeView, error) {
 		Containers:    st.Containers,
 		MaxContainers: st.MaxComfort,
 		PoweredOn:     st.PoweredOn,
-	}, nil
+	}
 }
 
 // buildView polls every node daemon's status and assembles the placement
 // view. Inside a boot batch the measured rows come from the incremental
 // cache (filled once, then patched per spawn); the reservation overlay
 // is applied to a scratch copy so the cached measurements stay pristine.
-func (m *Master) buildView() (*placement.View, error) {
+func (m *Master) buildView() *placement.View {
 	v := &placement.View{
 		Locate: make(map[string]netsim.NodeID),
 		Rack:   m.rackOf, // immutable after registration; placers only read
@@ -419,11 +424,7 @@ func (m *Master) buildView() (*placement.View, error) {
 	} else {
 		v.Nodes = make([]placement.NodeView, 0, len(m.nodes))
 		for _, ref := range m.nodes {
-			nv, err := m.pollNode(ref)
-			if err != nil {
-				return nil, err
-			}
-			v.Nodes = append(v.Nodes, nv)
+			v.Nodes = append(v.Nodes, m.pollNode(ref))
 		}
 		if batch {
 			m.mu.Lock()
@@ -436,8 +437,8 @@ func (m *Master) buildView() (*placement.View, error) {
 	m.mu.Lock()
 	reserved := make(map[string]hw.MIPS)
 	for name, rec := range m.vms {
-		if ref, ok := m.byName[rec.Node]; ok {
-			v.Locate[name] = ref.Host
+		if i, ok := m.byName[rec.Node]; ok {
+			v.Locate[name] = m.nodes[i].Host
 		}
 		reserved[rec.Node] += hw.MIPS(rec.CPUDemandMIPS)
 	}
@@ -446,11 +447,11 @@ func (m *Master) buildView() (*placement.View, error) {
 	// reservations, so idle-but-reserved capacity is not double-booked.
 	// v.Nodes is index-aligned with m.nodes.
 	for name, res := range reserved {
-		if i, ok := m.nodeIdx[name]; ok && res > v.Nodes[i].CPUUsed {
+		if i, ok := m.byName[name]; ok && res > v.Nodes[i].CPUUsed {
 			v.Nodes[i].CPUUsed = res
 		}
 	}
-	return v, nil
+	return v
 }
 
 // refreshViewNode re-polls one node into the boot-batch cache after a
@@ -461,16 +462,16 @@ func (m *Master) refreshViewNode(ref *NodeRef) {
 	ok := m.bootBatch && m.viewCache != nil
 	var idx int
 	if ok {
-		idx, ok = m.nodeIdx[ref.Name]
+		idx, ok = m.byName[ref.Name]
 		ok = ok && idx < len(m.viewCache)
 	}
 	m.mu.Unlock()
 	if !ok {
 		return
 	}
-	nv, err := m.pollNode(ref)
+	nv := m.pollNode(ref)
 	m.mu.Lock()
-	if err != nil || !m.bootBatch || m.viewCache == nil {
+	if !m.bootBatch || m.viewCache == nil {
 		m.viewCache = nil
 	} else {
 		m.viewCache[idx] = nv
@@ -479,7 +480,8 @@ func (m *Master) refreshViewNode(ref *NodeRef) {
 }
 
 // SpawnVM places and boots a VM cloud-wide: placement, DHCP lease, DNS
-// registration, SDN label, then the node daemon's REST spawn.
+// registration, the node daemon's spawn, then the SDN label. A failed
+// spawn leaves no lease, record or label behind.
 func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 	if req.Name == "" || req.Image == "" {
 		return nil, fmt.Errorf("pimaster: spawn needs name and image")
@@ -504,10 +506,7 @@ func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 		placer = cached
 	}
 	m.mu.Unlock()
-	view, err := m.buildView()
-	if err != nil {
-		return nil, err
-	}
+	view := m.buildView()
 	memNeed := req.MemLimitBytes
 	if memNeed == 0 {
 		memNeed = lxc.IdleRSSBytes
@@ -521,44 +520,40 @@ func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := m.refByHost(host)
-	if ref == nil {
-		return nil, fmt.Errorf("%w: host %s", ErrNoSuchNode, host)
+	ref, err := m.Node(string(host))
+	if err != nil {
+		return nil, err
 	}
 	// Address and name the VM.
 	m.mu.Lock()
 	m.macSeq++
 	mac := dhcp.ContainerMAC(m.macSeq)
 	m.mu.Unlock()
-	lease, err := m.dhcp.Request(fmt.Sprintf("rack%d", ref.Rack), mac)
+	lease, err := m.dhcp.Request(rackPool(ref.Rack), mac)
 	if err != nil {
 		return nil, fmt.Errorf("pimaster: leasing address: %w", err)
 	}
-	rack, idx := splitNodeName(ref)
-	fqdn := dns.ContainerFQDN(req.Name, rack, idx)
+	fqdn := dns.ContainerFQDN(req.Name, ref.Rack, ref.Idx)
 	if err := m.dns.RegisterHost(fqdn, lease.Addr); err != nil {
 		_ = m.dhcp.Release(mac)
 		return nil, err
 	}
-	unregisterDNS := func() {
-		m.dns.RemoveName(fqdn)
-		m.dns.RemoveName(dns.ReverseName(lease.Addr))
-	}
-	m.cloudMu.Lock()
-	label := m.ctrl.AssignLabel(req.Name, ref.Host)
-	m.cloudMu.Unlock()
-	// Boot through the node's REST daemon.
-	if _, err := ref.Client.Spawn(restapi.SpawnRequest{
+	// Boot through the node's daemon.
+	if _, err := ref.Daemon.SpawnDirect(restapi.SpawnRequest{
 		Name:          req.Name,
 		Image:         req.Image,
 		MemLimitBytes: req.MemLimitBytes,
 		CPUShares:     req.CPUShares,
 		CPUQuotaMIPS:  req.CPUQuotaMIPS,
 	}); err != nil {
-		unregisterDNS()
+		m.dns.RemoveName(fqdn)
+		m.dns.RemoveName(dns.ReverseName(lease.Addr))
 		_ = m.dhcp.Release(mac)
 		return nil, err
 	}
+	m.cloudMu.Lock()
+	label := m.ctrl.AssignLabel(req.Name, ref.Host)
+	m.cloudMu.Unlock()
 	rec := &VMRecord{
 		Name:          req.Name,
 		Node:          ref.Name,
@@ -577,18 +572,6 @@ func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 	return rec, nil
 }
 
-func (m *Master) refByHost(host netsim.NodeID) *NodeRef { return m.byHost[host] }
-
-// splitNodeName recovers (rack, index) for naming; nodes are registered
-// in rack order so index is position within the rack.
-func splitNodeName(ref *NodeRef) (rack, idx int) {
-	var r, i int
-	if _, err := fmt.Sscanf(ref.Name, "pi-r%d-n%d", &r, &i); err == nil {
-		return r, i
-	}
-	return ref.Rack, 0
-}
-
 // DestroyVM tears a VM down everywhere: node daemon, DNS, DHCP, registry.
 func (m *Master) DestroyVM(name string) error {
 	m.mu.Lock()
@@ -601,7 +584,7 @@ func (m *Master) DestroyVM(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := ref.Client.Delete(name); err != nil {
+	if err := ref.Daemon.DeleteDirect(name); err != nil {
 		return err
 	}
 	m.dns.RemoveName(rec.FQDN)
@@ -763,12 +746,7 @@ func (m *Master) writeErr(w http.ResponseWriter, err error) {
 func (m *Master) handleNodes(w http.ResponseWriter, _ *http.Request) {
 	out := make([]restapi.NodeStatus, 0, len(m.nodes))
 	for _, ref := range m.nodes {
-		st, err := ref.Client.Status()
-		if err != nil {
-			m.writeErr(w, err)
-			return
-		}
-		out = append(out, st)
+		out = append(out, ref.Daemon.StatusDirect())
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -779,12 +757,7 @@ func (m *Master) handleNode(w http.ResponseWriter, r *http.Request) {
 		m.writeErr(w, err)
 		return
 	}
-	st, err := ref.Client.Status()
-	if err != nil {
-		m.writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, ref.Daemon.StatusDirect())
 }
 
 func (m *Master) handleVMList(w http.ResponseWriter, _ *http.Request) {

@@ -40,9 +40,14 @@ func TestRegisterNodeValidation(t *testing.T) {
 	}
 	// Duplicate registration of an existing node.
 	n := c.Nodes()[0]
-	err := c.Master.RegisterNode(&pimaster.NodeRef{Name: n.Name, Host: n.Host, Client: n.Client}, 0)
+	err := c.Master.RegisterNode(&pimaster.NodeRef{Name: n.Name, Host: n.Host, Daemon: n.Daemon}, 0)
 	if err == nil {
 		t.Fatal("duplicate node accepted")
+	}
+	// A node's name is its host id: pimaster resolves hosts by name.
+	err = c.Master.RegisterNode(&pimaster.NodeRef{Name: "pi-r00-n09", Host: "elsewhere", Daemon: n.Daemon}, 9)
+	if err == nil {
+		t.Fatal("node whose name is not its host id accepted")
 	}
 }
 
@@ -75,6 +80,34 @@ func TestSpawnValidation(t *testing.T) {
 	}
 	if got := c.Master.DNS().RecordCount(); got != recs {
 		t.Fatalf("dns leaked: %d → %d", recs, got)
+	}
+}
+
+// TestFailedSpawnBindsNoLabel: a spawn the node daemon refuses must not
+// leave the VM's forwarding label bound to a host it never ran on, or
+// the label enters the SDN state (and the kernel digest).
+func TestFailedSpawnBindsNoLabel(t *testing.T) {
+	c := newCloud(t, core.Config{Racks: 1, HostsPerRack: 2})
+	var before, after strings.Builder
+	c.Ctrl.WriteState(&before)
+	if _, err := c.Master.SpawnVM(pimaster.SpawnVMRequest{Name: "x", Image: "no-such"}); err == nil {
+		t.Fatal("bad image accepted")
+	}
+	if l, ok := c.Ctrl.LabelOf("x"); ok {
+		host, _ := c.Ctrl.HostOfLabel(l)
+		t.Fatalf("failed spawn bound label %d to %s", l, host)
+	}
+	c.Ctrl.WriteState(&after)
+	if after.String() != before.String() {
+		t.Fatalf("failed spawn moved the SDN state:\n%s→\n%s", before.String(), after.String())
+	}
+	// The next successful spawn takes the first label.
+	rec, err := c.Master.SpawnVM(pimaster.SpawnVMRequest{Name: "y", Image: "raspbian"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Label != 1 {
+		t.Fatalf("first successful spawn got label %d, want 1", rec.Label)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"repro/internal/hw"
-	"repro/internal/lxc"
 	"repro/internal/netsim"
 )
 
@@ -388,37 +387,4 @@ func PlanConsolidation(v *View, containers []ContainerLoad, p Policy) []Migratio
 		plan = append(plan, moves...)
 	}
 	return plan
-}
-
-// ViewFromSuites builds a placement view from per-node LXC suites — the
-// glue pimaster uses.
-func ViewFromSuites(nodes []netsim.NodeID, racks map[netsim.NodeID]int, suites map[netsim.NodeID]*lxc.Suite, powered map[netsim.NodeID]bool) *View {
-	v := &View{Locate: make(map[string]netsim.NodeID), Rack: racks}
-	for _, id := range nodes {
-		s := suites[id]
-		if s == nil {
-			continue
-		}
-		k := s.Kernel()
-		on := true
-		if powered != nil {
-			on = powered[id]
-		}
-		nv := NodeView{
-			ID:            id,
-			Rack:          racks[id],
-			CPU:           k.Spec().CPU,
-			CPUUsed:       hw.MIPS(k.CPUUtil() * float64(k.Spec().CPU)),
-			MemTotal:      k.MemTotal(),
-			MemUsed:       k.MemUsed(),
-			Containers:    s.Count(),
-			MaxContainers: lxc.ComfortableContainersPerPi,
-			PoweredOn:     on,
-		}
-		v.Nodes = append(v.Nodes, nv)
-		for _, name := range s.List() {
-			v.Locate[name] = id
-		}
-	}
-	return v
 }

@@ -8,16 +8,11 @@ import (
 	"net/http"
 )
 
-// Client is a typed HTTP client for a node daemon, used by pimaster and
-// the pictl CLI.
+// Client is a typed HTTP client for a node daemon, the way a remote
+// caller reaches a Pi (the quickstart and the Fig. 4 experiment use it).
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
-	// direct, when set, serves the hottest calls (Status, Spawn, Delete)
-	// straight from the in-process daemon, skipping the HTTP transport
-	// and the JSON round trip. Results are bit-identical to the JSON
-	// path; everything else still goes over HTTP.
-	direct *Daemon
 }
 
 // NewClient builds a client; httpClient may be nil (http.DefaultClient).
@@ -26,16 +21,6 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 		httpClient = http.DefaultClient
 	}
 	return &Client{BaseURL: baseURL, HTTP: httpClient}
-}
-
-// NewDirectClient builds a client bound to an in-process daemon: the
-// boot-critical calls bypass HTTP/JSON entirely (the fleet builder's
-// bulk path), while the remaining methods use the HTTP transport so the
-// REST surface stays the API of record.
-func NewDirectClient(d *Daemon, baseURL string, httpClient *http.Client) *Client {
-	c := NewClient(baseURL, httpClient)
-	c.direct = d
-	return c
 }
 
 // apiError converts a non-2xx response to an error.
@@ -85,9 +70,6 @@ func (c *Client) do(method, path string, in, out any) error {
 
 // Status fetches GET /status.
 func (c *Client) Status() (NodeStatus, error) {
-	if c.direct != nil {
-		return c.direct.StatusDirect(), nil
-	}
 	var st NodeStatus
 	err := c.do(http.MethodGet, APIPrefix+"/status", nil, &st)
 	return st, err
@@ -109,9 +91,6 @@ func (c *Client) Container(name string) (ContainerDoc, error) {
 
 // Spawn creates and starts a container.
 func (c *Client) Spawn(req SpawnRequest) (ContainerDoc, error) {
-	if c.direct != nil {
-		return c.direct.SpawnDirect(req)
-	}
 	var out ContainerDoc
 	err := c.do(http.MethodPost, APIPrefix+"/containers", req, &out)
 	return out, err
@@ -119,9 +98,6 @@ func (c *Client) Spawn(req SpawnRequest) (ContainerDoc, error) {
 
 // Delete stops and destroys a container.
 func (c *Client) Delete(name string) error {
-	if c.direct != nil {
-		return c.direct.DeleteDirect(name)
-	}
 	return c.do(http.MethodDelete, APIPrefix+"/containers/"+name, nil, nil)
 }
 

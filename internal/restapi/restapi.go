@@ -166,8 +166,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, ErrorDoc{Error: err.Error()})
 }
 
-// Status snapshots the node (also used directly by pimaster's view
-// builder through the client).
+// Status snapshots the node without counting an API request.
 func (d *Daemon) Status() NodeStatus {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -208,16 +207,14 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
 
 // --- Direct dispatch ---
 //
-// The direct methods below are the boot-path fast lane: they perform
-// exactly what the corresponding HTTP handlers do — same locking, same
-// rollback, same request accounting — but skip the HTTP framing and the
-// JSON encode/decode round trip. A Client bound with NewDirectClient
-// routes its hottest calls here; every field of every result is
-// bit-identical to what the JSON path would deliver (encoding/json
-// round-trips float64 losslessly), so traces and placement decisions do
-// not depend on which lane served a request. Management-plane fidelity
-// is preserved: the HTTP handlers remain the definition of the API, and
-// the direct methods are kept in lockstep with them.
+// pimaster runs in the daemon's process and calls it through the direct
+// methods below: they do exactly what the corresponding HTTP handlers
+// do — same locking, same rollback, same request accounting — without
+// the HTTP framing and the JSON round trip. Every field of every result
+// equals what the HTTP path delivers (encoding/json round-trips float64
+// losslessly); TestDirectMatchesHTTP drives twin daemons through both
+// lanes to hold them in lockstep. The HTTP handlers remain the API of
+// record, which remote callers reach through Client.
 
 // countRequest mirrors the count middleware for direct calls, so
 // NodeStatus.APIRequests stays an honest request counter either way.

@@ -2,6 +2,7 @@ package restapi
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -257,6 +258,51 @@ func TestSpawnRollsBackOnStartFailure(t *testing.T) {
 	// The failed spawn must not leave a half-created container.
 	if _, err := r.client.Container("c"); err == nil {
 		t.Fatal("rollback missing: container exists")
+	}
+}
+
+// TestDirectMatchesHTTP holds the direct methods in lockstep with the
+// HTTP handlers: of two identical daemons, one driven through
+// SpawnDirect, StatusDirect and DeleteDirect and its twin over HTTP,
+// each call answers with equal documents, request counts included, and
+// refusals agree.
+func TestDirectMatchesHTTP(t *testing.T) {
+	direct, wire := newRig(t), newRig(t)
+	same := func(what string, d, w any, derr, werr error) {
+		t.Helper()
+		if (derr == nil) != (werr == nil) {
+			t.Fatalf("%s: direct error %v, HTTP error %v", what, derr, werr)
+		}
+		if !reflect.DeepEqual(d, w) {
+			t.Fatalf("%s:\ndirect %+v\nHTTP   %+v", what, d, w)
+		}
+	}
+	status := func(after string) {
+		t.Helper()
+		st, err := wire.client.Status()
+		same("status after "+after, direct.daemon.StatusDirect(), st, nil, err)
+	}
+	status("boot")
+	for _, req := range []SpawnRequest{
+		{Name: "web", Image: "webserver"},
+		{Name: "db", Image: "database", MemLimitBytes: 64 * hw.MiB, CPUShares: 512, CPUQuotaMIPS: 300, Net: "nat"},
+		{Name: "web", Image: "webserver"},
+		{Name: "bad", Image: "no-such-image"},
+		{Name: "odd", Image: "raspbian", Net: "token-ring"},
+	} {
+		dd, derr := direct.daemon.SpawnDirect(req)
+		wd, werr := wire.client.Spawn(req)
+		same("spawn "+req.Name, dd, wd, derr, werr)
+		status("spawn " + req.Name)
+	}
+	direct.settle(t)
+	wire.settle(t)
+	status("settle")
+	for _, name := range []string{"web", "ghost", "db"} {
+		derr := direct.daemon.DeleteDirect(name)
+		werr := wire.client.Delete(name)
+		same("delete "+name, nil, nil, derr, werr)
+		status("delete " + name)
 	}
 }
 
