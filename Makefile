@@ -50,17 +50,21 @@ determinism-single-core:
 	done
 	GOMAXPROCS=1 $(GO) test -run '$(DETERMINISM_TESTS)' $(DETERMINISM_PKGS)
 
-# Fuzz the two parsers untrusted bytes reach and the naming service, 30 s
-# each: the wire-spec decoder (decode → Resolve → re-marshal → decode
-# must never panic and must round-trip exactly), the journal reader (a
-# torn final line is dropped, a malformed line with records after it is
-# refused) and DNS records (arbitrary names and values through Add,
-# Resolve and RemoveName never panic, and only names inside a zone on a
-# label boundary are answered).
+# Fuzz the two parsers untrusted bytes reach, the naming service and the
+# OpenFlow table, 30 s each: the wire-spec decoder (decode → Resolve →
+# re-marshal → decode must never panic and must round-trip exactly), the
+# journal reader (a torn final line is dropped, a malformed line with
+# records after it is refused), DNS records (arbitrary names and values
+# through Add, Resolve and RemoveName never panic, and only names inside
+# a zone on a label boundary are answered) and the flow table (arbitrary
+# installs, lookups, removals, cookie flushes and timeouts never panic,
+# and the index-keyed table agrees with its name-keyed oracle on every
+# verdict, next hop, hit count, table order and counter).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecRequestResolve$$' -fuzztime 30s ./internal/cliconfig
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSRecords$$' -fuzztime 30s ./internal/dns
+	$(GO) test -run '^$$' -fuzz '^FuzzSwitchTable$$' -fuzztime 30s ./internal/openflow
 
 # The benchmark's self-test: each perfbench workload (fattree-100k,
 # steady-1k, fork-10k) at its shrunk size, against the digest pins in

@@ -1,6 +1,7 @@
 // Command pibench regenerates every table, figure and claim of the paper
-// plus the Section III research-direction experiments, printing the rows
-// EXPERIMENTS.md records.
+// plus the Section III research-direction experiments, printing each
+// experiment's rows: the output of `pibench -exp all` is the
+// paper-versus-measured record.
 //
 // Usage:
 //

@@ -6,7 +6,8 @@
 //
 // The entry point for library users is internal/core (the Cloud facade);
 // runnable binaries live under cmd/ and worked examples under examples/.
-// See README.md for the tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-versus-measured record. The benchmarks in
-// bench_test.go regenerate every table and figure.
+// See README.md for the tour and its Layout section for the package
+// inventory; `go run ./cmd/pibench -exp all` prints the
+// paper-versus-measured record. The benchmarks in bench_test.go
+// regenerate every table and figure.
 package repro

@@ -2,7 +2,7 @@
 // table, figure and quantitative claim of the paper (T1, F1–F4, C1–C3)
 // plus the Section III research directions (R1–R8). Each runner builds
 // the cloud it needs, executes the workload, and returns a Result whose
-// metrics EXPERIMENTS.md records and the benchmarks assert on.
+// metrics `pibench -exp all` prints and the benchmarks assert on.
 package experiments
 
 import (

@@ -237,7 +237,9 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 
 	ctrl := sdn.NewController(engine, net, sdn.DefaultConfig())
 	for _, id := range topo.Switches() {
-		ctrl.RegisterSwitch(openflow.NewSwitch(id, engine))
+		if err := ctrl.RegisterSwitch(openflow.NewSwitch(id, engine)); err != nil {
+			return nil, err
+		}
 	}
 
 	r := &Result{

@@ -1,8 +1,8 @@
 package migration
 
-// Ablation for DESIGN.md decision 5: the pre-copy stop-and-copy
-// threshold trades total copy traffic against downtime. Sweeping it on a
-// dirtying container shows the expected monotone trade-off.
+// Ablation for the pre-copy design: the stop-and-copy threshold trades
+// total copy traffic against downtime. Sweeping it on a dirtying
+// container shows the expected monotone trade-off.
 
 import (
 	"testing"

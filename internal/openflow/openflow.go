@@ -5,12 +5,16 @@
 // miss. This is the contract the paper highlights — "the topology fully
 // programmable and compatible with the leading-edge SDN research" — at
 // flow granularity rather than per-packet.
+//
+// Tables are keyed by node reference (Ref), not by name: a match and a
+// next hop name a node by its dense netsim index, so a lookup compares
+// integers and the controller walks a path without resolving names.
 package openflow
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/netsim"
@@ -21,7 +25,21 @@ import (
 // Zero means unlabelled.
 type Label uint32
 
-// PacketInfo summarises the first packet of a flow for table lookup.
+// Ref refers to a network node by its dense netsim index plus one (see
+// netsim.Node.Index), so the zero Ref refers to no node: a wildcard in
+// a Match and no next hop in an Action.
+type Ref int32
+
+// RefOf returns the reference to the node with dense index i.
+func RefOf(i int32) Ref { return Ref(i + 1) }
+
+// Index returns the referenced node's dense index, or -1 for the zero
+// Ref.
+func (r Ref) Index() int32 { return int32(r) - 1 }
+
+// PacketInfo summarises the first packet of a flow as the controller is
+// asked to admit it, endpoints by name. The controller resolves it to a
+// Packet before consulting any table.
 type PacketInfo struct {
 	Src     netsim.NodeID // source host
 	Dst     netsim.NodeID // destination host
@@ -30,34 +48,34 @@ type PacketInfo struct {
 	DstPort uint16 // 0 matches any
 }
 
+// Packet is what a table lookup matches: the first packet of a flow
+// with its endpoints as node references. A zero Src or Dst is an
+// endpoint the network does not know, which only a wildcard matches.
+type Packet struct {
+	Src     Ref
+	Dst     Ref
+	Label   Label
+	DstPort uint16
+	Proto   string
+}
+
 // Match is a wildcard-capable rule predicate. Zero-valued fields match
 // anything.
 type Match struct {
-	Src     netsim.NodeID
-	Dst     netsim.NodeID
+	Src     Ref
+	Dst     Ref
 	Label   Label
-	Proto   string
 	DstPort uint16
+	Proto   string
 }
 
 // Matches reports whether the packet satisfies the predicate.
-func (m Match) Matches(p PacketInfo) bool {
-	if m.Src != "" && m.Src != p.Src {
-		return false
-	}
-	if m.Dst != "" && m.Dst != p.Dst {
-		return false
-	}
-	if m.Label != 0 && m.Label != p.Label {
-		return false
-	}
-	if m.Proto != "" && m.Proto != p.Proto {
-		return false
-	}
-	if m.DstPort != 0 && m.DstPort != p.DstPort {
-		return false
-	}
-	return true
+func (m *Match) Matches(p *Packet) bool {
+	return (m.Src == 0 || m.Src == p.Src) &&
+		(m.Dst == 0 || m.Dst == p.Dst) &&
+		(m.Label == 0 || m.Label == p.Label) &&
+		(m.DstPort == 0 || m.DstPort == p.DstPort) &&
+		(m.Proto == "" || m.Proto == p.Proto)
 }
 
 // ActionType says what a matching rule does with the flow.
@@ -88,10 +106,11 @@ func (a ActionType) String() string {
 type Action struct {
 	Type ActionType
 	// NextHop is the neighbour to forward to (ActionOutput only).
-	NextHop netsim.NodeID
+	NextHop Ref
 }
 
-// Rule is one flow-table entry.
+// Rule is one flow-table entry. Install reads its Priority and Match
+// once; changing them on an installed rule does not move or re-key it.
 type Rule struct {
 	Priority    int
 	Match       Match
@@ -108,7 +127,13 @@ type Rule struct {
 	hits        uint64
 	hardEv      sim.Event
 	idleEv      sim.Event
-	sw          *Switch
+	// sw is the switch the rule was last installed on, and installed
+	// says whether it is still in that switch's table.
+	sw        *Switch
+	installed bool
+	// idleFn is the idle-expiry event, made on the first arm and
+	// reused for every re-arm.
+	idleFn func()
 }
 
 // Hits returns how many flow admissions matched this rule.
@@ -152,11 +177,22 @@ var (
 type Switch struct {
 	ID     netsim.NodeID
 	engine *sim.Engine
-	rules  []*Rule
+	// table is the flow table in table order: priority descending, then
+	// install time ascending. Each entry carries its rule's match and
+	// priority, so a lookup scans contiguous keys and dereferences only
+	// the rule that wins.
+	table []entry
 	// counters
 	lookups   uint64
 	misses    uint64
 	evictions uint64
+}
+
+// entry is one flow-table slot.
+type entry struct {
+	match    Match
+	priority int
+	rule     *Rule
 }
 
 // NewSwitch returns an empty-table switch.
@@ -166,47 +202,70 @@ func NewSwitch(id netsim.NodeID, engine *sim.Engine) *Switch {
 
 // Install adds a rule to the table. Rules are kept priority-sorted
 // (highest first); among equal priorities, earlier installs win.
+//
+// The rule goes in before the first entry of lower priority. That is
+// where a stable sort on (priority descending, install time ascending)
+// would put it: the engine clock never goes back, so no installed rule
+// was installed later than the new one, and the new rule lands after
+// every rule of equal priority.
+//
+// A rule that is installed, on this switch or another, is refused; a
+// removed or evicted rule may be installed again on any switch.
 func (s *Switch) Install(r *Rule) error {
 	if r == nil {
 		return fmt.Errorf("%w: nil", ErrBadRule)
 	}
-	if r.Action.Type == ActionOutput && r.Action.NextHop == "" {
+	if r.Action.Type == ActionOutput && r.Action.NextHop == 0 {
 		return fmt.Errorf("%w: output action without next hop", ErrBadRule)
 	}
+	if r.installed {
+		return fmt.Errorf("%w: already installed on %s", ErrBadRule, r.sw.ID)
+	}
 	r.sw = s
+	r.installed = true
 	r.installedAt = s.engine.Now()
 	r.lastHit = r.installedAt
-	s.rules = append(s.rules, r)
-	sort.SliceStable(s.rules, func(i, j int) bool {
-		if s.rules[i].Priority != s.rules[j].Priority {
-			return s.rules[i].Priority > s.rules[j].Priority
+	lo, hi := 0, len(s.table)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.table[mid].priority >= r.Priority {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return s.rules[i].installedAt < s.rules[j].installedAt
-	})
+	}
+	s.table = append(s.table, entry{})
+	copy(s.table[lo+1:], s.table[lo:])
+	s.table[lo] = entry{match: r.Match, priority: r.Priority, rule: r}
 	if r.HardTimeout > 0 {
-		rr := r
-		r.hardEv = s.engine.Schedule(r.HardTimeout, func() { s.evict(rr) })
+		r.hardEv = s.engine.Schedule(r.HardTimeout, func() { s.evict(r) })
 	}
 	if r.IdleTimeout > 0 {
-		s.armIdle(r)
+		r.armIdle()
 	}
 	return nil
 }
 
-// armIdle schedules the idle-expiry check at lastHit+IdleTimeout,
-// re-arming if the rule was hit in the meantime.
-func (s *Switch) armIdle(r *Rule) {
-	due := r.lastHit.Add(r.IdleTimeout)
-	r.idleEv = s.engine.ScheduleAt(due, func() {
-		if s.indexOf(r) < 0 {
-			return
-		}
-		if s.engine.Now().Sub(r.lastHit) >= r.IdleTimeout {
-			s.evict(r)
-			return
-		}
-		s.armIdle(r)
-	})
+// armIdle schedules the idle-expiry check at lastHit+IdleTimeout.
+func (r *Rule) armIdle() {
+	if r.idleFn == nil {
+		r.idleFn = r.idleExpiry
+	}
+	r.idleEv = r.sw.engine.ScheduleAt(r.lastHit.Add(r.IdleTimeout), r.idleFn)
+}
+
+// idleExpiry evicts the rule if it went IdleTimeout without a hit, and
+// re-arms the check otherwise. It reads the rule's current switch, so a
+// rule removed and installed elsewhere idles out where it now lives.
+func (r *Rule) idleExpiry() {
+	if !r.installed {
+		return
+	}
+	if r.sw.engine.Now().Sub(r.lastHit) >= r.IdleTimeout {
+		r.sw.evict(r)
+		return
+	}
+	r.armIdle()
 }
 
 // evict removes a rule due to timeout.
@@ -227,52 +286,60 @@ func (s *Switch) Remove(r *Rule) error {
 // RemoveByCookie deletes every rule carrying the cookie and returns how
 // many were removed.
 func (s *Switch) RemoveByCookie(cookie uint64) int {
-	removed := 0
-	for _, r := range append([]*Rule(nil), s.rules...) {
-		if r.Cookie == cookie && s.remove(r) {
-			removed++
+	kept := s.table[:0]
+	for _, e := range s.table {
+		if e.rule.Cookie == cookie {
+			e.rule.uninstall()
+			continue
 		}
+		kept = append(kept, e)
 	}
+	removed := len(s.table) - len(kept)
+	clear(s.table[len(kept):])
+	s.table = kept
 	return removed
 }
 
-func (s *Switch) indexOf(r *Rule) int {
-	for i, have := range s.rules {
-		if have == r {
-			return i
-		}
-	}
-	return -1
-}
-
 func (s *Switch) remove(r *Rule) bool {
-	i := s.indexOf(r)
-	if i < 0 {
+	if r == nil || !r.installed || r.sw != s {
 		return false
 	}
-	s.rules = append(s.rules[:i], s.rules[i+1:]...)
+	for i := range s.table {
+		if s.table[i].rule == r {
+			s.table = slices.Delete(s.table, i, i+1)
+			break
+		}
+	}
+	r.uninstall()
+	return true
+}
+
+// uninstall marks a rule taken out of its table and cancels its timers.
+func (r *Rule) uninstall() {
+	r.installed = false
 	r.hardEv.Cancel()
 	r.idleEv.Cancel()
-	return true
 }
 
 // Lookup consults the table for the packet, updating counters. On a hit
 // it returns the rule's action.
-func (s *Switch) Lookup(p PacketInfo) (Action, Verdict) {
+func (s *Switch) Lookup(p *Packet) (Action, Verdict) {
 	s.lookups++
-	for _, r := range s.rules {
-		if r.Match.Matches(p) {
-			r.hits++
-			r.lastHit = s.engine.Now()
-			switch r.Action.Type {
-			case ActionDrop:
-				return r.Action, VerdictDrop
-			case ActionToController:
-				s.misses++
-				return r.Action, VerdictMiss
-			default:
-				return r.Action, VerdictForward
-			}
+	for i := range s.table {
+		if !s.table[i].match.Matches(p) {
+			continue
+		}
+		r := s.table[i].rule
+		r.hits++
+		r.lastHit = s.engine.Now()
+		switch r.Action.Type {
+		case ActionDrop:
+			return r.Action, VerdictDrop
+		case ActionToController:
+			s.misses++
+			return r.Action, VerdictMiss
+		default:
+			return r.Action, VerdictForward
 		}
 	}
 	s.misses++
@@ -281,7 +348,11 @@ func (s *Switch) Lookup(p PacketInfo) (Action, Verdict) {
 
 // Rules returns a copy of the table in priority order.
 func (s *Switch) Rules() []*Rule {
-	return append([]*Rule(nil), s.rules...)
+	out := make([]*Rule, len(s.table))
+	for i, e := range s.table {
+		out[i] = e.rule
+	}
+	return out
 }
 
 // Stats reports the switch counters: total lookups, misses (packet-ins)
@@ -291,4 +362,4 @@ func (s *Switch) Stats() (lookups, misses, evictions uint64) {
 }
 
 // TableSize returns the number of installed rules.
-func (s *Switch) TableSize() int { return len(s.rules) }
+func (s *Switch) TableSize() int { return len(s.table) }

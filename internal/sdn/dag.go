@@ -16,7 +16,7 @@ import (
 
 // routeDAG is an equal-cost predecessor DAG over node indices. For each
 // node that has parents it holds a run of them in ascending name order:
-// the order materialisePath's ECMP hash indexes into, so it decides
+// the order walkBack's ECMP hash indexes into, so it decides
 // every routed path, trace and digest. nodes is ascending by index, and
 // nodes[i]'s run is runs[ends[i-1]:ends[i]] (from 0 for i = 0). The
 // three slices share one allocation.

@@ -10,9 +10,9 @@ package sdn
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,6 +56,11 @@ var (
 	ErrUnknownSwitch = errors.New("sdn: switch not registered")
 	ErrUnknownLabel  = errors.New("sdn: unknown label")
 	ErrForwardLoop   = errors.New("sdn: forwarding loop detected")
+
+	// errTableMiss is a table walk's miss: the packet-in that sends a
+	// flow to the controller. It names no switch, so a miss formats
+	// nothing; the one error that reports a miss names the switch itself.
+	errTableMiss = errors.New("sdn: table miss")
 )
 
 // Config tunes the controller.
@@ -96,10 +101,14 @@ func DefaultConfig() Config {
 
 // Controller is the SDN brain. Single-threaded on the simulation engine.
 type Controller struct {
-	engine   *sim.Engine
-	net      *netsim.Network
-	cfg      Config
-	switches map[netsim.NodeID]*openflow.Switch
+	engine *sim.Engine
+	net    *netsim.Network
+	cfg    Config
+	// switches holds the managed switches by node index (nil where no
+	// switch is registered); registered lists their indices in
+	// registration order, so a flush visits switches, not every node.
+	switches   []*openflow.Switch
+	registered []int32
 
 	labels    map[openflow.Label]netsim.NodeID // label → current host
 	labelName map[string]openflow.Label        // endpoint name → label
@@ -145,6 +154,11 @@ type Controller struct {
 
 	// scratch is route computation's reusable working memory.
 	scratch routeScratch
+	// hops receives a route's node indices from walkBack, and walk a
+	// table walk's; uncached holds the one route the cache does not keep
+	// (congestion-aware). All three are reused across calls.
+	hops, walk []int32
+	uncached   routeEntry
 }
 
 // routeScratch is the controller-owned working memory of synthesis and
@@ -202,7 +216,6 @@ func NewController(engine *sim.Engine, net *netsim.Network, cfg Config) *Control
 		engine:     engine,
 		net:        net,
 		cfg:        cfg,
-		switches:   make(map[netsim.NodeID]*openflow.Switch),
 		labels:     make(map[openflow.Label]netsim.NodeID),
 		labelName:  make(map[string]openflow.Label),
 		routeCache: make(map[pairKey]*routeEntry),
@@ -260,7 +273,7 @@ func (c *Controller) RouteSynthHitsByTier() [numSynthTiers]uint64 { return c.syn
 // bytes.
 func (c *Controller) WriteState(w io.Writer) {
 	fmt.Fprintf(w, "sdn switches=%d packetIns=%d rules=%d epoch=%d cache=%d hits=%d misses=%d evictions=%d synth=%d nextLabel=%d\n",
-		len(c.switches), c.packetIns, c.rulesInstalled, c.net.TopoEpoch(),
+		len(c.registered), c.packetIns, c.rulesInstalled, c.net.TopoEpoch(),
 		len(c.routeCache), c.cacheHits, c.cacheMisses, c.cacheEvictions, c.synthHits, c.nextLabel)
 	names := make([]string, 0, len(c.labelName))
 	for name := range c.labelName {
@@ -327,13 +340,43 @@ func (c *Controller) lruInsert(e *routeEntry) {
 	}
 }
 
-// RegisterSwitch places a switch under this controller's management.
-func (c *Controller) RegisterSwitch(sw *openflow.Switch) {
-	c.switches[sw.ID] = sw
+// RegisterSwitch places a switch under this controller's management,
+// replacing any switch registered for the same node. A switch whose ID
+// the network does not know is refused.
+func (c *Controller) RegisterSwitch(sw *openflow.Switch) error {
+	nd := c.net.Node(sw.ID)
+	if nd == nil {
+		return fmt.Errorf("%w: %s is not a network node", ErrUnknownSwitch, sw.ID)
+	}
+	i := nd.Index()
+	if int(i) >= len(c.switches) {
+		// Double, but never past the node count: a fat-tree's switches
+		// have the lowest indices, a tree's sit between its racks.
+		n := min(max(int(i)+1, 2*len(c.switches)), c.net.NodeCount())
+		c.switches = append(c.switches, make([]*openflow.Switch, n-len(c.switches))...)
+	}
+	if c.switches[i] == nil {
+		c.registered = append(c.registered, i)
+	}
+	c.switches[i] = sw
+	return nil
+}
+
+// switchAt returns the switch managed for node index i, or nil.
+func (c *Controller) switchAt(i int32) *openflow.Switch {
+	if i < 0 || int(i) >= len(c.switches) {
+		return nil
+	}
+	return c.switches[i]
 }
 
 // Switch returns a managed switch, or nil.
-func (c *Controller) Switch(id netsim.NodeID) *openflow.Switch { return c.switches[id] }
+func (c *Controller) Switch(id netsim.NodeID) *openflow.Switch {
+	if nd := c.net.Node(id); nd != nil {
+		return c.switchAt(nd.Index())
+	}
+	return nil
+}
 
 // PacketIns returns how many table misses reached the controller.
 func (c *Controller) PacketIns() uint64 { return c.packetIns }
@@ -376,33 +419,63 @@ func (c *Controller) MoveLabel(l openflow.Label, newHost netsim.NodeID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownLabel, l)
 	}
 	c.labels[l] = newHost
-	cookie := labelCookie(l)
-	for _, sw := range c.switches {
-		sw.RemoveByCookie(cookie)
-	}
+	c.removeByCookie(labelCookie(l))
 	return nil
+}
+
+// removeByCookie deletes the rules carrying cookie from every managed
+// switch and returns how many went.
+func (c *Controller) removeByCookie(cookie uint64) int {
+	removed := 0
+	for _, i := range c.registered {
+		removed += c.switches[i].RemoveByCookie(cookie)
+	}
+	return removed
 }
 
 func labelCookie(l openflow.Label) uint64 { return 1<<32 | uint64(l) }
 
-func pairCookie(src, dst netsim.NodeID) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(src))
-	h.Write([]byte{0})
-	h.Write([]byte(dst))
-	return h.Sum64() &^ (1 << 32)
+// The 64-bit FNV-1a parameters (hash/fnv's New64a), for the hashes
+// below: computed inline, they allocate no hasher.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvString folds s into the FNV-1a state h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
-// flowKey derives the deterministic ECMP hash for a packet.
+// fnvByte folds one byte into the FNV-1a state h.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// pairCookie tags an address flow's rules: the FNV-1a hash of src, a
+// zero byte and dst, with bit 32 clear so it never equals a label's
+// cookie.
+func pairCookie(src, dst netsim.NodeID) uint64 {
+	h := fnvString(fnvOffset64, string(src))
+	h = fnvByte(h, 0)
+	h = fnvString(h, string(dst))
+	return h &^ (1 << 32)
+}
+
+// flowKey derives the deterministic ECMP hash for a packet: the FNV-1a
+// hash of src, a zero byte, dst, the label's four big-endian bytes, the
+// protocol and the port's two big-endian bytes.
 func flowKey(p openflow.PacketInfo) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(p.Src))
-	h.Write([]byte{0})
-	h.Write([]byte(p.Dst))
-	h.Write([]byte{byte(p.Label >> 24), byte(p.Label >> 16), byte(p.Label >> 8), byte(p.Label)})
-	h.Write([]byte(p.Proto))
-	h.Write([]byte{byte(p.DstPort >> 8), byte(p.DstPort)})
-	return h.Sum64()
+	h := fnvString(fnvOffset64, string(p.Src))
+	h = fnvByte(h, 0)
+	h = fnvString(h, string(p.Dst))
+	for shift := 24; shift >= 0; shift -= 8 {
+		h = fnvByte(h, byte(p.Label>>shift))
+	}
+	h = fnvString(h, p.Proto)
+	h = fnvByte(h, byte(p.DstPort>>8))
+	return fnvByte(h, byte(p.DstPort))
 }
 
 // weightFunc scores a directed link; lower is cheaper.
@@ -424,24 +497,55 @@ func (c *Controller) weightCongestion(l *netsim.Link) float64 {
 // returned slice is the shared cached path — treat it as read-only (no
 // caller mutates paths; netsim copies on SetPath).
 func (c *Controller) PathFor(src, dst netsim.NodeID, policy Policy, key uint64) ([]netsim.NodeID, error) {
-	if policy == PolicyCongestionAware {
-		// Utilisation-weighted routing re-reads link state every time;
-		// caching it would freeze the hotspot picture it exists to track.
-		return c.dijkstra(src, dst, c.weightCongestion, key)
+	e, err := c.route(src, dst, policy)
+	if err != nil {
+		return nil, err
 	}
-	tiebreak := uint64(0)
-	if policy == PolicyECMP {
-		tiebreak = key
+	tiebreak := tiebreakFor(policy, key)
+	if tiebreak == 0 && e.shortest != nil {
+		return e.shortest, nil
+	}
+	hops, err := c.walkBack(&e.dag, e.src, e.dst, tiebreak)
+	if err != nil {
+		return nil, err
+	}
+	return c.names(hops), nil
+}
+
+// tiebreakFor returns the ECMP tiebreak a policy applies to a flow key:
+// none for shortest-path.
+func tiebreakFor(policy Policy, key uint64) uint64 {
+	if policy == PolicyShortestPath {
+		return 0
+	}
+	return key
+}
+
+// route returns the shortest-path DAG that answers src→dst under the
+// policy. Shortest-path and ECMP share the cached entry, computed and
+// cached on a miss. Congestion-aware routing re-reads link utilisation
+// every time — caching it would freeze the hotspot picture it exists to
+// track — so its DAG is a fresh Dijkstra in c.uncached, whose shortest
+// path is nil.
+func (c *Controller) route(src, dst netsim.NodeID, policy Policy) (*routeEntry, error) {
+	if policy == PolicyCongestionAware {
+		si, di, err := c.endpoints(src, dst)
+		if err != nil {
+			return nil, err
+		}
+		dag, err := c.shortestDAG(si, di, c.weightCongestion)
+		if err != nil {
+			return nil, err
+		}
+		c.uncached = routeEntry{src: si, dst: di, dag: dag}
+		return &c.uncached, nil
 	}
 	epoch := c.net.TopoEpoch()
 	k := pairKey{src, dst}
 	if e := c.routeCache[k]; e != nil && e.epoch == epoch {
 		c.cacheHits++
 		c.lruTouch(e)
-		if tiebreak == 0 {
-			return e.shortest, nil
-		}
-		return c.materialisePath(&e.dag, e.src, e.dst, tiebreak)
+		return e, nil
 	}
 	c.cacheMisses++
 	si, di, err := c.endpoints(src, dst)
@@ -458,21 +562,21 @@ func (c *Controller) PathFor(src, dst netsim.NodeID, policy Policy, key uint64) 
 			return nil, err
 		}
 	}
-	shortest, err := c.materialisePath(&dag, si, di, 0)
+	hops, err := c.walkBack(&dag, si, di, 0)
 	if err != nil {
 		return nil, err
 	}
-	if e := c.routeCache[k]; e != nil {
+	shortest := c.names(hops)
+	e := c.routeCache[k]
+	if e != nil {
 		// Stale entry from an earlier epoch: refresh in place.
 		e.epoch, e.dag, e.shortest = epoch, dag, shortest
 		c.lruTouch(e)
 	} else {
-		c.lruInsert(&routeEntry{key: k, epoch: epoch, src: si, dst: di, dag: dag, shortest: shortest})
+		e = &routeEntry{key: k, epoch: epoch, src: si, dst: di, dag: dag, shortest: shortest}
+		c.lruInsert(e)
 	}
-	if tiebreak == 0 {
-		return shortest, nil
-	}
-	return c.materialisePath(&dag, si, di, tiebreak)
+	return e, nil
 }
 
 // endpoints resolves a routing question's names to node indices.
@@ -671,7 +775,7 @@ func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
 //     a with a→core up. parents(dst) = {eB} because dst's sole up
 //     cable is the only live link into dst, and its flag also makes
 //     eB→dst up. The builder sorts each list by name, reproducing
-//     shortestDAG's order, so materialisePath draws identical ECMP
+//     shortestDAG's order, so walkBack draws identical ECMP
 //     tiebreaks no matter which path built the entry.
 func (c *Controller) crossPodDAG(src, dst, eA, eB int32) (routeDAG, synthTier, bool) {
 	s := &c.scratch
@@ -755,22 +859,6 @@ func (c *Controller) crossPodDAG(src, dst, eA, eB int32) (routeDAG, synthTier, b
 	return b.build(c.net), tierCrossPod, true
 }
 
-// dijkstra computes a least-weight path keeping all equal-cost parents,
-// then materialises one path choosing among parents by tiebreak hash
-// (deterministic ECMP). Uncached — the congestion-aware policy comes
-// through here; the cache-miss path calls shortestDAG directly.
-func (c *Controller) dijkstra(src, dst netsim.NodeID, w weightFunc, tiebreak uint64) ([]netsim.NodeID, error) {
-	si, di, err := c.endpoints(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	dag, err := c.shortestDAG(si, di, w)
-	if err != nil {
-		return nil, err
-	}
-	return c.materialisePath(&dag, si, di, tiebreak)
-}
-
 // shortestDAG runs Dijkstra from src until dst is settled, returning the
 // equal-cost predecessor DAG of dst's ancestors (parent runs in name
 // order for the ECMP walk-back) — the rest of the search tree never
@@ -851,23 +939,18 @@ func (c *Controller) shortestDAG(src, dst int32, w weightFunc) (routeDAG, error)
 // tiebreak's eight little-endian bytes: the deterministic ECMP choice
 // among a hop's equal-cost parents.
 func ecmpHash(hop netsim.NodeID, tiebreak uint64) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(hop); i++ {
-		h = (h ^ uint64(hop[i])) * prime
-	}
+	h := fnvString(fnvOffset64, string(hop))
 	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(tiebreak>>(8*i)))) * prime
+		h = fnvByte(h, byte(tiebreak>>(8*i)))
 	}
 	return h
 }
 
-// materialisePath walks the predecessor DAG back from dst, choosing
-// among equal-cost parents by tiebreak hash (deterministic ECMP), and
-// returns the src..dst hop sequence.
-func (c *Controller) materialisePath(d *routeDAG, src, dst int32, tiebreak uint64) ([]netsim.NodeID, error) {
-	var buf [16]int32
-	rev := buf[:0]
+// walkBack walks the predecessor DAG back from dst, choosing among
+// equal-cost parents by tiebreak hash (deterministic ECMP), and returns
+// the src..dst hop indices in c.hops, which the next walk reuses.
+func (c *Controller) walkBack(d *routeDAG, src, dst int32, tiebreak uint64) ([]int32, error) {
+	rev := c.hops[:0]
 	cur := dst
 	for cur != src {
 		rev = append(rev, cur)
@@ -885,11 +968,18 @@ func (c *Controller) materialisePath(d *routeDAG, src, dst int32, tiebreak uint6
 		}
 	}
 	rev = append(rev, src)
-	path := make([]netsim.NodeID, len(rev))
-	for i, x := range rev {
-		path[len(rev)-1-i] = c.name(x)
+	slices.Reverse(rev)
+	c.hops = rev
+	return rev, nil
+}
+
+// names returns the node names of a hop sequence.
+func (c *Controller) names(hops []int32) []netsim.NodeID {
+	path := make([]netsim.NodeID, len(hops))
+	for i, x := range hops {
+		path[i] = c.name(x)
 	}
-	return path, nil
+	return path
 }
 
 // Admit runs the OpenFlow pipeline for a new flow described by pkt: walk
@@ -897,10 +987,15 @@ func (c *Controller) materialisePath(d *routeDAG, src, dst int32, tiebreak uint6
 // path under the policy and install rules along it (reactive control).
 // It returns the hop path for netsim and whether the controller was
 // consulted.
+//
+// The packet's endpoints are resolved to node references once. The
+// table walk, the route's hops and the rules installed along them are
+// index-keyed; names are read only as the route cache's key, by the
+// hashes and for the returned path.
 func (c *Controller) Admit(pkt openflow.PacketInfo, policy Policy) (path []netsim.NodeID, viaController bool, err error) {
-	path, err = c.walkTables(pkt)
-	if err == nil {
-		return path, false, nil
+	p := openflow.Packet{Src: c.ref(pkt.Src), Dst: c.ref(pkt.Dst), Label: pkt.Label, DstPort: pkt.DstPort, Proto: pkt.Proto}
+	if _, err = c.walkTables(&p); err == nil {
+		return c.names(c.walk), false, nil
 	}
 	if errors.Is(err, ErrDropped) {
 		return nil, false, err
@@ -913,79 +1008,108 @@ func (c *Controller) Admit(pkt openflow.PacketInfo, policy Policy) (path []netsi
 			dst = h
 		}
 	}
-	full, rerr := c.PathFor(pkt.Src, dst, policy, flowKey(pkt))
-	if rerr != nil {
-		return nil, true, rerr
+	e, err := c.route(pkt.Src, dst, policy)
+	if err != nil {
+		return nil, true, err
 	}
-	if ierr := c.installPath(pkt, full); ierr != nil {
-		return nil, true, ierr
+	hops, err := c.walkBack(&e.dag, e.src, e.dst, tiebreakFor(policy, flowKey(pkt)))
+	if err != nil {
+		return nil, true, err
+	}
+	// Label-carrying flows match on the label alone (IP-less
+	// forwarding); address flows match the src/dst pair.
+	match, cookie := openflow.Match{Label: pkt.Label}, labelCookie(pkt.Label)
+	if pkt.Label == 0 {
+		match, cookie = openflow.Match{Src: p.Src, Dst: p.Dst}, pairCookie(pkt.Src, pkt.Dst)
+	}
+	if err := c.installPath(hops, match, cookie); err != nil {
+		return nil, true, err
 	}
 	// Re-walk so the tables, not the controller's answer, define the
 	// forwarding behaviour (catches rule bugs in tests).
-	path, err = c.walkTables(pkt)
+	at, err := c.walkTables(&p)
+	if errors.Is(err, errTableMiss) {
+		return nil, true, fmt.Errorf("sdn: tables inconsistent after install: %w at %s", err, c.name(at))
+	}
 	if err != nil {
 		return nil, true, fmt.Errorf("sdn: tables inconsistent after install: %w", err)
 	}
-	return path, true, nil
+	return c.names(c.walk), true, nil
 }
 
-// walkTables follows switch flow tables hop by hop from the source host.
-func (c *Controller) walkTables(pkt openflow.PacketInfo) ([]netsim.NodeID, error) {
-	src := pkt.Src
-	nbrs := c.net.Neighbors(src)
-	if len(nbrs) != 1 {
-		return nil, fmt.Errorf("sdn: host %s has %d uplinks, want 1", src, len(nbrs))
+// ref returns the table reference of the node named id: zero, which
+// only a wildcard matches, when the network does not know it.
+func (c *Controller) ref(id netsim.NodeID) openflow.Ref {
+	if nd := c.net.Node(id); nd != nil {
+		return openflow.RefOf(nd.Index())
 	}
-	path := []netsim.NodeID{src, nbrs[0]}
-	visited := map[netsim.NodeID]bool{src: true, nbrs[0]: true}
-	cur := nbrs[0]
-	for {
-		sw, ok := c.switches[cur]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownSwitch, cur)
+	return 0
+}
+
+// walkTables follows switch flow tables hop by hop from the source host,
+// leaving the hop indices in c.walk. A table miss returns errTableMiss
+// and the index of the switch that missed. The walk reads each hop's
+// next hop from the table, not from the wiring, exactly as forwarding
+// would; a repeated hop is a loop.
+func (c *Controller) walkTables(p *openflow.Packet) (int32, error) {
+	src := p.Src.Index()
+	if src < 0 {
+		return -1, fmt.Errorf("%w: unknown source", ErrNoPath)
+	}
+	up, live := int32(-1), 0
+	for _, h := range c.net.LinksFrom(src) {
+		if h.Up() {
+			up = h.To()
+			live++
 		}
-		action, verdict := sw.Lookup(pkt)
+	}
+	if live != 1 {
+		return -1, fmt.Errorf("sdn: host %s has %d uplinks, want 1", c.name(src), live)
+	}
+	c.walk = append(c.walk[:0], src, up)
+	for cur := up; ; {
+		sw := c.switchAt(cur)
+		if sw == nil {
+			return cur, fmt.Errorf("%w: %s", ErrUnknownSwitch, c.name(cur))
+		}
+		action, verdict := sw.Lookup(p)
 		switch verdict {
 		case openflow.VerdictDrop:
-			return nil, ErrDropped
+			return cur, ErrDropped
 		case openflow.VerdictMiss:
-			return nil, fmt.Errorf("sdn: table miss at %s", cur)
+			return cur, errTableMiss
 		}
-		next := action.NextHop
-		if visited[next] {
-			return nil, ErrForwardLoop
+		next := action.NextHop.Index()
+		if next < 0 || int(next) >= c.net.NodeCount() {
+			return cur, fmt.Errorf("%w: next hop %d of %s is not a network node", ErrUnknownSwitch, next, c.name(cur))
 		}
-		visited[next] = true
-		path = append(path, next)
-		if node := c.net.Node(next); node != nil && node.Kind == netsim.KindHost {
-			return path, nil
+		if slices.Contains(c.walk, next) {
+			return cur, ErrForwardLoop
+		}
+		c.walk = append(c.walk, next)
+		if c.net.NodeAt(next).Kind == netsim.KindHost {
+			return -1, nil
 		}
 		cur = next
 	}
 }
 
-// installPath pushes one rule per switch along the host-to-host path.
-// Label-carrying flows match on the label alone (IP-less forwarding);
-// address flows match the src/dst pair.
-func (c *Controller) installPath(pkt openflow.PacketInfo, path []netsim.NodeID) error {
-	if len(path) < 3 {
-		return fmt.Errorf("%w: path %v too short", ErrNoPath, path)
+// installPath pushes one rule per switch along a host-to-host path of
+// node indices, each matching match, tagged with cookie, and forwarding
+// to the path's next hop.
+func (c *Controller) installPath(hops []int32, match openflow.Match, cookie uint64) error {
+	if len(hops) < 3 {
+		return fmt.Errorf("%w: path %v too short", ErrNoPath, c.names(hops))
 	}
-	match := openflow.Match{Src: pkt.Src, Dst: pkt.Dst}
-	cookie := pairCookie(pkt.Src, pkt.Dst)
-	if pkt.Label != 0 {
-		match = openflow.Match{Label: pkt.Label}
-		cookie = labelCookie(pkt.Label)
-	}
-	for i := 1; i < len(path)-1; i++ {
-		sw, ok := c.switches[path[i]]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownSwitch, path[i])
+	for i := 1; i < len(hops)-1; i++ {
+		sw := c.switchAt(hops[i])
+		if sw == nil {
+			return fmt.Errorf("%w: %s", ErrUnknownSwitch, c.name(hops[i]))
 		}
 		rule := &openflow.Rule{
 			Priority:    100,
 			Match:       match,
-			Action:      openflow.Action{Type: openflow.ActionOutput, NextHop: path[i+1]},
+			Action:      openflow.Action{Type: openflow.ActionOutput, NextHop: openflow.RefOf(hops[i+1])},
 			IdleTimeout: c.cfg.RuleIdleTimeout,
 			HardTimeout: c.cfg.RuleHardTimeout,
 			Cookie:      cookie,
@@ -1001,19 +1125,14 @@ func (c *Controller) installPath(pkt openflow.PacketInfo, path []netsim.NodeID) 
 // FlushPair removes the reactive rules for a src/dst address pair (used
 // when IP-routed flows must be torn down after migration).
 func (c *Controller) FlushPair(src, dst netsim.NodeID) int {
-	cookie := pairCookie(src, dst)
-	removed := 0
-	for _, sw := range c.switches {
-		removed += sw.RemoveByCookie(cookie)
-	}
-	return removed
+	return c.removeByCookie(pairCookie(src, dst))
 }
 
 // InstallDrop blocks traffic matching m at one switch (administrative
 // policy; exercised by the management-plane tests).
 func (c *Controller) InstallDrop(swID netsim.NodeID, m openflow.Match, priority int) error {
-	sw, ok := c.switches[swID]
-	if !ok {
+	sw := c.Switch(swID)
+	if sw == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownSwitch, swID)
 	}
 	c.rulesInstalled++

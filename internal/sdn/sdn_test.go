@@ -310,7 +310,7 @@ func TestMoveUnknownLabel(t *testing.T) {
 func TestInstallDropBlocksTraffic(t *testing.T) {
 	r := newRig(t)
 	src, dst := r.host(0, 0), r.host(0, 1)
-	if err := r.ctrl.InstallDrop(r.topo.Edge[0], openflow.Match{Src: src}, 1000); err != nil {
+	if err := r.ctrl.InstallDrop(r.topo.Edge[0], openflow.Match{Src: r.ctrl.ref(src)}, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := r.ctrl.Admit(openflow.PacketInfo{Src: src, Dst: dst}, PolicyShortestPath); !errors.Is(err, ErrDropped) {
