@@ -50,20 +50,29 @@ determinism-single-core:
 	done
 	GOMAXPROCS=1 $(GO) test -run '$(DETERMINISM_TESTS)' $(DETERMINISM_PKGS)
 
-# Fuzz the two parsers untrusted bytes reach, the naming service and the
-# OpenFlow table, 30 s each: the wire-spec decoder (decode → Resolve →
-# re-marshal → decode must never panic and must round-trip exactly), the
-# journal reader (a torn final line is dropped, a malformed line with
-# records after it is refused), DNS records (arbitrary names and values
-# through Add, Resolve and RemoveName never panic, and only names inside
-# a zone on a label boundary are answered) and the flow table (arbitrary
-# installs, lookups, removals, cookie flushes and timeouts never panic,
-# and the index-keyed table agrees with its name-keyed oracle on every
-# verdict, next hop, hit count, table order and counter).
+# Fuzz the three parsers untrusted bytes reach, the naming service and
+# the OpenFlow table, 30 s each: the wire-spec decoder (decode → Resolve
+# → re-marshal → decode must never panic and must round-trip exactly),
+# the inject body (a FaultRequest decodes to a fault that its journal
+# encoding decodes back to unchanged), the journal reader (a torn final
+# line is dropped, a malformed line with records after it is refused),
+# DNS records (arbitrary names and values through Add, Resolve and
+# RemoveName never panic, and only names inside a zone on a label
+# boundary are answered), the naming tables (DNS and DHCP answering a
+# fleet's plan rows agree, step by step, with the same rows filed one
+# at a time) and the flow table (arbitrary installs, lookups, removals,
+# cookie flushes and timeouts never panic, and the index-keyed table
+# agrees with its name-keyed oracle on every verdict, next hop, hit
+# count, table order and counter). A naming-table input replays up to
+# 1 KiB of operations on two stacks (a few ms), so minimising each new
+# input for the default 60 s would spend the whole 30 s: it minimises
+# for 10 executions instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecRequestResolve$$' -fuzztime 30s ./internal/cliconfig
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultRequest$$' -fuzztime 30s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSRecords$$' -fuzztime 30s ./internal/dns
+	$(GO) test -run '^$$' -fuzz '^FuzzNamingTables$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzSwitchTable$$' -fuzztime 30s ./internal/openflow
 
 # The benchmark's self-test: each perfbench workload (fattree-100k,

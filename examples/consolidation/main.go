@@ -94,7 +94,7 @@ func run() error {
 
 	// Plan the naive consolidation and execute it with live migrations.
 	cloud.Mu.Lock()
-	view := &placement.View{Locate: map[string]netsim.NodeID{}, Rack: map[netsim.NodeID]int{}}
+	view := &placement.View{Locate: map[string]netsim.NodeID{}}
 	var loads []placement.ContainerLoad
 	for _, n := range cloud.Nodes() {
 		k := n.Suite.Kernel()
@@ -103,7 +103,6 @@ func run() error {
 			CPU: k.Spec().CPU, MemTotal: k.MemTotal(), MemUsed: k.MemUsed(),
 			Containers: n.Suite.Count(), MaxContainers: 3, PoweredOn: true,
 		})
-		view.Rack[n.Host] = n.Rack
 		for _, cn := range n.Suite.List() {
 			view.Locate[cn] = n.Host
 			mem, _ := n.Suite.MemUsedBytes(cn)

@@ -3,6 +3,15 @@
 // renewal, static reservations, and the custom IP policies the paper
 // says "a system administrator can implement ... through DHCP and DNS
 // services running on the pimaster".
+//
+// A fleet's static reservations are not stored one lease at a time. A
+// server answers an attached HostTable in place: row i is a static
+// lease of its address in its pool to its MAC, issued when the table
+// was attached. Pools treat a row's address as in use until the row is
+// released or its MAC takes another lease; either stores a tombstone for
+// the row. Every answer equals what reserving each row in row order
+// would give, except that a row's lease is built afresh for each
+// caller: compare leases by value, not by pointer.
 package dhcp
 
 import (
@@ -10,6 +19,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/sim"
@@ -25,16 +35,65 @@ const PiMACPrefix = "b8:27:eb"
 type MAC string
 
 // NodeMAC derives the deterministic hardware address of a PiCloud node,
-// using the Pi Foundation OUI.
+// using the Pi Foundation OUI: b8:27:eb:<idx high byte>:<rack>:<idx low
+// byte>, a valid and unique address for every rack and in-rack index
+// the 10.<rack>.0.0/20 plan allows.
 func NodeMAC(rack, idx int) MAC {
-	return MAC(fmt.Sprintf("%s:%02x:%02x:%02x", PiMACPrefix, 0, rack, idx))
+	buf := make([]byte, 0, 17)
+	buf = append(buf, PiMACPrefix...)
+	for _, octet := range [...]int{idx >> 8, rack, idx & 0xff} {
+		buf = appendHex2(append(buf, ':'), octet)
+	}
+	return MAC(buf)
+}
+
+// NodeMACPosition inverts NodeMAC: the rack and in-rack index a node
+// MAC encodes. It reports false for any other address.
+func NodeMACPosition(mac MAC) (rack, idx int, ok bool) {
+	if len(mac) != len(PiMACPrefix)+9 || mac[:len(PiMACPrefix)] != PiMACPrefix {
+		return 0, 0, false
+	}
+	var octets [3]int
+	for k := range octets {
+		g := mac[len(PiMACPrefix)+3*k:]
+		hi, lo := hexDigit(g[1]), hexDigit(g[2])
+		if g[0] != ':' || hi < 0 || lo < 0 {
+			return 0, 0, false
+		}
+		octets[k] = hi<<4 | lo
+	}
+	return octets[1], octets[0]<<8 | octets[2], true
+}
+
+// hexDigit decodes one lower-case hex digit, or returns -1.
+func hexDigit(c byte) int {
+	switch {
+	case '0' <= c && c <= '9':
+		return int(c - '0')
+	case 'a' <= c && c <= 'f':
+		return int(c-'a') + 10
+	}
+	return -1
 }
 
 // ContainerMAC derives a hardware address for a bridged container's veth
 // (locally administered prefix).
 func ContainerMAC(seq int) MAC {
-	return MAC(fmt.Sprintf("02:1c:%02x:%02x:%02x:%02x",
-		(seq>>24)&0xff, (seq>>16)&0xff, (seq>>8)&0xff, seq&0xff))
+	buf := make([]byte, 0, 17)
+	buf = append(buf, "02:1c"...)
+	for shift := 24; shift >= 0; shift -= 8 {
+		buf = appendHex2(append(buf, ':'), (seq>>shift)&0xff)
+	}
+	return MAC(buf)
+}
+
+// appendHex2 appends n in lower-case hex with at least two digits, like
+// %02x.
+func appendHex2(buf []byte, n int) []byte {
+	if n >= 0 && n < 16 {
+		return append(buf, '0', "0123456789abcdef"[n])
+	}
+	return strconv.AppendInt(buf, int64(n), 16)
 }
 
 // Errors.
@@ -67,12 +126,31 @@ type pool struct {
 	inUse    map[netip.Addr]MAC
 }
 
+// HostTable is a fixed set of static reservations a server answers
+// without storing them: row i reserves Addr in Pool for MAC. MACs and
+// addresses are unique across rows.
+type HostTable interface {
+	// Hosts returns the number of rows.
+	Hosts() int
+	// Reservation returns row i's MAC, address and pool name.
+	Reservation(i int) (mac MAC, addr netip.Addr, pool string)
+	// RowOfMAC returns the row whose MAC is mac.
+	RowOfMAC(mac MAC) (int, bool)
+	// RowOfAddr returns the row whose address is addr.
+	RowOfAddr(addr netip.Addr) (int, bool)
+}
+
 // Server is the DHCP service.
 type Server struct {
 	engine   *sim.Engine
 	duration time.Duration
 	pools    map[string]*pool
-	leases   map[MAC]*Lease
+	// leases holds the stored leases. An attached row's lease is not in
+	// it: hosts answers it, issued at hostsAt, until moved holds the row.
+	leases  map[MAC]*Lease
+	hosts   HostTable
+	hostsAt sim.Time
+	moved   map[int]bool
 }
 
 // NewServer creates a DHCP server issuing leases of the given duration
@@ -112,9 +190,11 @@ func (s *Server) AddPoolPrefix(name string, pfx netip.Prefix) error {
 	given := pfx
 	pfx = pfx.Masked()
 	first := pfx.Addr().Next().Next() // skip network + gateway
+	// Every address after the network and gateway ones is assignable
+	// (a pool wider than 2⁶² is held to that many).
 	capacity := 0
-	for a := first; pfx.Contains(a); a = a.Next() {
-		capacity++
+	if hostBits := pfx.Addr().BitLen() - pfx.Bits(); hostBits > 1 {
+		capacity = 1<<min(hostBits, 62) - 2
 	}
 	if capacity == 0 {
 		return fmt.Errorf("%w: %q has no assignable addresses", ErrBadPrefix, given.String())
@@ -128,6 +208,89 @@ func (s *Server) AddPoolPrefix(name string, pfx netip.Prefix) error {
 		inUse:    make(map[netip.Addr]MAC),
 	}
 	return nil
+}
+
+// AttachHosts makes the server answer every row of t as a static lease
+// issued now, as if each row had been reserved in row order, without
+// storing a lease per row. Attach once, after every row's pool exists
+// and before any lease.
+func (s *Server) AttachHosts(t HostTable) error {
+	if s.hosts != nil {
+		return fmt.Errorf("%w: a host table is already attached", ErrReserved)
+	}
+	if len(s.leases) > 0 {
+		return fmt.Errorf("%w: attach hosts before any lease", ErrReserved)
+	}
+	var p *pool
+	for i, n := 0, t.Hosts(); i < n; i++ {
+		_, addr, name := t.Reservation(i)
+		if p == nil || p.name != name {
+			if p = s.pools[name]; p == nil {
+				return fmt.Errorf("%w: %s", ErrNoSuchPool, name)
+			}
+		}
+		if !p.prefix.Contains(addr) || addr.Less(p.first) {
+			return fmt.Errorf("%w: row %d's %s is not assignable in %s", ErrBadPrefix, i, addr, p.prefix)
+		}
+	}
+	s.hosts, s.hostsAt = t, s.engine.Now()
+	return nil
+}
+
+// rowLease builds row i's static lease.
+func (s *Server) rowLease(i int) Lease {
+	mac, addr, pool := s.hosts.Reservation(i)
+	return Lease{MAC: mac, Addr: addr, Pool: pool, IssuedAt: s.hostsAt, Static: true}
+}
+
+// leaseOf returns mac's lease, stored or an attached row's unless the
+// row was moved, and that row (or -1).
+func (s *Server) leaseOf(mac MAC) (*Lease, int) {
+	if l, ok := s.leases[mac]; ok {
+		return l, -1
+	}
+	if s.hosts != nil {
+		if i, ok := s.hosts.RowOfMAC(mac); ok && !s.moved[i] {
+			l := s.rowLease(i)
+			return &l, i
+		}
+	}
+	return nil, -1
+}
+
+// holder returns the MAC holding addr in p: a stored lease's, or a live
+// row's whose reservation lies in p.
+func (s *Server) holder(p *pool, addr netip.Addr) (MAC, bool) {
+	if mac, ok := p.inUse[addr]; ok {
+		return mac, true
+	}
+	if s.hosts == nil {
+		return "", false
+	}
+	i, ok := s.hosts.RowOfAddr(addr)
+	if !ok || s.moved[i] {
+		return "", false
+	}
+	mac, _, pool := s.hosts.Reservation(i)
+	if pool != p.name {
+		return "", false
+	}
+	return mac, true
+}
+
+// free returns the address old holds to its pool, if its MAC still holds
+// it; row is old's attached row, or -1.
+func (s *Server) free(old *Lease, row int) {
+	if row >= 0 {
+		if s.moved == nil {
+			s.moved = make(map[int]bool)
+		}
+		s.moved[row] = true
+		return
+	}
+	if op := s.pools[old.Pool]; op != nil && op.inUse[old.Addr] == old.MAC {
+		delete(op.inUse, old.Addr)
+	}
 }
 
 // Pool reports whether a pool exists, returning its prefix.
@@ -174,13 +337,11 @@ func (s *Server) Reserve(poolName string, mac MAC, addr netip.Addr) (*Lease, err
 	if addr.Less(p.first) {
 		return nil, fmt.Errorf("%w: %s is below the first assignable address %s of %s", ErrReserved, addr, p.first, p.prefix)
 	}
-	if holder, busy := p.inUse[addr]; busy && holder != mac {
+	if holder, busy := s.holder(p, addr); busy && holder != mac {
 		return nil, fmt.Errorf("%w: %s held by %s", ErrReserved, addr, holder)
 	}
-	if old, have := s.leases[mac]; have {
-		if op := s.pools[old.Pool]; op != nil && op.inUse[old.Addr] == mac {
-			delete(op.inUse, old.Addr)
-		}
+	if old, row := s.leaseOf(mac); old != nil {
+		s.free(old, row)
 	}
 	l := &Lease{MAC: mac, Addr: addr, Pool: poolName, IssuedAt: s.engine.Now(), Static: true}
 	p.inUse[addr] = mac
@@ -189,14 +350,16 @@ func (s *Server) Reserve(poolName string, mac MAC, addr netip.Addr) (*Lease, err
 }
 
 // Request implements DISCOVER/REQUEST: it returns the client's existing
-// lease renewed, or allocates the next free address in the pool.
+// lease renewed, or allocates the next free address in the pool. A
+// client that moves to another pool gives its previous address back.
 func (s *Server) Request(poolName string, mac MAC) (*Lease, error) {
 	p, ok := s.pools[poolName]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchPool, poolName)
 	}
 	now := s.engine.Now()
-	if l, have := s.leases[mac]; have && l.Pool == poolName {
+	old, row := s.leaseOf(mac)
+	if l := old; l != nil && l.Pool == poolName {
 		if l.Static || l.Expires > now {
 			// Renewal.
 			if !l.Static {
@@ -214,6 +377,9 @@ func (s *Server) Request(poolName string, mac MAC) (*Lease, error) {
 	addr, err := s.allocate(p)
 	if err != nil {
 		return nil, err
+	}
+	if old != nil {
+		s.free(old, row)
 	}
 	l := &Lease{
 		MAC:      mac,
@@ -235,7 +401,7 @@ func (s *Server) allocate(p *pool) (netip.Addr, error) {
 		if !p.prefix.Contains(addr) {
 			addr = p.first // wrap
 		}
-		if _, busy := p.inUse[addr]; !busy {
+		if _, busy := s.holder(p, addr); !busy {
 			p.next = addr.Next()
 			return addr, nil
 		}
@@ -246,9 +412,13 @@ func (s *Server) allocate(p *pool) (netip.Addr, error) {
 
 // Release returns a client's address to the pool.
 func (s *Server) Release(mac MAC) error {
-	l, ok := s.leases[mac]
-	if !ok {
+	l, row := s.leaseOf(mac)
+	if l == nil {
 		return fmt.Errorf("%w: %s", ErrNoLease, mac)
+	}
+	if row >= 0 {
+		s.free(l, row)
+		return nil
 	}
 	if p, ok := s.pools[l.Pool]; ok {
 		delete(p.inUse, l.Addr)
@@ -260,13 +430,25 @@ func (s *Server) Release(mac MAC) error {
 // LeaseOf returns the current lease for a client, if any (expired leases
 // are reported until swept or re-requested).
 func (s *Server) LeaseOf(mac MAC) (*Lease, bool) {
-	l, ok := s.leases[mac]
-	return l, ok
+	l, _ := s.leaseOf(mac)
+	return l, l != nil
 }
 
 // Leases returns all leases sorted by address.
 func (s *Server) Leases() []*Lease {
-	out := make([]*Lease, 0, len(s.leases))
+	var rows []Lease
+	if s.hosts != nil {
+		rows = make([]Lease, 0, s.hosts.Hosts()-len(s.moved))
+		for i, n := 0, s.hosts.Hosts(); i < n; i++ {
+			if !s.moved[i] {
+				rows = append(rows, s.rowLease(i))
+			}
+		}
+	}
+	out := make([]*Lease, 0, len(rows)+len(s.leases))
+	for i := range rows {
+		out = append(out, &rows[i])
+	}
 	for _, l := range s.leases {
 		out = append(out, l)
 	}
@@ -300,7 +482,7 @@ func (s *Server) FreeCount(poolName string) (int, error) {
 	}
 	total := 0
 	for addr := p.prefix.Addr().Next().Next(); p.prefix.Contains(addr); addr = addr.Next() {
-		if _, busy := p.inUse[addr]; !busy {
+		if _, busy := s.holder(p, addr); !busy {
 			total++
 		}
 	}

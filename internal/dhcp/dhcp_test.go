@@ -2,6 +2,7 @@ package dhcp
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,40 @@ func TestAddPoolAndGateway(t *testing.T) {
 	pools := s.Pools()
 	if len(pools) != 1 || pools[0] != "rack0" {
 		t.Fatalf("Pools = %v", pools)
+	}
+}
+
+// TestPoolCapacity: a pool can lease every address of its prefix but
+// the network and gateway ones, whatever its size; a prefix with none
+// left is refused.
+func TestPoolCapacity(t *testing.T) {
+	for _, c := range []struct {
+		cidr string
+		want int
+	}{
+		{"10.0.0.0/16", 65534}, {"10.0.0.0/20", 4094}, {"10.0.0.0/29", 6},
+		{"10.0.0.0/30", 2}, {"10.0.0.0/31", 0}, {"10.0.0.0/32", 0}, {"fd00::/124", 14},
+	} {
+		_, s := newServer(t, 0)
+		err := s.AddPool("p", c.cidr)
+		if c.want == 0 {
+			if !errors.Is(err, ErrBadPrefix) {
+				t.Fatalf("AddPool(%s) = %v, want ErrBadPrefix", c.cidr, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		leased := 0
+		for ; ; leased++ {
+			if _, err := s.Request("p", ContainerMAC(leased)); err != nil {
+				break
+			}
+		}
+		if leased != c.want {
+			t.Fatalf("%s leased %d addresses, want %d", c.cidr, leased, c.want)
+		}
 	}
 }
 
@@ -306,6 +341,177 @@ func TestNodeMACUsesPiOUI(t *testing.T) {
 	m := NodeMAC(2, 13)
 	if m != "b8:27:eb:00:02:0d" {
 		t.Fatalf("NodeMAC = %s", m)
+	}
+}
+
+// TestIdentitiesMatchFmt: the strconv encoders print exactly what the
+// fmt forms they replaced printed, for every node index below 256 (the
+// only ones the old node MAC encoded validly) and racks of three hex
+// digits.
+func TestIdentitiesMatchFmt(t *testing.T) {
+	for rack := 0; rack < 300; rack += 7 {
+		for idx := 0; idx < 256; idx++ {
+			if got, want := NodeMAC(rack, idx), MAC(fmt.Sprintf("%s:%02x:%02x:%02x", PiMACPrefix, 0, rack, idx)); got != want {
+				t.Fatalf("NodeMAC(%d, %d) = %s, want %s", rack, idx, got, want)
+			}
+		}
+	}
+	for _, seq := range []int{0, 1, 15, 16, 255, 256, 4095, 65536, 1<<24 + 3, 1<<31 - 1} {
+		want := MAC(fmt.Sprintf("02:1c:%02x:%02x:%02x:%02x", (seq>>24)&0xff, (seq>>16)&0xff, (seq>>8)&0xff, seq&0xff))
+		if got := ContainerMAC(seq); got != want {
+			t.Fatalf("ContainerMAC(%d) = %s, want %s", seq, got, want)
+		}
+	}
+}
+
+// TestNodeMACEncodesHighIndices: an in-rack index of 256 or more puts
+// its high byte in the fourth octet, where the old encoding printed a
+// three-digit last group (b8:27:eb:00:05:559).
+func TestNodeMACEncodesHighIndices(t *testing.T) {
+	if got := NodeMAC(5, 0x559); got != "b8:27:eb:05:05:59" {
+		t.Fatalf("NodeMAC(5, 0x559) = %s", got)
+	}
+	if rack, idx, ok := NodeMACPosition("b8:27:eb:05:05:59"); !ok || rack != 5 || idx != 0x559 {
+		t.Fatalf("NodeMACPosition = %d %d %v", rack, idx, ok)
+	}
+	for _, m := range []MAC{"", "b8:27:eb:00:05", "B8:27:EB:00:05:59", "b8:27:eb:00:05:5g", "b8:27:eb-00:05:59", "02:1c:00:00:00:01"} {
+		if _, _, ok := NodeMACPosition(m); ok {
+			t.Fatalf("NodeMACPosition accepted %q", m)
+		}
+	}
+}
+
+// scanTable is a HostTable over a slice, looked up by scanning.
+type scanTable []struct {
+	mac  MAC
+	addr netip.Addr
+	pool string
+}
+
+func (r scanTable) Hosts() int { return len(r) }
+
+func (r scanTable) Reservation(i int) (MAC, netip.Addr, string) {
+	return r[i].mac, r[i].addr, r[i].pool
+}
+
+func (r scanTable) RowOfMAC(mac MAC) (int, bool) {
+	for i := range r {
+		if r[i].mac == mac {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+func (r scanTable) RowOfAddr(addr netip.Addr) (int, bool) {
+	for i := range r {
+		if r[i].addr == addr {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// TestRequestInAnotherPoolFreesPreviousAddress: a client holds one
+// address, so requesting in a second pool gives the first one back,
+// whether it was a dynamic lease, a stored static reservation or an
+// attached host row (which becomes a tombstone).
+func TestRequestInAnotherPoolFreesPreviousAddress(t *testing.T) {
+	mac := NodeMAC(1, 0)
+	first := netip.MustParseAddr("10.1.0.2")
+	for _, how := range []string{"dynamic", "reserved", "attached"} {
+		t.Run(how, func(t *testing.T) {
+			_, s := newServer(t, 0)
+			if err := s.AddPool("a", "10.1.0.0/29"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddPool("b", "10.2.0.0/24"); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			switch how {
+			case "dynamic":
+				_, err = s.Request("a", mac)
+			case "reserved":
+				_, err = s.Reserve("a", mac, first)
+			default:
+				err = s.AttachHosts(scanTable{{mac, first, "a"}})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l, ok := s.LeaseOf(mac); !ok || l.Addr != first {
+				t.Fatalf("lease before the move = %+v", l)
+			}
+			l, err := s.Request("b", mac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Pool != "b" {
+				t.Fatalf("lease after the move = %+v", l)
+			}
+			if free, _ := s.FreeCount("a"); free != 6 {
+				t.Fatalf("pool a has %d of 6 addresses free after its client moved to pool b", free)
+			}
+			if err := s.Release(mac); err != nil {
+				t.Fatal(err)
+			}
+			if free, _ := s.FreeCount("a"); free != 6 {
+				t.Fatalf("pool a has %d of 6 addresses free after the client released", free)
+			}
+			for i := 0; i < 6; i++ {
+				if _, err := s.Request("a", ContainerMAC(i)); err != nil {
+					t.Fatalf("client %d of 6 refused: %v", i, err)
+				}
+			}
+			if n := len(s.Leases()); n != 6 {
+				t.Fatalf("%d leases, want the 6 clients of pool a", n)
+			}
+		})
+	}
+}
+
+// TestAttachedRowsServeLikeReservations: an attached row is a static
+// lease issued at attach time whose address no other client gets, and
+// reserving, releasing or requesting through its MAC moves it as it
+// would move a stored reservation.
+func TestAttachedRowsServeLikeReservations(t *testing.T) {
+	e, s := newServer(t, 0)
+	if err := s.AddPool("r", "10.1.0.0/29"); err != nil {
+		t.Fatal(err)
+	}
+	row := scanTable{{NodeMAC(1, 0), netip.MustParseAddr("10.1.0.2"), "r"}}
+	if err := e.RunFor(sim.Duration(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AttachHosts(row); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AttachHosts(row); err == nil {
+		t.Fatal("a second table attached")
+	}
+	want := Lease{MAC: row[0].mac, Addr: row[0].addr, Pool: "r", IssuedAt: e.Now(), Static: true}
+	if l, ok := s.LeaseOf(row[0].mac); !ok || *l != want {
+		t.Fatalf("row lease = %+v, want %+v", l, want)
+	}
+	if l, _ := s.Request("r", ContainerMAC(1)); l.Addr == row[0].addr {
+		t.Fatal("a row's address leased dynamically")
+	}
+	if _, err := s.Reserve("r", ContainerMAC(2), row[0].addr); !errors.Is(err, ErrReserved) {
+		t.Fatalf("reserve over a row = %v", err)
+	}
+	if err := s.Release(row[0].mac); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.LeaseOf(row[0].mac); ok {
+		t.Fatal("released row still leased")
+	}
+	if _, err := s.Reserve("r", ContainerMAC(2), row[0].addr); err != nil {
+		t.Fatalf("released row's address not reusable: %v", err)
+	}
+	_, fresh := newServer(t, 0)
+	if err := fresh.AttachHosts(row); !errors.Is(err, ErrNoSuchPool) {
+		t.Fatalf("attach without the row's pool = %v", err)
 	}
 }
 

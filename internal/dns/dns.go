@@ -3,16 +3,28 @@
 // (nodes as pi-rXX-nYY.picloud..., containers as <name>.<node>...). The
 // paper places "customised IP and naming policies through DHCP and DNS
 // services running on the pimaster".
+//
+// A fleet's hosts are not filed one record at a time. A server answers
+// an attached HostTable in place: row i is an A record FQDN(i) → Addr(i)
+// and the matching PTR, served from the zones that held those names when
+// the table was attached. Only runtime records are stored: VM records
+// and anything added after the table. Removing a row's name stores a
+// tombstone for that row; a later record under the name is a stored
+// one. Every answer, Dump order and RecordCount equals what filing each
+// row through RegisterHost in row order would give.
 package dns
 
 import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/topology"
 )
 
 // DefaultZone is the PiCloud's authoritative zone.
@@ -77,13 +89,22 @@ func Canonical(name string) string {
 
 // NodeFQDN returns the canonical node name, e.g. pi-r00-n03.picloud....
 func NodeFQDN(rack, idx int) string {
-	return fmt.Sprintf("pi-r%02d-n%02d.%s", rack, idx, DefaultZone)
+	buf := make([]byte, 0, 16+len(DefaultZone))
+	return string(appendNodeName(buf, rack, idx))
 }
 
 // ContainerFQDN names a container under its node, the PiCloud policy:
 // <container>.<node-short-name>.<zone>.
 func ContainerFQDN(container string, rack, idx int) string {
-	return fmt.Sprintf("%s.pi-r%02d-n%02d.%s", strings.ToLower(container), rack, idx, DefaultZone)
+	buf := make([]byte, 0, len(container)+17+len(DefaultZone))
+	buf = append(buf, strings.ToLower(container)...)
+	return string(appendNodeName(append(buf, '.'), rack, idx))
+}
+
+// appendNodeName appends the node's host name and the PiCloud zone.
+func appendNodeName(buf []byte, rack, idx int) []byte {
+	buf = topology.AppendHostName(buf, rack, idx)
+	return append(append(buf, '.'), DefaultZone...)
 }
 
 // ReverseName converts an IPv4 address to its in-addr.arpa name.
@@ -97,15 +118,70 @@ func ReverseName(addr netip.Addr) string {
 	return string(append(buf, "in-addr.arpa."...))
 }
 
-// zone holds the records under one apex.
+// parseReverse is ReverseName's inverse: it accepts exactly the names
+// ReverseName returns (four decimal labels without leading zeros).
+func parseReverse(name string) (netip.Addr, bool) {
+	rest, ok := strings.CutSuffix(name, ".in-addr.arpa.")
+	if !ok {
+		return netip.Addr{}, false
+	}
+	var b [4]byte
+	for i := 3; i >= 0; i-- {
+		label := rest
+		if i > 0 {
+			var found bool
+			label, rest, found = strings.Cut(rest, ".")
+			if !found {
+				return netip.Addr{}, false
+			}
+		}
+		n, err := strconv.ParseUint(label, 10, 8)
+		if err != nil || (len(label) > 1 && label[0] == '0') {
+			return netip.Addr{}, false
+		}
+		b[i] = byte(n)
+	}
+	return netip.AddrFrom4(b), true
+}
+
+// HostTable is a fixed set of hosts a server answers without storing
+// them: row i is an A record FQDN → Addr and the matching PTR. FQDNs
+// are canonical, and FQDNs and addresses are unique across rows.
+type HostTable interface {
+	// Hosts returns the number of rows.
+	Hosts() int
+	// Host returns row i's canonical FQDN and IPv4 address.
+	Host(i int) (fqdn string, addr netip.Addr)
+	// RowOfName returns the row whose FQDN is name.
+	RowOfName(name string) (int, bool)
+	// RowOfAddr returns the row whose address is addr.
+	RowOfAddr(addr netip.Addr) (int, bool)
+}
+
+// Tombstone bits: the row's A record or its PTR was removed.
+const (
+	goneA uint8 = 1 << iota
+	gonePTR
+)
+
+// zone holds the stored records under one apex. seq numbers zones in
+// the order they were added.
 type zone struct {
 	apex    string
+	seq     int
 	records map[string][]Record
 }
 
 // Server is the authoritative DNS service.
 type Server struct {
 	zones map[string]*zone
+	// hosts is the attached host table. Its records live in the zones
+	// numbered below hostZones, the zones that existed when it was
+	// attached, so a more specific zone added later shadows them just
+	// as it shadows stored records. gone holds the rows' tombstones.
+	hosts     HostTable
+	hostZones int
+	gone      map[int]uint8
 }
 
 // NewServer returns a server with no zones.
@@ -121,8 +197,93 @@ func (s *Server) AddZone(apex string) error {
 	if _, dup := s.zones[apex]; dup {
 		return fmt.Errorf("%w: %s", ErrZoneExists, apex)
 	}
-	s.zones[apex] = &zone{apex: apex, records: make(map[string][]Record)}
+	s.zones[apex] = &zone{apex: apex, seq: len(s.zones), records: make(map[string][]Record)}
 	return nil
+}
+
+// AttachHosts makes the server answer every row of t, as if each row had
+// been filed through RegisterHost in row order, without storing a
+// record per row. Attach once, after the zones the rows' names lie in
+// and before any record is stored; a row whose name lies in no zone at
+// that point is not served.
+func (s *Server) AttachHosts(t HostTable) error {
+	if s.hosts != nil {
+		return fmt.Errorf("%w: a host table is already attached", ErrBadRecord)
+	}
+	for _, z := range s.zones {
+		if len(z.records) > 0 {
+			return fmt.Errorf("%w: attach hosts before storing records (zone %s holds some)", ErrBadRecord, z.apex)
+		}
+	}
+	s.hosts, s.hostZones = t, len(s.zones)
+	return nil
+}
+
+// hostRows returns the rows whose live A record (a) and PTR (ptr) are
+// filed under name in z, or -1. Rows live in the zones that existed at
+// attach time; z answers name, so it is the name's zone among those
+// exactly when it is one of them.
+func (s *Server) hostRows(z *zone, name string) (a, ptr int) {
+	a, ptr = -1, -1
+	if s.hosts == nil || z.seq >= s.hostZones {
+		return a, ptr
+	}
+	if i, ok := s.hosts.RowOfName(name); ok && s.gone[i]&goneA == 0 {
+		a = i
+	}
+	if addr, ok := parseReverse(name); ok {
+		if i, ok := s.hosts.RowOfAddr(addr); ok && s.gone[i]&gonePTR == 0 {
+			ptr = i
+		}
+	}
+	return a, ptr
+}
+
+// hostA and hostPTR build row i's records.
+func (s *Server) hostA(i int) Record {
+	fqdn, addr := s.hosts.Host(i)
+	return Record{Name: fqdn, Type: TypeA, Value: addr.String(), TTL: DefaultTTL}
+}
+
+func (s *Server) hostPTR(i int) Record {
+	fqdn, addr := s.hosts.Host(i)
+	return Record{Name: ReverseName(addr), Type: TypePTR, Value: fqdn, TTL: DefaultTTL}
+}
+
+// homeZone is the zone name had when the host table was attached: the
+// most specific of the zones numbered below hostZones, or nil.
+func (s *Server) homeZone(name string) *zone {
+	var best *zone
+	for apex, z := range s.zones {
+		if z.seq < s.hostZones && inZone(name, apex) && (best == nil || len(apex) > len(best.apex)) {
+			best = z
+		}
+	}
+	return best
+}
+
+// hostRecords returns the attached rows' live records, grouped by the
+// zone they are filed in, in row order.
+func (s *Server) hostRecords() map[*zone][]Record {
+	if s.hosts == nil {
+		return nil
+	}
+	out := make(map[*zone][]Record)
+	for i, n := 0, s.hosts.Hosts(); i < n; i++ {
+		for _, bit := range [...]uint8{goneA, gonePTR} {
+			if s.gone[i]&bit != 0 {
+				continue
+			}
+			r := s.hostA(i)
+			if bit == gonePTR {
+				r = s.hostPTR(i)
+			}
+			if z := s.homeZone(r.Name); z != nil {
+				out[z] = append(out[z], r)
+			}
+		}
+	}
+	return out
 }
 
 // Zones lists zone apexes, sorted.
@@ -190,10 +351,16 @@ func (s *Server) insert(r Record) error {
 	if err != nil {
 		return err
 	}
-	// CNAME exclusivity: a name with a CNAME has no other records.
+	// CNAME exclusivity: a name with a CNAME has no other records. An
+	// attached row's records come first, and are never CNAMEs.
 	existing := z.records[r.Name]
-	if r.Type == TypeCNAME && len(existing) > 0 {
+	a, ptr := s.hostRows(z, r.Name)
+	if r.Type == TypeCNAME && (len(existing) > 0 || a >= 0 || ptr >= 0) {
 		return fmt.Errorf("%w: %s already has records", ErrBadRecord, r.Name)
+	}
+	if (r.Type == TypeA && a >= 0 && r.Value == s.hostA(a).Value) ||
+		(r.Type == TypePTR && ptr >= 0 && r.Value == s.hostPTR(ptr).Value) {
+		return nil // idempotent
 	}
 	for _, have := range existing {
 		if have.Type == TypeCNAME {
@@ -225,6 +392,7 @@ func (s *Server) RegisterHost(fqdn string, addr netip.Addr) error {
 }
 
 // RemoveName deletes all records under a name (and returns how many).
+// An attached row's records under it become tombstones.
 func (s *Server) RemoveName(name string) int {
 	name = Canonical(name)
 	z, err := s.zoneFor(name)
@@ -233,7 +401,24 @@ func (s *Server) RemoveName(name string) int {
 	}
 	n := len(z.records[name])
 	delete(z.records, name)
+	a, ptr := s.hostRows(z, name)
+	if a >= 0 {
+		s.bury(a, goneA)
+		n++
+	}
+	if ptr >= 0 {
+		s.bury(ptr, gonePTR)
+		n++
+	}
 	return n
+}
+
+// bury stores a tombstone for one of row i's records.
+func (s *Server) bury(i int, bit uint8) {
+	if s.gone == nil {
+		s.gone = make(map[int]uint8)
+	}
+	s.gone[i] |= bit
 }
 
 // Resolve answers a query, following CNAME chains for A lookups (up to 8
@@ -246,10 +431,17 @@ func (s *Server) Resolve(name string, t RType) ([]Record, error) {
 			return nil, err
 		}
 		rs := z.records[name]
-		if len(rs) == 0 {
+		a, ptr := s.hostRows(z, name)
+		if len(rs) == 0 && a < 0 && ptr < 0 {
 			return nil, fmt.Errorf("%w: %s", ErrNXDomain, name)
 		}
 		var match []Record
+		if t == TypeA && a >= 0 {
+			match = append(match, s.hostA(a))
+		}
+		if t == TypePTR && ptr >= 0 {
+			match = append(match, s.hostPTR(ptr))
+		}
 		var cname *Record
 		for i := range rs {
 			switch {
@@ -260,9 +452,7 @@ func (s *Server) Resolve(name string, t RType) ([]Record, error) {
 			}
 		}
 		if len(match) > 0 {
-			out := make([]Record, len(match))
-			copy(out, match)
-			return out, nil
+			return match, nil
 		}
 		if cname != nil && t != TypeCNAME {
 			name = cname.Value
@@ -302,6 +492,9 @@ func (s *Server) LookupPTR(addr netip.Addr) (string, error) {
 // RecordCount returns the total number of records served.
 func (s *Server) RecordCount() int {
 	total := 0
+	for _, rs := range s.hostRecords() {
+		total += len(rs)
+	}
 	for _, z := range s.zones {
 		for _, rs := range z.records {
 			total += len(rs)
@@ -316,16 +509,20 @@ func (s *Server) RecordCount() int {
 // call lists the same records in the same order.
 func (s *Server) Dump() []Record {
 	var out []Record
+	hosts := s.hostRecords()
 	for _, apex := range s.Zones() {
-		for _, rs := range s.zones[apex].records {
+		z := s.zones[apex]
+		// A row's records were filed before any stored record.
+		out = append(out, hosts[z]...)
+		for _, rs := range z.records {
 			out = append(out, rs...)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+	slices.SortStableFunc(out, func(a, b Record) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
-		return out[i].Type < out[j].Type
+		return int(a.Type - b.Type)
 	})
 	return out
 }

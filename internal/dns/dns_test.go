@@ -43,6 +43,22 @@ func TestNamingPolicy(t *testing.T) {
 	}
 }
 
+// TestNodeNamesMatchFmt: the strconv names print what the fmt forms
+// they replaced printed, for one- to four-digit racks and indices.
+func TestNodeNamesMatchFmt(t *testing.T) {
+	nums := []int{0, 1, 9, 10, 13, 99, 100, 255, 256, 999, 1000, 4092, 9999}
+	for _, rack := range nums {
+		for _, idx := range nums {
+			if got, want := NodeFQDN(rack, idx), fmt.Sprintf("pi-r%02d-n%02d.%s", rack, idx, DefaultZone); got != want {
+				t.Fatalf("NodeFQDN(%d, %d) = %s, want %s", rack, idx, got, want)
+			}
+			if got, want := ContainerFQDN("Web-1", rack, idx), fmt.Sprintf("%s.pi-r%02d-n%02d.%s", "web-1", rack, idx, DefaultZone); got != want {
+				t.Fatalf("ContainerFQDN(%d, %d) = %s, want %s", rack, idx, got, want)
+			}
+		}
+	}
+}
+
 func TestReverseName(t *testing.T) {
 	if got := ReverseName(netip.MustParseAddr("10.1.2.3")); got != "3.2.1.10.in-addr.arpa." {
 		t.Fatalf("ReverseName = %s", got)

@@ -204,7 +204,7 @@ func ConsolidationRipple() (*Result, error) {
 	}
 	// Plan and execute the naive consolidation.
 	c.Mu.Lock()
-	view := &placement.View{Locate: map[string]netsim.NodeID{}, Rack: map[netsim.NodeID]int{}}
+	view := &placement.View{Locate: map[string]netsim.NodeID{}}
 	var loads []placement.ContainerLoad
 	for _, n := range c.Nodes() {
 		k := n.Suite.Kernel()
@@ -214,7 +214,6 @@ func ConsolidationRipple() (*Result, error) {
 			MemTotal: k.MemTotal(), MemUsed: k.MemUsed(),
 			Containers: n.Suite.Count(), MaxContainers: 3, PoweredOn: true,
 		})
-		view.Rack[n.Host] = n.Rack
 		for _, cn := range n.Suite.List() {
 			view.Locate[cn] = n.Host
 			mem, _ := n.Suite.MemUsedBytes(cn)

@@ -10,28 +10,31 @@ import (
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
+// allocShapes are the fleets whose per-host heap objects are pinned.
+var allocShapes = []struct {
+	name string
+	cfg  Config
+}{
+	{"fat-tree k=16", Config{Racks: 16, HostsPerRack: 64, Fabric: topology.FabricFatTree, FatTreeK: 16, Seed: 1}},
+	{"published 4x14 multi-root", Config{Seed: 1}},
+}
+
 // TestColdBuildAllocs pins the heap objects a cold fleet build makes per
 // host: fabric wiring (both legs of a cable in one object, flow sets
 // made on first use, an index-keyed link table), template stamping (no
-// empty maps per host) and bulk registration (registries sized once,
-// one pool name per rack, records built without a format-then-parse
-// round trip), and one record per host (pimaster's NodeRef, stamped
-// by value into one slice, with no per-host REST client or client URL).
-// Before those changes a k=16 fat-tree build made 43.8 objects per host
-// and the published 4×14 tree 39.2.
+// empty maps per host), one record per host (pimaster's NodeRef,
+// stamped by value into one slice, with no per-host REST client or
+// client URL) and naming answered from the plan's rows (no DNS record,
+// DHCP lease or pimaster map entry per host, and host names, FQDNs and
+// MACs built without fmt). Before those changes a k=16 fat-tree build
+// made 43.8 objects per host and the published 4×14 tree 39.2; with
+// every row still filed into DNS and DHCP they made 21.4 and 22.4.
 func TestColdBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const perHost = 24
-	shapes := []struct {
-		name string
-		cfg  Config
-	}{
-		{"fat-tree k=16", Config{Racks: 16, HostsPerRack: 64, Fabric: topology.FabricFatTree, FatTreeK: 16, Seed: 1}},
-		{"published 4x14 multi-root", Config{Seed: 1}},
-	}
-	for _, s := range shapes {
+	const perHost = 17
+	for _, s := range allocShapes {
 		var mu sync.Mutex
 		hosts := 0
 		allocs := testing.AllocsPerRun(3, func() {
@@ -45,6 +48,36 @@ func TestColdBuildAllocs(t *testing.T) {
 		if got := allocs / float64(hosts); got > perHost {
 			t.Errorf("%s: a cold build makes %.0f objects for %d hosts, %.2f per host; want at most %d",
 				s.name, allocs, hosts, got, perHost)
+		}
+	}
+}
+
+// TestWarmRestoreAllocs pins the heap objects a fork's Snapshot.Restore
+// makes per host. The plan is shared, and pimaster attaches its rows
+// to DNS and DHCP instead of filing two records, a lease and two map
+// entries per host; what remains is the fabric and the stamped kernel,
+// meter, suite and daemon. With every row filed, a restore made 19.3
+// objects per host (k=16) and 19.2 (4×14).
+func TestWarmRestoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const perHost = 15
+	for _, s := range allocShapes {
+		var mu sync.Mutex
+		r, err := Assemble(s.cfg, &mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Snapshot()
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := snap.Restore(&mu, -1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := allocs / float64(len(r.Nodes)); got > perHost {
+			t.Errorf("%s: a restore makes %.0f objects for %d hosts, %.2f per host; want at most %d",
+				s.name, allocs, len(r.Nodes), got, perHost)
 		}
 	}
 }

@@ -13,8 +13,10 @@
 //     computed once per fleet shape and reused — see plan.go.
 //   - Bulk registration: every host's record (pimaster.NodeRef) is
 //     stamped into one slice and enters pimaster through RegisterNodes
-//     with plan-precomputed addressing. pimaster calls each daemon in
-//     process, so boot makes no HTTP request and no JSON round trip.
+//     together with the plan, whose host rows pimaster's DNS and DHCP
+//     answer in place: a build or a fork files no naming record per
+//     host. pimaster calls each daemon in process, so boot makes no
+//     HTTP request and no JSON round trip.
 //
 // A booted fleet can be captured as a Snapshot and warm-booted with
 // Restore; repeated runs of the same shape (CI, bench sweeps,
@@ -228,7 +230,9 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		}
 	}
 	if plan == nil {
-		plan = planFor(cfg, topo)
+		if plan, err = planFor(cfg, topo); err != nil {
+			return nil, err
+		}
 		storeWarmPlan(plan)
 	}
 	if len(plan.hosts) != len(topo.Hosts) {
@@ -273,25 +277,20 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		return nil, err
 	}
 	r.Nodes = nodes
-	regs := make([]pimaster.NodeReg, len(nodes))
 	for i := range nodes {
-		node, hp := &nodes[i], &plan.hosts[i]
+		node := &nodes[i]
 		if err := r.Meter.AttachGrouped(node.Name, node.Rack, node.Meter); err != nil {
 			return nil, err
 		}
-		regs[i] = pimaster.NodeReg{
-			Ref: node,
-			Idx: hp.idx, MAC: hp.mac, Addr: hp.addr, FQDN: hp.fqdn,
-		}
 	}
-	if err := master.RegisterNodes(regs); err != nil {
+	if err := master.RegisterNodes(nodes, plan); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // stampAll builds every node from the template, in plan (rack) order,
-// into one slice of records.
+// into one slice of records, each carrying its in-rack index.
 func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, plan *Plan) ([]Node, error) {
 	nodes := make([]Node, len(plan.hosts))
 	at := engine.Now()
@@ -301,6 +300,7 @@ func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, plan *Pla
 		if err != nil {
 			return nil, err
 		}
+		node.Idx = hp.idx
 		nodes[i] = node
 	}
 	return nodes, nil

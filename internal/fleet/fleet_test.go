@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -49,6 +51,25 @@ func TestValidateRejectsAddressOverflow(t *testing.T) {
 	cfg.FillDefaults()
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("maximal legal shape rejected: %v", err)
+	}
+}
+
+// TestNodeMACsValidAndUnique: every node MAC the addressing plan allows
+// is a six-octet MAC that net.ParseMAC accepts, and its octets are
+// b8:27:eb, the index's high byte, the rack and the index's low byte,
+// so no two nodes share one.
+func TestNodeMACsValidAndUnique(t *testing.T) {
+	for rack := 0; rack < MaxRacks; rack++ {
+		for idx := 0; idx < MaxHostsPerRack; idx++ {
+			mac := dhcp.NodeMAC(rack, idx)
+			hw, err := net.ParseMAC(string(mac))
+			if err != nil {
+				t.Fatalf("NodeMAC(%d, %d) = %s: %v", rack, idx, mac, err)
+			}
+			if want := []byte{0xb8, 0x27, 0xeb, byte(idx >> 8), byte(rack), byte(idx)}; !bytes.Equal(hw, want) {
+				t.Fatalf("NodeMAC(%d, %d) = %s, octets %x, want %x", rack, idx, mac, hw, want)
+			}
+		}
 	}
 }
 

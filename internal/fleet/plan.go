@@ -14,9 +14,7 @@ import (
 )
 
 // hostPlan is one host's precomputed identity: everything registration
-// needs, derived once per fleet shape instead of once per build (the
-// seed path re-parsed every host name with Sscanf and re-formatted MAC
-// and FQDN strings on every boot).
+// needs, derived once per fleet shape instead of once per build.
 type hostPlan struct {
 	name string
 	rack int
@@ -26,19 +24,94 @@ type hostPlan struct {
 	fqdn string
 }
 
+// rackRows is one rack's run of plan rows: hosts[start:start+n], in
+// in-rack index order, and the rack's DHCP pool.
+type rackRows struct {
+	start, n int
+	pool     string
+}
+
 // Plan is the immutable construction manifest for one fleet shape. It
 // is safe to share across builds: every field is a value derived purely
-// from the shape, never mutated after planFor returns.
+// from the shape, never mutated after planFor returns, except the name
+// index, which the first lookup by name builds once for every fleet of
+// the shape.
+//
+// Its host rows are also the records pimaster's naming services answer
+// fleet hosts from (pimaster.HostTable): a build or a fork attaches the
+// plan and files nothing per host. Address and MAC lookups are
+// arithmetic on the 10.<rack>.0.0/20 plan, since a rack's rows are
+// contiguous and in index order.
 type Plan struct {
 	key   shapeKey
 	hosts []hostPlan
+	racks []rackRows
 	// validated records that the wired fabric passed topology.Validate
 	// for this shape, so warm boots skip the whole-fabric BFS.
 	validated bool
+
+	nameOnce sync.Once
+	byName   map[string]int32 // FQDN → row
 }
+
+var _ pimaster.HostTable = (*Plan)(nil)
 
 // Hosts returns the number of planned hosts.
 func (p *Plan) Hosts() int { return len(p.hosts) }
+
+// Host returns row i's FQDN and static address.
+func (p *Plan) Host(i int) (string, netip.Addr) { return p.hosts[i].fqdn, p.hosts[i].addr }
+
+// Reservation returns row i's MAC, static address and rack pool.
+func (p *Plan) Reservation(i int) (dhcp.MAC, netip.Addr, string) {
+	h := &p.hosts[i]
+	return h.mac, h.addr, p.racks[h.rack].pool
+}
+
+// RowOfName returns the row whose FQDN is name.
+func (p *Plan) RowOfName(name string) (int, bool) {
+	p.nameOnce.Do(func() {
+		p.byName = make(map[string]int32, len(p.hosts))
+		for i := range p.hosts {
+			p.byName[p.hosts[i].fqdn] = int32(i)
+		}
+	})
+	i, ok := p.byName[name]
+	return int(i), ok
+}
+
+// RowOfAddr returns the row whose static address is addr: the rack is
+// the second octet and the in-rack index the host number minus 2.
+func (p *Plan) RowOfAddr(addr netip.Addr) (int, bool) {
+	if !addr.Is4() {
+		return 0, false
+	}
+	b := addr.As4()
+	if b[0] != 10 {
+		return 0, false
+	}
+	i, ok := p.row(int(b[1]), int(b[2])<<8|int(b[3])-2)
+	return i, ok && p.hosts[i].addr == addr
+}
+
+// RowOfMAC returns the row whose MAC is mac, decoded by
+// dhcp.NodeMACPosition.
+func (p *Plan) RowOfMAC(mac dhcp.MAC) (int, bool) {
+	rack, idx, ok := dhcp.NodeMACPosition(mac)
+	if !ok {
+		return 0, false
+	}
+	i, ok := p.row(rack, idx)
+	return i, ok && p.hosts[i].mac == mac
+}
+
+// row returns the row of the host at (rack, idx).
+func (p *Plan) row(rack, idx int) (int, bool) {
+	if rack < 0 || rack >= len(p.racks) || idx < 0 || idx >= p.racks[rack].n {
+		return 0, false
+	}
+	return p.racks[rack].start + idx, true
+}
 
 // shapeKey identifies a fleet shape: every Config field that influences
 // the wiring or the registration manifest. Seed, placement policy and
@@ -95,21 +168,32 @@ func shapeOf(cfg Config) shapeKey {
 // planFor derives the manifest from a freshly wired (and validated)
 // fabric. Host order is the topology's deterministic host order; the
 // in-rack index counts position within the rack, which matches the
-// n<idx> suffix of the canonical host names for every fabric.
-func planFor(cfg Config, topo *topology.Topology) *Plan {
+// n<idx> suffix of the canonical host names for every fabric. Every
+// fabric wires a rack's hosts one after another; a shape that did not
+// could not be looked up by arithmetic, so it is refused.
+func planFor(cfg Config, topo *topology.Topology) (*Plan, error) {
 	p := &Plan{
 		key:       shapeOf(cfg),
 		hosts:     make([]hostPlan, 0, len(topo.Hosts)),
+		racks:     make([]rackRows, len(topo.Racks)),
 		validated: true,
 	}
-	idxInRack := make([]int, len(topo.Racks))
-	for _, host := range topo.Hosts {
+	for r := range p.racks {
+		p.racks[r].pool = pimaster.RackPool(r)
+	}
+	for i, host := range topo.Hosts {
 		rack := topo.RackOf(host)
-		idx := 0
-		if rack >= 0 && rack < len(idxInRack) {
-			idx = idxInRack[rack]
-			idxInRack[rack]++
+		if rack < 0 || rack >= len(p.racks) {
+			return nil, fmt.Errorf("fleet: host %s has no rack", host)
 		}
+		rr := &p.racks[rack]
+		if rr.n == 0 {
+			rr.start = i
+		} else if rr.start+rr.n != i {
+			return nil, fmt.Errorf("fleet: rack %d's hosts are not wired one after another", rack)
+		}
+		idx := rr.n
+		rr.n++
 		p.hosts = append(p.hosts, hostPlan{
 			name: string(host),
 			rack: rack,
@@ -119,7 +203,7 @@ func planFor(cfg Config, topo *topology.Topology) *Plan {
 			fqdn: dns.NodeFQDN(rack, idx),
 		})
 	}
-	return p
+	return p, nil
 }
 
 // --- Warm cache ---

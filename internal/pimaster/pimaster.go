@@ -12,6 +12,13 @@
 // HTTP handlers, without the transport. The daemon's HTTP API stays its
 // outside surface, which remote callers reach through restapi.Client.
 //
+// A fleet registers in bulk (RegisterNodes) with its HostTable, the
+// construction plan's host rows: DHCP and DNS answer each row's static
+// lease and A/PTR records from the table and store only runtime records
+// (VMs, later additions, and tombstones for removed rows). A node name
+// resolves through netsim's node index to pimaster's slot slice, so
+// pimaster keeps no name map of its own.
+//
 // Locking: pimaster's own registries are guarded by its internal mutex;
 // the simulated cloud is guarded by the cloud-wide mutex shared with the
 // node daemons and the engine driver. pimaster never holds its own mutex
@@ -23,10 +30,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"net/netip"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -136,12 +141,12 @@ type Master struct {
 	dhcp *dhcp.Server
 	dns  *dns.Server
 
+	net   *netsim.Network
 	nodes []*NodeRef
-	// byName maps a node's name (its host id) to its index in nodes.
-	byName map[string]int
-	// rackOf is the immutable host → rack map shared (read-only) with
-	// every placement view, so views skip an O(nodes) rebuild.
-	rackOf map[netsim.NodeID]int
+	// slots maps a netsim node index to 1 + the node's position in
+	// nodes (0: not a registered node), so a name resolves through
+	// netsim's node index.
+	slots []int32
 
 	placer placement.Placer
 	policy placement.Policy
@@ -154,17 +159,17 @@ type Master struct {
 
 	// Boot-batch placement-view cache. During a bulk fleet spawn the
 	// only cloud mutations are the spawns the master itself performs, so
-	// instead of re-polling every node daemon per placement the measured
-	// view is cached and only the just-placed node is re-polled. The
-	// cache is valid while the engine has neither advanced nor fired an
-	// event since it was filled; any master-side mutation drops it. Boot
-	// batches are single-threaded by contract (the caller is the fleet
-	// installer, not concurrent HTTP handlers).
-	bootBatch   bool
-	viewCache   []placement.NodeView // measured values, index-aligned with nodes
-	viewScratch []placement.NodeView
-	viewAt      sim.Time
-	viewFired   uint64
+	// instead of re-polling every node daemon per placement the view is
+	// cached and only the just-placed node's row is re-polled. The rows
+	// carry the reservation overlay, and placers read the cache itself.
+	// The cache is valid while the engine has neither advanced nor fired
+	// an event since it was filled; any master-side mutation drops it.
+	// Boot batches are single-threaded by contract (the caller is the
+	// fleet installer, not concurrent HTTP handlers).
+	bootBatch bool
+	viewCache []placement.NodeView // index-aligned with nodes
+	viewAt    sim.Time
+	viewFired uint64
 }
 
 // New builds a master with its DHCP and DNS services initialised.
@@ -187,8 +192,7 @@ func New(cfg Config) (*Master, error) {
 		mig:             cfg.Migrations,
 		dhcp:            dhcp.NewServer(cfg.Engine, cfg.LeaseDuration),
 		dns:             dns.NewServer(),
-		byName:          make(map[string]int),
-		rackOf:          make(map[netsim.NodeID]int),
+		net:             cfg.Ctrl.Net(),
 		placer:          cfg.Placer,
 		policy:          cfg.Policy,
 		vms:             make(map[string]*VMRecord),
@@ -226,77 +230,115 @@ func NodeAddr(rack, idxInRack int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(rack), byte(hostNum >> 8), byte(hostNum)})
 }
 
-// NodeReg is one entry of a bulk registration: a node ref plus its
-// precomputed addressing, so registration is pure map inserts. The
-// fleet builder derives MAC, Addr and FQDN once per fleet shape in its
-// construction plan; they must equal dhcp.NodeMAC(rack, idx),
-// NodeAddr(rack, idx) and dns.NodeFQDN(rack, idx) respectively.
-type NodeReg struct {
-	Ref  *NodeRef
-	Idx  int
-	MAC  dhcp.MAC
-	Addr netip.Addr
-	FQDN string
+// HostTable is a fleet's host rows, the construction plan: row i is the
+// i-th node RegisterNodes receives, with its FQDN NodeFQDN(rack, idx),
+// its static address NodeAddr(rack, idx), its MAC
+// dhcp.NodeMAC(rack, idx) and its rack's pool RackPool(rack).
+type HostTable interface {
+	dns.HostTable
+	dhcp.HostTable
 }
 
-// RegisterNode adds a node: a DHCP pool/lease for its rack, DNS records,
-// and its in-rack index on the record. Racks get pool "rack<N>" with
-// subnet 10.<N>.0.0/20 — room for ~4000 addresses per rack so scale-out
-// fleets keep the same addressing plan as the published 4×14 testbed
-// (small indices yield the identical 10.<rack>.0.<2+idx> addresses).
+// RegisterNode adds one node through the runtime path VMs use: a DHCP
+// pool for its rack, a stored static lease and stored DNS records, and
+// its in-rack index on the record. Racks get pool "rack<N>" with subnet
+// 10.<N>.0.0/20 — room for ~4000 addresses per rack so scale-out fleets
+// keep the same addressing plan as the published 4×14 testbed (small
+// indices yield the identical 10.<rack>.0.<2+idx> addresses). A fleet
+// registers through RegisterNodes instead.
 func (m *Master) RegisterNode(ref *NodeRef, idxInRack int) error {
 	if err := checkReg(ref, idxInRack); err != nil {
 		return err
 	}
-	return m.registerOne(NodeReg{
-		Ref:  ref,
-		Idx:  idxInRack,
-		MAC:  dhcp.NodeMAC(ref.Rack, idxInRack),
-		Addr: NodeAddr(ref.Rack, idxInRack),
-		FQDN: dns.NodeFQDN(ref.Rack, idxInRack),
-	}, rackPool(ref.Rack))
-}
-
-// RegisterNodes bulk-registers nodes with precomputed addressing — the
-// fleet builder's boot path. Entries must arrive in topology (rack)
-// order; the resulting registry state is identical to calling
-// RegisterNode per entry. The registries are sized once for the whole
-// batch and each rack's pool name is formatted once.
-func (m *Master) RegisterNodes(regs []NodeReg) error {
-	m.growRegistries(len(regs))
-	pool, poolRack := "", -1
-	for i := range regs {
-		reg := &regs[i]
-		if err := checkReg(reg.Ref, reg.Idx); err != nil {
-			return err
-		}
-		if reg.Ref.Rack != poolRack {
-			pool, poolRack = rackPool(reg.Ref.Rack), reg.Ref.Rack
-		}
-		if err := m.registerOne(*reg, pool); err != nil {
-			return err
-		}
+	nd, err := m.hostIndex(m.slots, ref)
+	if err != nil {
+		return err
 	}
+	pool, err := m.rackPool(ref.Rack)
+	if err != nil {
+		return err
+	}
+	// Nodes get static reservations (the administrator's IP policy):
+	// pool base + 2 + idx, immune to lease expiry.
+	lease, err := m.dhcp.Reserve(pool, dhcp.NodeMAC(ref.Rack, idxInRack), NodeAddr(ref.Rack, idxInRack))
+	if err != nil {
+		return err
+	}
+	if err := m.dns.RegisterHost(dns.NodeFQDN(ref.Rack, idxInRack), lease.Addr); err != nil {
+		return err
+	}
+	ref.Idx = idxInRack
+	m.nodes = append(m.nodes, ref)
+	if int(nd) >= len(m.slots) {
+		m.slots = append(m.slots, make([]int32, m.net.NodeCount()-len(m.slots))...)
+	}
+	m.slots[nd] = int32(len(m.nodes))
+	m.invalidateView()
 	return nil
 }
 
-// growRegistries makes room for n more nodes in the node registries, so
-// a bulk registration fills them without growing them step by step.
-func (m *Master) growRegistries(n int) {
-	m.nodes = slices.Grow(m.nodes, n)
-	m.byName = grownMap(m.byName, n)
-	m.rackOf = grownMap(m.rackOf, n)
+// RegisterNodes registers a whole fleet, before any other node: nodes
+// in topology (rack) order, each carrying its in-rack index, and hosts,
+// whose row i plans nodes[i]. It creates each rack's DHCP pool, then
+// attaches hosts to DHCP and DNS, which answer every node's static
+// lease and records from it without filing them. The answers are those
+// RegisterNode per node would give.
+func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
+	if len(m.nodes) > 0 {
+		return fmt.Errorf("pimaster: RegisterNodes registers a fleet before any other node")
+	}
+	if hosts.Hosts() != len(nodes) {
+		return fmt.Errorf("pimaster: %d host rows for %d nodes", hosts.Hosts(), len(nodes))
+	}
+	refs := make([]*NodeRef, len(nodes))
+	slots := make([]int32, m.net.NodeCount())
+	poolRack := -1
+	for i := range nodes {
+		ref := &nodes[i]
+		if err := checkReg(ref, ref.Idx); err != nil {
+			return err
+		}
+		if row, ok := hosts.RowOfAddr(NodeAddr(ref.Rack, ref.Idx)); !ok || row != i {
+			return fmt.Errorf("pimaster: host row %d does not plan node %s", i, ref.Name)
+		}
+		nd, err := m.hostIndex(slots, ref)
+		if err != nil {
+			return err
+		}
+		if ref.Rack != poolRack {
+			if _, err := m.rackPool(ref.Rack); err != nil {
+				return err
+			}
+			poolRack = ref.Rack
+		}
+		refs[i] = ref
+		slots[nd] = int32(i + 1)
+	}
+	if err := m.dhcp.AttachHosts(hosts); err != nil {
+		return err
+	}
+	if err := m.dns.AttachHosts(hosts); err != nil {
+		return err
+	}
+	m.nodes, m.slots = refs, slots
+	m.invalidateView()
+	return nil
 }
 
-// grownMap returns a copy of m with room for n more entries.
-func grownMap[K comparable, V any](m map[K]V, n int) map[K]V {
-	g := make(map[K]V, len(m)+n)
-	maps.Copy(g, m)
-	return g
-}
+// RackPool names the DHCP pool of a rack.
+func RackPool(rack int) string { return "rack" + strconv.Itoa(rack) }
 
-// rackPool names the DHCP pool of a rack.
-func rackPool(rack int) string { return "rack" + strconv.Itoa(rack) }
+// rackPool returns the rack's DHCP pool, creating it on first use.
+func (m *Master) rackPool(rack int) (string, error) {
+	pool := RackPool(rack)
+	if _, known := m.dhcp.Pool(pool); !known {
+		subnet := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rack), 0, 0}), 20)
+		if err := m.dhcp.AddPoolPrefix(pool, subnet); err != nil {
+			return "", err
+		}
+	}
+	return pool, nil
+}
 
 // checkReg validates one registration's shape against the /20 plan.
 func checkReg(ref *NodeRef, idxInRack int) error {
@@ -316,34 +358,26 @@ func checkReg(ref *NodeRef, idxInRack int) error {
 	return nil
 }
 
-// registerOne performs the validated registration into the rack's
-// DHCP pool.
-func (m *Master) registerOne(reg NodeReg, pool string) error {
-	ref := reg.Ref
-	if _, dup := m.byName[ref.Name]; dup {
-		return fmt.Errorf("pimaster: node %s already registered", ref.Name)
+// hostIndex returns the netsim index of a node about to be registered:
+// it must be a fabric host that slots does not hold yet.
+func (m *Master) hostIndex(slots []int32, ref *NodeRef) (int32, error) {
+	nd := m.net.Node(ref.Host)
+	if nd == nil {
+		return 0, fmt.Errorf("pimaster: node %s is not a host of the fabric", ref.Name)
 	}
-	if _, known := m.dhcp.Pool(pool); !known {
-		subnet := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(ref.Rack), 0, 0}), 20)
-		if err := m.dhcp.AddPoolPrefix(pool, subnet); err != nil && !errors.Is(err, dhcp.ErrPoolExists) {
-			return err
-		}
+	if i := nd.Index(); int(i) < len(slots) && slots[i] != 0 {
+		return 0, fmt.Errorf("pimaster: node %s already registered", ref.Name)
 	}
-	// Nodes get static reservations (the administrator's IP policy):
-	// pool base + 2 + idx, immune to lease expiry.
-	lease, err := m.dhcp.Reserve(pool, reg.MAC, reg.Addr)
-	if err != nil {
-		return err
+	return nd.Index(), nil
+}
+
+// position returns a registered node's index in nodes.
+func (m *Master) position(name string) (int, bool) {
+	nd := m.net.Node(netsim.NodeID(name))
+	if nd == nil || int(nd.Index()) >= len(m.slots) || m.slots[nd.Index()] == 0 {
+		return 0, false
 	}
-	if err := m.dns.RegisterHost(reg.FQDN, lease.Addr); err != nil {
-		return err
-	}
-	ref.Idx = reg.Idx
-	m.byName[ref.Name] = len(m.nodes)
-	m.nodes = append(m.nodes, ref)
-	m.rackOf[ref.Host] = ref.Rack
-	m.invalidateView()
-	return nil
+	return int(m.slots[nd.Index()]) - 1, true
 }
 
 // Nodes returns the registered nodes in order.
@@ -351,7 +385,7 @@ func (m *Master) Nodes() []*NodeRef { return append([]*NodeRef(nil), m.nodes...)
 
 // Node resolves a node by name, which is also its host id.
 func (m *Master) Node(name string) (*NodeRef, error) {
-	i, ok := m.byName[name]
+	i, ok := m.position(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchNode, name)
 	}
@@ -376,7 +410,6 @@ func (m *Master) EndBootBatch() {
 	m.mu.Lock()
 	m.bootBatch = false
 	m.viewCache = nil
-	m.viewScratch = nil
 	m.mu.Unlock()
 }
 
@@ -401,82 +434,79 @@ func (m *Master) pollNode(ref *NodeRef) placement.NodeView {
 }
 
 // buildView polls every node daemon's status and assembles the placement
-// view. Inside a boot batch the measured rows come from the incremental
-// cache (filled once, then patched per spawn); the reservation overlay
-// is applied to a scratch copy so the cached measurements stay pristine.
+// view. Placement sees the larger of measured utilisation and declared
+// reservations, so idle-but-reserved capacity is not double-booked.
+// Inside a boot batch the rows come from the incremental cache, overlay
+// included (filled once, then patched per spawn), and the placer reads
+// the cache itself.
 func (m *Master) buildView() *placement.View {
-	v := &placement.View{
-		Locate: make(map[string]netsim.NodeID),
-		Rack:   m.rackOf, // immutable after registration; placers only read
-	}
+	v := &placement.View{Locate: make(map[string]netsim.NodeID)}
 	m.mu.Lock()
 	batch := m.bootBatch
 	cacheValid := batch && m.viewCache != nil &&
 		m.viewAt == m.engine.Now() && m.viewFired == m.engine.Fired()
 	m.mu.Unlock()
 	if cacheValid {
-		if cap(m.viewScratch) < len(m.viewCache) {
-			m.viewScratch = make([]placement.NodeView, len(m.viewCache))
-		}
-		m.viewScratch = m.viewScratch[:len(m.viewCache)]
-		copy(m.viewScratch, m.viewCache)
-		v.Nodes = m.viewScratch
+		v.Nodes = m.viewCache
 	} else {
 		v.Nodes = make([]placement.NodeView, 0, len(m.nodes))
 		for _, ref := range m.nodes {
 			v.Nodes = append(v.Nodes, m.pollNode(ref))
 		}
-		if batch {
-			m.mu.Lock()
-			m.viewCache = append(m.viewCache[:0], v.Nodes...)
-			m.viewAt = m.engine.Now()
-			m.viewFired = m.engine.Fired()
-			m.mu.Unlock()
-		}
 	}
 	m.mu.Lock()
-	reserved := make(map[string]hw.MIPS)
+	reserved := make(map[int]hw.MIPS)
 	for name, rec := range m.vms {
-		if i, ok := m.byName[rec.Node]; ok {
+		if i, ok := m.position(rec.Node); ok {
 			v.Locate[name] = m.nodes[i].Host
+			reserved[i] += hw.MIPS(rec.CPUDemandMIPS)
 		}
-		reserved[rec.Node] += hw.MIPS(rec.CPUDemandMIPS)
+	}
+	if !cacheValid {
+		// v.Nodes is index-aligned with m.nodes.
+		for i, res := range reserved {
+			if res > v.Nodes[i].CPUUsed {
+				v.Nodes[i].CPUUsed = res
+			}
+		}
+		if batch {
+			m.viewCache = v.Nodes
+			m.viewAt = m.engine.Now()
+			m.viewFired = m.engine.Fired()
+		}
 	}
 	m.mu.Unlock()
-	// Placement sees the larger of measured utilisation and declared
-	// reservations, so idle-but-reserved capacity is not double-booked.
-	// v.Nodes is index-aligned with m.nodes.
-	for name, res := range reserved {
-		if i, ok := m.byName[name]; ok && res > v.Nodes[i].CPUUsed {
-			v.Nodes[i].CPUUsed = res
-		}
-	}
 	return v
 }
 
 // refreshViewNode re-polls one node into the boot-batch cache after a
-// spawn landed on it, so the next placement sees the spawn's memory and
-// container-count deltas without a fleet-wide poll.
+// spawn landed on it, with its reservations overlaid, so the next
+// placement sees the spawn's deltas without a fleet-wide poll.
 func (m *Master) refreshViewNode(ref *NodeRef) {
 	m.mu.Lock()
-	ok := m.bootBatch && m.viewCache != nil
-	var idx int
-	if ok {
-		idx, ok = m.byName[ref.Name]
-		ok = ok && idx < len(m.viewCache)
-	}
+	idx, ok := m.position(ref.Name)
+	ok = ok && m.bootBatch && idx < len(m.viewCache)
 	m.mu.Unlock()
 	if !ok {
 		return
 	}
 	nv := m.pollNode(ref)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if !m.bootBatch || m.viewCache == nil {
 		m.viewCache = nil
-	} else {
-		m.viewCache[idx] = nv
+		return
 	}
-	m.mu.Unlock()
+	var res hw.MIPS
+	for _, rec := range m.vms {
+		if rec.Node == ref.Name {
+			res += hw.MIPS(rec.CPUDemandMIPS)
+		}
+	}
+	if res > nv.CPUUsed {
+		nv.CPUUsed = res
+	}
+	m.viewCache[idx] = nv
 }
 
 // SpawnVM places and boots a VM cloud-wide: placement, DHCP lease, DNS
@@ -529,7 +559,7 @@ func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 	m.macSeq++
 	mac := dhcp.ContainerMAC(m.macSeq)
 	m.mu.Unlock()
-	lease, err := m.dhcp.Request(rackPool(ref.Rack), mac)
+	lease, err := m.dhcp.Request(RackPool(ref.Rack), mac)
 	if err != nil {
 		return nil, fmt.Errorf("pimaster: leasing address: %w", err)
 	}

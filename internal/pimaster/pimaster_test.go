@@ -2,6 +2,7 @@ package pimaster_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -423,5 +424,40 @@ func TestImageOpsOverHTTP(t *testing.T) {
 	}
 	if code, _ := post("/api/v1/images/webserver/latest/spawn", `{"new_name":"tenant1-web","new_tag":"v1"}`); code != 409 {
 		t.Fatalf("duplicate spawn = %d", code)
+	}
+}
+
+// TestBootBatchMatchesPolling: inside a boot batch every placer reads
+// pimaster's cached rows, reservations overlaid and only the spawned
+// node re-polled; it must make the choice polling every node for every
+// spawn makes. The requests mix placers, CPU reservations, memory sizes
+// and peers, until the cloud runs out of room.
+func TestBootBatchMatchesPolling(t *testing.T) {
+	cfg := core.Config{Racks: 3, HostsPerRack: 4, Seed: 1}
+	batched, polled := newCloud(t, cfg), newCloud(t, cfg)
+	placers := []string{"", "best-fit", "worst-fit", "network-aware", "round-robin", "first-fit"}
+	reqs := make([]pimaster.SpawnVMRequest, 40)
+	for i := range reqs {
+		reqs[i] = pimaster.SpawnVMRequest{
+			Name: fmt.Sprintf("vm%02d", i), Image: "raspbian",
+			Placer:        placers[i%len(placers)],
+			CPUDemandMIPS: int64(i%4) * 150,
+			MemLimitBytes: int64(i%3) * 16 << 20,
+		}
+		if i > 2 {
+			reqs[i].Peers = []string{reqs[i-1].Name, reqs[i-3].Name}
+		}
+	}
+	batched.Master.BeginBootBatch()
+	defer batched.Master.EndBootBatch()
+	for i, req := range reqs {
+		got, gerr := batched.Master.SpawnVM(req)
+		want, werr := polled.Master.SpawnVM(req)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("spawn %d: batch %v, polling %v", i, gerr, werr)
+		}
+		if gerr == nil && (got.Node != want.Node || got.IP != want.IP) {
+			t.Fatalf("spawn %d (%s): batch chose %s %s, polling %s %s", i, req.Placer, got.Node, got.IP, want.Node, want.IP)
+		}
 	}
 }

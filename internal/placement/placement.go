@@ -44,8 +44,6 @@ type View struct {
 	Nodes []NodeView
 	// Locate maps container name → hosting node.
 	Locate map[string]netsim.NodeID
-	// Rack maps node → rack index.
-	Rack map[netsim.NodeID]int
 }
 
 // NodeByID returns a pointer into Nodes, or nil.
@@ -102,7 +100,8 @@ func Fits(req Request, n NodeView, p Policy) bool {
 	return true
 }
 
-// Placer chooses a node for a request.
+// Placer chooses a node for a request. Place only reads the view: its
+// caller may hand every placer of a boot batch the same rows.
 type Placer interface {
 	Name() string
 	Place(req Request, v *View, p Policy) (netsim.NodeID, error)
@@ -153,6 +152,21 @@ func (FirstFit) Place(req Request, v *View, p Policy) (netsim.NodeID, error) {
 	return "", fmt.Errorf("%w: %s", ErrNoCapacity, req.Name)
 }
 
+// sameLoad reports whether two rows agree in every field but ID, so a
+// request fits both or neither and scores the same on both. A row equal
+// to the one before it can therefore never win a strict > or <
+// comparison against it, and the scoring placers skip it: whole racks of
+// identical idle nodes cost one comparison each.
+func sameLoad(a, b *NodeView) bool {
+	return a.Rack == b.Rack && a.CPU == b.CPU && a.CPUUsed == b.CPUUsed &&
+		a.MemTotal == b.MemTotal && a.MemUsed == b.MemUsed &&
+		a.Containers == b.Containers && a.MaxContainers == b.MaxContainers &&
+		a.PoweredOn == b.PoweredOn
+}
+
+// repeats reports whether v.Nodes[i] repeats the row before it.
+func (v *View) repeats(i int) bool { return i > 0 && sameLoad(&v.Nodes[i], &v.Nodes[i-1]) }
+
 // load is the scalar packing score: the max of CPU and memory fractions
 // after hosting the request.
 func load(req Request, n NodeView, p Policy) float64 {
@@ -174,11 +188,11 @@ func (BestFit) Name() string { return "best-fit" }
 func (BestFit) Place(req Request, v *View, p Policy) (netsim.NodeID, error) {
 	best := -1
 	bestScore := -1.0
-	for i, n := range v.Nodes {
-		if !Fits(req, n, p) {
+	for i := range v.Nodes {
+		if v.repeats(i) || !Fits(req, v.Nodes[i], p) {
 			continue
 		}
-		if s := load(req, n, p); s > bestScore {
+		if s := load(req, v.Nodes[i], p); s > bestScore {
 			best, bestScore = i, s
 		}
 	}
@@ -198,11 +212,11 @@ func (WorstFit) Name() string { return "worst-fit" }
 func (WorstFit) Place(req Request, v *View, p Policy) (netsim.NodeID, error) {
 	best := -1
 	bestScore := 2.0
-	for i, n := range v.Nodes {
-		if !Fits(req, n, p) {
+	for i := range v.Nodes {
+		if v.repeats(i) || !Fits(req, v.Nodes[i], p) {
 			continue
 		}
-		if s := load(req, n, p); s < bestScore {
+		if s := load(req, v.Nodes[i], p); s < bestScore {
 			best, bestScore = i, s
 		}
 	}
@@ -228,8 +242,8 @@ func (NetworkAware) Place(req Request, v *View, p Policy) (netsim.NodeID, error)
 		if !ok {
 			continue
 		}
-		if rack, ok := v.Rack[node]; ok {
-			peerRacks[rack]++
+		if row := v.NodeByID(node); row != nil {
+			peerRacks[row.Rack]++
 		}
 	}
 	if len(peerRacks) == 0 {
@@ -249,11 +263,11 @@ func (NetworkAware) Place(req Request, v *View, p Policy) (netsim.NodeID, error)
 	for _, rack := range racks {
 		best := -1
 		bestScore := -1.0
-		for i, n := range v.Nodes {
-			if n.Rack != rack || !Fits(req, n, p) {
+		for i := range v.Nodes {
+			if v.Nodes[i].Rack != rack || v.repeats(i) || !Fits(req, v.Nodes[i], p) {
 				continue
 			}
-			if s := load(req, n, p); s > bestScore {
+			if s := load(req, v.Nodes[i], p); s > bestScore {
 				best, bestScore = i, s
 			}
 		}

@@ -2,6 +2,9 @@ package placement
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +14,7 @@ import (
 
 // cluster builds a 4-rack × 3-node empty Pi view.
 func cluster() *View {
-	v := &View{Locate: make(map[string]netsim.NodeID), Rack: make(map[netsim.NodeID]int)}
+	v := &View{Locate: make(map[string]netsim.NodeID)}
 	for r := 0; r < 4; r++ {
 		for i := 0; i < 3; i++ {
 			id := netsim.NodeID(rune('a'+r)) + netsim.NodeID(rune('0'+i))
@@ -24,7 +27,6 @@ func cluster() *View {
 				MaxContainers: 3,
 				PoweredOn:     true,
 			})
-			v.Rack[id] = r
 		}
 	}
 	return v
@@ -143,8 +145,8 @@ func TestNetworkAwareColocatesWithPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Rack[id] != 2 {
-		t.Fatalf("network-aware chose rack %d, want 2 (majority of peers)", v.Rack[id])
+	if rack := v.NodeByID(id).Rack; rack != 2 {
+		t.Fatalf("network-aware chose rack %d, want 2 (majority of peers)", rack)
 	}
 }
 
@@ -162,7 +164,7 @@ func TestNetworkAwareFallsBackWhenRackFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Rack[id] == 2 {
+	if v.NodeByID(id).Rack == 2 {
 		t.Fatal("placed in a full rack")
 	}
 }
@@ -319,7 +321,7 @@ func TestPropertyConsolidationSane(t *testing.T) {
 }
 
 func BenchmarkBestFit56Nodes(b *testing.B) {
-	v := &View{Locate: map[string]netsim.NodeID{}, Rack: map[netsim.NodeID]int{}}
+	v := &View{Locate: map[string]netsim.NodeID{}}
 	for i := 0; i < 56; i++ {
 		id := netsim.NodeID(rune('a'+i/14)) + netsim.NodeID(rune('0'+i%14))
 		v.Nodes = append(v.Nodes, NodeView{ID: id, Rack: i / 14, CPU: 875, MemTotal: 256 * hw.MiB, MaxContainers: 3, PoweredOn: true})
@@ -329,6 +331,111 @@ func BenchmarkBestFit56Nodes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := (BestFit{}).Place(r, v, Policy{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// scanPlace is the scoring placers' scan without the repeated-row skip:
+// the reference the skipping placers must agree with.
+func scanPlace(name string, req Request, v *View, p Policy) (netsim.NodeID, error) {
+	pick := func(rack int, better func(s, best float64) bool, start float64) int {
+		best, bestScore := -1, start
+		for i, n := range v.Nodes {
+			if (rack >= 0 && n.Rack != rack) || !Fits(req, n, p) {
+				continue
+			}
+			if s := load(req, n, p); better(s, bestScore) {
+				best, bestScore = i, s
+			}
+		}
+		return best
+	}
+	higher := func(s, best float64) bool { return s > best }
+	best := -1
+	switch name {
+	case "best-fit":
+		best = pick(-1, higher, -1)
+	case "worst-fit":
+		best = pick(-1, func(s, b float64) bool { return s < b }, 2)
+	case "network-aware":
+		peers := map[int]int{}
+		for _, peer := range req.Peers {
+			if id, ok := v.Locate[peer]; ok {
+				peers[v.NodeByID(id).Rack]++
+			}
+		}
+		racks := make([]int, 0, len(peers))
+		for r := range peers {
+			racks = append(racks, r)
+		}
+		sort.Slice(racks, func(i, j int) bool {
+			if peers[racks[i]] != peers[racks[j]] {
+				return peers[racks[i]] > peers[racks[j]]
+			}
+			return racks[i] < racks[j]
+		})
+		for _, r := range racks {
+			if best = pick(r, higher, -1); best >= 0 {
+				break
+			}
+		}
+		if best < 0 {
+			best = pick(-1, higher, -1)
+		}
+	}
+	if best < 0 {
+		return "", fmt.Errorf("%w: %s", ErrNoCapacity, req.Name)
+	}
+	return v.Nodes[best].ID, nil
+}
+
+// randomRunsView builds a view of racks made of runs of identical rows
+// (idle, loaded, powered off or full), so that many rows tie.
+func randomRunsView(rng *rand.Rand) *View {
+	v := &View{Locate: map[string]netsim.NodeID{}}
+	kinds := []NodeView{
+		{CPU: 875, MemTotal: 256 * hw.MiB, MemUsed: 48 * hw.MiB, MaxContainers: 3, PoweredOn: true},
+		{CPU: 875, CPUUsed: 300, MemTotal: 256 * hw.MiB, MemUsed: 120 * hw.MiB, Containers: 1, MaxContainers: 3, PoweredOn: true},
+		{CPU: 875, CPUUsed: 600, MemTotal: 256 * hw.MiB, MemUsed: 48 * hw.MiB, Containers: 2, MaxContainers: 3, PoweredOn: true},
+		{CPU: 875, MemTotal: 256 * hw.MiB, MemUsed: 48 * hw.MiB, MaxContainers: 3},
+		{CPU: 875, MemTotal: 256 * hw.MiB, MemUsed: 200 * hw.MiB, Containers: 3, MaxContainers: 3, PoweredOn: true},
+	}
+	for rack := 0; rack < 1+rng.Intn(5); rack++ {
+		for len(v.Nodes) < (rack+1)*40 {
+			row := kinds[rng.Intn(len(kinds))]
+			row.Rack = rack
+			if rng.Intn(4) == 0 {
+				row.MemUsed += int64(rng.Intn(3)) * hw.MiB
+			}
+			for run := 1 + rng.Intn(12); run > 0; run-- {
+				row.ID = netsim.NodeID(fmt.Sprintf("n%03d", len(v.Nodes)))
+				v.Nodes = append(v.Nodes, row)
+			}
+		}
+	}
+	for i := 0; i < rng.Intn(6); i++ {
+		v.Locate[fmt.Sprintf("p%d", i)] = v.Nodes[rng.Intn(len(v.Nodes))].ID
+	}
+	return v
+}
+
+// TestSkipMatchesFullScan: skipping a row equal to the one before it
+// never changes a choice. Random views of identical runs, powered-off
+// and full nodes, with many score ties, go through every scoring placer
+// and its unskipped scan.
+func TestSkipMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	placers := []Placer{BestFit{}, WorstFit{}, NetworkAware{}}
+	for trial := 0; trial < 500; trial++ {
+		v := randomRunsView(rng)
+		r := req("c", hw.MIPS(rng.Intn(4)*150), int64(rng.Intn(4)*30)*hw.MiB, "p0", "p1", "p2", "p3")
+		pol := Policy{CPUOvercommit: float64(rng.Intn(2) + 1)}
+		for _, pl := range placers {
+			got, gerr := pl.Place(r, v, pol)
+			want, werr := scanPlace(pl.Name(), r, v, pol)
+			if got != want || (gerr == nil) != (werr == nil) {
+				t.Fatalf("trial %d %s: chose %q (%v), the full scan %q (%v)", trial, pl.Name(), got, gerr, want, werr)
+			}
 		}
 	}
 }

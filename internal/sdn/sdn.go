@@ -378,6 +378,9 @@ func (c *Controller) Switch(id netsim.NodeID) *openflow.Switch {
 	return nil
 }
 
+// Net returns the network the controller routes over.
+func (c *Controller) Net() *netsim.Network { return c.net }
+
 // PacketIns returns how many table misses reached the controller.
 func (c *Controller) PacketIns() uint64 { return c.packetIns }
 

@@ -12,6 +12,7 @@ package topology
 import (
 	"fmt"
 	"iter"
+	"strconv"
 	"strings"
 	"time"
 
@@ -110,7 +111,25 @@ func (t *Topology) SameRack(a, b netsim.NodeID) bool {
 
 // HostName formats the canonical PiCloud host name: pi-r<rack>-n<idx>.
 func HostName(rack, idx int) netsim.NodeID {
-	return netsim.NodeID(fmt.Sprintf("pi-r%02d-n%02d", rack, idx))
+	var buf [24]byte
+	return netsim.NodeID(AppendHostName(buf[:0], rack, idx))
+}
+
+// AppendHostName appends HostName(rack, idx) to buf. Both numbers print
+// as fmt's %02d does: at least two digits, zero-padded.
+func AppendHostName(buf []byte, rack, idx int) []byte {
+	buf = append(buf, "pi-r"...)
+	buf = appendPad2(buf, rack)
+	buf = append(buf, "-n"...)
+	return appendPad2(buf, idx)
+}
+
+// appendPad2 appends n in decimal with at least two digits, like %02d.
+func appendPad2(buf []byte, n int) []byte {
+	if n >= 0 && n < 10 {
+		return append(buf, '0', byte('0'+n))
+	}
+	return strconv.AppendInt(buf, int64(n), 10)
 }
 
 // MultiRootConfig parameterises the canonical PiCloud fabric of Fig. 2.

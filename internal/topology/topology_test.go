@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -342,5 +343,19 @@ func TestRenderLabelsPods(t *testing.T) {
 	want := "rack 5 [edge-p05-00 edge-p05-01 edge-p05-02 edge-p05-03]\n"
 	if art := Render(topo); !strings.Contains(art, want) {
 		t.Fatalf("render lacks %q:\n%s", want, art)
+	}
+}
+
+// TestHostNameMatchesFmt: the strconv host name prints what
+// fmt's "pi-r%02d-n%02d" printed, for one- to four-digit racks and
+// indices.
+func TestHostNameMatchesFmt(t *testing.T) {
+	nums := []int{0, 1, 9, 10, 13, 99, 100, 255, 256, 999, 1000, 4092, 9999}
+	for _, rack := range nums {
+		for _, idx := range nums {
+			if got, want := HostName(rack, idx), netsim.NodeID(fmt.Sprintf("pi-r%02d-n%02d", rack, idx)); got != want {
+				t.Fatalf("HostName(%d, %d) = %s, want %s", rack, idx, got, want)
+			}
+		}
 	}
 }
