@@ -83,14 +83,33 @@ perfbench-selftest:
 	cd perfbench && $(GO) test ./...
 
 # Run every program under examples/ once (`go build ./...` only compiles
-# them); the target fails on the first one that exits non-zero.
+# them), then `pibench -exp all`, and compare each one's output byte for
+# byte with its golden file: examples/<name>/output.golden and
+# cmd/pibench/testdata/all.golden. The outputs are the simulation's
+# printed results, so a byte that moves is a behaviour change. The
+# golden bytes carry amd64 float rounding, so on other architectures
+# the programs only run, as the digest pins skip there. The target fails
+# on the first program that exits non-zero or differs. A change that
+# moves an output on purpose rewrites its golden file with the same
+# command, stdout only (`go run ./examples/<name> >
+# examples/<name>/output.golden`).
 EXAMPLES = $(patsubst examples/%/main.go,%,$(wildcard examples/*/main.go))
 
 examples:
-	@for e in $(EXAMPLES); do \
+	@arch="$$($(GO) env GOARCH)"; out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	check() { \
+		cat "$$out"; \
+		[ "$$arch" != amd64 ] || diff -u "$$1" "$$out" || \
+			{ echo "examples: output differs from $$1"; exit 1; }; \
+	}; \
+	for e in $(EXAMPLES); do \
 		echo "== examples/$$e"; \
-		$(GO) run ./examples/$$e || { echo "examples: $$e failed"; exit 1; }; \
-	done
+		$(GO) run ./examples/$$e > "$$out" || { echo "examples: $$e failed"; exit 1; }; \
+		check examples/$$e/output.golden; \
+	done; \
+	echo "== pibench -exp all"; \
+	$(GO) run ./cmd/pibench -exp all > "$$out" || { echo "examples: pibench failed"; exit 1; }; \
+	check cmd/pibench/testdata/all.golden
 
 # A Perfetto-loadable span trace of the 1000-node scale scenario:
 # advance slices, per-domain netsim flushes and checkpoint spans with

@@ -54,7 +54,11 @@ func run() error {
 			return err
 		}
 		servers = append(servers, srv)
-		fmt.Printf("replica %s on %s (rack %d)\n", name, rec.Node, cloud.Topo.RackOf(ep.Host))
+		node, err := cloud.NodeByName(rec.Node)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("replica %s on %s (rack %d)\n", name, rec.Node, node.Rack)
 	}
 	farm, err := workload.NewWebFarm(servers...)
 	if err != nil {

@@ -114,7 +114,8 @@ func (c *Cloud) adopt(res *fleet.Result) {
 	c.fleet = res
 }
 
-// Nodes returns all nodes in topology order.
+// Nodes returns all nodes in topology order: pimaster's registry, not a
+// copy, so callers only read it.
 func (c *Cloud) Nodes() []*Node { return c.Master.Nodes() }
 
 // NodeByName resolves a node through pimaster's registry.

@@ -274,8 +274,10 @@ func (s *Server) hostRecords() map[*zone][]Record {
 			if s.gone[i]&bit != 0 {
 				continue
 			}
-			r := s.hostA(i)
-			if bit == gonePTR {
+			var r Record
+			if bit == goneA {
+				r = s.hostA(i)
+			} else {
 				r = s.hostPTR(i)
 			}
 			if z := s.homeZone(r.Name); z != nil {

@@ -3,13 +3,18 @@
 // virtual time, a whole-cloud meter (the "single trailing power socket"
 // of Section III), and the data-centre cooling model behind Table I's
 // cooling column and the paper's "33% of total power" claim.
+//
+// The whole-cloud meter knows its meters by position, not by name: a
+// slice of sub-meter groups indexed by rack, each a slice of meters
+// summed in the order they were attached. A fleet attaches them in its
+// construction plan's order (each rack's hosts by name), so every float
+// sum is fixed before the first reading.
 package energy
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -143,30 +148,29 @@ func (m *Meter) EnergyWh(at sim.Time) float64 { return m.EnergyJoules(at) / 3600
 // single trailing power socket board".
 //
 // Meters attach under an integer group — the rack, for a fleet — and
-// every aggregate sums group by group, members in name order, groups
-// in ascending order. Power is read every sample, so each group caches
-// its power sum until a member's state change invalidates it: a
+// every aggregate sums group by group in ascending group order, each
+// group's members in the order they were attached. Summation must be
+// order-stable or float rounding makes identical runs differ in the
+// last bit, so the caller fixes it: a fleet attaches each rack's meters
+// in host-name order, decided once per shape by its construction plan.
+// The meter keeps no names. Power is read every sample, so each group
+// caches its power sum until a member's state change invalidates it: a
 // TotalWatts is O(groups + members of dirty groups), which on a
 // 10⁶-node fleet is 256 cached sub-meters and the one rack that
 // changed instead of a million meter locks. Energy keeps no cache: a
 // TotalEnergyJoules reads every meter, exactly as WriteState does.
 type CloudMeter struct {
-	mu     sync.Mutex
-	meters map[string]*Meter
-	groups map[int]*meterGroup
-	// order caches the group iteration order (ascending group id);
-	// summation must be order-stable or float rounding makes identical
-	// runs differ in the last bit.
-	order      []int
-	orderStale bool
+	mu sync.Mutex
+	// groups is indexed by group id, nil where no meter joined.
+	groups []*meterGroup
+	// meters counts the attached meters.
+	meters int
 }
 
 // meterGroup is one sub-meter: the per-rack aggregation unit.
 type meterGroup struct {
-	members []groupMember
-	// membersStale defers the per-group name sort to the next reading
-	// after attachments.
-	membersStale bool
+	// members are summed in attach order.
+	members []*Meter
 	// wattsDirty is set by member meters on any power state change;
 	// watts is valid only while it is clear.
 	wattsDirty atomic.Bool
@@ -174,25 +178,11 @@ type meterGroup struct {
 	watts float64
 }
 
-type groupMember struct {
-	name string
-	m    *Meter
-}
-
-// sorted returns the group's members in stable name order.
-func (g *meterGroup) sorted() []groupMember {
-	if g.membersStale {
-		sort.Slice(g.members, func(i, j int) bool { return g.members[i].name < g.members[j].name })
-		g.membersStale = false
-	}
-	return g.members
-}
-
 // recomputeWatts refreshes the cached power sum from the members.
 func (g *meterGroup) recomputeWatts() {
 	total := 0.0
-	for _, mm := range g.sorted() {
-		total += mm.m.CurrentWatts()
+	for _, m := range g.members {
+		total += m.CurrentWatts()
 	}
 	g.watts = total
 }
@@ -201,87 +191,65 @@ func (g *meterGroup) recomputeWatts() {
 // straight from the meters (each materialises its pending span without
 // committing it), bypassing the watts cache.
 func (g *meterGroup) read(at sim.Time) (joules, watts float64) {
-	for _, mm := range g.sorted() {
-		joules += mm.m.EnergyJoules(at)
-		watts += mm.m.CurrentWatts()
+	for _, m := range g.members {
+		joules += m.EnergyJoules(at)
+		watts += m.CurrentWatts()
 	}
 	return joules, watts
 }
 
-// NewCloudMeter returns an empty aggregate meter.
-func NewCloudMeter() *CloudMeter {
-	return &CloudMeter{
-		meters: make(map[string]*Meter),
-		groups: make(map[int]*meterGroup),
+// cachedWatts returns the group's power sum, recomputing it only if a
+// member changed state since the last reading.
+func (g *meterGroup) cachedWatts() float64 {
+	if g.wattsDirty.Swap(false) {
+		g.recomputeWatts()
 	}
+	return g.watts
 }
 
-// Attach registers a device meter under a unique name, in sub-meter
-// group 0. Fleets attach per rack with AttachGrouped.
-func (c *CloudMeter) Attach(name string, m *Meter) error {
-	return c.AttachGrouped(name, 0, m)
-}
+// NewCloudMeter returns an empty aggregate meter.
+func NewCloudMeter() *CloudMeter { return &CloudMeter{} }
 
-// AttachGrouped registers a device meter under a unique name in the
-// given sub-meter group (the rack index, for a fleet). A meter reports
-// to at most one CloudMeter.
-func (c *CloudMeter) AttachGrouped(name string, group int, m *Meter) error {
+// Attach registers a device meter in the given sub-meter group, after
+// the group's earlier members. Group ids index a slice, so they are
+// small non-negative numbers: the rack index, for a fleet. A meter
+// reports to at most one CloudMeter, once.
+func (c *CloudMeter) Attach(group int, m *Meter) error {
+	if group < 0 {
+		return fmt.Errorf("energy: meter group %d is negative", group)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.meters[name]; dup {
-		return fmt.Errorf("energy: meter %q already attached", name)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.group != nil {
+		return fmt.Errorf("energy: meter already attached")
 	}
-	c.meters[name] = m
+	if group >= len(c.groups) {
+		c.groups = append(c.groups, make([]*meterGroup, group+1-len(c.groups))...)
+	}
 	g := c.groups[group]
 	if g == nil {
 		g = &meterGroup{}
 		c.groups[group] = g
-		c.order = append(c.order, group)
-		c.orderStale = true
 	}
-	g.members = append(g.members, groupMember{name: name, m: m})
-	g.membersStale = true
+	g.members = append(g.members, m)
 	g.wattsDirty.Store(true)
-	m.mu.Lock()
 	m.group = g
-	m.mu.Unlock()
+	c.meters++
 	return nil
-}
-
-// Meter returns the named device meter, or nil.
-func (c *CloudMeter) Meter(name string) *Meter {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.meters[name]
-}
-
-// Names returns the attached device names in map order.
-func (c *CloudMeter) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.meters))
-	for n := range c.meters {
-		out = append(out, n)
-	}
-	return out
-}
-
-// sortedGroups returns the group ids in stable ascending order. Caller
-// holds c.mu.
-func (c *CloudMeter) sortedGroups() []int {
-	if c.orderStale {
-		sort.Ints(c.order)
-		c.orderStale = false
-	}
-	return c.order
 }
 
 // Groups returns the sub-meter group ids in ascending order.
 func (c *CloudMeter) Groups() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]int, len(c.sortedGroups()))
-	copy(out, c.order)
+	out := make([]int, 0, len(c.groups))
+	for id, g := range c.groups {
+		if g != nil {
+			out = append(out, id)
+		}
+	}
 	return out
 }
 
@@ -290,14 +258,10 @@ func (c *CloudMeter) Groups() []int {
 func (c *CloudMeter) GroupWatts(group int) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g := c.groups[group]
-	if g == nil {
+	if group < 0 || group >= len(c.groups) || c.groups[group] == nil {
 		return 0
 	}
-	if g.wattsDirty.Swap(false) {
-		g.recomputeWatts()
-	}
-	return g.watts
+	return c.groups[group].cachedWatts()
 }
 
 // TotalWatts returns the instantaneous aggregate draw: cached sub-meter
@@ -306,12 +270,10 @@ func (c *CloudMeter) TotalWatts() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0.0
-	for _, id := range c.sortedGroups() {
-		g := c.groups[id]
-		if g.wattsDirty.Swap(false) {
-			g.recomputeWatts()
+	for _, g := range c.groups {
+		if g != nil {
+			total += g.cachedWatts()
 		}
-		total += g.watts
 	}
 	return total
 }
@@ -324,9 +286,11 @@ func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0.0
-	for _, id := range c.sortedGroups() {
-		joules, _ := c.groups[id].read(at)
-		total += joules
+	for _, g := range c.groups {
+		if g != nil {
+			joules, _ := g.read(at)
+			total += joules
+		}
 	}
 	return total
 }
@@ -342,9 +306,17 @@ func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
 func (c *CloudMeter) WriteState(w io.Writer, at sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fmt.Fprintf(w, "energy meters=%d groups=%d at=%d\n", len(c.meters), len(c.groups), int64(at))
-	for _, id := range c.sortedGroups() {
-		g := c.groups[id]
+	groups := 0
+	for _, g := range c.groups {
+		if g != nil {
+			groups++
+		}
+	}
+	fmt.Fprintf(w, "energy meters=%d groups=%d at=%d\n", c.meters, groups, int64(at))
+	for id, g := range c.groups {
+		if g == nil {
+			continue
+		}
 		joules, watts := g.read(at)
 		fmt.Fprintf(w, "group %d joules=%016x watts=%016x members=%d\n",
 			id, math.Float64bits(joules), math.Float64bits(watts), len(g.members))

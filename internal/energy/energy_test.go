@@ -1,9 +1,9 @@
 package energy
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -88,13 +88,16 @@ func TestPropertyEnergyMonotonic(t *testing.T) {
 	}
 }
 
+// TestCloudMeterAggregation: three meters in groups 0 and 2 sum to the
+// cloud's totals; group 1, which no meter joined, is neither listed nor
+// counted, and reads 0 like any unknown group.
 func TestCloudMeterAggregation(t *testing.T) {
 	cm := NewCloudMeter()
 	p := hw.PowerProfile{IdleWatts: 2, PeakWatts: 3.5}
 	for i := 0; i < 3; i++ {
 		m := NewMeter(p, 0)
 		m.PowerOn(0)
-		if err := cm.Attach(string(rune('a'+i)), m); err != nil {
+		if err := cm.Attach(2*(i%2), m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,22 +107,27 @@ func TestCloudMeterAggregation(t *testing.T) {
 	if got := cm.TotalEnergyJoules(at(10)); math.Abs(got-60) > 1e-9 {
 		t.Fatalf("TotalEnergy = %v, want 60", got)
 	}
-	if len(cm.Names()) != 3 {
-		t.Fatalf("Names = %v", cm.Names())
+	if got := cm.Groups(); !slices.Equal(got, []int{0, 2}) {
+		t.Fatalf("Groups = %v, want [0 2]", got)
 	}
-	if cm.Meter("a") == nil || cm.Meter("zzz") != nil {
-		t.Fatal("Meter lookup wrong")
+	for group, want := range map[int]float64{-1: 0, 0: 4, 1: 0, 2: 2, 3: 0} {
+		if got := cm.GroupWatts(group); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("GroupWatts(%d) = %v, want %v", group, got, want)
+		}
+	}
+	var state strings.Builder
+	cm.WriteState(&state, at(10))
+	if head, _, _ := strings.Cut(state.String(), "\n"); head != "energy meters=3 groups=2 at=10000000000" {
+		t.Fatalf("WriteState header %q", head)
 	}
 }
 
 // flatTotals recomputes the aggregate the pre-hierarchical way: walk
 // every meter. The reference the cached sub-meter path must match.
-func flatTotals(cm *CloudMeter, at sim.Time) (watts, joules float64) {
-	names := cm.Names()
-	sort.Strings(names)
-	for _, n := range names {
-		watts += cm.Meter(n).CurrentWatts()
-		joules += cm.Meter(n).EnergyJoules(at)
+func flatTotals(meters []*Meter, at sim.Time) (watts, joules float64) {
+	for _, m := range meters {
+		watts += m.CurrentWatts()
+		joules += m.EnergyJoules(at)
 	}
 	return watts, joules
 }
@@ -136,17 +144,17 @@ func TestCloudMeterHierarchicalTotals(t *testing.T) {
 		m := NewMeter(p, 0)
 		m.PowerOn(0)
 		meters[i] = m
-		if err := cm.AttachGrouped(fmt.Sprintf("pi-%02d", i), i/4, m); err != nil {
+		if err := cm.Attach(i/4, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	check := func(step string, now sim.Time) {
 		t.Helper()
-		wantW, _ := flatTotals(cm, now)
+		wantW, _ := flatTotals(meters, now)
 		if gotW := cm.TotalWatts(); math.Abs(gotW-wantW) > 1e-9*math.Max(wantW, 1) {
 			t.Fatalf("%s: TotalWatts = %v, flat sum %v", step, gotW, wantW)
 		}
-		_, wantJ := flatTotals(cm, now)
+		_, wantJ := flatTotals(meters, now)
 		if gotJ := cm.TotalEnergyJoules(now); math.Abs(gotJ-wantJ) > 1e-9*math.Max(wantJ, 1) {
 			t.Fatalf("%s: TotalEnergyJoules = %v, flat sum %v", step, gotJ, wantJ)
 		}
@@ -167,9 +175,10 @@ func TestCloudMeterHierarchicalTotals(t *testing.T) {
 	// A fresh late attachment joins group 0.
 	late := NewMeter(p, at(150))
 	late.PowerOn(at(150))
-	if err := cm.AttachGrouped("pi-99", 0, late); err != nil {
+	if err := cm.Attach(0, late); err != nil {
 		t.Fatal(err)
 	}
+	meters = append(meters, late)
 	check("late attach", at(160))
 }
 
@@ -182,7 +191,7 @@ func TestCloudMeterGroupCacheStaysClean(t *testing.T) {
 	p := hw.PowerProfile{IdleWatts: 3, PeakWatts: 3}
 	m := NewMeter(p, 0)
 	m.PowerOn(0)
-	if err := cm.AttachGrouped("pi-00", 0, m); err != nil {
+	if err := cm.Attach(0, m); err != nil {
 		t.Fatal(err)
 	}
 	if got := cm.TotalWatts(); math.Abs(got-3) > 1e-12 {
@@ -220,7 +229,7 @@ func TestTotalEnergyJoulesIsPureRead(t *testing.T) {
 		for i := range meters {
 			meters[i] = NewMeter(p, 0)
 			meters[i].PowerOn(0)
-			if err := cm.AttachGrouped(fmt.Sprintf("pi-%02d", i), i%3, meters[i]); err != nil {
+			if err := cm.Attach(i%3, meters[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,14 +263,27 @@ func TestTotalEnergyJoulesIsPureRead(t *testing.T) {
 	}
 }
 
+// TestCloudMeterDuplicateAttach: a meter reports once, to one cloud
+// meter, under a group id that can index the group slice.
 func TestCloudMeterDuplicateAttach(t *testing.T) {
 	cm := NewCloudMeter()
 	m := NewMeter(hw.PiModelB().Power, 0)
-	if err := cm.Attach("x", m); err != nil {
+	if err := cm.Attach(0, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := cm.Attach("x", m); err == nil {
+	if err := cm.Attach(1, m); err == nil {
 		t.Fatal("duplicate attach accepted")
+	}
+	if err := NewCloudMeter().Attach(0, m); err == nil {
+		t.Fatal("meter attached to a second cloud meter")
+	}
+	if err := cm.Attach(-1, NewMeter(hw.PiModelB().Power, 0)); err == nil {
+		t.Fatal("negative group accepted")
+	}
+	var state strings.Builder
+	cm.WriteState(&state, 0)
+	if !strings.HasPrefix(state.String(), "energy meters=1 groups=1 ") {
+		t.Fatalf("refused attachments were counted: %q", state.String())
 	}
 }
 

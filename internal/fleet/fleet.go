@@ -10,13 +10,15 @@
 //     instead of re-deriving and re-validating 10⁵ times.
 //   - A construction Plan: every shape-derived value (host names, rack
 //     assignments, MACs, static addresses, FQDNs, pool CIDRs) is
-//     computed once per fleet shape and reused — see plan.go.
+//     computed once per fleet shape and reused — see plan.go. The plan
+//     also fixes the order the cloud meter sums each rack's energy
+//     meters in, the rack's hosts by name, so no build or fork sorts.
 //   - Bulk registration: every host's record (pimaster.NodeRef) is
-//     stamped into one slice and enters pimaster through RegisterNodes
-//     together with the plan, whose host rows pimaster's DNS and DHCP
-//     answer in place: a build or a fork files no naming record per
-//     host. pimaster calls each daemon in process, so boot makes no
-//     HTTP request and no JSON round trip.
+//     stamped into one slice and enters pimaster through RegisterNodes,
+//     its only registration path, together with the plan, whose host
+//     rows pimaster's DNS and DHCP answer in place: a build or a fork
+//     files no naming record per host. pimaster calls each daemon in
+//     process, so boot makes no HTTP request and no JSON round trip.
 //
 // A booted fleet can be captured as a Snapshot and warm-booted with
 // Restore; repeated runs of the same shape (CI, bench sweeps,
@@ -47,7 +49,7 @@ import (
 )
 
 // Addressing bounds of the 10.<rack>.0.0/20 plan (see
-// pimaster.RegisterNode): racks are numbered 0..255 and host numbers
+// pimaster.NodeAddr): racks are numbered 0..255 and host numbers
 // 2..0xFFE fit the /20, so shapes beyond these collide in the address
 // space and are rejected up front.
 const (
@@ -172,7 +174,7 @@ func (t *Template) Stamp(engine *sim.Engine, cloudMu *sync.Mutex, name string, r
 	meter.PowerOn(at)
 	kernel.OnUtilChange(func(at sim.Time, util float64) { meter.SetUtilisation(at, util) })
 	suite := lxc.NewSuite(engine, kernel, t.images)
-	daemon := restapi.New(cloudMu, engine, name, rack, name, suite, meter)
+	daemon := restapi.New(cloudMu, engine, name, rack, suite, meter)
 	return Node{
 		Name: name, Host: netsim.NodeID(name), Rack: rack,
 		Daemon: daemon, Suite: suite, Meter: meter,
@@ -224,12 +226,10 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if plan == nil || !plan.validated {
+	if plan == nil {
 		if err := topology.Validate(topo, net); err != nil {
 			return nil, err
 		}
-	}
-	if plan == nil {
 		if plan, err = planFor(cfg, topo); err != nil {
 			return nil, err
 		}
@@ -277,9 +277,8 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		return nil, err
 	}
 	r.Nodes = nodes
-	for i := range nodes {
-		node := &nodes[i]
-		if err := r.Meter.AttachGrouped(node.Name, node.Rack, node.Meter); err != nil {
+	for _, i := range plan.meterOrder {
+		if err := r.Meter.Attach(nodes[i].Rack, nodes[i].Meter); err != nil {
 			return nil, err
 		}
 	}

@@ -2,15 +2,22 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dhcp"
 	"repro/internal/dns"
 	"repro/internal/hw"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -217,10 +224,16 @@ func TestFatTreePodShardAlignment(t *testing.T) {
 	if got := len(r.Topo.Racks); got != cfg.FatTreeK {
 		t.Fatalf("fat-tree topology has %d racks, want one per pod (k=%d)", got, cfg.FatTreeK)
 	}
+	podOf := map[netsim.NodeID]int{}
+	for pod, hosts := range r.Topo.Racks {
+		for _, h := range hosts {
+			podOf[h] = pod
+		}
+	}
 	pods := map[int]bool{}
 	for i := range r.plan.hosts {
 		hp := &r.plan.hosts[i]
-		pod, ok := r.Topo.HostRack[netsim.NodeID(hp.name)]
+		pod, ok := podOf[netsim.NodeID(hp.name)]
 		if !ok {
 			t.Fatalf("host %s missing from the topology's pod map", hp.name)
 		}
@@ -231,5 +244,122 @@ func TestFatTreePodShardAlignment(t *testing.T) {
 	}
 	if len(pods) != cfg.FatTreeK {
 		t.Fatalf("hosts cover %d pods, want %d", len(pods), cfg.FatTreeK)
+	}
+}
+
+// referenceMeter writes the cloud meter's state, total draw and total
+// energy up to at from the nodes alone, by the rule the kernel digests
+// pin: racks in ascending order, each rack's meters summed in sorted
+// host-name order.
+func referenceMeter(nodes []Node, at sim.Time) (state string, watts, joules float64) {
+	byRack := map[int][]*Node{}
+	for i := range nodes {
+		byRack[nodes[i].Rack] = append(byRack[nodes[i].Rack], &nodes[i])
+	}
+	racks := slices.Sorted(maps.Keys(byRack))
+	var b strings.Builder
+	fmt.Fprintf(&b, "energy meters=%d groups=%d at=%d\n", len(nodes), len(racks), int64(at))
+	for _, rack := range racks {
+		members := byRack[rack]
+		slices.SortFunc(members, func(x, y *Node) int { return strings.Compare(x.Name, y.Name) })
+		var j, w float64
+		for _, n := range members {
+			j += n.Meter.EnergyJoules(at)
+			w += n.Meter.CurrentWatts()
+		}
+		fmt.Fprintf(&b, "group %d joules=%016x watts=%016x members=%d\n",
+			rack, math.Float64bits(j), math.Float64bits(w), len(members))
+		watts += w
+		joules += j
+	}
+	return b.String(), watts, joules
+}
+
+// TestMeterOrderIsHostNameOrder: the construction plan decides, once
+// per shape, the order the cloud meter sums each rack's meters in, and
+// it is host-name order. On racks of more than 100 hosts name order is
+// not index order (pi-r00-n100 sorts before pi-r00-n11), so a build
+// that attached meters in row order would move the last bits of the
+// energy state. Seeded utilisation changes and power cycles on random
+// hosts' meters, in a cold build and in a fleet restored from its
+// snapshot; after each batch the meter's state bytes and totals must
+// equal the reference's bit for bit.
+func TestMeterOrderIsHostNameOrder(t *testing.T) {
+	for _, s := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"multi-root 2x150", Config{Racks: 2, HostsPerRack: 150, Seed: 1}},
+		{"fat-tree k=22", Config{Racks: 22, HostsPerRack: 121, Fabric: topology.FabricFatTree, FatTreeK: 22, Seed: 1}},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			ResetWarmCache()
+			cold := assembleFleet(t, s.cfg)
+			var mu sync.Mutex
+			restored, err := cold.Snapshot().Restore(&mu, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*Result{cold, restored} {
+				rng := rand.New(rand.NewSource(11))
+				now := sim.Time(0)
+				for step := 1; step <= 400; step++ {
+					now += sim.Time(1+rng.Intn(3000)) * sim.Time(time.Millisecond)
+					m := r.Nodes[rng.Intn(len(r.Nodes))].Meter
+					switch rng.Intn(8) {
+					case 0:
+						m.PowerOff(now)
+					case 1:
+						m.PowerOn(now)
+					default:
+						m.SetUtilisation(now, rng.Float64())
+					}
+					if step%40 != 0 {
+						continue
+					}
+					at := now + sim.Time(rng.Intn(1000))*sim.Time(time.Millisecond)
+					wantState, wantW, wantJ := referenceMeter(r.Nodes, at)
+					var got strings.Builder
+					r.Meter.WriteState(&got, at)
+					if got.String() != wantState {
+						t.Fatalf("step %d: meter state\n%s\nwant (racks summed in host-name order)\n%s", step, got.String(), wantState)
+					}
+					if w := r.Meter.TotalWatts(); math.Float64bits(w) != math.Float64bits(wantW) {
+						t.Fatalf("step %d: TotalWatts %v, host-name order sums %v", step, w, wantW)
+					}
+					if j := r.Meter.TotalEnergyJoules(at); math.Float64bits(j) != math.Float64bits(wantJ) {
+						t.Fatalf("step %d: TotalEnergyJoules %v, host-name order sums %v", step, j, wantJ)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPlanRefusesRacksNotLaidEndToEnd: the plan's rows are the fabric's
+// hosts, found by rack arithmetic, so a topology whose Hosts are not
+// its Racks laid end to end is refused.
+func TestPlanRefusesRacksNotLaidEndToEnd(t *testing.T) {
+	a, b, c := netsim.NodeID("pi-r00-n00"), netsim.NodeID("pi-r00-n01"), netsim.NodeID("pi-r01-n00")
+	for _, cse := range []struct {
+		name  string
+		hosts []netsim.NodeID
+		racks [][]netsim.NodeID
+		ok    bool
+	}{
+		{"laid end to end", []netsim.NodeID{a, b, c}, [][]netsim.NodeID{{a, b}, {c}}, true},
+		{"racks interleaved", []netsim.NodeID{a, c, b}, [][]netsim.NodeID{{a, b}, {c}}, false},
+		{"racks reordered", []netsim.NodeID{c, a, b}, [][]netsim.NodeID{{a, b}, {c}}, false},
+		{"host in no rack", []netsim.NodeID{a, b, c}, [][]netsim.NodeID{{a, b}}, false},
+		{"rack host not listed", []netsim.NodeID{a, b}, [][]netsim.NodeID{{a, b}, {c}}, false},
+	} {
+		topo := &topology.Topology{Hosts: cse.hosts, Racks: cse.racks}
+		_, err := planFor(Config{}, topo)
+		if cse.ok && err != nil {
+			t.Errorf("%s: refused: %v", cse.name, err)
+		}
+		if !cse.ok && err == nil {
+			t.Errorf("%s: planned", cse.name)
+		}
 	}
 }

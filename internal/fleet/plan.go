@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/dhcp"
@@ -35,7 +37,9 @@ type rackRows struct {
 // is safe to share across builds: every field is a value derived purely
 // from the shape, never mutated after planFor returns, except the name
 // index, which the first lookup by name builds once for every fleet of
-// the shape.
+// the shape. A plan is derived only from a fabric that passed
+// topology.Validate, so a build from a cached plan skips the
+// whole-fabric BFS.
 //
 // Its host rows are also the records pimaster's naming services answer
 // fleet hosts from (pimaster.HostTable): a build or a fork attaches the
@@ -46,9 +50,12 @@ type Plan struct {
 	key   shapeKey
 	hosts []hostPlan
 	racks []rackRows
-	// validated records that the wired fabric passed topology.Validate
-	// for this shape, so warm boots skip the whole-fabric BFS.
-	validated bool
+	// meterOrder lists the rows rack by rack, each rack's rows sorted
+	// by host name: the order a build attaches the energy meters in,
+	// and so the order every power and energy sum adds them. Name order
+	// differs from index order past 100 hosts a rack (pi-r00-n100 sorts
+	// before pi-r00-n11), and the kernel digests pin name order.
+	meterOrder []int32
 
 	nameOnce sync.Once
 	byName   map[string]int32 // FQDN → row
@@ -165,43 +172,42 @@ func shapeOf(cfg Config) shapeKey {
 	}
 }
 
-// planFor derives the manifest from a freshly wired (and validated)
-// fabric. Host order is the topology's deterministic host order; the
-// in-rack index counts position within the rack, which matches the
-// n<idx> suffix of the canonical host names for every fabric. Every
-// fabric wires a rack's hosts one after another; a shape that did not
-// could not be looked up by arithmetic, so it is refused.
+// planFor derives the manifest from a freshly wired and validated
+// fabric, rack by rack. The in-rack index counts position within the
+// rack, which matches the n<idx> suffix of the canonical host names for
+// every fabric. Every fabric lays its racks end to end in Hosts; a
+// shape that did not could not be looked up by arithmetic, so it is
+// refused.
 func planFor(cfg Config, topo *topology.Topology) (*Plan, error) {
 	p := &Plan{
-		key:       shapeOf(cfg),
-		hosts:     make([]hostPlan, 0, len(topo.Hosts)),
-		racks:     make([]rackRows, len(topo.Racks)),
-		validated: true,
+		key:        shapeOf(cfg),
+		hosts:      make([]hostPlan, 0, len(topo.Hosts)),
+		racks:      make([]rackRows, len(topo.Racks)),
+		meterOrder: make([]int32, 0, len(topo.Hosts)),
 	}
-	for r := range p.racks {
-		p.racks[r].pool = pimaster.RackPool(r)
-	}
-	for i, host := range topo.Hosts {
-		rack := topo.RackOf(host)
-		if rack < 0 || rack >= len(p.racks) {
-			return nil, fmt.Errorf("fleet: host %s has no rack", host)
+	for rack, hosts := range topo.Racks {
+		start := len(p.hosts)
+		p.racks[rack] = rackRows{start: start, n: len(hosts), pool: pimaster.RackPool(rack)}
+		for idx, host := range hosts {
+			if i := len(p.hosts); i >= len(topo.Hosts) || topo.Hosts[i] != host {
+				return nil, fmt.Errorf("fleet: rack %d's host %s is not host %d of the fabric", rack, host, i)
+			}
+			p.meterOrder = append(p.meterOrder, int32(len(p.hosts)))
+			p.hosts = append(p.hosts, hostPlan{
+				name: string(host),
+				rack: rack,
+				idx:  idx,
+				mac:  dhcp.NodeMAC(rack, idx),
+				addr: pimaster.NodeAddr(rack, idx),
+				fqdn: dns.NodeFQDN(rack, idx),
+			})
 		}
-		rr := &p.racks[rack]
-		if rr.n == 0 {
-			rr.start = i
-		} else if rr.start+rr.n != i {
-			return nil, fmt.Errorf("fleet: rack %d's hosts are not wired one after another", rack)
-		}
-		idx := rr.n
-		rr.n++
-		p.hosts = append(p.hosts, hostPlan{
-			name: string(host),
-			rack: rack,
-			idx:  idx,
-			mac:  dhcp.NodeMAC(rack, idx),
-			addr: pimaster.NodeAddr(rack, idx),
-			fqdn: dns.NodeFQDN(rack, idx),
+		slices.SortFunc(p.meterOrder[start:], func(a, b int32) int {
+			return strings.Compare(p.hosts[a].name, p.hosts[b].name)
 		})
+	}
+	if len(p.hosts) != len(topo.Hosts) {
+		return nil, fmt.Errorf("fleet: racks hold %d hosts, fabric wired %d", len(p.hosts), len(topo.Hosts))
 	}
 	return p, nil
 }

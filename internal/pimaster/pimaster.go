@@ -12,12 +12,13 @@
 // HTTP handlers, without the transport. The daemon's HTTP API stays its
 // outside surface, which remote callers reach through restapi.Client.
 //
-// A fleet registers in bulk (RegisterNodes) with its HostTable, the
-// construction plan's host rows: DHCP and DNS answer each row's static
-// lease and A/PTR records from the table and store only runtime records
-// (VMs, later additions, and tombstones for removed rows). A node name
-// resolves through netsim's node index to pimaster's slot slice, so
-// pimaster keeps no name map of its own.
+// Nodes enter only as a whole fleet, once (RegisterNodes), with its
+// HostTable, the construction plan's host rows: DHCP and DNS answer
+// each row's static lease and A/PTR records from the table and store
+// only runtime records (VMs, later additions, and tombstones for
+// removed rows). A node name resolves through netsim's node index to
+// pimaster's slot slice, so pimaster keeps no name map of its own, and
+// Nodes hands out the registry itself, which no later call rewrites.
 //
 // Locking: pimaster's own registries are guarded by its internal mutex;
 // the simulated cloud is guarded by the cloud-wide mutex shared with the
@@ -239,50 +240,16 @@ type HostTable interface {
 	dhcp.HostTable
 }
 
-// RegisterNode adds one node through the runtime path VMs use: a DHCP
-// pool for its rack, a stored static lease and stored DNS records, and
-// its in-rack index on the record. Racks get pool "rack<N>" with subnet
-// 10.<N>.0.0/20 — room for ~4000 addresses per rack so scale-out fleets
-// keep the same addressing plan as the published 4×14 testbed (small
-// indices yield the identical 10.<rack>.0.<2+idx> addresses). A fleet
-// registers through RegisterNodes instead.
-func (m *Master) RegisterNode(ref *NodeRef, idxInRack int) error {
-	if err := checkReg(ref, idxInRack); err != nil {
-		return err
-	}
-	nd, err := m.hostIndex(m.slots, ref)
-	if err != nil {
-		return err
-	}
-	pool, err := m.rackPool(ref.Rack)
-	if err != nil {
-		return err
-	}
-	// Nodes get static reservations (the administrator's IP policy):
-	// pool base + 2 + idx, immune to lease expiry.
-	lease, err := m.dhcp.Reserve(pool, dhcp.NodeMAC(ref.Rack, idxInRack), NodeAddr(ref.Rack, idxInRack))
-	if err != nil {
-		return err
-	}
-	if err := m.dns.RegisterHost(dns.NodeFQDN(ref.Rack, idxInRack), lease.Addr); err != nil {
-		return err
-	}
-	ref.Idx = idxInRack
-	m.nodes = append(m.nodes, ref)
-	if int(nd) >= len(m.slots) {
-		m.slots = append(m.slots, make([]int32, m.net.NodeCount()-len(m.slots))...)
-	}
-	m.slots[nd] = int32(len(m.nodes))
-	m.invalidateView()
-	return nil
-}
-
-// RegisterNodes registers a whole fleet, before any other node: nodes
-// in topology (rack) order, each carrying its in-rack index, and hosts,
-// whose row i plans nodes[i]. It creates each rack's DHCP pool, then
-// attaches hosts to DHCP and DNS, which answer every node's static
-// lease and records from it without filing them. The answers are those
-// RegisterNode per node would give.
+// RegisterNodes registers a whole fleet, the only way a node enters
+// pimaster, before any other node: nodes in topology (rack) order, each
+// carrying its in-rack index, and hosts, whose row i plans nodes[i]. It
+// creates each rack's DHCP pool "rack<N>", subnet 10.<N>.0.0/20 — room
+// for ~4000 addresses per rack, so scale-out fleets keep the addressing
+// plan of the published 4×14 testbed (small indices yield the identical
+// 10.<rack>.0.<2+idx> addresses). Then it attaches hosts to DHCP and
+// DNS, which answer every node's static lease (pool base + 2 + idx,
+// immune to lease expiry) and A/PTR records from it without filing
+// them. The registry is written once, after every node passed.
 func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
 	if len(m.nodes) > 0 {
 		return fmt.Errorf("pimaster: RegisterNodes registers a fleet before any other node")
@@ -292,27 +259,28 @@ func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
 	}
 	refs := make([]*NodeRef, len(nodes))
 	slots := make([]int32, m.net.NodeCount())
-	poolRack := -1
 	for i := range nodes {
 		ref := &nodes[i]
-		if err := checkReg(ref, ref.Idx); err != nil {
+		if err := checkReg(ref); err != nil {
 			return err
 		}
 		if row, ok := hosts.RowOfAddr(NodeAddr(ref.Rack, ref.Idx)); !ok || row != i {
 			return fmt.Errorf("pimaster: host row %d does not plan node %s", i, ref.Name)
 		}
-		nd, err := m.hostIndex(slots, ref)
-		if err != nil {
-			return err
+		nd := m.net.Node(ref.Host)
+		if nd == nil {
+			return fmt.Errorf("pimaster: node %s is not a host of the fabric", ref.Name)
 		}
-		if ref.Rack != poolRack {
-			if _, err := m.rackPool(ref.Rack); err != nil {
+		if slots[nd.Index()] != 0 {
+			return fmt.Errorf("pimaster: node %s already registered", ref.Name)
+		}
+		if i == 0 || ref.Rack != nodes[i-1].Rack {
+			if err := m.addRackPool(ref.Rack); err != nil {
 				return err
 			}
-			poolRack = ref.Rack
 		}
 		refs[i] = ref
-		slots[nd] = int32(i + 1)
+		slots[nd.Index()] = int32(i + 1)
 	}
 	if err := m.dhcp.AttachHosts(hosts); err != nil {
 		return err
@@ -328,22 +296,19 @@ func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
 // RackPool names the DHCP pool of a rack.
 func RackPool(rack int) string { return "rack" + strconv.Itoa(rack) }
 
-// rackPool returns the rack's DHCP pool, creating it on first use.
-func (m *Master) rackPool(rack int) (string, error) {
-	pool := RackPool(rack)
-	if _, known := m.dhcp.Pool(pool); !known {
-		subnet := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rack), 0, 0}), 20)
-		if err := m.dhcp.AddPoolPrefix(pool, subnet); err != nil {
-			return "", err
-		}
+// addRackPool creates the rack's DHCP pool unless it exists.
+func (m *Master) addRackPool(rack int) error {
+	if _, known := m.dhcp.Pool(RackPool(rack)); known {
+		return nil
 	}
-	return pool, nil
+	subnet := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rack), 0, 0}), 20)
+	return m.dhcp.AddPoolPrefix(RackPool(rack), subnet)
 }
 
 // checkReg validates one registration's shape against the /20 plan.
-func checkReg(ref *NodeRef, idxInRack int) error {
-	if ref == nil || ref.Name == "" || ref.Daemon == nil {
-		return fmt.Errorf("pimaster: incomplete node ref")
+func checkReg(ref *NodeRef) error {
+	if ref.Daemon == nil {
+		return fmt.Errorf("pimaster: node %s has no daemon", ref.Name)
 	}
 	if string(ref.Host) != ref.Name {
 		return fmt.Errorf("pimaster: node %s has host id %q; a node's name is its host id", ref.Name, ref.Host)
@@ -352,23 +317,10 @@ func checkReg(ref *NodeRef, idxInRack int) error {
 		return fmt.Errorf("pimaster: rack %d outside the 10.<rack>.0.0/20 addressing plan", ref.Rack)
 	}
 	// 0xFFF is the /20 broadcast address — also off limits.
-	if idxInRack < 0 || 2+idxInRack >= 0xFFF {
-		return fmt.Errorf("pimaster: node index %d outside the rack /20 pool", idxInRack)
+	if ref.Idx < 0 || 2+ref.Idx >= 0xFFF {
+		return fmt.Errorf("pimaster: node index %d outside the rack /20 pool", ref.Idx)
 	}
 	return nil
-}
-
-// hostIndex returns the netsim index of a node about to be registered:
-// it must be a fabric host that slots does not hold yet.
-func (m *Master) hostIndex(slots []int32, ref *NodeRef) (int32, error) {
-	nd := m.net.Node(ref.Host)
-	if nd == nil {
-		return 0, fmt.Errorf("pimaster: node %s is not a host of the fabric", ref.Name)
-	}
-	if i := nd.Index(); int(i) < len(slots) && slots[i] != 0 {
-		return 0, fmt.Errorf("pimaster: node %s already registered", ref.Name)
-	}
-	return nd.Index(), nil
 }
 
 // position returns a registered node's index in nodes.
@@ -380,8 +332,9 @@ func (m *Master) position(name string) (int, bool) {
 	return int(m.slots[nd.Index()]) - 1, true
 }
 
-// Nodes returns the registered nodes in order.
-func (m *Master) Nodes() []*NodeRef { return append([]*NodeRef(nil), m.nodes...) }
+// Nodes returns the registered nodes in order: the registry itself,
+// which RegisterNodes writes once. Callers only read it.
+func (m *Master) Nodes() []*NodeRef { return m.nodes }
 
 // Node resolves a node by name, which is also its host id.
 func (m *Master) Node(name string) (*NodeRef, error) {

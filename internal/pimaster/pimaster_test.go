@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dhcp"
+	"repro/internal/dns"
 	"repro/internal/migration"
 	"repro/internal/pimaster"
 	"repro/internal/placement"
@@ -31,24 +35,83 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// planRows is a HostTable over (rack, in-rack index) positions, looked
+// up by scanning.
+type planRows [][2]int
+
+func (p planRows) Hosts() int { return len(p) }
+
+func (p planRows) Host(i int) (string, netip.Addr) {
+	return dns.NodeFQDN(p[i][0], p[i][1]), pimaster.NodeAddr(p[i][0], p[i][1])
+}
+
+func (p planRows) Reservation(i int) (dhcp.MAC, netip.Addr, string) {
+	return dhcp.NodeMAC(p[i][0], p[i][1]), pimaster.NodeAddr(p[i][0], p[i][1]), pimaster.RackPool(p[i][0])
+}
+
+func (p planRows) RowOfName(name string) (int, bool) {
+	return p.scan(func(i int) bool { fqdn, _ := p.Host(i); return fqdn == name })
+}
+
+func (p planRows) RowOfAddr(addr netip.Addr) (int, bool) {
+	return p.scan(func(i int) bool { _, a := p.Host(i); return a == addr })
+}
+
+func (p planRows) RowOfMAC(mac dhcp.MAC) (int, bool) {
+	return p.scan(func(i int) bool { m, _, _ := p.Reservation(i); return m == mac })
+}
+
+func (p planRows) scan(match func(int) bool) (int, bool) {
+	for i := range p {
+		if match(i) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// TestRegisterNodeValidation: RegisterNodes, the only way a node enters
+// pimaster, refuses a fleet holding a node without a daemon, a node
+// that names no fabric host, a host registered twice or a node whose
+// name is not its host id. Each fleet goes to a fresh master over the
+// same fabric, which registers nothing from a refused fleet and then
+// takes the valid one.
 func TestRegisterNodeValidation(t *testing.T) {
-	c := newCloud(t, core.Config{Racks: 1, HostsPerRack: 1})
-	if err := c.Master.RegisterNode(nil, 0); err == nil {
-		t.Fatal("nil ref accepted")
-	}
-	if err := c.Master.RegisterNode(&pimaster.NodeRef{}, 0); err == nil {
-		t.Fatal("incomplete ref accepted")
-	}
-	// Duplicate registration of an existing node.
-	n := c.Nodes()[0]
-	err := c.Master.RegisterNode(&pimaster.NodeRef{Name: n.Name, Host: n.Host, Daemon: n.Daemon}, 0)
-	if err == nil {
-		t.Fatal("duplicate node accepted")
-	}
-	// A node's name is its host id: pimaster resolves hosts by name.
-	err = c.Master.RegisterNode(&pimaster.NodeRef{Name: "pi-r00-n09", Host: "elsewhere", Daemon: n.Daemon}, 9)
-	if err == nil {
-		t.Fatal("node whose name is not its host id accepted")
+	c := newCloud(t, core.Config{Racks: 1, HostsPerRack: 2})
+	rows := planRows{{0, 0}, {0, 1}}
+	for _, cse := range []struct {
+		name string
+		edit func(nodes []pimaster.NodeRef)
+	}{
+		{"valid", nil},
+		{"nil daemon", func(n []pimaster.NodeRef) { n[0].Daemon = nil }},
+		{"incomplete ref", func(n []pimaster.NodeRef) { n[0] = pimaster.NodeRef{Daemon: n[0].Daemon} }},
+		{"duplicate host", func(n []pimaster.NodeRef) { n[1].Name, n[1].Host = n[0].Name, n[0].Host }},
+		{"name is not its host id", func(n []pimaster.NodeRef) { n[0].Name = "pi-r00-n09" }},
+	} {
+		t.Run(cse.name, func(t *testing.T) {
+			m, err := pimaster.New(pimaster.Config{Engine: c.Engine, CloudMu: new(sync.Mutex), Ctrl: c.Ctrl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			valid := func() []pimaster.NodeRef { return []pimaster.NodeRef{*c.Nodes()[0], *c.Nodes()[1]} }
+			if cse.edit != nil {
+				nodes := valid()
+				cse.edit(nodes)
+				if err := m.RegisterNodes(nodes, rows); err == nil {
+					t.Fatalf("%s accepted", cse.name)
+				}
+				if got := len(m.Nodes()); got != 0 {
+					t.Fatalf("refused fleet registered %d nodes", got)
+				}
+			}
+			if err := m.RegisterNodes(valid(), rows); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(m.Nodes()); got != 2 {
+				t.Fatalf("valid fleet registered %d nodes", got)
+			}
+		})
 	}
 }
 

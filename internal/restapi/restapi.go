@@ -26,7 +26,8 @@ import (
 // APIPrefix is the base path of the node API.
 const APIPrefix = "/api/v1"
 
-// NodeStatus is the GET /status document.
+// NodeStatus is the GET /status document. NetsimID repeats Node: a
+// node's name is its netsim host id.
 type NodeStatus struct {
 	Node        string  `json:"node"`
 	Model       string  `json:"model"`
@@ -94,12 +95,11 @@ type Daemon struct {
 	// simulation state. Shared with the engine driver.
 	mu *sync.Mutex
 
-	node     string
-	rack     int
-	netsimID string
-	engine   *sim.Engine
-	suite    *lxc.Suite
-	meter    *energy.Meter
+	node   string
+	rack   int
+	engine *sim.Engine
+	suite  *lxc.Suite
+	meter  *energy.Meter
 
 	// Request and container-lifecycle totals, guarded by mu.
 	requests, spawns, destroys uint64
@@ -108,15 +108,14 @@ type Daemon struct {
 }
 
 // New builds a daemon for one node. meter may be nil.
-func New(mu *sync.Mutex, engine *sim.Engine, node string, rack int, netsimID string, suite *lxc.Suite, meter *energy.Meter) *Daemon {
+func New(mu *sync.Mutex, engine *sim.Engine, node string, rack int, suite *lxc.Suite, meter *energy.Meter) *Daemon {
 	return &Daemon{
-		mu:       mu,
-		node:     node,
-		rack:     rack,
-		netsimID: netsimID,
-		engine:   engine,
-		suite:    suite,
-		meter:    meter,
+		mu:     mu,
+		node:   node,
+		rack:   rack,
+		engine: engine,
+		suite:  suite,
+		meter:  meter,
 	}
 }
 
@@ -196,7 +195,7 @@ func (d *Daemon) Status() NodeStatus {
 		MaxComfort:  lxc.ComfortableContainersPerPi,
 		PoweredOn:   powered,
 		Rack:        d.rack,
-		NetsimID:    d.netsimID,
+		NetsimID:    d.node,
 		APIRequests: d.requests,
 	}
 }

@@ -38,7 +38,7 @@ func newRig(t *testing.T) *rig {
 	r.meter = energy.NewMeter(hw.PiModelB().Power, 0)
 	r.meter.PowerOn(0)
 	k.OnUtilChange(func(at sim.Time, u float64) { r.meter.SetUtilisation(at, u) })
-	r.daemon = New(&r.mu, r.engine, "pi-r00-n00", 0, "pi-r00-n00", r.suite, r.meter)
+	r.daemon = New(&r.mu, r.engine, "pi-r00-n00", 0, r.suite, r.meter)
 	r.server = httptest.NewServer(r.daemon.Handler())
 	t.Cleanup(r.server.Close)
 	r.client = NewClient(r.server.URL, r.server.Client())
@@ -339,7 +339,7 @@ func BenchmarkStatusEndpoint(b *testing.B) {
 		b.Fatal(err)
 	}
 	r.suite = lxc.NewSuite(r.engine, k, image.StockImages())
-	r.daemon = New(&r.mu, r.engine, "pi", 0, "pi", r.suite, nil)
+	r.daemon = New(&r.mu, r.engine, "pi", 0, r.suite, nil)
 	r.server = httptest.NewServer(r.daemon.Handler())
 	defer r.server.Close()
 	r.client = NewClient(r.server.URL, r.server.Client())

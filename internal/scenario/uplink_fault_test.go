@@ -81,7 +81,11 @@ func TestRackFailDownsPodUplinksOnFatTree(t *testing.T) {
 	}
 	for rack, on := range map[int]bool{5: false, 1: true} {
 		for _, h := range topo.Racks[rack] {
-			if got := r.Cloud.Meter.Meter(string(h)).On(); got != on {
+			node, err := r.Cloud.NodeByHost(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := node.Meter.On(); got != on {
 				t.Fatalf("host %s of rack %d powered=%v during the blackout, want %v", h, rack, got, on)
 			}
 		}

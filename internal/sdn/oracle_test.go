@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -264,7 +265,7 @@ func coldCrossPodRig(tb testing.TB, k int) (*netsim.Network, *Controller, netsim
 		tb.Fatal(err)
 	}
 	src, dst := topo.Hosts[0], topo.Hosts[len(topo.Hosts)-1]
-	if topo.HostRack[src] == topo.HostRack[dst] {
+	if slices.Contains(topo.Racks[0], dst) {
 		tb.Fatalf("k=%d: %s and %s share a pod", k, src, dst)
 	}
 	return net, NewController(e, net, DefaultConfig()), src, dst

@@ -160,7 +160,12 @@ func TestRouteSynthesisMatchesDijkstra(t *testing.T) {
 // the per-tier counters attribute each hit to the case that answered.
 func TestSynthesisCoversCrossPod(t *testing.T) {
 	rig := buildSynthRig(t, synthFabrics()["fat-tree"])
-	podOf := rig.topo.HostRack
+	podOf := map[netsim.NodeID]int{}
+	for pod, hosts := range rig.topo.Racks {
+		for _, h := range hosts {
+			podOf[h] = pod
+		}
+	}
 
 	var local, cross [2]netsim.NodeID
 	foundLocal, foundCross := false, false

@@ -5,8 +5,9 @@
 // "can easily be re-cabled to form".
 //
 // A Topology records which netsim nodes are hosts, ToR/edge, aggregation
-// and core switches, plus the host→rack assignment that placement, DHCP
-// subnetting and the cross-rack traffic experiments rely on.
+// and core switches, plus the racks (Racks, laid end to end in Hosts)
+// that placement, DHCP subnetting and the cross-rack traffic experiments
+// rely on.
 package topology
 
 import (
@@ -59,7 +60,8 @@ func (f Fabric) String() string {
 // Topology is the result of wiring a fabric into a netsim.Network.
 type Topology struct {
 	Fabric Fabric
-	// Hosts lists every server NIC in deterministic order.
+	// Hosts lists every server NIC in deterministic order: every
+	// builder wires Racks laid end to end.
 	Hosts []netsim.NodeID
 	// Racks groups hosts by rack (or pod/leaf for the alternative
 	// fabrics); Racks[i] lists the hosts in rack i.
@@ -78,8 +80,6 @@ type Topology struct {
 	// Core lists core switches; for the PiCloud multi-root tree this is
 	// the single university gateway.
 	Core []netsim.NodeID
-	// HostRack maps each host to its rack index.
-	HostRack map[netsim.NodeID]int
 }
 
 // Switches returns all switch IDs: edge, aggregation, core.
@@ -89,24 +89,6 @@ func (t *Topology) Switches() []netsim.NodeID {
 	out = append(out, t.Agg...)
 	out = append(out, t.Core...)
 	return out
-}
-
-// RackOf returns the rack index of a host, or -1.
-func (t *Topology) RackOf(h netsim.NodeID) int {
-	if r, ok := t.HostRack[h]; ok {
-		return r
-	}
-	return -1
-}
-
-// SameRack reports whether two hosts share a rack.
-func (t *Topology) SameRack(a, b netsim.NodeID) bool {
-	ra, ok := t.HostRack[a]
-	if !ok {
-		return false
-	}
-	rb, ok := t.HostRack[b]
-	return ok && ra == rb
 }
 
 // HostName formats the canonical PiCloud host name: pi-r<rack>-n<idx>.
@@ -181,7 +163,7 @@ func BuildMultiRoot(net *netsim.Network, cfg MultiRootConfig) (*Topology, error)
 	if cfg.Racks <= 0 || cfg.HostsPerRack <= 0 {
 		return nil, fmt.Errorf("topology: need positive racks and hosts per rack, got %d×%d", cfg.Racks, cfg.HostsPerRack)
 	}
-	t := &Topology{Fabric: FabricMultiRoot, HostRack: make(map[netsim.NodeID]int)}
+	t := &Topology{Fabric: FabricMultiRoot}
 
 	gw := netsim.NodeID("gw-00")
 	if err := net.AddNode(gw, netsim.KindSwitch); err != nil {
@@ -224,7 +206,6 @@ func BuildMultiRoot(net *netsim.Network, cfg MultiRootConfig) (*Topology, error)
 			}
 			rack = append(rack, host)
 			t.Hosts = append(t.Hosts, host)
-			t.HostRack[host] = r
 		}
 		t.Racks = append(t.Racks, rack)
 	}
@@ -292,7 +273,7 @@ func BuildFatTree(net *netsim.Network, cfg FatTreeConfig) (*Topology, error) {
 	if hosts > capacity {
 		return nil, fmt.Errorf("topology: %d hosts exceed k=%d fat-tree capacity %d", hosts, k, capacity)
 	}
-	t := &Topology{Fabric: FabricFatTree, HostRack: make(map[netsim.NodeID]int)}
+	t := &Topology{Fabric: FabricFatTree}
 
 	// Core switches.
 	for c := 0; c < k*k/4; c++ {
@@ -352,7 +333,6 @@ func BuildFatTree(net *netsim.Network, cfg FatTreeConfig) (*Topology, error) {
 			}
 			t.Hosts = append(t.Hosts, host)
 			t.Racks[pod] = append(t.Racks[pod], host)
-			t.HostRack[host] = pod
 			placed++
 		}
 	}
@@ -398,7 +378,7 @@ func BuildLeafSpine(net *netsim.Network, cfg LeafSpineConfig) (*Topology, error)
 	if cfg.Latency == 0 {
 		cfg.Latency = DefaultLinkLatency
 	}
-	t := &Topology{Fabric: FabricLeafSpine, HostRack: make(map[netsim.NodeID]int)}
+	t := &Topology{Fabric: FabricLeafSpine}
 	for s := 0; s < cfg.Spines; s++ {
 		spine := netsim.NodeID(fmt.Sprintf("spine-%02d", s))
 		if err := net.AddNode(spine, netsim.KindSwitch); err != nil {
@@ -429,7 +409,6 @@ func BuildLeafSpine(net *netsim.Network, cfg LeafSpineConfig) (*Topology, error)
 			}
 			rack = append(rack, host)
 			t.Hosts = append(t.Hosts, host)
-			t.HostRack[host] = l
 		}
 		t.Racks = append(t.Racks, rack)
 	}

@@ -84,28 +84,28 @@ func TestMultiRootRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRackQueries: a host's rack is read from Racks, and every builder
+// lays Racks end to end in Hosts, so a rack is also a run of Hosts.
 func TestRackQueries(t *testing.T) {
-	net := newNet()
-	topo, err := BuildMultiRoot(net, DefaultMultiRoot())
-	if err != nil {
-		t.Fatal(err)
+	builds := map[string]func(*netsim.Network) (*Topology, error){
+		"multi-root": func(n *netsim.Network) (*Topology, error) { return BuildMultiRoot(n, DefaultMultiRoot()) },
+		"fat-tree-partial": func(n *netsim.Network) (*Topology, error) {
+			return BuildFatTree(n, FatTreeConfig{K: 4, Hosts: 11})
+		},
+		"leaf-spine": func(n *netsim.Network) (*Topology, error) { return BuildLeafSpine(n, DefaultLeafSpine()) },
 	}
-	a, b := topo.Racks[0][0], topo.Racks[0][1]
-	c := topo.Racks[1][0]
-	if !topo.SameRack(a, b) {
-		t.Error("hosts of rack 0 not SameRack")
-	}
-	if topo.SameRack(a, c) {
-		t.Error("hosts of different racks SameRack")
-	}
-	if topo.RackOf(a) != 0 || topo.RackOf(c) != 1 {
-		t.Error("RackOf wrong")
-	}
-	if topo.RackOf("nope") != -1 {
-		t.Error("RackOf unknown host should be -1")
-	}
-	if topo.SameRack(a, "nope") || topo.SameRack("nope", a) {
-		t.Error("SameRack with unknown host should be false")
+	for name, build := range builds {
+		topo, err := build(newNet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var laid []netsim.NodeID
+		for _, rack := range topo.Racks {
+			laid = append(laid, rack...)
+		}
+		if !slices.Equal(laid, topo.Hosts) {
+			t.Errorf("%s: Hosts %v are not Racks laid end to end %v", name, topo.Hosts, laid)
+		}
 	}
 }
 

@@ -15,6 +15,10 @@ import (
 // HTTPPort is the port web traffic targets.
 const HTTPPort = 80
 
+// KVPort is the port database traffic targets: the web tier's queries to
+// the database container of Fig. 3.
+const KVPort = 6379
+
 // WebServerConfig sizes the per-request cost of the lightweight httpd.
 type WebServerConfig struct {
 	// CPUPerRequestMI is the compute cost of one request (template

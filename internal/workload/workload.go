@@ -1,8 +1,11 @@
 // Package workload implements the Cloud applications the paper runs on
 // the PiCloud — "lightweight httpd servers, hadoop etc." (Section IV) and
-// the web server / database / Hadoop containers of Fig. 3 — plus the
+// the web server and Hadoop containers of Fig. 3 — plus the
 // traffic-pattern generators behind the realism argument of Section I
 // (ON/OFF heavy-tail sources and a time-varying gravity traffic matrix).
+// Fig. 3's database container has no workload model of its own: the
+// placement experiment (R1) sends its web→database traffic to KVPort as
+// plain transfers.
 //
 // Workloads execute on real simulated resources: CPU work in container
 // cgroups, reads/writes on the SD-card queue, and transfers as netsim

@@ -204,70 +204,6 @@ func TestLoadGenValidation(t *testing.T) {
 	}
 }
 
-func TestKVStorePutGet(t *testing.T) {
-	r := newRig(t)
-	ep := r.boot(t, r.topo.Racks[0][0], "db", "database")
-	kv, err := NewKVStore(r.fabric, ep, KVConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := r.topo.Racks[1][0]
-	var putErr, getErr, missErr error = errNotCalled, errNotCalled, errNotCalled
-	kv.Put(client, "user:1", func(e error) {
-		putErr = e
-		kv.Get(client, "user:1", func(e error) { getErr = e })
-		kv.Get(client, "ghost", func(e error) { missErr = e })
-	})
-	if err := r.engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if putErr != nil || getErr != nil || missErr != nil {
-		t.Fatalf("ops = %v/%v/%v", putErr, getErr, missErr)
-	}
-	if kv.Puts != 1 || kv.Gets != 2 || kv.Misses != 1 {
-		t.Fatalf("puts/gets/misses = %d/%d/%d", kv.Puts, kv.Gets, kv.Misses)
-	}
-	if kv.Keys() != 1 {
-		t.Fatalf("keys = %d", kv.Keys())
-	}
-	if kv.OpLatency.Count() != 3 {
-		t.Fatalf("latency samples = %d", kv.OpLatency.Count())
-	}
-}
-
-func TestKVColdReadsPaySDLatency(t *testing.T) {
-	r := newRig(t)
-	ep := r.boot(t, r.topo.Racks[0][0], "db", "database")
-	// Cache of one value: second key's reads go to SD.
-	kv, err := NewKVStore(r.fabric, ep, KVConfig{ValueBytes: 4 * hw.MiB, CacheBytes: 4 * hw.MiB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := r.topo.Racks[0][1]
-	done := 0
-	kv.Put(client, "hot", func(error) { done++ })
-	if err := r.engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	kv.Put(client, "cold", func(error) { done++ })
-	if err := r.engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	t0 := r.engine.Now()
-	kv.Get(client, "cold", func(error) { done++ })
-	if err := r.engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	coldTime := r.engine.Now().Sub(t0)
-	// 4MiB at 20MiB/s ≈ 200ms SD read must dominate.
-	if coldTime < 150*time.Millisecond {
-		t.Fatalf("cold get took %v; SD read not charged", coldTime)
-	}
-	if done != 3 {
-		t.Fatalf("done = %d", done)
-	}
-}
-
 func TestMapReduceJob(t *testing.T) {
 	r := newRig(t)
 	var workers []Endpoint
@@ -434,52 +370,5 @@ func BenchmarkLoadGen1000Requests(b *testing.B) {
 		if err := r.engine.RunFor(12 * time.Second); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestKVLoadGen(t *testing.T) {
-	r := newRig(t)
-	ep := r.boot(t, r.topo.Racks[0][0], "db", "database")
-	kv, err := NewKVStore(r.fabric, ep, KVConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := NewKVLoadGen(r.fabric, kv, []netsim.NodeID{r.topo.Racks[1][0], r.topo.Racks[1][1]},
-		KVLoadGenConfig{RatePerSecond: 40, GetFraction: 0.8, KeySpace: 50, Duration: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	if err := r.engine.RunFor(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if gen.Issued < 200 {
-		t.Fatalf("issued = %d", gen.Issued)
-	}
-	if gen.Failed > 0 {
-		t.Fatalf("failed = %d", gen.Failed)
-	}
-	if kv.Gets == 0 || kv.Puts == 0 {
-		t.Fatalf("gets/puts = %d/%d", kv.Gets, kv.Puts)
-	}
-	// Roughly the configured mix (±15 percentage points at n≈400).
-	frac := float64(kv.Gets) / float64(kv.Gets+kv.Puts)
-	if frac < 0.65 || frac > 0.95 {
-		t.Fatalf("get fraction = %v, want ~0.8", frac)
-	}
-	if kv.Keys() == 0 || kv.Keys() > 50 {
-		t.Fatalf("keys = %d", kv.Keys())
-	}
-}
-
-func TestKVLoadGenValidation(t *testing.T) {
-	r := newRig(t)
-	ep := r.boot(t, r.topo.Racks[0][0], "db", "database")
-	kv, _ := NewKVStore(r.fabric, ep, KVConfig{})
-	if _, err := NewKVLoadGen(r.fabric, kv, nil, KVLoadGenConfig{RatePerSecond: 1}); err == nil {
-		t.Fatal("no clients accepted")
-	}
-	if _, err := NewKVLoadGen(r.fabric, kv, []netsim.NodeID{"h"}, KVLoadGenConfig{}); err == nil {
-		t.Fatal("zero rate accepted")
 	}
 }
