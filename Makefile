@@ -50,23 +50,26 @@ determinism-single-core:
 	done
 	GOMAXPROCS=1 $(GO) test -run '$(DETERMINISM_TESTS)' $(DETERMINISM_PKGS)
 
-# Fuzz the three parsers untrusted bytes reach, the naming service and
-# the OpenFlow table, 30 s each: the wire-spec decoder (decode → Resolve
-# → re-marshal → decode must never panic and must round-trip exactly),
-# the inject body (a FaultRequest decodes to a fault that its journal
-# encoding decodes back to unchanged), the journal reader (a torn final
-# line is dropped, a malformed line with records after it is refused),
-# DNS records (arbitrary names and values through Add, Resolve and
-# RemoveName never panic, and only names inside a zone on a label
-# boundary are answered), the naming tables (DNS and DHCP answering a
-# fleet's plan rows agree, step by step, with the same rows filed one
-# at a time) and the flow table (arbitrary installs, lookups, removals,
-# cookie flushes and timeouts never panic, and the index-keyed table
-# agrees with its name-keyed oracle on every verdict, next hop, hit
-# count, table order and counter). A naming-table input replays up to
-# 1 KiB of operations on two stacks (a few ms), so minimising each new
-# input for the default 60 s would spend the whole 30 s: it minimises
-# for 10 executions instead.
+# Fuzz the three parsers untrusted bytes reach, the naming service, the
+# OpenFlow table and the metrics encoder, 30 s each: the wire-spec
+# decoder (decode → Resolve → re-marshal → decode must never panic and
+# must round-trip exactly), the inject body (a FaultRequest decodes to a
+# fault that its journal encoding decodes back to unchanged), the
+# journal reader (a torn final line is dropped, a malformed line with
+# records after it is refused), DNS records (arbitrary names and values
+# through Add, Resolve and RemoveName never panic, and only names inside
+# a zone on a label boundary are answered), the naming tables (DNS and
+# DHCP answering a fleet's plan rows agree, step by step, with the same
+# rows filed one at a time), the flow table (arbitrary installs,
+# lookups, removals, cookie flushes and timeouts never panic, and the
+# index-keyed table agrees with its name-keyed oracle on every verdict,
+# next hop, hit count, table order and counter) and the Prometheus
+# exposition (an arbitrary metric name, label and help text never panic,
+# every line is a HELP, TYPE or sample line of the text format, and the
+# label value and help text un-escape to what was registered). A
+# naming-table input replays up to 1 KiB of operations on two stacks (a
+# few ms), so minimising each new input for the default 60 s would spend
+# the whole 30 s: it minimises for 10 executions instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecRequestResolve$$' -fuzztime 30s ./internal/cliconfig
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultRequest$$' -fuzztime 30s ./internal/session
@@ -74,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSRecords$$' -fuzztime 30s ./internal/dns
 	$(GO) test -run '^$$' -fuzz '^FuzzNamingTables$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzSwitchTable$$' -fuzztime 30s ./internal/openflow
+	$(GO) test -run '^$$' -fuzz '^FuzzPrometheusExposition$$' -fuzztime 30s ./internal/obs
 
 # The benchmark's self-test: each perfbench workload (fattree-100k,
 # steady-1k, fork-10k) at its shrunk size, against the digest pins in

@@ -196,8 +196,6 @@ func runSmoke(budget time.Duration) error {
 var smokeCoreSeries = []string{
 	"pisim_sessions",
 	"pisim_images",
-	"pisim_fleet_plan_cache_hits_total",
-	"pisim_fleet_plans_cached",
 	"pisim_manager_sessions_created",
 	"pisim_manager_images_created",
 	"pisim_session_offset_ns",

@@ -10,9 +10,9 @@
 // pimaster's API, exactly as a user of the physical testbed would.
 //
 // Construction itself lives in the fleet subsystem (internal/fleet):
-// node templates, a per-shape construction plan and bulk registration.
-// New is a thin composition over it; Snapshot/Restore expose warm-boot
-// for repeated runs of one shape.
+// node templates, a construction plan and bulk registration. New is a
+// thin composition over it and builds cold every time; Snapshot/Restore
+// expose the warm boot, for repeated runs of one shape.
 package core
 
 import (
@@ -70,9 +70,9 @@ type Cloud struct {
 }
 
 // New assembles and boots a cloud at virtual time zero: all boards
-// powered, fabric wired, daemons stamped, pimaster populated. Repeated
-// builds of the same fleet shape warm-boot from the fleet subsystem's
-// plan cache automatically.
+// powered, fabric wired, daemons stamped, pimaster populated. Every New
+// validates the fabric and derives its construction plan; a repeated
+// build of one shape warm-boots only through Snapshot and Restore.
 func New(cfg Config) (*Cloud, error) {
 	c := &Cloud{}
 	res, err := fleet.Assemble(cfg, &c.Mu)

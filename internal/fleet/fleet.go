@@ -9,10 +9,12 @@
 //     is validated once per board config, then cheaply stamped per host
 //     instead of re-deriving and re-validating 10⁵ times.
 //   - A construction Plan: every shape-derived value (host names, rack
-//     assignments, MACs, static addresses, FQDNs, pool CIDRs) is
-//     computed once per fleet shape and reused — see plan.go. The plan
-//     also fixes the order the cloud meter sums each rack's energy
-//     meters in, the rack's hosts by name, so no build or fork sorts.
+//     assignments, MACs, static addresses, FQDNs and the FQDN index,
+//     pool CIDRs) is computed once per cold build — see plan.go — and
+//     is immutable from then on, so the fleets its Snapshot restores
+//     share it. The plan also fixes the order the cloud meter sums each
+//     rack's energy meters in, the rack's hosts by name, so no build or
+//     fork sorts.
 //   - Bulk registration: every host's record (pimaster.NodeRef) is
 //     stamped into one slice and enters pimaster through RegisterNodes,
 //     its only registration path, together with the plan, whose host
@@ -20,11 +22,11 @@
 //     files no naming record per host. pimaster calls each daemon in
 //     process, so boot makes no HTTP request and no JSON round trip.
 //
-// A booted fleet can be captured as a Snapshot and warm-booted with
-// Restore; repeated runs of the same shape (CI, bench sweeps,
-// `piscale -trace`) skip plan derivation and fabric validation instead
-// of rebuilding them. The package also keeps a process-wide warm cache
-// keyed on fleet shape, so Assemble warm-boots automatically.
+// The package keeps no state between builds: Assemble always validates
+// the fabric and derives a fresh plan. A booted fleet can be captured
+// as a Snapshot, and Restore, the one warm boot, builds identical
+// fleets from its plan (forks, seed sweeps) without re-deriving or
+// re-validating it.
 package fleet
 
 import (
@@ -92,8 +94,6 @@ type Config struct {
 	Images *image.Store
 	// RoutingPolicy is the SDN default for workload flows.
 	RoutingPolicy sdn.Policy
-	// MigrationConfig tunes pre-copy.
-	MigrationConfig migration.Config
 }
 
 // FillDefaults resolves the zero-value fields to the published PiCloud.
@@ -202,18 +202,18 @@ type Result struct {
 // Assemble builds and boots a fleet at virtual time zero: all boards
 // powered, fabric wired, daemons stamped, pimaster populated.
 // cloudMu is the cloud-wide lock shared with the daemons and the engine
-// driver. Construction plans are warm-cached per fleet shape, so a
-// second Assemble of the same shape warm-boots automatically.
+// driver. Every Assemble validates the fabric and derives its plan;
+// Snapshot.Restore is the warm boot.
 func Assemble(cfg Config, cloudMu *sync.Mutex) (*Result, error) {
 	cfg.FillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return assemble(cfg, cloudMu, lookupWarmPlan(cfg))
+	return assemble(cfg, cloudMu, nil)
 }
 
-// assemble is the shared cold/warm construction path; plan may be nil
-// (cold boot: derive and publish it).
+// assemble is the shared cold/warm construction path; plan is nil on a
+// cold build, which validates the fabric and derives it.
 func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	tmpl, err := NewTemplate(cfg.Board, cfg.Images)
 	if err != nil {
@@ -230,10 +230,9 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		if err := topology.Validate(topo, net); err != nil {
 			return nil, err
 		}
-		if plan, err = planFor(cfg, topo); err != nil {
+		if plan, err = planFor(topo); err != nil {
 			return nil, err
 		}
-		storeWarmPlan(plan)
 	}
 	if len(plan.hosts) != len(topo.Hosts) {
 		return nil, fmt.Errorf("fleet: plan holds %d hosts, fabric wired %d", len(plan.hosts), len(topo.Hosts))
@@ -255,7 +254,7 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 		Meter:  energy.NewCloudMeter(),
 		plan:   plan,
 	}
-	r.Mig = migration.NewManager(engine, net, ctrl, cfg.MigrationConfig)
+	r.Mig = migration.NewManager(engine, net, ctrl, migration.Config{})
 
 	master, err := pimaster.New(pimaster.Config{
 		Engine:     engine,

@@ -152,9 +152,20 @@ func TestDirectStatusSkipsJSONButCounts(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreWithSeedOverride: a restore shares its snapshot's
+// plan and can override the seed, while every Assemble derives a plan
+// of its own, even for a shape built before, and only restores count
+// as warm boots.
 func TestSnapshotRestoreWithSeedOverride(t *testing.T) {
-	ResetWarmCache()
-	r := assembleFleet(t, Config{Racks: 2, HostsPerRack: 4, Seed: 7})
+	cfg := Config{Racks: 2, HostsPerRack: 4, Seed: 7}
+	warm := WarmHits()
+	r := assembleFleet(t, cfg)
+	if again := assembleFleet(t, cfg); again.plan == r.plan {
+		t.Fatal("a second Assemble of the shape reused the first one's plan")
+	}
+	if got := WarmHits(); got != warm {
+		t.Fatalf("two Assembles moved WarmHits from %d to %d", warm, got)
+	}
 	snap := r.Snapshot()
 	var mu sync.Mutex
 	restored, err := snap.Restore(&mu, 99)
@@ -179,35 +190,8 @@ func TestSnapshotRestoreWithSeedOverride(t *testing.T) {
 	if kept.Config.Seed != 7 {
 		t.Fatalf("negative seed should keep captured seed, got %d", kept.Config.Seed)
 	}
-}
-
-func TestWarmCacheKeyedOnShape(t *testing.T) {
-	ResetWarmCache()
-	base := Config{Racks: 2, HostsPerRack: 3, Seed: 1}
-	assembleFleet(t, base)
-	if WarmHits() != 0 {
-		t.Fatalf("first build hit the warm cache (%d)", WarmHits())
-	}
-	// Same shape, different seed: warm.
-	reseeded := base
-	reseeded.Seed = 2
-	assembleFleet(t, reseeded)
-	if WarmHits() != 1 {
-		t.Fatalf("same shape did not warm-boot (hits %d)", WarmHits())
-	}
-	// Different shape: cold again.
-	wider := base
-	wider.HostsPerRack = 4
-	assembleFleet(t, wider)
-	if WarmHits() != 1 {
-		t.Fatalf("different shape warm-booted (hits %d)", WarmHits())
-	}
-	// Different fabric: different shape key.
-	leaf := base
-	leaf.Fabric = topology.FabricLeafSpine
-	assembleFleet(t, leaf)
-	if WarmHits() != 1 {
-		t.Fatalf("different fabric warm-booted (hits %d)", WarmHits())
+	if got := WarmHits(); got != warm+2 {
+		t.Fatalf("two restores moved WarmHits from %d to %d, want %d", warm, got, warm+2)
 	}
 }
 
@@ -293,7 +277,6 @@ func TestMeterOrderIsHostNameOrder(t *testing.T) {
 		{"fat-tree k=22", Config{Racks: 22, HostsPerRack: 121, Fabric: topology.FabricFatTree, FatTreeK: 22, Seed: 1}},
 	} {
 		t.Run(s.name, func(t *testing.T) {
-			ResetWarmCache()
 			cold := assembleFleet(t, s.cfg)
 			var mu sync.Mutex
 			restored, err := cold.Snapshot().Restore(&mu, -1)
@@ -354,7 +337,7 @@ func TestPlanRefusesRacksNotLaidEndToEnd(t *testing.T) {
 		{"rack host not listed", []netsim.NodeID{a, b}, [][]netsim.NodeID{{a, b}, {c}}, false},
 	} {
 		topo := &topology.Topology{Hosts: cse.hosts, Racks: cse.racks}
-		_, err := planFor(Config{}, topo)
+		_, err := planFor(topo)
 		if cse.ok && err != nil {
 			t.Errorf("%s: refused: %v", cse.name, err)
 		}

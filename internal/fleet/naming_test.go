@@ -26,7 +26,7 @@ func testPlan(t testing.TB, cfg Config) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := planFor(cfg, topo)
+	p, err := planFor(topo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dhcp"
 	"repro/internal/dns"
@@ -16,7 +17,8 @@ import (
 )
 
 // hostPlan is one host's precomputed identity: everything registration
-// needs, derived once per fleet shape instead of once per build.
+// needs, derived once per cold build and shared by every fleet restored
+// from its Snapshot.
 type hostPlan struct {
 	name string
 	rack int
@@ -33,12 +35,12 @@ type rackRows struct {
 	pool     string
 }
 
-// Plan is the immutable construction manifest for one fleet shape. It
-// is safe to share across builds: every field is a value derived purely
-// from the shape, never mutated after planFor returns, except the name
-// index, which the first lookup by name builds once for every fleet of
-// the shape. A plan is derived only from a fabric that passed
-// topology.Validate, so a build from a cached plan skips the
+// Plan is the immutable construction manifest for one fleet shape,
+// derived by each cold build. It is safe to share across the builds a
+// Snapshot restores: every field, the FQDN index included, is a value
+// derived purely from the shape and never mutated after planFor
+// returns. A plan is derived only from a fabric that passed
+// topology.Validate, so a Snapshot.Restore from it skips the
 // whole-fabric BFS.
 //
 // Its host rows are also the records pimaster's naming services answer
@@ -47,7 +49,6 @@ type rackRows struct {
 // arithmetic on the 10.<rack>.0.0/20 plan, since a rack's rows are
 // contiguous and in index order.
 type Plan struct {
-	key   shapeKey
 	hosts []hostPlan
 	racks []rackRows
 	// meterOrder lists the rows rack by rack, each rack's rows sorted
@@ -56,9 +57,7 @@ type Plan struct {
 	// differs from index order past 100 hosts a rack (pi-r00-n100 sorts
 	// before pi-r00-n11), and the kernel digests pin name order.
 	meterOrder []int32
-
-	nameOnce sync.Once
-	byName   map[string]int32 // FQDN → row
+	byName     map[string]int32 // FQDN → row
 }
 
 var _ pimaster.HostTable = (*Plan)(nil)
@@ -77,12 +76,6 @@ func (p *Plan) Reservation(i int) (dhcp.MAC, netip.Addr, string) {
 
 // RowOfName returns the row whose FQDN is name.
 func (p *Plan) RowOfName(name string) (int, bool) {
-	p.nameOnce.Do(func() {
-		p.byName = make(map[string]int32, len(p.hosts))
-		for i := range p.hosts {
-			p.byName[p.hosts[i].fqdn] = int32(i)
-		}
-	})
 	i, ok := p.byName[name]
 	return int(i), ok
 }
@@ -120,34 +113,18 @@ func (p *Plan) row(rack, idx int) (int, bool) {
 	return p.racks[rack].start + idx, true
 }
 
-// shapeKey identifies a fleet shape: every Config field that influences
-// the wiring or the registration manifest. Seed, placement policy and
-// routing policy deliberately excluded — they change behaviour, not
-// shape. hw.BoardSpec is comparable (plain nested structs), so the key
-// can index a map directly.
-type shapeKey struct {
-	racks, hostsPerRack int
-	board               hw.BoardSpec
-	fabric              topology.Fabric
-	fatTreeK            int
-	aggSwitches         int
-	spineSwitches       int
-	uplinkBps           float64
-	linkLatencyNs       int64
-}
-
-// ShapeKey renders the config's fleet shape as a stable string:
-// every field that influences the wiring or registration manifest, in
-// declaration order. Two configs with equal ShapeKeys warm-boot from
-// the same plan and produce byte-identical fabrics; the session layer
+// ShapeKey renders the config's fleet shape as a stable string: every
+// field that influences the wiring or registration manifest, in
+// declaration order. Seed, placement policy and routing policy are
+// left out: they change behaviour, not shape. Two configs with equal
+// ShapeKeys produce byte-identical fabrics and plans; the session layer
 // keys its base-image registry on it (composed with the kernel state
-// digest for checkpoint-backed images).
+// digest for checkpoint-backed images), so the string must not change.
 func (c Config) ShapeKey() string {
 	c.FillDefaults()
-	k := shapeOf(c)
 	return fmt.Sprintf("r%d.h%d.b%x.f%d.k%d.a%d.s%d.u%g.l%d",
-		k.racks, k.hostsPerRack, boardID(k.board), k.fabric,
-		k.fatTreeK, k.aggSwitches, k.spineSwitches, k.uplinkBps, k.linkLatencyNs)
+		c.Racks, c.HostsPerRack, boardID(c.Board), c.Fabric,
+		c.FatTreeK, c.AggSwitches, c.SpineSwitches, c.UplinkBps, int64(c.LinkLatency))
 }
 
 // boardID folds a board spec to a short stable identity for ShapeKey.
@@ -157,49 +134,37 @@ func boardID(b hw.BoardSpec) uint32 {
 	return h.Sum32()
 }
 
-// shapeOf derives the key from a defaults-filled config.
-func shapeOf(cfg Config) shapeKey {
-	return shapeKey{
-		racks:         cfg.Racks,
-		hostsPerRack:  cfg.HostsPerRack,
-		board:         cfg.Board,
-		fabric:        cfg.Fabric,
-		fatTreeK:      cfg.FatTreeK,
-		aggSwitches:   cfg.AggSwitches,
-		spineSwitches: cfg.SpineSwitches,
-		uplinkBps:     cfg.UplinkBps,
-		linkLatencyNs: int64(cfg.LinkLatency),
-	}
-}
-
 // planFor derives the manifest from a freshly wired and validated
-// fabric, rack by rack. The in-rack index counts position within the
-// rack, which matches the n<idx> suffix of the canonical host names for
-// every fabric. Every fabric lays its racks end to end in Hosts; a
-// shape that did not could not be looked up by arithmetic, so it is
-// refused.
-func planFor(cfg Config, topo *topology.Topology) (*Plan, error) {
+// fabric, rack by rack, with its FQDN index. The in-rack index counts
+// position within the rack, which matches the n<idx> suffix of the
+// canonical host names for every fabric. Every fabric lays its racks
+// end to end in Hosts; a shape that did not could not be looked up by
+// arithmetic, so it is refused.
+func planFor(topo *topology.Topology) (*Plan, error) {
 	p := &Plan{
-		key:        shapeOf(cfg),
 		hosts:      make([]hostPlan, 0, len(topo.Hosts)),
 		racks:      make([]rackRows, len(topo.Racks)),
 		meterOrder: make([]int32, 0, len(topo.Hosts)),
+		byName:     make(map[string]int32, len(topo.Hosts)),
 	}
 	for rack, hosts := range topo.Racks {
 		start := len(p.hosts)
 		p.racks[rack] = rackRows{start: start, n: len(hosts), pool: pimaster.RackPool(rack)}
 		for idx, host := range hosts {
-			if i := len(p.hosts); i >= len(topo.Hosts) || topo.Hosts[i] != host {
+			i := len(p.hosts)
+			if i >= len(topo.Hosts) || topo.Hosts[i] != host {
 				return nil, fmt.Errorf("fleet: rack %d's host %s is not host %d of the fabric", rack, host, i)
 			}
-			p.meterOrder = append(p.meterOrder, int32(len(p.hosts)))
+			fqdn := dns.NodeFQDN(rack, idx)
+			p.byName[fqdn] = int32(i)
+			p.meterOrder = append(p.meterOrder, int32(i))
 			p.hosts = append(p.hosts, hostPlan{
 				name: string(host),
 				rack: rack,
 				idx:  idx,
 				mac:  dhcp.NodeMAC(rack, idx),
 				addr: pimaster.NodeAddr(rack, idx),
-				fqdn: dns.NodeFQDN(rack, idx),
+				fqdn: fqdn,
 			})
 		}
 		slices.SortFunc(p.meterOrder[start:], func(a, b int32) int {
@@ -212,82 +177,15 @@ func planFor(cfg Config, topo *topology.Topology) (*Plan, error) {
 	return p, nil
 }
 
-// --- Warm cache ---
-
-// warmCacheCap bounds the process-wide plan cache; plans are cheap to
-// re-derive, so overflowing simply resets the cache.
-const warmCacheCap = 16
-
-var (
-	warmMu     sync.Mutex
-	warmPlans  = map[shapeKey]*Plan{}
-	warmHits   uint64
-	warmMisses uint64
-)
-
-// lookupWarmPlan returns the cached plan for the config's shape, or nil.
-func lookupWarmPlan(cfg Config) *Plan {
-	warmMu.Lock()
-	defer warmMu.Unlock()
-	p := warmPlans[shapeOf(cfg)]
-	if p != nil {
-		warmHits++
-	} else {
-		warmMisses++
-	}
-	return p
-}
-
-// storeWarmPlan publishes a freshly derived plan.
-func storeWarmPlan(p *Plan) {
-	warmMu.Lock()
-	defer warmMu.Unlock()
-	if len(warmPlans) >= warmCacheCap {
-		warmPlans = map[shapeKey]*Plan{}
-	}
-	warmPlans[p.key] = p
-}
-
-// WarmHits reports how many Assemble calls warm-booted from a cached
-// plan (process-wide).
-func WarmHits() uint64 {
-	warmMu.Lock()
-	defer warmMu.Unlock()
-	return warmHits
-}
-
-// CacheStats is the warm plan cache's hit/miss/occupancy snapshot for
-// the observability layer.
-type CacheStats struct {
-	Hits   uint64
-	Misses uint64
-	Plans  int
-}
-
-// WarmCacheStats samples the process-wide plan cache counters.
-func WarmCacheStats() CacheStats {
-	warmMu.Lock()
-	defer warmMu.Unlock()
-	return CacheStats{Hits: warmHits, Misses: warmMisses, Plans: len(warmPlans)}
-}
-
-// ResetWarmCache drops all cached plans (test isolation).
-func ResetWarmCache() {
-	warmMu.Lock()
-	defer warmMu.Unlock()
-	warmPlans = map[shapeKey]*Plan{}
-	warmHits = 0
-	warmMisses = 0
-}
-
 // --- Snapshots ---
 
 // Snapshot captures a booted fleet's construction state so an identical
-// fleet can be warm-booted later. Simulated state (kernels, flows,
-// meters) is inherently per-run and is rebuilt fresh; what the snapshot
-// carries — and Restore skips — is everything derivable: the full
-// registration manifest and the fabric-validation proof. Restored fleets are byte-identical to cold-built ones, traces
-// included.
+// fleet can be warm-booted later; Restore is the only warm boot.
+// Simulated state (kernels, flows, meters) is inherently per-run and is
+// rebuilt fresh; what the snapshot carries — and Restore skips — is
+// everything derivable: the full registration manifest and the
+// fabric-validation proof. Restored fleets are byte-identical to
+// cold-built ones, traces included.
 type Snapshot struct {
 	cfg  Config
 	plan *Plan
@@ -301,10 +199,19 @@ func (r *Result) Snapshot() *Snapshot {
 // Config returns the captured (defaults-filled) configuration.
 func (s *Snapshot) Config() Config { return s.cfg }
 
+// restores counts Snapshot.Restore calls, process-wide.
+var restores atomic.Uint64
+
+// WarmHits reports how many Snapshot.Restore calls, the only warm boot,
+// the process has made: while it reads zero, every fleet the process
+// built was a cold Assemble.
+func WarmHits() uint64 { return restores.Load() }
+
 // Restore warm-boots a fresh fleet from the snapshot. seed overrides
 // the captured seed when non-negative, so one snapshot serves a whole
 // seed sweep.
 func (s *Snapshot) Restore(cloudMu *sync.Mutex, seed int64) (*Result, error) {
+	restores.Add(1)
 	cfg := s.cfg
 	if seed >= 0 {
 		cfg.Seed = seed

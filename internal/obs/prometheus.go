@@ -38,6 +38,10 @@ func sanitizeName(s string) string {
 	return b.String()
 }
 
+// sanitizeLabelName maps an arbitrary label name into the grammar
+// [a-zA-Z_][a-zA-Z0-9_]*: a metric name's, without the colon.
+func sanitizeLabelName(s string) string { return strings.ReplaceAll(sanitizeName(s), ":", "_") }
+
 // escapeLabelValue escapes backslash, double-quote and newline per the
 // exposition grammar.
 func escapeLabelValue(s string) string {
@@ -103,7 +107,7 @@ func writeLabels(w io.Writer, labels []Label, extra ...Label) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s=\"%s\"", sanitizeName(l.Key), escapeLabelValue(l.Value)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s=\"%s\"", sanitizeLabelName(l.Key), escapeLabelValue(l.Value)); err != nil {
 			return err
 		}
 	}

@@ -66,9 +66,6 @@ func (c *CGroup) MemUsed() int64 { return c.memUsed }
 // Limits returns the group's current limits.
 func (c *CGroup) Limits() Limits { return c.limits }
 
-// TaskCount returns the number of live tasks in the group.
-func (c *CGroup) TaskCount() int { return len(c.tasks) }
-
 // DirtyRateBytesPerS returns the page-dirtying rate workloads declared.
 func (c *CGroup) DirtyRateBytesPerS() float64 { return c.dirtyRate }
 

@@ -357,15 +357,6 @@ func (a *Agent) AliveCount() int {
 	return n
 }
 
-// LoadOf returns the freshest gossiped load for a host.
-func (a *Agent) LoadOf(host netsim.NodeID) (Load, bool) {
-	e, ok := a.table[host]
-	if !ok {
-		return Load{}, false
-	}
-	return e.load, true
-}
-
 // PlaceRequest is a decentralised placement ask.
 type PlaceRequest struct {
 	MemBytes      int64

@@ -12,6 +12,11 @@
 // HTTP handlers, without the transport. The daemon's HTTP API stays its
 // outside surface, which remote callers reach through restapi.Client.
 //
+// A VM is placed against a view of the fleet polled from the daemons,
+// with declared CPU reservations overlaid. pimaster keeps no view
+// between calls: SpawnVM polls every node for its one VM, and SpawnVMs
+// polls every node once, then only the node each VM lands on.
+//
 // Nodes enter only as a whole fleet, once (RegisterNodes), with its
 // HostTable, the construction plan's host rows: DHCP and DNS answer
 // each row's static lease and A/PTR records from the table and store
@@ -124,13 +129,11 @@ type Config struct {
 	Policy placement.Policy
 	// Migrations drives live migration; optional.
 	Migrations *migration.Manager
-	// LeaseDuration for the DHCP service (default 12h).
-	LeaseDuration sim.Duration
 }
 
 // Master is the head node.
 type Master struct {
-	mu sync.Mutex // guards vms, macSeq, placer swaps
+	mu sync.Mutex // guards vms, macSeq, placerOverrides
 
 	engine  *sim.Engine
 	cloudMu *sync.Mutex
@@ -157,20 +160,6 @@ type Master struct {
 	// placerOverrides caches named placers requested per spawn, so
 	// stateful algorithms (round-robin) keep their cursor across calls.
 	placerOverrides map[string]placement.Placer
-
-	// Boot-batch placement-view cache. During a bulk fleet spawn the
-	// only cloud mutations are the spawns the master itself performs, so
-	// instead of re-polling every node daemon per placement the view is
-	// cached and only the just-placed node's row is re-polled. The rows
-	// carry the reservation overlay, and placers read the cache itself.
-	// The cache is valid while the engine has neither advanced nor fired
-	// an event since it was filled; any master-side mutation drops it.
-	// Boot batches are single-threaded by contract (the caller is the
-	// fleet installer, not concurrent HTTP handlers).
-	bootBatch bool
-	viewCache []placement.NodeView // index-aligned with nodes
-	viewAt    sim.Time
-	viewFired uint64
 }
 
 // New builds a master with its DHCP and DNS services initialised.
@@ -191,7 +180,7 @@ func New(cfg Config) (*Master, error) {
 		images:          cfg.Images,
 		meter:           cfg.Meter,
 		mig:             cfg.Migrations,
-		dhcp:            dhcp.NewServer(cfg.Engine, cfg.LeaseDuration),
+		dhcp:            dhcp.NewServer(cfg.Engine, 0),
 		dns:             dns.NewServer(),
 		net:             cfg.Ctrl.Net(),
 		placer:          cfg.Placer,
@@ -216,13 +205,6 @@ func (m *Master) DHCP() *dhcp.Server { return m.dhcp }
 
 // Images exposes the image registry.
 func (m *Master) Images() *image.Store { return m.images }
-
-// SetPlacer swaps the default placement algorithm at runtime.
-func (m *Master) SetPlacer(p placement.Placer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.placer = p
-}
 
 // NodeAddr returns the static address a node at (rack, idxInRack) gets
 // under the 10.<rack>.0.0/20 addressing plan: pool base + 2 + idx.
@@ -289,7 +271,6 @@ func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
 		return err
 	}
 	m.nodes, m.slots = refs, slots
-	m.invalidateView()
 	return nil
 }
 
@@ -345,31 +326,6 @@ func (m *Master) Node(name string) (*NodeRef, error) {
 	return m.nodes[i], nil
 }
 
-// BeginBootBatch enables the incremental placement-view cache for a
-// bulk spawn sequence (the scenario installer's fleet boot). Inside a
-// batch, SpawnVM re-polls only the node it just placed on instead of
-// polling the whole fleet per placement — the difference between O(VMs)
-// and O(VMs × nodes) status calls at 10⁵-node scale. The batch is
-// single-threaded by contract; any non-spawn mutation drops the cache.
-func (m *Master) BeginBootBatch() {
-	m.mu.Lock()
-	m.bootBatch = true
-	m.viewCache = nil
-	m.mu.Unlock()
-}
-
-// EndBootBatch disables the view cache and returns to poll-per-spawn.
-func (m *Master) EndBootBatch() {
-	m.mu.Lock()
-	m.bootBatch = false
-	m.viewCache = nil
-	m.mu.Unlock()
-}
-
-// invalidateView drops the boot-batch view cache. Caller holds m.mu or
-// is single-threaded with respect to the batch.
-func (m *Master) invalidateView() { m.viewCache = nil }
-
 // pollNode converts one daemon status into the placement view row.
 func (m *Master) pollNode(ref *NodeRef) placement.NodeView {
 	st := ref.Daemon.StatusDirect()
@@ -386,110 +342,113 @@ func (m *Master) pollNode(ref *NodeRef) placement.NodeView {
 	}
 }
 
-// buildView polls every node daemon's status and assembles the placement
-// view. Placement sees the larger of measured utilisation and declared
-// reservations, so idle-but-reserved capacity is not double-booked.
-// Inside a boot batch the rows come from the incremental cache, overlay
-// included (filled once, then patched per spawn), and the placer reads
-// the cache itself.
-func (m *Master) buildView() *placement.View {
-	v := &placement.View{Locate: make(map[string]netsim.NodeID)}
-	m.mu.Lock()
-	batch := m.bootBatch
-	cacheValid := batch && m.viewCache != nil &&
-		m.viewAt == m.engine.Now() && m.viewFired == m.engine.Fired()
-	m.mu.Unlock()
-	if cacheValid {
-		v.Nodes = m.viewCache
-	} else {
-		v.Nodes = make([]placement.NodeView, 0, len(m.nodes))
-		for _, ref := range m.nodes {
-			v.Nodes = append(v.Nodes, m.pollNode(ref))
-		}
+// buildView polls every node daemon's status into a placement view and
+// returns it with each node's declared CPU reservations, by node
+// position. Placement sees the larger of measured utilisation and
+// declared reservations, so idle-but-reserved capacity is not
+// double-booked.
+func (m *Master) buildView() (*placement.View, []hw.MIPS) {
+	v := &placement.View{
+		Nodes:  make([]placement.NodeView, len(m.nodes)),
+		Locate: make(map[string]netsim.NodeID),
 	}
+	for i, ref := range m.nodes {
+		v.Nodes[i] = m.pollNode(ref)
+	}
+	reserved := make([]hw.MIPS, len(m.nodes))
 	m.mu.Lock()
-	reserved := make(map[int]hw.MIPS)
 	for name, rec := range m.vms {
 		if i, ok := m.position(rec.Node); ok {
 			v.Locate[name] = m.nodes[i].Host
 			reserved[i] += hw.MIPS(rec.CPUDemandMIPS)
 		}
 	}
-	if !cacheValid {
-		// v.Nodes is index-aligned with m.nodes.
-		for i, res := range reserved {
-			if res > v.Nodes[i].CPUUsed {
-				v.Nodes[i].CPUUsed = res
-			}
-		}
-		if batch {
-			m.viewCache = v.Nodes
-			m.viewAt = m.engine.Now()
-			m.viewFired = m.engine.Fired()
-		}
-	}
 	m.mu.Unlock()
-	return v
+	for i, res := range reserved {
+		v.Nodes[i].CPUUsed = max(v.Nodes[i].CPUUsed, res)
+	}
+	return v, reserved
 }
 
-// refreshViewNode re-polls one node into the boot-batch cache after a
-// spawn landed on it, with its reservations overlaid, so the next
-// placement sees the spawn's deltas without a fleet-wide poll.
-func (m *Master) refreshViewNode(ref *NodeRef) {
-	m.mu.Lock()
-	idx, ok := m.position(ref.Name)
-	ok = ok && m.bootBatch && idx < len(m.viewCache)
-	m.mu.Unlock()
-	if !ok {
-		return
-	}
-	nv := m.pollNode(ref)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.bootBatch || m.viewCache == nil {
-		m.viewCache = nil
-		return
-	}
-	var res hw.MIPS
-	for _, rec := range m.vms {
-		if rec.Node == ref.Name {
-			res += hw.MIPS(rec.CPUDemandMIPS)
-		}
-	}
-	if res > nv.CPUUsed {
-		nv.CPUUsed = res
-	}
-	m.viewCache[idx] = nv
-}
-
-// SpawnVM places and boots a VM cloud-wide: placement, DHCP lease, DNS
-// registration, the node daemon's spawn, then the SDN label. A failed
-// spawn leaves no lease, record or label behind.
+// SpawnVM places and boots a VM cloud-wide: placement against a fresh
+// poll of every node, DHCP lease, DNS registration, the node daemon's
+// spawn, then the SDN label. A failed spawn leaves no lease, record or
+// label behind.
 func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
+	placer, err := m.admit(req)
+	if err != nil {
+		return nil, err
+	}
+	view, _ := m.buildView()
+	rec, _, err := m.spawn(req, placer, view)
+	return rec, err
+}
+
+// SpawnVMs spawns reqs in order, placing each where SpawnVM would, with
+// one fleet poll instead of one per VM: it polls every node once, at the
+// first admitted request, and after each spawn re-polls only the node
+// the VM landed on, its reservations overlaid, so the view stays what a
+// fresh poll would read. That is O(VMs) status calls instead of
+// O(VMs × nodes), the difference a 10⁵-node fleet boot needs. It stops
+// at the first refusal and returns the records made before it. Nothing
+// else may mutate the cloud during the call (the scenario installer's
+// fleet boot, not concurrent HTTP handlers).
+func (m *Master) SpawnVMs(reqs []SpawnVMRequest) ([]*VMRecord, error) {
+	recs := make([]*VMRecord, 0, len(reqs))
+	var (
+		view     *placement.View
+		reserved []hw.MIPS
+	)
+	for _, req := range reqs {
+		placer, err := m.admit(req)
+		if err != nil {
+			return recs, err
+		}
+		if view == nil {
+			view, reserved = m.buildView()
+		}
+		rec, i, err := m.spawn(req, placer, view)
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+		reserved[i] += hw.MIPS(rec.CPUDemandMIPS)
+		row := m.pollNode(m.nodes[i])
+		row.CPUUsed = max(row.CPUUsed, reserved[i])
+		view.Nodes[i] = row
+		view.Locate[rec.Name] = m.nodes[i].Host
+	}
+	return recs, nil
+}
+
+// admit checks a spawn request before placement and resolves its
+// placer.
+func (m *Master) admit(req SpawnVMRequest) (placement.Placer, error) {
 	if req.Name == "" || req.Image == "" {
 		return nil, fmt.Errorf("pimaster: spawn needs name and image")
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if _, dup := m.vms[req.Name]; dup {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrVMExists, req.Name)
 	}
-	placer := m.placer
-	if req.Placer != "" {
-		cached, ok := m.placerOverrides[req.Placer]
-		if !ok {
-			var err error
-			cached, err = placement.ByName(req.Placer)
-			if err != nil {
-				m.mu.Unlock()
-				return nil, err
-			}
-			m.placerOverrides[req.Placer] = cached
-		}
-		placer = cached
+	if req.Placer == "" {
+		return m.placer, nil
 	}
-	m.mu.Unlock()
-	view := m.buildView()
+	placer, ok := m.placerOverrides[req.Placer]
+	if !ok {
+		var err error
+		if placer, err = placement.ByName(req.Placer); err != nil {
+			return nil, err
+		}
+		m.placerOverrides[req.Placer] = placer
+	}
+	return placer, nil
+}
+
+// spawn places an admitted request against view and boots it on the
+// chosen node, returning its record and the node's position.
+func (m *Master) spawn(req SpawnVMRequest, placer placement.Placer, view *placement.View) (*VMRecord, int, error) {
 	memNeed := req.MemLimitBytes
 	if memNeed == 0 {
 		memNeed = lxc.IdleRSSBytes
@@ -501,12 +460,13 @@ func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 		Peers:         req.Peers,
 	}, view, m.policy)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	ref, err := m.Node(string(host))
-	if err != nil {
-		return nil, err
+	i, ok := m.position(string(host))
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: %s", ErrNoSuchNode, host)
 	}
+	ref := m.nodes[i]
 	// Address and name the VM.
 	m.mu.Lock()
 	m.macSeq++
@@ -514,12 +474,12 @@ func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 	m.mu.Unlock()
 	lease, err := m.dhcp.Request(RackPool(ref.Rack), mac)
 	if err != nil {
-		return nil, fmt.Errorf("pimaster: leasing address: %w", err)
+		return nil, 0, fmt.Errorf("pimaster: leasing address: %w", err)
 	}
 	fqdn := dns.ContainerFQDN(req.Name, ref.Rack, ref.Idx)
 	if err := m.dns.RegisterHost(fqdn, lease.Addr); err != nil {
 		_ = m.dhcp.Release(mac)
-		return nil, err
+		return nil, 0, err
 	}
 	// Boot through the node's daemon.
 	if _, err := ref.Daemon.SpawnDirect(restapi.SpawnRequest{
@@ -532,7 +492,7 @@ func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 		m.dns.RemoveName(fqdn)
 		m.dns.RemoveName(dns.ReverseName(lease.Addr))
 		_ = m.dhcp.Release(mac)
-		return nil, err
+		return nil, 0, err
 	}
 	m.cloudMu.Lock()
 	label := m.ctrl.AssignLabel(req.Name, ref.Host)
@@ -550,9 +510,7 @@ func (m *Master) SpawnVM(req SpawnVMRequest) (*VMRecord, error) {
 	m.mu.Lock()
 	m.vms[req.Name] = rec
 	m.mu.Unlock()
-	// Inside a boot batch, patch just this node's cached view row.
-	m.refreshViewNode(ref)
-	return rec, nil
+	return rec, i, nil
 }
 
 // DestroyVM tears a VM down everywhere: node daemon, DNS, DHCP, registry.
@@ -577,7 +535,6 @@ func (m *Master) DestroyVM(name string) error {
 	_ = m.dhcp.Release(dhcp.MAC(rec.MAC))
 	m.mu.Lock()
 	delete(m.vms, name)
-	m.invalidateView()
 	m.mu.Unlock()
 	return nil
 }
@@ -630,9 +587,6 @@ func (m *Master) MigrateVM(name string, req MigrateVMRequest, onDone func(migrat
 	if req.Routing == "ip" {
 		mode = migration.RoutingIP
 	}
-	m.mu.Lock()
-	m.invalidateView()
-	m.mu.Unlock()
 	m.cloudMu.Lock()
 	defer m.cloudMu.Unlock()
 	return m.mig.Migrate(migration.Request{

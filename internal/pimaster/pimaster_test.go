@@ -419,25 +419,6 @@ func TestHTTPHandlers(t *testing.T) {
 	}
 }
 
-func TestSetPlacerSwitchesDefault(t *testing.T) {
-	c := newCloud(t, core.Config{Racks: 1, HostsPerRack: 3})
-	a, err := c.Master.SpawnVM(pimaster.SpawnVMRequest{Name: "a", Image: "raspbian"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	c.Master.SetPlacer(placement.WorstFit{})
-	b, err := c.Master.SpawnVM(pimaster.SpawnVMRequest{Name: "b", Image: "raspbian"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Node == b.Node {
-		t.Fatal("SetPlacer(WorstFit) had no effect")
-	}
-}
-
 func TestImageOpsOverHTTP(t *testing.T) {
 	c := newCloud(t, core.Config{Racks: 1, HostsPerRack: 1})
 	base := c.ServeMaster()
@@ -490,16 +471,11 @@ func TestImageOpsOverHTTP(t *testing.T) {
 	}
 }
 
-// TestBootBatchMatchesPolling: inside a boot batch every placer reads
-// pimaster's cached rows, reservations overlaid and only the spawned
-// node re-polled; it must make the choice polling every node for every
-// spawn makes. The requests mix placers, CPU reservations, memory sizes
-// and peers, until the cloud runs out of room.
-func TestBootBatchMatchesPolling(t *testing.T) {
-	cfg := core.Config{Racks: 3, HostsPerRack: 4, Seed: 1}
-	batched, polled := newCloud(t, cfg), newCloud(t, cfg)
+// mixedRequests makes n spawn requests that mix placers, CPU
+// reservations, memory sizes and peers.
+func mixedRequests(n int) []pimaster.SpawnVMRequest {
 	placers := []string{"", "best-fit", "worst-fit", "network-aware", "round-robin", "first-fit"}
-	reqs := make([]pimaster.SpawnVMRequest, 40)
+	reqs := make([]pimaster.SpawnVMRequest, n)
 	for i := range reqs {
 		reqs[i] = pimaster.SpawnVMRequest{
 			Name: fmt.Sprintf("vm%02d", i), Image: "raspbian",
@@ -511,16 +487,97 @@ func TestBootBatchMatchesPolling(t *testing.T) {
 			reqs[i].Peers = []string{reqs[i-1].Name, reqs[i-3].Name}
 		}
 	}
-	batched.Master.BeginBootBatch()
-	defer batched.Master.EndBootBatch()
+	return reqs
+}
+
+// TestSpawnVMsMatchesSpawnVM: SpawnVMs places every request against one
+// fleet poll, patched after each spawn by re-polling only the node the
+// VM landed on and locating the VM; it must make the choice SpawnVM,
+// polling every node for every spawn, makes on a twin cloud. The mixed
+// requests run until the cloud is out of room. In the second list,
+// round-robin puts the ninth VM alone in rack 2, and a network-aware
+// request naming it as its peer must follow it there, where best-fit,
+// its choice with no placed peer, would pick a loaded host in rack 0.
+func TestSpawnVMsMatchesSpawnVM(t *testing.T) {
+	if refused := spawnTwins(t, mixedRequests(40)); refused == 0 {
+		t.Fatal("the cloud never ran out of room, so no SpawnVMs call resumed")
+	}
+	follow := make([]pimaster.SpawnVMRequest, 10)
+	for i := range follow {
+		follow[i] = pimaster.SpawnVMRequest{Name: fmt.Sprintf("rr%d", i), Image: "raspbian", Placer: "round-robin"}
+	}
+	follow[9] = pimaster.SpawnVMRequest{Name: "peer", Image: "raspbian", Placer: "network-aware", Peers: []string{"rr8"}}
+	spawnTwins(t, follow)
+}
+
+// spawnTwins sends reqs through SpawnVMs on one 3×4 cloud, resuming with
+// the requests after each refusal, and through SpawnVM one at a time on
+// its twin. Each request must land on the same node with the same
+// address and name on both, or be refused by both; it returns how many
+// were refused.
+func spawnTwins(t *testing.T, reqs []pimaster.SpawnVMRequest) (refused int) {
+	t.Helper()
+	cfg := core.Config{Racks: 3, HostsPerRack: 4, Seed: 1}
+	batched, polled := newCloud(t, cfg), newCloud(t, cfg)
+	var got []*pimaster.VMRecord // nil where SpawnVMs refused
+	for len(got) < len(reqs) {
+		recs, err := batched.Master.SpawnVMs(reqs[len(got):])
+		got = append(got, recs...)
+		if err != nil {
+			got = append(got, nil)
+		}
+	}
 	for i, req := range reqs {
-		got, gerr := batched.Master.SpawnVM(req)
 		want, werr := polled.Master.SpawnVM(req)
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("spawn %d: batch %v, polling %v", i, gerr, werr)
+		if (got[i] == nil) != (werr != nil) {
+			t.Fatalf("spawn %d: SpawnVMs made %v, SpawnVM failed with %v", i, got[i], werr)
 		}
-		if gerr == nil && (got.Node != want.Node || got.IP != want.IP) {
-			t.Fatalf("spawn %d (%s): batch chose %s %s, polling %s %s", i, req.Placer, got.Node, got.IP, want.Node, want.IP)
+		if werr != nil {
+			refused++
+			continue
 		}
+		if got[i].Node != want.Node || got[i].IP != want.IP || got[i].FQDN != want.FQDN {
+			t.Fatalf("spawn %d (%s): SpawnVMs chose %s %s %s, SpawnVM %s %s %s", i, req.Placer,
+				got[i].Node, got[i].IP, got[i].FQDN, want.Node, want.IP, want.FQDN)
+		}
+	}
+	return refused
+}
+
+// TestSpawnVMsPollsOnce: SpawnVMs polls the F nodes once and makes two
+// daemon requests per VM, the spawn and the re-poll of its node
+// (F + 2N), where SpawnVM polls every node per VM (N·(F + 1)).
+func TestSpawnVMsPollsOnce(t *testing.T) {
+	cfg := core.Config{Racks: 3, HostsPerRack: 4, Seed: 1}
+	const nodes, vms = 12, 5
+	requests := func(c *core.Cloud) (n uint64) {
+		for _, ref := range c.Master.Nodes() {
+			n += ref.Daemon.Status().APIRequests
+		}
+		return n
+	}
+	reqs := make([]pimaster.SpawnVMRequest, vms)
+	for i := range reqs {
+		reqs[i] = pimaster.SpawnVMRequest{Name: fmt.Sprintf("vm%d", i), Image: "raspbian"}
+	}
+
+	batched := newCloud(t, cfg)
+	before := requests(batched)
+	if recs, err := batched.Master.SpawnVMs(reqs); err != nil || len(recs) != vms {
+		t.Fatalf("SpawnVMs made %d records: %v", len(recs), err)
+	}
+	if got, want := requests(batched)-before, uint64(nodes+2*vms); got != want {
+		t.Fatalf("SpawnVMs made %d daemon requests, want %d", got, want)
+	}
+
+	polled := newCloud(t, cfg)
+	before = requests(polled)
+	for _, req := range reqs {
+		if _, err := polled.Master.SpawnVM(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := requests(polled)-before, uint64(vms*(nodes+1)); got != want {
+		t.Fatalf("%d SpawnVM calls made %d daemon requests, want %d", vms, got, want)
 	}
 }

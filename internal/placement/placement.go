@@ -101,7 +101,8 @@ func Fits(req Request, n NodeView, p Policy) bool {
 }
 
 // Placer chooses a node for a request. Place only reads the view: its
-// caller may hand every placer of a boot batch the same rows.
+// caller may hand every placement of one pimaster.SpawnVMs call the
+// same rows.
 type Placer interface {
 	Name() string
 	Place(req Request, v *View, p Policy) (netsim.NodeID, error)

@@ -59,10 +59,8 @@ func TestWarmBootMatchesColdBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec = shrink(spec)
-	// A fresh shape for this test so the first build is genuinely cold.
-	spec.Cloud.HostsPerRack = 51
-	fleet.ResetWarmCache()
 
+	restores := fleet.WarmHits()
 	coldCloud, err := core.New(spec.Cloud)
 	if err != nil {
 		t.Fatal(err)
@@ -70,26 +68,16 @@ func TestWarmBootMatchesColdBoot(t *testing.T) {
 	snap := coldCloud.Snapshot()
 	cold := executeOn(t, coldCloud, spec)
 
-	if fleet.WarmHits() != 0 {
-		t.Fatalf("first build warm-booted (%d hits), want cold", fleet.WarmHits())
+	if got := fleet.WarmHits(); got != restores {
+		t.Fatalf("a cold build moved WarmHits from %d to %d", restores, got)
 	}
 	warmCloud, err := core.Restore(snap, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := fleet.WarmHits(); got != restores+1 {
+		t.Fatalf("a restore moved WarmHits from %d to %d, want %d", restores, got, restores+1)
+	}
 	warm := executeOn(t, warmCloud, spec)
 	requireIdentical(t, "cold vs warm", cold, warm)
-
-	// And the implicit path: a second core.New of the same shape must
-	// hit the process-wide plan cache.
-	before := fleet.WarmHits()
-	implicit, err := core.New(spec.Cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := executeOn(t, implicit, spec)
-	if fleet.WarmHits() <= before {
-		t.Fatal("second build of the same shape did not warm-boot")
-	}
-	requireIdentical(t, "cold vs implicit warm", cold, rep)
 }

@@ -280,28 +280,26 @@ func Install(cloud *core.Cloud, spec Spec) (*Run, error) {
 	}
 	r := &Run{Spec: spec, Cloud: cloud}
 
-	// Fleet: spawn through pimaster exactly as an operator would. The
-	// boot batch lets pimaster reuse its placement view incrementally —
-	// O(VMs) node polls instead of O(VMs × nodes) — with placement
-	// decisions identical to poll-per-spawn.
+	// Fleet: spawn through pimaster exactly as an operator would, in one
+	// SpawnVMs call, which polls the fleet once and then only the node
+	// each VM lands on — O(VMs) node polls instead of O(VMs × nodes) —
+	// with the placements SpawnVM makes one at a time.
 	fleet := spec.Fleet
 	if fleet.VMs > 0 {
 		image := fleet.Image
 		if image == "" {
 			image = "webserver"
 		}
-		cloud.Master.BeginBootBatch()
-		defer cloud.Master.EndBootBatch()
-		for i := 0; i < fleet.VMs; i++ {
-			name := fmt.Sprintf("%s-vm-%04d", spec.Name, i)
-			_, err := cloud.Master.SpawnVM(pimaster.SpawnVMRequest{
-				Name: name, Image: image,
+		reqs := make([]pimaster.SpawnVMRequest, fleet.VMs)
+		for i := range reqs {
+			reqs[i] = pimaster.SpawnVMRequest{
+				Name: fmt.Sprintf("%s-vm-%04d", spec.Name, i), Image: image,
 				Placer:        fleet.Placer,
 				CPUDemandMIPS: fleet.CPUDemandMIPS,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: spawning fleet: %w", spec.Name, err)
 			}
+		}
+		if _, err := cloud.Master.SpawnVMs(reqs); err != nil {
+			return nil, fmt.Errorf("scenario %s: spawning fleet: %w", spec.Name, err)
 		}
 	}
 

@@ -141,17 +141,6 @@ type Controller struct {
 	synthHits     uint64
 	synthTierHits [numSynthTiers]uint64
 
-	// uplink memoises soleUplink per host, by node index, for the
-	// topology epoch uplinkEpoch: every cache-miss route consults both
-	// endpoints' uplinks, and re-scanning their hop arrays for each is
-	// the dominant cost of the short synthesis cases. uplinkSeen marks
-	// the resolved entries (negative answers included); any epoch bump
-	// (link state, shaping, re-cable) empties it, exactly like the
-	// route cache.
-	uplink      []int32
-	uplinkSeen  stampSet
-	uplinkEpoch uint64
-
 	// scratch is route computation's reusable working memory.
 	scratch routeScratch
 	// hops receives a route's node indices from walkBack, and walk a
@@ -599,30 +588,9 @@ func (c *Controller) name(i int32) netsim.NodeID { return c.net.NodeAt(i).ID }
 
 // soleUplink returns the index of the switch at the far end of host h's
 // single up link, or -1 when h is not a host with exactly one live
-// uplink to a switch. Resolutions (including negative ones) are
-// memoised per topology epoch: the answer is a pure function of wiring
-// and link state, both of which bump the epoch on every change.
+// uplink to a switch: one pass over h's hop array, which holds one entry
+// per cable.
 func (c *Controller) soleUplink(h int32) int32 {
-	if epoch := c.net.TopoEpoch(); epoch != c.uplinkEpoch || c.uplinkSeen.gen == 0 {
-		n := c.net.NodeCount()
-		c.uplinkSeen.reset(n)
-		if len(c.uplink) < n {
-			c.uplink = append(c.uplink, make([]int32, n-len(c.uplink))...)
-		}
-		c.uplinkEpoch = epoch
-	}
-	if c.uplinkSeen.has(h) {
-		return c.uplink[h]
-	}
-	up := c.scanSoleUplink(h)
-	c.uplink[h] = up
-	c.uplinkSeen.add(h)
-	return up
-}
-
-// scanSoleUplink is the uncached resolution: one pass over h's hop
-// array.
-func (c *Controller) scanSoleUplink(h int32) int32 {
 	if c.net.NodeAt(h).Kind != netsim.KindHost {
 		return -1
 	}

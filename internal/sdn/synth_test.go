@@ -313,36 +313,3 @@ func TestRouteSynthesisMatchesDijkstraRandomFatTree(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkSoleUplink pins the satellite optimisation: resolving a
-// host's sole uplink is one array read per topology epoch instead of an
-// adjacency-list scan per cache miss. The cold arm bumps the epoch
-// every iteration, forcing the pre-cache rescan behaviour.
-func BenchmarkSoleUplink(b *testing.B) {
-	engine := sim.NewEngine(1)
-	net := netsim.New(engine)
-	topo, err := topology.BuildFatTree(net, topology.FatTreeConfig{K: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctrl := NewController(engine, net, DefaultConfig())
-	hosts := make([]int32, len(topo.Hosts))
-	for i, h := range topo.Hosts {
-		hosts[i] = net.Node(h).Index()
-	}
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ctrl.soleUplink(hosts[i%len(hosts)]) < 0 {
-				b.Fatal("host lost its uplink")
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			net.BumpTopoEpoch()
-			if ctrl.soleUplink(hosts[i%len(hosts)]) < 0 {
-				b.Fatal("host lost its uplink")
-			}
-		}
-	})
-}

@@ -27,7 +27,6 @@ package session
 
 import (
 	"repro/internal/core"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -73,7 +72,6 @@ func (m *Manager) initObs() {
 	m.obs.SetHelp("pisim_net_domains_solved_total", "Dirty congestion domains claimed and re-solved.")
 	m.obs.SetHelp("pisim_sdn_route_synth_hits_total", "Route cache misses answered by structured synthesis; the tier label (same-edge/adjacent/one-mid/cross-pod) splits the unlabelled monotone total by which case answered.")
 	m.obs.SetHelp("pisim_sdn_dijkstra_fallbacks_total", "Route cache misses the structured synthesis could not serve.")
-	m.obs.SetHelp("pisim_fleet_plan_cache_hits_total", "Fleet builds served from the warm construction-plan cache.")
 	m.obs.SetHelp("pisim_power_watts", "Instantaneous whole-cloud power draw.")
 	m.obs.RegisterCollector(m.collect)
 }
@@ -98,14 +96,9 @@ func (m *Manager) Tracer() *obs.Tracer {
 	return m.tracer
 }
 
-// collect is the read-time fan-in behind every scrape: process-wide
-// fleet series, service totals, then one labelled series set per live
-// session.
+// collect is the read-time fan-in behind every scrape: service totals,
+// then one labelled series set per live session.
 func (m *Manager) collect(e *obs.Emitter) {
-	cs := fleet.WarmCacheStats()
-	e.Counter("pisim_fleet_plan_cache_hits_total", float64(cs.Hits))
-	e.Counter("pisim_fleet_plan_cache_misses_total", float64(cs.Misses))
-	e.Gauge("pisim_fleet_plans_cached", float64(cs.Plans))
 	sessions := m.Sessions()
 	e.Gauge("pisim_sessions", float64(len(sessions)))
 	e.Gauge("pisim_images", float64(len(m.Images())))

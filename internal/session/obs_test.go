@@ -89,7 +89,6 @@ func TestMetricsEndpointDuringAdvance(t *testing.T) {
 	sess := `{session="` + s.ID + `"}`
 	core := []string{
 		"pisim_sessions", "pisim_images",
-		"pisim_fleet_plan_cache_hits_total", "pisim_fleet_plans_cached",
 		"pisim_manager_images_created", "pisim_manager_images_shared",
 		"pisim_manager_image_forks", "pisim_manager_images_quarantined",
 		"pisim_manager_journal_records", "pisim_manager_sessions_created",

@@ -122,9 +122,8 @@ type Manager struct {
 	drainCh chan struct{}
 	// obs is the observability registry behind GET /v1/metrics: the
 	// service counters below (as pisim_manager_<name>), every live
-	// session's kernel and service series (labelled by session id), the
-	// per-session latency histograms, and the process-wide fleet
-	// warm-cache series. See obs.go.
+	// session's kernel and service series (labelled by session id) and
+	// the per-session latency histograms. See obs.go.
 	obs *obs.Registry
 	// Service-level counters, registered in obs by initObs: images
 	// built, shared via fingerprint and quarantined, sessions
