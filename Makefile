@@ -34,14 +34,17 @@ bench-smoke:
 
 # Every digest pin and every equivalence gate against a reference mode
 # (lazy vs eager accounting, incremental vs full solver), the
-# scheduler's total-order gate, plus the checkpoint-resume
-# byte-identity, study-digest and zero-perturbation gates, executed
-# with a single scheduler thread. Together with the default-GOMAXPROCS
-# test job this shows the traces do not depend on how many threads the
-# Go runtime schedules. `go test -run` passes silently on zero matches,
-# so the target first fails if a listed package selects no test.
-DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests
-DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim
+# scheduler's total-order gate, the checkpoint-resume byte-identity,
+# study-digest and zero-perturbation gates, the kernel-state rendering
+# differentials (each layer's strconv rendering against its fmt
+# oracle) and the wiring differential (a network wired from a sealed
+# fabric against the built one), executed with a single scheduler
+# thread. Together with the default-GOMAXPROCS test job this shows the
+# traces do not depend on how many threads the Go runtime schedules.
+# `go test -run` passes silently on zero matches, so the target first
+# fails if a listed package selects no test.
+DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesBuilt
+DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim ./internal/sdn ./internal/energy
 
 determinism-single-core:
 	@for p in $(DETERMINISM_PKGS); do \

@@ -52,24 +52,26 @@ type KernelState struct {
 // KernelState captures the fingerprint of the current simulated state.
 // The cloud must be settled (between Run slices); capture is read-only
 // apart from an idempotent flush of already-scheduled rate work, so a
-// checkpointed run continues exactly as an unobserved one would.
-// The caller must not hold Mu.
+// checkpointed run continues exactly as an unobserved one would. Each
+// layer appends its rendering to one buffer the cloud reuses under Mu,
+// and the buffer is hashed once. The caller must not hold Mu.
 func (c *Cloud) KernelState() KernelState {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
 	span := c.tracer.Begin("kernel-state", "checkpoint", c.Engine.Now())
 	defer func() { span.End(c.Engine.Now()) }()
-	h := sha256.New()
-	c.Engine.WriteState(h)
-	c.Net.WriteState(h)
-	c.Ctrl.WriteState(h)
-	c.Meter.WriteState(h, c.Engine.Now())
+	buf := c.Engine.AppendState(c.stateBuf[:0])
+	buf = c.Net.AppendState(buf)
+	buf = c.Ctrl.AppendState(buf)
+	buf = c.Meter.AppendState(buf, c.Engine.Now())
+	c.stateBuf = buf
+	sum := sha256.Sum256(buf)
 	return KernelState{
 		Now:     c.Engine.Now(),
 		Seq:     c.Engine.Seq(),
 		Fired:   c.Engine.Fired(),
 		Pending: c.Engine.Pending(),
-		Digest:  hex.EncodeToString(h.Sum(nil)),
+		Digest:  hex.EncodeToString(sum[:]),
 	}
 }
 

@@ -66,6 +66,9 @@ type Cloud struct {
 	// layers (netsim flushes, checkpoint capture/verify). See obs.go.
 	tracer *obs.Tracer
 
+	// stateBuf is KernelState's rendering buffer, reused under Mu.
+	stateBuf []byte
+
 	masterServer *httptest.Server
 }
 

@@ -13,8 +13,8 @@ package energy
 
 import (
 	"fmt"
-	"io"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -61,7 +61,15 @@ func (m *Meter) invalidate() {
 // NewMeter returns a meter for a device with the given power profile.
 // The device starts powered off at the given time.
 func NewMeter(profile hw.PowerProfile, at sim.Time) *Meter {
-	return &Meter{profile: profile, lastAt: at}
+	m := new(Meter)
+	m.Init(profile, at)
+	return m
+}
+
+// Init sets up m, a zero Meter, as NewMeter would, in place, so a fleet
+// can keep its meters in one slab.
+func (m *Meter) Init(profile hw.PowerProfile, at sim.Time) {
+	m.profile, m.lastAt = profile, at
 }
 
 // PowerOn marks the device powered with zero utilisation.
@@ -158,7 +166,7 @@ func (m *Meter) EnergyWh(at sim.Time) float64 { return m.EnergyJoules(at) / 3600
 // TotalWatts is O(groups + members of dirty groups), which on a
 // 10⁶-node fleet is 256 cached sub-meters and the one rack that
 // changed instead of a million meter locks. Energy keeps no cache: a
-// TotalEnergyJoules reads every meter, exactly as WriteState does.
+// TotalEnergyJoules reads every meter, exactly as AppendState does.
 type CloudMeter struct {
 	mu sync.Mutex
 	// groups is indexed by group id, nil where no meter joined.
@@ -192,10 +200,21 @@ func (g *meterGroup) recomputeWatts() {
 // committing it), bypassing the watts cache.
 func (g *meterGroup) read(at sim.Time) (joules, watts float64) {
 	for _, m := range g.members {
-		joules += m.EnergyJoules(at)
-		watts += m.CurrentWatts()
+		j, w := m.reading(at)
+		joules += j
+		watts += w
 	}
 	return joules, watts
+}
+
+// reading returns EnergyJoules(at) and CurrentWatts() under one lock.
+func (m *Meter) reading(at sim.Time) (joules, watts float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.on {
+		watts = m.profile.At(m.util)
+	}
+	return m.joules + m.pendingJoules(at), watts
 }
 
 // cachedWatts returns the group's power sum, recomputing it only if a
@@ -279,7 +298,7 @@ func (c *CloudMeter) TotalWatts() float64 {
 }
 
 // TotalEnergyJoules returns the aggregate energy consumed up to at, read
-// from every meter: the sum of the per-group energies WriteState
+// from every meter: the sum of the per-group energies AppendState
 // records. It is a pure read, so the answer does not depend on which
 // totals were read before.
 func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
@@ -295,15 +314,15 @@ func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
 	return total
 }
 
-// WriteState writes the power-accounting state up to virtual time at in
-// a deterministic text form — one layer of the cross-layer kernel
-// fingerprint behind core's Checkpoint/Resume. The capture is pure and
-// exact: it reads each group's members directly, bypassing the watts
-// cache. Two clouds that executed the same power-state history write
-// the same bytes — per-group energy and draw as raw IEEE-754 bits, in
-// stable ascending group order — regardless of who read what in
-// between.
-func (c *CloudMeter) WriteState(w io.Writer, at sim.Time) {
+// AppendState appends the power-accounting state up to virtual time at
+// to buf in a deterministic text form — one layer of the cross-layer
+// kernel fingerprint behind core's Checkpoint/Resume. The capture is
+// pure and exact: it reads each group's members directly, bypassing the
+// watts cache. Two clouds that executed the same power-state history
+// append the same bytes — per-group energy and draw as the hex of
+// their IEEE-754 bits, in stable ascending group order — regardless of
+// who read what in between.
+func (c *CloudMeter) AppendState(buf []byte, at sim.Time) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	groups := 0
@@ -312,15 +331,29 @@ func (c *CloudMeter) WriteState(w io.Writer, at sim.Time) {
 			groups++
 		}
 	}
-	fmt.Fprintf(w, "energy meters=%d groups=%d at=%d\n", c.meters, groups, int64(at))
+	buf = append(buf, "energy meters="...)
+	buf = strconv.AppendInt(buf, int64(c.meters), 10)
+	buf = append(buf, " groups="...)
+	buf = strconv.AppendInt(buf, int64(groups), 10)
+	buf = append(buf, " at="...)
+	buf = strconv.AppendInt(buf, int64(at), 10)
+	buf = append(buf, '\n')
 	for id, g := range c.groups {
 		if g == nil {
 			continue
 		}
 		joules, watts := g.read(at)
-		fmt.Fprintf(w, "group %d joules=%016x watts=%016x members=%d\n",
-			id, math.Float64bits(joules), math.Float64bits(watts), len(g.members))
+		buf = append(buf, "group "...)
+		buf = strconv.AppendInt(buf, int64(id), 10)
+		buf = append(buf, " joules="...)
+		buf = sim.AppendHex64(buf, math.Float64bits(joules))
+		buf = append(buf, " watts="...)
+		buf = sim.AppendHex64(buf, math.Float64bits(watts))
+		buf = append(buf, " members="...)
+		buf = strconv.AppendInt(buf, int64(len(g.members)), 10)
+		buf = append(buf, '\n')
 	}
+	return buf
 }
 
 // Cooling models data-centre power/cooling overhead as a share of total

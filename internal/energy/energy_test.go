@@ -115,10 +115,8 @@ func TestCloudMeterAggregation(t *testing.T) {
 			t.Fatalf("GroupWatts(%d) = %v, want %v", group, got, want)
 		}
 	}
-	var state strings.Builder
-	cm.WriteState(&state, at(10))
-	if head, _, _ := strings.Cut(state.String(), "\n"); head != "energy meters=3 groups=2 at=10000000000" {
-		t.Fatalf("WriteState header %q", head)
+	if head, _, _ := strings.Cut(string(cm.AppendState(nil, at(10))), "\n"); head != "energy meters=3 groups=2 at=10000000000" {
+		t.Fatalf("AppendState header %q", head)
 	}
 }
 
@@ -280,10 +278,8 @@ func TestCloudMeterDuplicateAttach(t *testing.T) {
 	if err := cm.Attach(-1, NewMeter(hw.PiModelB().Power, 0)); err == nil {
 		t.Fatal("negative group accepted")
 	}
-	var state strings.Builder
-	cm.WriteState(&state, 0)
-	if !strings.HasPrefix(state.String(), "energy meters=1 groups=1 ") {
-		t.Fatalf("refused attachments were counted: %q", state.String())
+	if state := string(cm.AppendState(nil, 0)); !strings.HasPrefix(state, "energy meters=1 groups=1 ") {
+		t.Fatalf("refused attachments were counted: %q", state)
 	}
 }
 

@@ -7,14 +7,18 @@
 //
 //   - A node Template: the immutable kernel/suite/image/meter prototype
 //     is validated once per board config, then cheaply stamped per host
-//     instead of re-deriving and re-validating 10⁵ times.
+//     instead of re-deriving and re-validating 10⁵ times. Every host's
+//     kernel, meter, LXC suite and daemon are stamped in place into one
+//     slab per fleet, the meter observing the kernel's utilisation.
 //   - A construction Plan: every shape-derived value (host names, rack
 //     assignments, MACs, static addresses, FQDNs and the FQDN index,
 //     pool CIDRs) is computed once per cold build — see plan.go — and
 //     is immutable from then on, so the fleets its Snapshot restores
 //     share it. The plan also fixes the order the cloud meter sums each
 //     rack's energy meters in, the rack's hosts by name, so no build or
-//     fork sorts.
+//     fork sorts. A cold build seals its network into the plan (a
+//     netsim.Wiring, with the topology and each host's node index), so
+//     a restore wires its fabric in bulk and runs no topology builder.
 //   - Bulk registration: every host's record (pimaster.NodeRef) is
 //     stamped into one slice and enters pimaster through RegisterNodes,
 //     its only registration path, together with the plan, whose host
@@ -22,11 +26,11 @@
 //     files no naming record per host. pimaster calls each daemon in
 //     process, so boot makes no HTTP request and no JSON round trip.
 //
-// The package keeps no state between builds: Assemble always validates
-// the fabric and derives a fresh plan. A booted fleet can be captured
-// as a Snapshot, and Restore, the one warm boot, builds identical
-// fleets from its plan (forks, seed sweeps) without re-deriving or
-// re-validating it.
+// The package keeps no state between builds: Assemble always builds and
+// validates the fabric and derives a fresh plan. A booted fleet can be
+// captured as a Snapshot, and Restore, the one warm boot, builds
+// identical fleets from its plan (forks, seed sweeps) without
+// re-deriving, re-validating or re-building it.
 package fleet
 
 import (
@@ -162,23 +166,28 @@ func NewTemplate(board hw.BoardSpec, images *image.Store) (*Template, error) {
 	return &Template{board: board, images: images}, nil
 }
 
-// Stamp instantiates the template on one host: kernel, energy meter
-// wired to CPU utilisation, LXC suite and management daemon. The record
-// is returned by value so a fleet keeps all of them in one slice.
-func (t *Template) Stamp(engine *sim.Engine, cloudMu *sync.Mutex, name string, rack int, at sim.Time) (Node, error) {
-	kernel, err := oslinux.NewKernel(engine, t.board, name)
-	if err != nil {
-		return Node{}, err
+// host is one host's stamped state: its kernel, its energy meter (the
+// kernel's utilisation observer), its LXC suite and its management
+// daemon. A fleet keeps every host's in one slab.
+type host struct {
+	kernel oslinux.Kernel
+	meter  energy.Meter
+	suite  lxc.Suite
+	daemon restapi.Daemon
+}
+
+// stamp instantiates the template on one host, in place: each part is
+// initialised where it lies in the slab, the meter powered on at at.
+func (t *Template) stamp(h *host, engine *sim.Engine, cloudMu *sync.Mutex, name string, rack int, at sim.Time) error {
+	if err := h.kernel.Init(engine, t.board, name); err != nil {
+		return err
 	}
-	meter := energy.NewMeter(t.board.Power, at)
-	meter.PowerOn(at)
-	kernel.OnUtilChange(func(at sim.Time, util float64) { meter.SetUtilisation(at, util) })
-	suite := lxc.NewSuite(engine, kernel, t.images)
-	daemon := restapi.New(cloudMu, engine, name, rack, suite, meter)
-	return Node{
-		Name: name, Host: netsim.NodeID(name), Rack: rack,
-		Daemon: daemon, Suite: suite, Meter: meter,
-	}, nil
+	h.meter.Init(t.board.Power, at)
+	h.meter.PowerOn(at)
+	h.kernel.OnUtilChange(&h.meter)
+	h.suite.Init(engine, &h.kernel, t.images)
+	h.daemon.Init(cloudMu, engine, name, rack, &h.suite, &h.meter)
+	return nil
 }
 
 // Result is an assembled fleet: every component of a running cloud.
@@ -202,42 +211,40 @@ type Result struct {
 // Assemble builds and boots a fleet at virtual time zero: all boards
 // powered, fabric wired, daemons stamped, pimaster populated.
 // cloudMu is the cloud-wide lock shared with the daemons and the engine
-// driver. Every Assemble validates the fabric and derives its plan;
+// driver. Every Assemble runs the topology builder, validates the
+// fabric, derives its plan and seals the wiring into it;
 // Snapshot.Restore is the warm boot.
 func Assemble(cfg Config, cloudMu *sync.Mutex) (*Result, error) {
 	cfg.FillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return assemble(cfg, cloudMu, nil)
-}
-
-// assemble is the shared cold/warm construction path; plan is nil on a
-// cold build, which validates the fabric and derives it.
-func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
-	tmpl, err := NewTemplate(cfg.Board, cfg.Images)
-	if err != nil {
-		return nil, err
-	}
 	engine := sim.NewEngine(cfg.Seed)
 	net := netsim.New(engine)
-
 	topo, err := buildTopology(net, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if plan == nil {
-		if err := topology.Validate(topo, net); err != nil {
-			return nil, err
-		}
-		if plan, err = planFor(topo); err != nil {
-			return nil, err
-		}
+	if err := topology.Validate(topo, net); err != nil {
+		return nil, err
 	}
-	if len(plan.hosts) != len(topo.Hosts) {
-		return nil, fmt.Errorf("fleet: plan holds %d hosts, fabric wired %d", len(plan.hosts), len(topo.Hosts))
+	plan, err := planFor(topo)
+	if err != nil {
+		return nil, err
 	}
+	plan.seal(net, topo)
+	return assemble(cfg, cloudMu, plan, engine, net)
+}
 
+// assemble boots a fleet on a wired fabric: net, on engine, is either
+// the network plan was sealed from (a cold build) or one wired from the
+// plan's wiring (a restore). Both stamp and register the same way.
+func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan, engine *sim.Engine, net *netsim.Network) (*Result, error) {
+	tmpl, err := NewTemplate(cfg.Board, cfg.Images)
+	if err != nil {
+		return nil, err
+	}
+	topo := plan.topo
 	ctrl := sdn.NewController(engine, net, sdn.DefaultConfig())
 	for _, id := range topo.Switches() {
 		if err := ctrl.RegisterSwitch(openflow.NewSwitch(id, engine)); err != nil {
@@ -287,19 +294,23 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan) (*Result, error) {
 	return r, nil
 }
 
-// stampAll builds every node from the template, in plan (rack) order,
-// into one slice of records, each carrying its in-rack index.
+// stampAll stamps every host from the template, in plan (rack) order,
+// into one slab of host state, and returns one slice of records into
+// it, each carrying its in-rack index: a fleet of any size makes two
+// allocations here.
 func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, plan *Plan) ([]Node, error) {
 	nodes := make([]Node, len(plan.hosts))
+	slab := make([]host, len(plan.hosts))
 	at := engine.Now()
 	for i := range plan.hosts {
-		hp := &plan.hosts[i]
-		node, err := tmpl.Stamp(engine, cloudMu, hp.name, hp.rack, at)
-		if err != nil {
+		hp, h := &plan.hosts[i], &slab[i]
+		if err := tmpl.stamp(h, engine, cloudMu, hp.name, hp.rack, at); err != nil {
 			return nil, err
 		}
-		node.Idx = hp.idx
-		nodes[i] = node
+		nodes[i] = Node{
+			Name: hp.name, Host: netsim.NodeID(hp.name), Rack: hp.rack, Idx: hp.idx,
+			Daemon: &h.daemon, Suite: &h.suite, Meter: &h.meter,
+		}
 	}
 	return nodes, nil
 }

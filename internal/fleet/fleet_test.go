@@ -302,10 +302,8 @@ func TestMeterOrderIsHostNameOrder(t *testing.T) {
 					}
 					at := now + sim.Time(rng.Intn(1000))*sim.Time(time.Millisecond)
 					wantState, wantW, wantJ := referenceMeter(r.Nodes, at)
-					var got strings.Builder
-					r.Meter.WriteState(&got, at)
-					if got.String() != wantState {
-						t.Fatalf("step %d: meter state\n%s\nwant (racks summed in host-name order)\n%s", step, got.String(), wantState)
+					if got := string(r.Meter.AppendState(nil, at)); got != wantState {
+						t.Fatalf("step %d: meter state\n%s\nwant (racks summed in host-name order)\n%s", step, got, wantState)
 					}
 					if w := r.Meter.TotalWatts(); math.Float64bits(w) != math.Float64bits(wantW) {
 						t.Fatalf("step %d: TotalWatts %v, host-name order sums %v", step, w, wantW)

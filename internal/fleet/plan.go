@@ -12,7 +12,9 @@ import (
 	"repro/internal/dhcp"
 	"repro/internal/dns"
 	"repro/internal/hw"
+	"repro/internal/netsim"
 	"repro/internal/pimaster"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -26,6 +28,9 @@ type hostPlan struct {
 	mac  dhcp.MAC
 	addr netip.Addr
 	fqdn string
+	// node is the host's netsim node index, recorded when the plan
+	// seals the wiring.
+	node int32
 }
 
 // rackRows is one rack's run of plan rows: hosts[start:start+n], in
@@ -58,12 +63,20 @@ type Plan struct {
 	// before pi-r00-n11), and the kernel digests pin name order.
 	meterOrder []int32
 	byName     map[string]int32 // FQDN → row
+	// wiring and topo are the cold build's sealed fabric and its
+	// topology, shared read-only by every fleet restored from the plan:
+	// a restore wires its network from the one and reuses the other.
+	wiring *netsim.Wiring
+	topo   *topology.Topology
 }
 
 var _ pimaster.HostTable = (*Plan)(nil)
 
 // Hosts returns the number of planned hosts.
 func (p *Plan) Hosts() int { return len(p.hosts) }
+
+// NodeIndex returns row i's netsim node index.
+func (p *Plan) NodeIndex(i int) int32 { return p.hosts[i].node }
 
 // Host returns row i's FQDN and static address.
 func (p *Plan) Host(i int) (string, netip.Addr) { return p.hosts[i].fqdn, p.hosts[i].addr }
@@ -177,15 +190,27 @@ func planFor(topo *topology.Topology) (*Plan, error) {
 	return p, nil
 }
 
+// seal records each host's netsim node index in its row and seals
+// net, the fabric topo was built on, into the plan. topology.Validate
+// has found every host of topo in net.
+func (p *Plan) seal(net *netsim.Network, topo *topology.Topology) {
+	for i := range p.hosts {
+		p.hosts[i].node = net.Node(topo.Hosts[i]).Index()
+	}
+	p.wiring, p.topo = net.Seal(), topo
+}
+
 // --- Snapshots ---
 
 // Snapshot captures a booted fleet's construction state so an identical
 // fleet can be warm-booted later; Restore is the only warm boot.
 // Simulated state (kernels, flows, meters) is inherently per-run and is
 // rebuilt fresh; what the snapshot carries — and Restore skips — is
-// everything derivable: the full registration manifest and the
-// fabric-validation proof. Restored fleets are byte-identical to
-// cold-built ones, traces included.
+// everything derivable: the full registration manifest, the sealed
+// fabric and its topology, and the fabric-validation proof. A restore
+// runs no topology builder: it wires its network from the plan in
+// bulk. Restored fleets are byte-identical to cold-built ones, traces
+// included.
 type Snapshot struct {
 	cfg  Config
 	plan *Plan
@@ -216,5 +241,6 @@ func (s *Snapshot) Restore(cloudMu *sync.Mutex, seed int64) (*Result, error) {
 	if seed >= 0 {
 		cfg.Seed = seed
 	}
-	return assemble(cfg, cloudMu, s.plan)
+	engine := sim.NewEngine(cfg.Seed)
+	return assemble(cfg, cloudMu, s.plan, engine, netsim.Wire(engine, s.plan.wiring))
 }

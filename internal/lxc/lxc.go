@@ -151,7 +151,15 @@ type Suite struct {
 
 // NewSuite installs the LXC tooling on a node.
 func NewSuite(engine *sim.Engine, kernel *oslinux.Kernel, store *image.Store) *Suite {
-	return &Suite{engine: engine, kernel: kernel, store: store}
+	s := new(Suite)
+	s.Init(engine, kernel, store)
+	return s
+}
+
+// Init installs the LXC tooling in s, a zero Suite, as NewSuite would,
+// in place, so a fleet can keep its suites in one slab.
+func (s *Suite) Init(engine *sim.Engine, kernel *oslinux.Kernel, store *image.Store) {
+	s.engine, s.kernel, s.store = engine, kernel, store
 }
 
 // Kernel exposes the node OS (for workloads running inside containers).

@@ -10,6 +10,12 @@
 // netsim only simulates what happens on the chosen path. Re-pointing a
 // live flow onto a new path (SetPath) models the paper's IP-less routing,
 // where established transport connections survive a VM migration.
+//
+// A built fabric can be sealed (Seal): its node set is frozen and its
+// construction state — nodes, name index, degrees and cables — becomes
+// an immutable Wiring, from which Wire instantiates networks in bulk
+// that share the nodes and own their links. A fleet's forks are wired
+// this way instead of re-running the topology builder.
 package netsim
 
 import (
@@ -396,6 +402,9 @@ type Network struct {
 	// span per flush, and opt-in phase profiling.
 	stats  netStats
 	tracer *obs.Tracer
+	// sealed freezes the node set: set by Seal, and on every network
+	// Wire builds, whose nodes and name index a Wiring shares.
+	sealed bool
 }
 
 // solveScratch holds the domain solver's buffers, reused across domain
@@ -415,15 +424,19 @@ var (
 	ErrBadPath      = errors.New("netsim: invalid path")
 	ErrFlowEnded    = errors.New("netsim: flow already ended")
 	ErrLinkDownPath = errors.New("netsim: path traverses a failed link")
+	ErrSealed       = errors.New("netsim: the node set is sealed")
 )
 
 // New returns an empty network on the given engine.
 func New(engine *sim.Engine) *Network {
-	n := &Network{
-		engine:      engine,
-		nodes:       make(map[NodeID]*Node),
-		lastAdvance: -1,
-	}
+	n := newNetwork(engine)
+	n.nodes = make(map[NodeID]*Node)
+	return n
+}
+
+// newNetwork returns a network with no node set on the given engine.
+func newNetwork(engine *sim.Engine) *Network {
+	n := &Network{engine: engine, lastAdvance: -1}
 	n.flushFn = n.flush
 	return n
 }
@@ -495,8 +508,12 @@ func (n *Network) SetKernelMode(m KernelMode) {
 	n.fullRecompute = m.FullRecompute
 }
 
-// AddNode registers a device.
+// AddNode registers a device. A sealed or wired network refuses it
+// with ErrSealed.
 func (n *Network) AddNode(id NodeID, kind NodeKind) error {
+	if n.sealed {
+		return fmt.Errorf("%w: cannot add %s", ErrSealed, id)
+	}
 	if _, dup := n.nodes[id]; dup {
 		return fmt.Errorf("%w: %s", ErrNodeExists, id)
 	}
@@ -538,22 +555,28 @@ func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.D
 	if n.link(na.idx, nb.idx) != nil {
 		return fmt.Errorf("%w: %s->%s", ErrLinkExists, a, b)
 	}
-	pair := &[2]Link{
-		{From: a, To: b, to: nb.idx},
-		{From: b, To: a, to: na.idx},
-	}
-	pair[0].rev, pair[1].rev = &pair[1], &pair[0]
+	n.wire(new([2]Link), na, nb, capacityBps, latency)
+	return nil
+}
+
+// wire cables a to b through pair, a zero pair of legs: it fills both
+// legs, appends them to the link list and each to its tail's hop
+// array, and bumps the epoch. It is every cable's one routine, runtime
+// AddDuplexLink and Wire's bulk instantiation alike, so a wired network
+// orders its links and hops exactly as the build it was sealed from.
+func (n *Network) wire(pair *[2]Link, na, nb *Node, capacityBps float64, latency time.Duration) {
 	ends := [2]*Node{na, nb}
 	for i, from := range ends {
+		to := ends[1-i]
 		l := &pair[i]
+		l.From, l.To, l.to, l.rev = from.ID, to.ID, to.idx, &pair[1-i]
 		l.up, l.net = true, n
 		l.Capacity, l.Latency = capacityBps, latency
 		l.baseCapacity, l.baseLatency = capacityBps, latency
 		n.linkList = append(n.linkList, l)
-		n.out[from.idx] = append(n.out[from.idx], Hop{to: l.to, kind: ends[1-i].Kind, up: true, link: l})
+		n.out[from.idx] = append(n.out[from.idx], Hop{to: l.to, kind: to.Kind, up: true, link: l})
 	}
 	n.topoEpoch++
-	return nil
 }
 
 // Shaping models tc-style impairment of a duplex cable: a capacity

@@ -1,6 +1,6 @@
 // Kernel state capture for checkpointing: a deterministic, byte-exact
 // rendering of the network layer's simulated state. Two networks that
-// executed the same mutation history write the same bytes — floats are
+// executed the same mutation history append the same bytes — floats are
 // written as raw IEEE-754 bit patterns, every walk follows a creation-
 // or admission-order list, and the capture is read-only apart from an
 // idempotent flush of pending rate work (which a settled instant has
@@ -8,40 +8,82 @@
 package netsim
 
 import (
-	"fmt"
-	"io"
 	"math"
+	"strconv"
+
+	"repro/internal/sim"
 )
 
-// WriteState writes the span-anchored flow accounting and link state in
-// a deterministic text form — one layer of the cross-layer fingerprint
-// behind core's Checkpoint/Resume. Links are listed in creation order
-// and skipped while pristine (up, unshaped, never carried a bit, no
-// flows), so megafleet captures scale with activity, not fabric size;
-// flows are listed in admission order, committed state only (the
-// pending span is a pure function of rate, anchor and the clock, all of
-// which are captured).
-func (n *Network) WriteState(w io.Writer) {
+// AppendState appends the span-anchored flow accounting and link state
+// to buf in a deterministic text form — one layer of the cross-layer
+// fingerprint behind core's Checkpoint/Resume. Links are listed in
+// creation order and skipped while pristine (up, unshaped, never
+// carried a bit, no flows), so megafleet captures scale with activity,
+// not fabric size; flows are listed in admission order, committed state
+// only (the pending span is a pure function of rate, anchor and the
+// clock, all of which are captured). Numbers are appended with strconv,
+// floats as the sixteen hex digits of their bits.
+func (n *Network) AppendState(buf []byte) []byte {
 	n.flush()
-	fmt.Fprintf(w, "netsim nodes=%d links=%d active=%d nextID=%d topoEpoch=%d\n",
-		len(n.nodes), len(n.linkList), n.active, n.nextID, n.topoEpoch)
+	buf = append(buf, "netsim nodes="...)
+	buf = strconv.AppendInt(buf, int64(len(n.nodes)), 10)
+	buf = append(buf, " links="...)
+	buf = strconv.AppendInt(buf, int64(len(n.linkList)), 10)
+	buf = append(buf, " active="...)
+	buf = strconv.AppendInt(buf, int64(n.active), 10)
+	buf = append(buf, " nextID="...)
+	buf = strconv.AppendInt(buf, n.nextID, 10)
+	buf = append(buf, " topoEpoch="...)
+	buf = strconv.AppendUint(buf, n.topoEpoch, 10)
+	buf = append(buf, '\n')
 	for _, l := range n.linkList {
 		if l.up && !l.shaped && l.bitsCarried == 0 && len(l.flows) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "link %s>%s up=%t shaped=%t cap=%016x lat=%d bits=%016x alloc=%016x flows=%d\n",
-			l.From, l.To, l.up, l.shaped,
-			math.Float64bits(l.Capacity), int64(l.Latency),
-			math.Float64bits(l.bitsCarried), math.Float64bits(l.allocated), len(l.flows))
+		buf = append(buf, "link "...)
+		buf = append(buf, l.From...)
+		buf = append(buf, '>')
+		buf = append(buf, l.To...)
+		buf = append(buf, " up="...)
+		buf = strconv.AppendBool(buf, l.up)
+		buf = append(buf, " shaped="...)
+		buf = strconv.AppendBool(buf, l.shaped)
+		buf = appendBits(buf, " cap=", l.Capacity)
+		buf = append(buf, " lat="...)
+		buf = strconv.AppendInt(buf, int64(l.Latency), 10)
+		buf = appendBits(buf, " bits=", l.bitsCarried)
+		buf = appendBits(buf, " alloc=", l.allocated)
+		buf = append(buf, " flows="...)
+		buf = strconv.AppendInt(buf, int64(len(l.flows)), 10)
+		buf = append(buf, '\n')
 	}
 	for _, f := range n.flowOrder {
 		if f.ended {
 			continue
 		}
-		fmt.Fprintf(w, "flow %d %s>%s rate=%016x done=%016x rem=%016x anchor=%d started=%d sched=%016x cap=%016x hops=%d\n",
-			f.ID, f.Spec.Src, f.Spec.Dst,
-			math.Float64bits(f.rate), math.Float64bits(f.bitsDone), math.Float64bits(f.remaining),
-			int64(f.lastCalc), int64(f.started),
-			math.Float64bits(f.schedRate), math.Float64bits(f.Spec.RateCapBps), len(f.path))
+		buf = append(buf, "flow "...)
+		buf = strconv.AppendInt(buf, f.ID, 10)
+		buf = append(buf, ' ')
+		buf = append(buf, f.Spec.Src...)
+		buf = append(buf, '>')
+		buf = append(buf, f.Spec.Dst...)
+		buf = appendBits(buf, " rate=", f.rate)
+		buf = appendBits(buf, " done=", f.bitsDone)
+		buf = appendBits(buf, " rem=", f.remaining)
+		buf = append(buf, " anchor="...)
+		buf = strconv.AppendInt(buf, int64(f.lastCalc), 10)
+		buf = append(buf, " started="...)
+		buf = strconv.AppendInt(buf, int64(f.started), 10)
+		buf = appendBits(buf, " sched=", f.schedRate)
+		buf = appendBits(buf, " cap=", f.Spec.RateCapBps)
+		buf = append(buf, " hops="...)
+		buf = strconv.AppendInt(buf, int64(len(f.path)), 10)
+		buf = append(buf, '\n')
 	}
+	return buf
+}
+
+// appendBits appends key and the hex of v's IEEE-754 bits.
+func appendBits(buf []byte, key string, v float64) []byte {
+	return sim.AppendHex64(append(buf, key...), math.Float64bits(v))
 }

@@ -1,7 +1,7 @@
 // Observability taps for the network kernel: operational counters the
 // flush/solve machinery increments, an optional span tracer around
 // domain flushes, and opt-in wall-clock phase profiling for the bench
-// harness. None of this state is written into WriteState, so sampling
+// harness. None of this state is written into AppendState, so sampling
 // it — or leaving it enabled for a whole run — cannot shift a kernel
 // fingerprint; the zero-perturbation digest gate in internal/scenario
 // holds the proof.

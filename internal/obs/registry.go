@@ -26,6 +26,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,13 +41,23 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // seriesID renders name plus sorted labels into the registry map key.
 // The rendered form doubles as the stable sort key for exposition.
+// Labels already in key order are rendered without a sorted copy.
 func seriesID(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	byKey := func(a, b Label) int { return strings.Compare(a.Key, b.Key) }
+	ls := labels
+	if !slices.IsSortedFunc(ls, byKey) {
+		ls = slices.Clone(labels)
+		slices.SortFunc(ls, byKey)
+	}
+	size := len(name) + 2
+	for _, l := range ls {
+		size += len(l.Key) + len(l.Value) + 2
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(name)
 	b.WriteByte('{')
 	for i, l := range ls {
@@ -289,29 +300,36 @@ func (r *Registry) RegisterCollector(c Collector) {
 	r.collectors = append(r.collectors, c)
 }
 
+// idSample is a gathered sample with its series id, rendered once.
+type idSample struct {
+	id string
+	s  Sample
+}
+
 // Gather snapshots every instrument and runs every collector,
 // returning samples sorted by series identity. Gathering reads
 // atomics and calls collectors outside instrument locks; it never
-// writes anything anywhere.
+// writes anything anywhere. Each sample's series id is rendered once
+// (an instrument's is its registry key) and the samples sort by it.
 func (r *Registry) Gather() []Sample {
 	r.mu.Lock()
 	collectors := append([]Collector(nil), r.collectors...)
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	keyed := make([]idSample, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for id, c := range r.counters {
 		m := r.meta[id]
-		out = append(out, Sample{Name: m.name, Labels: m.labels, Kind: KindCounter, Value: c.Value()})
+		keyed = append(keyed, idSample{id, Sample{Name: m.name, Labels: m.labels, Kind: KindCounter, Value: c.Value()}})
 	}
 	for id, g := range r.gauges {
 		m := r.meta[id]
-		out = append(out, Sample{Name: m.name, Labels: m.labels, Kind: KindGauge, Value: g.Value()})
+		keyed = append(keyed, idSample{id, Sample{Name: m.name, Labels: m.labels, Kind: KindGauge, Value: g.Value()}})
 	}
 	for id, h := range r.hists {
 		m := r.meta[id]
 		bounds, cum, total := h.snapshot()
-		out = append(out, Sample{
+		keyed = append(keyed, idSample{id, Sample{
 			Name: m.name, Labels: m.labels, Kind: KindHistogram,
 			Bounds: bounds, Cum: cum, Count: total, Sum: h.Sum(),
-		})
+		}})
 	}
 	r.mu.Unlock()
 
@@ -319,12 +337,15 @@ func (r *Registry) Gather() []Sample {
 	for _, c := range collectors {
 		c(&e)
 	}
-	out = append(out, e.samples...)
+	for _, s := range e.samples {
+		keyed = append(keyed, idSample{seriesID(s.Name, s.Labels), s})
+	}
 
-	sort.Slice(out, func(i, j int) bool {
-		a, b := seriesID(out[i].Name, out[i].Labels), seriesID(out[j].Name, out[j].Labels)
-		return a < b
-	})
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].id < keyed[j].id })
+	out := make([]Sample, len(keyed))
+	for i := range keyed {
+		out[i] = keyed[i].s
+	}
 	return out
 }
 

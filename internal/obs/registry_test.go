@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -106,6 +110,62 @@ func TestGatherIncludesCollectors(t *testing.T) {
 	}
 	if s, ok := byID["sampled_total"]; !ok || s.Value != 9 {
 		t.Fatalf("sampled_total = %+v", s)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// sessionRegistry registers what n sessions' scrapes hold: per
+// session, two labelled counters, a gauge and a histogram, and a
+// collector emitting three labelled samples.
+func sessionRegistry(n int) *Registry {
+	r := NewRegistry()
+	for i := 0; i < n; i++ {
+		id := L("session", fmt.Sprintf("s-%04d", i))
+		r.Counter("pisim_advance_total", id, L("kind", "slice")).Add(float64(i))
+		r.Counter("pisim_journal_records_total", id).Inc()
+		r.Gauge("pisim_offset_seconds", id).Set(float64(i))
+		r.Histogram("pisim_advance_seconds", []float64{0.01, 0.1, 1}, id).Observe(0.05)
+		r.RegisterCollector(func(e *Emitter) {
+			e.Counter("pisim_events_fired_total", float64(i), id, L("layer", "sim"))
+			e.Gauge("pisim_flows_active", 3, L("layer", "netsim"), id)
+			e.Counter("pisim_packet_ins_total", 1, id)
+		})
+	}
+	return r
+}
+
+// TestGatherOrderAndAllocs: Gather returns its samples in series-id
+// order, the order a sort comparing rendered ids yields, and renders
+// each id at most once: a registered instrument's is its registry key,
+// so only a collector's sample costs an id. This registry gathered
+// with 98.9 allocations per sample when the sort's comparator rendered
+// both ids on every comparison, and with 1.2 since.
+func TestGatherOrderAndAllocs(t *testing.T) {
+	r := sessionRegistry(100)
+	got := r.Gather()
+	want := slices.Clone(got)
+	rand.New(rand.NewSource(1)).Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	sort.Slice(want, func(i, j int) bool {
+		return seriesID(want[i].Name, want[i].Labels) < seriesID(want[j].Name, want[j].Labels)
+	})
+	if len(got) != 700 {
+		t.Fatalf("gathered %d samples, want 700", len(got))
+	}
+	for i := range got {
+		if seriesID(got[i].Name, got[i].Labels) != seriesID(want[i].Name, want[i].Labels) || got[i].Value != want[i].Value {
+			t.Fatalf("sample %d: %s, want %s", i, seriesID(got[i].Name, got[i].Labels), seriesID(want[i].Name, want[i].Labels))
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	// A histogram's snapshot copies its bounds and counts; a
+	// collector's sample copies its labels and renders its id.
+	allocs := testing.AllocsPerRun(5, func() { r.Gather() })
+	if perSample := allocs / float64(len(got)); perSample > 2 {
+		t.Fatalf("Gather makes %.0f allocations for %d samples, %.2f per sample; want at most 2", allocs, len(got), perSample)
 	}
 }
 

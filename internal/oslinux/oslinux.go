@@ -118,37 +118,49 @@ type Kernel struct {
 
 	// onUtil, if set, observes every CPU utilisation change (the energy
 	// meter subscribes).
-	onUtil func(at sim.Time, util float64)
+	onUtil UtilObserver
 
 	oomRejects uint64
 }
 
+// UtilObserver observes a kernel's CPU utilisation: a node's energy
+// meter, which integrates power over it.
+type UtilObserver interface {
+	SetUtilisation(at sim.Time, util float64)
+}
+
 // NewKernel boots an OS model on the given board.
 func NewKernel(engine *sim.Engine, spec hw.BoardSpec, name string) (*Kernel, error) {
-	if err := spec.Validate(); err != nil {
+	k := new(Kernel)
+	if err := k.Init(engine, spec, name); err != nil {
 		return nil, err
 	}
-	k := &Kernel{
-		Name:     name,
-		engine:   engine,
-		spec:     spec,
-		reserved: DefaultOSReservedBytes,
+	return k, nil
+}
+
+// Init boots an OS model on the given board in k, a zero Kernel: what
+// NewKernel does, in place, so a fleet can keep its kernels in one
+// slab.
+func (k *Kernel) Init(engine *sim.Engine, spec hw.BoardSpec, name string) error {
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	if k.reserved > spec.MemBytes {
-		return nil, fmt.Errorf("oslinux: board %q has less RAM than the OS needs", spec.Model)
+	if DefaultOSReservedBytes > spec.MemBytes {
+		return fmt.Errorf("oslinux: board %q has less RAM than the OS needs", spec.Model)
 	}
-	k.memUsed = k.reserved
+	k.Name, k.engine, k.spec = name, engine, spec
+	k.reserved, k.memUsed = DefaultOSReservedBytes, DefaultOSReservedBytes
 	k.io.engine = engine
 	k.io.readBps = float64(spec.Storage.ReadBytesPerS)
 	k.io.writeBps = float64(spec.Storage.WriteBytesPerS)
-	return k, nil
+	return nil
 }
 
 // Spec returns the board the kernel runs on.
 func (k *Kernel) Spec() hw.BoardSpec { return k.spec }
 
 // OnUtilChange registers the utilisation observer (at most one).
-func (k *Kernel) OnUtilChange(fn func(at sim.Time, util float64)) { k.onUtil = fn }
+func (k *Kernel) OnUtilChange(o UtilObserver) { k.onUtil = o }
 
 // OOMRejects counts allocations refused for lack of node memory.
 func (k *Kernel) OOMRejects() uint64 { return k.oomRejects }
@@ -494,7 +506,7 @@ func (k *Kernel) CPUUtil() float64 {
 
 func (k *Kernel) notifyUtil() {
 	if k.onUtil != nil {
-		k.onUtil(k.engine.Now(), k.CPUUtil())
+		k.onUtil.SetUtilisation(k.engine.Now(), k.CPUUtil())
 	}
 }
 

@@ -324,24 +324,29 @@ func TestSetLimitsRescheduling(t *testing.T) {
 	}
 }
 
+// lastUtil is a utilisation observer that keeps the latest reading.
+type lastUtil float64
+
+func (l *lastUtil) SetUtilisation(_ sim.Time, u float64) { *l = lastUtil(u) }
+
 func TestUtilObserverAndEnergyHookup(t *testing.T) {
 	e, k := newPi(t)
-	var last float64
-	k.OnUtilChange(func(_ sim.Time, u float64) { last = u })
+	var obs lastUtil
+	k.OnUtilChange(&obs)
 	if _, err := k.CreateCGroup("c", Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.StartTask("c", TaskSpec{WorkMI: 875}); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(last-1.0) > 1e-9 {
-		t.Fatalf("observer saw %v, want 1.0", last)
+	if math.Abs(float64(obs)-1.0) > 1e-9 {
+		t.Fatalf("observer saw %v, want 1.0", obs)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if last != 0 {
-		t.Fatalf("observer saw %v after completion, want 0", last)
+	if obs != 0 {
+		t.Fatalf("observer saw %v after completion, want 0", obs)
 	}
 }
 

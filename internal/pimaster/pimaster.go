@@ -216,10 +216,13 @@ func NodeAddr(rack, idxInRack int) netip.Addr {
 // HostTable is a fleet's host rows, the construction plan: row i is the
 // i-th node RegisterNodes receives, with its FQDN NodeFQDN(rack, idx),
 // its static address NodeAddr(rack, idx), its MAC
-// dhcp.NodeMAC(rack, idx) and its rack's pool RackPool(rack).
+// dhcp.NodeMAC(rack, idx), its rack's pool RackPool(rack) and its
+// netsim node index.
 type HostTable interface {
 	dns.HostTable
 	dhcp.HostTable
+	// NodeIndex returns row i's netsim node index.
+	NodeIndex(i int) int32
 }
 
 // RegisterNodes registers a whole fleet, the only way a node enters
@@ -231,7 +234,9 @@ type HostTable interface {
 // 10.<rack>.0.<2+idx> addresses). Then it attaches hosts to DHCP and
 // DNS, which answer every node's static lease (pool base + 2 + idx,
 // immune to lease expiry) and A/PTR records from it without filing
-// them. The registry is written once, after every node passed.
+// them. Each node's netsim index comes from its row, checked to name
+// the node, so registration looks up no host by name. The registry is
+// written once, after every node passed.
 func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
 	if len(m.nodes) > 0 {
 		return fmt.Errorf("pimaster: RegisterNodes registers a fleet before any other node")
@@ -249,11 +254,11 @@ func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
 		if row, ok := hosts.RowOfAddr(NodeAddr(ref.Rack, ref.Idx)); !ok || row != i {
 			return fmt.Errorf("pimaster: host row %d does not plan node %s", i, ref.Name)
 		}
-		nd := m.net.Node(ref.Host)
-		if nd == nil {
-			return fmt.Errorf("pimaster: node %s is not a host of the fabric", ref.Name)
+		at := hosts.NodeIndex(i)
+		if at < 0 || int(at) >= len(slots) || m.net.NodeAt(at).ID != ref.Host {
+			return fmt.Errorf("pimaster: host row %d's node index %d does not name node %s of the fabric", i, at, ref.Name)
 		}
-		if slots[nd.Index()] != 0 {
+		if slots[at] != 0 {
 			return fmt.Errorf("pimaster: node %s already registered", ref.Name)
 		}
 		if i == 0 || ref.Rack != nodes[i-1].Rack {
@@ -262,7 +267,7 @@ func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
 			}
 		}
 		refs[i] = ref
-		slots[nd.Index()] = int32(i + 1)
+		slots[at] = int32(i + 1)
 	}
 	if err := m.dhcp.AttachHosts(hosts); err != nil {
 		return err
@@ -415,7 +420,7 @@ func (m *Master) SpawnVMs(reqs []SpawnVMRequest) ([]*VMRecord, error) {
 		reserved[i] += hw.MIPS(rec.CPUDemandMIPS)
 		row := m.pollNode(m.nodes[i])
 		row.CPUUsed = max(row.CPUUsed, reserved[i])
-		view.Nodes[i] = row
+		view.SetRow(i, row)
 		view.Locate[rec.Name] = m.nodes[i].Host
 	}
 	return recs, nil
@@ -558,6 +563,21 @@ func (m *Master) VMs() []VMRecord {
 	out := make([]VMRecord, 0, len(m.vms))
 	for _, rec := range m.vms {
 		out = append(out, *rec)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// VMsOn lists the records of the VMs on the named node, sorted by name:
+// VMs filtered to one node, without copying the others' records.
+func (m *Master) VMsOn(node string) []VMRecord {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []VMRecord
+	for _, rec := range m.vms {
+		if rec.Node == node {
+			out = append(out, *rec)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

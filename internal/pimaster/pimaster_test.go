@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,9 +36,11 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// planRows is a HostTable over (rack, in-rack index) positions, looked
-// up by scanning.
-type planRows [][2]int
+// planRows is a HostTable over (rack, in-rack index, netsim node
+// index) triples, looked up by scanning.
+type planRows [][3]int
+
+func (p planRows) NodeIndex(i int) int32 { return int32(p[i][2]) }
 
 func (p planRows) Hosts() int { return len(p) }
 
@@ -72,22 +75,28 @@ func (p planRows) scan(match func(int) bool) (int, bool) {
 
 // TestRegisterNodeValidation: RegisterNodes, the only way a node enters
 // pimaster, refuses a fleet holding a node without a daemon, a node
-// that names no fabric host, a host registered twice or a node whose
-// name is not its host id. Each fleet goes to a fresh master over the
-// same fabric, which registers nothing from a refused fleet and then
-// takes the valid one.
+// that names no fabric host, a host registered twice, a node whose
+// name is not its host id or a row whose netsim index names another
+// node or none. Each fleet goes to a fresh master over the same
+// fabric, which registers nothing from a refused fleet and then takes
+// the valid one.
 func TestRegisterNodeValidation(t *testing.T) {
 	c := newCloud(t, core.Config{Racks: 1, HostsPerRack: 2})
-	rows := planRows{{0, 0}, {0, 1}}
+	at := func(i int) int { return int(c.Net.Node(c.Nodes()[i].Host).Index()) }
+	rows := planRows{{0, 0, at(0)}, {0, 1, at(1)}}
 	for _, cse := range []struct {
 		name string
 		edit func(nodes []pimaster.NodeRef)
+		rows planRows
 	}{
-		{"valid", nil},
-		{"nil daemon", func(n []pimaster.NodeRef) { n[0].Daemon = nil }},
-		{"incomplete ref", func(n []pimaster.NodeRef) { n[0] = pimaster.NodeRef{Daemon: n[0].Daemon} }},
-		{"duplicate host", func(n []pimaster.NodeRef) { n[1].Name, n[1].Host = n[0].Name, n[0].Host }},
-		{"name is not its host id", func(n []pimaster.NodeRef) { n[0].Name = "pi-r00-n09" }},
+		{"valid", nil, nil},
+		{"nil daemon", func(n []pimaster.NodeRef) { n[0].Daemon = nil }, nil},
+		{"incomplete ref", func(n []pimaster.NodeRef) { n[0] = pimaster.NodeRef{Daemon: n[0].Daemon} }, nil},
+		{"duplicate host", func(n []pimaster.NodeRef) { n[1].Name, n[1].Host = n[0].Name, n[0].Host }, nil},
+		{"name is not its host id", func(n []pimaster.NodeRef) { n[0].Name = "pi-r00-n09" }, nil},
+		{"index names another host", nil, planRows{{0, 0, at(1)}, {0, 1, at(1)}}},
+		{"index names a switch", nil, planRows{{0, 0, at(0)}, {0, 1, 0}}},
+		{"index outside the fabric", nil, planRows{{0, 0, at(0)}, {0, 1, c.Net.NodeCount()}}},
 	} {
 		t.Run(cse.name, func(t *testing.T) {
 			m, err := pimaster.New(pimaster.Config{Engine: c.Engine, CloudMu: new(sync.Mutex), Ctrl: c.Ctrl})
@@ -95,10 +104,15 @@ func TestRegisterNodeValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			valid := func() []pimaster.NodeRef { return []pimaster.NodeRef{*c.Nodes()[0], *c.Nodes()[1]} }
-			if cse.edit != nil {
-				nodes := valid()
-				cse.edit(nodes)
-				if err := m.RegisterNodes(nodes, rows); err == nil {
+			if cse.edit != nil || cse.rows != nil {
+				nodes, table := valid(), rows
+				if cse.edit != nil {
+					cse.edit(nodes)
+				}
+				if cse.rows != nil {
+					table = cse.rows
+				}
+				if err := m.RegisterNodes(nodes, table); err == nil {
 					t.Fatalf("%s accepted", cse.name)
 				}
 				if got := len(m.Nodes()); got != 0 {
@@ -152,8 +166,7 @@ func TestSpawnValidation(t *testing.T) {
 // the label enters the SDN state (and the kernel digest).
 func TestFailedSpawnBindsNoLabel(t *testing.T) {
 	c := newCloud(t, core.Config{Racks: 1, HostsPerRack: 2})
-	var before, after strings.Builder
-	c.Ctrl.WriteState(&before)
+	before := string(c.Ctrl.AppendState(nil))
 	if _, err := c.Master.SpawnVM(pimaster.SpawnVMRequest{Name: "x", Image: "no-such"}); err == nil {
 		t.Fatal("bad image accepted")
 	}
@@ -161,9 +174,8 @@ func TestFailedSpawnBindsNoLabel(t *testing.T) {
 		host, _ := c.Ctrl.HostOfLabel(l)
 		t.Fatalf("failed spawn bound label %d to %s", l, host)
 	}
-	c.Ctrl.WriteState(&after)
-	if after.String() != before.String() {
-		t.Fatalf("failed spawn moved the SDN state:\n%s→\n%s", before.String(), after.String())
+	if after := string(c.Ctrl.AppendState(nil)); after != before {
+		t.Fatalf("failed spawn moved the SDN state:\n%s→\n%s", before, after)
 	}
 	// The next successful spawn takes the first label.
 	rec, err := c.Master.SpawnVM(pimaster.SpawnVMRequest{Name: "y", Image: "raspbian"})
@@ -580,4 +592,44 @@ func TestSpawnVMsPollsOnce(t *testing.T) {
 	if got, want := requests(polled)-before, uint64(vms*(nodes+1)); got != want {
 		t.Fatalf("%d SpawnVM calls made %d daemon requests, want %d", vms, got, want)
 	}
+}
+
+// TestVMsOnFiltersVMs: VMsOn lists exactly the VMs that VMs lists on the
+// node, in the same name order, for every node, an empty one and an
+// unknown name included, and follows a destroy.
+func TestVMsOnFiltersVMs(t *testing.T) {
+	c := newCloud(t, core.Config{Racks: 2, HostsPerRack: 4, Seed: 1})
+	// First-fit fills two nodes, puts one VM on a third and leaves the
+	// rest empty; names count down, so each node's list must be sorted.
+	reqs := make([]pimaster.SpawnVMRequest, 7)
+	for i := range reqs {
+		reqs[i] = pimaster.SpawnVMRequest{Name: fmt.Sprintf("vm%02d", 20-i), Image: "raspbian", Placer: "first-fit"}
+	}
+	if _, err := c.Master.SpawnVMs(reqs); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"pi-r09-n09"}
+	for _, ref := range c.Master.Nodes() {
+		names = append(names, ref.Name)
+	}
+	check := func() {
+		t.Helper()
+		all := c.Master.VMs()
+		for _, name := range names {
+			var want []pimaster.VMRecord
+			for _, vm := range all {
+				if vm.Node == name {
+					want = append(want, vm)
+				}
+			}
+			if got := c.Master.VMsOn(name); !slices.Equal(got, want) {
+				t.Fatalf("VMsOn(%s) = %v, want %v", name, got, want)
+			}
+		}
+	}
+	check()
+	if err := c.Master.DestroyVM(c.Master.VMs()[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	check()
 }

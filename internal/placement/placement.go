@@ -7,11 +7,17 @@
 // rack-local, and a power-aware consolidation planner that drains
 // lightly-used nodes so they can be switched off — the policy whose
 // network ripple effects experiment R2 measures.
+//
+// A View's rows form runs of identical load, and a placer's choice is
+// always a run's first row, so the scoring placers and first-fit visit
+// the run heads the view keeps (see View), not every row: a fleet of
+// idle racks costs one visit per rack.
 package placement
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hw"
@@ -40,10 +46,59 @@ type NodeView struct {
 }
 
 // View is the cluster state a placement decision is made against.
+//
+// Rows equal in every field but ID (see repeats) form runs, and only a
+// run's first row, its head, can be a placer's choice: a fleet of idle
+// hosts is a handful of runs, so the scoring placers visit heads, not
+// rows. The view keeps the heads' indices, derived from Nodes by the
+// first placement that needs them; from then on write rows through
+// SetRow, which keeps the heads up to date (a row written straight into
+// Nodes is not seen).
 type View struct {
 	Nodes []NodeView
 	// Locate maps container name → hosting node.
 	Locate map[string]netsim.NodeID
+
+	// heads lists the run heads' indices in ascending order; nil until
+	// derived.
+	heads []int32
+}
+
+// SetRow replaces row i and keeps the run heads up to date: only row i
+// and the row after it can change whether they start a run.
+func (v *View) SetRow(i int, row NodeView) {
+	v.Nodes[i] = row
+	if v.heads == nil {
+		return
+	}
+	v.setHead(i, !v.repeats(i))
+	if i+1 < len(v.Nodes) {
+		v.setHead(i+1, !v.repeats(i+1))
+	}
+}
+
+// setHead records whether row i heads a run.
+func (v *View) setHead(i int, head bool) {
+	at, found := slices.BinarySearch(v.heads, int32(i))
+	switch {
+	case head && !found:
+		v.heads = slices.Insert(v.heads, at, int32(i))
+	case !head && found:
+		v.heads = slices.Delete(v.heads, at, at+1)
+	}
+}
+
+// runHeads returns the run heads, deriving them from Nodes when absent.
+func (v *View) runHeads() []int32 {
+	if v.heads == nil {
+		v.heads = make([]int32, 0, 16)
+		for i := range v.Nodes {
+			if !v.repeats(i) {
+				v.heads = append(v.heads, int32(i))
+			}
+		}
+	}
+	return v.heads
 }
 
 // NodeByID returns a pointer into Nodes, or nil.
@@ -100,9 +155,10 @@ func Fits(req Request, n NodeView, p Policy) bool {
 	return true
 }
 
-// Placer chooses a node for a request. Place only reads the view: its
-// caller may hand every placement of one pimaster.SpawnVMs call the
-// same rows.
+// Placer chooses a node for a request. Place reads the view's rows,
+// deriving its run heads on first use, so the caller may hand every
+// placement of one pimaster.SpawnVMs call the same view, its rows
+// updated through SetRow. A view serves one goroutine at a time.
 type Placer interface {
 	Name() string
 	Place(req Request, v *View, p Policy) (netsim.NodeID, error)
@@ -137,7 +193,9 @@ func (r *RoundRobin) Place(req Request, v *View, p Policy) (netsim.NodeID, error
 	return "", fmt.Errorf("%w: %s", ErrNoCapacity, req.Name)
 }
 
-// FirstFit scans nodes in order and takes the first that fits.
+// FirstFit scans nodes in order and takes the first that fits. It
+// visits run heads only: a row that repeats the one before it fits only
+// if that row does, so the first fitting row is always a head.
 type FirstFit struct{}
 
 // Name implements Placer.
@@ -145,9 +203,9 @@ func (FirstFit) Name() string { return "first-fit" }
 
 // Place implements Placer.
 func (FirstFit) Place(req Request, v *View, p Policy) (netsim.NodeID, error) {
-	for _, n := range v.Nodes {
-		if Fits(req, n, p) {
-			return n.ID, nil
+	for _, i := range v.runHeads() {
+		if Fits(req, v.Nodes[i], p) {
+			return v.Nodes[i].ID, nil
 		}
 	}
 	return "", fmt.Errorf("%w: %s", ErrNoCapacity, req.Name)
@@ -156,8 +214,8 @@ func (FirstFit) Place(req Request, v *View, p Policy) (netsim.NodeID, error) {
 // sameLoad reports whether two rows agree in every field but ID, so a
 // request fits both or neither and scores the same on both. A row equal
 // to the one before it can therefore never win a strict > or <
-// comparison against it, and the scoring placers skip it: whole racks of
-// identical idle nodes cost one comparison each.
+// comparison against it, and the scoring placers visit run heads only:
+// whole racks of identical idle nodes cost one comparison each.
 func sameLoad(a, b *NodeView) bool {
 	return a.Rack == b.Rack && a.CPU == b.CPU && a.CPUUsed == b.CPUUsed &&
 		a.MemTotal == b.MemTotal && a.MemUsed == b.MemUsed &&
@@ -187,20 +245,32 @@ func (BestFit) Name() string { return "best-fit" }
 
 // Place implements Placer.
 func (BestFit) Place(req Request, v *View, p Policy) (netsim.NodeID, error) {
+	return placed(req, v, bestRow(req, v, p, -1))
+}
+
+// bestRow returns best-fit's row among the run heads of one rack, or of
+// every rack when rack is negative; -1 when none fits.
+func bestRow(req Request, v *View, p Policy, rack int) int {
 	best := -1
 	bestScore := -1.0
-	for i := range v.Nodes {
-		if v.repeats(i) || !Fits(req, v.Nodes[i], p) {
+	for _, i := range v.runHeads() {
+		n := &v.Nodes[i]
+		if (rack >= 0 && n.Rack != rack) || !Fits(req, *n, p) {
 			continue
 		}
-		if s := load(req, v.Nodes[i], p); s > bestScore {
-			best, bestScore = i, s
+		if s := load(req, *n, p); s > bestScore {
+			best, bestScore = int(i), s
 		}
 	}
-	if best < 0 {
+	return best
+}
+
+// placed returns row i's node, or ErrNoCapacity when i is -1.
+func placed(req Request, v *View, i int) (netsim.NodeID, error) {
+	if i < 0 {
 		return "", fmt.Errorf("%w: %s", ErrNoCapacity, req.Name)
 	}
-	return v.Nodes[best].ID, nil
+	return v.Nodes[i].ID, nil
 }
 
 // WorstFit spreads: the feasible node left emptiest.
@@ -213,18 +283,16 @@ func (WorstFit) Name() string { return "worst-fit" }
 func (WorstFit) Place(req Request, v *View, p Policy) (netsim.NodeID, error) {
 	best := -1
 	bestScore := 2.0
-	for i := range v.Nodes {
-		if v.repeats(i) || !Fits(req, v.Nodes[i], p) {
+	for _, i := range v.runHeads() {
+		n := &v.Nodes[i]
+		if !Fits(req, *n, p) {
 			continue
 		}
-		if s := load(req, v.Nodes[i], p); s < bestScore {
-			best, bestScore = i, s
+		if s := load(req, *n, p); s < bestScore {
+			best, bestScore = int(i), s
 		}
 	}
-	if best < 0 {
-		return "", fmt.Errorf("%w: %s", ErrNoCapacity, req.Name)
-	}
-	return v.Nodes[best].ID, nil
+	return placed(req, v, best)
 }
 
 // NetworkAware places a container in the rack where most of its peers
@@ -262,18 +330,8 @@ func (NetworkAware) Place(req Request, v *View, p Policy) (netsim.NodeID, error)
 		return racks[i] < racks[j]
 	})
 	for _, rack := range racks {
-		best := -1
-		bestScore := -1.0
-		for i := range v.Nodes {
-			if v.Nodes[i].Rack != rack || v.repeats(i) || !Fits(req, v.Nodes[i], p) {
-				continue
-			}
-			if s := load(req, v.Nodes[i], p); s > bestScore {
-				best, bestScore = i, s
-			}
-		}
-		if best >= 0 {
-			return v.Nodes[best].ID, nil
+		if i := bestRow(req, v, p, rack); i >= 0 {
+			return v.Nodes[i].ID, nil
 		}
 	}
 	// Peer racks full: place anywhere.
@@ -320,8 +378,7 @@ type ContainerLoad struct {
 // network-oblivious — the naive algorithm whose congestion side effects
 // experiment R2 demonstrates.
 func PlanConsolidation(v *View, containers []ContainerLoad, p Policy) []MigrationStep {
-	work := *v
-	work.Nodes = append([]NodeView(nil), v.Nodes...)
+	work := View{Nodes: append([]NodeView(nil), v.Nodes...), Locate: v.Locate}
 
 	byNode := make(map[netsim.NodeID][]ContainerLoad)
 	for _, c := range containers {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -36,12 +37,17 @@ func req(name string, cpu hw.MIPS, mem int64, peers ...string) Request {
 	return Request{Name: name, CPUDemandMIPS: cpu, MemBytes: mem, Peers: peers}
 }
 
-// apply commits a placement to the view, as pimaster would.
+// apply commits a placement to the view through SetRow, as pimaster
+// would.
 func apply(v *View, r Request, node netsim.NodeID) {
-	n := v.NodeByID(node)
-	n.CPUUsed += r.CPUDemandMIPS
-	n.MemUsed += r.MemBytes
-	n.Containers++
+	for i, n := range v.Nodes {
+		if n.ID == node {
+			n.CPUUsed += r.CPUDemandMIPS
+			n.MemUsed += r.MemBytes
+			n.Containers++
+			v.SetRow(i, n)
+		}
+	}
 	v.Locate[r.Name] = node
 }
 
@@ -335,8 +341,8 @@ func BenchmarkBestFit56Nodes(b *testing.B) {
 	}
 }
 
-// scanPlace is the scoring placers' scan without the repeated-row skip:
-// the reference the skipping placers must agree with.
+// scanPlace is the placers' row scan without the repeated-row skip:
+// the reference the placers visiting run heads must agree with.
 func scanPlace(name string, req Request, v *View, p Policy) (netsim.NodeID, error) {
 	pick := func(rack int, better func(s, best float64) bool, start float64) int {
 		best, bestScore := -1, start
@@ -353,6 +359,13 @@ func scanPlace(name string, req Request, v *View, p Policy) (netsim.NodeID, erro
 	higher := func(s, best float64) bool { return s > best }
 	best := -1
 	switch name {
+	case "first-fit":
+		for i, n := range v.Nodes {
+			if Fits(req, n, p) {
+				best = i
+				break
+			}
+		}
 	case "best-fit":
 		best = pick(-1, higher, -1)
 	case "worst-fit":
@@ -419,22 +432,44 @@ func randomRunsView(rng *rand.Rand) *View {
 	return v
 }
 
-// TestSkipMatchesFullScan: skipping a row equal to the one before it
-// never changes a choice. Random views of identical runs, powered-off
-// and full nodes, with many score ties, go through every scoring placer
-// and its unskipped scan.
+// TestSkipMatchesFullScan: visiting run heads, which skips every row
+// equal to the one before it, never changes a choice.
+// Random views of identical runs, powered-off and full nodes, with many
+// score ties, go through every placer that visits heads and its row
+// scan; then rows are rewritten through SetRow — into a copy of a
+// neighbour, into a fresh load, back to their old value — and after
+// each write the kept heads must equal heads derived afresh and every
+// choice must still match the scan.
 func TestSkipMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	placers := []Placer{BestFit{}, WorstFit{}, NetworkAware{}}
-	for trial := 0; trial < 500; trial++ {
+	placers := []Placer{FirstFit{}, BestFit{}, WorstFit{}, NetworkAware{}}
+	for trial := 0; trial < 300; trial++ {
 		v := randomRunsView(rng)
-		r := req("c", hw.MIPS(rng.Intn(4)*150), int64(rng.Intn(4)*30)*hw.MiB, "p0", "p1", "p2", "p3")
-		pol := Policy{CPUOvercommit: float64(rng.Intn(2) + 1)}
-		for _, pl := range placers {
-			got, gerr := pl.Place(r, v, pol)
-			want, werr := scanPlace(pl.Name(), r, v, pol)
-			if got != want || (gerr == nil) != (werr == nil) {
-				t.Fatalf("trial %d %s: chose %q (%v), the full scan %q (%v)", trial, pl.Name(), got, gerr, want, werr)
+		for write := 0; write < 12; write++ {
+			r := req("c", hw.MIPS(rng.Intn(4)*150), int64(rng.Intn(4)*30)*hw.MiB, "p0", "p1", "p2", "p3")
+			pol := Policy{CPUOvercommit: float64(rng.Intn(2) + 1)}
+			for _, pl := range placers {
+				got, gerr := pl.Place(r, v, pol)
+				want, werr := scanPlace(pl.Name(), r, v, pol)
+				if got != want || (gerr == nil) != (werr == nil) {
+					t.Fatalf("trial %d write %d %s: chose %q (%v), the row scan %q (%v)", trial, write, pl.Name(), got, gerr, want, werr)
+				}
+			}
+			i := rng.Intn(len(v.Nodes))
+			row := v.Nodes[i]
+			switch rng.Intn(3) {
+			case 0:
+				if j := i + rng.Intn(3) - 1; j >= 0 && j < len(v.Nodes) {
+					row = v.Nodes[j]
+				}
+			case 1:
+				row.Containers, row.MemUsed = rng.Intn(4), int64(48+rng.Intn(3)*40)*hw.MiB
+			}
+			row.ID = v.Nodes[i].ID
+			v.SetRow(i, row)
+			fresh := View{Nodes: v.Nodes}
+			if !slices.Equal(v.runHeads(), fresh.runHeads()) {
+				t.Fatalf("trial %d write %d: kept heads %v, derived %v", trial, write, v.runHeads(), fresh.runHeads())
 			}
 		}
 	}

@@ -109,14 +109,16 @@ type Daemon struct {
 
 // New builds a daemon for one node. meter may be nil.
 func New(mu *sync.Mutex, engine *sim.Engine, node string, rack int, suite *lxc.Suite, meter *energy.Meter) *Daemon {
-	return &Daemon{
-		mu:     mu,
-		node:   node,
-		rack:   rack,
-		engine: engine,
-		suite:  suite,
-		meter:  meter,
-	}
+	d := new(Daemon)
+	d.Init(mu, engine, node, rack, suite, meter)
+	return d
+}
+
+// Init builds a daemon in d, a zero Daemon, as New would, in place, so
+// a fleet can keep its daemons in one slab.
+func (d *Daemon) Init(mu *sync.Mutex, engine *sim.Engine, node string, rack int, suite *lxc.Suite, meter *energy.Meter) {
+	d.mu, d.engine, d.node, d.rack = mu, engine, node, rack
+	d.suite, d.meter = suite, meter
 }
 
 // Handler returns the daemon's HTTP handler.

@@ -37,7 +37,7 @@ func newRig(t *testing.T) *rig {
 	r.suite = lxc.NewSuite(r.engine, k, image.StockImages())
 	r.meter = energy.NewMeter(hw.PiModelB().Power, 0)
 	r.meter.PowerOn(0)
-	k.OnUtilChange(func(at sim.Time, u float64) { r.meter.SetUtilisation(at, u) })
+	k.OnUtilChange(r.meter)
 	r.daemon = New(&r.mu, r.engine, "pi-r00-n00", 0, r.suite, r.meter)
 	r.server = httptest.NewServer(r.daemon.Handler())
 	t.Cleanup(r.server.Close)

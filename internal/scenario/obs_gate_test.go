@@ -7,7 +7,7 @@ package scenario
 // and serialized to Prometheus text at every sample boundary — must
 // reproduce the unobserved run's trace digest, event count and metrics
 // bit for bit. Instruments and spans may only read state the kernel
-// already maintains (or keep counts outside WriteState); this test is
+// already maintains (or keep counts outside AppendState); this test is
 // what keeps that contract honest as layers grow new series.
 //
 // The name carries "TraceDigest" so `make determinism-single-core`

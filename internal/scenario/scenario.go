@@ -874,10 +874,7 @@ func setRackUplinks(r *Run, rack int, up bool) error {
 // returns the number of containers killed.
 func crashNode(r *Run, node string) (int, error) {
 	killed := 0
-	for _, vm := range r.Cloud.Master.VMs() {
-		if vm.Node != node {
-			continue
-		}
+	for _, vm := range r.Cloud.Master.VMsOn(node) {
 		if err := r.Cloud.Master.DestroyVM(vm.Name); err != nil {
 			return killed, fmt.Errorf("crashing %s on %s: %w", vm.Name, node, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -126,11 +125,7 @@ func BenchmarkAdmitPacketIn(b *testing.B) {
 // counting it twice.
 func TestRegisterSwitch(t *testing.T) {
 	r := newRig(t)
-	state := func() string {
-		var buf strings.Builder
-		r.ctrl.WriteState(&buf)
-		return buf.String()
-	}
+	state := func() string { return string(r.ctrl.AppendState(nil)) }
 	want := state()
 	if err := r.ctrl.RegisterSwitch(openflow.NewSwitch("nope", r.engine)); !errors.Is(err, ErrUnknownSwitch) {
 		t.Fatalf("unknown switch: err = %v, want ErrUnknownSwitch", err)

@@ -10,10 +10,9 @@ package sdn
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
-	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/netsim"
@@ -113,6 +112,8 @@ type Controller struct {
 	labels    map[openflow.Label]netsim.NodeID // label → current host
 	labelName map[string]openflow.Label        // endpoint name → label
 	nextLabel openflow.Label
+	// nameBuf is AppendState's reused name buffer.
+	nameBuf []string
 
 	packetIns      uint64
 	rulesInstalled uint64
@@ -253,26 +254,54 @@ var SynthTierNames = [numSynthTiers]string{"same-edge", "adjacent", "one-mid", "
 // RouteSynthHits.
 func (c *Controller) RouteSynthHitsByTier() [numSynthTiers]uint64 { return c.synthTierHits }
 
-// WriteState writes the control plane's simulated state in a
+// AppendState appends the control plane's simulated state to buf in a
 // deterministic text form — one layer of the cross-layer kernel
 // fingerprint behind core's Checkpoint/Resume: the label bindings (the
 // IP-less forwarding table, sorted by endpoint name), the reactive-rule
 // counters, and the route-cache epoch/occupancy statistics. Two
-// controllers that served the same admission history write the same
-// bytes.
-func (c *Controller) WriteState(w io.Writer) {
-	fmt.Fprintf(w, "sdn switches=%d packetIns=%d rules=%d epoch=%d cache=%d hits=%d misses=%d evictions=%d synth=%d nextLabel=%d\n",
-		len(c.registered), c.packetIns, c.rulesInstalled, c.net.TopoEpoch(),
-		len(c.routeCache), c.cacheHits, c.cacheMisses, c.cacheEvictions, c.synthHits, c.nextLabel)
-	names := make([]string, 0, len(c.labelName))
+// controllers that served the same admission history append the same
+// bytes. The names are sorted in a buffer the controller keeps
+// for the next call.
+func (c *Controller) AppendState(buf []byte) []byte {
+	buf = append(buf, "sdn switches="...)
+	buf = strconv.AppendInt(buf, int64(len(c.registered)), 10)
+	buf = append(buf, " packetIns="...)
+	buf = strconv.AppendUint(buf, c.packetIns, 10)
+	buf = append(buf, " rules="...)
+	buf = strconv.AppendUint(buf, c.rulesInstalled, 10)
+	buf = append(buf, " epoch="...)
+	buf = strconv.AppendUint(buf, c.net.TopoEpoch(), 10)
+	buf = append(buf, " cache="...)
+	buf = strconv.AppendInt(buf, int64(len(c.routeCache)), 10)
+	buf = append(buf, " hits="...)
+	buf = strconv.AppendUint(buf, c.cacheHits, 10)
+	buf = append(buf, " misses="...)
+	buf = strconv.AppendUint(buf, c.cacheMisses, 10)
+	buf = append(buf, " evictions="...)
+	buf = strconv.AppendUint(buf, c.cacheEvictions, 10)
+	buf = append(buf, " synth="...)
+	buf = strconv.AppendUint(buf, c.synthHits, 10)
+	buf = append(buf, " nextLabel="...)
+	buf = strconv.AppendUint(buf, uint64(c.nextLabel), 10)
+	buf = append(buf, '\n')
+	names := c.nameBuf[:0]
 	for name := range c.labelName {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		l := c.labelName[name]
-		fmt.Fprintf(w, "label %s=%d@%s\n", name, l, c.labels[l])
+		buf = append(buf, "label "...)
+		buf = append(buf, name...)
+		buf = append(buf, '=')
+		buf = strconv.AppendUint(buf, uint64(l), 10)
+		buf = append(buf, '@')
+		buf = append(buf, c.labels[l]...)
+		buf = append(buf, '\n')
 	}
+	clear(names)
+	c.nameBuf = names[:0]
+	return buf
 }
 
 // lruTouch moves e to the head of the LRU list (most recently used).

@@ -12,11 +12,12 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 )
 
@@ -162,9 +163,11 @@ type Engine struct {
 
 	// tombstones counts cancelled events discarded on the pop/peek
 	// paths — the observable face of Event.Cancel, which only flags the
-	// node. Telemetry only: not part of WriteState, so observing it can
+	// node. Telemetry only: not part of AppendState, so observing it can
 	// never shift a kernel fingerprint.
 	tombstones uint64
+	// pendBuf is AppendState's reused pending-event buffer.
+	pendBuf []PendingEvent
 }
 
 // NewEngine returns an engine at the epoch using the given RNG seed.
@@ -194,7 +197,7 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // SchedStats is a read-only snapshot of the scheduler's operational
 // counters for the observability layer: everything here is either
 // already part of the engine's explicit state (scheduled, fired,
-// pending) or a pure telemetry counter outside WriteState (tombstones),
+// pending) or a pure telemetry counter outside AppendState (tombstones),
 // so sampling it cannot perturb a run.
 type SchedStats struct {
 	Now        Time
@@ -229,31 +232,66 @@ type PendingEvent struct {
 // order. The walk is non-destructive — cancelled tombstones are skipped,
 // not discarded — so capturing the pending set never perturbs a run.
 func (e *Engine) PendingEvents() []PendingEvent {
-	out := make([]PendingEvent, 0, len(e.queue))
+	return e.appendPending(make([]PendingEvent, 0, len(e.queue)))
+}
+
+// appendPending appends the live queued events to out and sorts them
+// into fire order.
+func (e *Engine) appendPending(out []PendingEvent) []PendingEvent {
 	for _, n := range e.queue {
 		if !n.canceled {
 			out = append(out, PendingEvent{At: n.at, Seq: n.seq})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	slices.SortFunc(out, comparePending)
 	return out
 }
 
-// WriteState writes the engine's explicit time state — clock, sequence
-// counter, fired count and the (time, sequence) identity of every live
-// pending event — in a deterministic text form. It is one layer of the
-// cross-layer kernel fingerprint behind core's Checkpoint/Resume: two
-// engines that executed the same event history write the same bytes.
-func (e *Engine) WriteState(w io.Writer) {
-	fmt.Fprintf(w, "sim now=%d seq=%d fired=%d\n", int64(e.now), e.seq, e.fired)
-	for _, p := range e.PendingEvents() {
-		fmt.Fprintf(w, "ev %d %d\n", int64(p.At), p.Seq)
+// comparePending orders pending events by (time, sequence), the
+// engine's total order.
+func comparePending(a, b PendingEvent) int {
+	if a.At != b.At {
+		return cmp.Compare(a.At, b.At)
 	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// AppendState appends the engine's explicit time state — clock,
+// sequence counter, fired count and the (time, sequence) identity of
+// every live pending event, in fire order — to buf in a deterministic
+// text form. It is one layer of the cross-layer kernel fingerprint
+// behind core's Checkpoint/Resume: two engines that executed the same
+// event history append the same bytes. The pending events are sorted
+// in a buffer the engine keeps for the next call.
+func (e *Engine) AppendState(buf []byte) []byte {
+	buf = append(buf, "sim now="...)
+	buf = strconv.AppendInt(buf, int64(e.now), 10)
+	buf = append(buf, " seq="...)
+	buf = strconv.AppendUint(buf, e.seq, 10)
+	buf = append(buf, " fired="...)
+	buf = strconv.AppendUint(buf, e.fired, 10)
+	buf = append(buf, '\n')
+	pend := e.appendPending(e.pendBuf[:0])
+	for _, p := range pend {
+		buf = append(buf, "ev "...)
+		buf = strconv.AppendInt(buf, int64(p.At), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendUint(buf, p.Seq, 10)
+		buf = append(buf, '\n')
+	}
+	e.pendBuf = pend
+	return buf
+}
+
+// AppendHex64 appends v as exactly sixteen lower-case hex digits, as
+// fmt's %016x prints it: the layers' state renderings write each float
+// as the hex of its IEEE-754 bits this way.
+func AppendHex64(buf []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		buf = append(buf, digits[v>>uint(shift)&0xf])
+	}
+	return buf
 }
 
 // Schedule queues fn to run after delay d. A negative delay is treated as
