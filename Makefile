@@ -37,14 +37,15 @@ bench-smoke:
 # scheduler's total-order gate, the checkpoint-resume byte-identity,
 # study-digest and zero-perturbation gates, the kernel-state rendering
 # differentials (each layer's strconv rendering against its fmt
-# oracle) and the wiring differential (a network wired from a sealed
-# fabric against the built one), executed with a single scheduler
-# thread. Together with the default-GOMAXPROCS test job this shows the
+# oracle), the wiring differential (a network wired from a topology
+# builder's wiring against the same nodes and cables added one at a
+# time) and the builders' pinned wiring digests, executed with a single
+# scheduler thread. Together with the default-GOMAXPROCS test job this shows the
 # traces do not depend on how many threads the Go runtime schedules.
 # `go test -run` passes silently on zero matches, so the target first
 # fails if a listed package selects no test.
-DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesBuilt
-DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim ./internal/sdn ./internal/energy
+DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesBuilt|FabricWiringPinned
+DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim ./internal/sdn ./internal/energy ./internal/topology
 
 determinism-single-core:
 	@for p in $(DETERMINISM_PKGS); do \
@@ -54,7 +55,8 @@ determinism-single-core:
 	GOMAXPROCS=1 $(GO) test -run '$(DETERMINISM_TESTS)' $(DETERMINISM_PKGS)
 
 # Fuzz the three parsers untrusted bytes reach, the naming service, the
-# OpenFlow table and the metrics encoder, 30 s each: the wire-spec
+# OpenFlow table, the metrics encoder and the fabric builders, 30 s
+# each: the wire-spec
 # decoder (decode → Resolve → re-marshal → decode must never panic and
 # must round-trip exactly), the inject body (a FaultRequest decodes to a
 # fault that its journal encoding decodes back to unchanged), the
@@ -69,8 +71,11 @@ determinism-single-core:
 # next hop, hit count, table order and counter) and the Prometheus
 # exposition (an arbitrary metric name, label and help text never panic,
 # every line is a HELP, TYPE or sample line of the text format, and the
-# label value and help text un-escape to what was registered). A
-# naming-table input replays up to 1 KiB of operations on two stacks (a
+# label value and help text un-escape to what was registered) and the
+# fabric wiring (any fabric kind and small dimensions, zero and negative
+# included, are either refused by the topology builder or wired into a
+# network that equals the same nodes and cables added one at a time and
+# passes topology.Validate). A naming-table input replays up to 1 KiB of operations on two stacks (a
 # few ms), so minimising each new input for the default 60 s would spend
 # the whole 30 s: it minimises for 10 executions instead.
 fuzz:
@@ -81,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNamingTables$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzSwitchTable$$' -fuzztime 30s ./internal/openflow
 	$(GO) test -run '^$$' -fuzz '^FuzzPrometheusExposition$$' -fuzztime 30s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzFabricWiring$$' -fuzztime 30s ./internal/netsim
 
 # The benchmark's self-test: each perfbench workload (fattree-100k,
 # steady-1k, fork-10k) at its shrunk size, against the digest pins in

@@ -15,10 +15,12 @@
 //     pool CIDRs) is computed once per cold build — see plan.go — and
 //     is immutable from then on, so the fleets its Snapshot restores
 //     share it. The plan also fixes the order the cloud meter sums each
-//     rack's energy meters in, the rack's hosts by name, so no build or
-//     fork sorts. A cold build seals its network into the plan (a
-//     netsim.Wiring, with the topology and each host's node index), so
-//     a restore wires its fabric in bulk and runs no topology builder.
+//     rack's energy meters in, the rack's hosts by name, so no fork
+//     sorts, and a build sorts once per distinct rack size. The plan
+//     keeps the fabric's netsim.Wiring, which the topology builder
+//     emits, with the topology and each host's node index: a cold
+//     build and a restore both wire their network from it in bulk
+//     (netsim.Wire), and a restore runs no topology builder.
 //   - Bulk registration: every host's record (pimaster.NodeRef) is
 //     stamped into one slice and enters pimaster through RegisterNodes,
 //     its only registration path, together with the plan, whose host
@@ -26,11 +28,12 @@
 //     files no naming record per host. pimaster calls each daemon in
 //     process, so boot makes no HTTP request and no JSON round trip.
 //
-// The package keeps no state between builds: Assemble always builds and
-// validates the fabric and derives a fresh plan. A booted fleet can be
-// captured as a Snapshot, and Restore, the one warm boot, builds
-// identical fleets from its plan (forks, seed sweeps) without
-// re-deriving, re-validating or re-building it.
+// The package keeps no state between builds: Assemble always describes,
+// wires and validates the fabric and derives a fresh plan. A booted
+// fleet can be captured as a Snapshot, and Restore, the one warm boot,
+// builds identical fleets from its plan (forks, seed sweeps) without
+// re-deriving, re-validating or re-describing it. A cold build and a
+// restore differ only in where the plan comes from.
 package fleet
 
 import (
@@ -211,34 +214,35 @@ type Result struct {
 // Assemble builds and boots a fleet at virtual time zero: all boards
 // powered, fabric wired, daemons stamped, pimaster populated.
 // cloudMu is the cloud-wide lock shared with the daemons and the engine
-// driver. Every Assemble runs the topology builder, validates the
-// fabric, derives its plan and seals the wiring into it;
-// Snapshot.Restore is the warm boot.
+// driver. Every Assemble runs the topology builder, wires its network
+// from the builder's wiring, validates the fabric and derives its plan,
+// which keeps the wiring and the topology; Snapshot.Restore is the warm
+// boot, and wires its network from the same plan.
 func Assemble(cfg Config, cloudMu *sync.Mutex) (*Result, error) {
 	cfg.FillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	topo, wiring, err := buildTopology(cfg)
+	if err != nil {
+		return nil, err
+	}
 	engine := sim.NewEngine(cfg.Seed)
-	net := netsim.New(engine)
-	topo, err := buildTopology(net, cfg)
+	net := netsim.Wire(engine, wiring)
+	nodes, err := topology.HostIndices(topo, net)
 	if err != nil {
 		return nil, err
 	}
-	if err := topology.Validate(topo, net); err != nil {
-		return nil, err
-	}
-	plan, err := planFor(topo)
+	plan, err := planFor(topo, nodes)
 	if err != nil {
 		return nil, err
 	}
-	plan.seal(net, topo)
+	plan.wiring, plan.topo = wiring, topo
 	return assemble(cfg, cloudMu, plan, engine, net)
 }
 
-// assemble boots a fleet on a wired fabric: net, on engine, is either
-// the network plan was sealed from (a cold build) or one wired from the
-// plan's wiring (a restore). Both stamp and register the same way.
+// assemble boots a fleet on a network wired from the plan's wiring: a
+// cold build's or a restore's, which stamp and register the same way.
 func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan, engine *sim.Engine, net *netsim.Network) (*Result, error) {
 	tmpl, err := NewTemplate(cfg.Board, cfg.Images)
 	if err != nil {
@@ -315,11 +319,11 @@ func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, plan *Pla
 	return nodes, nil
 }
 
-// buildTopology wires the configured fabric.
-func buildTopology(net *netsim.Network, cfg Config) (*topology.Topology, error) {
+// buildTopology describes the configured fabric.
+func buildTopology(cfg Config) (*topology.Topology, *netsim.Wiring, error) {
 	switch cfg.Fabric {
 	case topology.FabricFatTree:
-		return topology.BuildFatTree(net, topology.FatTreeConfig{
+		return topology.BuildFatTree(topology.FatTreeConfig{
 			K:           cfg.FatTreeK,
 			Hosts:       cfg.Racks * cfg.HostsPerRack,
 			HostLinkBps: float64(cfg.Board.NIC.BitsPerSecond),
@@ -331,7 +335,7 @@ func buildTopology(net *netsim.Network, cfg Config) (*topology.Topology, error) 
 		if spines == 0 {
 			spines = topology.DefaultSpineSwitches
 		}
-		return topology.BuildLeafSpine(net, topology.LeafSpineConfig{
+		return topology.BuildLeafSpine(topology.LeafSpineConfig{
 			Leaves:       cfg.Racks,
 			Spines:       spines,
 			HostsPerLeaf: cfg.HostsPerRack,
@@ -353,6 +357,6 @@ func buildTopology(net *netsim.Network, cfg Config) (*topology.Topology, error) 
 		if cfg.LinkLatency > 0 {
 			mrc.Latency = cfg.LinkLatency
 		}
-		return topology.BuildMultiRoot(net, mrc)
+		return topology.BuildMultiRoot(mrc)
 	}
 }

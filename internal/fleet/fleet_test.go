@@ -319,9 +319,11 @@ func TestMeterOrderIsHostNameOrder(t *testing.T) {
 
 // TestPlanRefusesRacksNotLaidEndToEnd: the plan's rows are the fabric's
 // hosts, found by rack arithmetic, so a topology whose Hosts are not
-// its Racks laid end to end is refused.
+// its Racks laid end to end is refused, and so is a host whose name is
+// not the canonical name of its rack and in-rack index.
 func TestPlanRefusesRacksNotLaidEndToEnd(t *testing.T) {
 	a, b, c := netsim.NodeID("pi-r00-n00"), netsim.NodeID("pi-r00-n01"), netsim.NodeID("pi-r01-n00")
+	skip, short := netsim.NodeID("pi-r00-n02"), netsim.NodeID("pi-r0-n1")
 	for _, cse := range []struct {
 		name  string
 		hosts []netsim.NodeID
@@ -333,9 +335,12 @@ func TestPlanRefusesRacksNotLaidEndToEnd(t *testing.T) {
 		{"racks reordered", []netsim.NodeID{c, a, b}, [][]netsim.NodeID{{a, b}, {c}}, false},
 		{"host in no rack", []netsim.NodeID{a, b, c}, [][]netsim.NodeID{{a, b}}, false},
 		{"rack host not listed", []netsim.NodeID{a, b}, [][]netsim.NodeID{{a, b}, {c}}, false},
+		{"index skipped", []netsim.NodeID{a, skip}, [][]netsim.NodeID{{a, skip}}, false},
+		{"another rack's name", []netsim.NodeID{a, c}, [][]netsim.NodeID{{a, c}}, false},
+		{"unpadded name", []netsim.NodeID{a, short}, [][]netsim.NodeID{{a}, {short}}, false},
 	} {
 		topo := &topology.Topology{Hosts: cse.hosts, Racks: cse.racks}
-		_, err := planFor(topo)
+		_, err := planFor(topo, make([]int32, len(cse.hosts)))
 		if cse.ok && err != nil {
 			t.Errorf("%s: refused: %v", cse.name, err)
 		}

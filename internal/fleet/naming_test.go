@@ -22,11 +22,15 @@ import (
 func testPlan(t testing.TB, cfg Config) *Plan {
 	t.Helper()
 	cfg.FillDefaults()
-	topo, err := buildTopology(netsim.New(sim.NewEngine(0)), cfg)
+	topo, w, err := buildTopology(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := planFor(topo)
+	nodes, err := topology.HostIndices(topo, netsim.Wire(sim.NewEngine(0), w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := planFor(topo, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

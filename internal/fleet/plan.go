@@ -28,8 +28,7 @@ type hostPlan struct {
 	mac  dhcp.MAC
 	addr netip.Addr
 	fqdn string
-	// node is the host's netsim node index, recorded when the plan
-	// seals the wiring.
+	// node is the host's netsim node index.
 	node int32
 }
 
@@ -63,9 +62,10 @@ type Plan struct {
 	// before pi-r00-n11), and the kernel digests pin name order.
 	meterOrder []int32
 	byName     map[string]int32 // FQDN → row
-	// wiring and topo are the cold build's sealed fabric and its
-	// topology, shared read-only by every fleet restored from the plan:
-	// a restore wires its network from the one and reuses the other.
+	// wiring and topo are the topology builder's fabric and its
+	// topology, shared read-only by the cold build and every fleet
+	// restored from the plan: each wires its network from the one and
+	// reuses the other.
 	wiring *netsim.Wiring
 	topo   *topology.Topology
 }
@@ -148,18 +148,23 @@ func boardID(b hw.BoardSpec) uint32 {
 }
 
 // planFor derives the manifest from a freshly wired and validated
-// fabric, rack by rack, with its FQDN index. The in-rack index counts
-// position within the rack, which matches the n<idx> suffix of the
-// canonical host names for every fabric. Every fabric lays its racks
-// end to end in Hosts; a shape that did not could not be looked up by
-// arithmetic, so it is refused.
-func planFor(topo *topology.Topology) (*Plan, error) {
+// fabric, rack by rack, with its FQDN index; nodes holds each host's
+// node index, in Hosts order (topology.HostIndices). The in-rack index
+// counts position within the rack, and each host must carry the
+// canonical name of its rack and index, which the rows, DNS and DHCP
+// assume. Every fabric lays its racks end to end in Hosts; a shape that
+// did not could not be looked up by arithmetic, so it is refused.
+func planFor(topo *topology.Topology, nodes []int32) (*Plan, error) {
 	p := &Plan{
 		hosts:      make([]hostPlan, 0, len(topo.Hosts)),
 		racks:      make([]rackRows, len(topo.Racks)),
 		meterOrder: make([]int32, 0, len(topo.Hosts)),
 		byName:     make(map[string]int32, len(topo.Hosts)),
 	}
+	// Within a rack names differ only in the n<idx> suffix, so the name
+	// order of a rack's rows depends on its size alone.
+	orders := map[int][]int32{}
+	var name []byte
 	for rack, hosts := range topo.Racks {
 		start := len(p.hosts)
 		p.racks[rack] = rackRows{start: start, n: len(hosts), pool: pimaster.RackPool(rack)}
@@ -168,9 +173,11 @@ func planFor(topo *topology.Topology) (*Plan, error) {
 			if i >= len(topo.Hosts) || topo.Hosts[i] != host {
 				return nil, fmt.Errorf("fleet: rack %d's host %s is not host %d of the fabric", rack, host, i)
 			}
+			if name = topology.AppendHostName(name[:0], rack, idx); string(name) != string(host) {
+				return nil, fmt.Errorf("fleet: rack %d's host %d is %s, not %s", rack, idx, host, name)
+			}
 			fqdn := dns.NodeFQDN(rack, idx)
 			p.byName[fqdn] = int32(i)
-			p.meterOrder = append(p.meterOrder, int32(i))
 			p.hosts = append(p.hosts, hostPlan{
 				name: string(host),
 				rack: rack,
@@ -178,11 +185,17 @@ func planFor(topo *topology.Topology) (*Plan, error) {
 				mac:  dhcp.NodeMAC(rack, idx),
 				addr: pimaster.NodeAddr(rack, idx),
 				fqdn: fqdn,
+				node: nodes[i],
 			})
 		}
-		slices.SortFunc(p.meterOrder[start:], func(a, b int32) int {
-			return strings.Compare(p.hosts[a].name, p.hosts[b].name)
-		})
+		order, ok := orders[len(hosts)]
+		if !ok {
+			order = nameOrder(len(hosts))
+			orders[len(hosts)] = order
+		}
+		for _, j := range order {
+			p.meterOrder = append(p.meterOrder, int32(start)+j)
+		}
 	}
 	if len(p.hosts) != len(topo.Hosts) {
 		return nil, fmt.Errorf("fleet: racks hold %d hosts, fabric wired %d", len(p.hosts), len(topo.Hosts))
@@ -190,14 +203,17 @@ func planFor(topo *topology.Topology) (*Plan, error) {
 	return p, nil
 }
 
-// seal records each host's netsim node index in its row and seals
-// net, the fabric topo was built on, into the plan. topology.Validate
-// has found every host of topo in net.
-func (p *Plan) seal(net *netsim.Network, topo *topology.Topology) {
-	for i := range p.hosts {
-		p.hosts[i].node = net.Node(topo.Hosts[i]).Index()
+// nameOrder returns the in-rack indices 0..n-1 sorted by host name.
+func nameOrder(n int) []int32 {
+	names := make([]netsim.NodeID, n)
+	order := make([]int32, n)
+	for i := range order {
+		order[i], names[i] = int32(i), topology.HostName(0, i)
 	}
-	p.wiring, p.topo = net.Seal(), topo
+	slices.SortFunc(order, func(a, b int32) int {
+		return strings.Compare(string(names[a]), string(names[b]))
+	})
+	return order
 }
 
 // --- Snapshots ---
@@ -206,8 +222,8 @@ func (p *Plan) seal(net *netsim.Network, topo *topology.Topology) {
 // fleet can be warm-booted later; Restore is the only warm boot.
 // Simulated state (kernels, flows, meters) is inherently per-run and is
 // rebuilt fresh; what the snapshot carries — and Restore skips — is
-// everything derivable: the full registration manifest, the sealed
-// fabric and its topology, and the fabric-validation proof. A restore
+// everything derivable: the full registration manifest, the fabric's
+// wiring and its topology, and the fabric-validation proof. A restore
 // runs no topology builder: it wires its network from the plan in
 // bulk. Restored fleets are byte-identical to cold-built ones, traces
 // included.

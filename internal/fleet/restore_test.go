@@ -57,7 +57,7 @@ func TestRestoredFleetsShareNoLinkState(t *testing.T) {
 				t.Fatal(err)
 			}
 			for l := range topology.Uplinks(a.Net, edge) {
-				if err := a.Net.ShapeLink(l.From, l.To, netsim.Shaping{CapacityScale: 0.5}); err != nil {
+				if err := a.Net.ShapeLink(l.From(), l.To(), netsim.Shaping{CapacityScale: 0.5}); err != nil {
 					t.Fatal(err)
 				}
 				break
@@ -106,7 +106,7 @@ func TestForksAdvanceConcurrently(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			if step%10 == 5 {
 				for l := range topology.Uplinks(r.Net, r.Topo.Edge[1]) {
-					if err := r.Net.SetLinkUp(l.From, l.To, !l.Up()); err != nil {
+					if err := r.Net.SetLinkUp(l.From(), l.To(), !l.Up()); err != nil {
 						return err
 					}
 					break

@@ -11,6 +11,3 @@ func LinkNet(l *Link) *Network { return l.net }
 
 // LinkRev returns a link's reverse leg.
 func LinkRev(l *Link) *Link { return l.rev }
-
-// WiringSize returns how many nodes and cables a wiring holds.
-func WiringSize(w *Wiring) (nodes, cables int) { return len(w.nodes), len(w.cables) }

@@ -17,13 +17,13 @@ import (
 
 func BenchmarkReallocateLocalFlow(b *testing.B) {
 	e := sim.NewEngine(7)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.MultiRootConfig{
+	topo, w, err := topology.BuildMultiRoot(topology.MultiRootConfig{
 		Racks: 20, HostsPerRack: 52, AggSwitches: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	// Busy background: one cross-rack flow per rack pair neighbourhood
 	// plus rack-local chatter, all long-lived, so ~1000 hosts' worth of
 	// links carry live state.

@@ -44,6 +44,19 @@ func TestHopEntryIs16Bytes(t *testing.T) {
 	}
 }
 
+// TestLinkLegIs112Bytes: a leg holds no names — From and To read them
+// through the node indices it holds — so the cable-pair slab, a large
+// fabric's largest allocation, costs 224 bytes a cable; the two name
+// fields it used to carry made a leg 144 bytes.
+func TestLinkLegIs112Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for 64-bit platforms")
+	}
+	if size := unsafe.Sizeof(Link{}); size != 112 {
+		t.Fatalf("a link leg is %d bytes, want 112", size)
+	}
+}
+
 // refLink is the name-keyed model's view of one directed link.
 type refLink struct {
 	up, shaped bool
@@ -263,8 +276,8 @@ func checkAgainstModel(t *testing.T, step int, n *Network, ref *refNet, names []
 			step, hops, len(n.linkList), len(ref.links))
 	}
 	for i, l := range n.linkList {
-		if k := ref.order[i]; l.From != k[0] || l.To != k[1] {
-			t.Fatalf("step %d: link list[%d] is %s->%s, model %s->%s", step, i, l.From, l.To, k[0], k[1])
+		if k := ref.order[i]; l.From() != k[0] || l.To() != k[1] {
+			t.Fatalf("step %d: link list[%d] is %s->%s, model %s->%s", step, i, l.From(), l.To(), k[0], k[1])
 		}
 	}
 	for _, a := range names {
@@ -277,8 +290,8 @@ func checkAgainstModel(t *testing.T, step int, n *Network, ref *refNet, names []
 			l, b := h.Link(), ref.out[a][i]
 			nb := n.Node(b)
 			switch {
-			case l.From != a || l.To != b:
-				t.Fatalf("step %d: LinksFrom(%s)[%d] = %s->%s, model ->%s", step, a, i, l.From, l.To, b)
+			case l.From() != a || l.To() != b:
+				t.Fatalf("step %d: LinksFrom(%s)[%d] = %s->%s, model ->%s", step, a, i, l.From(), l.To(), b)
 			case h.To() != nb.Index() || h.To() != l.to || h.Kind() != nb.Kind:
 				t.Fatalf("step %d: hop %s->%s reads #%d %v, node is #%d %v", step, a, b, h.To(), h.Kind(), nb.Index(), nb.Kind)
 			case h.Up() != l.Up() || h.Up() != ref.links[[2]NodeID{a, b}].up:
@@ -297,8 +310,8 @@ func checkAgainstModel(t *testing.T, step int, n *Network, ref *refNet, names []
 			switch {
 			case l == nil:
 				t.Fatalf("step %d: Link(%s, %s) missing", step, a, b)
-			case l.From != a || l.To != b || l.to != nb.Index():
-				t.Fatalf("step %d: Link(%s, %s) is %s->%s to #%d", step, a, b, l.From, l.To, l.to)
+			case l.From() != a || l.To() != b || l.to != nb.Index():
+				t.Fatalf("step %d: Link(%s, %s) is %s->%s to #%d", step, a, b, l.From(), l.To(), l.to)
 			case l.rev != n.Link(b, a) || l.rev.rev != l:
 				t.Fatalf("step %d: Link(%s, %s) has the wrong reverse leg", step, a, b)
 			case l.Up() != want.up || l.Shaped() != want.shaped:

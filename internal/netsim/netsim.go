@@ -11,11 +11,14 @@
 // live flow onto a new path (SetPath) models the paper's IP-less routing,
 // where established transport connections survive a VM migration.
 //
-// A built fabric can be sealed (Seal): its node set is frozen and its
-// construction state — nodes, name index, degrees and cables — becomes
-// an immutable Wiring, from which Wire instantiates networks in bulk
-// that share the nodes and own their links. A fleet's forks are wired
-// this way instead of re-running the topology builder.
+// A fabric is described once, by index, in a WiringBuilder: its nodes
+// in one slab with their name index, its cables as 12-byte entries. The
+// finished, immutable Wiring is what Wire instantiates networks from in
+// bulk; they share the nodes and own their links. The topology builders
+// emit one, and a fleet's cold build and its forks are all wired from
+// it. New, AddNode and AddDuplexLink build a network one device and one
+// cable at a time, for runtime re-cabling and as the reference a wired
+// network is tested against.
 package netsim
 
 import (
@@ -76,12 +79,12 @@ func (nd *Node) Index() int32 { return nd.idx }
 // allocation, so every link has a reverse leg (To→From) for as long as
 // it exists. The pair shares its up/down state: the cable's flag, which
 // both legs and both legs' hop entries carry and SetLinkUp writes
-// together.
+// together. A leg holds no names: From and To read them through the
+// node indices it holds.
 type Link struct {
-	From NodeID
-	To   NodeID
 	// up is the cable's state; shaped fills the padding after it. to is
-	// the destination node's index and rev the reverse leg of the pair.
+	// the destination node's index and rev the reverse leg of the pair,
+	// whose to is this leg's source.
 	up       bool
 	shaped   bool
 	to       int32
@@ -110,6 +113,12 @@ type Link struct {
 	remaining   float64
 	activeCount int
 }
+
+// From returns the name of the node the link leaves.
+func (l *Link) From() NodeID { return l.net.nodeList[l.rev.to].ID }
+
+// To returns the name of the node the link enters.
+func (l *Link) To() NodeID { return l.net.nodeList[l.to].ID }
 
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return l.up }
@@ -402,8 +411,8 @@ type Network struct {
 	// span per flush, and opt-in phase profiling.
 	stats  netStats
 	tracer *obs.Tracer
-	// sealed freezes the node set: set by Seal, and on every network
-	// Wire builds, whose nodes and name index a Wiring shares.
+	// sealed freezes the node set: set on every network Wire builds,
+	// whose nodes and name index a Wiring shares.
 	sealed bool
 }
 
@@ -472,9 +481,10 @@ func (n *Network) flush() {
 // future weight-aware policies can cache safely.
 func (n *Network) TopoEpoch() uint64 { return n.topoEpoch }
 
-// BumpTopoEpoch advances the epoch explicitly — the hook the topology
-// builders and fault injectors use to force route-cache invalidation
-// beyond the automatic bumps netsim's own mutators perform.
+// BumpTopoEpoch advances the epoch explicitly, forcing route-cache
+// invalidation beyond the automatic bumps netsim's own mutators
+// perform; it is the one bump a finished WiringBuilder adds after its
+// nodes and cables.
 func (n *Network) BumpTopoEpoch() { n.topoEpoch++ }
 
 // KernelMode bundles the network kernel's reference modes: every mode is
@@ -508,8 +518,8 @@ func (n *Network) SetKernelMode(m KernelMode) {
 	n.fullRecompute = m.FullRecompute
 }
 
-// AddNode registers a device. A sealed or wired network refuses it
-// with ErrSealed.
+// AddNode registers a device. A wired network refuses it with
+// ErrSealed.
 func (n *Network) AddNode(id NodeID, kind NodeKind) error {
 	if n.sealed {
 		return fmt.Errorf("%w: cannot add %s", ErrSealed, id)
@@ -563,13 +573,14 @@ func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.D
 // legs, appends them to the link list and each to its tail's hop
 // array, and bumps the epoch. It is every cable's one routine, runtime
 // AddDuplexLink and Wire's bulk instantiation alike, so a wired network
-// orders its links and hops exactly as the build it was sealed from.
+// orders its links and hops exactly as the same cables added one at a
+// time.
 func (n *Network) wire(pair *[2]Link, na, nb *Node, capacityBps float64, latency time.Duration) {
 	ends := [2]*Node{na, nb}
 	for i, from := range ends {
 		to := ends[1-i]
 		l := &pair[i]
-		l.From, l.To, l.to, l.rev = from.ID, to.ID, to.idx, &pair[1-i]
+		l.to, l.rev = to.idx, &pair[1-i]
 		l.up, l.net = true, n
 		l.Capacity, l.Latency = capacityBps, latency
 		l.baseCapacity, l.baseLatency = capacityBps, latency
@@ -731,7 +742,7 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 	var out []NodeID
 	for _, h := range n.NeighborLinks(id) {
 		if h.up {
-			out = append(out, h.link.To)
+			out = append(out, n.nodeList[h.to].ID)
 		}
 	}
 	return out

@@ -207,7 +207,7 @@ func checkSamplerAgainstScan(t *testing.T, seed int64, steps int) {
 				carried = carried || !f.ended
 			}
 			if !carried {
-				t.Fatalf("step %d: %s->%s has allocation %v but no live flow", step, l.From, l.To, l.allocated)
+				t.Fatalf("step %d: %s->%s has allocation %v but no live flow", step, l.From(), l.To(), l.allocated)
 			}
 		}
 	}

@@ -41,9 +41,9 @@ func (n *Network) AppendState(buf []byte) []byte {
 			continue
 		}
 		buf = append(buf, "link "...)
-		buf = append(buf, l.From...)
+		buf = append(buf, n.nodeList[l.rev.to].ID...)
 		buf = append(buf, '>')
-		buf = append(buf, l.To...)
+		buf = append(buf, n.nodeList[l.to].ID...)
 		buf = append(buf, " up="...)
 		buf = strconv.AppendBool(buf, l.up)
 		buf = append(buf, " shaped="...)

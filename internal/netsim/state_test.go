@@ -23,7 +23,7 @@ func writeStateFmt(n *Network, w io.Writer) {
 			continue
 		}
 		fmt.Fprintf(w, "link %s>%s up=%t shaped=%t cap=%016x lat=%d bits=%016x alloc=%016x flows=%d\n",
-			l.From, l.To, l.up, l.shaped,
+			l.From(), l.To(), l.up, l.shaped,
 			math.Float64bits(l.Capacity), int64(l.Latency),
 			math.Float64bits(l.bitsCarried), math.Float64bits(l.allocated), len(l.flows))
 	}

@@ -1,18 +1,21 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
 )
 
-// Wiring is a sealed network's construction state, immutable and safe
-// to share between goroutines: the node set and its name index, each
-// node's degree, every cable in creation order with its nominal
-// capacity and latency, and the topology epoch at sealing. Wire
-// instantiates networks from it that share the nodes and the index and
-// own their links, so a fabric that never changes its node set is
-// built once and instantiated in bulk (a fleet's forks).
+// Wiring is a fabric's construction state, immutable and safe to share
+// between goroutines: the node set and its name index, each node's
+// degree, every cable in creation order with its nominal capacity and
+// latency, and the topology epoch a network wired from it starts at. A
+// WiringBuilder records it; Wire instantiates networks from it that
+// share the nodes and the index and own their links, so a fabric is
+// described once and every network of it, a fleet's cold build and its
+// forks alike, is wired in bulk.
 type Wiring struct {
 	nodes  []*Node
 	index  map[NodeID]*Node
@@ -38,45 +41,141 @@ type cableParams struct {
 	latency  time.Duration
 }
 
-// Seal freezes the network's node set and returns its wiring. From then
-// on AddNode is refused with ErrSealed, and the nodes and name index are
-// shared read-only with every network Wire builds from the result.
-// Links stay the network's own: shaping, link state and runtime
-// AddDuplexLink/RemoveDuplexLink behave as before. The wiring records
-// each cable's nominal parameters, so networks wired from it start with
-// every cable up and unshaped; seal a network before running it.
-func (n *Network) Seal() *Wiring {
-	n.sealed = true
-	w := &Wiring{
-		nodes:  n.nodeList,
-		index:  n.nodes,
-		degree: make([]int32, len(n.out)),
-		cables: make([]cable, 0, len(n.linkList)/2),
-		epoch:  n.topoEpoch,
+// NodeCount returns the number of nodes.
+func (w *Wiring) NodeCount() int { return len(w.nodes) }
+
+// NodeAt returns the node with dense index i.
+func (w *Wiring) NodeAt(i int32) *Node { return w.nodes[i] }
+
+// CableCount returns the number of cables.
+func (w *Wiring) CableCount() int { return len(w.cables) }
+
+// Cable returns cable i: its ends by node index, in the order they were
+// added, and its nominal capacity and latency.
+func (w *Wiring) Cable(i int) (a, b int32, capacityBps float64, latency time.Duration) {
+	c := w.cables[i]
+	p := w.params[c.param]
+	return c.a, c.b, p.capacity, p.latency
+}
+
+// Epoch returns the topology epoch a network wired from w starts at.
+func (w *Wiring) Epoch() uint64 { return w.epoch }
+
+// A WiringBuilder records a fabric by index: nodes in one slab with a
+// name index, and cables as 12-byte entries, with each node's degree
+// counted as they are added. Size it with the fabric's node and cable
+// counts and no slice or map grows. Finish returns the Wiring.
+type WiringBuilder struct {
+	w    *Wiring
+	slab []Node
+}
+
+// NewWiringBuilder returns an empty builder sized for the given number
+// of nodes and cables.
+func NewWiringBuilder(nodes, cables int) *WiringBuilder {
+	return &WiringBuilder{
+		w: &Wiring{
+			nodes:  make([]*Node, 0, nodes),
+			index:  make(map[NodeID]*Node, nodes),
+			degree: make([]int32, 0, nodes),
+			cables: make([]cable, 0, cables),
+		},
+		slab: make([]Node, 0, nodes),
 	}
-	for i, hops := range n.out {
-		w.degree[i] = int32(len(hops))
+}
+
+// AddNode records a device and returns its dense index, the next in
+// creation order. A name already recorded is refused with ErrNodeExists.
+func (wb *WiringBuilder) AddNode(id NodeID, kind NodeKind) (int32, error) {
+	if _, dup := wb.w.index[id]; dup {
+		return -1, fmt.Errorf("%w: %s", ErrNodeExists, id)
 	}
-	// Both legs of a cable are listed together, the AddDuplexLink leg
-	// first, and RemoveDuplexLink drops them together. A builder wires
-	// cables of one kind in runs, so the previous cable's parameters
-	// are tried before the index.
-	index := map[cableParams]int32{}
-	param := int32(-1)
-	for i := 0; i < len(n.linkList); i += 2 {
-		l := n.linkList[i]
-		p := cableParams{l.baseCapacity, l.baseLatency}
-		if param < 0 || w.params[param] != p {
-			var known bool
-			if param, known = index[p]; !known {
-				param = int32(len(w.params))
-				index[p] = param
-				w.params = append(w.params, p)
-			}
+	i := int32(len(wb.w.nodes))
+	wb.slab = append(wb.slab, Node{ID: id, Kind: kind, idx: i})
+	nd := &wb.slab[len(wb.slab)-1]
+	wb.w.index[id] = nd
+	wb.w.nodes = append(wb.w.nodes, nd)
+	wb.w.degree = append(wb.w.degree, 0)
+	return i, nil
+}
+
+// AddDuplexLink records a full-duplex cable between the nodes with
+// indices a and b. It refuses what Network.AddDuplexLink refuses, with
+// the same errors: an unknown node, a self-loop and a non-positive
+// capacity. A cable recorded twice is refused by Finish.
+func (wb *WiringBuilder) AddDuplexLink(a, b int32, capacityBps float64, latency time.Duration) error {
+	for _, end := range [2]int32{a, b} {
+		if end < 0 || int(end) >= len(wb.w.nodes) {
+			return fmt.Errorf("%w: index %d", ErrNoSuchNode, end)
 		}
-		w.cables = append(w.cables, cable{a: l.rev.to, b: l.to, param: param})
 	}
-	return w
+	if a == b {
+		return fmt.Errorf("netsim: self-loop link on %s", wb.w.nodes[a].ID)
+	}
+	if capacityBps <= 0 {
+		return fmt.Errorf("netsim: non-positive capacity on link %s-%s", wb.w.nodes[a].ID, wb.w.nodes[b].ID)
+	}
+	wb.w.cables = append(wb.w.cables, cable{a: a, b: b, param: wb.param(cableParams{capacityBps, latency})})
+	wb.w.degree[a]++
+	wb.w.degree[b]++
+	return nil
+}
+
+// param returns p's position in the wiring's params, adding it if new.
+// A fabric has a handful of distinct parameters, so a scan finds them.
+func (wb *WiringBuilder) param(p cableParams) int32 {
+	w := wb.w
+	if i := slices.Index(w.params, p); i >= 0 {
+		return int32(i)
+	}
+	w.params = append(w.params, p)
+	return int32(len(w.params) - 1)
+}
+
+// Finish refuses a cable recorded twice, in either direction, with
+// ErrLinkExists, and returns the wiring; the builder must not be used
+// afterwards. The check visits each node's cables once with one stamp
+// per node, so it is linear in the cables, and the networks Wire builds
+// from the result never repeat it. The wiring's epoch counts one bump
+// per node and per cable, as AddNode and AddDuplexLink make on a live
+// network, and one for the finished build, so no route cache keyed on
+// the epoch survives a build.
+func (wb *WiringBuilder) Finish() (*Wiring, error) {
+	w := wb.w
+	wb.w, wb.slab = nil, nil
+	// Each node's cables, by position, cut from one array at offsets
+	// given by the degrees.
+	off := make([]int32, len(w.nodes)+1)
+	for i, d := range w.degree {
+		off[i+1] = off[i] + d
+	}
+	next := slices.Clone(off[:len(w.nodes)])
+	at := make([]int32, 2*len(w.cables))
+	for ci, c := range w.cables {
+		at[next[c.a]] = int32(ci)
+		next[c.a]++
+		at[next[c.b]] = int32(ci)
+		next[c.b]++
+	}
+	// stamp[v] is u+1 once node u has seen a cable to v.
+	stamp := next
+	clear(stamp)
+	for u := range w.nodes {
+		mark := int32(u) + 1
+		for _, ci := range at[off[u]:off[u+1]] {
+			c := w.cables[ci]
+			v := c.a
+			if v == int32(u) {
+				v = c.b
+			}
+			if stamp[v] == mark {
+				return nil, fmt.Errorf("%w: %s->%s", ErrLinkExists, w.nodes[c.a].ID, w.nodes[c.b].ID)
+			}
+			stamp[v] = mark
+		}
+	}
+	w.epoch = uint64(len(w.nodes)+len(w.cables)) + 1
+	return w, nil
 }
 
 // Wire builds a network on engine that shares w's nodes and name index
@@ -84,9 +183,11 @@ func (n *Network) Seal() *Wiring {
 // one slab of hop entries cut into per-node arrays capped at each
 // node's degree, and one link list. Every cable goes through the
 // routine AddDuplexLink uses, so node indices, hop order, link order
-// and the topology epoch equal those of the network w was sealed from.
-// The node set is sealed; a runtime AddDuplexLink outgrows a node's
-// capped array into a fresh one and leaves its neighbours' intact.
+// and the topology epoch equal those of the same nodes and cables added
+// one at a time to a New network (plus the finished build's bump). The
+// node set is sealed: AddNode is refused with ErrSealed. A runtime
+// AddDuplexLink outgrows a node's capped array into a fresh one and
+// leaves its neighbours' intact.
 func Wire(engine *sim.Engine, w *Wiring) *Network {
 	n := newNetwork(engine)
 	n.nodes, n.nodeList, n.sealed = w.index, w.nodes, true

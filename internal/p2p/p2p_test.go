@@ -24,11 +24,11 @@ type rig struct {
 func newRig(t testing.TB, racks, hostsPerRack int, cfg Config) *rig {
 	t.Helper()
 	e := sim.NewEngine(99)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.MultiRootConfig{Racks: racks, HostsPerRack: hostsPerRack})
+	topo, w, err := topology.BuildMultiRoot(topology.MultiRootConfig{Racks: racks, HostsPerRack: hostsPerRack})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	ctrl := sdn.NewController(e, n, sdn.DefaultConfig())
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))

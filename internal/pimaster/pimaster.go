@@ -7,9 +7,9 @@
 // controls workloads running on the Pi devices using RESTful interfaces".
 //
 // Every node daemon runs in pimaster's process, so pimaster calls it
-// through the daemon's direct methods (StatusDirect, SpawnDirect,
-// DeleteDirect): the same work and request accounting as the daemon's
-// HTTP handlers, without the transport. The daemon's HTTP API stays its
+// through the daemon's direct methods (LoadDirect, StatusDirect,
+// SpawnDirect, DeleteDirect): the same work and request accounting as
+// the daemon's HTTP handlers, without the transport. The daemon's HTTP API stays its
 // outside surface, which remote callers reach through restapi.Client.
 //
 // A VM is placed against a view of the fleet polled from the daemons,
@@ -331,19 +331,19 @@ func (m *Master) Node(name string) (*NodeRef, error) {
 	return m.nodes[i], nil
 }
 
-// pollNode converts one daemon status into the placement view row.
+// pollNode polls one daemon's load into the placement view row.
 func (m *Master) pollNode(ref *NodeRef) placement.NodeView {
-	st := ref.Daemon.StatusDirect()
+	ld := ref.Daemon.LoadDirect()
 	return placement.NodeView{
 		ID:            ref.Host,
 		Rack:          ref.Rack,
-		CPU:           hw.MIPS(st.CPUMIPS),
-		CPUUsed:       hw.MIPS(st.CPUUtil * st.CPUMIPS),
-		MemTotal:      st.MemTotal,
-		MemUsed:       st.MemUsed,
-		Containers:    st.Containers,
-		MaxContainers: st.MaxComfort,
-		PoweredOn:     st.PoweredOn,
+		CPU:           hw.MIPS(ld.CPUMIPS),
+		CPUUsed:       hw.MIPS(ld.CPUUtil * ld.CPUMIPS),
+		MemTotal:      ld.MemTotal,
+		MemUsed:       ld.MemUsed,
+		Containers:    ld.Containers,
+		MaxContainers: ld.MaxComfort,
+		PoweredOn:     ld.PoweredOn,
 	}
 }
 

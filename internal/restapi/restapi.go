@@ -232,6 +232,41 @@ func (d *Daemon) StatusDirect() NodeStatus {
 	return d.Status()
 }
 
+// NodeLoad is the part of a node's status that placement reads.
+type NodeLoad struct {
+	CPUMIPS    float64
+	CPUUtil    float64
+	MemUsed    int64
+	MemTotal   int64
+	Containers int
+	MaxComfort int
+	PoweredOn  bool
+}
+
+// LoadDirect is StatusDirect trimmed to what placement reads: it counts
+// one API request, as StatusDirect does, and under the same lock reads
+// only the NodeLoad fields, which equal StatusDirect's. It renders no
+// clock, board arch or watts.
+func (d *Daemon) LoadDirect() NodeLoad {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.requests++
+	k := d.suite.Kernel()
+	powered := true
+	if d.meter != nil {
+		powered = d.meter.On()
+	}
+	return NodeLoad{
+		CPUMIPS:    float64(k.Spec().CPU),
+		CPUUtil:    k.CPUUtil(),
+		MemUsed:    k.MemUsed(),
+		MemTotal:   k.MemTotal(),
+		Containers: d.suite.Count(),
+		MaxComfort: lxc.ComfortableContainersPerPi,
+		PoweredOn:  powered,
+	}
+}
+
 // SpawnDirect is POST /containers without the transport: create, start,
 // and roll back the create if the start fails, exactly like handleSpawn.
 func (d *Daemon) SpawnDirect(req SpawnRequest) (ContainerDoc, error) {

@@ -306,6 +306,68 @@ func TestDirectMatchesHTTP(t *testing.T) {
 	}
 }
 
+// TestLoadDirectMatchesStatus: LoadDirect reads what StatusDirect
+// reports in every field placement reads, so both yield the same
+// placement row, and counts the same one API request. Two identical
+// daemons are driven in step through spawns (one refused), an
+// allocation the board cannot hold (an OOM reject), CPU load, a delete
+// and power-off; one is polled each way.
+func TestLoadDirectMatchesStatus(t *testing.T) {
+	full, load := newRig(t), newRig(t)
+	poll := func(after string) {
+		t.Helper()
+		st, got := full.daemon.StatusDirect(), load.daemon.LoadDirect()
+		want := NodeLoad{
+			CPUMIPS: st.CPUMIPS, CPUUtil: st.CPUUtil, MemUsed: st.MemUsed, MemTotal: st.MemTotal,
+			Containers: st.Containers, MaxComfort: st.MaxComfort, PoweredOn: st.PoweredOn,
+		}
+		if got != want {
+			t.Fatalf("after %s: LoadDirect %+v, StatusDirect %+v", after, got, want)
+		}
+		if a, b := full.daemon.Status().APIRequests, load.daemon.Status().APIRequests; a != b {
+			t.Fatalf("after %s: %d API requests polled by status, %d by load", after, a, b)
+		}
+	}
+	both := func(what string, f func(r *rig) error) {
+		t.Helper()
+		if ef, el := f(full), f(load); (ef == nil) != (el == nil) {
+			t.Fatalf("%s: %v on one daemon, %v on the other", what, ef, el)
+		}
+		poll(what)
+	}
+	poll("boot")
+	for _, req := range []SpawnRequest{
+		{Name: "web", Image: "webserver"},
+		{Name: "db", Image: "database", MemLimitBytes: 64 * hw.MiB},
+		{Name: "web", Image: "webserver"},
+	} {
+		both("spawn "+req.Name, func(r *rig) error { _, err := r.daemon.SpawnDirect(req); return err })
+	}
+	full.settle(t)
+	load.settle(t)
+	poll("settle")
+	both("oom", func(r *rig) error {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if err := r.suite.AllocAppMem("web", 1<<40); err == nil {
+			t.Fatal("a 1 TiB allocation fit")
+		}
+		if r.suite.Kernel().OOMRejects() == 0 {
+			t.Fatal("no OOM reject counted")
+		}
+		_, err := r.suite.Exec("web", oslinux.TaskSpec{WorkMI: 10000})
+		return err
+	})
+	both("delete db", func(r *rig) error { return r.daemon.DeleteDirect("db") })
+	both("power-off", func(r *rig) error {
+		r.meter.PowerOff(r.engine.Now())
+		return nil
+	})
+	if st := load.daemon.Status(); st.PoweredOn || st.CPUUtil < 0.99 || st.Containers != 1 {
+		t.Fatalf("the drive did not reach a loaded, powered-off node: %+v", st)
+	}
+}
+
 func TestStatusReflectsLoadAndPower(t *testing.T) {
 	r := newRig(t)
 	if _, err := r.client.Spawn(SpawnRequest{Name: "c", Image: "raspbian"}); err != nil {

@@ -689,7 +689,7 @@ func (f LinkFail) endpoints(r *Run) (netsim.NodeID, netsim.NodeID) {
 		return f.A, f.B
 	}
 	if ups := rackUplinks(r, 0); len(ups) > 0 {
-		return ups[0].From, ups[0].To
+		return ups[0].From(), ups[0].To()
 	}
 	return f.A, f.B
 }
@@ -763,7 +763,7 @@ func (f Degrade) actions(r *Run) []timedAction {
 		defer r.Cloud.Mu.Unlock()
 		ups := allUplinks(r)
 		for _, l := range ups {
-			if err := r.Cloud.Net.ShapeLink(l.From, l.To, f.Shaping); err != nil {
+			if err := r.Cloud.Net.ShapeLink(l.From(), l.To(), f.Shaping); err != nil {
 				return err
 			}
 		}
@@ -777,7 +777,7 @@ func (f Degrade) actions(r *Run) []timedAction {
 		defer r.Cloud.Mu.Unlock()
 		ups := allUplinks(r)
 		for _, l := range ups {
-			if err := r.Cloud.Net.ClearShaping(l.From, l.To); err != nil {
+			if err := r.Cloud.Net.ClearShaping(l.From(), l.To()); err != nil {
 				return err
 			}
 		}
@@ -862,7 +862,7 @@ func (f RackFail) actions(r *Run) []timedAction {
 // Cloud.Mu.
 func setRackUplinks(r *Run, rack int, up bool) error {
 	for _, l := range rackUplinks(r, rack) {
-		if err := r.Cloud.Net.SetLinkUp(l.From, l.To, up); err != nil {
+		if err := r.Cloud.Net.SetLinkUp(l.From(), l.To(), up); err != nil {
 			return err
 		}
 	}

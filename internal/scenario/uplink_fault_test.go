@@ -20,7 +20,7 @@ func linksWhere(net *netsim.Network, pred func(netsim.Hop) bool) map[cable]bool 
 	for i := 0; i < net.NodeCount(); i++ {
 		for _, h := range net.LinksFrom(int32(i)) {
 			if pred(h) {
-				out[cable{h.Link().From, h.Link().To}] = true
+				out[cable{h.Link().From(), h.Link().To()}] = true
 			}
 		}
 	}

@@ -19,11 +19,11 @@ import (
 func pathUnderExponent(t *testing.T, exponent float64) (picked, hot netsim.NodeID) {
 	t.Helper()
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.DefaultMultiRoot())
+	topo, w, err := topology.BuildMultiRoot(topology.DefaultMultiRoot())
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	cfg := DefaultConfig()
 	cfg.CongestionExponent = exponent
 	ctrl := NewController(e, n, cfg)
@@ -68,11 +68,11 @@ func TestAblationCongestionExponent(t *testing.T) {
 
 func BenchmarkCongestionAwarePath(b *testing.B) {
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.DefaultMultiRoot())
+	topo, w, err := topology.BuildMultiRoot(topology.DefaultMultiRoot())
 	if err != nil {
 		b.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	ctrl := NewController(e, n, DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -119,11 +119,11 @@ func TestCacheHitPathAllocationFree(t *testing.T) {
 func cappedRig(t *testing.T, cap int) (*netsim.Network, *topology.Topology, *Controller) {
 	t.Helper()
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.DefaultMultiRoot())
+	topo, w, err := topology.BuildMultiRoot(topology.DefaultMultiRoot())
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	cfg := DefaultConfig()
 	cfg.RouteCacheEntries = cap
 	ctrl := NewController(e, n, cfg)
@@ -237,13 +237,13 @@ func TestRouteCacheLRUEvictsColdest(t *testing.T) {
 func benchRig(b *testing.B) (*netsim.Network, *topology.Topology, *Controller) {
 	b.Helper()
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.MultiRootConfig{
+	topo, w, err := topology.BuildMultiRoot(topology.MultiRootConfig{
 		Racks: 20, HostsPerRack: 52, AggSwitches: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	ctrl := NewController(e, n, DefaultConfig())
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
@@ -280,13 +280,13 @@ func BenchmarkSDNAdmitCached(b *testing.B) {
 // the miss cannot take the structured fast path.
 func BenchmarkSDNAdmitUncached(b *testing.B) {
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.MultiRootConfig{
+	topo, w, err := topology.BuildMultiRoot(topology.MultiRootConfig{
 		Racks: 40, HostsPerRack: 250, AggSwitches: 8,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	cfg := DefaultConfig()
 	cfg.DisableRouteSynthesis = true
 	ctrl := NewController(e, n, cfg)

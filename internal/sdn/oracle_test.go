@@ -77,7 +77,7 @@ func oracleShortestDAG(net *netsim.Network, src, dst netsim.NodeID, w weightFunc
 		}
 		for _, h := range net.NeighborLinks(it.node) {
 			l := h.Link()
-			nb := l.To
+			nb := l.To()
 			if !l.Up() || done[nb] {
 				continue
 			}
@@ -149,8 +149,8 @@ func oracleMaterialisePath(parents map[netsim.NodeID][]netsim.NodeID, src, dst n
 // Congestion-aware routing runs a full Dijkstra in all three arms, so
 // it samples every eighth pair; the failure round samples a quarter.
 func TestIndexRoutingMatchesNameOracle(t *testing.T) {
-	rig := buildSynthRig(t, func(n *netsim.Network) (*topology.Topology, error) {
-		return topology.BuildFatTree(n, topology.FatTreeConfig{K: 22})
+	rig := buildSynthRig(t, func() (*topology.Topology, *netsim.Wiring, error) {
+		return topology.BuildFatTree(topology.FatTreeConfig{K: 22})
 	})
 	if rig.net.Node("coresw-100") == nil || rig.net.Node("coresw-100").Index() < rig.net.Node("coresw-11").Index() {
 		t.Fatal("k=22 fabric no longer numbers coresw-100 after coresw-11: the name/index split this test exists for is gone")
@@ -216,7 +216,7 @@ func TestIndexRoutingMatchesNameOracle(t *testing.T) {
 	var fabric [][2]netsim.NodeID
 	for _, sw := range append(append([]netsim.NodeID{}, rig.topo.Edge...), rig.topo.Agg...) {
 		for _, h := range rig.net.NeighborLinks(sw) {
-			if to := h.Link().To; h.Kind() == netsim.KindSwitch && sw < to {
+			if to := h.Link().To(); h.Kind() == netsim.KindSwitch && sw < to {
 				fabric = append(fabric, [2]netsim.NodeID{sw, to})
 			}
 		}
@@ -259,11 +259,11 @@ func compareToOracle(t *testing.T, rig *synthRig, label string, src, dst netsim.
 func coldCrossPodRig(tb testing.TB, k int) (*netsim.Network, *Controller, netsim.NodeID, netsim.NodeID) {
 	tb.Helper()
 	e := sim.NewEngine(1)
-	net := netsim.New(e)
-	topo, err := topology.BuildFatTree(net, topology.FatTreeConfig{K: k})
+	topo, w, err := topology.BuildFatTree(topology.FatTreeConfig{K: k})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	net := netsim.Wire(e, w)
 	src, dst := topo.Hosts[0], topo.Hosts[len(topo.Hosts)-1]
 	if slices.Contains(topo.Racks[0], dst) {
 		tb.Fatalf("k=%d: %s and %s share a pod", k, src, dst)

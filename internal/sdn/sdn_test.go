@@ -24,11 +24,11 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.DefaultMultiRoot())
+	topo, w, err := topology.BuildMultiRoot(topology.DefaultMultiRoot())
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	ctrl := NewController(e, n, DefaultConfig())
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
@@ -347,11 +347,11 @@ func TestPolicyString(t *testing.T) {
 
 func BenchmarkAdmitCached(b *testing.B) {
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.DefaultMultiRoot())
+	topo, w, err := topology.BuildMultiRoot(topology.DefaultMultiRoot())
 	if err != nil {
 		b.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	ctrl := NewController(e, n, DefaultConfig())
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
@@ -370,11 +370,11 @@ func BenchmarkAdmitCached(b *testing.B) {
 
 func BenchmarkDijkstra56Hosts(b *testing.B) {
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.DefaultMultiRoot())
+	topo, w, err := topology.BuildMultiRoot(topology.DefaultMultiRoot())
 	if err != nil {
 		b.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	ctrl := NewController(e, n, DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

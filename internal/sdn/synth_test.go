@@ -31,14 +31,14 @@ type synthRig struct {
 	hosts []netsim.NodeID
 }
 
-func buildSynthRig(t *testing.T, build func(*netsim.Network) (*topology.Topology, error)) *synthRig {
+func buildSynthRig(t *testing.T, build func() (*topology.Topology, *netsim.Wiring, error)) *synthRig {
 	t.Helper()
 	engine := sim.NewEngine(1)
-	net := netsim.New(engine)
-	topo, err := build(net)
+	topo, w, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := netsim.Wire(engine, w)
 	slowCfg := DefaultConfig()
 	slowCfg.DisableRouteSynthesis = true
 	return &synthRig{
@@ -84,20 +84,20 @@ func (r *synthRig) comparePairs(t *testing.T, label string) {
 	}
 }
 
-func synthFabrics() map[string]func(*netsim.Network) (*topology.Topology, error) {
-	return map[string]func(*netsim.Network) (*topology.Topology, error){
-		"multi-root": func(n *netsim.Network) (*topology.Topology, error) {
+func synthFabrics() map[string]func() (*topology.Topology, *netsim.Wiring, error) {
+	return map[string]func() (*topology.Topology, *netsim.Wiring, error){
+		"multi-root": func() (*topology.Topology, *netsim.Wiring, error) {
 			cfg := topology.DefaultMultiRoot()
 			cfg.Racks, cfg.HostsPerRack, cfg.AggSwitches = 4, 5, 3
-			return topology.BuildMultiRoot(n, cfg)
+			return topology.BuildMultiRoot(cfg)
 		},
-		"leaf-spine": func(n *netsim.Network) (*topology.Topology, error) {
-			return topology.BuildLeafSpine(n, topology.LeafSpineConfig{
+		"leaf-spine": func() (*topology.Topology, *netsim.Wiring, error) {
+			return topology.BuildLeafSpine(topology.LeafSpineConfig{
 				Leaves: 4, Spines: 3, HostsPerLeaf: 5,
 			})
 		},
-		"fat-tree": func(n *netsim.Network) (*topology.Topology, error) {
-			return topology.BuildFatTree(n, topology.FatTreeConfig{K: 4})
+		"fat-tree": func() (*topology.Topology, *netsim.Wiring, error) {
+			return topology.BuildFatTree(topology.FatTreeConfig{K: 4})
 		},
 	}
 }
@@ -119,7 +119,7 @@ func TestRouteSynthesisMatchesDijkstra(t *testing.T) {
 			var mid netsim.NodeID
 			for _, h := range rig.net.NeighborLinks(edge) {
 				if h.Up() && h.Kind() == netsim.KindSwitch {
-					mid = h.Link().To
+					mid = h.Link().To()
 					break
 				}
 			}
@@ -143,7 +143,7 @@ func TestRouteSynthesisMatchesDijkstra(t *testing.T) {
 			// fail identically on both controllers.
 			for _, h := range rig.net.NeighborLinks(edge) {
 				if h.Kind() == netsim.KindSwitch && h.Up() {
-					if err := rig.net.SetLinkUp(edge, h.Link().To, false); err != nil {
+					if err := rig.net.SetLinkUp(edge, h.Link().To(), false); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -278,14 +278,14 @@ func TestRouteSynthesisMatchesDijkstraRandomFatTree(t *testing.T) {
 			}
 			for _, seed := range seeds {
 				rng := rand.New(rand.NewSource(seed<<8 | int64(k)))
-				rig := buildSynthRig(t, func(n *netsim.Network) (*topology.Topology, error) {
-					return topology.BuildFatTree(n, topology.FatTreeConfig{K: k})
+				rig := buildSynthRig(t, func() (*topology.Topology, *netsim.Wiring, error) {
+					return topology.BuildFatTree(topology.FatTreeConfig{K: k})
 				})
 				// Every edge→agg and agg→core cable of the fabric.
 				var fabric [][2]netsim.NodeID
 				for _, sw := range append(append([]netsim.NodeID{}, rig.topo.Edge...), rig.topo.Agg...) {
 					for _, h := range rig.net.NeighborLinks(sw) {
-						if to := h.Link().To; h.Kind() == netsim.KindSwitch && sw < to {
+						if to := h.Link().To(); h.Kind() == netsim.KindSwitch && sw < to {
 							fabric = append(fabric, [2]netsim.NodeID{sw, to})
 						}
 					}

@@ -4,10 +4,15 @@
 // the fat-tree and Clos/leaf-spine fabrics the paper says the clusters
 // "can easily be re-cabled to form".
 //
-// A Topology records which netsim nodes are hosts, ToR/edge, aggregation
-// and core switches, plus the racks (Racks, laid end to end in Hosts)
-// that placement, DHCP subnetting and the cross-rack traffic experiments
-// rely on.
+// A builder does not touch a live network: it records the fabric's
+// nodes and cables by index into a netsim.WiringBuilder sized for them
+// up front, and returns the finished netsim.Wiring with the Topology;
+// netsim.Wire instantiates networks from the wiring. A Topology records
+// which netsim nodes are hosts, ToR/edge, aggregation and core
+// switches, plus the racks (Racks, laid end to end in Hosts) that
+// placement, DHCP subnetting and the cross-rack traffic experiments
+// rely on. Host names are cut from one string, and each rack is a run
+// of Hosts.
 package topology
 
 import (
@@ -57,7 +62,7 @@ func (f Fabric) String() string {
 	}
 }
 
-// Topology is the result of wiring a fabric into a netsim.Network.
+// Topology describes a wired fabric's nodes by role.
 type Topology struct {
 	Fabric Fabric
 	// Hosts lists every server NIC in deterministic order: every
@@ -154,70 +159,126 @@ func (c *MultiRootConfig) fillDefaults() {
 	}
 }
 
-// BuildMultiRoot wires the canonical multi-root tree into net: hosts in
-// rack r connect to tor-r; every ToR connects to every aggregation
-// switch; every aggregation switch connects to the gateway (core/border
-// router).
-func BuildMultiRoot(net *netsim.Network, cfg MultiRootConfig) (*Topology, error) {
+// BuildMultiRoot wires the canonical multi-root tree: hosts in rack r
+// connect to tor-r; every ToR connects to every aggregation switch;
+// every aggregation switch connects to the gateway (core/border
+// router). It returns the topology and the fabric's wiring, from which
+// netsim.Wire instantiates the network.
+func BuildMultiRoot(cfg MultiRootConfig) (*Topology, *netsim.Wiring, error) {
 	cfg.fillDefaults()
 	if cfg.Racks <= 0 || cfg.HostsPerRack <= 0 {
-		return nil, fmt.Errorf("topology: need positive racks and hosts per rack, got %d×%d", cfg.Racks, cfg.HostsPerRack)
+		return nil, nil, fmt.Errorf("topology: need positive racks and hosts per rack, got %d×%d", cfg.Racks, cfg.HostsPerRack)
 	}
-	t := &Topology{Fabric: FabricMultiRoot}
+	if cfg.AggSwitches < 0 {
+		return nil, nil, fmt.Errorf("topology: need a non-negative number of aggregation switches, got %d", cfg.AggSwitches)
+	}
+	r, h, a := cfg.Racks, cfg.HostsPerRack, cfg.AggSwitches
+	t := &Topology{
+		Fabric:    FabricMultiRoot,
+		Edge:      make([]netsim.NodeID, 0, r),
+		RackEdges: make([][]netsim.NodeID, 0, r),
+	}
+	t.Hosts, t.Racks = hostNames(r, func(int) int { return h })
+	f := newFabric(1+a+r*(1+h), a+r*(a+h))
 
 	gw := netsim.NodeID("gw-00")
-	if err := net.AddNode(gw, netsim.KindSwitch); err != nil {
-		return nil, err
-	}
 	t.Core = []netsim.NodeID{gw}
-
-	for a := 0; a < cfg.AggSwitches; a++ {
-		agg := netsim.NodeID(fmt.Sprintf("agg-%02d", a))
-		if err := net.AddNode(agg, netsim.KindSwitch); err != nil {
-			return nil, err
-		}
-		if err := net.AddDuplexLink(agg, gw, cfg.UplinkBps, cfg.Latency); err != nil {
-			return nil, err
-		}
+	gwi := f.node(gw, netsim.KindSwitch)
+	aggs := make([]int32, a)
+	for i := range aggs {
+		agg := netsim.NodeID(fmt.Sprintf("agg-%02d", i))
+		aggs[i] = f.node(agg, netsim.KindSwitch)
+		f.cable(aggs[i], gwi, cfg.UplinkBps, cfg.Latency)
 		t.Agg = append(t.Agg, agg)
 	}
-
-	for r := 0; r < cfg.Racks; r++ {
-		tor := netsim.NodeID(fmt.Sprintf("tor-%02d", r))
-		if err := net.AddNode(tor, netsim.KindSwitch); err != nil {
-			return nil, err
-		}
-		for _, agg := range t.Agg {
-			if err := net.AddDuplexLink(tor, agg, cfg.UplinkBps, cfg.Latency); err != nil {
-				return nil, err
-			}
+	for rack, hosts := range t.Racks {
+		tor := netsim.NodeID(fmt.Sprintf("tor-%02d", rack))
+		tori := f.node(tor, netsim.KindSwitch)
+		for _, agg := range aggs {
+			f.cable(tori, agg, cfg.UplinkBps, cfg.Latency)
 		}
 		t.Edge = append(t.Edge, tor)
-		t.RackEdges = append(t.RackEdges, []netsim.NodeID{tor})
-
-		var rack []netsim.NodeID
-		for h := 0; h < cfg.HostsPerRack; h++ {
-			host := HostName(r, h)
-			if err := net.AddNode(host, netsim.KindHost); err != nil {
-				return nil, err
-			}
-			if err := net.AddDuplexLink(host, tor, cfg.HostLinkBps, cfg.Latency); err != nil {
-				return nil, err
-			}
-			rack = append(rack, host)
-			t.Hosts = append(t.Hosts, host)
+		t.RackEdges = append(t.RackEdges, t.Edge[rack:rack+1:rack+1])
+		for _, host := range hosts {
+			f.cable(f.node(host, netsim.KindHost), tori, cfg.HostLinkBps, cfg.Latency)
 		}
-		t.Racks = append(t.Racks, rack)
 	}
-	return finishBuild(net, t)
+	return f.finish(t)
 }
 
-// finishBuild seals a wired fabric: the topology epoch is bumped once
-// more so SDN route caches keyed on it can never survive a build or
-// re-cable, whatever mix of netsim mutations produced the fabric.
-func finishBuild(net *netsim.Network, t *Topology) (*Topology, error) {
-	net.BumpTopoEpoch()
-	return t, nil
+// fabric records a fabric's nodes and cables, in creation order, into a
+// netsim wiring builder sized for them. It keeps the first refusal and
+// records nothing after it.
+type fabric struct {
+	b   *netsim.WiringBuilder
+	err error
+}
+
+func newFabric(nodes, cables int) *fabric {
+	return &fabric{b: netsim.NewWiringBuilder(nodes, cables)}
+}
+
+// node records a device and returns its node index.
+func (f *fabric) node(id netsim.NodeID, kind netsim.NodeKind) int32 {
+	if f.err != nil {
+		return -1
+	}
+	i, err := f.b.AddNode(id, kind)
+	f.err = err
+	return i
+}
+
+// cable records a duplex cable between nodes a and b.
+func (f *fabric) cable(a, b int32, capacityBps float64, latency time.Duration) {
+	if f.err == nil {
+		f.err = f.b.AddDuplexLink(a, b, capacityBps, latency)
+	}
+}
+
+// finish returns t with the finished wiring, or the first refusal.
+func (f *fabric) finish(t *Topology) (*Topology, *netsim.Wiring, error) {
+	if f.err != nil {
+		return nil, nil, f.err
+	}
+	w, err := f.b.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, w, nil
+}
+
+// hostNames returns the canonical names of every host, racks laid end
+// to end with size(r) hosts in rack r, and each rack's run of them (nil
+// for an empty rack). The names are cut from one string, so naming a
+// fabric's hosts makes a few allocations, not one per host.
+func hostNames(racks int, size func(rack int) int) ([]netsim.NodeID, [][]netsim.NodeID) {
+	total := 0
+	for r := 0; r < racks; r++ {
+		total += size(r)
+	}
+	buf := make([]byte, 0, total*len("pi-r00-n00"))
+	ends := make([]int, 0, total)
+	for r := 0; r < racks; r++ {
+		for i := 0; i < size(r); i++ {
+			buf = AppendHostName(buf, r, i)
+			ends = append(ends, len(buf))
+		}
+	}
+	all := string(buf)
+	hosts := make([]netsim.NodeID, total)
+	start := 0
+	for k, end := range ends {
+		hosts[k], start = netsim.NodeID(all[start:end]), end
+	}
+	byRack := make([][]netsim.NodeID, racks)
+	start = 0
+	for r := range byRack {
+		if n := size(r); n > 0 {
+			byRack[r] = hosts[start : start+n : start+n]
+			start += n
+		}
+	}
+	return hosts, byRack
 }
 
 // Uplinks yields the uplinks of edge switch e: its links to other
@@ -250,10 +311,11 @@ type FatTreeConfig struct {
 // BuildFatTree wires a k-ary fat-tree: k pods each with k/2 edge and k/2
 // aggregation switches, and (k/2)² core switches. Edge switch e of pod p
 // connects to all k/2 aggregation switches of p; aggregation switch a of
-// p connects to core switches a·k/2 … a·k/2+k/2-1. Racks are pods.
-func BuildFatTree(net *netsim.Network, cfg FatTreeConfig) (*Topology, error) {
+// p connects to core switches a·k/2 … a·k/2+k/2-1. Racks are pods. It
+// returns the topology and the fabric's wiring.
+func BuildFatTree(cfg FatTreeConfig) (*Topology, *netsim.Wiring, error) {
 	if cfg.K < 2 || cfg.K%2 != 0 {
-		return nil, fmt.Errorf("topology: fat-tree k must be even and ≥2, got %d", cfg.K)
+		return nil, nil, fmt.Errorf("topology: fat-tree k must be even and ≥2, got %d", cfg.K)
 	}
 	if cfg.HostLinkBps == 0 {
 		cfg.HostLinkBps = DefaultHostLinkBps
@@ -265,78 +327,65 @@ func BuildFatTree(net *netsim.Network, cfg FatTreeConfig) (*Topology, error) {
 		cfg.Latency = DefaultLinkLatency
 	}
 	k := cfg.K
-	capacity := k * k * k / 4
+	half := k / 2
+	perPod := half * half // hosts per pod: k/2 edge switches of k/2 hosts
+	capacity := k * perPod
 	hosts := cfg.Hosts
 	if hosts == 0 {
 		hosts = capacity
 	}
-	if hosts > capacity {
-		return nil, fmt.Errorf("topology: %d hosts exceed k=%d fat-tree capacity %d", hosts, k, capacity)
+	if hosts < 0 {
+		return nil, nil, fmt.Errorf("topology: fat-tree needs a non-negative host count, got %d", hosts)
 	}
-	t := &Topology{Fabric: FabricFatTree}
+	if hosts > capacity {
+		return nil, nil, fmt.Errorf("topology: %d hosts exceed k=%d fat-tree capacity %d", hosts, k, capacity)
+	}
+	t := &Topology{
+		Fabric:    FabricFatTree,
+		Core:      make([]netsim.NodeID, perPod),
+		Agg:       make([]netsim.NodeID, 0, k*half),
+		Edge:      make([]netsim.NodeID, 0, k*half),
+		RackEdges: make([][]netsim.NodeID, k),
+	}
+	// Pods fill in order, k/2 hosts to an edge switch.
+	t.Hosts, t.Racks = hostNames(k, func(pod int) int { return min(perPod, max(0, hosts-pod*perPod)) })
+	f := newFabric(perPod+k*k+hosts, k*k*half+hosts)
 
-	// Core switches.
-	for c := 0; c < k*k/4; c++ {
-		id := netsim.NodeID(fmt.Sprintf("coresw-%02d", c))
-		if err := net.AddNode(id, netsim.KindSwitch); err != nil {
-			return nil, err
-		}
-		t.Core = append(t.Core, id)
+	cores := make([]int32, perPod)
+	for c := range cores {
+		t.Core[c] = netsim.NodeID(fmt.Sprintf("coresw-%02d", c))
+		cores[c] = f.node(t.Core[c], netsim.KindSwitch)
 	}
 	// Pods. A pod's edge switches are its rack's, so each pod's run of
 	// t.Edge doubles as its RackEdges entry.
-	t.Edge = make([]netsim.NodeID, 0, k*k/2)
+	edges := make([]int32, 0, k*half)
+	podAggs := make([]int32, half)
 	for p := 0; p < k; p++ {
-		var podAggs []netsim.NodeID
-		for a := 0; a < k/2; a++ {
+		for a := range podAggs {
 			agg := netsim.NodeID(fmt.Sprintf("aggsw-p%02d-%02d", p, a))
-			if err := net.AddNode(agg, netsim.KindSwitch); err != nil {
-				return nil, err
+			podAggs[a] = f.node(agg, netsim.KindSwitch)
+			for _, core := range cores[a*half : (a+1)*half] {
+				f.cable(podAggs[a], core, cfg.UplinkBps, cfg.Latency)
 			}
-			for i := 0; i < k/2; i++ {
-				core := t.Core[a*(k/2)+i]
-				if err := net.AddDuplexLink(agg, core, cfg.UplinkBps, cfg.Latency); err != nil {
-					return nil, err
-				}
-			}
-			podAggs = append(podAggs, agg)
 			t.Agg = append(t.Agg, agg)
 		}
-		for e := 0; e < k/2; e++ {
+		for e := 0; e < half; e++ {
 			edge := netsim.NodeID(fmt.Sprintf("edge-p%02d-%02d", p, e))
-			if err := net.AddNode(edge, netsim.KindSwitch); err != nil {
-				return nil, err
-			}
+			ei := f.node(edge, netsim.KindSwitch)
 			for _, agg := range podAggs {
-				if err := net.AddDuplexLink(edge, agg, cfg.UplinkBps, cfg.Latency); err != nil {
-					return nil, err
-				}
+				f.cable(ei, agg, cfg.UplinkBps, cfg.Latency)
 			}
 			t.Edge = append(t.Edge, edge)
+			edges = append(edges, ei)
 		}
-		t.Racks = append(t.Racks, nil)
 		n := len(t.Edge)
-		t.RackEdges = append(t.RackEdges, t.Edge[n-k/2:n:n])
+		t.RackEdges[p] = t.Edge[n-half : n : n]
 	}
-	// Hosts round-robin over edge switches; rack = pod of the edge.
-	perEdge := k / 2 // max hosts per edge switch
-	placed := 0
-	for ei, edge := range t.Edge {
-		pod := ei / (k / 2)
-		for s := 0; s < perEdge && placed < hosts; s++ {
-			host := HostName(pod, len(t.Racks[pod]))
-			if err := net.AddNode(host, netsim.KindHost); err != nil {
-				return nil, err
-			}
-			if err := net.AddDuplexLink(host, edge, cfg.HostLinkBps, cfg.Latency); err != nil {
-				return nil, err
-			}
-			t.Hosts = append(t.Hosts, host)
-			t.Racks[pod] = append(t.Racks[pod], host)
-			placed++
-		}
+	// Hosts fill the edge switches in order; rack = pod of the edge.
+	for i, host := range t.Hosts {
+		f.cable(f.node(host, netsim.KindHost), edges[i/half], cfg.HostLinkBps, cfg.Latency)
 	}
-	return finishBuild(net, t)
+	return f.finish(t)
 }
 
 // LeafSpineConfig parameterises a 2-tier Clos (leaf-spine) fabric: every
@@ -364,10 +413,11 @@ func DefaultLeafSpine() LeafSpineConfig {
 	}
 }
 
-// BuildLeafSpine wires the 2-tier Clos.
-func BuildLeafSpine(net *netsim.Network, cfg LeafSpineConfig) (*Topology, error) {
+// BuildLeafSpine wires the 2-tier Clos and returns the topology and the
+// fabric's wiring.
+func BuildLeafSpine(cfg LeafSpineConfig) (*Topology, *netsim.Wiring, error) {
 	if cfg.Leaves <= 0 || cfg.Spines <= 0 || cfg.HostsPerLeaf <= 0 {
-		return nil, fmt.Errorf("topology: leaf-spine needs positive dimensions")
+		return nil, nil, fmt.Errorf("topology: leaf-spine needs positive dimensions")
 	}
 	if cfg.HostLinkBps == 0 {
 		cfg.HostLinkBps = DefaultHostLinkBps
@@ -378,90 +428,98 @@ func BuildLeafSpine(net *netsim.Network, cfg LeafSpineConfig) (*Topology, error)
 	if cfg.Latency == 0 {
 		cfg.Latency = DefaultLinkLatency
 	}
-	t := &Topology{Fabric: FabricLeafSpine}
-	for s := 0; s < cfg.Spines; s++ {
-		spine := netsim.NodeID(fmt.Sprintf("spine-%02d", s))
-		if err := net.AddNode(spine, netsim.KindSwitch); err != nil {
-			return nil, err
-		}
-		t.Core = append(t.Core, spine)
+	l, sp, h := cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf
+	t := &Topology{
+		Fabric:    FabricLeafSpine,
+		Core:      make([]netsim.NodeID, sp),
+		Edge:      make([]netsim.NodeID, l),
+		RackEdges: make([][]netsim.NodeID, l),
 	}
-	for l := 0; l < cfg.Leaves; l++ {
-		leaf := netsim.NodeID(fmt.Sprintf("leaf-%02d", l))
-		if err := net.AddNode(leaf, netsim.KindSwitch); err != nil {
-			return nil, err
-		}
-		for _, spine := range t.Core {
-			if err := net.AddDuplexLink(leaf, spine, cfg.UplinkBps, cfg.Latency); err != nil {
-				return nil, err
-			}
-		}
-		t.Edge = append(t.Edge, leaf)
-		t.RackEdges = append(t.RackEdges, []netsim.NodeID{leaf})
-		var rack []netsim.NodeID
-		for h := 0; h < cfg.HostsPerLeaf; h++ {
-			host := HostName(l, h)
-			if err := net.AddNode(host, netsim.KindHost); err != nil {
-				return nil, err
-			}
-			if err := net.AddDuplexLink(host, leaf, cfg.HostLinkBps, cfg.Latency); err != nil {
-				return nil, err
-			}
-			rack = append(rack, host)
-			t.Hosts = append(t.Hosts, host)
-		}
-		t.Racks = append(t.Racks, rack)
+	t.Hosts, t.Racks = hostNames(l, func(int) int { return h })
+	f := newFabric(sp+l*(1+h), l*(sp+h))
+	spines := make([]int32, sp)
+	for i := range spines {
+		t.Core[i] = netsim.NodeID(fmt.Sprintf("spine-%02d", i))
+		spines[i] = f.node(t.Core[i], netsim.KindSwitch)
 	}
-	return finishBuild(net, t)
+	for leaf, hosts := range t.Racks {
+		t.Edge[leaf] = netsim.NodeID(fmt.Sprintf("leaf-%02d", leaf))
+		t.RackEdges[leaf] = t.Edge[leaf : leaf+1 : leaf+1]
+		li := f.node(t.Edge[leaf], netsim.KindSwitch)
+		for _, spine := range spines {
+			f.cable(li, spine, cfg.UplinkBps, cfg.Latency)
+		}
+		for _, host := range hosts {
+			f.cable(f.node(host, netsim.KindHost), li, cfg.HostLinkBps, cfg.Latency)
+		}
+	}
+	return f.finish(t)
 }
 
 // Validate checks structural invariants of the wired fabric: every host
 // has exactly one up link (to its edge switch), every node is reachable
-// from the first host, and racks partition the hosts. It walks the
-// network by dense node index, with one mark per node.
+// from the first host, and racks partition the hosts.
 func Validate(t *Topology, net *netsim.Network) error {
+	_, err := HostIndices(t, net)
+	return err
+}
+
+// HostIndices validates the wired fabric as Validate does and returns
+// each host's node index, in Hosts order. It walks the network by dense
+// node index, with one mark per node, and resolves each host name once:
+// a rack host that is also the next host of Hosts, as on every fabric
+// the builders wire, reuses that host's index.
+func HostIndices(t *Topology, net *netsim.Network) ([]int32, error) {
 	if len(t.Hosts) == 0 {
-		return fmt.Errorf("topology: no hosts")
+		return nil, fmt.Errorf("topology: no hosts")
+	}
+	nodes := make([]int32, len(t.Hosts))
+	for i, h := range t.Hosts {
+		nodes[i] = indexOf(net, h)
 	}
 	inRack := make([]bool, net.NodeCount())
 	racked := 0
 	for _, rack := range t.Racks {
 		for _, h := range rack {
-			nd := net.Node(h)
-			if nd == nil {
-				return fmt.Errorf("topology: rack host %s is not in the network", h)
+			var nd int32
+			if racked < len(t.Hosts) && t.Hosts[racked] == h {
+				nd = nodes[racked]
+			} else {
+				nd = indexOf(net, h)
 			}
-			if inRack[nd.Index()] {
-				return fmt.Errorf("topology: host %s in two racks", h)
+			if nd < 0 {
+				return nil, fmt.Errorf("topology: rack host %s is not in the network", h)
 			}
-			inRack[nd.Index()] = true
+			if inRack[nd] {
+				return nil, fmt.Errorf("topology: host %s in two racks", h)
+			}
+			inRack[nd] = true
 			racked++
 		}
 	}
 	if racked != len(t.Hosts) {
-		return fmt.Errorf("topology: racks hold %d hosts, topology lists %d", racked, len(t.Hosts))
+		return nil, fmt.Errorf("topology: racks hold %d hosts, topology lists %d", racked, len(t.Hosts))
 	}
-	for _, h := range t.Hosts {
-		nd := net.Node(h)
-		if nd == nil || !inRack[nd.Index()] {
-			return fmt.Errorf("topology: host %s not in any rack", h)
+	for i, h := range t.Hosts {
+		nd := nodes[i]
+		if nd < 0 || !inRack[nd] {
+			return nil, fmt.Errorf("topology: host %s not in any rack", h)
 		}
 		up := 0
-		for _, hop := range net.LinksFrom(nd.Index()) {
+		for _, hop := range net.LinksFrom(nd) {
 			if hop.Up() {
 				up++
 			}
 		}
 		if up != 1 {
-			return fmt.Errorf("topology: host %s has %d links, want 1", h, up)
+			return nil, fmt.Errorf("topology: host %s has %d links, want 1", h, up)
 		}
 	}
 	// BFS connectivity from the first host.
-	start := net.Node(t.Hosts[0]).Index()
 	visited := make([]bool, net.NodeCount())
-	visited[start] = true
+	visited[nodes[0]] = true
 	queue := make([]int32, 1, net.NodeCount())
-	queue[0] = start
+	queue[0] = nodes[0]
 	for head := 0; head < len(queue); head++ {
 		for _, hop := range net.LinksFrom(queue[head]) {
 			if nb := hop.To(); hop.Up() && !visited[nb] {
@@ -472,9 +530,17 @@ func Validate(t *Topology, net *netsim.Network) error {
 	}
 	want := len(t.Hosts) + len(t.Switches())
 	if len(queue) != want {
-		return fmt.Errorf("topology: only %d of %d nodes reachable", len(queue), want)
+		return nil, fmt.Errorf("topology: only %d of %d nodes reachable", len(queue), want)
 	}
-	return nil
+	return nodes, nil
+}
+
+// indexOf returns the index of the named node, or -1.
+func indexOf(net *netsim.Network, id netsim.NodeID) int32 {
+	if nd := net.Node(id); nd != nil {
+		return nd.Index()
+	}
+	return -1
 }
 
 // Render draws the rack layout as ASCII art — the reproduction of Fig. 1

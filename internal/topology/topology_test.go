@@ -11,11 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
-func newNet() *netsim.Network { return netsim.New(sim.NewEngine(1)) }
+// wired instantiates a builder's fabric on a fresh engine.
+func wired(topo *Topology, w *netsim.Wiring, err error) (*Topology, *netsim.Network, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return topo, netsim.Wire(sim.NewEngine(1), w), nil
+}
 
 func TestMultiRootPaperShape(t *testing.T) {
-	net := newNet()
-	topo, err := BuildMultiRoot(net, DefaultMultiRoot())
+	topo, net, err := wired(BuildMultiRoot(DefaultMultiRoot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +47,7 @@ func TestMultiRootPaperShape(t *testing.T) {
 }
 
 func TestMultiRootWiring(t *testing.T) {
-	net := newNet()
-	topo, err := BuildMultiRoot(net, DefaultMultiRoot())
+	topo, net, err := wired(BuildMultiRoot(DefaultMultiRoot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestMultiRootRejectsBadConfig(t *testing.T) {
 		{Racks: 0, HostsPerRack: 14},
 		{Racks: 4, HostsPerRack: 0},
 	} {
-		if _, err := BuildMultiRoot(newNet(), cfg); err == nil {
+		if _, _, err := BuildMultiRoot(cfg); err == nil {
 			t.Fatalf("accepted config %+v", cfg)
 		}
 	}
@@ -87,15 +91,15 @@ func TestMultiRootRejectsBadConfig(t *testing.T) {
 // TestRackQueries: a host's rack is read from Racks, and every builder
 // lays Racks end to end in Hosts, so a rack is also a run of Hosts.
 func TestRackQueries(t *testing.T) {
-	builds := map[string]func(*netsim.Network) (*Topology, error){
-		"multi-root": func(n *netsim.Network) (*Topology, error) { return BuildMultiRoot(n, DefaultMultiRoot()) },
-		"fat-tree-partial": func(n *netsim.Network) (*Topology, error) {
-			return BuildFatTree(n, FatTreeConfig{K: 4, Hosts: 11})
+	builds := map[string]func() (*Topology, *netsim.Wiring, error){
+		"multi-root": func() (*Topology, *netsim.Wiring, error) { return BuildMultiRoot(DefaultMultiRoot()) },
+		"fat-tree-partial": func() (*Topology, *netsim.Wiring, error) {
+			return BuildFatTree(FatTreeConfig{K: 4, Hosts: 11})
 		},
-		"leaf-spine": func(n *netsim.Network) (*Topology, error) { return BuildLeafSpine(n, DefaultLeafSpine()) },
+		"leaf-spine": func() (*Topology, *netsim.Wiring, error) { return BuildLeafSpine(DefaultLeafSpine()) },
 	}
 	for name, build := range builds {
-		topo, err := build(newNet())
+		topo, _, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,8 +114,7 @@ func TestRackQueries(t *testing.T) {
 }
 
 func TestFatTreeK4(t *testing.T) {
-	net := newNet()
-	topo, err := BuildFatTree(net, FatTreeConfig{K: 4})
+	topo, net, err := wired(BuildFatTree(FatTreeConfig{K: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +136,8 @@ func TestFatTreeK4(t *testing.T) {
 }
 
 func TestFatTreePartialHosts(t *testing.T) {
-	net := newNet()
 	// 56 Pis re-cabled into a k=8 fat-tree (capacity 128).
-	topo, err := BuildFatTree(net, FatTreeConfig{K: 8, Hosts: 56})
+	topo, net, err := wired(BuildFatTree(FatTreeConfig{K: 8, Hosts: 56}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +156,14 @@ func TestFatTreeRejectsBadConfig(t *testing.T) {
 		{K: 4, Hosts: 17}, // over capacity
 	}
 	for _, cfg := range cases {
-		if _, err := BuildFatTree(newNet(), cfg); err == nil {
+		if _, _, err := BuildFatTree(cfg); err == nil {
 			t.Fatalf("accepted config %+v", cfg)
 		}
 	}
 }
 
 func TestLeafSpine(t *testing.T) {
-	net := newNet()
-	topo, err := BuildLeafSpine(net, DefaultLeafSpine())
+	topo, net, err := wired(BuildLeafSpine(DefaultLeafSpine()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +181,13 @@ func TestLeafSpine(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildLeafSpine(newNet(), LeafSpineConfig{}); err == nil {
+	if _, _, err := BuildLeafSpine(LeafSpineConfig{}); err == nil {
 		t.Fatal("accepted zero config")
 	}
 }
 
 func TestValidateCatchesBrokenFabric(t *testing.T) {
-	net := newNet()
-	topo, err := BuildMultiRoot(net, DefaultMultiRoot())
+	topo, net, err := wired(BuildMultiRoot(DefaultMultiRoot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +202,35 @@ func TestValidateCatchesBrokenFabric(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesInconsistentRacks: racks that do not partition the
+// hosts are refused, also where a rack lists, at a host's position in
+// Hosts, a different host or one the network lacks: a rack host reuses
+// the index of the host at its position only when the names match.
 func TestValidateCatchesInconsistentRacks(t *testing.T) {
-	net := newNet()
-	topo, err := BuildMultiRoot(net, DefaultMultiRoot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate a host into a second rack.
-	topo.Racks[1] = append(topo.Racks[1], topo.Racks[0][0])
-	if err := Validate(topo, net); err == nil {
-		t.Fatal("Validate accepted duplicated host")
+	for _, c := range []struct {
+		name string
+		edit func(racks [][]netsim.NodeID)
+	}{
+		{"host duplicated into a second rack", func(racks [][]netsim.NodeID) {
+			racks[1] = append(racks[1], racks[0][0])
+		}},
+		{"host listed in place of another", func(racks [][]netsim.NodeID) {
+			racks[1] = slices.Clone(racks[1])
+			racks[1][0] = racks[0][0]
+		}},
+		{"host missing from the network", func(racks [][]netsim.NodeID) {
+			racks[1] = slices.Clone(racks[1])
+			racks[1][0] = "pi-r99-n99"
+		}},
+	} {
+		topo, net, err := wired(BuildMultiRoot(DefaultMultiRoot()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.edit(topo.Racks)
+		if err := Validate(topo, net); err == nil {
+			t.Errorf("%s: Validate accepted it", c.name)
+		}
 	}
 }
 
@@ -222,8 +241,7 @@ func TestPropertyMultiRootValid(t *testing.T) {
 		r := int(racks%6) + 1
 		h := int(hosts%10) + 1
 		a := int(aggs%3) + 1
-		net := newNet()
-		topo, err := BuildMultiRoot(net, MultiRootConfig{Racks: r, HostsPerRack: h, AggSwitches: a})
+		topo, net, err := wired(BuildMultiRoot(MultiRootConfig{Racks: r, HostsPerRack: h, AggSwitches: a}))
 		if err != nil {
 			return false
 		}
@@ -238,8 +256,7 @@ func TestPropertyMultiRootValid(t *testing.T) {
 }
 
 func TestRenderFig1(t *testing.T) {
-	net := newNet()
-	topo, err := BuildMultiRoot(net, DefaultMultiRoot())
+	topo, _, err := BuildMultiRoot(DefaultMultiRoot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +284,7 @@ func TestFabricString(t *testing.T) {
 
 func BenchmarkBuildMultiRoot56(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		net := netsim.New(sim.NewEngine(1))
-		if _, err := BuildMultiRoot(net, DefaultMultiRoot()); err != nil {
+		if _, _, err := BuildMultiRoot(DefaultMultiRoot()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -282,19 +298,18 @@ func BenchmarkBuildMultiRoot56(b *testing.B) {
 func TestRackEdgesOwnTheirRacks(t *testing.T) {
 	cases := []struct {
 		name    string
-		build   func(*netsim.Network) (*Topology, error)
+		build   func() (*Topology, *netsim.Wiring, error)
 		perRack int // edge switches per rack
 		uplinks int // uplinks per edge switch
 	}{
-		{"multi-root", func(n *netsim.Network) (*Topology, error) { return BuildMultiRoot(n, DefaultMultiRoot()) }, 1, DefaultAggSwitches},
-		{"fat-tree", func(n *netsim.Network) (*Topology, error) { return BuildFatTree(n, FatTreeConfig{K: 8}) }, 4, 4},
-		{"fat-tree-partial", func(n *netsim.Network) (*Topology, error) { return BuildFatTree(n, FatTreeConfig{K: 8, Hosts: 56}) }, 4, 4},
-		{"leaf-spine", func(n *netsim.Network) (*Topology, error) { return BuildLeafSpine(n, DefaultLeafSpine()) }, 1, DefaultSpineSwitches},
+		{"multi-root", func() (*Topology, *netsim.Wiring, error) { return BuildMultiRoot(DefaultMultiRoot()) }, 1, DefaultAggSwitches},
+		{"fat-tree", func() (*Topology, *netsim.Wiring, error) { return BuildFatTree(FatTreeConfig{K: 8}) }, 4, 4},
+		{"fat-tree-partial", func() (*Topology, *netsim.Wiring, error) { return BuildFatTree(FatTreeConfig{K: 8, Hosts: 56}) }, 4, 4},
+		{"leaf-spine", func() (*Topology, *netsim.Wiring, error) { return BuildLeafSpine(DefaultLeafSpine()) }, 1, DefaultSpineSwitches},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			net := newNet()
-			topo, err := tc.build(net)
+			topo, net, err := wired(tc.build())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,15 +324,15 @@ func TestRackEdgesOwnTheirRacks(t *testing.T) {
 				flat = append(flat, edges...)
 				for _, h := range topo.Racks[r] {
 					hops := net.NeighborLinks(h)
-					if len(hops) != 1 || !slices.Contains(edges, hops[0].Link().To) {
+					if len(hops) != 1 || !slices.Contains(edges, hops[0].Link().To()) {
 						t.Fatalf("host %s of rack %d is cabled outside its edge switches %v", h, r, edges)
 					}
 				}
 				for _, e := range edges {
 					n := 0
 					for l := range Uplinks(net, e) {
-						if l.From != e || net.Node(l.To).Kind != netsim.KindSwitch {
-							t.Fatalf("uplink %s->%s of %s", l.From, l.To, e)
+						if l.From() != e || net.Node(l.To()).Kind != netsim.KindSwitch {
+							t.Fatalf("uplink %s->%s of %s", l.From(), l.To(), e)
 						}
 						n++
 					}
@@ -336,7 +351,7 @@ func TestRackEdgesOwnTheirRacks(t *testing.T) {
 // TestRenderLabelsPods: a fat-tree rack is a pod and is labelled with
 // its own edge switches, not with the switch at its index in Edge.
 func TestRenderLabelsPods(t *testing.T) {
-	topo, err := BuildFatTree(newNet(), FatTreeConfig{K: 8})
+	topo, _, err := BuildFatTree(FatTreeConfig{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ import (
 // failure. CrossRackBytes is the per-edge sum of the edges it is given.
 func TestUplinkBitsCountsRackEgress(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.MultiRootConfig{Racks: 2, HostsPerRack: 2, AggSwitches: 2})
+	topo, w, err := topology.BuildMultiRoot(topology.MultiRootConfig{Racks: 2, HostsPerRack: 2, AggSwitches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	h := func(rack, idx int) netsim.NodeID { return topology.HostName(rack, idx) }
 	start := func(path []netsim.NodeID, bits float64) *netsim.Flow {
 		t.Helper()

@@ -28,11 +28,11 @@ type rig struct {
 func newRig(t testing.TB) *rig {
 	t.Helper()
 	e := sim.NewEngine(42)
-	n := netsim.New(e)
-	topo, err := topology.BuildMultiRoot(n, topology.MultiRootConfig{Racks: 2, HostsPerRack: 4})
+	topo, w, err := topology.BuildMultiRoot(topology.MultiRootConfig{Racks: 2, HostsPerRack: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := netsim.Wire(e, w)
 	ctrl := sdn.NewController(e, n, sdn.DefaultConfig())
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
