@@ -54,14 +54,17 @@ determinism-single-core:
 	done
 	GOMAXPROCS=1 $(GO) test -run '$(DETERMINISM_TESTS)' $(DETERMINISM_PKGS)
 
-# Fuzz the three parsers untrusted bytes reach, the naming service, the
-# OpenFlow table, the metrics encoder and the fabric builders, 30 s
-# each: the wire-spec
+# Fuzz the three parsers untrusted bytes reach, the image recipes, the
+# naming service, the OpenFlow table, the metrics encoder and the fabric
+# builders, 30 s each: the wire-spec
 # decoder (decode → Resolve → re-marshal → decode must never panic and
 # must round-trip exactly), the inject body (a FaultRequest decodes to a
 # fault that its journal encoding decodes back to unchanged), the
 # journal reader (a torn final line is dropped, a malformed line with
-# records after it is refused), DNS records (arbitrary names and values
+# records after it is refused), the persisted image records (arbitrary
+# bytes decoded into a store.ImageRecord never panic; every injection
+# that decodes survives its journal encoding unchanged, and the record
+# re-marshalled keeps its rebuild key; nothing is rebuilt), DNS records (arbitrary names and values
 # through Add, Resolve and RemoveName never panic, and only names inside
 # a zone on a label boundary are answered), the naming tables (DNS and
 # DHCP answering a fleet's plan rows agree, step by step, with the same
@@ -82,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecRequestResolve$$' -fuzztime 30s ./internal/cliconfig
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultRequest$$' -fuzztime 30s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 30s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzImageRecipe$$' -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSRecords$$' -fuzztime 30s ./internal/dns
 	$(GO) test -run '^$$' -fuzz '^FuzzNamingTables$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzSwitchTable$$' -fuzztime 30s ./internal/openflow

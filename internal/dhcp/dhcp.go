@@ -39,12 +39,16 @@ type MAC string
 // byte>, a valid and unique address for every rack and in-rack index
 // the 10.<rack>.0.0/20 plan allows.
 func NodeMAC(rack, idx int) MAC {
-	buf := make([]byte, 0, 17)
+	return MAC(AppendNodeMAC(make([]byte, 0, 17), rack, idx))
+}
+
+// AppendNodeMAC appends NodeMAC(rack, idx) to buf.
+func AppendNodeMAC(buf []byte, rack, idx int) []byte {
 	buf = append(buf, PiMACPrefix...)
 	for _, octet := range [...]int{idx >> 8, rack, idx & 0xff} {
 		buf = appendHex2(append(buf, ':'), octet)
 	}
-	return MAC(buf)
+	return buf
 }
 
 // NodeMACPosition inverts NodeMAC: the rack and in-rack index a node

@@ -90,7 +90,14 @@ func Canonical(name string) string {
 // NodeFQDN returns the canonical node name, e.g. pi-r00-n03.picloud....
 func NodeFQDN(rack, idx int) string {
 	buf := make([]byte, 0, 16+len(DefaultZone))
-	return string(appendNodeName(buf, rack, idx))
+	return string(AppendNodeFQDN(buf, rack, idx))
+}
+
+// AppendNodeFQDN appends NodeFQDN(rack, idx) to buf: the node's host
+// name and the PiCloud zone.
+func AppendNodeFQDN(buf []byte, rack, idx int) []byte {
+	buf = topology.AppendHostName(buf, rack, idx)
+	return append(append(buf, '.'), DefaultZone...)
 }
 
 // ContainerFQDN names a container under its node, the PiCloud policy:
@@ -98,24 +105,23 @@ func NodeFQDN(rack, idx int) string {
 func ContainerFQDN(container string, rack, idx int) string {
 	buf := make([]byte, 0, len(container)+17+len(DefaultZone))
 	buf = append(buf, strings.ToLower(container)...)
-	return string(appendNodeName(append(buf, '.'), rack, idx))
-}
-
-// appendNodeName appends the node's host name and the PiCloud zone.
-func appendNodeName(buf []byte, rack, idx int) []byte {
-	buf = topology.AppendHostName(buf, rack, idx)
-	return append(append(buf, '.'), DefaultZone...)
+	return string(AppendNodeFQDN(append(buf, '.'), rack, idx))
 }
 
 // ReverseName converts an IPv4 address to its in-addr.arpa name.
 func ReverseName(addr netip.Addr) string {
-	b := addr.As4()
 	buf := make([]byte, 0, len("255.255.255.255.in-addr.arpa."))
+	return string(appendReverseName(buf, addr))
+}
+
+// appendReverseName appends ReverseName(addr) to buf.
+func appendReverseName(buf []byte, addr netip.Addr) []byte {
+	b := addr.As4()
 	for i := 3; i >= 0; i-- {
 		buf = strconv.AppendUint(buf, uint64(b[i]), 10)
 		buf = append(buf, '.')
 	}
-	return string(append(buf, "in-addr.arpa."...))
+	return append(buf, "in-addr.arpa."...)
 }
 
 // parseReverse is ReverseName's inverse: it accepts exactly the names
@@ -250,9 +256,9 @@ func (s *Server) hostPTR(i int) Record {
 	return Record{Name: ReverseName(addr), Type: TypePTR, Value: fqdn, TTL: DefaultTTL}
 }
 
-// homeZone is the zone name had when the host table was attached: the
+// homeZone is the zone name had when s's host table was attached: the
 // most specific of the zones numbered below hostZones, or nil.
-func (s *Server) homeZone(name string) *zone {
+func homeZone[N string | []byte](s *Server, name N) *zone {
 	var best *zone
 	for apex, z := range s.zones {
 		if z.seq < s.hostZones && inZone(name, apex) && (best == nil || len(apex) > len(best.apex)) {
@@ -280,7 +286,7 @@ func (s *Server) hostRecords() map[*zone][]Record {
 			} else {
 				r = s.hostPTR(i)
 			}
-			if z := s.homeZone(r.Name); z != nil {
+			if z := homeZone(s, r.Name); z != nil {
 				out[z] = append(out[z], r)
 			}
 		}
@@ -301,11 +307,11 @@ func (s *Server) Zones() []string {
 // inZone reports whether the canonical name lies in the zone with the
 // given apex: it is the apex or ends in it on a label boundary, so
 // evilpicloud.example. is not inside picloud.example.
-func inZone(name, apex string) bool {
-	if !strings.HasSuffix(name, apex) {
+func inZone[N string | []byte](name N, apex string) bool {
+	rest := len(name) - len(apex)
+	if rest < 0 || string(name[rest:]) != apex {
 		return false
 	}
-	rest := len(name) - len(apex)
 	return rest == 0 || apex == "." || name[rest-1] == '.'
 }
 
@@ -491,15 +497,28 @@ func (s *Server) LookupPTR(addr netip.Addr) (string, error) {
 	return rs[0].Value, nil
 }
 
-// RecordCount returns the total number of records served.
+// RecordCount returns the total number of records served, the number
+// Dump lists: an attached row's live record counts when its name has a
+// home zone. The rows are counted without building their records, each
+// PTR name written into one reused buffer.
 func (s *Server) RecordCount() int {
 	total := 0
-	for _, rs := range s.hostRecords() {
-		total += len(rs)
-	}
 	for _, z := range s.zones {
 		for _, rs := range z.records {
 			total += len(rs)
+		}
+	}
+	if s.hosts == nil {
+		return total
+	}
+	var buf [32]byte
+	for i, n := 0, s.hosts.Hosts(); i < n; i++ {
+		fqdn, addr := s.hosts.Host(i)
+		if s.gone[i]&goneA == 0 && homeZone(s, fqdn) != nil {
+			total++
+		}
+		if s.gone[i]&gonePTR == 0 && homeZone(s, appendReverseName(buf[:0], addr)) != nil {
+			total++
 		}
 	}
 	return total

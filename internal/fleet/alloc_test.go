@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/topology"
 )
@@ -23,24 +26,25 @@ var allocShapes = []struct {
 // host: fabric wiring (the topology builder records nodes in one slab
 // and cables by index, host names are cut from one string, and the
 // network is wired from that in bulk, as a restore's is: one slab of
-// cable pairs and one of hop entries, flow sets made on first use),
-// template stamping (no empty maps per host, every host's kernel,
-// meter, suite and daemon in one slab, the meter observing the kernel
-// without a closure), one record per host (pimaster's NodeRef, stamped
+// cable pairs and one of hop entries, a link's flow state made by its
+// first flow), template stamping (no empty maps per host, every host's
+// kernel, meter, suite and daemon in one slab, the meter observing the
+// kernel without a closure), one record per host (pimaster's NodeRef, stamped
 // by value into one slice, with no per-host REST client or client URL)
 // and naming answered from the plan's rows (no DNS record, DHCP lease
 // or pimaster map entry per host, and host names, FQDNs and MACs built
-// without fmt). Before those changes a k=16 fat-tree build made 43.8
-// objects per host and the published 4×14 tree 39.2; with every row
-// still filed into DNS and DHCP they made 21.4 and 22.4, with five
-// objects stamped per host 16.1 and 16.3, with the slab 11.1 and 11.4,
-// and with a node, a cable pair and a hop array allocated one at a
-// time; now 3.1 and 6.0.
+// without fmt, each kind cut from one string). Before those changes a
+// k=16 fat-tree build made 43.8 objects per host and the published 4×14
+// tree 39.2; with every row still filed into DNS and DHCP they made 21.4
+// and 22.4, with five objects stamped per host 16.1 and 16.3, with the
+// slab but a node, a cable pair and a hop array still allocated one at
+// a time 11.1 and 11.4, with an FQDN and a MAC string formatted per row
+// 3.1 and 6.0; now 1.1 and 4.1.
 func TestColdBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const perHost = 8
+	const perHost = 5
 	for _, s := range allocShapes {
 		var mu sync.Mutex
 		hosts := 0
@@ -89,5 +93,66 @@ func TestWarmRestoreAllocs(t *testing.T) {
 			t.Errorf("%s: a restore makes %.0f objects for %d hosts, %.2f per host; want at most %d",
 				s.name, allocs, len(r.Nodes), got, perHost)
 		}
+	}
+}
+
+// TestHostSlabEntry: a host's slab entry holds only what every host
+// uses. Its kernel points at the template's board instead of copying
+// the 112-byte hw.BoardSpec, and its daemon's three monitoring series
+// are made by the first StartSampling; with both in the entry it was
+// 528 bytes.
+func TestHostSlabEntry(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for 64-bit platforms")
+	}
+	if size := unsafe.Sizeof(host{}); size > 336 {
+		t.Fatalf("a host's slab entry is %d bytes, want at most 336", size)
+	}
+}
+
+// TestStampedKernelsShareTheBoard: every kernel of a fleet reads the
+// one board its template validated.
+func TestStampedKernelsShareTheBoard(t *testing.T) {
+	r := assembleFleet(t, Config{Racks: 2, HostsPerRack: 3, Seed: 1})
+	board := func(n *Node) uintptr {
+		return reflect.ValueOf(n.Suite.Kernel()).Elem().FieldByName("spec").Pointer()
+	}
+	first := board(&r.Nodes[0])
+	for i := range r.Nodes {
+		if got := board(&r.Nodes[i]); got != first {
+			t.Fatalf("host %s's kernel has a board of its own", r.Nodes[i].Name)
+		}
+		if r.Nodes[i].Suite.Kernel().Spec() != r.Config.Board {
+			t.Fatalf("host %s's kernel runs on %+v", r.Nodes[i].Name, r.Nodes[i].Suite.Kernel().Spec())
+		}
+	}
+}
+
+// TestColdBuildLiveBytes pins the live heap a cold build leaves per
+// host, after a GC: the fabric's cable pairs and hop arrays, the host
+// slab, the plan and pimaster. A link leg carrying its flow state and a
+// host slab entry carrying its board and monitoring series left 1,888
+// bytes a host at k=16; now about 1,400.
+func TestColdBuildLiveBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes differ under the race detector")
+	}
+	const perHost = 1500
+	cfg := allocShapes[0].cfg
+	var mu sync.Mutex
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := Assemble(cfg, &mu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if got := live / int64(len(r.Nodes)); got > perHost {
+		t.Errorf("a cold build of %d hosts leaves %d live bytes, %d per host; want at most %d",
+			len(r.Nodes), live, got, perHost)
 	}
 }

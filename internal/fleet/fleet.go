@@ -9,7 +9,8 @@
 //     is validated once per board config, then cheaply stamped per host
 //     instead of re-deriving and re-validating 10⁵ times. Every host's
 //     kernel, meter, LXC suite and daemon are stamped in place into one
-//     slab per fleet, the meter observing the kernel's utilisation.
+//     slab per fleet, the meter observing the kernel's utilisation and
+//     every kernel reading the template's board, not a copy of it.
 //   - A construction Plan: every shape-derived value (host names, rack
 //     assignments, MACs, static addresses, FQDNs and the FQDN index,
 //     pool CIDRs) is computed once per cold build — see plan.go — and
@@ -150,7 +151,8 @@ type Node = pimaster.NodeRef
 
 // Template is the immutable per-board prototype: the board spec is
 // validated once (including a probe kernel boot, so per-host stamping
-// cannot fail on board grounds) and every host is then stamped from it.
+// cannot fail on board grounds) and every host is then stamped from it,
+// its kernel pointing at the template's board.
 type Template struct {
 	board  hw.BoardSpec
 	images *image.Store
@@ -182,7 +184,7 @@ type host struct {
 // stamp instantiates the template on one host, in place: each part is
 // initialised where it lies in the slab, the meter powered on at at.
 func (t *Template) stamp(h *host, engine *sim.Engine, cloudMu *sync.Mutex, name string, rack int, at sim.Time) error {
-	if err := h.kernel.Init(engine, t.board, name); err != nil {
+	if err := h.kernel.Init(engine, &t.board, name); err != nil {
 		return err
 	}
 	h.meter.Init(t.board.Power, at)

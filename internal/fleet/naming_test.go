@@ -502,3 +502,66 @@ func TestPlanNamingServesFleet(t *testing.T) {
 		t.Fatalf("RecordCount after destroy = %d, want %d", got, want)
 	}
 }
+
+// TestRecordCountMatchesDump: pimaster's DNS counts the records Dump
+// lists, the plan's rows counted without building theirs, across
+// tombstoned rows, runtime records, VMs and a zone added after the
+// rows; and the count's allocations do not grow with the fleet.
+func TestRecordCountMatchesDump(t *testing.T) {
+	r := assembleFleet(t, Config{Racks: 3, HostsPerRack: 5, Seed: 1})
+	s := r.Master.DNS()
+	check := func(what string) {
+		t.Helper()
+		if got, want := s.RecordCount(), len(s.Dump()); got != want {
+			t.Fatalf("%s: RecordCount = %d, Dump lists %d", what, got, want)
+		}
+	}
+	check("attached rows")
+	for i := 0; i < 2; i++ {
+		if _, err := r.Master.SpawnVM(pimaster.SpawnVMRequest{Name: fmt.Sprintf("vm%d", i), Image: "raspbian"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("two VMs")
+	fqdn, addr := r.plan.Host(3)
+	if s.RemoveName(fqdn) != 1 {
+		t.Fatalf("removing %s did not bury its A record", fqdn)
+	}
+	_, addr7 := r.plan.Host(7)
+	if s.RemoveName(dns.ReverseName(addr7)) != 1 {
+		t.Fatalf("removing %s's PTR did not bury it", addr7)
+	}
+	check("tombstoned rows")
+	for _, rec := range []dns.Record{
+		{Name: fqdn, Type: dns.TypeA, Value: addr.String()},
+		{Name: "www." + dns.DefaultZone, Type: dns.TypeCNAME, Value: fqdn},
+		{Name: "extra." + dns.DefaultZone, Type: dns.TypeA, Value: "10.9.9.9"},
+	} {
+		if err := s.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("runtime records")
+	if err := s.AddZone("0.10.in-addr.arpa."); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(dns.Record{Name: "9.9.0.10.in-addr.arpa.", Type: dns.TypePTR, Value: "extra." + dns.DefaultZone}); err != nil {
+		t.Fatal(err)
+	}
+	check("a zone added after the rows")
+	if err := r.Master.DestroyVM("vm0"); err != nil {
+		t.Fatal(err)
+	}
+	check("a destroyed VM")
+
+	if raceEnabled {
+		return // allocation counts differ under the race detector
+	}
+	big := assembleFleet(t, Config{Racks: 16, HostsPerRack: 64, Fabric: topology.FabricFatTree, FatTreeK: 16, Seed: 1})
+	count := func(s *dns.Server) float64 {
+		return testing.AllocsPerRun(5, func() { s.RecordCount() })
+	}
+	if small, large := count(s), count(big.Master.DNS()); large > small {
+		t.Fatalf("RecordCount makes %v objects for %d hosts and %v for %d", small, len(r.Nodes), large, len(big.Nodes))
+	}
+}

@@ -153,14 +153,21 @@ func boardID(b hw.BoardSpec) uint32 {
 // counts position within the rack, and each host must carry the
 // canonical name of its rack and index, which the rows, DNS and DHCP
 // assume. Every fabric lays its racks end to end in Hosts; a shape that
-// did not could not be looked up by arithmetic, so it is refused.
+// did not could not be looked up by arithmetic, so it is refused. The
+// rows' FQDNs are cut from one string, and so are their MACs, as the
+// topology builders cut the host names.
 func planFor(topo *topology.Topology, nodes []int32) (*Plan, error) {
+	n := len(topo.Hosts)
 	p := &Plan{
-		hosts:      make([]hostPlan, 0, len(topo.Hosts)),
+		hosts:      make([]hostPlan, 0, n),
 		racks:      make([]rackRows, len(topo.Racks)),
-		meterOrder: make([]int32, 0, len(topo.Hosts)),
-		byName:     make(map[string]int32, len(topo.Hosts)),
+		meterOrder: make([]int32, 0, n),
+		byName:     make(map[string]int32, n),
 	}
+	// ends holds where each row's FQDN and MAC end in their buffers.
+	fqdns := make([]byte, 0, n*len("pi-r00-n00."+dns.DefaultZone))
+	macs := make([]byte, 0, n*len(dhcp.PiMACPrefix+":00:00:00"))
+	ends := make([][2]int, 0, n)
 	// Within a rack names differ only in the n<idx> suffix, so the name
 	// order of a rack's rows depends on its size alone.
 	orders := map[int][]int32{}
@@ -170,21 +177,20 @@ func planFor(topo *topology.Topology, nodes []int32) (*Plan, error) {
 		p.racks[rack] = rackRows{start: start, n: len(hosts), pool: pimaster.RackPool(rack)}
 		for idx, host := range hosts {
 			i := len(p.hosts)
-			if i >= len(topo.Hosts) || topo.Hosts[i] != host {
+			if i >= n || topo.Hosts[i] != host {
 				return nil, fmt.Errorf("fleet: rack %d's host %s is not host %d of the fabric", rack, host, i)
 			}
 			if name = topology.AppendHostName(name[:0], rack, idx); string(name) != string(host) {
 				return nil, fmt.Errorf("fleet: rack %d's host %d is %s, not %s", rack, idx, host, name)
 			}
-			fqdn := dns.NodeFQDN(rack, idx)
-			p.byName[fqdn] = int32(i)
+			fqdns = dns.AppendNodeFQDN(fqdns, rack, idx)
+			macs = dhcp.AppendNodeMAC(macs, rack, idx)
+			ends = append(ends, [2]int{len(fqdns), len(macs)})
 			p.hosts = append(p.hosts, hostPlan{
 				name: string(host),
 				rack: rack,
 				idx:  idx,
-				mac:  dhcp.NodeMAC(rack, idx),
 				addr: pimaster.NodeAddr(rack, idx),
-				fqdn: fqdn,
 				node: nodes[i],
 			})
 		}
@@ -197,8 +203,16 @@ func planFor(topo *topology.Topology, nodes []int32) (*Plan, error) {
 			p.meterOrder = append(p.meterOrder, int32(start)+j)
 		}
 	}
-	if len(p.hosts) != len(topo.Hosts) {
-		return nil, fmt.Errorf("fleet: racks hold %d hosts, fabric wired %d", len(p.hosts), len(topo.Hosts))
+	if len(p.hosts) != n {
+		return nil, fmt.Errorf("fleet: racks hold %d hosts, fabric wired %d", len(p.hosts), n)
+	}
+	allFQDNs, allMACs := string(fqdns), string(macs)
+	f, m := 0, 0
+	for i, end := range ends {
+		h := &p.hosts[i]
+		h.fqdn, h.mac = allFQDNs[f:end[0]], dhcp.MAC(allMACs[m:end[1]])
+		f, m = end[0], end[1]
+		p.byName[h.fqdn] = int32(i)
 	}
 	return p, nil
 }

@@ -12,9 +12,9 @@
 //
 //   - Every live flow belongs to exactly one domain, reachable through
 //     f.dom (a union-find node; find() resolves the root).
-//   - For every link with at least one live flow, l.dom resolves to the
-//     domain all of that link's flows belong to. Links with no live
-//     flows carry a stale pointer that is never consulted.
+//   - For every link with at least one live flow, l.load.dom resolves to
+//     the domain all of that link's flows belong to. Links with no live
+//     flows carry a stale pointer that is never consulted, or no load.
 //   - The partition always equals the true connected components at
 //     flush time: merges happen eagerly (StartFlow/SetPath union the
 //     domains of every path link), splits lazily (a flow ending flags
@@ -120,12 +120,13 @@ func (n *Network) markDomainDirty(d *domain) {
 func (n *Network) adoptFlow(f *Flow, links []*Link) {
 	var dom *domain
 	for _, l := range links {
-		// l.flows already contains f; another entry means live company.
-		if len(l.flows) > 1 {
+		// The flow set already contains f; another entry means live
+		// company.
+		if ld := l.load; len(ld.flows) > 1 {
 			if dom == nil {
-				dom = l.dom.find()
+				dom = ld.dom.find()
 			} else {
-				dom = n.unionDomains(dom, l.dom)
+				dom = n.unionDomains(dom, ld.dom)
 			}
 		}
 	}
@@ -135,7 +136,7 @@ func (n *Network) adoptFlow(f *Flow, links []*Link) {
 	dom.flows = append(dom.flows, f)
 	f.dom = dom
 	for _, l := range links {
-		l.dom = dom
+		l.load.dom = dom
 	}
 	n.markDomainDirty(dom)
 }
@@ -221,11 +222,11 @@ func (n *Network) rebuildDomain(r *domain) {
 		nd.flows = append(nd.flows, f)
 		f.dom = nd
 		for _, l := range f.path {
-			if l.pass == pass {
-				l.dom = n.unionDomains(f.dom, l.dom)
+			if ld := l.load; ld.pass == pass {
+				ld.dom = n.unionDomains(f.dom, ld.dom)
 			} else {
-				l.pass = pass
-				l.dom = nd
+				ld.pass = pass
+				ld.dom = nd
 			}
 		}
 	}
@@ -270,10 +271,10 @@ func (n *Network) solveDomain(d *domain, now sim.Time, pass uint64) {
 	links := s.links[:0]
 	for _, f := range flows {
 		for _, l := range f.path {
-			if l.pass != pass {
-				l.pass = pass
-				l.remaining = l.Capacity
-				l.activeCount = 0
+			if ld := l.load; ld.pass != pass {
+				ld.pass = pass
+				ld.remaining = l.Capacity
+				ld.activeCount = 0
 				links = append(links, l)
 			}
 		}
@@ -298,7 +299,7 @@ func (n *Network) solveDomain(d *domain, now sim.Time, pass uint64) {
 		if !onDownLink {
 			active = append(active, f)
 			for _, l := range f.path {
-				l.activeCount++
+				l.load.activeCount++
 			}
 		}
 	}
@@ -306,8 +307,8 @@ func (n *Network) solveDomain(d *domain, now sim.Time, pass uint64) {
 	for len(active) > 0 {
 		inc := math.Inf(1)
 		for _, l := range links {
-			if l.up && l.activeCount > 0 {
-				if share := l.remaining / float64(l.activeCount); share < inc {
+			if ld := l.load; l.up && ld.activeCount > 0 {
+				if share := ld.remaining / float64(ld.activeCount); share < inc {
 					inc = share
 				}
 			}
@@ -331,8 +332,8 @@ func (n *Network) solveDomain(d *domain, now sim.Time, pass uint64) {
 			f.fillRate += inc
 		}
 		for _, l := range links {
-			if l.up {
-				l.remaining -= inc * float64(l.activeCount)
+			if ld := l.load; l.up {
+				ld.remaining -= inc * float64(ld.activeCount)
 			}
 		}
 		// Freeze flows at saturated links or at their cap.
@@ -344,7 +345,7 @@ func (n *Network) solveDomain(d *domain, now sim.Time, pass uint64) {
 			}
 			if !frozen {
 				for _, l := range f.path {
-					if l.remaining <= 1e-9 {
+					if l.load.remaining <= 1e-9 {
 						frozen = true
 						break
 					}
@@ -352,7 +353,7 @@ func (n *Network) solveDomain(d *domain, now sim.Time, pass uint64) {
 			}
 			if frozen {
 				for _, l := range f.path {
-					l.activeCount--
+					l.load.activeCount--
 				}
 			} else {
 				kept = append(kept, f)
@@ -369,10 +370,10 @@ func (n *Network) solveDomain(d *domain, now sim.Time, pass uint64) {
 	// unfilled remainder) and flag flows whose rate moved enough to
 	// need their completion event re-armed.
 	for _, l := range links {
-		if alloc := l.Capacity - l.remaining; alloc > 0 {
-			l.allocated = alloc
+		if alloc := l.Capacity - l.load.remaining; alloc > 0 {
+			l.load.allocated = alloc
 		} else {
-			l.allocated = 0
+			l.load.allocated = 0
 		}
 	}
 	for _, f := range flows {

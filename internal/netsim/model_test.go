@@ -44,16 +44,18 @@ func TestHopEntryIs16Bytes(t *testing.T) {
 	}
 }
 
-// TestLinkLegIs112Bytes: a leg holds no names — From and To read them
-// through the node indices it holds — so the cable-pair slab, a large
-// fabric's largest allocation, costs 224 bytes a cable; the two name
-// fields it used to carry made a leg 144 bytes.
-func TestLinkLegIs112Bytes(t *testing.T) {
+// TestLinkLegIs64Bytes: a leg is the cable alone, one cache line. It
+// holds no names (From and To read them through its node indices) and
+// no flow state (its load, made by the first flow), so the cable-pair
+// slab, a large fabric's largest allocation, costs 128 bytes a cable.
+// The two name fields made a leg 144 bytes, and the flow set, carried
+// bits and solver scratch kept in the leg 112.
+func TestLinkLegIs64Bytes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are for 64-bit platforms")
 	}
-	if size := unsafe.Sizeof(Link{}); size != 112 {
-		t.Fatalf("a link leg is %d bytes, want 112", size)
+	if size := unsafe.Sizeof(Link{}); size != 64 {
+		t.Fatalf("a link leg is %d bytes, want 64", size)
 	}
 }
 

@@ -19,6 +19,12 @@
 // it. New, AddNode and AddDuplexLink build a network one device and one
 // cable at a time, for runtime re-cabling and as the reference a wired
 // network is tested against.
+//
+// A link leg is the cable alone, 64 bytes: its ends, state and
+// parameters. Its flow set, carried bits and solver scratch are its
+// load, which the leg's first flow makes and which stays from then on,
+// so a fabric whose links mostly never carry a flow holds flow state
+// only where traffic went.
 package netsim
 
 import (
@@ -81,6 +87,9 @@ func (nd *Node) Index() int32 { return nd.idx }
 // both legs and both legs' hop entries carry and SetLinkUp writes
 // together. A leg holds no names: From and To read them through the
 // node indices it holds.
+//
+// A leg is the cable alone, 64 bytes; what only a loaded link uses is
+// its load (see linkLoad).
 type Link struct {
 	// up is the cable's state; shaped fills the padding after it. to is
 	// the destination node's index and rev the reverse leg of the pair,
@@ -92,13 +101,21 @@ type Link struct {
 	Capacity float64 // bits per second (effective)
 	Latency  time.Duration
 	net      *Network
-	// flows is the set of live flows routed over the link, made when the
-	// first one arrives: most links of a large fabric never carry one.
-	flows map[*Flow]struct{}
+	// load is nil until the leg's first flow.
+	load *linkLoad
 	// Nominal (unshaped) cable parameters.
 	baseCapacity float64
 	baseLatency  time.Duration
-	// BitsCarried accumulates the total traffic volume for utilisation
+}
+
+// linkLoad is a link's flow state: its flow set, the traffic it has
+// carried and the solver's bookkeeping. A link has one from its first
+// flow on; it outlives the flows, since the carried bits are cumulative
+// and the kernel state renders them.
+type linkLoad struct {
+	// flows is the set of live flows routed over the link.
+	flows map[*Flow]struct{}
+	// bitsCarried accumulates the total traffic volume for utilisation
 	// reporting and the congestion experiments.
 	bitsCarried float64
 	// dom resolves to the congestion domain of this link's flows; only
@@ -123,16 +140,24 @@ func (l *Link) To() NodeID { return l.net.nodeList[l.to].ID }
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return l.up }
 
-// addFlow routes f over the link, making the flow set on first use.
+// addFlow routes f over the link, making its load on the first flow.
 func (l *Link) addFlow(f *Flow) {
-	if l.flows == nil {
-		l.flows = make(map[*Flow]struct{})
+	if l.load == nil {
+		l.load = &linkLoad{flows: make(map[*Flow]struct{})}
 	}
-	l.flows[f] = struct{}{}
+	l.load.flows[f] = struct{}{}
 }
 
+// loaded reports whether any live flow is routed over the link.
+func (l *Link) loaded() bool { return l.load != nil && len(l.load.flows) > 0 }
+
 // FlowCount returns the number of flows currently routed over the link.
-func (l *Link) FlowCount() int { return len(l.flows) }
+func (l *Link) FlowCount() int {
+	if l.load == nil {
+		return 0
+	}
+	return len(l.load.flows)
+}
 
 // BitsCarried returns the cumulative traffic that has crossed the link,
 // materialised to the current virtual time: the committed volume plus
@@ -140,16 +165,20 @@ func (l *Link) FlowCount() int { return len(l.flows) }
 // summed in flow-admission order so the float result is independent of
 // map iteration (identical runs report identical volumes).
 func (l *Link) BitsCarried() float64 {
-	if l.net == nil || len(l.flows) == 0 {
-		return l.bitsCarried
+	ld := l.load
+	if ld == nil {
+		return 0
+	}
+	if l.net == nil || len(ld.flows) == 0 {
+		return ld.bitsCarried
 	}
 	now := l.net.engine.Now()
-	pend := make([]*Flow, 0, len(l.flows))
-	for f := range l.flows {
+	pend := make([]*Flow, 0, len(ld.flows))
+	for f := range ld.flows {
 		pend = append(pend, f)
 	}
 	sort.Slice(pend, func(i, j int) bool { return pend[i].ID < pend[j].ID })
-	total := l.bitsCarried
+	total := ld.bitsCarried
 	for _, f := range pend {
 		total += f.pendingBits(now)
 	}
@@ -166,10 +195,10 @@ func (l *Link) Utilisation() float64 {
 	if l.net != nil {
 		l.net.flush()
 	}
-	if l.Capacity <= 0 {
+	if l.Capacity <= 0 || l.load == nil {
 		return 0
 	}
-	return l.allocated / l.Capacity
+	return l.load.allocated / l.Capacity
 }
 
 // EndReason explains why a flow stopped.
@@ -623,8 +652,8 @@ func (n *Network) ShapeLink(a, b NodeID, s Shaping) error {
 		l.Capacity = l.baseCapacity * scale * (1 - s.Loss)
 		l.Latency = l.baseLatency + s.ExtraLatency
 		l.shaped = true
-		if len(l.flows) > 0 {
-			n.markDomainDirty(l.dom)
+		if l.loaded() {
+			n.markDomainDirty(l.load.dom)
 		}
 	}
 	n.topoEpoch++
@@ -643,8 +672,8 @@ func (n *Network) ClearShaping(a, b NodeID) error {
 		l.Capacity = l.baseCapacity
 		l.Latency = l.baseLatency
 		l.shaped = false
-		if len(l.flows) > 0 {
-			n.markDomainDirty(l.dom)
+		if l.loaded() {
+			n.markDomainDirty(l.load.dom)
 		}
 	}
 	n.topoEpoch++
@@ -687,11 +716,11 @@ func (n *Network) RemoveDuplexLink(a, b NodeID) error {
 // flow-ID order (map ranging would end them — and fire their OnEnd
 // callbacks — in random order).
 func (n *Network) endLinkFlows(l *Link, reason EndReason) {
-	if len(l.flows) == 0 {
+	if !l.loaded() {
 		return
 	}
-	victims := make([]*Flow, 0, len(l.flows))
-	for f := range l.flows {
+	victims := make([]*Flow, 0, len(l.load.flows))
+	for f := range l.load.flows {
 		victims = append(victims, f)
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
@@ -891,11 +920,12 @@ func (n *Network) SetPath(f *Flow, path []NodeID) error {
 		n.markDomainDirty(r)
 	}
 	for _, l := range f.path {
-		delete(l.flows, f)
-		if len(l.flows) == 0 {
+		ld := l.load
+		delete(ld.flows, f)
+		if len(ld.flows) == 0 {
 			// Abandoned links are never re-solved; zero the allocation
 			// so utilisation reads don't see a phantom load.
-			l.allocated = 0
+			ld.allocated = 0
 		}
 	}
 	f.path = links
@@ -936,11 +966,12 @@ func (n *Network) endFlow(f *Flow, reason EndReason) {
 	f.complete.Cancel()
 	f.complete = sim.Event{}
 	for _, l := range f.path {
-		delete(l.flows, f)
-		if len(l.flows) == 0 {
+		ld := l.load
+		delete(ld.flows, f)
+		if len(ld.flows) == 0 {
 			// No solver pass will visit this link again until a new
 			// flow claims it; zero its allocation for utilisation reads.
-			l.allocated = 0
+			ld.allocated = 0
 		}
 	}
 	n.active--
@@ -983,7 +1014,7 @@ func (n *Network) commitFlow(f *Flow, now sim.Time) {
 			f.remaining -= moved
 		}
 		for _, l := range f.path {
-			l.bitsCarried += moved
+			l.load.bitsCarried += moved
 		}
 	}
 	f.lastCalc = now
@@ -1089,7 +1120,7 @@ func (n *Network) MaxLinkUtilisation() float64 {
 			if !l.up || l.Capacity <= 0 {
 				continue
 			}
-			if u := l.allocated / l.Capacity; u > max {
+			if u := l.load.allocated / l.Capacity; u > max {
 				max = u
 			}
 		}

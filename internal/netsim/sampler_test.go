@@ -18,10 +18,10 @@ func maxUtilisationFullScan(n *Network) float64 {
 	n.flush()
 	max := 0.0
 	for _, l := range n.linkList {
-		if !l.up || l.Capacity <= 0 {
+		if !l.up || l.Capacity <= 0 || l.load == nil {
 			continue
 		}
-		if u := l.allocated / l.Capacity; u > max {
+		if u := l.load.allocated / l.Capacity; u > max {
 			max = u
 		}
 	}
@@ -199,15 +199,15 @@ func checkSamplerAgainstScan(t *testing.T, seed int64, steps int) {
 			loaded++
 		}
 		for _, l := range n.linkList {
-			if l.allocated == 0 {
+			if l.load == nil || l.load.allocated == 0 {
 				continue
 			}
 			carried := false
-			for f := range l.flows {
+			for f := range l.load.flows {
 				carried = carried || !f.ended
 			}
 			if !carried {
-				t.Fatalf("step %d: %s->%s has allocation %v but no live flow", step, l.From(), l.To(), l.allocated)
+				t.Fatalf("step %d: %s->%s has allocation %v but no live flow", step, l.From(), l.To(), l.load.allocated)
 			}
 		}
 	}

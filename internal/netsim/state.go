@@ -19,7 +19,8 @@ import (
 // fingerprint behind core's Checkpoint/Resume. Links are listed in
 // creation order and skipped while pristine (up, unshaped, never
 // carried a bit, no flows), so megafleet captures scale with activity,
-// not fabric size; flows are listed in admission order, committed state
+// not fabric size; a link no flow ever reached has no load and renders
+// as an empty one. Flows are listed in admission order, committed state
 // only (the pending span is a pure function of rate, anchor and the
 // clock, all of which are captured). Numbers are appended with strconv,
 // floats as the sixteen hex digits of their bits.
@@ -36,8 +37,13 @@ func (n *Network) AppendState(buf []byte) []byte {
 	buf = append(buf, " topoEpoch="...)
 	buf = strconv.AppendUint(buf, n.topoEpoch, 10)
 	buf = append(buf, '\n')
+	var none linkLoad
 	for _, l := range n.linkList {
-		if l.up && !l.shaped && l.bitsCarried == 0 && len(l.flows) == 0 {
+		ld := l.load
+		if ld == nil {
+			ld = &none
+		}
+		if l.up && !l.shaped && ld.bitsCarried == 0 && len(ld.flows) == 0 {
 			continue
 		}
 		buf = append(buf, "link "...)
@@ -51,10 +57,10 @@ func (n *Network) AppendState(buf []byte) []byte {
 		buf = appendBits(buf, " cap=", l.Capacity)
 		buf = append(buf, " lat="...)
 		buf = strconv.AppendInt(buf, int64(l.Latency), 10)
-		buf = appendBits(buf, " bits=", l.bitsCarried)
-		buf = appendBits(buf, " alloc=", l.allocated)
+		buf = appendBits(buf, " bits=", ld.bitsCarried)
+		buf = appendBits(buf, " alloc=", ld.allocated)
 		buf = append(buf, " flows="...)
-		buf = strconv.AppendInt(buf, int64(len(l.flows)), 10)
+		buf = strconv.AppendInt(buf, int64(len(ld.flows)), 10)
 		buf = append(buf, '\n')
 	}
 	for _, f := range n.flowOrder {

@@ -4,6 +4,11 @@
 // a serialised SD-card IO queue, and the dirty-page bookkeeping live
 // migration needs. This is the CGROUPS substrate the paper's Linux
 // Containers sit on.
+//
+// A kernel reads its board through a pointer: a fleet's kernels share
+// their template's validated board rather than each carrying a copy,
+// and the I/O queue reads the card's rates from it. NewKernel gives a
+// standalone kernel a board of its own.
 package oslinux
 
 import (
@@ -104,7 +109,8 @@ func (t *Task) Ended() bool { return t.ended }
 type Kernel struct {
 	Name   string
 	engine *sim.Engine
-	spec   hw.BoardSpec
+	// spec is the board, which the kernel never writes.
+	spec *hw.BoardSpec
 
 	// cgroups is made by the first CreateCGroup: most nodes of a large
 	// fleet never run a container.
@@ -129,19 +135,21 @@ type UtilObserver interface {
 	SetUtilisation(at sim.Time, util float64)
 }
 
-// NewKernel boots an OS model on the given board.
+// NewKernel boots an OS model on the given board, of which the kernel
+// keeps its own copy.
 func NewKernel(engine *sim.Engine, spec hw.BoardSpec, name string) (*Kernel, error) {
 	k := new(Kernel)
-	if err := k.Init(engine, spec, name); err != nil {
+	if err := k.Init(engine, &spec, name); err != nil {
 		return nil, err
 	}
 	return k, nil
 }
 
-// Init boots an OS model on the given board in k, a zero Kernel: what
-// NewKernel does, in place, so a fleet can keep its kernels in one
-// slab.
-func (k *Kernel) Init(engine *sim.Engine, spec hw.BoardSpec, name string) error {
+// Init boots an OS model on the board spec points at in k, a zero
+// Kernel: what NewKernel does, in place, so a fleet can keep its
+// kernels in one slab. The kernel keeps spec, which must not change
+// while it runs; a fleet's kernels all point at their template's board.
+func (k *Kernel) Init(engine *sim.Engine, spec *hw.BoardSpec, name string) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -151,13 +159,11 @@ func (k *Kernel) Init(engine *sim.Engine, spec hw.BoardSpec, name string) error 
 	k.Name, k.engine, k.spec = name, engine, spec
 	k.reserved, k.memUsed = DefaultOSReservedBytes, DefaultOSReservedBytes
 	k.io.engine = engine
-	k.io.readBps = float64(spec.Storage.ReadBytesPerS)
-	k.io.writeBps = float64(spec.Storage.WriteBytesPerS)
 	return nil
 }
 
 // Spec returns the board the kernel runs on.
-func (k *Kernel) Spec() hw.BoardSpec { return k.spec }
+func (k *Kernel) Spec() hw.BoardSpec { return *k.spec }
 
 // OnUtilChange registers the utilisation observer (at most one).
 func (k *Kernel) OnUtilChange(o UtilObserver) { k.onUtil = o }
@@ -513,11 +519,10 @@ func (k *Kernel) notifyUtil() {
 // --- Storage IO ---
 
 // ioQueue serialises SD-card transfers: one operation at a time, FIFO,
-// at the card's sequential bandwidth.
+// at the card's sequential bandwidth, which the kernel reads from its
+// board.
 type ioQueue struct {
 	engine   *sim.Engine
-	readBps  float64
-	writeBps float64
 	busyTill sim.Time
 	queued   int
 }
@@ -548,10 +553,14 @@ func (q *ioQueue) enqueue(bytes int64, bps float64, fn func()) {
 
 // StorageRead schedules a sequential read of n bytes; fn fires when the
 // card delivers the last byte (FIFO behind earlier operations).
-func (k *Kernel) StorageRead(n int64, fn func()) { k.io.enqueue(n, k.io.readBps, fn) }
+func (k *Kernel) StorageRead(n int64, fn func()) {
+	k.io.enqueue(n, float64(k.spec.Storage.ReadBytesPerS), fn)
+}
 
 // StorageWrite schedules a sequential write of n bytes.
-func (k *Kernel) StorageWrite(n int64, fn func()) { k.io.enqueue(n, k.io.writeBps, fn) }
+func (k *Kernel) StorageWrite(n int64, fn func()) {
+	k.io.enqueue(n, float64(k.spec.Storage.WriteBytesPerS), fn)
+}
 
 // StorageQueueDepth returns the number of in-flight or queued operations.
 func (k *Kernel) StorageQueueDepth() int { return k.io.queued }

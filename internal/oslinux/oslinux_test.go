@@ -536,3 +536,46 @@ func TestFreezerStopsProgress(t *testing.T) {
 		t.Fatalf("freeze unknown = %v", err)
 	}
 }
+
+// TestKernelBoard: kernels stamped in place from one board, as a
+// fleet's template stamps its hosts, share it; each still validates it.
+// A NewKernel kernel keeps its own copy, so the caller mutating its spec
+// afterwards changes nothing the kernel reads.
+func TestKernelBoard(t *testing.T) {
+	e := sim.NewEngine(1)
+	board := hw.PiModelB()
+	var stamped [3]Kernel
+	for i := range stamped {
+		if err := stamped[i].Init(e, &board, "pi"); err != nil {
+			t.Fatal(err)
+		}
+		if stamped[i].spec != &board {
+			t.Fatalf("stamped kernel %d copied its board", i)
+		}
+	}
+	tiny := hw.PiModelB()
+	tiny.MemBytes = 16 * hw.MiB
+	var k Kernel
+	if err := k.Init(e, &tiny, "pi"); err == nil {
+		t.Fatal("Init accepted a board with less RAM than the OS needs")
+	}
+
+	spec := hw.PiModelB()
+	own, err := NewKernel(e, spec, "pi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Model, spec.MemBytes, spec.CPU = "changed", 1<<40, 1
+	spec.Storage.ReadBytesPerS = 1
+	if own.Spec() != hw.PiModelB() || own.MemTotal() != 256*hw.MiB {
+		t.Fatalf("a NewKernel kernel followed its caller's spec: %+v", own.Spec())
+	}
+	read := false
+	own.StorageRead(int64(hw.PiModelB().Storage.ReadBytesPerS), func() { read = true })
+	if err := e.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !read {
+		t.Fatal("a one-second read at the board's rate took longer than a second")
+	}
+}

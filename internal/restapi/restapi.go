@@ -7,6 +7,10 @@
 // reproduction that is not simulated. It fronts the node's LXC suite and
 // kernel under the cloud-wide mutex, so HTTP handlers (their own
 // goroutines) serialise correctly against the single-threaded simulation.
+//
+// A daemon holds only what every node uses: its monitoring series are
+// made by its first StartSampling, and a daemon never sampled serves
+// the same three empty series.
 package restapi
 
 import (
@@ -103,7 +107,12 @@ type Daemon struct {
 
 	// Request and container-lifecycle totals, guarded by mu.
 	requests, spawns, destroys uint64
-	// Monitoring series recorded by StartSampling.
+	// series is made by the first StartSampling, guarded by mu.
+	series *monitorSeries
+}
+
+// monitorSeries is a daemon's sampled monitoring data.
+type monitorSeries struct {
 	cpuUtil, memUsed, powerWatts metrics.TimeSeries
 }
 
@@ -480,12 +489,16 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // of the CPU load on some/all Pi nodes". Call under the cloud lock (it
 // arms a simulation ticker). Returns a stop function.
 func (d *Daemon) StartSampling(period sim.Duration) func() {
+	if d.series == nil {
+		d.series = new(monitorSeries)
+	}
+	s := d.series
 	ticker := d.engine.NewTicker(period, func(at sim.Time) {
 		k := d.suite.Kernel()
-		d.cpuUtil.Record(at, k.CPUUtil())
-		d.memUsed.Record(at, float64(k.MemUsed()))
+		s.cpuUtil.Record(at, k.CPUUtil())
+		s.memUsed.Record(at, float64(k.MemUsed()))
 		if d.meter != nil {
-			d.powerWatts.Record(at, d.meter.CurrentWatts())
+			s.powerWatts.Record(at, d.meter.CurrentWatts())
 		}
 	})
 	return ticker.Stop
@@ -500,14 +513,19 @@ type SeriesSummary struct {
 	Last    float64 `json:"last"`
 }
 
-// handleSeries serves GET /api/v1/series: the sampled monitoring data.
+// handleSeries serves GET /api/v1/series: the sampled monitoring data,
+// three empty series if the daemon was never sampled.
 func (d *Daemon) handleSeries(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
+	ms := d.series
+	if ms == nil {
+		ms = new(monitorSeries)
+	}
 	out := make([]SeriesSummary, 0, 3)
 	for _, series := range []struct {
 		name string
 		s    *metrics.TimeSeries
-	}{{"cpu_util", &d.cpuUtil}, {"mem_used_bytes", &d.memUsed}, {"power_watts", &d.powerWatts}} {
+	}{{"cpu_util", &ms.cpuUtil}, {"mem_used_bytes", &ms.memUsed}, {"power_watts", &ms.powerWatts}} {
 		name, s := series.name, series.s
 		sum := SeriesSummary{Name: name, Samples: s.Len(), Mean: s.Mean(), Max: s.Max()}
 		if last, ok := s.Last(); ok {

@@ -1,6 +1,7 @@
 package restapi
 
 import (
+	"io"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -468,5 +469,45 @@ func TestMonitoringSeries(t *testing.T) {
 		if s.Name == "cpu_util" && s.Samples > cpu.Samples+6 {
 			t.Fatalf("sampling continued after stop: %d → %d", cpu.Samples, s.Samples)
 		}
+	}
+}
+
+// TestSeriesBeforeSampling: a daemon makes its monitoring series on its
+// first StartSampling, and one never sampled serves the same document,
+// byte for byte, as one whose sampling is armed but has not ticked.
+func TestSeriesBeforeSampling(t *testing.T) {
+	r := newRig(t)
+	get := func() string {
+		t.Helper()
+		resp, err := r.server.Client().Get(r.server.URL + APIPrefix + "/series")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Header.Get("Content-Type") + "\n" + string(body)
+	}
+	before := get()
+	if r.daemon.series != nil {
+		t.Fatal("a daemon never sampled holds monitoring series")
+	}
+	r.mu.Lock()
+	stop := r.daemon.StartSampling(time.Second)
+	r.mu.Unlock()
+	defer stop()
+	if r.daemon.series == nil {
+		t.Fatal("StartSampling made no series")
+	}
+	if after := get(); after != before {
+		t.Fatalf("series before sampling:\n%s\nafter StartSampling:\n%s", before, after)
+	}
+	want := `[{"name":"cpu_util","samples":0,"mean":0,"max":0,"last":0},` +
+		`{"name":"mem_used_bytes","samples":0,"mean":0,"max":0,"last":0},` +
+		`{"name":"power_watts","samples":0,"mean":0,"max":0,"last":0}]`
+	if !strings.Contains(before, want) {
+		t.Fatalf("unsampled series:\n%s\nwant three empty series", before)
 	}
 }
