@@ -39,12 +39,15 @@ bench-smoke:
 # differentials (each layer's strconv rendering against its fmt
 # oracle), the wiring differential (a network wired from a topology
 # builder's wiring against the same nodes and cables added one at a
-# time) and the builders' pinned wiring digests, executed with a single
-# scheduler thread. Together with the default-GOMAXPROCS test job this shows the
+# time), the builders' pinned wiring digests, the route cache against
+# its name-keyed oracle (hits, misses, evictions, size, LRU order and
+# paths after every step) and a link's flow set in flow-ID order (OnEnd
+# callbacks and BitsCarried after a re-path and a link failure),
+# executed with a single scheduler thread. Together with the default-GOMAXPROCS test job this shows the
 # traces do not depend on how many threads the Go runtime schedules.
 # `go test -run` passes silently on zero matches, so the target first
 # fails if a listed package selects no test.
-DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesBuilt|FabricWiringPinned
+DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesBuilt|FabricWiringPinned|RouteCacheMatchesNameKeyedOracle|LinkFlowSetOrder
 DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim ./internal/sdn ./internal/energy ./internal/topology
 
 determinism-single-core:
@@ -55,8 +58,8 @@ determinism-single-core:
 	GOMAXPROCS=1 $(GO) test -run '$(DETERMINISM_TESTS)' $(DETERMINISM_PKGS)
 
 # Fuzz the three parsers untrusted bytes reach, the image recipes, the
-# naming service, the OpenFlow table, the metrics encoder and the fabric
-# builders, 30 s each: the wire-spec
+# naming service, the OpenFlow table, the metrics encoder, the fabric
+# builders and the flow paths, 30 s each: the wire-spec
 # decoder (decode → Resolve → re-marshal → decode must never panic and
 # must round-trip exactly), the inject body (a FaultRequest decodes to a
 # fault that its journal encoding decodes back to unchanged), the
@@ -78,7 +81,13 @@ determinism-single-core:
 # fabric wiring (any fabric kind and small dimensions, zero and negative
 # included, are either refused by the topology builder or wired into a
 # network that equals the same nodes and cables added one at a time and
-# passes topology.Validate). A naming-table input replays up to 1 KiB of operations on two stacks (a
+# passes topology.Validate) and the flow paths (arbitrary hop-index
+# sequences, negative, out of range, repeated or not cabled, through
+# StartFlow and SetPath on a small fabric with a failed link never
+# panic, are refused exactly when the name-resolving reference refuses
+# them, with the same error class, and otherwise route over the same
+# links, every link's flow set staying in flow-ID order). A
+# naming-table input replays up to 1 KiB of operations on two stacks (a
 # few ms), so minimising each new input for the default 60 s would spend
 # the whole 30 s: it minimises for 10 executions instead.
 fuzz:
@@ -91,6 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSwitchTable$$' -fuzztime 30s ./internal/openflow
 	$(GO) test -run '^$$' -fuzz '^FuzzPrometheusExposition$$' -fuzztime 30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricWiring$$' -fuzztime 30s ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzFlowPath$$' -fuzztime 30s ./internal/netsim
 
 # The benchmark's self-test: each perfbench workload (fattree-100k,
 # steady-1k, fork-10k) at its shrunk size, against the digest pins in

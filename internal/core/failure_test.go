@@ -33,7 +33,7 @@ func TestLinkFailureBreaksFlowsThenReroutes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	agg := path[2]
+	agg := c.Net.NodeAt(path[2]).ID
 	c.Mu.Unlock()
 	if err := c.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestLinkFailureBreaksFlowsThenReroutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no path after single uplink failure: %v", err)
 	}
-	if path2[2] == agg {
+	if c.Net.NodeAt(path2[2]).ID == agg {
 		t.Fatal("reroute still uses the failed uplink")
 	}
 	c.Mu.Unlock()

@@ -181,12 +181,13 @@ type zone struct {
 // Server is the authoritative DNS service.
 type Server struct {
 	zones map[string]*zone
-	// hosts is the attached host table. Its records live in the zones
-	// numbered below hostZones, the zones that existed when it was
-	// attached, so a more specific zone added later shadows them just
-	// as it shadows stored records. gone holds the rows' tombstones.
+	// hosts is the attached host table. Its records live in hostZones,
+	// the zones that existed when it was attached (zones are never
+	// removed, so they are the ones numbered below len(hostZones)), and
+	// a more specific zone added later shadows them just as it shadows
+	// stored records. gone holds the rows' tombstones.
 	hosts     HostTable
-	hostZones int
+	hostZones []*zone
 	gone      map[int]uint8
 }
 
@@ -221,7 +222,10 @@ func (s *Server) AttachHosts(t HostTable) error {
 			return fmt.Errorf("%w: attach hosts before storing records (zone %s holds some)", ErrBadRecord, z.apex)
 		}
 	}
-	s.hosts, s.hostZones = t, len(s.zones)
+	s.hosts = t
+	for _, z := range s.zones {
+		s.hostZones = append(s.hostZones, z)
+	}
 	return nil
 }
 
@@ -231,7 +235,7 @@ func (s *Server) AttachHosts(t HostTable) error {
 // exactly when it is one of them.
 func (s *Server) hostRows(z *zone, name string) (a, ptr int) {
 	a, ptr = -1, -1
-	if s.hosts == nil || z.seq >= s.hostZones {
+	if s.hosts == nil || z.seq >= len(s.hostZones) {
 		return a, ptr
 	}
 	if i, ok := s.hosts.RowOfName(name); ok && s.gone[i]&goneA == 0 {
@@ -257,11 +261,12 @@ func (s *Server) hostPTR(i int) Record {
 }
 
 // homeZone is the zone name had when s's host table was attached: the
-// most specific of the zones numbered below hostZones, or nil.
+// most specific of hostZones, or nil. Two zones that both hold a name
+// differ in length, so the order they are visited in does not matter.
 func homeZone[N string | []byte](s *Server, name N) *zone {
 	var best *zone
-	for apex, z := range s.zones {
-		if z.seq < s.hostZones && inZone(name, apex) && (best == nil || len(apex) > len(best.apex)) {
+	for _, z := range s.hostZones {
+		if inZone(name, z.apex) && (best == nil || len(z.apex) > len(best.apex)) {
 			best = z
 		}
 	}

@@ -212,8 +212,9 @@ type state struct {
 	frozeAt    sim.Time
 }
 
-// copyPath computes the current path for migration traffic.
-func (s *state) copyPath() ([]netsim.NodeID, error) {
+// copyPath computes the current path for migration traffic, as the node
+// indices StartFlow takes.
+func (s *state) copyPath() ([]int32, error) {
 	return s.mgr.ctrl.PathFor(s.req.SrcHost, s.req.DstHost, sdn.PolicyECMP, uint64(len(s.req.Container))+uint64(s.iterations))
 }
 

@@ -244,9 +244,9 @@ func TestLabelRoutingKeepsFlowsAlive(t *testing.T) {
 	if ended, _ := flow.Ended(); ended {
 		t.Fatalf("label-routed flow died during migration: %v", flowEnd)
 	}
-	// The flow now terminates at the new host's edge.
-	if got := flow.Spec.Path[len(flow.Spec.Path)-1]; got != dst {
-		t.Fatalf("flow now ends at %s, want %s", got, dst)
+	// The flow now terminates at the new host.
+	if l := r.net.Link(r.topo.Edge[1], dst); l.FlowCount() != 1 {
+		t.Fatalf("the link into the new host %s carries %d flows, want the re-routed one", dst, l.FlowCount())
 	}
 	// Label resolves to the new host.
 	if h, _ := r.ctrl.HostOfLabel(label); h != dst {

@@ -211,14 +211,14 @@ func TestSetPathClearsAbandonedLinks(t *testing.T) {
 	n := rig.n
 	src, dst := rig.racks[0][0], rig.racks[1][0]
 	f, err := n.StartFlow(FlowSpec{Src: src, Dst: dst,
-		Path: []NodeID{src, rig.tors[0], rig.aggs[0], rig.tors[1], dst}})
+		Path: n.Indices(src, rig.tors[0], rig.aggs[0], rig.tors[1], dst)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u := n.Link(rig.tors[0], rig.aggs[0]).Utilisation(); u <= 0 {
 		t.Fatalf("uplink utilisation = %v before re-path, want > 0", u)
 	}
-	if err := n.SetPath(f, []NodeID{src, rig.tors[0], rig.aggs[1], rig.tors[1], dst}); err != nil {
+	if err := n.SetPath(f, n.Indices(src, rig.tors[0], rig.aggs[1], rig.tors[1], dst)); err != nil {
 		t.Fatal(err)
 	}
 	if u := n.Link(rig.tors[0], rig.aggs[0]).Utilisation(); u != 0 {
@@ -238,7 +238,7 @@ func TestSetPathClearsAbandonedLinks(t *testing.T) {
 func TestReallocateAfterFlushStaysLive(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := line(t, e)
-	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}})
+	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestDifferentialIncrementalVsGlobalSolver(t *testing.T) {
 					if path == nil {
 						continue
 					}
-					spec := FlowSpec{Src: path[0], Dst: path[len(path)-1], Path: path}
+					spec := FlowSpec{Src: path[0], Dst: path[len(path)-1], Path: n.Indices(path...)}
 					if rng.Intn(2) == 0 {
 						spec.SizeBits = float64(rng.Intn(50)+1) * mbps
 					}

@@ -116,7 +116,7 @@ func (n *Network) markDomainDirty(d *domain) {
 // adoptFlow places a newly admitted (or re-pathed) flow into the domain
 // structure: the domains of every path link that already carries live
 // flows are merged, the flow joins the result, and every path link is
-// re-pointed at it. Callers must add f to the links' flow maps first.
+// re-pointed at it. Callers must add f to the links' flow sets first.
 func (n *Network) adoptFlow(f *Flow, links []*Link) {
 	var dom *domain
 	for _, l := range links {
@@ -456,17 +456,10 @@ func (n *Network) rescheduleChanged() {
 		}
 		seconds := f.remaining / f.rate
 		d := time.Duration(seconds * float64(time.Second))
-		f := f
-		fn := func() {
-			n.advance()
-			// Commit the final span, clamp the float drift left by the
-			// event-time truncation, and finish.
-			n.commitFlow(f, n.engine.Now())
-			f.remaining = 0
-			n.endFlow(f, EndCompleted)
-			n.markDirty()
+		if f.finishFn == nil {
+			f.finishFn = f.finish
 		}
-		f.complete = n.engine.Schedule(d, fn)
+		f.complete = n.engine.Schedule(d, f.finishFn)
 	}
 	for i := range n.changedFlows {
 		n.changedFlows[i] = nil

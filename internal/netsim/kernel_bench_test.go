@@ -32,7 +32,7 @@ func buildLoadedRig(b *testing.B, e *sim.Engine, racks, hostsPerRack int, mode f
 		for h := 1; h < hostsPerRack; h++ {
 			src := rig.racks[r][h]
 			if _, err := rig.n.StartFlow(FlowSpec{
-				Src: src, Dst: sink, Path: []NodeID{src, rig.tors[r], sink},
+				Src: src, Dst: sink, Path: rig.n.Indices(src, rig.tors[r], sink),
 				RateCapBps: float64(h%7+1) * mbps / 8,
 			}); err != nil {
 				b.Fatal(err)
@@ -53,7 +53,7 @@ func benchAdvance(b *testing.B, eager bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := n.StartFlow(FlowSpec{
-			Src: src, Dst: dst, Path: []NodeID{src, tor, dst},
+			Src: src, Dst: dst, Path: n.Indices(src, tor, dst),
 			SizeBits: mbps / 10,
 		})
 		if err != nil {

@@ -89,7 +89,7 @@ func TestLazyEagerBitwiseEquivalence(t *testing.T) {
 							path = []NodeID{r.racks[ra][ha], r.tors[ra], r.aggs[agg], r.tors[rb], r.racks[rb][hb]}
 						}
 						f, err := kr.rig.n.StartFlow(FlowSpec{
-							Src: path[0], Dst: path[len(path)-1], Path: path,
+							Src: path[0], Dst: path[len(path)-1], Path: r.n.Indices(path...),
 							SizeBits: size, RateCapBps: capBps, OnEnd: onEnd(kr),
 						})
 						if err != nil {
@@ -154,20 +154,20 @@ func TestLazyEagerBitwiseEquivalence(t *testing.T) {
 						continue
 					}
 					k := rng.Intn(len(lives[0].flows))
-					if f0 := lives[0].flows[k]; len(f0.Spec.Path) != 5 {
+					if f0 := lives[0].flows[k]; len(f0.path) != 4 {
 						continue
 					} else if ended, _ := f0.Ended(); ended {
 						continue
 					}
 					for i := range rigs {
 						f := lives[i].flows[k]
-						p := f.Spec.Path
+						p := f.path
 						r := rigs[i].rig
 						other := r.aggs[0]
-						if p[2] == other {
+						if p[1].To() == other {
 							other = r.aggs[1]
 						}
-						np := []NodeID{p[0], p[1], other, p[3], p[4]}
+						np := r.n.Indices(p[0].From(), p[0].To(), other, p[2].To(), p[3].To())
 						if err := r.n.SetPath(f, np); err != nil {
 							// A path over the failed uplink is rejected on
 							// every rig identically.
@@ -242,7 +242,7 @@ func TestLazyAccountingCommitPoints(t *testing.T) {
 	// rack 1's traffic.
 	idle, err := n.StartFlow(FlowSpec{
 		Src: rig.racks[0][0], Dst: rig.racks[0][1],
-		Path: []NodeID{rig.racks[0][0], rig.tors[0], rig.racks[0][1]},
+		Path: n.Indices(rig.racks[0][0], rig.tors[0], rig.racks[0][1]),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestLazyAccountingCommitPoints(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f, err := n.StartFlow(FlowSpec{
 			Src: rig.racks[1][0], Dst: rig.racks[1][1],
-			Path:     []NodeID{rig.racks[1][0], rig.tors[1], rig.racks[1][1]},
+			Path:     n.Indices(rig.racks[1][0], rig.tors[1], rig.racks[1][1]),
 			SizeBits: 10 * mbps,
 		})
 		if err != nil {

@@ -37,7 +37,7 @@ func BenchmarkReallocateLocalFlow(b *testing.B) {
 			dst := topo.Racks[next][i]
 			_, err := n.StartFlow(netsim.FlowSpec{
 				Src: src, Dst: dst,
-				Path: []netsim.NodeID{src, topo.Edge[r], agg, topo.Edge[next], dst},
+				Path: n.Indices(src, topo.Edge[r], agg, topo.Edge[next], dst),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -49,7 +49,7 @@ func BenchmarkReallocateLocalFlow(b *testing.B) {
 			dst := topo.Racks[r][i+10]
 			f, err := n.StartFlow(netsim.FlowSpec{
 				Src: src, Dst: dst,
-				Path: []netsim.NodeID{src, topo.Edge[r], dst},
+				Path: n.Indices(src, topo.Edge[r], dst),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkReallocateLocalFlow(b *testing.B) {
 	b.ReportMetric(float64(background), "bg-flows")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := n.StartFlow(netsim.FlowSpec{Src: src, Dst: dst, Path: path})
+		f, err := n.StartFlow(netsim.FlowSpec{Src: src, Dst: dst, Path: n.Indices(path...)})
 		if err != nil {
 			b.Fatal(err)
 		}

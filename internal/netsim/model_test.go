@@ -257,7 +257,7 @@ func checkLinkModel(t *testing.T, seed int64, steps int) {
 			if !ok || !ref.links[[2]NodeID{a, b}].up {
 				continue
 			}
-			if _, err := n.StartFlow(FlowSpec{Src: a, Dst: b, Path: []NodeID{a, b}}); err != nil {
+			if _, err := n.StartFlow(FlowSpec{Src: a, Dst: b, Path: n.Indices(a, b)}); err != nil {
 				t.Fatalf("step %d: flow %s->%s: %v", step, a, b, err)
 			}
 			ref.links[[2]NodeID{a, b}].flows++

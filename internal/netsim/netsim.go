@@ -6,10 +6,13 @@
 // cross-rack hotspots — that the paper's Section III research directions
 // are about, without modelling individual packets.
 //
-// Paths are supplied by the routing layer (the OpenFlow/SDN packages);
-// netsim only simulates what happens on the chosen path. Re-pointing a
-// live flow onto a new path (SetPath) models the paper's IP-less routing,
-// where established transport connections survive a VM migration.
+// Paths are supplied by the routing layer (the OpenFlow/SDN packages) as
+// node indices (see Node.Index), the representation routing computes
+// them in; netsim only simulates what happens on the chosen path, and a
+// flow keeps its path as links, not hops. Re-pointing a live flow onto a
+// new path (SetPath) models the paper's IP-less routing, where
+// established transport connections survive a VM migration. Indices
+// resolves a path spelled by name.
 //
 // A fabric is described once, by index, in a WiringBuilder: its nodes
 // in one slab with their name index, its cables as 12-byte entries. The
@@ -24,14 +27,14 @@
 // parameters. Its flow set, carried bits and solver scratch are its
 // load, which the leg's first flow makes and which stays from then on,
 // so a fabric whose links mostly never carry a flow holds flow state
-// only where traffic went.
+// only where traffic went. The flow set is a slice in flow-ID order.
 package netsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -113,8 +116,9 @@ type Link struct {
 // flow on; it outlives the flows, since the carried bits are cumulative
 // and the kernel state renders them.
 type linkLoad struct {
-	// flows is the set of live flows routed over the link.
-	flows map[*Flow]struct{}
+	// flows holds the live flows routed over the link in flow-ID order,
+	// the order every walk over them takes.
+	flows []*Flow
 	// bitsCarried accumulates the total traffic volume for utilisation
 	// reporting and the congestion experiments.
 	bitsCarried float64
@@ -140,13 +144,35 @@ func (l *Link) To() NodeID { return l.net.nodeList[l.to].ID }
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return l.up }
 
-// addFlow routes f over the link, making its load on the first flow.
+// addFlow routes f over the link, making its load on the first flow. A
+// started flow has the highest ID yet and goes last; only a re-pathed
+// one is inserted before the tail.
 func (l *Link) addFlow(f *Flow) {
 	if l.load == nil {
-		l.load = &linkLoad{flows: make(map[*Flow]struct{})}
+		l.load = &linkLoad{}
 	}
-	l.load.flows[f] = struct{}{}
+	ld := l.load
+	i := len(ld.flows)
+	if i > 0 && ld.flows[i-1].ID > f.ID {
+		i, _ = slices.BinarySearchFunc(ld.flows, f.ID, byFlowID)
+	}
+	ld.flows = slices.Insert(ld.flows, i, f)
 }
+
+// removeFlow takes f off the link. The last flow to leave zeroes the
+// link's allocation: no solver pass visits the link again until a new
+// flow claims it, and utilisation reads must not see a phantom load.
+func (l *Link) removeFlow(f *Flow) {
+	ld := l.load
+	i, _ := slices.BinarySearchFunc(ld.flows, f.ID, byFlowID)
+	ld.flows = slices.Delete(ld.flows, i, i+1)
+	if len(ld.flows) == 0 {
+		ld.allocated = 0
+	}
+}
+
+// byFlowID orders a flow against a flow ID.
+func byFlowID(f *Flow, id int64) int { return cmp.Compare(f.ID, id) }
 
 // loaded reports whether any live flow is routed over the link.
 func (l *Link) loaded() bool { return l.load != nil && len(l.load.flows) > 0 }
@@ -162,8 +188,8 @@ func (l *Link) FlowCount() int {
 // BitsCarried returns the cumulative traffic that has crossed the link,
 // materialised to the current virtual time: the committed volume plus
 // the pending span of every live flow routed over it. Pending spans are
-// summed in flow-admission order so the float result is independent of
-// map iteration (identical runs report identical volumes).
+// summed in flow-ID order, the flow set's own, so identical runs report
+// identical volumes.
 func (l *Link) BitsCarried() float64 {
 	ld := l.load
 	if ld == nil {
@@ -173,13 +199,8 @@ func (l *Link) BitsCarried() float64 {
 		return ld.bitsCarried
 	}
 	now := l.net.engine.Now()
-	pend := make([]*Flow, 0, len(ld.flows))
-	for f := range ld.flows {
-		pend = append(pend, f)
-	}
-	sort.Slice(pend, func(i, j int) bool { return pend[i].ID < pend[j].ID })
 	total := ld.bitsCarried
-	for _, f := range pend {
+	for _, f := range ld.flows {
 		total += f.pendingBits(now)
 	}
 	return total
@@ -189,8 +210,7 @@ func (l *Link) BitsCarried() float64 {
 func (l *Link) Shaped() bool { return l.shaped }
 
 // Utilisation returns the instantaneous fraction of capacity in use.
-// It reads the solver-maintained allocation, so it is O(1) and — unlike
-// summing the flow map — independent of map iteration order.
+// It reads the solver-maintained allocation, so it is O(1).
 func (l *Link) Utilisation() float64 {
 	if l.net != nil {
 		l.net.flush()
@@ -228,8 +248,11 @@ func (r EndReason) String() string {
 // FlowSpec describes a transfer to start.
 type FlowSpec struct {
 	Src, Dst NodeID
-	// Path is the hop sequence from Src to Dst inclusive.
-	Path []NodeID
+	// Path is the hop sequence from Src to Dst inclusive, as node
+	// indices. StartFlow reads it and keeps the path's links instead, so
+	// a started flow's Spec.Path is nil and the caller may reuse the
+	// slice.
+	Path []int32
 	// SizeBits is the transfer volume; zero or negative means an
 	// unbounded stream that runs until cancelled.
 	SizeBits float64
@@ -262,7 +285,10 @@ type Flow struct {
 	ended     bool
 	endAt     sim.Time
 	endReason EndReason
-	complete  sim.Event
+	// complete is the armed completion event and finishFn its callback,
+	// bound to the flow at its first arm and reused by every re-arm.
+	complete sim.Event
+	finishFn func()
 	// dom is the flow's congestion-domain handle (union-find node).
 	dom *domain
 	// pass is the solver's visited/dedup marker.
@@ -375,8 +401,8 @@ func (h Hop) Link() *Link { return h.link }
 // b) scans the hop array of whichever endpoint has fewer links, so a
 // lookup costs at most the smaller degree and a host's uplink is found
 // in one step even when its switch has thousands of ports. The
-// name-keyed accessors (Node, Link, NeighborLinks, Neighbors, flow
-// paths) resolve a name once and then read those.
+// name-keyed accessors (Node, Link, NeighborLinks, Neighbors, Indices)
+// resolve a name once and then read those; flow paths are indices.
 //
 // Rate recomputation is batched and incremental: mutations (flow
 // start/end, link events, shaping) mark the affected congestion
@@ -573,6 +599,20 @@ func (n *Network) NodeAt(i int32) *Node { return n.nodeList[i] }
 // NodeCount returns the number of registered devices.
 func (n *Network) NodeCount() int { return len(n.nodes) }
 
+// Indices resolves node names to the dense indices a flow path is
+// spelled in (see FlowSpec.Path), -1 for a name the network does not
+// know, which a path refuses as ErrNoSuchNode.
+func (n *Network) Indices(ids ...NodeID) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = -1
+		if nd := n.nodes[id]; nd != nil {
+			out[i] = nd.idx
+		}
+	}
+	return out
+}
+
 // AddDuplexLink wires a full-duplex cable between a and b: two directed
 // links, each with the given capacity and latency. A node cannot be
 // cabled to itself.
@@ -591,7 +631,7 @@ func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.D
 		return fmt.Errorf("netsim: non-positive capacity on link %s-%s", a, b)
 	}
 	// Legs exist only in pairs, so one probe covers both directions.
-	if n.link(na.idx, nb.idx) != nil {
+	if n.LinkAt(na.idx, nb.idx) != nil {
 		return fmt.Errorf("%w: %s->%s", ErrLinkExists, a, b)
 	}
 	n.wire(new([2]Link), na, nb, capacityBps, latency)
@@ -712,19 +752,14 @@ func (n *Network) RemoveDuplexLink(a, b NodeID) error {
 	return nil
 }
 
-// endLinkFlows terminates every flow routed over l in deterministic
-// flow-ID order (map ranging would end them — and fire their OnEnd
-// callbacks — in random order).
+// endLinkFlows terminates every flow routed over l in flow-ID order, so
+// their OnEnd callbacks fire in that order. It walks a copy: each end
+// takes its flow off the set.
 func (n *Network) endLinkFlows(l *Link, reason EndReason) {
 	if !l.loaded() {
 		return
 	}
-	victims := make([]*Flow, 0, len(l.load.flows))
-	for f := range l.load.flows {
-		victims = append(victims, f)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
-	for _, f := range victims {
+	for _, f := range slices.Clone(l.load.flows) {
 		n.endFlow(f, reason)
 	}
 }
@@ -735,13 +770,14 @@ func (n *Network) Link(a, b NodeID) *Link {
 	if na == nil || nb == nil {
 		return nil
 	}
-	return n.link(na.idx, nb.idx)
+	return n.LinkAt(na.idx, nb.idx)
 }
 
-// link returns the directed link from node a to node b, or nil. It scans
-// the hop array of whichever endpoint has fewer links: legs exist only
-// in pairs, so b's entry for a holds the reverse leg.
-func (n *Network) link(a, b int32) *Link {
+// LinkAt is Link by dense node index: the directed link from the node
+// with index a to the node with index b, or nil. It scans the hop array
+// of whichever endpoint has fewer links: legs exist only in pairs, so
+// b's entry for a holds the reverse leg.
+func (n *Network) LinkAt(a, b int32) *Link {
 	if len(n.out[b]) < len(n.out[a]) {
 		if i := n.hopAt(b, a); i >= 0 {
 			return n.out[b][i].link.rev
@@ -820,24 +856,20 @@ func (n *Network) SetLinkUp(a, b NodeID, up bool) error {
 
 // StartFlow admits a transfer along spec.Path. The path must start at
 // spec.Src, end at spec.Dst, traverse existing up links, and not repeat
-// hops.
+// hops. The flow keeps the path's links, not the hop slice.
 func (n *Network) StartFlow(spec FlowSpec) (*Flow, error) {
 	links, err := n.resolvePath(spec.Path)
 	if err != nil {
 		return nil, err
 	}
-	if len(spec.Path) > 0 {
-		if spec.Path[0] != spec.Src || spec.Path[len(spec.Path)-1] != spec.Dst {
-			return nil, fmt.Errorf("%w: path endpoints %s..%s do not match src/dst %s..%s",
-				ErrBadPath, spec.Path[0], spec.Path[len(spec.Path)-1], spec.Src, spec.Dst)
-		}
+	first, last := n.nodeList[spec.Path[0]].ID, n.nodeList[spec.Path[len(spec.Path)-1]].ID
+	if first != spec.Src || last != spec.Dst {
+		return nil, fmt.Errorf("%w: path endpoints %s..%s do not match src/dst %s..%s",
+			ErrBadPath, first, last, spec.Src, spec.Dst)
 	}
 	n.advance()
 	n.nextID++
-	// Copy the hop list: callers may hand us a shared slice (the SDN
-	// route cache does), and Spec.Path is exported for the flow's
-	// lifetime.
-	spec.Path = append([]NodeID(nil), spec.Path...)
+	spec.Path = nil
 	f := &Flow{
 		ID:        n.nextID,
 		Spec:      spec,
@@ -856,51 +888,56 @@ func (n *Network) StartFlow(spec FlowSpec) (*Flow, error) {
 	return f, nil
 }
 
-// resolvePath maps a hop sequence to directed links, validating it. A
-// path is a handful of hops, so a repeat is found by comparing each hop
-// with the ones before it rather than by building a set per call.
-func (n *Network) resolvePath(path []NodeID) ([]*Link, error) {
+// resolvePath maps a hop sequence of node indices to directed links,
+// validating it hop by hop: each hop must be a node, must not repeat an
+// earlier one, and must be cabled to the hop before it by an up link.
+// A path is a handful of hops, so a repeat is found by comparing each
+// hop with the ones before it rather than by building a set per call.
+func (n *Network) resolvePath(path []int32) ([]*Link, error) {
 	if len(path) < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 hops, got %d", ErrBadPath, len(path))
 	}
-	first := n.nodes[path[0]]
-	if first == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchNode, path[0])
+	first := path[0]
+	if !n.hasNode(first) {
+		return nil, fmt.Errorf("%w: node index %d", ErrNoSuchNode, first)
 	}
 	links := make([]*Link, 0, len(path)-1)
 	from := first
 	for _, hop := range path[1:] {
-		nd := n.nodes[hop]
-		if nd == nil {
-			return nil, fmt.Errorf("%w: %s", ErrNoSuchNode, hop)
+		if !n.hasNode(hop) {
+			return nil, fmt.Errorf("%w: node index %d", ErrNoSuchNode, hop)
 		}
 		// The hops so far are the first node and the heads of the links
 		// resolved before this one.
-		repeat := nd == first
+		repeat := hop == first
 		for _, l := range links {
-			repeat = repeat || l.to == nd.idx
+			repeat = repeat || l.to == hop
 		}
 		if repeat {
-			return nil, fmt.Errorf("%w: hop %s repeats", ErrBadPath, hop)
+			return nil, fmt.Errorf("%w: hop %s repeats", ErrBadPath, n.nodeList[hop].ID)
 		}
-		l := n.link(from.idx, nd.idx)
+		l := n.LinkAt(from, hop)
 		if l == nil {
-			return nil, fmt.Errorf("%w: %s->%s", ErrNoSuchLink, from.ID, hop)
+			return nil, fmt.Errorf("%w: %s->%s", ErrNoSuchLink, n.nodeList[from].ID, n.nodeList[hop].ID)
 		}
 		if !l.up {
-			return nil, fmt.Errorf("%w: %s->%s", ErrLinkDownPath, from.ID, hop)
+			return nil, fmt.Errorf("%w: %s->%s", ErrLinkDownPath, n.nodeList[from].ID, n.nodeList[hop].ID)
 		}
 		links = append(links, l)
-		from = nd
+		from = hop
 	}
 	return links, nil
 }
 
-// SetPath re-points a live flow onto a new path without resetting its
-// transfer state — the IP-less (label-routed) migration model, where the
-// transport connection survives because forwarding follows the label,
-// not the address.
-func (n *Network) SetPath(f *Flow, path []NodeID) error {
+// hasNode reports whether i is a node's index.
+func (n *Network) hasNode(i int32) bool { return i >= 0 && int(i) < len(n.nodeList) }
+
+// SetPath re-points a live flow onto a new path of node indices without
+// resetting its transfer state — the IP-less (label-routed) migration
+// model, where the transport connection survives because forwarding
+// follows the label, not the address. The path is checked as StartFlow
+// checks it, endpoints aside.
+func (n *Network) SetPath(f *Flow, path []int32) error {
 	if f.ended {
 		return ErrFlowEnded
 	}
@@ -920,16 +957,9 @@ func (n *Network) SetPath(f *Flow, path []NodeID) error {
 		n.markDomainDirty(r)
 	}
 	for _, l := range f.path {
-		ld := l.load
-		delete(ld.flows, f)
-		if len(ld.flows) == 0 {
-			// Abandoned links are never re-solved; zero the allocation
-			// so utilisation reads don't see a phantom load.
-			ld.allocated = 0
-		}
+		l.removeFlow(f)
 	}
 	f.path = links
-	f.Spec.Path = append([]NodeID(nil), path...)
 	for _, l := range links {
 		l.addFlow(f)
 	}
@@ -966,13 +996,7 @@ func (n *Network) endFlow(f *Flow, reason EndReason) {
 	f.complete.Cancel()
 	f.complete = sim.Event{}
 	for _, l := range f.path {
-		ld := l.load
-		delete(ld.flows, f)
-		if len(ld.flows) == 0 {
-			// No solver pass will visit this link again until a new
-			// flow claims it; zero its allocation for utilisation reads.
-			ld.allocated = 0
-		}
+		l.removeFlow(f)
 	}
 	n.active--
 	n.endedInOrder++
@@ -985,6 +1009,18 @@ func (n *Network) endFlow(f *Flow, reason EndReason) {
 	if f.Spec.OnEnd != nil {
 		f.Spec.OnEnd(f, reason)
 	}
+}
+
+// finish is a finite flow's completion event: it commits the final
+// span, clamps the float drift left by the event-time truncation, and
+// ends the flow.
+func (f *Flow) finish() {
+	n := f.net
+	n.advance()
+	n.commitFlow(f, n.engine.Now())
+	f.remaining = 0
+	n.endFlow(f, EndCompleted)
+	n.markDirty()
 }
 
 // commitFlow credits the flow with the bits moved over its current

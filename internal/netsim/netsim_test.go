@@ -38,7 +38,7 @@ func TestSingleFlowUsesFullCapacity(t *testing.T) {
 	var done bool
 	var dur time.Duration
 	f, err := n.StartFlow(FlowSpec{
-		Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"},
+		Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"),
 		SizeBits: 100 * mbps, // 1 second at line rate
 		OnEnd: func(f *Flow, r EndReason) {
 			done = r == EndCompleted
@@ -68,11 +68,11 @@ func TestSingleFlowUsesFullCapacity(t *testing.T) {
 func TestTwoFlowsShareFairly(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := line(t, e)
-	f1, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, SizeBits: 200 * mbps})
+	f1, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), SizeBits: 200 * mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, SizeBits: 200 * mbps})
+	f2, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), SizeBits: 200 * mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 func TestRateCapRespected(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := line(t, e)
-	capped, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, RateCapBps: 10 * mbps})
+	capped, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), RateCapBps: 10 * mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	open, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}})
+	open, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestRateCapRespected(t *testing.T) {
 func TestFlowCompletionFreesBandwidth(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := line(t, e)
-	short, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, SizeBits: 50 * mbps})
+	short, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), SizeBits: 50 * mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, SizeBits: 150 * mbps})
+	long, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), SizeBits: 150 * mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestUnboundedStreamRunsUntilCancelled(t *testing.T) {
 	n := line(t, e)
 	var endedReason EndReason
 	f, err := n.StartFlow(FlowSpec{
-		Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"},
+		Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"),
 		OnEnd: func(_ *Flow, r EndReason) { endedReason = r },
 	})
 	if err != nil {
@@ -170,7 +170,7 @@ func TestLinkFailureEndsFlows(t *testing.T) {
 	n := line(t, e)
 	var reason EndReason
 	_, err := n.StartFlow(FlowSpec{
-		Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"},
+		Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"),
 		SizeBits: 1000 * mbps,
 		OnEnd:    func(_ *Flow, r EndReason) { reason = r },
 	})
@@ -187,7 +187,7 @@ func TestLinkFailureEndsFlows(t *testing.T) {
 		t.Fatalf("reason = %v, want link-down", reason)
 	}
 	// New flows over the failed link are rejected.
-	_, err = n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}})
+	_, err = n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")})
 	if err == nil {
 		t.Fatal("flow admitted over failed link")
 	}
@@ -195,7 +195,7 @@ func TestLinkFailureEndsFlows(t *testing.T) {
 	if err := n.SetLinkUp("s", "b", true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}}); err != nil {
+	if _, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -218,7 +218,7 @@ func TestSetPathKeepsTransferState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s1", "b"}, SizeBits: 200 * mbps})
+	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s1", "b"), SizeBits: 200 * mbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSetPathKeepsTransferState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-route mid-transfer onto s2 (label routing survives migration).
-	if err := n.SetPath(f, []NodeID{"a", "s2", "b"}); err != nil {
+	if err := n.SetPath(f, n.Indices("a", "s2", "b")); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.BitsTransferred(); math.Abs(got-100*mbps) > 1 {
@@ -250,11 +250,11 @@ func TestPathValidation(t *testing.T) {
 		name string
 		spec FlowSpec
 	}{
-		{"too short", FlowSpec{Src: "a", Dst: "a", Path: []NodeID{"a"}}},
-		{"unknown hop", FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "zzz", "b"}}},
-		{"no such link", FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "b"}}},
-		{"repeat hop", FlowSpec{Src: "a", Dst: "a", Path: []NodeID{"a", "s", "a"}}},
-		{"endpoint mismatch", FlowSpec{Src: "b", Dst: "a", Path: []NodeID{"a", "s", "b"}}},
+		{"too short", FlowSpec{Src: "a", Dst: "a", Path: n.Indices("a")}},
+		{"unknown hop", FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "zzz", "b")}},
+		{"no such link", FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "b")}},
+		{"repeat hop", FlowSpec{Src: "a", Dst: "a", Path: n.Indices("a", "s", "a")}},
+		{"endpoint mismatch", FlowSpec{Src: "b", Dst: "a", Path: n.Indices("a", "s", "b")}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -306,7 +306,7 @@ func TestTopologyEditing(t *testing.T) {
 func TestLinkUtilisationAndCounters(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := line(t, e)
-	if _, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, RateCapBps: 40 * mbps}); err != nil {
+	if _, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), RateCapBps: 40 * mbps}); err != nil {
 		t.Fatal(err)
 	}
 	l := n.Link("a", "s")
@@ -329,7 +329,7 @@ func TestLinkUtilisationAndCounters(t *testing.T) {
 func TestTransferOnceRejectsUnbounded(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := line(t, e)
-	if _, err := n.TransferOnce(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}}); err == nil {
+	if _, err := n.TransferOnce(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")}); err == nil {
 		t.Fatal("TransferOnce accepted zero size")
 	}
 }
@@ -342,7 +342,7 @@ func TestPropertyMaxMinSafety(t *testing.T) {
 		e := sim.NewEngine(3)
 		n := line(t, e)
 		for _, s := range sizes {
-			spec := FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, SizeBits: float64(s+1) * mbps}
+			spec := FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), SizeBits: float64(s+1) * mbps}
 			if _, err := n.StartFlow(spec); err != nil {
 				return false
 			}
@@ -388,7 +388,7 @@ func TestPropertyConservation(t *testing.T) {
 		for _, s := range raw {
 			size := float64(s%50+1) * mbps
 			fl, err := n.StartFlow(FlowSpec{
-				Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"},
+				Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"),
 				SizeBits: size,
 				OnEnd:    func(f *Flow, _ EndReason) { moved[f.ID] = f.BitsTransferred() },
 			})
@@ -415,7 +415,7 @@ func TestPropertyConservation(t *testing.T) {
 func TestPathLatency(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := line(t, e)
-	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}})
+	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func BenchmarkReallocate100Flows(b *testing.B) {
 	_ = n.AddDuplexLink("a", "s", 100*mbps, 0)
 	_ = n.AddDuplexLink("s", "b", 100*mbps, 0)
 	for i := 0; i < 100; i++ {
-		if _, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}}); err != nil {
+		if _, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,7 +467,7 @@ func TestHeterogeneousBottleneck(t *testing.T) {
 	if err := n.AddDuplexLink("s2", "b", 100*mbps, 0); err != nil {
 		t.Fatal(err)
 	}
-	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s1", "s2", "b"}})
+	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s1", "s2", "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestHeterogeneousBottleneck(t *testing.T) {
 	// A second flow a→s2-side only shares the middle link: 25/25 split
 	// there, but a flow on the uncontended a–s1 link alone still sees
 	// headroom. Add a→b again: both 25Mb/s.
-	f2, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s1", "s2", "b"}})
+	f2, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s1", "s2", "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestHeterogeneousBottleneck(t *testing.T) {
 func TestShapeLink(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := line(t, e)
-	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}})
+	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func TestBatchedReallocation(t *testing.T) {
 	n := line(t, e)
 	var flows []*Flow
 	for i := 0; i < 4; i++ {
-		f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, SizeBits: 50 * mbps})
+		f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), SizeBits: 50 * mbps})
 		if err != nil {
 			t.Fatal(err)
 		}

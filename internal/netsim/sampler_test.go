@@ -119,7 +119,7 @@ func checkSamplerAgainstScan(t *testing.T, seed int64, steps int) {
 		switch rng.Intn(10) {
 		case 0, 1, 2: // start a flow, finite or unbounded, capped or not
 			path := route()
-			spec := FlowSpec{Src: path[0], Dst: path[len(path)-1], Path: path}
+			spec := FlowSpec{Src: path[0], Dst: path[len(path)-1], Path: n.Indices(path...)}
 			if rng.Intn(2) == 0 {
 				spec.SizeBits = float64(1+rng.Intn(50)) * mbps
 			}
@@ -145,7 +145,7 @@ func checkSamplerAgainstScan(t *testing.T, seed int64, steps int) {
 			if hostTor[src] != hostTor[dst] {
 				path = []NodeID{src, hostTor[src], aggs[rng.Intn(len(aggs))], hostTor[dst], dst}
 			}
-			if err := n.SetPath(f, path); err != nil && !unroutable(err) {
+			if err := n.SetPath(f, n.Indices(path...)); err != nil && !unroutable(err) {
 				t.Fatalf("step %d: re-path %d onto %v: %v", step, f.ID, path, err)
 			}
 		case 5: // fail or restore a wired cable, restoring more often
@@ -203,7 +203,7 @@ func checkSamplerAgainstScan(t *testing.T, seed int64, steps int) {
 				continue
 			}
 			carried := false
-			for f := range l.load.flows {
+			for _, f := range l.load.flows {
 				carried = carried || !f.ended
 			}
 			if !carried {

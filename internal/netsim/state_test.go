@@ -64,7 +64,7 @@ func TestStateRenderMatchesFmt(t *testing.T) {
 				if path == nil {
 					continue
 				}
-				spec := FlowSpec{Src: path[0], Dst: path[len(path)-1], Path: path}
+				spec := FlowSpec{Src: path[0], Dst: path[len(path)-1], Path: r.n.Indices(path...)}
 				if rng.Intn(2) == 0 {
 					spec.SizeBits = float64(rng.Intn(40)+1) * mbps
 				}
@@ -182,7 +182,7 @@ func TestLinkLoadMadeOnFirstFlow(t *testing.T) {
 	}
 
 	// One finite flow a→s→b: 8 Mb at the shaped 4 Mb/s takes two seconds.
-	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: []NodeID{"a", "s", "b"}, SizeBits: 8 * mbps})
+	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b"), SizeBits: 8 * mbps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func (a *Agent) sendDigest(peer netsim.NodeID, isReply bool) {
 	var latency time.Duration
 	var bottleneck float64
 	for i := 1; i < len(path); i++ {
-		l := a.mesh.net.Link(path[i-1], path[i])
+		l := a.mesh.net.LinkAt(path[i-1], path[i])
 		if l == nil || !l.Up() {
 			return
 		}

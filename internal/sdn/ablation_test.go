@@ -35,15 +35,15 @@ func pathUnderExponent(t *testing.T, exponent float64) (picked, hot netsim.NodeI
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot = base[2]
-	if _, err := n.StartFlow(netsim.FlowSpec{Src: base[0], Dst: base[4], Path: base}); err != nil {
+	hot = n.NodeAt(base[2]).ID
+	if _, err := n.StartFlow(netsim.FlowSpec{Src: topo.Racks[0][0], Dst: topo.Racks[1][0], Path: base}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ctrl.PathFor(topo.Racks[0][1], topo.Racks[1][1], PolicyCongestionAware, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got[2], hot
+	return n.NodeAt(got[2]).ID, hot
 }
 
 func TestAblationCongestionExponent(t *testing.T) {

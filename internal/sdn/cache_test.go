@@ -8,6 +8,9 @@ package sdn
 // utilisation, which advances without an epoch bump.
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -65,7 +68,7 @@ func TestRouteCacheHitsAndEpochInvalidation(t *testing.T) {
 		t.Fatalf("epoch bump did not invalidate (misses %d)", r.ctrl.RouteCacheMisses())
 	}
 	for _, hop := range rerouted {
-		if hop == r.topo.Agg[0] {
+		if r.net.NodeAt(hop).ID == r.topo.Agg[0] {
 			t.Fatalf("rerouted path %v still crosses the failed uplink's agg", rerouted)
 		}
 	}
@@ -298,5 +301,160 @@ func BenchmarkSDNAdmitUncached(b *testing.B) {
 		if _, err := ctrl.PathFor(src, dst, PolicyShortestPath, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// oracleCache is the route cache as it was keyed before routes became
+// node indices: a map on the (src, dst) name pair, threaded on an
+// intrusive LRU list, whose entries hold the name-keyed oracle's DAG
+// (oracle_test.go). It counts hits, misses and evictions where the old
+// cache did, so the index-keyed cache must match it step for step.
+type oracleCache struct {
+	net                     *netsim.Network
+	cap                     int
+	entries                 map[[2]netsim.NodeID]*oracleEntry
+	head, tail              *oracleEntry
+	hits, misses, evictions uint64
+}
+
+type oracleEntry struct {
+	key        [2]netsim.NodeID
+	epoch      uint64
+	parents    map[netsim.NodeID][]netsim.NodeID
+	visited    int
+	prev, next *oracleEntry
+}
+
+func (o *oracleCache) unlink(e *oracleEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		o.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		o.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+func (o *oracleCache) pushFront(e *oracleEntry) {
+	e.next = o.head
+	if o.head != nil {
+		o.head.prev = e
+	}
+	o.head = e
+	if o.tail == nil {
+		o.tail = e
+	}
+}
+
+// pathFor answers PathFor over names: congestion-aware routing bypasses
+// the cache, any other question is a hit on an entry of the current
+// epoch, or a miss that routes afresh and files or refreshes the pair's
+// entry, evicting the coldest at capacity.
+func (o *oracleCache) pathFor(src, dst netsim.NodeID, policy Policy, key uint64, congestion weightFunc) ([]netsim.NodeID, error) {
+	if policy == PolicyCongestionAware {
+		parents, visited, err := oracleShortestDAG(o.net, src, dst, congestion)
+		if err != nil {
+			return nil, err
+		}
+		return oracleMaterialisePath(parents, src, dst, key, visited)
+	}
+	k := [2]netsim.NodeID{src, dst}
+	e := o.entries[k]
+	if e != nil && e.epoch == o.net.TopoEpoch() {
+		o.hits++
+	} else {
+		o.misses++
+		parents, visited, err := oracleShortestDAG(o.net, src, dst, weightHops)
+		if err != nil {
+			return nil, err
+		}
+		if e == nil {
+			if len(o.entries) >= o.cap {
+				cold := o.tail
+				o.unlink(cold)
+				delete(o.entries, cold.key)
+				o.evictions++
+			}
+			e = &oracleEntry{key: k}
+			o.entries[k] = e
+			o.pushFront(e)
+		}
+		e.epoch, e.parents, e.visited = o.net.TopoEpoch(), parents, visited
+	}
+	o.unlink(e)
+	o.pushFront(e)
+	return oracleMaterialisePath(e.parents, src, dst, tiebreakFor(policy, key), e.visited)
+}
+
+// TestRouteCacheMatchesNameKeyedOracle drives the index-keyed route
+// cache and the name-keyed oracle cache through the same random routing
+// questions on a cache of eight entries: known and unknown names, a node
+// and itself, all three policies, and epoch bumps from cable failures,
+// repairs and explicit bumps. After every step the two agree on the
+// path or error, on the hit, miss and eviction counts, on the size, and
+// on the LRU order of the cached pairs.
+func TestRouteCacheMatchesNameKeyedOracle(t *testing.T) {
+	const cacheCap = 8
+	n, topo, ctrl := cappedRig(t, cacheCap)
+	oracle := &oracleCache{net: n, cap: cacheCap, entries: map[[2]netsim.NodeID]*oracleEntry{}}
+	rng := rand.New(rand.NewSource(29))
+	names := []netsim.NodeID{"ghost-a", "ghost-b"}
+	for r := range topo.Racks {
+		names = append(names, topo.Racks[r][:3]...)
+	}
+	policies := []Policy{PolicyShortestPath, PolicyECMP, PolicyECMP, PolicyCongestionAware}
+	var down [][2]netsim.NodeID
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(100); {
+		case op < 2:
+			edge, agg := topo.Edge[rng.Intn(len(topo.Edge))], topo.Agg[rng.Intn(len(topo.Agg))]
+			if err := n.SetLinkUp(edge, agg, false); err != nil {
+				t.Fatal(err)
+			}
+			down = append(down, [2]netsim.NodeID{edge, agg})
+		case op < 4 && len(down) > 0:
+			c := down[0]
+			down = down[1:]
+			if err := n.SetLinkUp(c[0], c[1], true); err != nil {
+				t.Fatal(err)
+			}
+		case op < 5:
+			n.BumpTopoEpoch()
+		default:
+			src, dst := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+			policy := policies[rng.Intn(len(policies))]
+			key := uint64(rng.Intn(4))
+			want, wantErr := oracle.pathFor(src, dst, policy, key, ctrl.weightCongestion)
+			hops, err := ctrl.PathFor(src, dst, policy, key)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("step %d: %s->%s %v key %d: err %v, oracle %v", step, src, dst, policy, key, err, wantErr)
+			}
+			if got := ctrl.names(hops); err == nil && !slices.Equal(got, want) {
+				t.Fatalf("step %d: %s->%s %v key %d: path %v, oracle %v", step, src, dst, policy, key, got, want)
+			}
+		}
+		if ctrl.RouteCacheHits() != oracle.hits || ctrl.RouteCacheMisses() != oracle.misses ||
+			ctrl.RouteCacheEvictions() != oracle.evictions || ctrl.RouteCacheSize() != len(oracle.entries) {
+			t.Fatalf("step %d: hits/misses/evictions/size %d/%d/%d/%d, oracle %d/%d/%d/%d", step,
+				ctrl.RouteCacheHits(), ctrl.RouteCacheMisses(), ctrl.RouteCacheEvictions(), ctrl.RouteCacheSize(),
+				oracle.hits, oracle.misses, oracle.evictions, len(oracle.entries))
+		}
+		var lru, want [][2]netsim.NodeID
+		for e := ctrl.lruHead; e != nil; e = e.next {
+			lru = append(lru, [2]netsim.NodeID{ctrl.name(e.src), ctrl.name(e.dst)})
+		}
+		for e := oracle.head; e != nil; e = e.next {
+			want = append(want, e.key)
+		}
+		if !slices.Equal(lru, want) {
+			t.Fatalf("step %d: LRU order %v, oracle %v", step, lru, want)
+		}
+	}
+	if oracle.hits == 0 || oracle.evictions == 0 {
+		t.Fatalf("the walk never hit (%d) or never evicted (%d)", oracle.hits, oracle.evictions)
 	}
 }

@@ -238,7 +238,8 @@ func compareToOracle(t *testing.T, rig *synthRig, label string, src, dst netsim.
 		name string
 		ctrl *Controller
 	}{{"synth", rig.fast}, {"dijkstra", rig.slow}} {
-		got, err := arm.ctrl.PathFor(src, dst, policy, key)
+		hops, err := arm.ctrl.PathFor(src, dst, policy, key)
+		got := arm.ctrl.names(hops)
 		if wantErr != nil {
 			if !errors.Is(err, ErrNoPath) || err.Error() != wantErr.Error() {
 				t.Fatalf("%s: %s->%s %v key %d: %s returned %v, %v; oracle error %v",

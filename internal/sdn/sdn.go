@@ -5,6 +5,12 @@
 // manages the IP-less forwarding labels that let transport connections
 // survive VM migration (Section III's "IP-less routing ... to support
 // more flexible and efficient migration").
+//
+// Routes are node indices (netsim's Node.Index) from the route cache to
+// the flow: PathFor and Admit return hop indices that netsim's StartFlow
+// and SetPath take as they are, the route cache keys on the (src, dst)
+// index pair, and names are read only where they decide an order (a
+// route DAG's parent runs, the ECMP and flow hashes) or reach an error.
 package sdn
 
 import (
@@ -119,17 +125,17 @@ type Controller struct {
 	rulesInstalled uint64
 
 	// routeCache memoises the hop-count shortest-path DAG per
-	// (src, dst) pair. Entries are valid only while the network's
-	// topology epoch matches, so any re-cable, link up/down or shaping
-	// change invalidates the whole cache at zero cost. Congestion-aware
-	// routing is never cached: its weights move with utilisation, which
-	// advances without an epoch bump.
+	// (src, dst) index pair (see pairKey). Entries are valid only while
+	// the network's topology epoch matches, so any re-cable, link
+	// up/down or shaping change invalidates the whole cache at zero
+	// cost. Congestion-aware routing is never cached: its weights move
+	// with utilisation, which advances without an epoch bump.
 	//
 	// Entries form an intrusive LRU list (most recent at lruHead): when
 	// the cache is at capacity the coldest pair is evicted, so fleets
 	// whose active pair set exceeds the cap keep their hot pairs cached
 	// instead of losing the whole working set to a wholesale clear.
-	routeCache       map[pairKey]*routeEntry
+	routeCache       map[uint64]*routeEntry
 	lruHead, lruTail *routeEntry
 	cacheCap         int
 	cacheHits        uint64
@@ -171,13 +177,14 @@ type routeScratch struct {
 	stack      []int32
 }
 
-// pairKey identifies one cached routing question.
-type pairKey struct{ src, dst netsim.NodeID }
+// pairKey packs one cached routing question, the (src, dst) node index
+// pair, into one word.
+func pairKey(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
 
 // routeEntry is one cached shortest-path DAG and its materialised
 // tiebreak-0 path, threaded on the controller's LRU list.
 type routeEntry struct {
-	key   pairKey
+	key   uint64
 	epoch uint64
 	// src and dst are the pair's node indices.
 	src, dst int32
@@ -185,10 +192,10 @@ type routeEntry struct {
 	// order — ready for the deterministic ECMP walk-back. It is one
 	// int32 allocation (see routeDAG).
 	dag routeDAG
-	// shortest is the tiebreak-0 path, shared across callers: treat as
-	// read-only. Returning it is what makes the cache hit path
-	// allocation-free.
-	shortest []netsim.NodeID
+	// shortest is the tiebreak-0 path's node indices, shared across
+	// callers: treat as read-only. Returning it is what makes the cache
+	// hit path allocation-free.
+	shortest []int32
 	// prev/next thread the LRU list; nil at the respective end.
 	prev, next *routeEntry
 }
@@ -208,7 +215,7 @@ func NewController(engine *sim.Engine, net *netsim.Network, cfg Config) *Control
 		cfg:        cfg,
 		labels:     make(map[openflow.Label]netsim.NodeID),
 		labelName:  make(map[string]openflow.Label),
-		routeCache: make(map[pairKey]*routeEntry),
+		routeCache: make(map[uint64]*routeEntry),
 		cacheCap:   cfg.RouteCacheEntries,
 		scratch:    routeScratch{frontier: distHeap{net: net}},
 	}
@@ -509,16 +516,19 @@ func (c *Controller) weightCongestion(l *netsim.Link) float64 {
 }
 
 // PathFor computes a path from src to dst hosts under the policy, without
-// touching any flow table. key disambiguates ECMP choices.
+// touching any flow table, and returns its hops as node indices, the
+// form netsim's StartFlow and SetPath take. key disambiguates ECMP
+// choices.
 //
 // Shortest-path and ECMP run against the route cache: the hop-count
 // shortest-path DAG for (src, dst) is computed once per topology epoch
 // and every later admission is a map lookup plus, for an ECMP key, a
-// walk down the cached DAG. On a cache hit with no ECMP tiebreak the
-// returned slice is the shared cached path — treat it as read-only (no
-// caller mutates paths; netsim copies on SetPath).
-func (c *Controller) PathFor(src, dst netsim.NodeID, policy Policy, key uint64) ([]netsim.NodeID, error) {
-	e, err := c.route(src, dst, policy)
+// walk down the cached DAG. The returned slice is read-only and is not
+// the caller's to keep: on a cache hit with no ECMP tiebreak it is the
+// cached path, and otherwise the controller's walk buffer, which its
+// next route overwrites. No call allocates on a cache hit.
+func (c *Controller) PathFor(src, dst netsim.NodeID, policy Policy, key uint64) ([]int32, error) {
+	e, err := c.route(src, dst, c.index(src), c.index(dst), policy)
 	if err != nil {
 		return nil, err
 	}
@@ -526,11 +536,7 @@ func (c *Controller) PathFor(src, dst netsim.NodeID, policy Policy, key uint64) 
 	if tiebreak == 0 && e.shortest != nil {
 		return e.shortest, nil
 	}
-	hops, err := c.walkBack(&e.dag, e.src, e.dst, tiebreak)
-	if err != nil {
-		return nil, err
-	}
-	return c.names(hops), nil
+	return c.walkBack(&e.dag, e.src, e.dst, tiebreak)
 }
 
 // tiebreakFor returns the ECMP tiebreak a policy applies to a flow key:
@@ -543,15 +549,17 @@ func tiebreakFor(policy Policy, key uint64) uint64 {
 }
 
 // route returns the shortest-path DAG that answers src→dst under the
-// policy. Shortest-path and ECMP share the cached entry, computed and
-// cached on a miss. Congestion-aware routing re-reads link utilisation
-// every time — caching it would freeze the hotspot picture it exists to
-// track — so its DAG is a fresh Dijkstra in c.uncached, whose shortest
-// path is nil.
-func (c *Controller) route(src, dst netsim.NodeID, policy Policy) (*routeEntry, error) {
+// policy; si and di are their node indices, -1 for a name the network
+// does not know, and the names only word an error. Shortest-path and
+// ECMP share the cached entry, computed and cached on a miss: a pair
+// naming an unknown node, or a node and itself, is never cached, so it
+// counts one miss and fails. Congestion-aware routing re-reads link
+// utilisation every time — caching it would freeze the hotspot picture
+// it exists to track — so its DAG is a fresh Dijkstra in c.uncached,
+// whose shortest path is nil.
+func (c *Controller) route(src, dst netsim.NodeID, si, di int32, policy Policy) (*routeEntry, error) {
 	if policy == PolicyCongestionAware {
-		si, di, err := c.endpoints(src, dst)
-		if err != nil {
+		if err := checkPair(src, dst, si, di); err != nil {
 			return nil, err
 		}
 		dag, err := c.shortestDAG(si, di, c.weightCongestion)
@@ -562,14 +570,14 @@ func (c *Controller) route(src, dst netsim.NodeID, policy Policy) (*routeEntry, 
 		return &c.uncached, nil
 	}
 	epoch := c.net.TopoEpoch()
-	k := pairKey{src, dst}
+	k := pairKey(si, di)
 	if e := c.routeCache[k]; e != nil && e.epoch == epoch {
 		c.cacheHits++
 		c.lruTouch(e)
 		return e, nil
 	}
 	c.cacheMisses++
-	si, di, err := c.endpoints(src, dst)
+	err := checkPair(src, dst, si, di)
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +595,7 @@ func (c *Controller) route(src, dst netsim.NodeID, policy Policy) (*routeEntry, 
 	if err != nil {
 		return nil, err
 	}
-	shortest := c.names(hops)
+	shortest := slices.Clone(hops)
 	e := c.routeCache[k]
 	if e != nil {
 		// Stale entry from an earlier epoch: refresh in place.
@@ -600,16 +608,25 @@ func (c *Controller) route(src, dst netsim.NodeID, policy Policy) (*routeEntry, 
 	return e, nil
 }
 
-// endpoints resolves a routing question's names to node indices.
-func (c *Controller) endpoints(src, dst netsim.NodeID) (int32, int32, error) {
-	sn, dn := c.net.Node(src), c.net.Node(dst)
-	if sn == nil || dn == nil {
-		return 0, 0, fmt.Errorf("%w: %s -> %s (unknown node)", ErrNoPath, src, dst)
+// checkPair refuses a routing question whose endpoints, named src and
+// dst with node indices si and di, include an unknown node (index -1)
+// or are one node.
+func checkPair(src, dst netsim.NodeID, si, di int32) error {
+	if si < 0 || di < 0 {
+		return fmt.Errorf("%w: %s -> %s (unknown node)", ErrNoPath, src, dst)
 	}
-	if src == dst {
-		return 0, 0, fmt.Errorf("%w: src equals dst %s", ErrNoPath, src)
+	if si == di {
+		return fmt.Errorf("%w: src equals dst %s", ErrNoPath, src)
 	}
-	return sn.Index(), dn.Index(), nil
+	return nil
+}
+
+// index returns the node index of the node named id, or -1.
+func (c *Controller) index(id netsim.NodeID) int32 {
+	if nd := c.net.Node(id); nd != nil {
+		return nd.Index()
+	}
+	return -1
 }
 
 // name returns the name of the node with index i.
@@ -973,7 +990,7 @@ func (c *Controller) walkBack(d *routeDAG, src, dst int32, tiebreak uint64) ([]i
 	return rev, nil
 }
 
-// names returns the node names of a hop sequence.
+// names returns the node names of a hop sequence, for an error.
 func (c *Controller) names(hops []int32) []netsim.NodeID {
 	path := make([]netsim.NodeID, len(hops))
 	for i, x := range hops {
@@ -985,30 +1002,32 @@ func (c *Controller) names(hops []int32) []netsim.NodeID {
 // Admit runs the OpenFlow pipeline for a new flow described by pkt: walk
 // the switch tables from the source's edge switch; on a miss, compute a
 // path under the policy and install rules along it (reactive control).
-// It returns the hop path for netsim and whether the controller was
-// consulted.
+// It returns the walked hops as node indices, the path netsim's
+// StartFlow takes, and whether the controller was consulted. The path
+// is the controller's walk buffer: read-only, and valid until the next
+// admission.
 //
-// The packet's endpoints are resolved to node references once. The
-// table walk, the route's hops and the rules installed along them are
-// index-keyed; names are read only as the route cache's key, by the
-// hashes and for the returned path.
-func (c *Controller) Admit(pkt openflow.PacketInfo, policy Policy) (path []netsim.NodeID, viaController bool, err error) {
+// The packet's endpoints (and a label's host) are resolved to node
+// indices once. The table walk, the route cache's key, the route's
+// hops, the rules installed along them and the returned path are
+// index-keyed; names are read only by the hashes.
+func (c *Controller) Admit(pkt openflow.PacketInfo, policy Policy) (path []int32, viaController bool, err error) {
 	p := openflow.Packet{Src: c.ref(pkt.Src), Dst: c.ref(pkt.Dst), Label: pkt.Label, DstPort: pkt.DstPort, Proto: pkt.Proto}
 	if _, err = c.walkTables(&p); err == nil {
-		return c.names(c.walk), false, nil
+		return c.walk, false, nil
 	}
 	if errors.Is(err, ErrDropped) {
 		return nil, false, err
 	}
 	// Table miss somewhere: packet-in.
 	c.packetIns++
-	dst := pkt.Dst
+	dst, di := pkt.Dst, p.Dst.Index()
 	if pkt.Label != 0 {
 		if h, ok := c.labels[pkt.Label]; ok {
-			dst = h
+			dst, di = h, c.index(h)
 		}
 	}
-	e, err := c.route(pkt.Src, dst, policy)
+	e, err := c.route(pkt.Src, dst, p.Src.Index(), di, policy)
 	if err != nil {
 		return nil, true, err
 	}
@@ -1034,7 +1053,7 @@ func (c *Controller) Admit(pkt openflow.PacketInfo, policy Policy) (path []netsi
 	if err != nil {
 		return nil, true, fmt.Errorf("sdn: tables inconsistent after install: %w", err)
 	}
-	return c.names(c.walk), true, nil
+	return c.walk, true, nil
 }
 
 // ref returns the table reference of the node named id: zero, which
@@ -1096,17 +1115,19 @@ func (c *Controller) walkTables(p *openflow.Packet) (int32, error) {
 
 // installPath pushes one rule per switch along a host-to-host path of
 // node indices, each matching match, tagged with cookie, and forwarding
-// to the path's next hop.
+// to the path's next hop. The path's rules share one allocation.
 func (c *Controller) installPath(hops []int32, match openflow.Match, cookie uint64) error {
 	if len(hops) < 3 {
 		return fmt.Errorf("%w: path %v too short", ErrNoPath, c.names(hops))
 	}
+	rules := make([]openflow.Rule, len(hops)-2)
 	for i := 1; i < len(hops)-1; i++ {
 		sw := c.switchAt(hops[i])
 		if sw == nil {
 			return fmt.Errorf("%w: %s", ErrUnknownSwitch, c.name(hops[i]))
 		}
-		rule := &openflow.Rule{
+		rule := &rules[i-1]
+		*rule = openflow.Rule{
 			Priority:    100,
 			Match:       match,
 			Action:      openflow.Action{Type: openflow.ActionOutput, NextHop: openflow.RefOf(hops[i+1])},

@@ -49,8 +49,8 @@ func TestPathForSameRack(t *testing.T) {
 	if len(path) != 3 {
 		t.Fatalf("path = %v, want 3 hops via the ToR", path)
 	}
-	if path[1] != r.topo.Edge[0] {
-		t.Fatalf("middle hop = %s, want rack-0 ToR", path[1])
+	if mid := r.net.NodeAt(path[1]).ID; mid != r.topo.Edge[0] {
+		t.Fatalf("middle hop = %s, want rack-0 ToR", mid)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestPathForCrossRack(t *testing.T) {
 	if len(path) != 5 {
 		t.Fatalf("path = %v, want 5 hops", path)
 	}
-	if path[0] != src || path[len(path)-1] != dst {
-		t.Fatalf("endpoints wrong: %v", path)
+	if names := r.ctrl.names(path); names[0] != src || names[len(names)-1] != dst {
+		t.Fatalf("endpoints wrong: %v", names)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestPathNeverRelaysThroughHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, hop := range path[1 : len(path)-1] {
-		if r.net.Node(hop).Kind == netsim.KindHost {
-			t.Fatalf("path %v relays through host %s", path, hop)
+		if nd := r.net.NodeAt(hop); nd.Kind == netsim.KindHost {
+			t.Fatalf("path %v relays through host %s", r.ctrl.names(path), nd.ID)
 		}
 	}
 }
@@ -96,10 +96,12 @@ func TestPathNeverRelaysThroughHosts(t *testing.T) {
 func TestAdmitInstallsRulesThenCaches(t *testing.T) {
 	r := newRig(t)
 	pkt := openflow.PacketInfo{Src: r.host(0, 0), Dst: r.host(1, 0), Proto: "tcp", DstPort: 80}
-	path1, via1, err := r.ctrl.Admit(pkt, PolicyShortestPath)
+	hops1, via1, err := r.ctrl.Admit(pkt, PolicyShortestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The walk buffer is the next admission's: keep the names.
+	path1 := r.ctrl.names(hops1)
 	if !via1 {
 		t.Fatal("first admission should reach the controller")
 	}
@@ -107,10 +109,11 @@ func TestAdmitInstallsRulesThenCaches(t *testing.T) {
 		t.Fatalf("packet-ins = %d, want 1", r.ctrl.PacketIns())
 	}
 	// Second flow with the same pair: pure table hits.
-	path2, via2, err := r.ctrl.Admit(pkt, PolicyShortestPath)
+	hops2, via2, err := r.ctrl.Admit(pkt, PolicyShortestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path2 := r.ctrl.names(hops2)
 	if via2 {
 		t.Fatal("second admission should be served from flow tables")
 	}
@@ -160,7 +163,7 @@ func TestECMPSpreadsAcrossAggRoots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		used[path[2]] = true // the aggregation hop
+		used[r.net.NodeAt(path[2]).ID] = true // the aggregation hop
 	}
 	if len(used) < 2 {
 		t.Fatalf("ECMP used only %v; want both aggregation roots", used)
@@ -169,15 +172,17 @@ func TestECMPSpreadsAcrossAggRoots(t *testing.T) {
 
 func TestShortestPathIsDeterministic(t *testing.T) {
 	r := newRig(t)
-	a, err := r.ctrl.PathFor(r.host(0, 0), r.host(1, 0), PolicyShortestPath, 0)
+	first, err := r.ctrl.PathFor(r.host(0, 0), r.host(1, 0), PolicyShortestPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := r.ctrl.names(first)
 	for i := 0; i < 5; i++ {
-		b, err := r.ctrl.PathFor(r.host(0, 0), r.host(1, 0), PolicyShortestPath, 0)
+		hops, err := r.ctrl.PathFor(r.host(0, 0), r.host(1, 0), PolicyShortestPath, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		b := r.ctrl.names(hops)
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("shortest path nondeterministic: %v vs %v", a, b)
@@ -195,7 +200,7 @@ func TestCongestionAwareAvoidsHotLink(t *testing.T) {
 	}
 	aggUsed := hot[2]
 	if _, err := r.net.StartFlow(netsim.FlowSpec{
-		Src: hot[0], Dst: hot[len(hot)-1], Path: hot,
+		Src: r.host(0, 0), Dst: r.host(1, 0), Path: hot,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestCongestionAwareAvoidsHotLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	if path[2] == aggUsed {
-		t.Fatalf("congestion-aware path used the hot aggregation switch %s: %v", aggUsed, path)
+		t.Fatalf("congestion-aware path used the hot aggregation switch %s: %v", r.net.NodeAt(aggUsed).ID, r.ctrl.names(path))
 	}
 }
 
@@ -216,7 +221,7 @@ func TestReroutesAroundFailedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := before[2]
+	agg := r.net.NodeAt(before[2]).ID
 	if err := r.net.SetLinkUp(r.topo.Edge[0], agg, false); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +229,7 @@ func TestReroutesAroundFailedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after[2] == agg {
+	if r.net.NodeAt(after[2]).ID == agg {
 		t.Fatalf("path still uses failed uplink via %s", agg)
 	}
 }
@@ -278,8 +283,8 @@ func TestLabelRoutingFollowsMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path1[len(path1)-1] != vmHost1 {
-		t.Fatalf("label path ends at %s, want %s", path1[len(path1)-1], vmHost1)
+	if end := r.net.NodeAt(path1[len(path1)-1]).ID; end != vmHost1 {
+		t.Fatalf("label path ends at %s, want %s", end, vmHost1)
 	}
 
 	// Migrate: rebind the label, flush rules.
@@ -295,8 +300,8 @@ func TestLabelRoutingFollowsMigration(t *testing.T) {
 	if !via {
 		t.Fatal("expected packet-in after label move flushed rules")
 	}
-	if path2[len(path2)-1] != vmHost2 {
-		t.Fatalf("after migration path ends at %s, want %s", path2[len(path2)-1], vmHost2)
+	if end := r.net.NodeAt(path2[len(path2)-1]).ID; end != vmHost2 {
+		t.Fatalf("after migration path ends at %s, want %s", end, vmHost2)
 	}
 }
 
@@ -397,10 +402,11 @@ func TestPropertyPathValidity(t *testing.T) {
 			return true
 		}
 		policy := []Policy{PolicyShortestPath, PolicyECMP, PolicyCongestionAware}[int(policyRaw)%3]
-		path, err := r.ctrl.PathFor(src, dst, policy, key)
+		hops, err := r.ctrl.PathFor(src, dst, policy, key)
 		if err != nil {
 			return false
 		}
+		path := r.ctrl.names(hops)
 		if path[0] != src || path[len(path)-1] != dst {
 			return false
 		}

@@ -50,6 +50,10 @@ type OnOffGenerator struct {
 	fabric *Fabric
 	hosts  []netsim.NodeID
 	cfg    OnOffConfig
+	// onDone counts a burst's outcome and bursts[i] is source i's
+	// off-timer callback: made once, not per burst.
+	onDone func(error)
+	bursts []func()
 
 	FlowsStarted uint64
 	FlowsDone    uint64
@@ -66,7 +70,13 @@ func NewOnOffGenerator(fabric *Fabric, hosts []netsim.NodeID, cfg OnOffConfig) (
 		return nil, fmt.Errorf("workload: on/off traffic needs ≥1 source")
 	}
 	cfg.fillDefaults()
-	return &OnOffGenerator{fabric: fabric, hosts: append([]netsim.NodeID(nil), hosts...), cfg: cfg}, nil
+	g := &OnOffGenerator{fabric: fabric, hosts: append([]netsim.NodeID(nil), hosts...), cfg: cfg}
+	g.onDone = g.flowDone
+	g.bursts = make([]func(), cfg.Sources)
+	for i := range g.bursts {
+		g.bursts[i] = func() { g.burst(i) }
+	}
+	return g, nil
 }
 
 // pareto draws a Pareto-distributed value with the given mean and tail
@@ -102,7 +112,7 @@ func (g *OnOffGenerator) scheduleOff(src int) {
 		return
 	}
 	off := g.pareto(g.cfg.MeanOffSeconds)
-	g.fabric.Engine.Schedule(time.Duration(off*float64(time.Second)), func() { g.burst(src) })
+	g.fabric.Engine.Schedule(time.Duration(off*float64(time.Second)), g.bursts[src])
 }
 
 // burst sends one ON period's volume between a random pair.
@@ -123,17 +133,19 @@ func (g *OnOffGenerator) burst(src int) {
 		bytes = 1
 	}
 	g.FlowsStarted++
-	err := g.fabric.Send(a, b, bytes, BackgroundPort, func(err error) {
-		if err != nil {
-			g.FlowsFailed++
-		} else {
-			g.FlowsDone++
-		}
-	})
-	if err != nil {
+	if err := g.fabric.Send(a, b, bytes, BackgroundPort, g.onDone); err != nil {
 		g.FlowsFailed++
 	}
 	g.scheduleOff(src)
+}
+
+// flowDone counts a burst's outcome.
+func (g *OnOffGenerator) flowDone(err error) {
+	if err != nil {
+		g.FlowsFailed++
+	} else {
+		g.FlowsDone++
+	}
 }
 
 // GravityConfig parameterises a time-varying gravity traffic matrix:

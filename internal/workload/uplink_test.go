@@ -26,7 +26,7 @@ func TestUplinkBitsCountsRackEgress(t *testing.T) {
 	h := func(rack, idx int) netsim.NodeID { return topology.HostName(rack, idx) }
 	start := func(path []netsim.NodeID, bits float64) *netsim.Flow {
 		t.Helper()
-		f, err := n.StartFlow(netsim.FlowSpec{Src: path[0], Dst: path[len(path)-1], Path: path, SizeBits: bits})
+		f, err := n.StartFlow(netsim.FlowSpec{Src: path[0], Dst: path[len(path)-1], Path: n.Indices(path...), SizeBits: bits})
 		if err != nil {
 			t.Fatal(err)
 		}
