@@ -38,8 +38,8 @@ bench-smoke:
 # study-digest and zero-perturbation gates, the kernel-state rendering
 # differentials (each layer's strconv rendering against its fmt
 # oracle), the wiring differential (a network wired from a topology
-# builder's wiring against the same nodes and cables added one at a
-# time), the builders' pinned wiring digests, the route cache against
+# builder's wiring against the name-keyed model of its nodes and
+# cables), the builders' pinned wiring digests, the route cache against
 # its name-keyed oracle (hits, misses, evictions, size, LRU order and
 # paths after every step) and a link's flow set in flow-ID order (OnEnd
 # callbacks and BitsCarried after a re-path and a link failure),
@@ -47,7 +47,7 @@ bench-smoke:
 # traces do not depend on how many threads the Go runtime schedules.
 # `go test -run` passes silently on zero matches, so the target first
 # fails if a listed package selects no test.
-DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesBuilt|FabricWiringPinned|RouteCacheMatchesNameKeyedOracle|LinkFlowSetOrder
+DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesModel|FabricWiringPinned|RouteCacheMatchesNameKeyedOracle|LinkFlowSetOrder
 DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim ./internal/sdn ./internal/energy ./internal/topology
 
 determinism-single-core:
@@ -79,9 +79,9 @@ determinism-single-core:
 # every line is a HELP, TYPE or sample line of the text format, and the
 # label value and help text un-escape to what was registered) and the
 # fabric wiring (any fabric kind and small dimensions, zero and negative
-# included, are either refused by the topology builder or wired into a
-# network that equals the same nodes and cables added one at a time and
-# passes topology.Validate) and the flow paths (arbitrary hop-index
+# included, are either refused by the topology builder or wired into
+# networks that match the name-keyed model of its nodes and cables and
+# pass topology.Validate) and the flow paths (arbitrary hop-index
 # sequences, negative, out of range, repeated or not cabled, through
 # StartFlow and SetPath on a small fabric with a failed link never
 # panic, are refused exactly when the name-resolving reference refuses

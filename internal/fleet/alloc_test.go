@@ -132,12 +132,13 @@ func TestStampedKernelsShareTheBoard(t *testing.T) {
 // host, after a GC: the fabric's cable pairs and hop arrays, the host
 // slab, the plan and pimaster. A link leg carrying its flow state and a
 // host slab entry carrying its board and monitoring series left 1,888
-// bytes a host at k=16; now about 1,400.
+// bytes a host at k=16, and a list of the links beside their slab
+// 1,414; now about 1,366.
 func TestColdBuildLiveBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes differ under the race detector")
 	}
-	const perHost = 1500
+	const perHost = 1450
 	cfg := allocShapes[0].cfg
 	var mu sync.Mutex
 	var before, after runtime.MemStats

@@ -251,7 +251,7 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan, engine *sim.Engine, n
 		return nil, err
 	}
 	topo := plan.topo
-	ctrl := sdn.NewController(engine, net, sdn.DefaultConfig())
+	ctrl := sdn.NewController(engine, net)
 	for _, id := range topo.Switches() {
 		if err := ctrl.RegisterSwitch(openflow.NewSwitch(id, engine)); err != nil {
 			return nil, err

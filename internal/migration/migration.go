@@ -54,6 +54,10 @@ var (
 	ErrBadRequest = errors.New("migration: invalid request")
 )
 
+// switchoverOverhead models control-plane latency at the freeze point
+// (rule updates, ARP-equivalent).
+const switchoverOverhead = 50 * time.Millisecond
+
 // Config tunes the pre-copy loop.
 type Config struct {
 	// StopCopyThresholdBytes: when the remaining dirty set falls to or
@@ -62,18 +66,6 @@ type Config struct {
 	// MaxIterations bounds pre-copy rounds for non-converging workloads.
 	// Default 30.
 	MaxIterations int
-	// SwitchoverOverhead models control-plane latency at the freeze
-	// point (rule updates, ARP-equivalent). Default 50 ms.
-	SwitchoverOverhead time.Duration
-}
-
-// DefaultConfig mirrors common pre-copy implementations.
-func DefaultConfig() Config {
-	return Config{
-		StopCopyThresholdBytes: hw.MiB,
-		MaxIterations:          30,
-		SwitchoverOverhead:     50 * time.Millisecond,
-	}
 }
 
 func (c *Config) fillDefaults() {
@@ -82,9 +74,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 30
-	}
-	if c.SwitchoverOverhead <= 0 {
-		c.SwitchoverOverhead = 50 * time.Millisecond
 	}
 }
 
@@ -270,7 +259,7 @@ func (s *state) stopAndCopy() {
 	s.frozeAt = s.mgr.engine.Now()
 	finish := func() {
 		s.totalBytes += s.remaining
-		s.mgr.engine.Schedule(s.mgr.cfg.SwitchoverOverhead, s.switchover)
+		s.mgr.engine.Schedule(switchoverOverhead, s.switchover)
 	}
 	if s.remaining <= 0 {
 		finish()

@@ -34,7 +34,7 @@ func newRig(t testing.TB, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	ctrl := sdn.NewController(e, n, sdn.DefaultConfig())
+	ctrl := sdn.NewController(e, n)
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
 	}

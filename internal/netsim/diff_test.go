@@ -29,8 +29,9 @@ func referenceRates(n *Network) map[int64]float64 {
 		remaining   float64
 		activeCount int
 	}
-	link := make(map[*Link]*st, len(n.linkList))
-	for _, l := range n.linkList {
+	all := legs(n)
+	link := make(map[*Link]*st, len(all))
+	for _, l := range all {
 		link[l] = &st{remaining: l.Capacity}
 	}
 	var active []*Flow
@@ -56,7 +57,7 @@ func referenceRates(n *Network) map[int64]float64 {
 	}
 	for len(active) > 0 {
 		inc := math.Inf(1)
-		for _, l := range n.linkList {
+		for _, l := range all {
 			s := link[l]
 			if l.up && s.activeCount > 0 {
 				if share := s.remaining / float64(s.activeCount); share < inc {
@@ -80,7 +81,7 @@ func referenceRates(n *Network) map[int64]float64 {
 		for _, f := range active {
 			rates[f.ID] += inc
 		}
-		for _, l := range n.linkList {
+		for _, l := range all {
 			if l.up {
 				link[l].remaining -= inc * float64(link[l].activeCount)
 			}
@@ -119,6 +120,7 @@ func referenceRates(n *Network) map[int64]float64 {
 // racks of H hosts behind one ToR each, every ToR cabled to every agg.
 type diffRig struct {
 	n     *Network
+	w     *Wiring
 	e     *sim.Engine
 	racks [][]NodeID
 	tors  []NodeID
@@ -127,39 +129,31 @@ type diffRig struct {
 
 func buildDiffRig(t testing.TB, e *sim.Engine, racks, hostsPerRack, aggs int) *diffRig {
 	t.Helper()
-	n := New(e)
-	r := &diffRig{n: n, e: e}
+	r := &diffRig{e: e}
+	var nodes []testNode
+	var cables []testCable
 	for a := 0; a < aggs; a++ {
 		id := NodeID(fmt.Sprintf("agg-%d", a))
-		if err := n.AddNode(id, KindSwitch); err != nil {
-			t.Fatal(err)
-		}
+		nodes = append(nodes, testNode{id, KindSwitch})
 		r.aggs = append(r.aggs, id)
 	}
 	for rk := 0; rk < racks; rk++ {
 		tor := NodeID(fmt.Sprintf("tor-%d", rk))
-		if err := n.AddNode(tor, KindSwitch); err != nil {
-			t.Fatal(err)
-		}
+		nodes = append(nodes, testNode{tor, KindSwitch})
 		for _, agg := range r.aggs {
-			if err := n.AddDuplexLink(tor, agg, 1000*mbps, time.Microsecond); err != nil {
-				t.Fatal(err)
-			}
+			cables = append(cables, testCable{tor, agg, 1000 * mbps, time.Microsecond})
 		}
 		r.tors = append(r.tors, tor)
 		var hosts []NodeID
 		for h := 0; h < hostsPerRack; h++ {
 			id := NodeID(fmt.Sprintf("h-%d-%d", rk, h))
-			if err := n.AddNode(id, KindHost); err != nil {
-				t.Fatal(err)
-			}
-			if err := n.AddDuplexLink(id, tor, 100*mbps, time.Microsecond); err != nil {
-				t.Fatal(err)
-			}
+			nodes = append(nodes, testNode{id, KindHost})
+			cables = append(cables, testCable{id, tor, 100 * mbps, time.Microsecond})
 			hosts = append(hosts, id)
 		}
 		r.racks = append(r.racks, hosts)
 	}
+	r.n, r.w = wireFabric(t, e, nodes, cables)
 	return r
 }
 

@@ -1,13 +1,12 @@
 package netsim
 
-// Internals the external wiring tests (package netsim_test, which can
-// import the topology builders) compare a wired network by.
+import "testing"
 
-// LinkList returns n's links in creation order.
-func LinkList(n *Network) []*Link { return n.linkList }
-
-// LinkNet returns the network a link belongs to.
-func LinkNet(l *Link) *Network { return l.net }
-
-// LinkRev returns a link's reverse leg.
-func LinkRev(l *Link) *Link { return l.rev }
+// CheckWiredAgainstModel asserts that n, wired from w, matches the
+// name-keyed model of w's nodes and cables (see checkAgainstModel), for
+// the external wiring tests (package netsim_test, which can import the
+// topology builders).
+func CheckWiredAgainstModel(t testing.TB, n *Network, w *Wiring) {
+	t.Helper()
+	checkAgainstModel(t, 0, n, newModel(fabricOf(w)))
+}

@@ -16,12 +16,12 @@
 //
 // A fabric is described once, by index, in a WiringBuilder: its nodes
 // in one slab with their name index, its cables as 12-byte entries. The
-// finished, immutable Wiring is what Wire instantiates networks from in
-// bulk; they share the nodes and own their links. The topology builders
-// emit one, and a fleet's cold build and its forks are all wired from
-// it. New, AddNode and AddDuplexLink build a network one device and one
-// cable at a time, for runtime re-cabling and as the reference a wired
-// network is tested against.
+// finished, immutable Wiring is the only description of a fabric and
+// Wire the only way to make a network of it: networks wired from one
+// Wiring share its nodes and own their links, one cable-pair slab each.
+// The topology builders emit one, and a fleet's cold build and its
+// forks are all wired from it. A wired network's cabling is fixed; what
+// changes at run time is link state (SetLinkUp, ShapeLink).
 //
 // A link leg is the cable alone, 64 bytes: its ends, state and
 // parameters. Its flow set, carried bits and solver scratch are its
@@ -84,12 +84,11 @@ func (nd *Node) Index() int32 { return nd.idx }
 // Capacity and Latency are the effective values after any Shaping; the
 // nominal cable parameters are retained so shaping can be cleared.
 //
-// Links are created and removed only as duplex pairs, both legs in one
-// allocation, so every link has a reverse leg (To→From) for as long as
-// it exists. The pair shares its up/down state: the cable's flag, which
-// both legs and both legs' hop entries carry and SetLinkUp writes
-// together. A leg holds no names: From and To read them through the
-// node indices it holds.
+// A network's links are its cable-pair slab: each cable's two legs sit
+// side by side, so every link has a reverse leg (To→From). The pair
+// shares its up/down state: the cable's flag, which both legs and both
+// legs' hop entries carry and SetLinkUp writes together. A leg holds no
+// names: From and To read them through the node indices it holds.
 //
 // A leg is the cable alone, 64 bytes; what only a loaded link uses is
 // its load (see linkLoad).
@@ -368,9 +367,8 @@ func (f *Flow) PathLatency() time.Duration {
 // creation order. Beside the link it holds what a routing walk reads:
 // the destination node's index and kind and the cable's up flag. An
 // entry is 16 bytes, so a walk over a switch's ports reads one
-// contiguous array instead of chasing a pointer per port. The network
-// writes the up flag wherever the cable's state changes (wiring and
-// SetLinkUp), in both legs' entries.
+// contiguous array instead of chasing a pointer per port. Wire sets the
+// up flag and SetLinkUp rewrites it, in both legs' entries.
 type Hop struct {
 	to   int32
 	kind NodeKind
@@ -419,9 +417,10 @@ type Network struct {
 	// by the same index.
 	nodeList []*Node
 	out      [][]Hop
-	// linkList iterates links in creation order (deterministic, no map
-	// ranging on the hot path). Removed links are filtered out in place.
-	linkList []*Link
+	// pairs is the cable-pair slab, in the wiring's cable order: each
+	// cable's a→b leg, then its b→a leg. It is the network's link order,
+	// the one every walk over all links takes.
+	pairs [][2]Link
 	// flowOrder iterates live flows in admission order; ended flows are
 	// compacted out lazily. Determinism of completion-event sequence
 	// numbers depends on this ordering.
@@ -466,9 +465,6 @@ type Network struct {
 	// span per flush, and opt-in phase profiling.
 	stats  netStats
 	tracer *obs.Tracer
-	// sealed freezes the node set: set on every network Wire builds,
-	// whose nodes and name index a Wiring shares.
-	sealed bool
 }
 
 // solveScratch holds the domain solver's buffers, reused across domain
@@ -479,7 +475,7 @@ type solveScratch struct {
 	active []*Flow
 }
 
-// Errors returned by Network operations.
+// Errors returned by Network and WiringBuilder operations.
 var (
 	ErrNodeExists   = errors.New("netsim: node already exists")
 	ErrNoSuchNode   = errors.New("netsim: no such node")
@@ -488,22 +484,7 @@ var (
 	ErrBadPath      = errors.New("netsim: invalid path")
 	ErrFlowEnded    = errors.New("netsim: flow already ended")
 	ErrLinkDownPath = errors.New("netsim: path traverses a failed link")
-	ErrSealed       = errors.New("netsim: the node set is sealed")
 )
-
-// New returns an empty network on the given engine.
-func New(engine *sim.Engine) *Network {
-	n := newNetwork(engine)
-	n.nodes = make(map[NodeID]*Node)
-	return n
-}
-
-// newNetwork returns a network with no node set on the given engine.
-func newNetwork(engine *sim.Engine) *Network {
-	n := &Network{engine: engine, lastAdvance: -1}
-	n.flushFn = n.flush
-	return n
-}
 
 // markDirty defers rate recomputation to the end of the current virtual
 // instant. The zero-delay event fires before time can advance, so no flow
@@ -527,19 +508,19 @@ func (n *Network) flush() {
 	n.solveDirty()
 }
 
-// TopoEpoch returns the topology/link-state epoch: it advances on every
-// wiring or link-state mutation (add/remove link, up/down, shaping), and
-// route caches keyed on it are thereby invalidated. Rate-only changes do
-// not advance it. Shaping bumps are deliberately conservative — hop-count
-// routes survive shaping, but the epoch contract promises any cached
-// answer derived from link state (capacity, latency) dies with it, so
-// future weight-aware policies can cache safely.
+// TopoEpoch returns the topology/link-state epoch: a network starts at
+// its wiring's epoch (see WiringBuilder.Finish), the epoch advances on
+// every link-state mutation (up/down, shaping), and route caches keyed
+// on it are thereby invalidated. Rate-only changes do not advance it.
+// Shaping bumps are deliberately conservative — hop-count routes survive
+// shaping, but the epoch contract promises any cached answer derived
+// from link state (capacity, latency) dies with it, so future
+// weight-aware policies can cache safely.
 func (n *Network) TopoEpoch() uint64 { return n.topoEpoch }
 
 // BumpTopoEpoch advances the epoch explicitly, forcing route-cache
 // invalidation beyond the automatic bumps netsim's own mutators
-// perform; it is the one bump a finished WiringBuilder adds after its
-// nodes and cables.
+// perform.
 func (n *Network) BumpTopoEpoch() { n.topoEpoch++ }
 
 // KernelMode bundles the network kernel's reference modes: every mode is
@@ -573,23 +554,6 @@ func (n *Network) SetKernelMode(m KernelMode) {
 	n.fullRecompute = m.FullRecompute
 }
 
-// AddNode registers a device. A wired network refuses it with
-// ErrSealed.
-func (n *Network) AddNode(id NodeID, kind NodeKind) error {
-	if n.sealed {
-		return fmt.Errorf("%w: cannot add %s", ErrSealed, id)
-	}
-	if _, dup := n.nodes[id]; dup {
-		return fmt.Errorf("%w: %s", ErrNodeExists, id)
-	}
-	nd := &Node{ID: id, Kind: kind, idx: int32(len(n.nodeList))}
-	n.nodes[id] = nd
-	n.nodeList = append(n.nodeList, nd)
-	n.out = append(n.out, nil)
-	n.topoEpoch++
-	return nil
-}
-
 // Node returns the named device, or nil.
 func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 
@@ -611,52 +575,6 @@ func (n *Network) Indices(ids ...NodeID) []int32 {
 		}
 	}
 	return out
-}
-
-// AddDuplexLink wires a full-duplex cable between a and b: two directed
-// links, each with the given capacity and latency. A node cannot be
-// cabled to itself.
-func (n *Network) AddDuplexLink(a, b NodeID, capacityBps float64, latency time.Duration) error {
-	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil {
-		return fmt.Errorf("%w: %s", ErrNoSuchNode, a)
-	}
-	if nb == nil {
-		return fmt.Errorf("%w: %s", ErrNoSuchNode, b)
-	}
-	if na == nb {
-		return fmt.Errorf("netsim: self-loop link on %s", a)
-	}
-	if capacityBps <= 0 {
-		return fmt.Errorf("netsim: non-positive capacity on link %s-%s", a, b)
-	}
-	// Legs exist only in pairs, so one probe covers both directions.
-	if n.LinkAt(na.idx, nb.idx) != nil {
-		return fmt.Errorf("%w: %s->%s", ErrLinkExists, a, b)
-	}
-	n.wire(new([2]Link), na, nb, capacityBps, latency)
-	return nil
-}
-
-// wire cables a to b through pair, a zero pair of legs: it fills both
-// legs, appends them to the link list and each to its tail's hop
-// array, and bumps the epoch. It is every cable's one routine, runtime
-// AddDuplexLink and Wire's bulk instantiation alike, so a wired network
-// orders its links and hops exactly as the same cables added one at a
-// time.
-func (n *Network) wire(pair *[2]Link, na, nb *Node, capacityBps float64, latency time.Duration) {
-	ends := [2]*Node{na, nb}
-	for i, from := range ends {
-		to := ends[1-i]
-		l := &pair[i]
-		l.to, l.rev = to.idx, &pair[1-i]
-		l.up, l.net = true, n
-		l.Capacity, l.Latency = capacityBps, latency
-		l.baseCapacity, l.baseLatency = capacityBps, latency
-		n.linkList = append(n.linkList, l)
-		n.out[from.idx] = append(n.out[from.idx], Hop{to: l.to, kind: to.Kind, up: true, link: l})
-	}
-	n.topoEpoch++
 }
 
 // Shaping models tc-style impairment of a duplex cable: a capacity
@@ -717,38 +635,6 @@ func (n *Network) ClearShaping(a, b NodeID) error {
 		}
 	}
 	n.topoEpoch++
-	return nil
-}
-
-// RemoveDuplexLink deletes the cable between a and b in both directions,
-// ending any flows that traversed it ("re-cabling" the testbed). It is an
-// error if no such cable exists.
-func (n *Network) RemoveDuplexLink(a, b NodeID) error {
-	la := n.Link(a, b)
-	if la == nil {
-		return fmt.Errorf("%w: %s->%s", ErrNoSuchLink, a, b)
-	}
-	n.advance()
-	pair := [2]*Link{la, la.rev}
-	for _, l := range pair {
-		n.endLinkFlows(l, EndLinkDown)
-		// The reverse leg ends where this one starts.
-		from := l.rev.to
-		i := n.hopAt(from, l.to)
-		n.out[from] = slices.Delete(n.out[from], i, i+1)
-	}
-	kept := n.linkList[:0]
-	for _, l := range n.linkList {
-		if l != pair[0] && l != pair[1] {
-			kept = append(kept, l)
-		}
-	}
-	for i := len(kept); i < len(n.linkList); i++ {
-		n.linkList[i] = nil
-	}
-	n.linkList = kept
-	n.topoEpoch++
-	n.markDirty()
 	return nil
 }
 

@@ -11,24 +11,61 @@ import (
 
 const mbps = 1e6
 
-// line builds a -- s -- b: two hosts behind one switch, 100 Mb/s links.
-func line(t *testing.T, e *sim.Engine) *Network {
+// testNode and testCable spell a small test fabric by name.
+type testNode struct {
+	id   NodeID
+	kind NodeKind
+}
+
+type testCable struct {
+	a, b     NodeID
+	capacity float64
+	latency  time.Duration
+}
+
+// recordFabric records nodes and then cables, by name, in a
+// WiringBuilder sized for them, and returns it unfinished.
+func recordFabric(t testing.TB, nodes []testNode, cables []testCable) *WiringBuilder {
 	t.Helper()
-	n := New(e)
-	for _, id := range []NodeID{"a", "b"} {
-		if err := n.AddNode(id, KindHost); err != nil {
+	wb := NewWiringBuilder(len(nodes), len(cables))
+	index := make(map[NodeID]int32, len(nodes))
+	for _, nd := range nodes {
+		i, err := wb.AddNode(nd.id, nd.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index[nd.id] = i
+	}
+	for _, c := range cables {
+		a, okA := index[c.a]
+		b, okB := index[c.b]
+		if !okA || !okB {
+			t.Fatalf("cable %s-%s names a node the fabric lacks", c.a, c.b)
+		}
+		if err := wb.AddDuplexLink(a, b, c.capacity, c.latency); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := n.AddNode("s", KindSwitch); err != nil {
+	return wb
+}
+
+// wireFabric is how the tests build a small fabric: its nodes and
+// cables recorded by recordFabric, the finished Wiring wired on e.
+func wireFabric(t testing.TB, e *sim.Engine, nodes []testNode, cables []testCable) (*Network, *Wiring) {
+	t.Helper()
+	w, err := recordFabric(t, nodes, cables).Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddDuplexLink("a", "s", 100*mbps, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddDuplexLink("s", "b", 100*mbps, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	return Wire(e, w), w
+}
+
+// line builds a -- s -- b: two hosts behind one switch, 100 Mb/s links.
+func line(t testing.TB, e *sim.Engine) *Network {
+	t.Helper()
+	n, _ := wireFabric(t, e,
+		[]testNode{{"a", KindHost}, {"b", KindHost}, {"s", KindSwitch}},
+		[]testCable{{"a", "s", 100 * mbps, time.Millisecond}, {"s", "b", 100 * mbps, time.Millisecond}})
 	return n
 }
 
@@ -202,22 +239,12 @@ func TestLinkFailureEndsFlows(t *testing.T) {
 
 func TestSetPathKeepsTransferState(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := New(e)
-	for _, id := range []NodeID{"a", "b"} {
-		if err := n.AddNode(id, KindHost); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []NodeID{"s1", "s2"} {
-		if err := n.AddNode(id, KindSwitch); err != nil {
-			t.Fatal(err)
-		}
-	}
+	var cables []testCable
 	for _, pair := range [][2]NodeID{{"a", "s1"}, {"s1", "b"}, {"a", "s2"}, {"s2", "b"}} {
-		if err := n.AddDuplexLink(pair[0], pair[1], 100*mbps, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+		cables = append(cables, testCable{pair[0], pair[1], 100 * mbps, time.Millisecond})
 	}
+	n, _ := wireFabric(t, e,
+		[]testNode{{"a", KindHost}, {"b", KindHost}, {"s1", KindSwitch}, {"s2", KindSwitch}}, cables)
 	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s1", "b"), SizeBits: 200 * mbps})
 	if err != nil {
 		t.Fatal(err)
@@ -265,41 +292,20 @@ func TestPathValidation(t *testing.T) {
 	}
 }
 
+// TestTopologyEditing: a wired network lists a cable's far end as a
+// neighbour while the cable is up and not while it is down, and keeps
+// the cable. (What a builder refuses is TestWiringBuilderRefusals'.)
 func TestTopologyEditing(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := New(e)
-	if err := n.AddNode("a", KindHost); err != nil {
+	n, _ := wireFabric(t, sim.NewEngine(1),
+		[]testNode{{"a", KindHost}, {"b", KindSwitch}}, []testCable{{"a", "b", mbps, 0}})
+	if got := n.Neighbors("a"); len(got) != 1 || got[0] != "b" {
+		t.Fatalf("Neighbors(a) = %v, want [b]", got)
+	}
+	if err := n.SetLinkUp("b", "a", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddNode("a", KindHost); err == nil {
-		t.Fatal("duplicate node accepted")
-	}
-	if err := n.AddDuplexLink("a", "nope", mbps, 0); err == nil {
-		t.Fatal("link to unknown node accepted")
-	}
-	if err := n.AddNode("b", KindSwitch); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddDuplexLink("a", "b", 0, 0); err == nil {
-		t.Fatal("zero-capacity link accepted")
-	}
-	if err := n.AddDuplexLink("a", "b", mbps, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddDuplexLink("b", "a", mbps, 0); err == nil {
-		t.Fatal("duplicate link accepted")
-	}
-	if got := len(n.Neighbors("a")); got != 1 {
-		t.Fatalf("Neighbors = %d, want 1", got)
-	}
-	if err := n.RemoveDuplexLink("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.RemoveDuplexLink("a", "b"); err == nil {
-		t.Fatal("double remove accepted")
-	}
-	if n.Link("a", "b") != nil {
-		t.Fatal("link survived removal")
+	if got := n.Neighbors("a"); len(got) != 0 || n.Link("a", "b") == nil {
+		t.Fatalf("Neighbors(a) = %v over a failed cable, link %v", got, n.Link("a", "b"))
 	}
 }
 
@@ -425,13 +431,9 @@ func TestPathLatency(t *testing.T) {
 }
 
 func BenchmarkReallocate100Flows(b *testing.B) {
-	e := sim.NewEngine(1)
-	n := New(e)
-	_ = n.AddNode("a", KindHost)
-	_ = n.AddNode("b", KindHost)
-	_ = n.AddNode("s", KindSwitch)
-	_ = n.AddDuplexLink("a", "s", 100*mbps, 0)
-	_ = n.AddDuplexLink("s", "b", 100*mbps, 0)
+	n, _ := wireFabric(b, sim.NewEngine(1),
+		[]testNode{{"a", KindHost}, {"b", KindHost}, {"s", KindSwitch}},
+		[]testCable{{"a", "s", 100 * mbps, 0}, {"s", "b", 100 * mbps, 0}})
 	for i := 0; i < 100; i++ {
 		if _, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s", "b")}); err != nil {
 			b.Fatal(err)
@@ -446,27 +448,9 @@ func BenchmarkReallocate100Flows(b *testing.B) {
 func TestHeterogeneousBottleneck(t *testing.T) {
 	// a --100Mb-- s1 --50Mb-- s2 --100Mb-- b: the 50Mb middle hop is the
 	// bottleneck, so a single flow gets exactly 50Mb/s.
-	e := sim.NewEngine(1)
-	n := New(e)
-	for _, id := range []NodeID{"a", "b"} {
-		if err := n.AddNode(id, KindHost); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []NodeID{"s1", "s2"} {
-		if err := n.AddNode(id, KindSwitch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.AddDuplexLink("a", "s1", 100*mbps, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddDuplexLink("s1", "s2", 50*mbps, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddDuplexLink("s2", "b", 100*mbps, 0); err != nil {
-		t.Fatal(err)
-	}
+	n, _ := wireFabric(t, sim.NewEngine(1),
+		[]testNode{{"a", KindHost}, {"b", KindHost}, {"s1", KindSwitch}, {"s2", KindSwitch}},
+		[]testCable{{"a", "s1", 100 * mbps, 0}, {"s1", "s2", 50 * mbps, 0}, {"s2", "b", 100 * mbps, 0}})
 	f, err := n.StartFlow(FlowSpec{Src: "a", Dst: "b", Path: n.Indices("a", "s1", "s2", "b")})
 	if err != nil {
 		t.Fatal(err)

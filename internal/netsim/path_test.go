@@ -98,7 +98,7 @@ func checkFlowSets(t *testing.T, n *Network) {
 			}
 		}
 	}
-	for _, l := range n.linkList {
+	for _, l := range legs(n) {
 		var got []*Flow
 		if l.load != nil {
 			got = l.load.flows
@@ -265,32 +265,26 @@ func FuzzFlowPath(f *testing.F) {
 	f.Add([]byte{2}, uint8(0), uint8(0))                // too short
 	f.Fuzz(func(t *testing.T, hops []byte, srcByte, dstByte uint8) {
 		e := sim.NewEngine(1)
-		n := New(e)
 		// tor-0 (0), tor-1 (1), h-0-0 (2), h-0-1 (3), h-1-0 (4), h-1-1 (5),
 		// agg-0 (6), agg-1 (7); tor-0—agg-0 is down.
+		var nodes []testNode
 		for _, id := range []NodeID{"tor-0", "tor-1"} {
-			if err := n.AddNode(id, KindSwitch); err != nil {
-				t.Fatal(err)
-			}
+			nodes = append(nodes, testNode{id, KindSwitch})
 		}
 		for _, id := range []NodeID{"h-0-0", "h-0-1", "h-1-0", "h-1-1"} {
-			if err := n.AddNode(id, KindHost); err != nil {
-				t.Fatal(err)
-			}
+			nodes = append(nodes, testNode{id, KindHost})
 		}
 		for _, id := range []NodeID{"agg-0", "agg-1"} {
-			if err := n.AddNode(id, KindSwitch); err != nil {
-				t.Fatal(err)
-			}
+			nodes = append(nodes, testNode{id, KindSwitch})
 		}
+		var cables []testCable
 		for _, c := range [][2]NodeID{
 			{"h-0-0", "tor-0"}, {"h-0-1", "tor-0"}, {"h-1-0", "tor-1"}, {"h-1-1", "tor-1"},
 			{"tor-0", "agg-0"}, {"tor-0", "agg-1"}, {"tor-1", "agg-0"}, {"tor-1", "agg-1"},
 		} {
-			if err := n.AddDuplexLink(c[0], c[1], 100*mbps, time.Microsecond); err != nil {
-				t.Fatal(err)
-			}
+			cables = append(cables, testCable{c[0], c[1], 100 * mbps, time.Microsecond})
 		}
+		n, _ := wireFabric(t, e, nodes, cables)
 		if err := n.SetLinkUp("tor-0", "agg-0", false); err != nil {
 			t.Fatal(err)
 		}

@@ -14,24 +14,29 @@ import (
 )
 
 // writeStateFmt is the fmt rendering AppendState replaced, kept as its
-// oracle: the same bytes, one Fprintf per link and flow.
-func writeStateFmt(n *Network, w io.Writer) {
+// oracle: the same bytes, one Fprintf per link and flow. It finds the
+// links through the wiring n was wired from, not through n's slab: for
+// each cable, the leg from its first end, then the leg back.
+func writeStateFmt(n *Network, wiring *Wiring, w io.Writer) {
 	n.flush()
 	fmt.Fprintf(w, "netsim nodes=%d links=%d active=%d nextID=%d topoEpoch=%d\n",
-		len(n.nodes), len(n.linkList), n.active, n.nextID, n.topoEpoch)
-	for _, l := range n.linkList {
-		var bits, alloc float64
-		flows := 0
-		if l.load != nil {
-			bits, alloc, flows = l.load.bitsCarried, l.load.allocated, len(l.load.flows)
+		len(n.nodes), 2*wiring.CableCount(), n.active, n.nextID, n.topoEpoch)
+	for i := 0; i < wiring.CableCount(); i++ {
+		a, b, _, _ := wiring.Cable(i)
+		for _, l := range []*Link{n.LinkAt(a, b), n.LinkAt(b, a)} {
+			var bits, alloc float64
+			flows := 0
+			if l.load != nil {
+				bits, alloc, flows = l.load.bitsCarried, l.load.allocated, len(l.load.flows)
+			}
+			if l.up && !l.shaped && bits == 0 && flows == 0 {
+				continue
+			}
+			fmt.Fprintf(w, "link %s>%s up=%t shaped=%t cap=%016x lat=%d bits=%016x alloc=%016x flows=%d\n",
+				l.From(), l.To(), l.up, l.shaped,
+				math.Float64bits(l.Capacity), int64(l.Latency),
+				math.Float64bits(bits), math.Float64bits(alloc), flows)
 		}
-		if l.up && !l.shaped && bits == 0 && flows == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "link %s>%s up=%t shaped=%t cap=%016x lat=%d bits=%016x alloc=%016x flows=%d\n",
-			l.From(), l.To(), l.up, l.shaped,
-			math.Float64bits(l.Capacity), int64(l.Latency),
-			math.Float64bits(bits), math.Float64bits(alloc), flows)
 	}
 	for _, f := range n.flowOrder {
 		if f.ended {
@@ -45,8 +50,9 @@ func writeStateFmt(n *Network, w io.Writer) {
 	}
 }
 
-// TestStateRenderMatchesFmt: the network's strconv rendering writes the
-// fmt oracle's bytes after every step of a random script of finite,
+// TestStateRenderMatchesFmt: the network's strconv rendering, which
+// walks its cable slab, writes the fmt oracle's bytes, which walks its
+// wiring's cables, after every step of a random script of finite,
 // capped and unbounded flows, cancellations, completions, shaping and
 // link failures, into one reused buffer.
 func TestStateRenderMatchesFmt(t *testing.T) {
@@ -96,7 +102,7 @@ func TestStateRenderMatchesFmt(t *testing.T) {
 				}
 			}
 			var want bytes.Buffer
-			writeStateFmt(r.n, &want)
+			writeStateFmt(r.n, r.w, &want)
 			buf = r.n.AppendState(buf[:0])
 			if !bytes.Equal(buf, want.Bytes()) {
 				t.Fatalf("trial %d step %d:\n%s\nwant\n%s", trial, step, buf, want.Bytes())
@@ -144,7 +150,7 @@ func TestLinkLoadMadeOnFirstFlow(t *testing.T) {
 	}
 	e := sim.NewEngine(1)
 	n := Wire(e, w)
-	for _, l := range n.linkList {
+	for _, l := range legs(n) {
 		if l.load != nil {
 			t.Fatalf("wired leg %s->%s has a load", l.From(), l.To())
 		}
@@ -174,7 +180,7 @@ func TestLinkLoadMadeOnFirstFlow(t *testing.T) {
 	if got := state(); got != want {
 		t.Fatalf("idle down and shaped legs render\n%s\nwant\n%s", got, want)
 	}
-	for _, l := range n.linkList {
+	for _, l := range legs(n) {
 		if l.load != nil || l.FlowCount() != 0 || l.BitsCarried() != 0 || l.Utilisation() != 0 {
 			t.Fatalf("idle leg %s->%s: load %v, %d flows, %v bits, utilisation %v",
 				l.From(), l.To(), l.load, l.FlowCount(), l.BitsCarried(), l.Utilisation())

@@ -15,7 +15,7 @@ import (
 // WiringBuilder records it; Wire instantiates networks from it that
 // share the nodes and the index and own their links, so a fabric is
 // described once and every network of it, a fleet's cold build and its
-// forks alike, is wired in bulk.
+// forks alike, is wired in bulk; Wire is the only way to make a network.
 type Wiring struct {
 	nodes  []*Node
 	index  map[NodeID]*Node
@@ -29,8 +29,8 @@ type Wiring struct {
 }
 
 // cable is one duplex cable of a Wiring: its ends by node index, in the
-// order AddDuplexLink named them, and its nominal parameters' position
-// in the wiring's params.
+// order WiringBuilder.AddDuplexLink named them, and its nominal
+// parameters' position in the wiring's params.
 type cable struct {
 	a, b, param int32
 }
@@ -100,9 +100,9 @@ func (wb *WiringBuilder) AddNode(id NodeID, kind NodeKind) (int32, error) {
 }
 
 // AddDuplexLink records a full-duplex cable between the nodes with
-// indices a and b. It refuses what Network.AddDuplexLink refuses, with
-// the same errors: an unknown node, a self-loop and a non-positive
-// capacity. A cable recorded twice is refused by Finish.
+// indices a and b. It refuses an unknown node with ErrNoSuchNode, and a
+// self-loop and a non-positive capacity. A cable recorded twice is
+// refused by Finish.
 func (wb *WiringBuilder) AddDuplexLink(a, b int32, capacityBps float64, latency time.Duration) error {
 	for _, end := range [2]int32{a, b} {
 		if end < 0 || int(end) >= len(wb.w.nodes) {
@@ -137,9 +137,8 @@ func (wb *WiringBuilder) param(p cableParams) int32 {
 // afterwards. The check visits each node's cables once with one stamp
 // per node, so it is linear in the cables, and the networks Wire builds
 // from the result never repeat it. The wiring's epoch counts one bump
-// per node and per cable, as AddNode and AddDuplexLink make on a live
-// network, and one for the finished build, so no route cache keyed on
-// the epoch survives a build.
+// per node, one per cable and one for the finished build, so no route
+// cache keyed on the epoch survives a build.
 func (wb *WiringBuilder) Finish() (*Wiring, error) {
 	w := wb.w
 	wb.w, wb.slab = nil, nil
@@ -179,18 +178,13 @@ func (wb *WiringBuilder) Finish() (*Wiring, error) {
 }
 
 // Wire builds a network on engine that shares w's nodes and name index
-// and allocates its own link state in bulk: one slab of cable pairs,
-// one slab of hop entries cut into per-node arrays capped at each
-// node's degree, and one link list. Every cable goes through the
-// routine AddDuplexLink uses, so node indices, hop order, link order
-// and the topology epoch equal those of the same nodes and cables added
-// one at a time to a New network (plus the finished build's bump). The
-// node set is sealed: AddNode is refused with ErrSealed. A runtime
-// AddDuplexLink outgrows a node's capped array into a fresh one and
-// leaves its neighbours' intact.
+// and allocates its own link state in bulk: one slab of cable pairs in
+// w's cable order, which is the network's link order, and one slab of
+// hop entries cut into per-node arrays capped at each node's degree,
+// each filled in cable order. The network starts at w's epoch.
 func Wire(engine *sim.Engine, w *Wiring) *Network {
-	n := newNetwork(engine)
-	n.nodes, n.nodeList, n.sealed = w.index, w.nodes, true
+	n := &Network{engine: engine, nodes: w.index, nodeList: w.nodes, lastAdvance: -1, topoEpoch: w.epoch}
+	n.flushFn = n.flush
 	n.out = make([][]Hop, len(w.nodes))
 	hops := make([]Hop, 2*len(w.cables))
 	off := 0
@@ -199,12 +193,19 @@ func Wire(engine *sim.Engine, w *Wiring) *Network {
 		n.out[i] = hops[off:off:end]
 		off = end
 	}
-	pairs := make([][2]Link, len(w.cables))
-	n.linkList = make([]*Link, 0, 2*len(w.cables))
+	n.pairs = make([][2]Link, len(w.cables))
 	for i, c := range w.cables {
 		p := w.params[c.param]
-		n.wire(&pairs[i], w.nodes[c.a], w.nodes[c.b], p.capacity, p.latency)
+		ends := [2]int32{c.a, c.b}
+		for j, from := range ends {
+			to := ends[1-j]
+			l := &n.pairs[i][j]
+			l.to, l.rev = to, &n.pairs[i][1-j]
+			l.up, l.net = true, n
+			l.Capacity, l.Latency = p.capacity, p.latency
+			l.baseCapacity, l.baseLatency = p.capacity, p.latency
+			n.out[from] = append(n.out[from], Hop{to: to, kind: w.nodes[to].Kind, up: true, link: l})
+		}
 	}
-	n.topoEpoch = w.epoch
 	return n
 }

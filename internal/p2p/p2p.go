@@ -24,10 +24,11 @@ import (
 
 // Default protocol constants, SWIM-style.
 const (
-	DefaultGossipInterval = 1 * time.Second
-	DefaultFanout         = 2
-	DefaultSuspectAfter   = 5 * time.Second
-	DefaultDeadAfter      = 10 * time.Second
+	DefaultFanout       = 2
+	DefaultSuspectAfter = 5 * time.Second
+	DefaultDeadAfter    = 10 * time.Second
+	// gossipInterval is every agent's round period.
+	gossipInterval = 1 * time.Second
 	// gossipBytes is the wire size of one digest message.
 	gossipBytes = 1200
 )
@@ -81,16 +82,12 @@ type entry struct {
 
 // Config tunes the protocol.
 type Config struct {
-	GossipInterval time.Duration
-	Fanout         int
-	SuspectAfter   time.Duration
-	DeadAfter      time.Duration
+	Fanout       int
+	SuspectAfter time.Duration
+	DeadAfter    time.Duration
 }
 
 func (c *Config) fillDefaults() {
-	if c.GossipInterval <= 0 {
-		c.GossipInterval = DefaultGossipInterval
-	}
 	if c.Fanout <= 0 {
 		c.Fanout = DefaultFanout
 	}
@@ -162,7 +159,7 @@ func (m *Mesh) Join(host netsim.NodeID) (*Agent, error) {
 	}
 	m.agents[host] = a
 	m.order = append(m.order, host)
-	a.ticker = m.engine.NewTicker(m.cfg.GossipInterval, func(sim.Time) { a.round() })
+	a.ticker = m.engine.NewTicker(gossipInterval, func(sim.Time) { a.round() })
 	return a, nil
 }
 

@@ -591,9 +591,10 @@ func (r *Run) report(wall time.Duration) *Report {
 	rep.Metrics["active_flows"] = float64(c.Net.ActiveFlows())
 	rep.Metrics["max_link_util"] = c.Net.MaxLinkUtilisation()
 	rep.Metrics["faults_injected"] = float64(r.faultsInjected)
-	// The topology/link-state epoch after the run: every link fault,
-	// shaping change and re-cable bumps it (invalidating the SDN route
-	// cache), so it doubles as a fault-plumbing check.
+	// The topology/link-state epoch after the run: it starts at the
+	// fabric wiring's and every link fault and shaping change bumps it
+	// (invalidating the SDN route cache), so it doubles as a
+	// fault-plumbing check.
 	rep.Metrics["topo_epoch"] = float64(c.Net.TopoEpoch())
 	// Cold-routing telemetry: how many route-cache misses the
 	// structured synthesis fast path answered without a Dijkstra, and

@@ -24,9 +24,8 @@ func pathUnderExponent(t *testing.T, exponent float64) (picked, hot netsim.NodeI
 		t.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	cfg := DefaultConfig()
-	cfg.CongestionExponent = exponent
-	ctrl := NewController(e, n, cfg)
+	ctrl := NewController(e, n)
+	ctrl.congestionExponent = exponent
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
 	}
@@ -73,7 +72,7 @@ func BenchmarkCongestionAwarePath(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	ctrl := NewController(e, n, DefaultConfig())
+	ctrl := NewController(e, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ctrl.PathFor(topo.Racks[0][0], topo.Racks[3][13], PolicyCongestionAware, uint64(i)); err != nil {

@@ -127,9 +127,8 @@ func cappedRig(t *testing.T, cap int) (*netsim.Network, *topology.Topology, *Con
 		t.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	cfg := DefaultConfig()
-	cfg.RouteCacheEntries = cap
-	ctrl := NewController(e, n, cfg)
+	ctrl := NewController(e, n)
+	ctrl.cacheCap = cap
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
 	}
@@ -247,7 +246,7 @@ func benchRig(b *testing.B) (*netsim.Network, *topology.Topology, *Controller) {
 		b.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	ctrl := NewController(e, n, DefaultConfig())
+	ctrl := NewController(e, n)
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
 	}
@@ -290,9 +289,8 @@ func BenchmarkSDNAdmitUncached(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	cfg := DefaultConfig()
-	cfg.DisableRouteSynthesis = true
-	ctrl := NewController(e, n, cfg)
+	ctrl := NewController(e, n)
+	ctrl.disableRouteSynthesis = true
 	src, dst := topo.Racks[0][0], topo.Racks[39][249]
 	b.ReportAllocs()
 	b.ResetTimer()

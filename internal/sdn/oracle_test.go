@@ -269,7 +269,7 @@ func coldCrossPodRig(tb testing.TB, k int) (*netsim.Network, *Controller, netsim
 	if slices.Contains(topo.Racks[0], dst) {
 		tb.Fatalf("k=%d: %s and %s share a pod", k, src, dst)
 	}
-	return net, NewController(e, net, DefaultConfig()), src, dst
+	return net, NewController(e, net), src, dst
 }
 
 // coldCrossPodRoute is one cold cross-pod ECMP admission: the epoch

@@ -68,47 +68,35 @@ var (
 	errTableMiss = errors.New("sdn: table miss")
 )
 
-// Config tunes the controller.
-type Config struct {
-	// RuleIdleTimeout is applied to reactively installed rules; expired
-	// rules trigger a fresh packet-in (and fresh routing) next time.
-	RuleIdleTimeout time.Duration
-	// RuleHardTimeout bounds total rule lifetime. Zero disables.
-	RuleHardTimeout time.Duration
-	// CongestionExponent sharpens the penalty in congestion-aware
-	// weights: weight = 1 + (8·util)^exp. Defaults to 2.
-	CongestionExponent float64
-	// DisableRouteSynthesis turns off the structured route synthesis
-	// fast path on cache misses, forcing every cold pair through the
-	// full Dijkstra — the reference the synthesis tests compare against
-	// (the synthesised DAGs are provably identical where the fast path
-	// answers — see synthDAG). The fleet builder never sets it.
-	DisableRouteSynthesis bool
-	// RouteCacheEntries caps the (src, dst) route cache; when full the
-	// least-recently-used entry is evicted, so a hot working set of
-	// pairs survives even on fleets whose active pair set exceeds the
-	// cap. Zero means DefaultRouteCacheEntries.
-	RouteCacheEntries int
-}
+// Reactively installed rules expire after ruleIdleTimeout without a
+// matching packet, so the pair's next packet is a fresh packet-in (and
+// fresh routing), as in common reactive-OpenFlow deployments; no hard
+// timeout bounds a rule's lifetime.
+const (
+	ruleIdleTimeout = 30 * time.Second
+	ruleHardTimeout = time.Duration(0)
+)
 
-// DefaultRouteCacheEntries is the route-cache capacity applied when
-// Config.RouteCacheEntries is zero.
-const DefaultRouteCacheEntries = 1 << 16
-
-// DefaultConfig mirrors common reactive-OpenFlow deployments.
-func DefaultConfig() Config {
-	return Config{
-		RuleIdleTimeout:    30 * time.Second,
-		RuleHardTimeout:    0,
-		CongestionExponent: 2,
-	}
-}
+// routeCacheEntries caps the (src, dst) route cache; when full the
+// least-recently-used entry is evicted, so a hot working set of pairs
+// survives even on fleets whose active pair set exceeds the cap.
+const routeCacheEntries = 1 << 16
 
 // Controller is the SDN brain. Single-threaded on the simulation engine.
 type Controller struct {
 	engine *sim.Engine
 	net    *netsim.Network
-	cfg    Config
+	// disableRouteSynthesis turns off the structured route synthesis
+	// fast path on cache misses, forcing every cold pair through the
+	// full Dijkstra — the reference the synthesis tests set it for (the
+	// synthesised DAGs are provably identical where the fast path
+	// answers — see synthDAG). It is off on every controller
+	// NewController returns.
+	disableRouteSynthesis bool
+	// congestionExponent sharpens the penalty in congestion-aware
+	// weights: weight = 1 + (8·util)^exp. NewController sets 2; the
+	// ablation tests vary it.
+	congestionExponent float64
 	// switches holds the managed switches by node index (nil where no
 	// switch is registered); registered lists their indices in
 	// registration order, so a flush visits switches, not every node.
@@ -126,15 +114,16 @@ type Controller struct {
 
 	// routeCache memoises the hop-count shortest-path DAG per
 	// (src, dst) index pair (see pairKey). Entries are valid only while
-	// the network's topology epoch matches, so any re-cable, link
-	// up/down or shaping change invalidates the whole cache at zero
-	// cost. Congestion-aware routing is never cached: its weights move
-	// with utilisation, which advances without an epoch bump.
+	// the network's topology epoch matches, so any link up/down or
+	// shaping change invalidates the whole cache at zero cost.
+	// Congestion-aware routing is never cached: its weights move with
+	// utilisation, which advances without an epoch bump.
 	//
 	// Entries form an intrusive LRU list (most recent at lruHead): when
 	// the cache is at capacity the coldest pair is evicted, so fleets
 	// whose active pair set exceeds the cap keep their hot pairs cached
 	// instead of losing the whole working set to a wholesale clear.
+	// cacheCap is routeCacheEntries; the eviction tests lower it.
 	routeCache       map[uint64]*routeEntry
 	lruHead, lruTail *routeEntry
 	cacheCap         int
@@ -202,22 +191,16 @@ type routeEntry struct {
 
 // NewController returns a controller over the given network. Switches
 // must be registered before flows are admitted.
-func NewController(engine *sim.Engine, net *netsim.Network, cfg Config) *Controller {
-	if cfg.CongestionExponent == 0 {
-		cfg.CongestionExponent = 2
-	}
-	if cfg.RouteCacheEntries <= 0 {
-		cfg.RouteCacheEntries = DefaultRouteCacheEntries
-	}
+func NewController(engine *sim.Engine, net *netsim.Network) *Controller {
 	return &Controller{
-		engine:     engine,
-		net:        net,
-		cfg:        cfg,
-		labels:     make(map[openflow.Label]netsim.NodeID),
-		labelName:  make(map[string]openflow.Label),
-		routeCache: make(map[uint64]*routeEntry),
-		cacheCap:   cfg.RouteCacheEntries,
-		scratch:    routeScratch{frontier: distHeap{net: net}},
+		engine:             engine,
+		net:                net,
+		congestionExponent: 2,
+		labels:             make(map[openflow.Label]netsim.NodeID),
+		labelName:          make(map[string]openflow.Label),
+		routeCache:         make(map[uint64]*routeEntry),
+		cacheCap:           routeCacheEntries,
+		scratch:            routeScratch{frontier: distHeap{net: net}},
 	}
 }
 
@@ -512,7 +495,7 @@ type weightFunc func(l *netsim.Link) float64
 func weightHops(*netsim.Link) float64 { return 1 }
 
 func (c *Controller) weightCongestion(l *netsim.Link) float64 {
-	return 1 + math.Pow(8*l.Utilisation(), c.cfg.CongestionExponent)
+	return 1 + math.Pow(8*l.Utilisation(), c.congestionExponent)
 }
 
 // PathFor computes a path from src to dst hosts under the policy, without
@@ -703,7 +686,7 @@ func (c *Controller) soleUplink(h int32) int32 {
 // Link state is read live, so a synthesised entry is exactly as valid
 // as a Dijkstra one for the topology epoch it is cached under.
 func (c *Controller) synthDAG(src, dst int32) (routeDAG, synthTier, bool) {
-	if c.cfg.DisableRouteSynthesis {
+	if c.disableRouteSynthesis {
 		return routeDAG{}, 0, false
 	}
 	eA, eB := c.soleUplink(src), c.soleUplink(dst)
@@ -1131,8 +1114,8 @@ func (c *Controller) installPath(hops []int32, match openflow.Match, cookie uint
 			Priority:    100,
 			Match:       match,
 			Action:      openflow.Action{Type: openflow.ActionOutput, NextHop: openflow.RefOf(hops[i+1])},
-			IdleTimeout: c.cfg.RuleIdleTimeout,
-			HardTimeout: c.cfg.RuleHardTimeout,
+			IdleTimeout: ruleIdleTimeout,
+			HardTimeout: ruleHardTimeout,
 			Cookie:      cookie,
 		}
 		if err := sw.Install(rule); err != nil {

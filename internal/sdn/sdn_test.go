@@ -29,7 +29,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	ctrl := NewController(e, n, DefaultConfig())
+	ctrl := NewController(e, n)
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
 	}
@@ -357,7 +357,7 @@ func BenchmarkAdmitCached(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	ctrl := NewController(e, n, DefaultConfig())
+	ctrl := NewController(e, n)
 	for _, id := range topo.Switches() {
 		ctrl.RegisterSwitch(openflow.NewSwitch(id, e))
 	}
@@ -380,7 +380,7 @@ func BenchmarkDijkstra56Hosts(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := netsim.Wire(e, w)
-	ctrl := NewController(e, n, DefaultConfig())
+	ctrl := NewController(e, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ctrl.PathFor(topo.Racks[0][0], topo.Racks[3][13], PolicyShortestPath, 0); err != nil {

@@ -39,13 +39,13 @@ func buildSynthRig(t *testing.T, build func() (*topology.Topology, *netsim.Wirin
 		t.Fatal(err)
 	}
 	net := netsim.Wire(engine, w)
-	slowCfg := DefaultConfig()
-	slowCfg.DisableRouteSynthesis = true
+	slow := NewController(engine, net)
+	slow.disableRouteSynthesis = true
 	return &synthRig{
 		net:   net,
 		topo:  topo,
-		fast:  NewController(engine, net, DefaultConfig()),
-		slow:  NewController(engine, net, slowCfg),
+		fast:  NewController(engine, net),
+		slow:  slow,
 		hosts: topo.Hosts,
 	}
 }
@@ -219,8 +219,7 @@ func TestSynthesisCoversCrossPod(t *testing.T) {
 // back rather than synthesise a six-hop DAG. The chain
 // h1–e1–a1–c1–e2–h2 is exactly that situation.
 func TestSynthesisFallsBackFiveHopChain(t *testing.T) {
-	engine := sim.NewEngine(1)
-	net := netsim.New(engine)
+	wb := netsim.NewWiringBuilder(6, 5)
 	for _, n := range []struct {
 		id   netsim.NodeID
 		kind netsim.NodeKind
@@ -228,20 +227,25 @@ func TestSynthesisFallsBackFiveHopChain(t *testing.T) {
 		{"h1", netsim.KindHost}, {"e1", netsim.KindSwitch}, {"a1", netsim.KindSwitch},
 		{"c1", netsim.KindSwitch}, {"e2", netsim.KindSwitch}, {"h2", netsim.KindHost},
 	} {
-		if err := net.AddNode(n.id, n.kind); err != nil {
+		if _, err := wb.AddNode(n.id, n.kind); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hops := []netsim.NodeID{"h1", "e1", "a1", "c1", "e2", "h2"}
-	for i := 0; i+1 < len(hops); i++ {
-		if err := net.AddDuplexLink(hops[i], hops[i+1], 1e9, time.Microsecond); err != nil {
+	// Each node is cabled to the next along the chain.
+	for i := int32(0); i < 5; i++ {
+		if err := wb.AddDuplexLink(i, i+1, 1e9, time.Microsecond); err != nil {
 			t.Fatal(err)
 		}
 	}
-	slowCfg := DefaultConfig()
-	slowCfg.DisableRouteSynthesis = true
-	fast := NewController(engine, net, DefaultConfig())
-	slow := NewController(engine, net, slowCfg)
+	w, err := wb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := sim.NewEngine(1)
+	net := netsim.Wire(engine, w)
+	fast := NewController(engine, net)
+	slow := NewController(engine, net)
+	slow.disableRouteSynthesis = true
 
 	fastPath, err := fast.PathFor("h1", "h2", PolicyShortestPath, 0)
 	if err != nil {

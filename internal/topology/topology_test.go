@@ -191,9 +191,10 @@ func TestValidateCatchesBrokenFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Disconnect a rack by cutting its ToR uplinks.
+	// Disconnect a rack by failing its ToR uplinks: Validate's BFS
+	// follows up links only.
 	for _, agg := range topo.Agg {
-		if err := net.RemoveDuplexLink(topo.Edge[0], agg); err != nil {
+		if err := net.SetLinkUp(topo.Edge[0], agg, false); err != nil {
 			t.Fatal(err)
 		}
 	}

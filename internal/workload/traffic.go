@@ -13,6 +13,14 @@ import (
 // BackgroundPort is the port background traffic targets.
 const BackgroundPort = 9999
 
+// The ON and OFF period means in seconds, and the Pareto tail index both
+// periods are drawn with (1 < α ≤ 2 gives heavy tails).
+const (
+	meanOnSeconds  = 2
+	meanOffSeconds = 8
+	paretoAlpha    = 1.5
+)
+
 // OnOffConfig parameterises heavy-tailed ON/OFF background sources — the
 // "constantly changing, generally unpredictable" DC traffic of Section I.
 // ON and OFF period lengths are Pareto-distributed, which produces the
@@ -20,26 +28,11 @@ const BackgroundPort = 9999
 type OnOffConfig struct {
 	// Sources is the number of independent host pairs generating.
 	Sources int
-	// MeanOnSeconds / MeanOffSeconds set the period means. Defaults 2/8.
-	MeanOnSeconds  float64
-	MeanOffSeconds float64
-	// ParetoAlpha is the tail index (1 < α ≤ 2 gives heavy tails).
-	// Default 1.5.
-	ParetoAlpha float64
 	// FlowBytes is the volume sent per ON burst. Default 4 MiB.
 	FlowBytes int64
 }
 
 func (c *OnOffConfig) fillDefaults() {
-	if c.MeanOnSeconds <= 0 {
-		c.MeanOnSeconds = 2
-	}
-	if c.MeanOffSeconds <= 0 {
-		c.MeanOffSeconds = 8
-	}
-	if c.ParetoAlpha <= 1 {
-		c.ParetoAlpha = 1.5
-	}
 	if c.FlowBytes <= 0 {
 		c.FlowBytes = 4 * hw.MiB
 	}
@@ -82,7 +75,7 @@ func NewOnOffGenerator(fabric *Fabric, hosts []netsim.NodeID, cfg OnOffConfig) (
 // pareto draws a Pareto-distributed value with the given mean and tail
 // index alpha: xm = mean·(α-1)/α.
 func (g *OnOffGenerator) pareto(mean float64) float64 {
-	alpha := g.cfg.ParetoAlpha
+	alpha := float64(paretoAlpha)
 	xm := mean * (alpha - 1) / alpha
 	u := g.fabric.Engine.Rand().Float64()
 	if u <= 0 {
@@ -111,7 +104,7 @@ func (g *OnOffGenerator) scheduleOff(src int) {
 	if g.stopped {
 		return
 	}
-	off := g.pareto(g.cfg.MeanOffSeconds)
+	off := g.pareto(meanOffSeconds)
 	g.fabric.Engine.Schedule(time.Duration(off*float64(time.Second)), g.bursts[src])
 }
 
@@ -127,8 +120,8 @@ func (g *OnOffGenerator) burst(src int) {
 		b = g.hosts[rng.Intn(len(g.hosts))]
 	}
 	// Volume scales with the ON period draw.
-	on := g.pareto(g.cfg.MeanOnSeconds)
-	bytes := int64(float64(g.cfg.FlowBytes) * on / g.cfg.MeanOnSeconds)
+	on := g.pareto(meanOnSeconds)
+	bytes := int64(float64(g.cfg.FlowBytes) * on / meanOnSeconds)
 	if bytes <= 0 {
 		bytes = 1
 	}

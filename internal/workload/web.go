@@ -19,19 +19,17 @@ const HTTPPort = 80
 // the database container of Fig. 3.
 const KVPort = 6379
 
-// WebServerConfig sizes the per-request cost of the lightweight httpd.
+// cpuPerRequestMI is the compute cost of one request to the lightweight
+// httpd (template rendering, headers): ~6 ms alone on a Pi.
+const cpuPerRequestMI hw.MI = 5
+
+// WebServerConfig sizes the response of the lightweight httpd.
 type WebServerConfig struct {
-	// CPUPerRequestMI is the compute cost of one request (template
-	// rendering, headers). Default 5 MI (~6 ms alone on a Pi).
-	CPUPerRequestMI hw.MI
 	// ResponseBytes is the payload returned. Default 32 KiB.
 	ResponseBytes int64
 }
 
 func (c *WebServerConfig) fillDefaults() {
-	if c.CPUPerRequestMI <= 0 {
-		c.CPUPerRequestMI = 5
-	}
 	if c.ResponseBytes <= 0 {
 		c.ResponseBytes = 32 * hw.KiB
 	}
@@ -66,7 +64,7 @@ func (w *WebServer) Rejected() uint64 { return w.rejected }
 // if any.
 func (w *WebServer) HandleRequest(clientHost netsim.NodeID, onDone func(error)) {
 	_, err := w.Endpoint.Suite.Exec(w.Endpoint.Container, oslinux.TaskSpec{
-		WorkMI: w.Config.CPUPerRequestMI,
+		WorkMI: cpuPerRequestMI,
 		OnDone: func() {
 			if err := w.fabric.Send(w.Endpoint.Host, clientHost, w.Config.ResponseBytes, HTTPPort, func(serr error) {
 				if serr != nil {
