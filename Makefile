@@ -41,14 +41,16 @@ bench-smoke:
 # builder's wiring against the name-keyed model of its nodes and
 # cables), the builders' pinned wiring digests, the route cache against
 # its name-keyed oracle (hits, misses, evictions, size, LRU order and
-# paths after every step) and a link's flow set in flow-ID order (OnEnd
-# callbacks and BitsCarried after a re-path and a link failure),
+# paths after every step), a link's flow set in flow-ID order (OnEnd
+# callbacks and BitsCarried after a re-path and a link failure) and the
+# journal replay of a committed data directory (an image recipe and a
+# session journal recovered and verified against their stamps),
 # executed with a single scheduler thread. Together with the default-GOMAXPROCS test job this shows the
 # traces do not depend on how many threads the Go runtime schedules.
 # `go test -run` passes silently on zero matches, so the target first
 # fails if a listed package selects no test.
-DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesModel|FabricWiringPinned|RouteCacheMatchesNameKeyedOracle|LinkFlowSetOrder
-DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim ./internal/sdn ./internal/energy ./internal/topology
+DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesModel|FabricWiringPinned|RouteCacheMatchesNameKeyedOracle|LinkFlowSetOrder|RecoverCommittedDataDir
+DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim ./internal/sdn ./internal/energy ./internal/topology ./internal/session
 
 determinism-single-core:
 	@for p in $(DETERMINISM_PKGS); do \

@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -163,9 +164,9 @@ func specFor(name string, o runOpts) (scenario.Spec, error) {
 // checkpointPayload is the on-disk checkpoint: the replay recipe (the
 // scenario plus the overrides that shaped it — cliconfig's wire spec,
 // the same decoding the session API speaks) and the captured
-// cross-layer kernel fingerprint a resume must reproduce bit-for-bit.
-// Construction snapshots are process-local; what crosses processes is
-// the proof obligation.
+// scenario.Stamp a resume must reproduce bit-for-bit, every kernel
+// counter included. Construction snapshots are process-local; what
+// crosses processes is the proof obligation.
 type checkpointPayload struct {
 	cliconfig.SpecRequest
 
@@ -177,6 +178,16 @@ type checkpointPayload struct {
 	KernelDigest string        `json:"kernel_digest"`
 	TraceLen     int           `json:"trace_len"`
 	TraceDigest  string        `json:"trace_digest"`
+}
+
+// stamp reads the recorded stamp back.
+func (p checkpointPayload) stamp() scenario.Stamp {
+	return scenario.Stamp{
+		At: p.At,
+		Kernel: core.KernelState{Now: sim.Time(p.KernelNow), Seq: p.KernelSeq, Fired: p.KernelFired,
+			Pending: p.KernelPend, Digest: p.KernelDigest},
+		TraceLen: p.TraceLen, TraceDigest: p.TraceDigest,
+	}
 }
 
 func run(name string, o runOpts) error {
@@ -200,14 +211,13 @@ func run(name string, o runOpts) error {
 		if err := r.RunTo(o.checkpointAt); err != nil {
 			return err
 		}
-		chk := r.Checkpoint()
-		st := chk.Core.State()
+		st := r.Stamp()
 		payload := checkpointPayload{
 			SpecRequest: o.common.SpecRequest(name),
-			At:          chk.At,
-			KernelNow:   int64(st.Now), KernelSeq: st.Seq, KernelFired: st.Fired,
-			KernelPend: st.Pending, KernelDigest: st.Digest,
-			TraceLen: chk.TraceLen, TraceDigest: chk.TraceDigest,
+			At:          st.At,
+			KernelNow:   int64(st.Kernel.Now), KernelSeq: st.Kernel.Seq, KernelFired: st.Kernel.Fired,
+			KernelPend: st.Kernel.Pending, KernelDigest: st.Kernel.Digest,
+			TraceLen: st.TraceLen, TraceDigest: st.TraceDigest,
 		}
 		path := o.checkpointFile
 		if path == "" {
@@ -220,8 +230,14 @@ func run(name string, o runOpts) error {
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("checkpoint at %v written to %s (kernel digest %s)\n", chk.At, path, st.Digest)
+		fmt.Printf("checkpoint at %v written to %s (kernel digest %s)\n", st.At, path, st.Kernel.Digest)
 	}
+	return finish(r, o, tr)
+}
+
+// finish runs the rest of the timeline and prints the report, the
+// trace tail and the observation channels.
+func finish(r *scenario.Run, o runOpts, tr *obs.Tracer) error {
 	rep, err := r.Execute()
 	if err != nil {
 		return err
@@ -241,7 +257,7 @@ func run(name string, o runOpts) error {
 }
 
 // resume rebuilds a checkpointed scenario, replays it to the capture
-// instant, proves the restored kernel matches the recorded fingerprint
+// instant, proves the replayed run reproduces the recorded stamp
 // byte-for-byte, and finishes the run.
 func resume(path string, o runOpts) error {
 	data, err := os.ReadFile(path)
@@ -266,36 +282,12 @@ func resume(path string, o runOpts) error {
 	if err := r.RunTo(p.At); err != nil {
 		return err
 	}
-	st := r.Cloud.KernelState()
-	trace := r.Trace()
-	switch {
-	case st.Digest != p.KernelDigest || int64(st.Now) != p.KernelNow ||
-		st.Seq != p.KernelSeq || st.Fired != p.KernelFired || st.Pending != p.KernelPend:
-		return fmt.Errorf("kernel state at %v does not match the checkpoint: got now=%v seq=%d fired=%d pending=%d digest=%s, want now=%v seq=%d fired=%d pending=%d digest=%s",
-			p.At, st.Now, st.Seq, st.Fired, st.Pending, st.Digest,
-			time.Duration(p.KernelNow), p.KernelSeq, p.KernelFired, p.KernelPend, p.KernelDigest)
-	case len(trace) != p.TraceLen || scenario.DigestTrace(trace) != p.TraceDigest:
-		return fmt.Errorf("trace prefix at %v does not match the checkpoint (%d events, digest %s; want %d, %s)",
-			p.At, len(trace), scenario.DigestTrace(trace), p.TraceLen, p.TraceDigest)
+	if err := p.stamp().Verify(r.Stamp()); err != nil {
+		return fmt.Errorf("run at %v does not match the checkpoint: %w", p.At, err)
 	}
-	fmt.Printf("resume verified: kernel state at %v byte-identical to the checkpoint (digest %s)\n", p.At, st.Digest)
+	fmt.Printf("resume verified: kernel state at %v byte-identical to the checkpoint (digest %s)\n", p.At, p.KernelDigest)
 	if !o.quiet {
 		r.OnEvent = func(ev scenario.TraceEvent) { fmt.Println(ev) }
 	}
-	rep, err := r.Execute()
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Table())
-	if o.traceTail > 0 {
-		tail := rep.Trace
-		if len(tail) > o.traceTail {
-			tail = tail[len(tail)-o.traceTail:]
-		}
-		fmt.Printf("last %d trace events:\n", len(tail))
-		for _, ev := range tail {
-			fmt.Println(" ", ev)
-		}
-	}
-	return finishObs(r, o, tr)
+	return finish(r, o, tr)
 }

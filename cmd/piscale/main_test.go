@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -53,5 +55,42 @@ func TestResumeDijkstraOnlyCheckpointRefused(t *testing.T) {
 	}
 	if !strings.Contains(out, "does not match the checkpoint") {
 		t.Fatalf("resume failed for the wrong reason:\n%s", out)
+	}
+}
+
+// A copy of the legacy fixture with one stamp field changed is refused,
+// naming that field: the trace digest, and the pending-event count,
+// which the kernel digest does not cover.
+func TestResumeDoctoredCheckpointRefused(t *testing.T) {
+	data, err := os.ReadFile("../../internal/cliconfig/testdata/legacy-kernel-fields.ckpt.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ field, value, reason string }{
+		{"trace_digest", `"doctored"`, "trace digest mismatch"},
+		{"kernel_pending", "136", "kernel pending mismatch"},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(data, &fields); err != nil {
+				t.Fatal(err)
+			}
+			fields[tc.field] = json.RawMessage(tc.value)
+			doctored, err := json.Marshal(fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "doctored.ckpt.json")
+			if err := os.WriteFile(path, doctored, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, err := piscale(t, "-resume-from", path, "-q")
+			if err == nil {
+				t.Fatalf("resume accepted a checkpoint with a doctored %s:\n%s", tc.field, out)
+			}
+			if !strings.Contains(out, "does not match the checkpoint") || !strings.Contains(out, tc.reason) {
+				t.Fatalf("resume refused a doctored %s for the wrong reason:\n%s", tc.field, out)
+			}
+		})
 	}
 }

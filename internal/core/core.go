@@ -63,7 +63,7 @@ type Cloud struct {
 	fleet *fleet.Result
 
 	// tracer, when set, receives dual-stamped spans from the cloud's
-	// layers (netsim flushes, checkpoint capture/verify). See obs.go.
+	// layers (netsim flushes, kernel-state captures). See obs.go.
 	tracer *obs.Tracer
 
 	// stateBuf is KernelState's rendering buffer, reused under Mu.

@@ -18,7 +18,7 @@ import (
 )
 
 // SetTracer attaches (or detaches, with nil) a span tracer to the
-// cloud: checkpoint capture/verify spans are emitted here, and the
+// cloud: kernel-state capture spans are emitted here, and the
 // network kernel emits one span per domain flush. Safe to call between
 // run slices; the caller must not hold Mu.
 func (c *Cloud) SetTracer(t *obs.Tracer) {

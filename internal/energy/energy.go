@@ -316,7 +316,7 @@ func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
 
 // AppendState appends the power-accounting state up to virtual time at
 // to buf in a deterministic text form — one layer of the cross-layer
-// kernel fingerprint behind core's Checkpoint/Resume. The capture is
+// kernel fingerprint core.KernelState hashes. The capture is
 // pure and exact: it reads each group's members directly, bypassing the
 // watts cache. Two clouds that executed the same power-state history
 // append the same bytes — per-group energy and draw as the hex of

@@ -16,7 +16,7 @@ import (
 
 // AppendState appends the span-anchored flow accounting and link state
 // to buf in a deterministic text form — one layer of the cross-layer
-// fingerprint behind core's Checkpoint/Resume. Links are listed in
+// fingerprint core.KernelState hashes. Links are listed in
 // cable-slab order (each cable's a→b leg, then its b→a leg) and skipped
 // while pristine (up, unshaped, never carried a bit, no flows), so
 // megafleet captures scale with activity, not fabric size; a link no

@@ -1,14 +1,17 @@
-// Mid-scenario restore points and branching, built on core's
-// full-kernel Checkpoint/Resume. A scenario checkpoint pairs the
-// kernel-level capture (construction snapshot + cross-layer state
-// fingerprint) with the replay recipe — the spec and the timeline
-// offset — so a fresh, independent Run can be forked at the captured
-// instant as many times as wanted: the shared prefix is byte-identical
-// (core.Checkpoint.Verify proves it on every fork), and each fork's
-// future can then diverge via Run.Inject. That is the primitive behind
-// the study catalog's fault bisection (bisect-blackout) and A/B fault
-// injection (abtest-faults), and behind piscale's -checkpoint-at /
-// -resume-from flags.
+// Mid-scenario restore points and branching. A scenario checkpoint
+// pairs the fleet's construction snapshot with the replay recipe — the
+// spec, the injection history and the timeline offset — and with the
+// Stamp every restore must reproduce, so a fresh, independent Run can
+// be forked at the captured instant as many times as wanted: the shared
+// prefix is byte-identical (Stamp.Verify proves it on every fork), and
+// each fork's future can then diverge via Run.Inject. That is the
+// primitive behind the study catalog's fault bisection
+// (bisect-blackout) and A/B fault injection (abtest-faults).
+//
+// Stamp.Verify is the one proof of a restore. Forks verify against the
+// checkpoint's own stamp; the session store's recovered images and
+// journals, and piscale's -resume-from, rebuild a run cold and verify
+// it against the stamp read back from their record or file.
 package scenario
 
 import (
@@ -16,9 +19,70 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/sim"
+	"repro/internal/fleet"
 )
+
+// Stamp is what a restored run must reproduce: the timeline offset it
+// was captured at, the cross-layer kernel fingerprint there, and the
+// length and digest of the trace recorded up to it.
+type Stamp struct {
+	At          time.Duration
+	Kernel      core.KernelState
+	TraceLen    int
+	TraceDigest string
+	// digestOnly marks a stamp read back from a journal or image
+	// record, which keep the kernel digest but not its clear counters;
+	// Verify then compares the digest alone.
+	digestOnly bool
+}
+
+// DigestStamp is the stamp a journal or image record keeps: the offset,
+// the kernel digest and the trace fingerprint, without the kernel's
+// clear counters.
+func DigestStamp(at time.Duration, kernelDigest string, traceLen int, traceDigest string) Stamp {
+	return Stamp{At: at, Kernel: core.KernelState{Digest: kernelDigest},
+		TraceLen: traceLen, TraceDigest: traceDigest, digestOnly: true}
+}
+
+// Stamp captures the run's stamp at its current offset. The run must be
+// paused (between RunTo slices); capture is read-only.
+func (r *Run) Stamp() Stamp {
+	return Stamp{
+		At:          r.offset,
+		Kernel:      r.Cloud.KernelState(),
+		TraceLen:    len(r.trace),
+		TraceDigest: DigestTrace(r.trace),
+	}
+}
+
+// Verify proves got — the stamp of a replayed run — reproduces s, and
+// otherwise names the first field that differs: offset, trace length,
+// trace digest, then the kernel's clock, scheduled, fired and pending
+// counts (unless s is digest-only) and its state digest. It is the
+// correctness bar of every restore: a replay that drifted by so much as
+// one committed float or one pending event fails here instead of
+// silently diverging later.
+func (s Stamp) Verify(got Stamp) error {
+	for _, f := range []struct {
+		name       string
+		counter    bool
+		have, want any
+	}{
+		{"offset", false, got.At, s.At},
+		{"trace length", false, got.TraceLen, s.TraceLen},
+		{"trace digest", false, got.TraceDigest, s.TraceDigest},
+		{"kernel clock", true, got.Kernel.Now, s.Kernel.Now},
+		{"kernel sequence", true, got.Kernel.Seq, s.Kernel.Seq},
+		{"kernel fired", true, got.Kernel.Fired, s.Kernel.Fired},
+		{"kernel pending", true, got.Kernel.Pending, s.Kernel.Pending},
+		{"kernel digest", false, got.Kernel.Digest, s.Kernel.Digest},
+	} {
+		if f.have != f.want && !(f.counter && s.digestOnly) {
+			return fmt.Errorf("%s mismatch: replayed %v, stamped %v", f.name, f.have, f.want)
+		}
+	}
+	return nil
+}
 
 // Checkpoint is a forkable mid-scenario restore point.
 type Checkpoint struct {
@@ -31,15 +95,11 @@ type Checkpoint struct {
 	// Injections replays the run's post-install Inject history, in
 	// order, each at the offset it originally happened.
 	Injections []Injection
-	// At is the timeline offset the capture was taken at.
-	At time.Duration
-	// Core is the kernel-level capture: construction snapshot plus the
-	// cross-layer state fingerprint every fork must reproduce.
-	Core *core.Checkpoint
-	// TraceLen/TraceDigest fingerprint the recorded trace prefix; a
-	// fork's replayed trace must match before its future may diverge.
-	TraceLen    int
-	TraceDigest string
+	// Stamp is the capture every fork must reproduce; its At is the
+	// timeline offset the checkpoint was taken at.
+	Stamp
+	// snap is the construction snapshot forks warm-boot from.
+	snap *fleet.Snapshot
 }
 
 // Checkpoint captures the run at its current offset as a forkable
@@ -58,58 +118,50 @@ func (r *Run) Checkpoint() *Checkpoint {
 	base := len(r.Spec.Faults) - len(r.injections)
 	spec.Faults = append([]Fault(nil), r.Spec.Faults[:base]...)
 	return &Checkpoint{
-		Spec:        spec,
-		Injections:  append([]Injection(nil), r.injections...),
-		At:          r.offset,
-		Core:        r.Cloud.Checkpoint(),
-		TraceLen:    len(r.trace),
-		TraceDigest: DigestTrace(r.trace),
+		Spec:       spec,
+		Injections: append([]Injection(nil), r.injections...),
+		snap:       r.Cloud.Snapshot(),
+		Stamp:      r.Stamp(),
 	}
 }
 
-// Fork warm-boots a fresh cloud from the checkpoint and replays the
-// scenario to the capture offset, then proves the restore: the replayed
-// trace prefix and the full cross-layer kernel fingerprint must match
-// the capture byte-for-byte. The returned run is independent of the
-// original and of every other fork — inject divergent faults with
-// Inject, then Execute to finish its timeline.
-func (c *Checkpoint) Fork() (*Run, error) { return c.ForkTraced(nil) }
+// Fingerprint identifies the captured machine: the fleet shape key
+// composed with the kernel state digest. Two checkpoints with equal
+// fingerprints warm-boot the same fabric and restore the same simulated
+// machine at their offset; the fingerprint says nothing of the timeline
+// after it.
+func (c *Checkpoint) Fingerprint() string {
+	return c.snap.Config().ShapeKey() + "@" + c.Kernel.Digest
+}
 
-// ForkTraced is Fork with a span tracer attached to the fresh cloud
-// before the replay begins, so the re-enactment itself — every RunTo
-// and flush of the replayed history, plus one enclosing "fork-reenact"
-// span — lands on the trace timeline. Tracing never perturbs the
-// replay: the forked trace prefix must still match the capture digest
-// byte-for-byte.
-func (c *Checkpoint) ForkTraced(tr *obs.Tracer) (*Run, error) {
-	var r *Run
+// Fork warm-boots a fresh cloud from the checkpoint's construction
+// snapshot, installs the spec, replays the injection history to the
+// capture offset and verifies the replayed run against the checkpoint's
+// stamp. The returned run is independent of the original and of every
+// other fork — inject divergent faults with Inject, then Execute to
+// finish its timeline.
+func (c *Checkpoint) Fork() (*Run, error) {
 	buildStart := time.Now()
+	cloud, err := core.Restore(c.snap, -1)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: fork: %w", c.Spec.Name, err)
+	}
 	spec := c.Spec
 	// Fresh fault-list storage per fork (see Checkpoint): a fork's
 	// Inject must never write into the checkpoint's — or a sibling
 	// fork's — array.
 	spec.Faults = append([]Fault(nil), c.Spec.Faults...)
-	_, err := core.Resume(c.Core, func(cloud *core.Cloud) error {
-		cloud.SetTracer(tr)
-		span := tr.Begin("fork-reenact", "checkpoint", 0)
-		defer func() { span.End(sim.Time(c.At)) }()
-		rr, err := Install(cloud, spec)
-		if err != nil {
-			return err
-		}
-		rr.buildWall = time.Since(buildStart)
-		r = rr
-		if err := r.ReplayHistory(c.Injections, c.At); err != nil {
-			return err
-		}
-		if got := DigestTrace(r.trace); len(r.trace) != c.TraceLen || got != c.TraceDigest {
-			return fmt.Errorf("scenario %s: replayed trace prefix diverged (%d events, digest %s; want %d, %s)",
-				c.Spec.Name, len(r.trace), got, c.TraceLen, c.TraceDigest)
-		}
-		return nil
-	})
+	r, err := Install(cloud, spec)
+	if err == nil {
+		r.buildWall = time.Since(buildStart)
+		err = r.ReplayHistory(c.Injections, c.At)
+	}
+	if err == nil {
+		err = c.Verify(r.Stamp())
+	}
 	if err != nil {
-		return nil, err
+		cloud.Close()
+		return nil, fmt.Errorf("scenario %s: fork: %w", c.Spec.Name, err)
 	}
 	return r, nil
 }
@@ -123,7 +175,8 @@ func (c *Checkpoint) ForkTraced(tr *obs.Tracer) (*Run, error) {
 // offset: an action injected at exactly its injection instant was
 // pending at the capture, and a same-offset RunTo would execute it.
 // Fork replays onto a warm-booted cloud; the durable store's recovery
-// path replays onto a cold build (ReplayRecipe).
+// path replays onto a cold build (ReplayRecipe) and then re-enacts a
+// session's journaled injections the same way.
 func (r *Run) ReplayHistory(injections []Injection, at time.Duration) error {
 	for _, inj := range injections {
 		if r.offset < inj.At {
@@ -146,10 +199,9 @@ func (r *Run) ReplayHistory(injections []Injection, at time.Duration) error {
 // recovery primitive: build the spec's cloud from scratch, re-enact the
 // history, and return the run paused at the recipe's offset. Where
 // Checkpoint.Fork warm-boots from an in-memory construction snapshot
-// and verifies against the captured fingerprint itself, ReplayRecipe
-// crosses processes: the caller holds the journaled fingerprint and
-// must verify the rebuilt kernel against it (compare the cloud's
-// KernelState digest and the trace digest) before trusting the run.
+// and verifies against its own stamp, ReplayRecipe crosses processes:
+// the caller holds the persisted stamp and must Verify the rebuilt
+// run's Stamp against it before trusting the run.
 func ReplayRecipe(spec Spec, injections []Injection, at time.Duration) (*Run, error) {
 	if at < 0 || at > spec.Duration {
 		return nil, fmt.Errorf("scenario %s: recipe offset %v outside the run duration %v", spec.Name, at, spec.Duration)

@@ -10,15 +10,20 @@ package scenario
 //     replayed prefix, verified cross-layer kernel fingerprint — ends
 //     with the byte-identical trace of run-from-start. Fork itself
 //     fails loudly if the replayed kernel state diverges from the
-//     capture, so this test also executes core.Checkpoint.Verify across
-//     clock, scheduler, netsim, SDN and energy state on every fork.
+//     capture, so this test also executes Stamp.Verify across clock,
+//     scheduler, netsim, SDN and energy state on every fork.
 //
 //   - TestBranchInjectSharesPrefix proves the branching primitive:
 //     divergent faults injected on two forks of one checkpoint produce
 //     traces that agree event-for-event up to the capture and then
 //     genuinely diverge.
+//
+//   - TestStampVerifyNamesEachField and TestForkRefusesDoctoredStamp
+//     prove the refusals: every field a stamp carries is compared, and
+//     a fork that cannot reproduce its checkpoint's stamp fails.
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -141,4 +146,87 @@ func TestBranchInjectSharesPrefix(t *testing.T) {
 	if err := late.Inject(RackFail{Rack: 1, At: 10 * time.Second, Outage: time.Minute}); err == nil {
 		t.Fatal("Inject accepted an action before the fork offset")
 	}
+}
+
+// stampFields changes one field of a stamp at a time; reason is the
+// phrase Verify's refusal must name it by, and counter marks the kernel
+// counters a digest-only stamp does not keep.
+var stampFields = []struct {
+	name, reason string
+	counter      bool
+	change       func(*Stamp)
+}{
+	{"offset", "offset mismatch", false, func(s *Stamp) { s.At += time.Second }},
+	{"trace length", "trace length mismatch", false, func(s *Stamp) { s.TraceLen++ }},
+	{"trace digest", "trace digest mismatch", false, func(s *Stamp) { s.TraceDigest = "doctored" }},
+	{"kernel clock", "kernel clock mismatch", true, func(s *Stamp) { s.Kernel.Now++ }},
+	{"kernel sequence", "kernel sequence mismatch", true, func(s *Stamp) { s.Kernel.Seq++ }},
+	{"kernel fired", "kernel fired mismatch", true, func(s *Stamp) { s.Kernel.Fired++ }},
+	{"kernel pending", "kernel pending mismatch", true, func(s *Stamp) { s.Kernel.Pending++ }},
+	{"kernel digest", "kernel digest mismatch", false, func(s *Stamp) { s.Kernel.Digest = "doctored" }},
+}
+
+func TestStampVerifyNamesEachField(t *testing.T) {
+	r, err := New(replaySpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Cloud.Close()
+	if err := r.RunTo(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got := r.Stamp()
+	wants := map[string]Stamp{
+		"in-process":  got,
+		"digest-only": DigestStamp(got.At, got.Kernel.Digest, got.TraceLen, got.TraceDigest),
+	}
+	for kind, want := range wants {
+		if err := want.Verify(got); err != nil {
+			t.Fatalf("%s stamp refused its own run: %v", kind, err)
+		}
+		for _, f := range stampFields {
+			doctored := got
+			f.change(&doctored)
+			err := want.Verify(doctored)
+			if kind == "digest-only" && f.counter {
+				// A record keeps no clear counters; the digest decides.
+				if err != nil {
+					t.Errorf("%s stamp compared the %s it does not keep: %v", kind, f.name, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), f.reason) {
+				t.Errorf("%s stamp, %s changed: got %v, want a %q refusal", kind, f.name, err, f.reason)
+			}
+		}
+	}
+}
+
+func TestForkRefusesDoctoredStamp(t *testing.T) {
+	run, chk, err := Branch(replaySpec(t), 15*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Cloud.Close()
+	for _, f := range stampFields {
+		doctored := *chk
+		f.change(&doctored.Stamp)
+		fork, err := doctored.Fork()
+		if err == nil {
+			fork.Cloud.Close()
+			t.Errorf("fork of a checkpoint with a doctored %s succeeded", f.name)
+			continue
+		}
+		// A doctored offset moves the replay's target with it, so the
+		// fork lands there and a later field names the refusal.
+		if f.name != "offset" && !strings.Contains(err.Error(), f.reason) {
+			t.Errorf("fork with a doctored %s refused for the wrong reason: %v", f.name, err)
+		}
+	}
+	// The honest checkpoint still forks.
+	fork, err := chk.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork.Cloud.Close()
 }

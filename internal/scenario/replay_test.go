@@ -61,7 +61,7 @@ func TestReplayRecipeReproducesInjectedHistory(t *testing.T) {
 		t.Fatalf("replayed trace = %d events digest %s, checkpoint stamped %d, %s",
 			len(rebuilt.Trace()), got, chk.TraceLen, chk.TraceDigest)
 	}
-	if got, want := rebuilt.Cloud.KernelState().Digest, chk.Core.State().Digest; got != want {
+	if got, want := rebuilt.Cloud.KernelState().Digest, chk.Kernel.Digest; got != want {
 		t.Fatalf("replayed kernel digest %s, checkpoint stamped %s", got, want)
 	}
 
@@ -99,8 +99,8 @@ func TestReplayRecipePendingSameOffsetAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rebuilt.Cloud.Close()
-	if got := rebuilt.Cloud.KernelState().Digest; got != chk.Core.State().Digest {
-		t.Fatalf("pending action executed during replay: digest %s, want %s", got, chk.Core.State().Digest)
+	if got := rebuilt.Cloud.KernelState().Digest; got != chk.Kernel.Digest {
+		t.Fatalf("pending action executed during replay: digest %s, want %s", got, chk.Kernel.Digest)
 	}
 	if err := orig.RunTo(orig.Spec.Duration); err != nil {
 		t.Fatal(err)

@@ -469,8 +469,8 @@ func (r *Run) SimNow() sim.Time { return r.base + sim.Time(r.offset) }
 
 // SetTracer attaches (or detaches, with nil) a span tracer to the
 // run's cloud: RunTo emits one dual-stamped span per call, the network
-// kernel one per domain flush, and checkpoint capture/verify their
-// own. Tracing is observation-only — the zero-perturbation gate proves
+// kernel one per domain flush, and every kernel-state capture (a stamp
+// for a checkpoint, a journal record or a verification) one. Tracing is observation-only — the zero-perturbation gate proves
 // traced runs digest bit-identically to untraced ones.
 func (r *Run) SetTracer(t *obs.Tracer) { r.Cloud.SetTracer(t) }
 

@@ -168,7 +168,7 @@ func runBisectBlackout() (*StudyReport, error) {
 	rep.Lines = append(rep.Lines,
 		fmt.Sprintf("baseline: %.0f transfers complete with no fault; SLO: ≥ %.1f (90%%)", cleanDone, slo))
 	rep.Lines = append(rep.Lines,
-		fmt.Sprintf("checkpoint: t=%v, kernel %s", chk.At, shortDigest(chk.Core.State().Digest)))
+		fmt.Sprintf("checkpoint: t=%v, kernel %s", chk.At, shortDigest(chk.Kernel.Digest)))
 
 	probes := 0
 	probe := func(at time.Duration) (bool, error) {
@@ -271,7 +271,7 @@ func runABTestFaults() (*StudyReport, error) {
 	defer base.Cloud.Close()
 	rep.Lines = append(rep.Lines,
 		fmt.Sprintf("checkpoint: t=%v after a shared prefix of %d trace events, kernel %s",
-			chk.At, chk.TraceLen, shortDigest(chk.Core.State().Digest)))
+			chk.At, chk.TraceLen, shortDigest(chk.Kernel.Digest)))
 
 	type arm struct {
 		name  string

@@ -246,7 +246,7 @@ func (c *Controller) RouteSynthHitsByTier() [numSynthTiers]uint64 { return c.syn
 
 // AppendState appends the control plane's simulated state to buf in a
 // deterministic text form — one layer of the cross-layer kernel
-// fingerprint behind core's Checkpoint/Resume: the label bindings (the
+// fingerprint core.KernelState hashes: the label bindings (the
 // IP-less forwarding table, sorted by endpoint name), the reactive-rule
 // counters, and the route-cache epoch/occupancy statistics. Two
 // controllers that served the same admission history append the same

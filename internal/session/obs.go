@@ -82,7 +82,7 @@ func (m *Manager) Obs() *obs.Registry { return m.obs }
 
 // SetTracer attaches a span tracer: every session adopted from now on
 // gets it threaded through its cloud (advance slices, netsim flushes,
-// checkpoint capture/verify), and recovery replays emit one span each.
+// kernel-state captures), and recovery replays emit one span each.
 func (m *Manager) SetTracer(t *obs.Tracer) {
 	m.mu.Lock()
 	m.tracer = t
@@ -128,7 +128,7 @@ func (s *Session) collect(e *obs.Emitter) {
 	lbl := obs.L("session", s.ID)
 	s.mu.Lock()
 	ks, valid := s.kstats, s.kstatsValid
-	off, durable := s.offset, s.durableOffset
+	off, durable := s.offset, s.durable.At
 	subs := len(s.subs)
 	s.mu.Unlock()
 	lag := off - durable

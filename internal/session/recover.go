@@ -1,13 +1,14 @@
 // Crash recovery: rebuilding a manager's whole tenant population from
 // the durable store by verified replay.
 //
-// Recovery trusts nothing it cannot prove. Images rebuild cold from
-// their replay recipes and must reproduce the persisted fingerprint
-// (fleet shape key + cross-layer kernel digest) and trace digest
-// byte-for-byte before they are registered. Sessions re-enact their
-// write-ahead journals — create, then every advance and inject at its
-// logged offset — and the rebuilt kernel's state digest, trace digest
-// and offset must match the journal's last durable stamp before the
+// Recovery trusts nothing it cannot prove, and proves everything with
+// the one scenario.Stamp.Verify every restore passes. Images rebuild
+// cold from their replay recipes and must reproduce the persisted stamp
+// (offset, kernel digest, trace length and digest) and the fingerprint's
+// fleet shape key before they are registered. Sessions re-enact their
+// write-ahead journals — the create record, then every journaled
+// injection at its logged offset, up to the last stamped offset — and
+// the rebuilt run must reproduce that record's stamp before the
 // session accepts traffic. Anything that fails verification (or whose
 // replay itself errors or panics) is quarantined: the journal moves to
 // the store's quarantine directory with the reason alongside, and the
@@ -32,8 +33,8 @@ import (
 type RecoveryReport struct {
 	// ImagesRebuilt lists image names registered after verification.
 	ImagesRebuilt []string `json:"images_rebuilt,omitempty"`
-	// ImagesShared counts rebuilds skipped because an identical recipe
-	// was already rebuilt this pass.
+	// ImagesShared counts rebuilds skipped because an image of the same
+	// fingerprint and recipe was already rebuilt this pass.
 	ImagesShared int `json:"images_shared,omitempty"`
 	// ImagesQuarantined maps image names that failed verification to the
 	// reason.
@@ -87,16 +88,15 @@ func (m *Manager) Recover(st *store.Store) (*RecoveryReport, error) {
 }
 
 // recoverImages rebuilds every persisted image by cold replay of its
-// recipe, verifying fingerprint and trace digest before registration.
-// Identical recipes rebuild once and share the checkpoint.
+// recipe, verifying its stamp and fingerprint before registration.
+// Images of one share key rebuild once and share the checkpoint.
 func (m *Manager) recoverImages(st *store.Store, rep *RecoveryReport) error {
 	recs, err := st.Images()
 	if err != nil {
 		return fmt.Errorf("session: recover images: %w", err)
 	}
-	built := map[string]*scenario.Checkpoint{}
 	for _, rec := range recs {
-		chk, shared, rerr := rebuildImage(rec, built)
+		chk, shared, rerr := m.rebuildImage(rec)
 		if rerr != nil {
 			reason := rerr.Error()
 			rep.ImagesQuarantined[rec.Name] = reason
@@ -117,35 +117,35 @@ func (m *Manager) recoverImages(st *store.Store, rep *RecoveryReport) error {
 	return nil
 }
 
-// rebuildImage replays one image recipe (reusing an identical recipe's
-// checkpoint from this pass) and verifies the rebuild against the
-// persisted stamps. Panics during replay are turned into errors — a
-// poisonous recipe quarantines, it does not take recovery down.
-func rebuildImage(rec store.ImageRecord, built map[string]*scenario.Checkpoint) (chk *scenario.Checkpoint, shared bool, err error) {
+// rebuildImage replays one image recipe (reusing the checkpoint of an
+// image already registered under the same share key) and verifies the
+// rebuild against the persisted stamp and fingerprint. Panics during
+// replay are turned into errors — a poisonous recipe quarantines, it
+// does not take recovery down.
+func (m *Manager) rebuildImage(rec store.ImageRecord) (chk *scenario.Checkpoint, shared bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			chk, shared, err = nil, false, fmt.Errorf("rebuild panicked: %v", p)
 		}
 	}()
-	key := rec.Recipe.Key()
-	chk, shared = built[key], false
-	if chk == nil {
+	m.mu.Lock()
+	img := m.shared[shareKey(rec.Fingerprint, rec.Recipe)]
+	m.mu.Unlock()
+	if shared = img != nil; shared {
+		chk = img.chk
+	} else {
 		r, rerr := rec.Recipe.Rebuild()
 		if rerr != nil {
 			return nil, false, fmt.Errorf("rebuild: %v", rerr)
 		}
 		chk = r.Checkpoint()
 		r.Cloud.Close()
-		built[key] = chk
-	} else {
-		shared = true
 	}
-	if fp := chk.Core.Fingerprint(); fp != rec.Fingerprint {
+	if err := rec.Stamp().Verify(chk.Stamp); err != nil {
+		return nil, false, err
+	}
+	if fp := chk.Fingerprint(); fp != rec.Fingerprint {
 		return nil, false, fmt.Errorf("fingerprint mismatch: rebuilt %s, persisted %s", fp, rec.Fingerprint)
-	}
-	if chk.TraceLen != rec.TraceLen || chk.TraceDigest != rec.TraceDigest {
-		return nil, false, fmt.Errorf("trace mismatch: rebuilt %d events digest %s, persisted %d, %s",
-			chk.TraceLen, chk.TraceDigest, rec.TraceLen, rec.TraceDigest)
 	}
 	return chk, shared, nil
 }
@@ -218,28 +218,26 @@ func (m *Manager) recoverSession(st *store.Store, id string) (reason string, ret
 	if recs[0].Op != "create" {
 		return fmt.Sprintf("journal starts with %q, want create", recs[0].Op), false
 	}
+	injections, last, err := journalHistory(recs)
+	if err != nil {
+		return err.Error(), false
+	}
 	r, cfg, err := m.rebuildCreate(recs[0])
 	if err != nil {
 		return err.Error(), false
 	}
-	last := recs[0]
 	// One span per recovered session covers the whole verified replay;
 	// it closes at the journal's last durable offset whichever way the
 	// recovery ends.
 	span := m.Tracer().Begin("recover-session", "recovery", 0)
 	defer func() { span.End(sim.Time(last.At)) }()
-	for _, rec := range recs[1:] {
-		if err := replayRecord(r, rec); err != nil {
-			r.Cloud.Close()
-			return fmt.Sprintf("replay %s at %v: %v", rec.Op, time.Duration(rec.At), err), false
-		}
-		if rec.KernelDigest != "" {
-			last = rec
-		}
+	if err := r.ReplayHistory(injections, time.Duration(last.At)); err != nil {
+		r.Cloud.Close()
+		return fmt.Sprintf("replay to %v: %v", time.Duration(last.At), err), false
 	}
 	// The whole durable history is re-enacted; now prove the rebuilt
 	// kernel IS the journaled one before it may serve traffic.
-	if err := verifyStamp(r, last); err != nil {
+	if err := last.Stamp().Verify(r.Stamp()); err != nil {
 		r.Cloud.Close()
 		return err.Error(), false
 	}
@@ -251,9 +249,7 @@ func (m *Manager) recoverSession(st *store.Store, id string) (reason string, ret
 	cfg.id = id
 	cfg.state = StateRecovered
 	cfg.jr = jr
-	cfg.durableOffset = time.Duration(last.At)
-	cfg.lastTraceLen = last.TraceLen
-	cfg.lastTraceDigest = last.TraceDigest
+	cfg.durable = last.Stamp()
 	if _, err := m.adopt(r, cfg); err != nil {
 		_ = jr.Close()
 		r.Cloud.Close()
@@ -272,9 +268,8 @@ func (m *Manager) rebuildCreate(rec store.Record) (*scenario.Run, adoptConfig, e
 		if img == nil {
 			return nil, adoptConfig{}, fmt.Errorf("base image %q not recovered", rec.BaseImage)
 		}
-		if img.rec.KernelDigest != rec.KernelDigest {
-			return nil, adoptConfig{}, fmt.Errorf("base image %q digest %s does not match the journaled %s",
-				rec.BaseImage, img.rec.KernelDigest, rec.KernelDigest)
+		if err := rec.Stamp().Verify(img.chk.Stamp); err != nil {
+			return nil, adoptConfig{}, fmt.Errorf("base image %q does not match the journaled create: %v", rec.BaseImage, err)
 		}
 		r, err := img.chk.Fork()
 		if err != nil {
@@ -292,52 +287,38 @@ func (m *Manager) rebuildCreate(rec store.Record) (*scenario.Run, adoptConfig, e
 	}
 }
 
-// replayRecord re-enacts one journaled command on the rebuilt run.
-// Checkpoint and fork records change no session state (images persist
-// separately; children journal their own history) — only their stamps
-// matter, and verifyStamp checks the final one.
-func replayRecord(r *scenario.Run, rec store.Record) error {
-	switch rec.Op {
-	case "advance":
-		if at := time.Duration(rec.At); r.Offset() < at {
-			return r.RunTo(at)
-		}
-		return nil
-	case "inject":
-		if rec.Fault == nil {
-			return fmt.Errorf("inject record carries no fault")
-		}
-		if at := time.Duration(rec.At); r.Offset() < at {
-			if err := r.RunTo(at); err != nil {
-				return err
+// journalHistory reads a journal (create record first) for replay: its
+// inject records as the injection history Run.ReplayHistory re-enacts,
+// and its last stamped record, the state the replay must reproduce.
+// Advance, checkpoint and fork records change no session state (images
+// persist separately; children journal their own history): only their
+// stamps matter. A fork record stamped at an earlier offset than the
+// stamped record before it lost a race with the session's next command
+// (see Session.Fork): its stamp is not the latest state and is skipped.
+func journalHistory(recs []store.Record) (injections []scenario.Injection, last store.Record, err error) {
+	last = recs[0]
+	for _, rec := range recs[1:] {
+		switch rec.Op {
+		case "inject":
+			if rec.Fault == nil {
+				return nil, last, fmt.Errorf("inject record at %v carries no fault", time.Duration(rec.At))
 			}
+			f, err := rec.Fault.Fault()
+			if err != nil {
+				return nil, last, fmt.Errorf("inject record at %v: %v", time.Duration(rec.At), err)
+			}
+			injections = append(injections, scenario.Injection{At: time.Duration(rec.At), Fault: f})
+		case "fork":
+			if rec.At < last.At {
+				continue
+			}
+		case "advance", "checkpoint":
+		default:
+			return nil, last, fmt.Errorf("unknown journal op %q", rec.Op)
 		}
-		f, err := rec.Fault.Fault()
-		if err != nil {
-			return err
+		if rec.KernelDigest != "" {
+			last = rec
 		}
-		return r.Inject(f)
-	case "checkpoint", "fork":
-		return nil
-	default:
-		return fmt.Errorf("unknown journal op %q", rec.Op)
 	}
-}
-
-// verifyStamp proves the rebuilt kernel byte-identical to the journal's
-// last durable stamp: timeline offset, trace length and digest, and the
-// cross-layer kernel state digest must all match.
-func verifyStamp(r *scenario.Run, last store.Record) error {
-	if at := time.Duration(last.At); r.Offset() != at {
-		return fmt.Errorf("offset mismatch: replayed to %v, journal stamped %v", r.Offset(), at)
-	}
-	trace := r.Trace()
-	if got := scenario.DigestTrace(trace); len(trace) != last.TraceLen || got != last.TraceDigest {
-		return fmt.Errorf("trace mismatch: replayed %d events digest %s, journal stamped %d, %s",
-			len(trace), got, last.TraceLen, last.TraceDigest)
-	}
-	if st := r.Cloud.KernelState(); st.Digest != last.KernelDigest {
-		return fmt.Errorf("kernel digest mismatch: replayed %s, journal stamped %s", st.Digest, last.KernelDigest)
-	}
-	return nil
+	return injections, last, nil
 }

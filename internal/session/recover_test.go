@@ -4,16 +4,19 @@ package session
 // mid-flight (no clean close — the in-process stand-in for SIGKILL)
 // and a fresh manager over the same data directory must re-enact every
 // journal, verify every rebuilt kernel, and carry the recovered
-// sessions to digests bit-identical to uninterrupted runs. Plus the
-// refusal paths: doctored journals quarantine, cleanly closed sessions
-// stay closed, kernel panics isolate to their session, and graceful
-// drain leaves every journal current.
+// sessions to digests bit-identical to uninterrupted runs; a data
+// directory committed under testdata/ pins the on-disk formats. Plus
+// the refusal paths: doctored journals and image records quarantine,
+// cleanly closed sessions stay closed, kernel panics isolate to their
+// session, and graceful drain leaves every journal current.
 
 import (
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -151,21 +154,65 @@ func TestRecoverAfterAbandonedManager(t *testing.T) {
 	}
 }
 
+// A journal whose last stamp the replay does not reproduce quarantines
+// with a reason naming the field: a doctored kernel digest, an offset
+// the replay cannot land on, or a trace it does not record.
 func TestRecoverQuarantinesDoctoredJournal(t *testing.T) {
-	dir := t.TempDir()
-	mgrA, _ := storedManager(t, dir)
-	smallImage(t, mgrA, "base")
-	s, err := mgrA.CreateSession("base", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Advance(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		field, reason string
+		change        func(*store.Record)
+	}{
+		{"kernel_digest", "kernel digest mismatch", func(r *store.Record) { r.KernelDigest = "doctored" }},
+		// Past the 40 s timeline: the replay stops at its end.
+		{"at_ns", "offset mismatch", func(r *store.Record) { r.At = int64(time.Minute) }},
+		{"trace_digest", "trace digest mismatch", func(r *store.Record) { r.TraceDigest = "doctored" }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			dir := t.TempDir()
+			mgrA, _ := storedManager(t, dir)
+			smallImage(t, mgrA, "base")
+			s, err := mgrA.CreateSession("base", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Advance(20 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "journals", s.ID+".journal")
+			doctorLastRecord(t, path, tc.change)
 
-	// Doctor the last journal record's kernel digest: replay will
-	// reproduce the honest digest and must refuse the mismatch.
-	path := filepath.Join(dir, "journals", s.ID+".journal")
+			mgrB, rep := storedManager(t, dir)
+			defer mgrB.Close()
+			reason, quarantined := rep.SessionsQuarantined[s.ID]
+			if !quarantined || !strings.Contains(reason, tc.reason) {
+				t.Fatalf("journal with a doctored %s: quarantined %v, want a %q reason", tc.field, rep.SessionsQuarantined, tc.reason)
+			}
+			if mgrB.Session(s.ID) != nil {
+				t.Fatalf("quarantined session %s is serving traffic", s.ID)
+			}
+			if mgrB.Quarantined(s.ID) == "" {
+				t.Fatalf("quarantine reason for %s not recorded", s.ID)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "quarantine", s.ID+".journal")); err != nil {
+				t.Fatalf("quarantined journal body missing: %v", err)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("quarantined journal still in journals/")
+			}
+
+			// A third lifetime keeps refusing it (the reason file persists).
+			mgrC, repC := storedManager(t, dir)
+			defer mgrC.Close()
+			if mgrC.Quarantined(s.ID) == "" {
+				t.Fatalf("third lifetime forgot the quarantine (report: %+v)", repC)
+			}
+		})
+	}
+}
+
+// doctorLastRecord rewrites a journal's last record through change.
+func doctorLastRecord(t *testing.T, path string, change func(*store.Record)) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -175,37 +222,176 @@ func TestRecoverQuarantinesDoctoredJournal(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
 		t.Fatal(err)
 	}
-	last.KernelDigest = "doctored"
+	change(&last)
 	doctored, _ := json.Marshal(last)
 	lines[len(lines)-1] = string(doctored)
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// An image record whose fingerprint or trace digest the rebuild does not
+// reproduce quarantines: its .reason file is written, the image is not
+// registered and images_quarantined counts it.
+func TestRecoverQuarantinesDoctoredImage(t *testing.T) {
+	for _, tc := range []struct {
+		field, reason string
+		change        func(*store.ImageRecord)
+	}{
+		{"fingerprint", "fingerprint mismatch", func(r *store.ImageRecord) { r.Fingerprint = "r4.h14@doctored" }},
+		{"trace_digest", "trace digest mismatch", func(r *store.ImageRecord) { r.TraceDigest = "doctored" }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			dir := t.TempDir()
+			mgrA, _ := storedManager(t, dir)
+			smallImage(t, mgrA, "base")
+			st := mgrA.Store()
+			recs, err := st.Images()
+			if err != nil || len(recs) != 1 {
+				t.Fatalf("persisted images: %v, %v", recs, err)
+			}
+			tc.change(&recs[0])
+			if err := st.SaveImage(recs[0]); err != nil {
+				t.Fatal(err)
+			}
+
+			mgrB, rep := storedManager(t, dir)
+			defer mgrB.Close()
+			if reason := rep.ImagesQuarantined["base"]; !strings.Contains(reason, tc.reason) {
+				t.Fatalf("image with a doctored %s: quarantined %v, want a %q reason", tc.field, rep.ImagesQuarantined, tc.reason)
+			}
+			if mgrB.Image("base") != nil || len(rep.ImagesRebuilt) != 0 {
+				t.Fatalf("doctored image registered (rebuilt %v)", rep.ImagesRebuilt)
+			}
+			if got := mgrB.Metrics()["images_quarantined"]; got != 1 {
+				t.Fatalf("images_quarantined = %v, want 1", got)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "quarantine", "img-base.json.reason")); err != nil {
+				t.Fatalf("quarantine reason file missing: %v", err)
+			}
+		})
+	}
+}
+
+// Images of one fingerprint and recipe rebuild once on recovery and
+// share the checkpoint, as they did when they were created; an image of
+// the same machine with a longer timeline rebuilds on its own.
+func TestRecoverSharesIdenticalImages(t *testing.T) {
+	dir := t.TempDir()
+	mgrA, _ := storedManager(t, dir)
+	smallImage(t, mgrA, "a")
+	smallImage(t, mgrA, "b")
+	longer := smallSpec()
+	longer.Duration *= 2
+	if _, err := mgrA.CreateImage("c", longer, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	mgrB, rep := storedManager(t, dir)
 	defer mgrB.Close()
-	reason, quarantined := rep.SessionsQuarantined[s.ID]
-	if !quarantined || !strings.Contains(reason, "kernel digest mismatch") {
-		t.Fatalf("doctored journal not quarantined: %v", rep.SessionsQuarantined)
+	if len(rep.ImagesRebuilt) != 3 || len(rep.ImagesQuarantined) != 0 {
+		t.Fatalf("rebuilt %v, quarantined %v", rep.ImagesRebuilt, rep.ImagesQuarantined)
 	}
-	if mgrB.Session(s.ID) != nil {
-		t.Fatalf("quarantined session %s is serving traffic", s.ID)
+	if rep.ImagesShared != 1 {
+		t.Fatalf("images shared on recovery = %d, want 1", rep.ImagesShared)
 	}
-	if mgrB.Quarantined(s.ID) == "" {
-		t.Fatalf("quarantine reason for %s not recorded", s.ID)
+	a, b, c := mgrB.Image("a"), mgrB.Image("b"), mgrB.Image("c")
+	if a.chk != b.chk || a.chk == c.chk {
+		t.Fatal("recovered images share checkpoints other than a and b's")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", s.ID+".journal")); err != nil {
-		t.Fatalf("quarantined journal body missing: %v", err)
+}
+
+// TestRecoverCommittedDataDir recovers testdata/datadir, which an
+// earlier build wrote with smallSpec: the recipe of image "base" and
+// the journal of session s-0001 forked from it (create at 10 s, advance
+// to 20 s, a rack failure injected there, advance to 30 s, checkpoint).
+// It holds journals and image recipes readable, and their stamps
+// reproducible, across changes to the code that writes them.
+func TestRecoverCommittedDataDir(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the committed stamps carry amd64 float rounding")
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("quarantined journal still in journals/")
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "datadir")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, rep := storedManager(t, dir)
+	defer mgr.Close()
+	if len(rep.ImagesQuarantined) != 0 || len(rep.SessionsQuarantined) != 0 {
+		t.Fatalf("quarantined images %v, sessions %v", rep.ImagesQuarantined, rep.SessionsQuarantined)
+	}
+	if len(rep.ImagesRebuilt) != 1 || rep.ImagesRebuilt[0] != "base" {
+		t.Fatalf("images rebuilt: %v", rep.ImagesRebuilt)
+	}
+	if len(rep.SessionsRecovered) != 1 || rep.SessionsRecovered[0] != "s-0001" {
+		t.Fatalf("sessions recovered: %v", rep.SessionsRecovered)
+	}
+	s := mgr.Session("s-0001")
+	if s.State() != StateRecovered || s.Offset() != 30*time.Second {
+		t.Fatalf("session s-0001 %s at %v, want %s at 30s", s.State(), s.Offset(), StateRecovered)
+	}
+	st, err := s.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantTrace = "39ff4c7e0ff6c538d0b14f81d0248a803661e4876a9372c0f9b7d8a060f50057"
+	if st.TraceLen != 4 || st.TraceDigest != wantTrace {
+		t.Fatalf("recovered trace %d events, digest %s; want 4, %s", st.TraceLen, st.TraceDigest, wantTrace)
+	}
+}
+
+// A fork's record is journaled on the forking caller's goroutine, so an
+// advance the session serves meanwhile can be journaled first. The
+// late fork record, stamped at the earlier capture, must neither move
+// the durable offset back nor become the stamp recovery verifies.
+func TestRecoverForkRecordAfterLaterAdvance(t *testing.T) {
+	dir := t.TempDir()
+	mgrA, _ := storedManager(t, dir)
+	smallImage(t, mgrA, "base")
+	s, err := mgrA.CreateSession("base", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.do(func(r *scenario.Run) (any, error) { return r.Stamp(), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The fork record of a capture at 15 s lands after the advance to 30 s.
+	if err := s.journalStamped(store.Record{Op: "fork", Child: "s-9999"}.Stamped(v.(scenario.Stamp))); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DurableOffset(); got != 30*time.Second {
+		t.Fatalf("durable offset %v after a late fork record, want 30s", got)
 	}
 
-	// A third lifetime keeps refusing it (the reason file persists).
-	mgrC, repC := storedManager(t, dir)
-	defer mgrC.Close()
-	if mgrC.Quarantined(s.ID) == "" {
-		t.Fatalf("third lifetime forgot the quarantine (report: %+v)", repC)
+	mgrB, rep := storedManager(t, dir)
+	defer mgrB.Close()
+	if len(rep.SessionsQuarantined) != 0 {
+		t.Fatalf("quarantined %v", rep.SessionsQuarantined)
+	}
+	if rs := mgrB.Session(s.ID); rs == nil || rs.Offset() != 30*time.Second {
+		t.Fatalf("session %s not recovered at 30s (report %+v)", s.ID, rep)
 	}
 }
 

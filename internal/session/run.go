@@ -130,12 +130,11 @@ type Session struct {
 	closed   bool
 	state    string
 	failure  string
-	// durableOffset trails offset by the work since the last journal
-	// record — the "journal lag" health surfaces (always 0 at a paused
-	// instant; mid-advance it is the un-journaled progress).
-	durableOffset   time.Duration
-	lastTraceLen    int
-	lastTraceDigest string
+	// durable is the stamp of the last journal record. Its offset trails
+	// offset by the work since — the "journal lag" health surfaces
+	// (always 0 at a paused instant; mid-advance it is the un-journaled
+	// progress).
+	durable scenario.Stamp
 	// kstats is the kernel-stats snapshot taken at the last paused
 	// instant (adopt, then every advance slice boundary). HTTP-side
 	// scrapes read this cache; they never touch the kernel itself, so a
@@ -369,7 +368,7 @@ func (s *Session) Inject(f scenario.Fault) error {
 		if err := r.Inject(f); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
-		if err := s.journal(r, store.Record{Op: "inject", At: int64(r.Offset()), Fault: wire}); err != nil {
+		if err := s.journal(r, store.Record{Op: "inject", Fault: wire}); err != nil {
 			return nil, err
 		}
 		s.injects.Inc()
@@ -389,8 +388,8 @@ func (s *Session) Checkpoint(image string) (CheckpointInfo, error) {
 		chk := r.Checkpoint()
 		info := CheckpointInfo{
 			At:           chk.At,
-			Fingerprint:  chk.Core.Fingerprint(),
-			KernelDigest: chk.Core.State().Digest,
+			Fingerprint:  chk.Fingerprint(),
+			KernelDigest: chk.Kernel.Digest,
 			TraceLen:     chk.TraceLen,
 			TraceDigest:  chk.TraceDigest,
 		}
@@ -404,9 +403,7 @@ func (s *Session) Checkpoint(image string) (CheckpointInfo, error) {
 			}
 			info.Image = image
 		}
-		rec := store.Record{Op: "checkpoint", At: int64(chk.At), Image: image,
-			KernelDigest: info.KernelDigest, TraceLen: chk.TraceLen, TraceDigest: chk.TraceDigest}
-		if err := s.journalStamped(rec); err != nil {
+		if err := s.journalStamped(store.Record{Op: "checkpoint", Image: image}.Stamped(chk.Stamp)); err != nil {
 			return nil, err
 		}
 		s.checkpoints.Inc()
@@ -463,22 +460,17 @@ func (s *Session) Fork() (*Session, error) {
 	}
 	s.forks.Inc()
 	s.mgr.sessionForks.Inc()
-	st := chk.Core.State()
-	child, err := s.mgr.adopt(r, adoptConfig{
-		baseImage: s.BaseImage,
-		rootReq:   s.rootReq,
-		create: &store.Record{Op: "create", At: int64(chk.At), Recipe: &recipe,
-			KernelDigest: st.Digest, TraceLen: chk.TraceLen, TraceDigest: chk.TraceDigest},
-	})
+	create := store.Record{Op: "create", Recipe: &recipe}.Stamped(chk.Stamp)
+	child, err := s.mgr.adopt(r, adoptConfig{baseImage: s.BaseImage, rootReq: s.rootReq, create: &create})
 	if err != nil {
 		r.Cloud.Close()
 		return nil, fmt.Errorf("session %s: fork: %w", s.ID, err)
 	}
 	// The parent's fork record is informational (the child journals its
-	// own history); it rides the caller's goroutine, so it may interleave
-	// with the parent's next command — harmless, replay ignores it.
-	_ = s.journal(nil, store.Record{Op: "fork", At: int64(chk.At), Child: child.ID,
-		KernelDigest: st.Digest, TraceLen: chk.TraceLen, TraceDigest: chk.TraceDigest})
+	// own history); it rides the caller's goroutine, so it may land after
+	// records of the parent's next commands, stamped at a later offset.
+	// Recovery then skips its stamp, and it moves no durable state back.
+	_ = s.journalStamped(store.Record{Op: "fork", Child: child.ID}.Stamped(chk.Stamp))
 	s.emit(Event{Type: "lifecycle", Offset: int64(chk.At), Kind: "forked", Detail: child.ID})
 	return child, nil
 }
@@ -534,8 +526,8 @@ func (s *Session) StatusLocal() Status {
 		Offset:      s.offset,
 		Duration:    s.duration,
 		Finished:    s.offset >= s.duration,
-		TraceLen:    s.lastTraceLen,
-		TraceDigest: s.lastTraceDigest,
+		TraceLen:    s.durable.TraceLen,
+		TraceDigest: s.durable.TraceDigest,
 	}
 }
 
@@ -626,28 +618,19 @@ func (s *Session) markFailed(reason string, stack []byte) {
 	s.emit(Event{Type: "lifecycle", Offset: int64(off), Kind: "failed", Detail: detail})
 }
 
-// journal appends one write-ahead record, stamping it with the kernel
-// digest and trace fingerprint at this paused instant when r is given
-// (records built from a checkpoint pass nil and stamp themselves).
-// A journal append that fails poisons the session: durability can no
-// longer be promised, so the kernel stops taking state-changing
-// commands rather than silently diverging from its journal.
+// journal appends one write-ahead record stamped with the run's Stamp
+// at this paused instant (taken only when there is a journal to write).
 func (s *Session) journal(r *scenario.Run, rec store.Record) error {
 	if s.jr == nil {
 		return nil
 	}
-	if r != nil {
-		st := r.Cloud.KernelState()
-		trace := r.Trace()
-		rec.KernelDigest = st.Digest
-		rec.TraceLen = len(trace)
-		rec.TraceDigest = scenario.DigestTrace(trace)
-	}
-	return s.journalStamped(rec)
+	return s.journalStamped(rec.Stamped(r.Stamp()))
 }
 
-// journalStamped appends a record whose digest stamps are already
-// filled in.
+// journalStamped appends a record that already carries its stamp.
+// A journal append that fails poisons the session: durability can no
+// longer be promised, so the kernel stops taking state-changing
+// commands rather than silently diverging from its journal.
 func (s *Session) journalStamped(rec store.Record) error {
 	if s.jr == nil {
 		return nil
@@ -662,10 +645,10 @@ func (s *Session) journalStamped(rec store.Record) error {
 		return &FailedError{ID: s.ID, Reason: err.Error()}
 	}
 	s.mu.Lock()
-	s.durableOffset = time.Duration(rec.At)
-	if rec.TraceDigest != "" {
-		s.lastTraceLen = rec.TraceLen
-		s.lastTraceDigest = rec.TraceDigest
+	// A fork record can land after a record the session wrote later
+	// (see Fork): the durable state never moves back.
+	if st := rec.Stamp(); st.At >= s.durable.At {
+		s.durable = st
 	}
 	s.mu.Unlock()
 	s.mgr.journalRecords.Inc()
@@ -674,7 +657,7 @@ func (s *Session) journalStamped(rec store.Record) error {
 
 // journalAdvance records the offset the kernel actually reached.
 func (s *Session) journalAdvance(r *scenario.Run) error {
-	return s.journal(r, store.Record{Op: "advance", At: int64(r.Offset())})
+	return s.journal(r, store.Record{Op: "advance"})
 }
 
 // journalClose writes the terminal record and retires the journal file
@@ -695,7 +678,7 @@ func (s *Session) journalClose() {
 func (s *Session) DurableOffset() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.durableOffset
+	return s.durable.At
 }
 
 // Close stops the kernel goroutine, releases the cloud and unlinks the

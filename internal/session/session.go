@@ -15,10 +15,11 @@
 // bit, no matter how many sibling sessions run concurrently (the
 // service gate proves exactly this under the race detector).
 //
-// Base images are registered twice over: by caller-chosen name and by
-// fingerprint (fleet shape key + cross-layer kernel state digest, see
-// core.Checkpoint.Fingerprint), so two images that capture identical
-// simulated machines share one checkpoint instead of holding two.
+// Base images are registered by caller-chosen name, and two images
+// share one checkpoint instead of holding two when both the captured
+// machine and its future match: the same fingerprint (fleet shape key +
+// cross-layer kernel state digest, see scenario.Checkpoint.Fingerprint)
+// and the same replay recipe (store.Recipe.Key).
 //
 // With a store attached (Manager.Recover), the manager is crash-safe:
 // images persist as replay recipes, sessions journal every
@@ -104,9 +105,11 @@ type BaseImage struct {
 
 // Manager owns the image registry and the live sessions.
 type Manager struct {
-	mu       sync.Mutex
-	images   map[string]*BaseImage
-	byFP     map[string]*BaseImage
+	mu     sync.Mutex
+	images map[string]*BaseImage
+	// shared files the first image registered under each shareKey, the
+	// one later images with the same key share a checkpoint with.
+	shared   map[string]*BaseImage
 	sessions map[string]*Session
 	seq      int
 	draining bool
@@ -126,7 +129,7 @@ type Manager struct {
 	// the per-session latency histograms. See obs.go.
 	obs *obs.Registry
 	// Service-level counters, registered in obs by initObs: images
-	// built, shared via fingerprint and quarantined, sessions
+	// built, shared (see shareKey) and quarantined, sessions
 	// created/closed/failed/quarantined/recovered, forks, journal
 	// records. counters lists them by bare name for Metrics.
 	imagesCreated, imagesShared, imageForks, imagesQuarantined *obs.Counter
@@ -143,7 +146,7 @@ type Manager struct {
 func NewManager() *Manager {
 	m := &Manager{
 		images:      map[string]*BaseImage{},
-		byFP:        map[string]*BaseImage{},
+		shared:      map[string]*BaseImage{},
 		sessions:    map[string]*Session{},
 		quarantined: map[string]string{},
 		drainCh:     make(chan struct{}),
@@ -224,11 +227,11 @@ func (m *Manager) Drain() {
 }
 
 // CreateImage resolves the spec request, drives a fresh run to the
-// offset, captures a verified checkpoint and registers it under name.
-// If the captured state is fingerprint-identical to an existing image,
-// the new name shares the existing checkpoint (and its warm plan)
-// instead of keeping a second copy. With a store attached the image
-// also persists as a replay recipe the next daemon lifetime rebuilds.
+// offset, captures a checkpoint and registers it under name. If an
+// existing image captured the same machine from the same recipe, the
+// new name shares its checkpoint instead of keeping a second copy. With
+// a store attached the image also persists as a replay recipe the next
+// daemon lifetime rebuilds.
 func (m *Manager) CreateImage(name string, req cliconfig.SpecRequest, at time.Duration) (*BaseImage, error) {
 	if name == "" {
 		return nil, fmt.Errorf("session: image needs a name")
@@ -256,27 +259,42 @@ func (m *Manager) CreateImage(name string, req cliconfig.SpecRequest, at time.Du
 	return m.registerImage(name, chk, store.Recipe{Spec: req, At: int64(at)}, true)
 }
 
+// shareKey is the key images share a checkpoint under: the fingerprint
+// says two captures are the same machine at their offset, and the
+// recipe's key says their futures are the same too (a fingerprint holds
+// nothing of the timeline after the offset, such as the run's
+// duration).
+func shareKey(fingerprint string, recipe store.Recipe) string {
+	return fingerprint + " " + recipe.Key()
+}
+
 // registerImage files a captured checkpoint under name, sharing the
-// stored checkpoint with any fingerprint-identical image. The recipe
+// stored checkpoint with any image of the same share key. The recipe
 // is the image's durable form; persist writes it through the store
 // (when one is attached) with rollback on failure, recovery registers
 // already-persisted images with persist=false.
 func (m *Manager) registerImage(name string, chk *scenario.Checkpoint, recipe store.Recipe, persist bool) (*BaseImage, error) {
-	fp := chk.Core.Fingerprint()
+	fp := chk.Fingerprint()
 	rec := store.ImageRecord{
 		Name:         name,
 		Recipe:       recipe,
 		Fingerprint:  fp,
-		KernelDigest: chk.Core.State().Digest,
+		KernelDigest: chk.Kernel.Digest,
 		TraceLen:     chk.TraceLen,
 		TraceDigest:  chk.TraceDigest,
+	}
+	// A recipe that dropped an injection it could not encode no longer
+	// says what the image replays, so such an image shares nothing.
+	key := ""
+	if len(recipe.Injections) == len(chk.Injections) {
+		key = shareKey(fp, recipe)
 	}
 	m.mu.Lock()
 	if _, dup := m.images[name]; dup {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("session: image %q already exists", name)
 	}
-	if shared, ok := m.byFP[fp]; ok {
+	if shared, ok := m.shared[key]; ok {
 		chk = shared.chk
 		m.imagesShared.Inc()
 	}
@@ -289,8 +307,8 @@ func (m *Manager) registerImage(name string, chk *scenario.Checkpoint, recipe st
 		rec:         rec,
 	}
 	m.images[name] = img
-	if _, ok := m.byFP[fp]; !ok {
-		m.byFP[fp] = img
+	if _, ok := m.shared[key]; !ok && key != "" {
+		m.shared[key] = img
 	}
 	st := m.st
 	m.mu.Unlock()
@@ -298,8 +316,8 @@ func (m *Manager) registerImage(name string, chk *scenario.Checkpoint, recipe st
 		if err := st.SaveImage(rec); err != nil {
 			m.mu.Lock()
 			delete(m.images, name)
-			if m.byFP[fp] == img {
-				delete(m.byFP, fp)
+			if m.shared[key] == img {
+				delete(m.shared, key)
 			}
 			m.mu.Unlock()
 			return nil, fmt.Errorf("session: image %q: persist: %w", name, err)
@@ -353,14 +371,11 @@ func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*
 		img.forks++
 		m.mu.Unlock()
 		m.imageForks.Inc()
-		cfg = adoptConfig{
-			baseImage: baseImage,
-			rootReq:   img.rec.Recipe.Spec,
-			// The create record names the image; recovery re-forks it and
-			// verifies against the image's own stamps.
-			create: &store.Record{Op: "create", At: int64(img.At), BaseImage: baseImage,
-				KernelDigest: img.rec.KernelDigest, TraceLen: img.rec.TraceLen, TraceDigest: img.rec.TraceDigest},
-		}
+		// The create record names the image and carries its stamp, which
+		// the fork just reproduced; recovery re-forks the image and checks
+		// it against this stamp.
+		create := store.Record{Op: "create", BaseImage: baseImage}.Stamped(img.chk.Stamp)
+		cfg = adoptConfig{baseImage: baseImage, rootReq: img.rec.Recipe.Spec, create: &create}
 	case req != nil:
 		spec, rerr := req.Resolve()
 		if rerr != nil {
@@ -370,13 +385,8 @@ func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*
 		if err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
-		st := r.Cloud.KernelState()
-		trace := r.Trace()
-		cfg = adoptConfig{
-			rootReq: *req,
-			create: &store.Record{Op: "create", At: 0, Recipe: &store.Recipe{Spec: *req},
-				KernelDigest: st.Digest, TraceLen: len(trace), TraceDigest: scenario.DigestTrace(trace)},
-		}
+		create := store.Record{Op: "create", Recipe: &store.Recipe{Spec: *req}}.Stamped(r.Stamp())
+		cfg = adoptConfig{rootReq: *req, create: &create}
 	default:
 		return nil, fmt.Errorf("session: need a base image or a spec")
 	}
@@ -391,17 +401,15 @@ func (m *Manager) CreateSession(baseImage string, req *cliconfig.SpecRequest) (*
 // adoptConfig parameterises adopt: fresh sessions pass a create record
 // (journaled as the first write-ahead entry when a store is attached);
 // recovery passes the already-open journal, the recovered id and the
-// durable bookkeeping to resume from.
+// stamp of the journal's last record.
 type adoptConfig struct {
-	id              string // "" = allocate the next s-%04d
-	baseImage       string
-	rootReq         cliconfig.SpecRequest
-	state           string // "" = StateRunning
-	jr              *store.Journal
-	create          *store.Record
-	durableOffset   time.Duration
-	lastTraceLen    int
-	lastTraceDigest string
+	id        string // "" = allocate the next s-%04d
+	baseImage string
+	rootReq   cliconfig.SpecRequest
+	state     string // "" = StateRunning
+	jr        *store.Journal
+	create    *store.Record
+	durable   scenario.Stamp
 }
 
 // adopt wraps a freshly built (or forked, or recovered) run in a
@@ -423,7 +431,7 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 	st := m.st
 	m.mu.Unlock()
 	jr := cfg.jr
-	durOff, traceLen, traceDigest := cfg.durableOffset, cfg.lastTraceLen, cfg.lastTraceDigest
+	durable := cfg.durable
 	if jr == nil && st != nil && cfg.create != nil {
 		var err error
 		jr, err = st.CreateJournal(id)
@@ -438,32 +446,29 @@ func (m *Manager) adopt(r *scenario.Run, cfg adoptConfig) (*Session, error) {
 			return nil, fmt.Errorf("session %s: journal: %w", id, err)
 		}
 		m.journalRecords.Inc()
-		durOff = time.Duration(cfg.create.At)
-		traceLen, traceDigest = cfg.create.TraceLen, cfg.create.TraceDigest
+		durable = cfg.create.Stamp()
 	}
 	state := cfg.state
 	if state == "" {
 		state = StateRunning
 	}
 	s := &Session{
-		ID:              id,
-		Scenario:        r.Spec.Name,
-		BaseImage:       cfg.baseImage,
-		mgr:             m,
-		rootReq:         cfg.rootReq,
-		jr:              jr,
-		cmds:            make(chan sessCmd, 16),
-		done:            make(chan struct{}),
-		drainCh:         m.drainCh,
-		subs:            map[chan Event]struct{}{},
-		offset:          r.Offset(),
-		duration:        r.Spec.Duration,
-		state:           state,
-		durableOffset:   durOff,
-		lastTraceLen:    traceLen,
-		lastTraceDigest: traceDigest,
-		sliceHist:       m.obs.Histogram("pisim_session_advance_slice_seconds", obs.DefBuckets, obs.L("session", id)),
-		journalHist:     m.obs.Histogram("pisim_journal_append_seconds", obs.DefBuckets, obs.L("session", id)),
+		ID:          id,
+		Scenario:    r.Spec.Name,
+		BaseImage:   cfg.baseImage,
+		mgr:         m,
+		rootReq:     cfg.rootReq,
+		jr:          jr,
+		cmds:        make(chan sessCmd, 16),
+		done:        make(chan struct{}),
+		drainCh:     m.drainCh,
+		subs:        map[chan Event]struct{}{},
+		offset:      r.Offset(),
+		duration:    r.Spec.Duration,
+		state:       state,
+		durable:     durable,
+		sliceHist:   m.obs.Histogram("pisim_session_advance_slice_seconds", obs.DefBuckets, obs.L("session", id)),
+		journalHist: m.obs.Histogram("pisim_journal_append_seconds", obs.DefBuckets, obs.L("session", id)),
 	}
 	if tr := m.Tracer(); tr != nil {
 		r.SetTracer(tr)

@@ -11,14 +11,16 @@ package session
 //     where identical op sequences must reach identical digests and
 //     divergent injections must not leak across forks;
 //   - lifecycle edges: close-mid-advance, double close, commands
-//     against a closed session, duplicate image names, fingerprint
-//     sharing between images capturing identical machines.
+//     against a closed session, duplicate image names, checkpoint
+//     sharing between images capturing identical machines from
+//     identical recipes, and none between images whose futures differ.
 
 import (
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,6 +210,107 @@ func TestImageFingerprintSharing(t *testing.T) {
 	}
 	if _, err := mgr.CreateImage("a", smallSpec(), 10*time.Second); err == nil {
 		t.Fatal("duplicate image name accepted")
+	}
+}
+
+// Two images of one scenario at one offset capture the same machine,
+// so their fingerprints agree, but a longer timeline is a different
+// future: a session forked from the 4-minute image must run 4 minutes,
+// not stop where the 1-minute image's timeline ends.
+func TestImageSharingNeedsSameRecipe(t *testing.T) {
+	mgr := NewManager()
+	defer mgr.Close()
+	req := func(d time.Duration) cliconfig.SpecRequest {
+		return cliconfig.SpecRequest{Scenario: "rack-blackout", Duration: cliconfig.Duration(d)}
+	}
+	a, err := mgr.CreateImage("a", req(time.Minute), 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mgr.CreateImage("b", req(4*time.Minute), 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint != b.Fingerprint {
+		t.Fatalf("one machine at one offset fingerprints differently: %s vs %s", a.Fingerprint, b.Fingerprint)
+	}
+	if got := mgr.Metrics()["images_shared"]; got != 0 {
+		t.Fatalf("images_shared = %v, want 0: the images' timelines differ", got)
+	}
+	s, err := mgr.CreateSession("b", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Duration != 4*time.Minute || st.Offset != 4*time.Minute || !st.Finished {
+		t.Fatalf("session of image b: offset %v of %v (finished %v), want 4m0s of 4m0s", st.Offset, st.Duration, st.Finished)
+	}
+}
+
+// An image whose recipe dropped an injection it could not encode (no
+// store attached, so the capture was allowed) shares nothing, in
+// either registration order: its sessions must replay the dropped
+// fault, and an image without it must not.
+func TestImageWithDroppedInjectionSharesNothing(t *testing.T) {
+	for _, hookedFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("hooked first %v", hookedFirst), func(t *testing.T) {
+			mgr := NewManager()
+			defer mgr.Close()
+			smallImage(t, mgr, "small")
+			var fired atomic.Int32
+			hook := scenario.HookFault{At: 30 * time.Second, Name: "count",
+				Run: func(*scenario.Run) error { fired.Add(1); return nil }}
+			capture := func(image string, inject bool) {
+				s, err := mgr.CreateSession("small", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if err := s.Advance(20 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if inject {
+					if err := s.Inject(hook); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := s.Checkpoint(image); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if hookedFirst {
+				capture("hooked", true)
+				capture("plain", false)
+			} else {
+				capture("plain", false)
+				capture("hooked", true)
+			}
+			if got := mgr.Metrics()["images_shared"]; got != 0 {
+				t.Fatalf("images_shared = %v, want 0", got)
+			}
+			for _, tc := range []struct {
+				image string
+				fires int32
+			}{{"plain", 0}, {"hooked", 1}} {
+				fired.Store(0)
+				s, err := mgr.CreateSession(tc.image, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Advance(40 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if got := fired.Load(); got != tc.fires {
+					t.Fatalf("a session of image %q fired the hook %d times, want %d", tc.image, got, tc.fires)
+				}
+			}
+		})
 	}
 }
 

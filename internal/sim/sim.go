@@ -260,7 +260,7 @@ func comparePending(a, b PendingEvent) int {
 // sequence counter, fired count and the (time, sequence) identity of
 // every live pending event, in fire order — to buf in a deterministic
 // text form. It is one layer of the cross-layer kernel fingerprint
-// behind core's Checkpoint/Resume: two engines that executed the same
+// core.KernelState hashes: two engines that executed the same
 // event history append the same bytes. The pending events are sorted
 // in a buffer the engine keeps for the next call.
 func (e *Engine) AppendState(buf []byte) []byte {

@@ -6,16 +6,16 @@
 // durable offset.
 //
 // Nothing here serialises simulated state. The kernel is deterministic
-// and byte-identity-verified (core.Resume, scenario.Checkpoint.Fork),
-// so the durable form of a simulated machine is its *recipe*: the wire
-// spec (cliconfig.SpecRequest — the same vocabulary checkpoint files
-// and POST bodies speak), the injection history in wire form, and the
+// and every restore is verified (scenario.Stamp.Verify), so the durable
+// form of a simulated machine is its *recipe*: the wire spec
+// (cliconfig.SpecRequest — the same vocabulary checkpoint files and
+// POST bodies speak), the injection history in wire form, and the
 // timeline offset. Recovery is therefore a verified replay, not a
-// best-effort reload: every journal record is stamped with the kernel
-// state digest at the instant it became durable, and the session layer
-// refuses any rebuilt kernel whose digest does not reproduce the
-// journaled one (quarantining the journal for post-mortem instead of
-// serving corrupt state).
+// best-effort reload: every image and journal record keeps the stamp
+// (offset, kernel state digest, trace length and digest) of the instant
+// it became durable, and the session layer refuses any rebuilt run
+// whose stamp does not reproduce the persisted one (quarantining the
+// record for post-mortem instead of serving corrupt state).
 //
 // Layout under the data dir:
 //
@@ -65,8 +65,8 @@ type Recipe struct {
 }
 
 // Rebuild cold-builds the recipe back into a paused run. The caller
-// must verify the rebuilt kernel against whatever fingerprint was
-// journaled next to the recipe before trusting it.
+// must verify the rebuilt run's Stamp against the one persisted next to
+// the recipe before trusting it.
 func (rc Recipe) Rebuild() (*scenario.Run, error) {
 	spec, err := rc.Spec.Resolve()
 	if err != nil {
@@ -110,6 +110,12 @@ type ImageRecord struct {
 	TraceDigest  string `json:"trace_digest"`
 }
 
+// Stamp reads back the stamp the rebuilt image must reproduce: the
+// recipe's offset, the kernel digest and the trace fingerprint.
+func (rec ImageRecord) Stamp() scenario.Stamp {
+	return scenario.DigestStamp(time.Duration(rec.At), rec.KernelDigest, rec.TraceLen, rec.TraceDigest)
+}
+
 // Record is one write-ahead journal entry. Every record carries the
 // offset it was journaled at and — for records written at a paused
 // kernel instant — the kernel state digest and trace fingerprint at
@@ -132,6 +138,22 @@ type Record struct {
 	Image string `json:"image,omitempty"`
 	// fork: the child session's id (the child journals independently).
 	Child string `json:"child,omitempty"`
+}
+
+// Stamped returns the record stamped with a run's stamp: its offset,
+// kernel digest and trace fingerprint.
+func (rec Record) Stamped(s scenario.Stamp) Record {
+	rec.At = int64(s.At)
+	rec.KernelDigest = s.Kernel.Digest
+	rec.TraceLen = s.TraceLen
+	rec.TraceDigest = s.TraceDigest
+	return rec
+}
+
+// Stamp reads back the record's stamp, the state a replay of the
+// journal up to this record must reproduce.
+func (rec Record) Stamp() scenario.Stamp {
+	return scenario.DigestStamp(time.Duration(rec.At), rec.KernelDigest, rec.TraceLen, rec.TraceDigest)
 }
 
 // Store is a data directory holding image recipes and session journals.
