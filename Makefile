@@ -42,14 +42,18 @@ bench-smoke:
 # cables), the builders' pinned wiring digests, the route cache against
 # its name-keyed oracle (hits, misses, evictions, size, LRU order and
 # paths after every step), a link's flow set in flow-ID order (OnEnd
-# callbacks and BitsCarried after a re-path and a link failure) and the
+# callbacks and BitsCarried after a re-path and a link failure), the
 # journal replay of a committed data directory (an image recipe and a
-# session journal recovered and verified against their stamps),
+# session journal recovered and verified against their stamps) and the
+# twin-cloud differential of untouched hosts (every catalog scenario
+# but the 10⁶-node one on a cloud used as built and on a twin whose
+# every host was booted first: traces, kernel state, pimaster's node,
+# VM, DNS and lease documents, metrics and each side's forks agree),
 # executed with a single scheduler thread. Together with the default-GOMAXPROCS test job this shows the
 # traces do not depend on how many threads the Go runtime schedules.
 # `go test -run` passes silently on zero matches, so the target first
 # fails if a listed package selects no test.
-DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesModel|FabricWiringPinned|RouteCacheMatchesNameKeyedOracle|LinkFlowSetOrder|RecoverCommittedDataDir
+DETERMINISM_TESTS = TraceDigest|MatchesEager|MatchesFullSolver|IncrementalVsGlobalSolver|BitwiseEquivalence|TotalOrder|CheckpointResume|StudyDigests|StateRenderMatchesFmt|WiredNetworkMatchesModel|FabricWiringPinned|RouteCacheMatchesNameKeyedOracle|LinkFlowSetOrder|RecoverCommittedDataDir|LazyHostsMatchTouchedTwin
 DETERMINISM_PKGS = ./internal/scenario ./internal/netsim ./internal/sim ./internal/sdn ./internal/energy ./internal/topology ./internal/session
 
 determinism-single-core:

@@ -87,7 +87,7 @@ func run(addr string, speed float64, common cliconfig.Common, placerName, scenar
 	// run on the simulation clock.
 	cloud.Mu.Lock()
 	for _, node := range cloud.Nodes() {
-		node.Daemon.StartSampling(5 * time.Second)
+		node.Daemon().StartSampling(5 * time.Second)
 	}
 	cloud.Master.StartLeaseSweeper(15 * time.Minute)
 	cloud.Mu.Unlock()

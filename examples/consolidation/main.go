@@ -101,15 +101,15 @@ func run() error {
 	view := &placement.View{Locate: map[string]netsim.NodeID{}}
 	var loads []placement.ContainerLoad
 	for _, n := range cloud.Nodes() {
-		k := n.Suite.Kernel()
+		k := n.Suite().Kernel()
 		view.Nodes = append(view.Nodes, placement.NodeView{
 			ID: n.Host, Rack: n.Rack,
 			CPU: k.Spec().CPU, MemTotal: k.MemTotal(), MemUsed: k.MemUsed(),
-			Containers: n.Suite.Count(), MaxContainers: 3, PoweredOn: true,
+			Containers: n.Suite().Count(), MaxContainers: 3, PoweredOn: true,
 		})
-		for _, cn := range n.Suite.List() {
+		for _, cn := range n.Suite().List() {
 			view.Locate[cn] = n.Host
-			mem, _ := n.Suite.MemUsedBytes(cn)
+			mem, _ := n.Suite().MemUsedBytes(cn)
 			loads = append(loads, placement.ContainerLoad{Name: cn, Node: n.Host, MemBytes: mem})
 		}
 	}
@@ -136,7 +136,7 @@ func run() error {
 	off := 0
 	for _, n := range cloud.Nodes() {
 		cloud.Mu.Lock()
-		empty := n.Suite.RunningCount() == 0
+		empty := n.Suite().RunningCount() == 0
 		cloud.Mu.Unlock()
 		if empty {
 			if err := cloud.PowerOffNode(n.Name); err == nil {

@@ -56,12 +56,12 @@ func run(routing string) error {
 	// The service works: pages dirty at 2 MiB/s, and three clients hold
 	// long-lived connections into it.
 	cloud.Mu.Lock()
-	cont, err := srcNode.Suite.Get("svc")
+	cont, err := srcNode.Suite().Get("svc")
 	if err != nil {
 		cloud.Mu.Unlock()
 		return err
 	}
-	if err := srcNode.Suite.Kernel().SetDirtyRate(cont.CgroupName(), 2*float64(hw.MiB)); err != nil {
+	if err := srcNode.Suite().Kernel().SetDirtyRate(cont.CgroupName(), 2*float64(hw.MiB)); err != nil {
 		cloud.Mu.Unlock()
 		return err
 	}
@@ -94,7 +94,7 @@ func run(routing string) error {
 	err = cloud.Mig.Migrate(migration.Request{
 		Container: "svc",
 		SrcHost:   srcNode.Host, DstHost: dstNode.Host,
-		SrcSuite: srcNode.Suite, DstSuite: dstNode.Suite,
+		SrcSuite: srcNode.Suite(), DstSuite: dstNode.Suite(),
 		Routing: mode, Label: rec.Label,
 		LiveFlows: flows,
 		OnDone:    func(r migration.Report) { rep = r },

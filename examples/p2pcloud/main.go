@@ -37,8 +37,8 @@ func run() error {
 			return err
 		}
 		agent.SetLoad(p2p.Load{
-			MemUsed:  node.Suite.Kernel().MemUsed(),
-			MemTotal: node.Suite.Kernel().MemTotal(),
+			MemUsed:  node.Suite().Kernel().MemUsed(),
+			MemTotal: node.Suite().Kernel().MemTotal(),
 		})
 		_ = i
 	}

@@ -57,7 +57,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	daemon := httptest.NewServer(node.Daemon.Handler())
+	daemon := httptest.NewServer(node.Daemon().Handler())
 	defer daemon.Close()
 	st, err := restapi.NewClient(daemon.URL, daemon.Client()).Status()
 	if err != nil {

@@ -16,7 +16,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 
 	"repro/internal/sim"
@@ -42,19 +41,20 @@ type KernelState struct {
 // The cloud must be settled (between Run slices); capture is read-only
 // apart from an idempotent flush of already-scheduled rate work, so a
 // checkpointed run continues exactly as an unobserved one would. Each
-// layer appends its rendering to one buffer the cloud reuses under Mu,
-// and the buffer is hashed once. The caller must not hold Mu.
+// layer appends its rendering into one fixed chunk, hashed whenever it
+// fills (sim.StateHash), so a capture costs the chunk whatever the
+// fleet's size. The caller must not hold Mu.
 func (c *Cloud) KernelState() KernelState {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
 	span := c.tracer.Begin("kernel-state", "checkpoint", c.Engine.Now())
 	defer func() { span.End(c.Engine.Now()) }()
-	buf := c.Engine.AppendState(c.stateBuf[:0])
-	buf = c.Net.AppendState(buf)
-	buf = c.Ctrl.AppendState(buf)
-	buf = c.Meter.AppendState(buf, c.Engine.Now())
-	c.stateBuf = buf
-	sum := sha256.Sum256(buf)
+	sh := sim.NewStateHash()
+	buf := c.Engine.AppendState(sh.Buf(), sh)
+	buf = c.Net.AppendState(buf, sh)
+	buf = c.Ctrl.AppendState(buf, sh)
+	buf = c.Meter.AppendState(buf, c.Engine.Now(), sh)
+	sum := sh.Sum(buf)
 	return KernelState{
 		Now:     c.Engine.Now(),
 		Seq:     c.Engine.Seq(),

@@ -66,9 +66,6 @@ type Cloud struct {
 	// layers (netsim flushes, kernel-state captures). See obs.go.
 	tracer *obs.Tracer
 
-	// stateBuf is KernelState's rendering buffer, reused under Mu.
-	stateBuf []byte
-
 	masterServer *httptest.Server
 }
 
@@ -168,7 +165,7 @@ func (c *Cloud) Endpoint(vmName string) (workload.Endpoint, error) {
 	if err != nil {
 		return workload.Endpoint{}, err
 	}
-	return workload.Endpoint{Host: node.Host, Suite: node.Suite, Container: vmName}, nil
+	return workload.Endpoint{Host: node.Host, Suite: node.Suite(), Container: vmName}, nil
 }
 
 // PowerDraw returns the instantaneous whole-cloud draw in watts — the
@@ -185,10 +182,10 @@ func (c *Cloud) PowerOffNode(name string) error {
 	}
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	if node.Suite.RunningCount() > 0 {
+	if node.Suite().RunningCount() > 0 {
 		return fmt.Errorf("core: node %s still has running containers", name)
 	}
-	node.Meter.PowerOff(c.Engine.Now())
+	node.Meter().PowerOff(c.Engine.Now())
 	return nil
 }
 
@@ -200,7 +197,7 @@ func (c *Cloud) PowerOnNode(name string) error {
 	}
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	node.Meter.PowerOn(c.Engine.Now())
+	node.Meter().PowerOn(c.Engine.Now())
 	return nil
 }
 
@@ -257,15 +254,16 @@ func (c *Cloud) SoftwareStack(name string) ([]string, error) {
 	}
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	spec := node.Suite.Kernel().Spec()
+	suite := node.Suite()
+	spec := suite.Kernel().Spec()
 	stack := []string{
 		fmt.Sprintf("ARM System on Chip (%s, %d MB RAM)", spec.Model, spec.MemBytes/hw.MiB),
 		"Raspbian Linux (kernel with CGROUPS)",
 		"Linux Container (LXC)",
 		"libvirt-style RESTful management daemon",
 	}
-	for _, cn := range node.Suite.List() {
-		info, err := node.Suite.InfoOf(cn)
+	for _, cn := range suite.List() {
+		info, err := suite.InfoOf(cn)
 		if err != nil {
 			continue
 		}

@@ -232,7 +232,7 @@ func TestMigrateVMViaMaster(t *testing.T) {
 	if after.Node != dst.Name {
 		t.Fatalf("record node = %s, want %s", after.Node, dst.Name)
 	}
-	if _, err := dst.Suite.Get("svc"); err != nil {
+	if _, err := dst.Suite().Get("svc"); err != nil {
 		t.Fatalf("container not on destination: %v", err)
 	}
 }
@@ -535,11 +535,11 @@ func TestCPUOversubscription(t *testing.T) {
 	node := loose.Nodes()[0]
 	loose.Mu.Lock()
 	for _, name := range []string{"a", "b", "c"} {
-		if _, err := node.Suite.Exec(name, oslinux.TaskSpec{}); err != nil {
+		if _, err := node.Suite().Exec(name, oslinux.TaskSpec{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	util := node.Suite.Kernel().CPUUtil()
+	util := node.Suite().Kernel().CPUUtil()
 	loose.Mu.Unlock()
 	if util < 0.99 {
 		t.Fatalf("util = %v, want saturated under overcommit", util)

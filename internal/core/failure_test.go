@@ -73,12 +73,12 @@ func TestNodeCrashFreesNothingButPlacementAvoidsIt(t *testing.T) {
 	}
 	crashed, _ := c.NodeByName(rec.Node)
 	c.Mu.Lock()
-	for _, name := range crashed.Suite.List() {
-		if err := crashed.Suite.Stop(name); err != nil {
+	for _, name := range crashed.Suite().List() {
+		if err := crashed.Suite().Stop(name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	crashed.Meter.PowerOff(c.Engine.Now())
+	crashed.Meter().PowerOff(c.Engine.Now())
 	c.Mu.Unlock()
 	_ = victim
 
@@ -120,7 +120,7 @@ func TestMigrationAbortsWhenPathDies(t *testing.T) {
 	}
 	// Slow the copy so we can fail it mid-flight: big dirty footprint.
 	c.Mu.Lock()
-	if err := srcNode.Suite.AllocAppMem("svc", 100*hw.MiB); err != nil {
+	if err := srcNode.Suite().AllocAppMem("svc", 100*hw.MiB); err != nil {
 		t.Fatal(err)
 	}
 	c.Mu.Unlock()
@@ -153,7 +153,7 @@ func TestMigrationAbortsWhenPathDies(t *testing.T) {
 	}
 	// Source still serves.
 	c.Mu.Lock()
-	cont, err := srcNode.Suite.Get("svc")
+	cont, err := srcNode.Suite().Get("svc")
 	c.Mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestMigrationAbortsWhenPathDies(t *testing.T) {
 	}
 	// Standby cleaned up on the destination.
 	c.Mu.Lock()
-	_, derr := dstNode.Suite.Get("svc")
+	_, derr := dstNode.Suite().Get("svc")
 	c.Mu.Unlock()
 	if derr == nil {
 		t.Fatal("destination standby survived the aborted migration")

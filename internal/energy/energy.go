@@ -5,10 +5,18 @@
 // cooling column and the paper's "33% of total power" claim.
 //
 // The whole-cloud meter knows its meters by position, not by name: a
-// slice of sub-meter groups indexed by rack, each a slice of meters
+// slice of sub-meter groups indexed by rack, each a slice of meter slots
 // summed in the order they were attached. A fleet attaches them in its
 // construction plan's order (each rack's hosts by name), so every float
 // sum is fixed before the first reading.
+//
+// A slot need not hold a meter yet. A fleet attaches each host as an
+// idle slot (AttachIdle): a board powered on at the fleet's boot instant
+// and idle since, which reads as the template's idle draw and
+// idle × (at − boot) joules, the expression an eager meter of that
+// board evaluates. Only a host something touches gets its own meter,
+// filled into its slot (Fill) in the state it would have had, so sums
+// and state renderings read the same bits either way.
 package energy
 
 import (
@@ -67,7 +75,7 @@ func NewMeter(profile hw.PowerProfile, at sim.Time) *Meter {
 }
 
 // Init sets up m, a zero Meter, as NewMeter would, in place, so a fleet
-// can keep its meters in one slab.
+// can stamp a host's parts into one allocation.
 func (m *Meter) Init(profile hw.PowerProfile, at sim.Time) {
 	m.profile, m.lastAt = profile, at
 }
@@ -161,7 +169,8 @@ func (m *Meter) EnergyWh(at sim.Time) float64 { return m.EnergyJoules(at) / 3600
 // order-stable or float rounding makes identical runs differ in the
 // last bit, so the caller fixes it: a fleet attaches each rack's meters
 // in host-name order, decided once per shape by its construction plan.
-// The meter keeps no names. Power is read every sample, so each group
+// The meter keeps no names, and an idle slot (AttachIdle) sums as the
+// meter it stands for would. Power is read every sample, so each group
 // caches its power sum until a member's state change invalidates it: a
 // TotalWatts is O(groups + members of dirty groups), which on a
 // 10⁶-node fleet is 256 cached sub-meters and the one rack that
@@ -171,14 +180,19 @@ type CloudMeter struct {
 	mu sync.Mutex
 	// groups is indexed by group id, nil where no meter joined.
 	groups []*meterGroup
-	// meters counts the attached meters.
+	// meters counts the attached meters and idle slots.
 	meters int
 }
 
 // meterGroup is one sub-meter: the per-rack aggregation unit.
 type meterGroup struct {
-	// members are summed in attach order.
+	// members are summed in attach order; a nil member is an idle slot.
 	members []*Meter
+	// idle is the profile of the group's idle slots, each powered on at
+	// boot and idle since (hasIdle: the group has idle slots).
+	idle    hw.PowerProfile
+	boot    sim.Time
+	hasIdle bool
 	// wattsDirty is set by member meters on any power state change;
 	// watts is valid only while it is clear.
 	wattsDirty atomic.Bool
@@ -186,10 +200,26 @@ type meterGroup struct {
 	watts float64
 }
 
+// idleReading is what an idle slot's meter reads at at: powered on at
+// boot with nothing committed since, it holds the pending span at the
+// idle draw, Meter.pendingJoules' expression.
+func (g *meterGroup) idleReading(at sim.Time) (joules, watts float64) {
+	watts = g.idle.At(0)
+	if dt := at.Sub(g.boot).Seconds(); dt > 0 {
+		joules = watts * dt
+	}
+	return joules, watts
+}
+
 // recomputeWatts refreshes the cached power sum from the members.
 func (g *meterGroup) recomputeWatts() {
+	_, idleW := g.idleReading(g.boot)
 	total := 0.0
 	for _, m := range g.members {
+		if m == nil {
+			total += idleW
+			continue
+		}
 		total += m.CurrentWatts()
 	}
 	g.watts = total
@@ -197,9 +227,16 @@ func (g *meterGroup) recomputeWatts() {
 
 // read sums the members' energy up to at and their current draw,
 // straight from the meters (each materialises its pending span without
-// committing it), bypassing the watts cache.
+// committing it), bypassing the watts cache. Idle slots read the idle
+// reading.
 func (g *meterGroup) read(at sim.Time) (joules, watts float64) {
+	idleJ, idleW := g.idleReading(at)
 	for _, m := range g.members {
+		if m == nil {
+			joules += idleJ
+			watts += idleW
+			continue
+		}
 		j, w := m.reading(at)
 		joules += j
 		watts += w
@@ -244,19 +281,78 @@ func (c *CloudMeter) Attach(group int, m *Meter) error {
 	if m.group != nil {
 		return fmt.Errorf("energy: meter already attached")
 	}
-	if group >= len(c.groups) {
-		c.groups = append(c.groups, make([]*meterGroup, group+1-len(c.groups))...)
-	}
-	g := c.groups[group]
-	if g == nil {
-		g = &meterGroup{}
-		c.groups[group] = g
-	}
+	g := c.group(group)
 	g.members = append(g.members, m)
 	g.wattsDirty.Store(true)
 	m.group = g
 	c.meters++
 	return nil
+}
+
+// AttachIdle adds n idle slots to the given sub-meter group, after its
+// earlier members: each stands for a meter of profile powered on at boot
+// and idle since, and reads as that meter would until Fill puts the
+// meter in it. A group's idle slots share one profile and boot instant.
+// Like Attach, it makes a group only for a member: n = 0 adds nothing.
+func (c *CloudMeter) AttachIdle(group, n int, profile hw.PowerProfile, boot sim.Time) error {
+	if group < 0 || n < 0 {
+		return fmt.Errorf("energy: %d idle slots in meter group %d", n, group)
+	}
+	if n == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g := c.group(group)
+	if g.hasIdle && (g.idle != profile || g.boot != boot) {
+		return fmt.Errorf("energy: meter group %d already holds idle slots of another board or boot", group)
+	}
+	g.idle, g.boot, g.hasIdle = profile, boot, true
+	g.members = append(g.members, make([]*Meter, n)...)
+	g.wattsDirty.Store(true)
+	c.meters += n
+	return nil
+}
+
+// Fill puts m in idle slot slot of the group, counting slots from the
+// group's first member. m must read as the slot does: a meter of the
+// slot's profile, powered on at its boot instant and idle since, so
+// filling it moves no sum. From then on m's changes are the slot's.
+func (c *CloudMeter) Fill(group, slot int, m *Meter) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if group < 0 || group >= len(c.groups) || c.groups[group] == nil {
+		return fmt.Errorf("energy: no meter group %d", group)
+	}
+	g := c.groups[group]
+	if slot < 0 || slot >= len(g.members) || g.members[slot] != nil {
+		return fmt.Errorf("energy: slot %d of meter group %d is not idle", slot, group)
+	}
+	if m.group != nil {
+		return fmt.Errorf("energy: meter already attached")
+	}
+	if m.profile != g.idle || !m.on || m.util != 0 || m.joules != 0 || m.lastAt != g.boot {
+		return fmt.Errorf("energy: a meter filling slot %d of group %d does not read as the idle slot", slot, group)
+	}
+	g.members[slot] = m
+	m.group = g
+	return nil
+}
+
+// group returns the group with the given id, making it if needed.
+// Caller holds c.mu.
+func (c *CloudMeter) group(id int) *meterGroup {
+	if id >= len(c.groups) {
+		c.groups = append(c.groups, make([]*meterGroup, id+1-len(c.groups))...)
+	}
+	g := c.groups[id]
+	if g == nil {
+		g = &meterGroup{}
+		c.groups[id] = g
+	}
+	return g
 }
 
 // Groups returns the sub-meter group ids in ascending order.
@@ -321,8 +417,9 @@ func (c *CloudMeter) TotalEnergyJoules(at sim.Time) float64 {
 // watts cache. Two clouds that executed the same power-state history
 // append the same bytes — per-group energy and draw as the hex of
 // their IEEE-754 bits, in stable ascending group order — regardless of
-// who read what in between.
-func (c *CloudMeter) AppendState(buf []byte, at sim.Time) []byte {
+// who read what in between. The buffer is handed to spill after each
+// line (nil keeps it all).
+func (c *CloudMeter) AppendState(buf []byte, at sim.Time, spill *sim.StateHash) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	groups := 0
@@ -352,6 +449,7 @@ func (c *CloudMeter) AppendState(buf []byte, at sim.Time) []byte {
 		buf = append(buf, " members="...)
 		buf = strconv.AppendInt(buf, int64(len(g.members)), 10)
 		buf = append(buf, '\n')
+		buf = spill.Spill(buf)
 	}
 	return buf
 }

@@ -115,7 +115,7 @@ func TestCloudMeterAggregation(t *testing.T) {
 			t.Fatalf("GroupWatts(%d) = %v, want %v", group, got, want)
 		}
 	}
-	if head, _, _ := strings.Cut(string(cm.AppendState(nil, at(10))), "\n"); head != "energy meters=3 groups=2 at=10000000000" {
+	if head, _, _ := strings.Cut(string(cm.AppendState(nil, at(10), nil)), "\n"); head != "energy meters=3 groups=2 at=10000000000" {
 		t.Fatalf("AppendState header %q", head)
 	}
 }
@@ -278,7 +278,7 @@ func TestCloudMeterDuplicateAttach(t *testing.T) {
 	if err := cm.Attach(-1, NewMeter(hw.PiModelB().Power, 0)); err == nil {
 		t.Fatal("negative group accepted")
 	}
-	if state := string(cm.AppendState(nil, 0)); !strings.HasPrefix(state, "energy meters=1 groups=1 ") {
+	if state := string(cm.AppendState(nil, 0, nil)); !strings.HasPrefix(state, "energy meters=1 groups=1 ") {
 		t.Fatalf("refused attachments were counted: %q", state)
 	}
 }
@@ -336,5 +336,54 @@ func BenchmarkMeterSetUtilisation(b *testing.B) {
 	m.PowerOn(0)
 	for i := 0; i < b.N; i++ {
 		m.SetUtilisation(sim.Time(time.Duration(i)*time.Microsecond), float64(i%100)/100)
+	}
+}
+
+// TestIdleSlotRefusals: an idle slot takes only a meter that reads as
+// it does (same board, powered on at its boot instant, idle since), and
+// only once; a group's idle slots share one board and boot instant, and
+// an empty rack makes no group.
+func TestIdleSlotRefusals(t *testing.T) {
+	p := hw.PiModelB().Power
+	cm := NewCloudMeter()
+	if err := cm.AttachIdle(3, 0, p, at(1)); err != nil || len(cm.Groups()) != 0 {
+		t.Fatalf("no idle slots made groups %v (%v)", cm.Groups(), err)
+	}
+	if err := cm.AttachIdle(0, 2, p, at(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.AttachIdle(0, 1, hw.PowerProfile{IdleWatts: 1, PeakWatts: 2}, at(1)); err == nil {
+		t.Fatal("idle slots of another board joined the group")
+	}
+	if err := cm.AttachIdle(0, 1, p, at(2)); err == nil {
+		t.Fatal("idle slots of another boot instant joined the group")
+	}
+	booted := func(boot sim.Time) *Meter {
+		m := NewMeter(p, boot)
+		m.PowerOn(boot)
+		return m
+	}
+	busy := booted(at(1))
+	busy.SetUtilisation(at(3), 0.5)
+	for name, m := range map[string]*Meter{
+		"booted later": booted(at(2)),
+		"busy":         busy,
+		"off":          NewMeter(p, at(1)),
+	} {
+		if err := cm.Fill(0, 0, m); err == nil {
+			t.Fatalf("a %s meter filled an idle slot", name)
+		}
+	}
+	if err := cm.Fill(0, 2, booted(at(1))); err == nil {
+		t.Fatal("a slot past the group's end filled")
+	}
+	if err := cm.Fill(0, 1, booted(at(1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.Fill(0, 1, booted(at(1))); err == nil {
+		t.Fatal("a filled slot filled again")
+	}
+	if w := cm.TotalWatts(); w != 2*p.At(0) {
+		t.Fatalf("one idle slot and one idle meter draw %v W, want %v", w, 2*p.At(0))
 	}
 }

@@ -201,8 +201,8 @@ func Fig3() (*Result, error) {
 		return nil, err
 	}
 	c.Mu.Lock()
-	memUsed := node.Suite.Kernel().MemUsed()
-	running := node.Suite.RunningCount()
+	memUsed := node.Suite().Kernel().MemUsed()
+	running := node.Suite().RunningCount()
 	c.Mu.Unlock()
 	r := &Result{
 		ID:    "F3",
@@ -210,7 +210,7 @@ func Fig3() (*Result, error) {
 		Metrics: map[string]float64{
 			"containers_running":  float64(running),
 			"node_mem_used_mib":   float64(memUsed) / float64(hw.MiB),
-			"node_mem_total_mib":  float64(node.Suite.Kernel().MemTotal()) / float64(hw.MiB),
+			"node_mem_total_mib":  float64(node.Suite().Kernel().MemTotal()) / float64(hw.MiB),
 			"stack_layers":        float64(len(stack)),
 			"idle_rss_per_ctr_mb": float64(lxc.IdleRSSBytes) / float64(hw.MiB),
 		},
@@ -272,7 +272,7 @@ func Fig4() (*Result, error) {
 		return nil, err
 	}
 	// A remote client reaches the node's daemon over HTTP.
-	daemon := httptest.NewServer(node.Daemon.Handler())
+	daemon := httptest.NewServer(node.Daemon().Handler())
 	defer daemon.Close()
 	limitsOK := 0.0
 	if _, err := restapi.NewClient(daemon.URL, daemon.Client()).SetLimits("panel-vm", limitsDoc()); err == nil {
@@ -330,15 +330,15 @@ func ClaimDensity() (*Result, error) {
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("ctr-%d", i)
 		c.Mu.Lock()
-		_, err := node.Suite.Create(lxc.Spec{Name: name, Image: "raspbian"})
+		_, err := node.Suite().Create(lxc.Spec{Name: name, Image: "raspbian"})
 		if err == nil {
-			err = node.Suite.Start(name, nil)
+			err = node.Suite().Start(name, nil)
 		}
 		if err == nil {
 			err = c.Engine.Run()
 		}
 		if err == nil {
-			err = node.Suite.AllocAppMem(name, appMem)
+			err = node.Suite().AllocAppMem(name, appMem)
 		}
 		c.Mu.Unlock()
 		if err != nil {
@@ -348,7 +348,7 @@ func ClaimDensity() (*Result, error) {
 		placedOK++
 	}
 	c.Mu.Lock()
-	memUsed := node.Suite.Kernel().MemUsed()
+	memUsed := node.Suite().Kernel().MemUsed()
 	c.Mu.Unlock()
 	r := &Result{
 		ID:    "C1",
@@ -383,7 +383,7 @@ func ClaimPower() (*Result, error) {
 	// Saturate every node.
 	c.Mu.Lock()
 	for _, n := range c.Nodes() {
-		k := n.Suite.Kernel()
+		k := n.Suite().Kernel()
 		if _, err := k.CreateCGroup("burn", oslinux.Limits{}); err != nil {
 			c.Mu.Unlock()
 			return nil, err

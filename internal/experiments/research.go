@@ -207,16 +207,16 @@ func ConsolidationRipple() (*Result, error) {
 	view := &placement.View{Locate: map[string]netsim.NodeID{}}
 	var loads []placement.ContainerLoad
 	for _, n := range c.Nodes() {
-		k := n.Suite.Kernel()
+		k := n.Suite().Kernel()
 		view.Nodes = append(view.Nodes, placement.NodeView{
 			ID: n.Host, Rack: n.Rack,
 			CPU: k.Spec().CPU, CPUUsed: hw.MIPS(k.CPUUtil() * float64(k.Spec().CPU)),
 			MemTotal: k.MemTotal(), MemUsed: k.MemUsed(),
-			Containers: n.Suite.Count(), MaxContainers: 3, PoweredOn: true,
+			Containers: n.Suite().Count(), MaxContainers: 3, PoweredOn: true,
 		})
-		for _, cn := range n.Suite.List() {
+		for _, cn := range n.Suite().List() {
 			view.Locate[cn] = n.Host
-			mem, _ := n.Suite.MemUsedBytes(cn)
+			mem, _ := n.Suite().MemUsedBytes(cn)
 			loads = append(loads, placement.ContainerLoad{
 				Name: cn, Node: n.Host, MemBytes: mem, CPUDemandMIPS: 100,
 			})
@@ -246,7 +246,7 @@ func ConsolidationRipple() (*Result, error) {
 	poweredOff := 0
 	for _, n := range c.Nodes() {
 		c.Mu.Lock()
-		empty := n.Suite.RunningCount() == 0
+		empty := n.Suite().RunningCount() == 0
 		c.Mu.Unlock()
 		if empty {
 			if err := c.PowerOffNode(n.Name); err == nil {
@@ -333,8 +333,8 @@ func MigrationRouting() (*Result, error) {
 			flows = append(flows, f)
 		}
 		// Mirror a realistic dirty rate.
-		cont, _ := srcNode.Suite.Get("svc")
-		_ = srcNode.Suite.Kernel().SetDirtyRate(cont.CgroupName(), 2*float64(hw.MiB))
+		cont, _ := srcNode.Suite().Get("svc")
+		_ = srcNode.Suite().Kernel().SetDirtyRate(cont.CgroupName(), 2*float64(hw.MiB))
 		c.Mu.Unlock()
 
 		done := make(chan struct{}, 1)
@@ -344,7 +344,7 @@ func MigrationRouting() (*Result, error) {
 			return c.Mig.Migrate(migration.Request{
 				Container: "svc",
 				SrcHost:   srcNode.Host, DstHost: dstNode.Host,
-				SrcSuite: srcNode.Suite, DstSuite: dstNode.Suite,
+				SrcSuite: srcNode.Suite(), DstSuite: dstNode.Suite(),
 				Routing:   map[string]migration.RoutingMode{"ip": migration.RoutingIP, "label": migration.RoutingLabel}[mode],
 				Label:     rec.Label,
 				LiveFlows: flows,
@@ -548,7 +548,7 @@ func BareVsContainer() (*Result, error) {
 	}
 	node := c.Nodes()[0]
 	c.Mu.Lock()
-	ctrMem := node.Suite.Kernel().MemUsed()
+	ctrMem := node.Suite().Kernel().MemUsed()
 	c.Mu.Unlock()
 
 	// Bare variant on the second node: the same per-request work runs in
@@ -556,11 +556,11 @@ func BareVsContainer() (*Result, error) {
 	// init daemon.
 	bare := c.Nodes()[1]
 	c.Mu.Lock()
-	if _, err := bare.Suite.Kernel().CreateCGroup("bare-httpd", oslinux.Limits{}); err != nil {
+	if _, err := bare.Suite().Kernel().CreateCGroup("bare-httpd", oslinux.Limits{}); err != nil {
 		c.Mu.Unlock()
 		return nil, err
 	}
-	bareMem := bare.Suite.Kernel().MemUsed()
+	bareMem := bare.Suite().Kernel().MemUsed()
 	c.Mu.Unlock()
 
 	r := &Result{
@@ -570,8 +570,8 @@ func BareVsContainer() (*Result, error) {
 			"container_node_mem_mib": float64(ctrMem) / float64(hw.MiB),
 			"bare_node_mem_mib":      float64(bareMem) / float64(hw.MiB),
 			"container_overhead_mib": float64(ctrMem-bareMem) / float64(hw.MiB),
-			"container_sd_mib":       float64(node.Suite.SDUsedBytes()) / float64(hw.MiB),
-			"bare_sd_mib":            float64(bare.Suite.SDUsedBytes()) / float64(hw.MiB),
+			"container_sd_mib":       float64(node.Suite().SDUsedBytes()) / float64(hw.MiB),
+			"bare_sd_mib":            float64(bare.Suite().SDUsedBytes()) / float64(hw.MiB),
 		},
 	}
 	render(r)
@@ -611,15 +611,15 @@ func TopologyRecable() (*Result, error) {
 				return 0, err
 			}
 			name := fmt.Sprintf("hd-%02d", i)
-			if _, err := node.Suite.Create(lxcSpec(name)); err != nil {
+			if _, err := node.Suite().Create(lxcSpec(name)); err != nil {
 				c.Mu.Unlock()
 				return 0, err
 			}
-			if err := node.Suite.Start(name, nil); err != nil {
+			if err := node.Suite().Start(name, nil); err != nil {
 				c.Mu.Unlock()
 				return 0, err
 			}
-			workers = append(workers, workload.Endpoint{Host: host, Suite: node.Suite, Container: name})
+			workers = append(workers, workload.Endpoint{Host: host, Suite: node.Suite(), Container: name})
 		}
 		if err := c.Engine.Run(); err != nil {
 			c.Mu.Unlock()
@@ -759,8 +759,8 @@ func P2PManagement() (*Result, error) {
 			return nil, jerr
 		}
 		agent.SetLoad(p2p.Load{
-			MemUsed:  node.Suite.Kernel().MemUsed(),
-			MemTotal: node.Suite.Kernel().MemTotal(),
+			MemUsed:  node.Suite().Kernel().MemUsed(),
+			MemTotal: node.Suite().Kernel().MemTotal(),
 		})
 	}
 	c.Mu.Unlock()

@@ -1,16 +1,20 @@
 // Package fleet owns cloud construction: it turns a Config into a fully
-// booted PiCloud fleet — fabric wired, kernels, container suites and
-// daemons stamped onto every host, pimaster populated — as fast as the
-// hardware allows.
+// booted PiCloud fleet — fabric wired, every host's row planned and
+// registered, pimaster populated — as fast as the hardware allows.
 //
 // The subsystem is built around three ideas:
 //
 //   - A node Template: the immutable kernel/suite/image/meter prototype
-//     is validated once per board config, then cheaply stamped per host
-//     instead of re-deriving and re-validating 10⁵ times. Every host's
-//     kernel, meter, LXC suite and daemon are stamped in place into one
-//     slab per fleet, the meter observing the kernel's utilisation and
-//     every kernel reading the template's board, not a copy of it.
+//     is validated once per board config, with a probe host booted from
+//     it, then cheaply stamped per host instead of re-deriving and
+//     re-validating 10⁵ times. A host is stamped only when something
+//     first touches it (pimaster.NodeRef's accessors): its kernel,
+//     meter, LXC suite and daemon in place in one allocation, the meter
+//     powered on at the fleet's boot instant and observing the kernel's
+//     utilisation, the kernel reading the template's board, not a copy
+//     of it. Until then the host is its plan row: the cloud meter sums it
+//     as an idle slot and pimaster polls it as the probe's idle status,
+//     both reading exactly what the stamped host would.
 //   - A construction Plan: every shape-derived value (host names, rack
 //     assignments, MACs, static addresses, FQDNs and the FQDN index,
 //     pool CIDRs) is computed once per cold build — see plan.go — and
@@ -23,18 +27,21 @@
 //     build and a restore both wire their network from it in bulk
 //     (netsim.Wire), and a restore runs no topology builder.
 //   - Bulk registration: every host's record (pimaster.NodeRef) is
-//     stamped into one slice and enters pimaster through RegisterNodes,
-//     its only registration path, together with the plan, whose host
-//     rows pimaster's DNS and DHCP answer in place: a build or a fork
-//     files no naming record per host. pimaster calls each daemon in
-//     process, so boot makes no HTTP request and no JSON round trip.
+//     written into one slice and enters pimaster through RegisterNodes,
+//     its only registration path, together with the fleet's host table:
+//     the plan, whose host rows pimaster's DNS and DHCP answer in place,
+//     so a build or a fork files no naming record per host, and the
+//     template pimaster boots a host from on its first touch. pimaster
+//     calls each daemon in process, so boot makes no HTTP request and no
+//     JSON round trip.
 //
 // The package keeps no state between builds: Assemble always describes,
 // wires and validates the fabric and derives a fresh plan. A booted
 // fleet can be captured as a Snapshot, and Restore, the one warm boot,
 // builds identical fleets from its plan (forks, seed sweeps) without
 // re-deriving, re-validating or re-describing it. A cold build and a
-// restore differ only in where the plan comes from.
+// restore differ only in where the plan comes from; neither stamps a
+// host.
 package fleet
 
 import (
@@ -150,12 +157,14 @@ func (c *Config) Validate() error {
 type Node = pimaster.NodeRef
 
 // Template is the immutable per-board prototype: the board spec is
-// validated once (including a probe kernel boot, so per-host stamping
-// cannot fail on board grounds) and every host is then stamped from it,
-// its kernel pointing at the template's board.
+// validated once, by booting a probe host from it on a throwaway engine
+// (so per-host stamping cannot fail on board grounds), and every host is
+// then stamped from it, its kernel pointing at the template's board.
+// The probe's status is what every untouched host reports.
 type Template struct {
 	board  hw.BoardSpec
 	images *image.Store
+	idle   restapi.NodeStatus
 }
 
 // NewTemplate validates the board once and returns the prototype.
@@ -163,18 +172,23 @@ func NewTemplate(board hw.BoardSpec, images *image.Store) (*Template, error) {
 	if err := board.Validate(); err != nil {
 		return nil, err
 	}
-	// Probe-boot a kernel on a throwaway engine: surfaces RAM-below-OS
-	// class errors once instead of on host 0 of every build.
-	if _, err := oslinux.NewKernel(sim.NewEngine(0), board, "template-probe"); err != nil {
+	t := &Template{board: board, images: images}
+	// Probe-boot a host: surfaces RAM-below-OS class errors once instead
+	// of on the first host a build touches.
+	var probe host
+	if err := t.stamp(&probe, sim.NewEngine(0), new(sync.Mutex), "template-probe", 0, 0); err != nil {
 		return nil, err
 	}
-	return &Template{board: board, images: images}, nil
+	t.idle = probe.daemon.Status()
+	return t, nil
 }
 
 // host is one host's stamped state: its kernel, its energy meter (the
 // kernel's utilisation observer), its LXC suite and its management
-// daemon. A fleet keeps every host's in one slab.
+// daemon, and the record pimaster keeps of it. A fleet makes one when
+// something first touches the host.
 type host struct {
+	booted pimaster.Booted
 	kernel oslinux.Kernel
 	meter  energy.Meter
 	suite  lxc.Suite
@@ -182,7 +196,7 @@ type host struct {
 }
 
 // stamp instantiates the template on one host, in place: each part is
-// initialised where it lies in the slab, the meter powered on at at.
+// initialised where it lies in the host, the meter powered on at at.
 func (t *Template) stamp(h *host, engine *sim.Engine, cloudMu *sync.Mutex, name string, rack int, at sim.Time) error {
 	if err := h.kernel.Init(engine, &t.board, name); err != nil {
 		return err
@@ -192,8 +206,38 @@ func (t *Template) stamp(h *host, engine *sim.Engine, cloudMu *sync.Mutex, name 
 	h.kernel.OnUtilChange(&h.meter)
 	h.suite.Init(engine, &h.kernel, t.images)
 	h.daemon.Init(cloudMu, engine, name, rack, &h.suite, &h.meter)
+	h.booted = pimaster.Booted{Daemon: &h.daemon}
 	return nil
 }
+
+// hostTable is a fleet's pimaster.HostTable: the plan's rows, and the
+// template each host boots from on its first touch, powered on at the
+// fleet's boot instant into its slot of the cloud meter.
+type hostTable struct {
+	*Plan
+	tmpl    *Template
+	engine  *sim.Engine
+	cloudMu *sync.Mutex
+	meter   *energy.CloudMeter
+	boot    sim.Time
+}
+
+// Boot stamps row i's host. It cannot fail: the template's probe booted
+// the same board, and the row's meter slot is idle until this one call.
+func (t *hostTable) Boot(i int) *pimaster.Booted {
+	hp := &t.hosts[i]
+	h := new(host)
+	if err := t.tmpl.stamp(h, t.engine, t.cloudMu, hp.name, hp.rack, t.boot); err != nil {
+		panic(fmt.Sprintf("fleet: booting %s: %v", hp.name, err))
+	}
+	if err := t.meter.Fill(hp.rack, int(hp.slot), &h.meter); err != nil {
+		panic(fmt.Sprintf("fleet: booting %s: %v", hp.name, err))
+	}
+	return &h.booted
+}
+
+// Idle returns the template probe's status.
+func (t *hostTable) Idle() restapi.NodeStatus { return t.tmpl.idle }
 
 // Result is an assembled fleet: every component of a running cloud.
 // The core package wraps it into the public Cloud facade.
@@ -207,14 +251,16 @@ type Result struct {
 	Master *pimaster.Master
 	Mig    *migration.Manager
 	// Nodes holds every host's record in plan (rack) order; pimaster
-	// registers pointers into it.
+	// registers pointers into it. A record's host boots on its first
+	// touch.
 	Nodes []Node
 
 	plan *Plan
 }
 
 // Assemble builds and boots a fleet at virtual time zero: all boards
-// powered, fabric wired, daemons stamped, pimaster populated.
+// powered, fabric wired, pimaster populated, each host stamped on its
+// first touch.
 // cloudMu is the cloud-wide lock shared with the daemons and the engine
 // driver. Every Assemble runs the topology builder, wires its network
 // from the builder's wiring, validates the fabric and derives its plan,
@@ -244,7 +290,9 @@ func Assemble(cfg Config, cloudMu *sync.Mutex) (*Result, error) {
 }
 
 // assemble boots a fleet on a network wired from the plan's wiring: a
-// cold build's or a restore's, which stamp and register the same way.
+// cold build's or a restore's, which register the same way. No host is
+// stamped: each rack's meters attach as idle slots, and pimaster boots
+// a host through the fleet's host table on its first touch.
 func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan, engine *sim.Engine, net *netsim.Network) (*Result, error) {
 	tmpl, err := NewTemplate(cfg.Board, cfg.Images)
 	if err != nil {
@@ -284,41 +332,22 @@ func assemble(cfg Config, cloudMu *sync.Mutex, plan *Plan, engine *sim.Engine, n
 	}
 	r.Master = master
 
-	nodes, err := stampAll(tmpl, engine, cloudMu, plan)
-	if err != nil {
-		return nil, err
-	}
-	r.Nodes = nodes
-	for _, i := range plan.meterOrder {
-		if err := r.Meter.Attach(nodes[i].Rack, nodes[i].Meter); err != nil {
+	boot := engine.Now()
+	for rack, rows := range plan.racks {
+		if err := r.Meter.AttachIdle(rack, rows.n, cfg.Board.Power, boot); err != nil {
 			return nil, err
 		}
 	}
-	if err := master.RegisterNodes(nodes, plan); err != nil {
+	r.Nodes = make([]Node, len(plan.hosts))
+	for i := range plan.hosts {
+		hp := &plan.hosts[i]
+		r.Nodes[i] = Node{Name: hp.name, Host: netsim.NodeID(hp.name), Rack: hp.rack, Idx: hp.idx}
+	}
+	table := &hostTable{Plan: plan, tmpl: tmpl, engine: engine, cloudMu: cloudMu, meter: r.Meter, boot: boot}
+	if err := master.RegisterNodes(r.Nodes, table); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// stampAll stamps every host from the template, in plan (rack) order,
-// into one slab of host state, and returns one slice of records into
-// it, each carrying its in-rack index: a fleet of any size makes two
-// allocations here.
-func stampAll(tmpl *Template, engine *sim.Engine, cloudMu *sync.Mutex, plan *Plan) ([]Node, error) {
-	nodes := make([]Node, len(plan.hosts))
-	slab := make([]host, len(plan.hosts))
-	at := engine.Now()
-	for i := range plan.hosts {
-		hp, h := &plan.hosts[i], &slab[i]
-		if err := tmpl.stamp(h, engine, cloudMu, hp.name, hp.rack, at); err != nil {
-			return nil, err
-		}
-		nodes[i] = Node{
-			Name: hp.name, Host: netsim.NodeID(hp.name), Rack: hp.rack, Idx: hp.idx,
-			Daemon: &h.daemon, Suite: &h.suite, Meter: &h.meter,
-		}
-	}
-	return nodes, nil
 }
 
 // buildTopology describes the configured fabric.

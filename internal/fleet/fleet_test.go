@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/dhcp"
 	"repro/internal/dns"
+	"repro/internal/energy"
 	"repro/internal/hw"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -142,12 +143,12 @@ func TestPlanMatchesRegistrationDerivations(t *testing.T) {
 func TestDirectStatusSkipsJSONButCounts(t *testing.T) {
 	r := assembleFleet(t, Config{Racks: 1, HostsPerRack: 1, Seed: 1})
 	node := &r.Nodes[0]
-	st := node.Daemon.StatusDirect()
+	st := node.Daemon().StatusDirect()
 	if st.Node != node.Name {
 		t.Fatalf("status for %s, want %s", st.Node, node.Name)
 	}
 	// Direct calls keep the API-request accounting honest.
-	if st2 := node.Daemon.StatusDirect(); st2.APIRequests <= st.APIRequests {
+	if st2 := node.Daemon().StatusDirect(); st2.APIRequests <= st.APIRequests {
 		t.Fatalf("direct status not counted: %d then %d", st.APIRequests, st2.APIRequests)
 	}
 }
@@ -232,24 +233,24 @@ func TestFatTreePodShardAlignment(t *testing.T) {
 }
 
 // referenceMeter writes the cloud meter's state, total draw and total
-// energy up to at from the nodes alone, by the rule the kernel digests
-// pin: racks in ascending order, each rack's meters summed in sorted
-// host-name order.
-func referenceMeter(nodes []Node, at sim.Time) (state string, watts, joules float64) {
-	byRack := map[int][]*Node{}
+// energy up to at from the nodes' eager twin meters alone, by the rule
+// the kernel digests pin: racks in ascending order, each rack's meters
+// summed in sorted host-name order.
+func referenceMeter(nodes []Node, twins []*energy.Meter, at sim.Time) (state string, watts, joules float64) {
+	byRack := map[int][]int{}
 	for i := range nodes {
-		byRack[nodes[i].Rack] = append(byRack[nodes[i].Rack], &nodes[i])
+		byRack[nodes[i].Rack] = append(byRack[nodes[i].Rack], i)
 	}
 	racks := slices.Sorted(maps.Keys(byRack))
 	var b strings.Builder
 	fmt.Fprintf(&b, "energy meters=%d groups=%d at=%d\n", len(nodes), len(racks), int64(at))
 	for _, rack := range racks {
 		members := byRack[rack]
-		slices.SortFunc(members, func(x, y *Node) int { return strings.Compare(x.Name, y.Name) })
+		slices.SortFunc(members, func(x, y int) int { return strings.Compare(nodes[x].Name, nodes[y].Name) })
 		var j, w float64
-		for _, n := range members {
-			j += n.Meter.EnergyJoules(at)
-			w += n.Meter.CurrentWatts()
+		for _, i := range members {
+			j += twins[i].EnergyJoules(at)
+			w += twins[i].CurrentWatts()
 		}
 		fmt.Fprintf(&b, "group %d joules=%016x watts=%016x members=%d\n",
 			rack, math.Float64bits(j), math.Float64bits(w), len(members))
@@ -264,10 +265,14 @@ func referenceMeter(nodes []Node, at sim.Time) (state string, watts, joules floa
 // it is host-name order. On racks of more than 100 hosts name order is
 // not index order (pi-r00-n100 sorts before pi-r00-n11), so a build
 // that attached meters in row order would move the last bits of the
-// energy state. Seeded utilisation changes and power cycles on random
-// hosts' meters, in a cold build and in a fleet restored from its
-// snapshot; after each batch the meter's state bytes and totals must
-// equal the reference's bit for bit.
+// energy state. Every host also has an eager twin: a meter powered on
+// at boot and driven through the same seeded utilisation changes and
+// power cycles as the host's own, which only the hosts drawn touch, in
+// a cold build and in a fleet restored from its snapshot. After each
+// batch the cloud meter's state bytes and totals must equal the twins'
+// host-name-order sums bit for bit, so an untouched host's idle slot
+// reads as an eager meter that was never driven, and a rack without
+// hosts adds no group.
 func TestMeterOrderIsHostNameOrder(t *testing.T) {
 	for _, s := range []struct {
 		name string
@@ -275,6 +280,9 @@ func TestMeterOrderIsHostNameOrder(t *testing.T) {
 	}{
 		{"multi-root 2x150", Config{Racks: 2, HostsPerRack: 150, Seed: 1}},
 		{"fat-tree k=22", Config{Racks: 22, HostsPerRack: 121, Fabric: topology.FabricFatTree, FatTreeK: 22, Seed: 1}},
+		// 300 hosts fill 4 of 16 pods and part of a fifth: the 11 empty
+		// pods make no meter group.
+		{"fat-tree k=16 with empty pods", Config{Racks: 1, HostsPerRack: 300, Fabric: topology.FabricFatTree, FatTreeK: 16, Seed: 1}},
 	} {
 		t.Run(s.name, func(t *testing.T) {
 			cold := assembleFleet(t, s.cfg)
@@ -284,25 +292,32 @@ func TestMeterOrderIsHostNameOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range []*Result{cold, restored} {
+				twins := make([]*energy.Meter, len(r.Nodes))
+				for i := range twins {
+					twins[i] = energy.NewMeter(r.Config.Board.Power, 0)
+					twins[i].PowerOn(0)
+				}
 				rng := rand.New(rand.NewSource(11))
 				now := sim.Time(0)
 				for step := 1; step <= 400; step++ {
 					now += sim.Time(1+rng.Intn(3000)) * sim.Time(time.Millisecond)
-					m := r.Nodes[rng.Intn(len(r.Nodes))].Meter
-					switch rng.Intn(8) {
-					case 0:
-						m.PowerOff(now)
-					case 1:
-						m.PowerOn(now)
-					default:
-						m.SetUtilisation(now, rng.Float64())
+					i, op, util := rng.Intn(len(r.Nodes)), rng.Intn(8), rng.Float64()
+					for _, m := range []*energy.Meter{r.Nodes[i].Meter(), twins[i]} {
+						switch op {
+						case 0:
+							m.PowerOff(now)
+						case 1:
+							m.PowerOn(now)
+						default:
+							m.SetUtilisation(now, util)
+						}
 					}
 					if step%40 != 0 {
 						continue
 					}
 					at := now + sim.Time(rng.Intn(1000))*sim.Time(time.Millisecond)
-					wantState, wantW, wantJ := referenceMeter(r.Nodes, at)
-					if got := string(r.Meter.AppendState(nil, at)); got != wantState {
+					wantState, wantW, wantJ := referenceMeter(r.Nodes, twins, at)
+					if got := string(r.Meter.AppendState(nil, at, nil)); got != wantState {
 						t.Fatalf("step %d: meter state\n%s\nwant (racks summed in host-name order)\n%s", step, got, wantState)
 					}
 					if w := r.Meter.TotalWatts(); math.Float64bits(w) != math.Float64bits(wantW) {
@@ -311,6 +326,15 @@ func TestMeterOrderIsHostNameOrder(t *testing.T) {
 					if j := r.Meter.TotalEnergyJoules(at); math.Float64bits(j) != math.Float64bits(wantJ) {
 						t.Fatalf("step %d: TotalEnergyJoules %v, host-name order sums %v", step, j, wantJ)
 					}
+				}
+				touched := 0
+				for i := range r.Nodes {
+					if r.Nodes[i].Touched() {
+						touched++
+					}
+				}
+				if touched == 0 || touched == len(r.Nodes) {
+					t.Fatalf("%d of %d hosts touched: the sums must mix meters and idle slots", touched, len(r.Nodes))
 				}
 			}
 		})

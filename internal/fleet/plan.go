@@ -30,6 +30,8 @@ type hostPlan struct {
 	fqdn string
 	// node is the host's netsim node index.
 	node int32
+	// slot is the host's position in its rack's cloud-meter group.
+	slot int32
 }
 
 // rackRows is one rack's run of plan rows: hosts[start:start+n], in
@@ -48,20 +50,19 @@ type rackRows struct {
 // whole-fabric BFS.
 //
 // Its host rows are also the records pimaster's naming services answer
-// fleet hosts from (pimaster.HostTable): a build or a fork attaches the
-// plan and files nothing per host. Address and MAC lookups are
+// fleet hosts from (the rows of each fleet's pimaster.HostTable): a
+// build or a fork attaches the plan and files nothing per host. Address and MAC lookups are
 // arithmetic on the 10.<rack>.0.0/20 plan, since a rack's rows are
 // contiguous and in index order.
 type Plan struct {
-	hosts []hostPlan
-	racks []rackRows
-	// meterOrder lists the rows rack by rack, each rack's rows sorted
-	// by host name: the order a build attaches the energy meters in,
-	// and so the order every power and energy sum adds them. Name order
-	// differs from index order past 100 hosts a rack (pi-r00-n100 sorts
-	// before pi-r00-n11), and the kernel digests pin name order.
-	meterOrder []int32
-	byName     map[string]int32 // FQDN → row
+	// hosts are the rows. Each row's meter slot puts its rack's rows in
+	// host-name order: the order every power and energy sum adds the
+	// rack's meters in. Name order differs from index order past 100
+	// hosts a rack (pi-r00-n100 sorts before pi-r00-n11), and the kernel
+	// digests pin name order.
+	hosts  []hostPlan
+	racks  []rackRows
+	byName map[string]int32 // FQDN → row
 	// wiring and topo are the topology builder's fabric and its
 	// topology, shared read-only by the cold build and every fleet
 	// restored from the plan: each wires its network from the one and
@@ -70,7 +71,7 @@ type Plan struct {
 	topo   *topology.Topology
 }
 
-var _ pimaster.HostTable = (*Plan)(nil)
+var _ pimaster.HostTable = (*hostTable)(nil)
 
 // Hosts returns the number of planned hosts.
 func (p *Plan) Hosts() int { return len(p.hosts) }
@@ -159,10 +160,9 @@ func boardID(b hw.BoardSpec) uint32 {
 func planFor(topo *topology.Topology, nodes []int32) (*Plan, error) {
 	n := len(topo.Hosts)
 	p := &Plan{
-		hosts:      make([]hostPlan, 0, n),
-		racks:      make([]rackRows, len(topo.Racks)),
-		meterOrder: make([]int32, 0, n),
-		byName:     make(map[string]int32, n),
+		hosts:  make([]hostPlan, 0, n),
+		racks:  make([]rackRows, len(topo.Racks)),
+		byName: make(map[string]int32, n),
 	}
 	// ends holds where each row's FQDN and MAC end in their buffers.
 	fqdns := make([]byte, 0, n*len("pi-r00-n00."+dns.DefaultZone))
@@ -199,8 +199,8 @@ func planFor(topo *topology.Topology, nodes []int32) (*Plan, error) {
 			order = nameOrder(len(hosts))
 			orders[len(hosts)] = order
 		}
-		for _, j := range order {
-			p.meterOrder = append(p.meterOrder, int32(start)+j)
+		for slot, j := range order {
+			p.hosts[start+int(j)].slot = int32(slot)
 		}
 	}
 	if len(p.hosts) != n {

@@ -23,7 +23,7 @@ var restoreShapes = []Config{
 
 // fabricState renders a fleet's network and SDN state.
 func fabricState(r *Result) []byte {
-	return r.Ctrl.AppendState(r.Net.AppendState(nil))
+	return r.Ctrl.AppendState(r.Net.AppendState(nil, nil), nil)
 }
 
 // TestRestoredFleetsShareNoLinkState: fleets restored from one snapshot
@@ -153,7 +153,7 @@ func TestForksAdvanceConcurrently(t *testing.T) {
 		t.Fatalf("history degenerated: %d flows still live, %d events fired, %d VMs", a.Net.ActiveFlows(), a.Engine.Fired(), len(a.Master.VMs()))
 	}
 	now := a.Engine.Now()
-	if !bytes.Equal(fabricState(a), fabricState(b)) || !bytes.Equal(a.Meter.AppendState(nil, now), b.Meter.AppendState(nil, now)) {
+	if !bytes.Equal(fabricState(a), fabricState(b)) || !bytes.Equal(a.Meter.AppendState(nil, now, nil), b.Meter.AppendState(nil, now, nil)) {
 		t.Fatal("two forks of one snapshot ran one history to different states")
 	}
 	if !bytes.Equal(fabricState(src), srcState) {

@@ -157,7 +157,7 @@ func NewSuite(engine *sim.Engine, kernel *oslinux.Kernel, store *image.Store) *S
 }
 
 // Init installs the LXC tooling in s, a zero Suite, as NewSuite would,
-// in place, so a fleet can keep its suites in one slab.
+// in place, so a fleet can stamp a host's parts into one allocation.
 func (s *Suite) Init(engine *sim.Engine, kernel *oslinux.Kernel, store *image.Store) {
 	s.engine, s.kernel, s.store = engine, kernel, store
 }

@@ -24,8 +24,9 @@ import (
 // listed in admission order, committed state only (the pending span is
 // a pure function of rate, anchor and the clock, all of which are
 // captured). Numbers are appended with strconv, floats as the sixteen
-// hex digits of their bits.
-func (n *Network) AppendState(buf []byte) []byte {
+// hex digits of their bits. The buffer is handed to spill after each
+// line (nil keeps it all).
+func (n *Network) AppendState(buf []byte, spill *sim.StateHash) []byte {
 	n.flush()
 	buf = append(buf, "netsim nodes="...)
 	buf = strconv.AppendInt(buf, int64(len(n.nodes)), 10)
@@ -65,6 +66,7 @@ func (n *Network) AppendState(buf []byte) []byte {
 			buf = append(buf, " flows="...)
 			buf = strconv.AppendInt(buf, int64(len(ld.flows)), 10)
 			buf = append(buf, '\n')
+			buf = spill.Spill(buf)
 		}
 	}
 	for _, f := range n.flowOrder {
@@ -89,6 +91,7 @@ func (n *Network) AppendState(buf []byte) []byte {
 		buf = append(buf, " hops="...)
 		buf = strconv.AppendInt(buf, int64(len(f.path)), 10)
 		buf = append(buf, '\n')
+		buf = spill.Spill(buf)
 	}
 	return buf
 }

@@ -103,7 +103,7 @@ func TestStateRenderMatchesFmt(t *testing.T) {
 			}
 			var want bytes.Buffer
 			writeStateFmt(r.n, r.w, &want)
-			buf = r.n.AppendState(buf[:0])
+			buf = r.n.AppendState(buf[:0], nil)
 			if !bytes.Equal(buf, want.Bytes()) {
 				t.Fatalf("trial %d step %d:\n%s\nwant\n%s", trial, step, buf, want.Bytes())
 			}
@@ -155,7 +155,7 @@ func TestLinkLoadMadeOnFirstFlow(t *testing.T) {
 			t.Fatalf("wired leg %s->%s has a load", l.From(), l.To())
 		}
 	}
-	state := func() string { return string(n.AppendState(nil)) }
+	state := func() string { return string(n.AppendState(nil, nil)) }
 	header := func(active, nextID int) string {
 		return fmt.Sprintf("netsim nodes=4 links=6 active=%d nextID=%d topoEpoch=%d\n", active, nextID, w.Epoch())
 	}

@@ -14,7 +14,6 @@ package openflow
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/netsim"
@@ -180,20 +179,28 @@ type Switch struct {
 	// table is the flow table in table order: priority descending, then
 	// install time ascending. Each entry carries its rule's match and
 	// priority, so a lookup scans contiguous keys and dereferences only
-	// the rule that wins.
+	// the rule that wins. A removed rule leaves a tombstone in its place
+	// (see remove), so an expiry moves no entry; dead counts them.
 	table []entry
+	dead  int
 	// counters
 	lookups   uint64
 	misses    uint64
 	evictions uint64
 }
 
-// entry is one flow-table slot.
+// entry is one flow-table slot. A tombstone has no rule, its removed
+// rule's priority (so the table stays in priority order) and a match
+// whose source is deadRef, which no packet carries.
 type entry struct {
 	match    Match
 	priority int
 	rule     *Rule
 }
+
+// deadRef is a tombstone's match source: a packet's Src is a node's
+// reference or zero, never negative, so a tombstone never matches.
+const deadRef Ref = -1
 
 // NewSwitch returns an empty-table switch.
 func NewSwitch(id netsim.NodeID, engine *sim.Engine) *Switch {
@@ -207,7 +214,10 @@ func NewSwitch(id netsim.NodeID, engine *sim.Engine) *Switch {
 // where a stable sort on (priority descending, install time ascending)
 // would put it: the engine clock never goes back, so no installed rule
 // was installed later than the new one, and the new rule lands after
-// every rule of equal priority.
+// every rule of equal priority. A tombstone just before that place
+// takes the rule instead, moving nothing: every live entry before it
+// still precedes the rule, and every entry after it has lower
+// priority.
 //
 // A rule that is installed, on this switch or another, is refused; a
 // removed or evicted rule may be installed again on any switch.
@@ -234,8 +244,13 @@ func (s *Switch) Install(r *Rule) error {
 			hi = mid
 		}
 	}
-	s.table = append(s.table, entry{})
-	copy(s.table[lo+1:], s.table[lo:])
+	if lo > 0 && s.table[lo-1].rule == nil {
+		lo--
+		s.dead--
+	} else {
+		s.table = append(s.table, entry{})
+		copy(s.table[lo+1:], s.table[lo:])
+	}
 	s.table[lo] = entry{match: r.Match, priority: r.Priority, rule: r}
 	if r.HardTimeout > 0 {
 		r.hardEv = s.engine.Schedule(r.HardTimeout, func() { s.evict(r) })
@@ -284,34 +299,52 @@ func (s *Switch) Remove(r *Rule) error {
 }
 
 // RemoveByCookie deletes every rule carrying the cookie and returns how
-// many were removed.
+// many were removed. It compacts the table, tombstones included.
 func (s *Switch) RemoveByCookie(cookie uint64) int {
-	kept := s.table[:0]
-	for _, e := range s.table {
-		if e.rule.Cookie == cookie {
-			e.rule.uninstall()
-			continue
+	size := s.TableSize()
+	s.compact(func(r *Rule) bool {
+		if r.Cookie != cookie {
+			return true
 		}
-		kept = append(kept, e)
-	}
-	removed := len(s.table) - len(kept)
-	clear(s.table[len(kept):])
-	s.table = kept
-	return removed
+		r.uninstall()
+		return false
+	})
+	return size - len(s.table)
 }
 
+// remove takes an installed rule out of the table, leaving a tombstone
+// in its entry, and compacts the table once tombstones pass half of
+// it: each entry moves once per compaction, not once per removal
+// before it.
 func (s *Switch) remove(r *Rule) bool {
 	if r == nil || !r.installed || r.sw != s {
 		return false
 	}
 	for i := range s.table {
-		if s.table[i].rule == r {
-			s.table = slices.Delete(s.table, i, i+1)
+		if e := &s.table[i]; e.rule == r {
+			*e = entry{match: Match{Src: deadRef}, priority: e.priority}
+			s.dead++
 			break
 		}
 	}
 	r.uninstall()
+	if 2*s.dead > len(s.table) {
+		s.compact(func(*Rule) bool { return true })
+	}
 	return true
+}
+
+// compact drops the tombstones and every rule keep refuses, in place and
+// in table order.
+func (s *Switch) compact(keep func(*Rule) bool) {
+	kept := s.table[:0]
+	for _, e := range s.table {
+		if e.rule != nil && keep(e.rule) {
+			kept = append(kept, e)
+		}
+	}
+	clear(s.table[len(kept):])
+	s.table, s.dead = kept, 0
 }
 
 // uninstall marks a rule taken out of its table and cancels its timers.
@@ -322,7 +355,7 @@ func (r *Rule) uninstall() {
 }
 
 // Lookup consults the table for the packet, updating counters. On a hit
-// it returns the rule's action.
+// it returns the rule's action. Tombstones never match.
 func (s *Switch) Lookup(p *Packet) (Action, Verdict) {
 	s.lookups++
 	for i := range s.table {
@@ -348,9 +381,11 @@ func (s *Switch) Lookup(p *Packet) (Action, Verdict) {
 
 // Rules returns a copy of the table in priority order.
 func (s *Switch) Rules() []*Rule {
-	out := make([]*Rule, len(s.table))
-	for i, e := range s.table {
-		out[i] = e.rule
+	out := make([]*Rule, 0, s.TableSize())
+	for _, e := range s.table {
+		if e.rule != nil {
+			out = append(out, e.rule)
+		}
 	}
 	return out
 }
@@ -362,4 +397,4 @@ func (s *Switch) Stats() (lookups, misses, evictions uint64) {
 }
 
 // TableSize returns the number of installed rules.
-func (s *Switch) TableSize() int { return len(s.table) }
+func (s *Switch) TableSize() int { return len(s.table) - s.dead }

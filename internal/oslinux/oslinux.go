@@ -146,8 +146,8 @@ func NewKernel(engine *sim.Engine, spec hw.BoardSpec, name string) (*Kernel, err
 }
 
 // Init boots an OS model on the board spec points at in k, a zero
-// Kernel: what NewKernel does, in place, so a fleet can keep its
-// kernels in one slab. The kernel keeps spec, which must not change
+// Kernel: what NewKernel does, in place, so a fleet can stamp a host's
+// parts into one allocation. The kernel keeps spec, which must not change
 // while it runs; a fleet's kernels all point at their template's board.
 func (k *Kernel) Init(engine *sim.Engine, spec *hw.BoardSpec, name string) error {
 	if err := spec.Validate(); err != nil {

@@ -95,8 +95,9 @@ type panelData struct {
 func (m *Master) handlePanel(w http.ResponseWriter, _ *http.Request) {
 	rackMap := make(map[int]*panelRack)
 	var rackOrder []int
-	for _, ref := range m.nodes {
-		st := ref.Daemon.StatusDirect()
+	statuses, now := m.statuses()
+	for i, st := range statuses {
+		ref := m.nodes[i]
 		pr, ok := rackMap[ref.Rack]
 		if !ok {
 			pr = &panelRack{Index: ref.Rack}
@@ -114,7 +115,7 @@ func (m *Master) handlePanel(w http.ResponseWriter, _ *http.Request) {
 		RackCount:  len(rackOrder),
 		VMCount:    len(m.VMs()),
 		Power:      m.Power(),
-		SimTime:    m.engine.Now().String(),
+		SimTime:    now,
 		VMs:        m.VMs(),
 		LeaseCount: len(m.dhcp.Leases()),
 		DNSCount:   m.dns.RecordCount(),

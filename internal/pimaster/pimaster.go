@@ -17,6 +17,17 @@
 // between calls: SpawnVM polls every node for its one VM, and SpawnVMs
 // polls every node once, then only the node each VM lands on.
 //
+// A node is its plan row until something touches it. Its host (kernel,
+// energy meter, LXC suite and daemon) boots on the first call to one of
+// NodeRef's accessors (Daemon, Suite, Meter), which every spawn,
+// destroy, migration, fault, power change, status read and HTTP call
+// goes through; the fleet's HostTable stamps it from the template, in
+// the state it would have had, had it booted with the fleet. A
+// fleet-wide poll (a placement view, a node listing or the panel) reads
+// an untouched node from the template's idle status instead of booting
+// it, and counts the poll once for the fleet; a daemon booted later
+// starts its api_requests from that count.
+//
 // Nodes enter only as a whole fleet, once (RegisterNodes), with its
 // HostTable, the construction plan's host rows: DHCP and DNS answer
 // each row's static lease and A/PTR records from the table and store
@@ -29,7 +40,9 @@
 // the simulated cloud is guarded by the cloud-wide mutex shared with the
 // node daemons and the engine driver. pimaster never holds its own mutex
 // while acquiring the cloud mutex or calling a daemon (each daemon call
-// locks the cloud itself).
+// locks the cloud itself). Booting a host takes only pimaster's boot
+// lock, never the cloud mutex, so NodeRef's accessors may be called with
+// or without the cloud mutex held.
 package pimaster
 
 import (
@@ -41,6 +54,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dhcp"
 	"repro/internal/dns"
@@ -65,7 +79,8 @@ var (
 )
 
 // NodeRef is one managed node: the one record of a Pi that the fleet
-// builder stamps, pimaster registers and every layer above resolves.
+// builder makes, pimaster registers and every layer above resolves. Its
+// host boots on the first call to Daemon, Suite or Meter.
 type NodeRef struct {
 	// Name is the node's host name and also its netsim host id (Host).
 	Name string
@@ -74,13 +89,35 @@ type NodeRef struct {
 	// Idx is the node's position within its rack, recorded at
 	// registration; it fixes the node's static address and names its
 	// VMs.
-	Idx    int
+	Idx int
+	// m is the master that registered the node, and row the node's row
+	// in its host table.
+	m   *Master
+	row int32
+}
+
+// Daemon returns the node's management daemon, booting its host on the
+// first touch.
+func (r *NodeRef) Daemon() *restapi.Daemon { return r.m.host(r.row).Daemon }
+
+// Suite returns the node's LXC suite, booting its host on the first
+// touch. Simulated-state access through it holds the cloud mutex.
+func (r *NodeRef) Suite() *lxc.Suite { return r.m.host(r.row).Daemon.Suite() }
+
+// Meter returns the node's energy meter, booting its host on the first
+// touch.
+func (r *NodeRef) Meter() *energy.Meter { return r.m.host(r.row).Daemon.Meter() }
+
+// Touched reports whether the node's host has booted.
+func (r *NodeRef) Touched() bool { return r.m.hosts[r.row].Load() != nil }
+
+// Booted is a booted host as its fleet stamped it: its daemon, which
+// fronts the host's LXC suite and energy meter.
+type Booted struct {
 	Daemon *restapi.Daemon
-	// Suite and Meter are direct handles used for migration and power
-	// accounting; all simulated-state access goes through the cloud
-	// mutex.
-	Suite *lxc.Suite
-	Meter *energy.Meter
+	// since is the number of fleet-wide polls answered for the host
+	// before it booted; polls after those reach its daemon.
+	since uint64
 }
 
 // VMRecord tracks a spawned VM cloud-wide.
@@ -152,6 +189,15 @@ type Master struct {
 	// netsim's node index.
 	slots []int32
 
+	// table boots the nodes' hosts; hosts holds each row's booted host
+	// (nil while untouched) and idle the status of an untouched one.
+	table HostTable
+	hosts []atomic.Pointer[Booted]
+	idle  restapi.NodeStatus
+	// bootMu serialises boots with the fleet-wide poll count, polls.
+	bootMu sync.Mutex
+	polls  uint64
+
 	placer placement.Placer
 	policy placement.Policy
 
@@ -213,21 +259,31 @@ func NodeAddr(rack, idxInRack int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(rack), byte(hostNum >> 8), byte(hostNum)})
 }
 
-// HostTable is a fleet's host rows, the construction plan: row i is the
-// i-th node RegisterNodes receives, with its FQDN NodeFQDN(rack, idx),
-// its static address NodeAddr(rack, idx), its MAC
-// dhcp.NodeMAC(rack, idx), its rack's pool RackPool(rack) and its
-// netsim node index.
+// HostTable is a fleet's host rows, the construction plan, and the
+// template its hosts boot from: row i is the i-th node RegisterNodes
+// receives, with its FQDN NodeFQDN(rack, idx), its static address
+// NodeAddr(rack, idx), its MAC dhcp.NodeMAC(rack, idx), its rack's pool
+// RackPool(rack) and its netsim node index.
 type HostTable interface {
 	dns.HostTable
 	dhcp.HostTable
 	// NodeIndex returns row i's netsim node index.
 	NodeIndex(i int) int32
+	// Boot stamps row i's host as it stands untouched: booted with the
+	// fleet, powered on and idle since. pimaster calls it once per row,
+	// on the row's first touch, from any goroutine and with or without
+	// the cloud mutex held, so it must not take that mutex.
+	Boot(i int) *Booted
+	// Idle returns the status of an untouched host, as its template's
+	// probe reports it; pimaster fills in the node, rack, clock and
+	// request count.
+	Idle() restapi.NodeStatus
 }
 
 // RegisterNodes registers a whole fleet, the only way a node enters
 // pimaster, before any other node: nodes in topology (rack) order, each
-// carrying its in-rack index, and hosts, whose row i plans nodes[i]. It
+// carrying its in-rack index, and hosts, whose row i plans nodes[i] and
+// boots its host when something first touches it. It
 // creates each rack's DHCP pool "rack<N>", subnet 10.<N>.0.0/20 — room
 // for ~4000 addresses per rack, so scale-out fleets keep the addressing
 // plan of the published 4×14 testbed (small indices yield the identical
@@ -275,8 +331,71 @@ func (m *Master) RegisterNodes(nodes []NodeRef, hosts HostTable) error {
 	if err := m.dns.AttachHosts(hosts); err != nil {
 		return err
 	}
+	for i, ref := range refs {
+		ref.m, ref.row = m, int32(i)
+	}
 	m.nodes, m.slots = refs, slots
+	m.table, m.hosts, m.idle = hosts, make([]atomic.Pointer[Booted], len(refs)), hosts.Idle()
 	return nil
+}
+
+// host returns row i's booted host, booting it on the first touch with
+// the fleet-wide polls answered for it so far.
+func (m *Master) host(i int32) *Booted {
+	if h := m.hosts[i].Load(); h != nil {
+		return h
+	}
+	m.bootMu.Lock()
+	defer m.bootMu.Unlock()
+	if h := m.hosts[i].Load(); h != nil {
+		return h
+	}
+	h := m.table.Boot(int(i))
+	h.since = m.polls
+	h.Daemon.Polled(m.polls)
+	m.hosts[i].Store(h)
+	return h
+}
+
+// poll counts one fleet-wide poll and returns its number: the hosts
+// booted before it (since < the number) answer it themselves, and the
+// poll is counted for the rest.
+func (m *Master) poll() uint64 {
+	m.bootMu.Lock()
+	defer m.bootMu.Unlock()
+	m.polls++
+	return m.polls
+}
+
+// polled returns row i's host if it answers poll p itself, nil if p
+// reads the row from the idle status.
+func (m *Master) polled(i int, p uint64) *Booted {
+	if h := m.hosts[i].Load(); h != nil && h.since < p {
+		return h
+	}
+	return nil
+}
+
+// statuses polls every node's status, as GET /nodes and the panel list
+// them: each booted host's daemon counts the request, and the untouched
+// ones read the idle status, counted as one fleet-wide poll. It also
+// returns the clock the idle statuses read, taken under the cloud lock.
+func (m *Master) statuses() ([]restapi.NodeStatus, string) {
+	p := m.poll()
+	m.cloudMu.Lock()
+	now := m.engine.Now().String()
+	m.cloudMu.Unlock()
+	out := make([]restapi.NodeStatus, len(m.nodes))
+	for i, ref := range m.nodes {
+		if h := m.polled(i, p); h != nil {
+			out[i] = h.Daemon.StatusDirect()
+			continue
+		}
+		st := m.idle
+		st.Node, st.NetsimID, st.Rack, st.SimTime, st.APIRequests = ref.Name, ref.Name, ref.Rack, now, p
+		out[i] = st
+	}
+	return out, now
 }
 
 // RackPool names the DHCP pool of a rack.
@@ -293,9 +412,6 @@ func (m *Master) addRackPool(rack int) error {
 
 // checkReg validates one registration's shape against the /20 plan.
 func checkReg(ref *NodeRef) error {
-	if ref.Daemon == nil {
-		return fmt.Errorf("pimaster: node %s has no daemon", ref.Name)
-	}
 	if string(ref.Host) != ref.Name {
 		return fmt.Errorf("pimaster: node %s has host id %q; a node's name is its host id", ref.Name, ref.Host)
 	}
@@ -331,9 +447,8 @@ func (m *Master) Node(name string) (*NodeRef, error) {
 	return m.nodes[i], nil
 }
 
-// pollNode polls one daemon's load into the placement view row.
-func (m *Master) pollNode(ref *NodeRef) placement.NodeView {
-	ld := ref.Daemon.LoadDirect()
+// viewRow is a node's placement view row, from its load.
+func viewRow(ref *NodeRef, ld restapi.NodeLoad) placement.NodeView {
 	return placement.NodeView{
 		ID:            ref.Host,
 		Rack:          ref.Rack,
@@ -347,18 +462,24 @@ func (m *Master) pollNode(ref *NodeRef) placement.NodeView {
 	}
 }
 
-// buildView polls every node daemon's status into a placement view and
-// returns it with each node's declared CPU reservations, by node
-// position. Placement sees the larger of measured utilisation and
-// declared reservations, so idle-but-reserved capacity is not
-// double-booked.
+// buildView polls every node's load into a placement view and returns
+// it with each node's declared CPU reservations, by node position: a
+// booted host's daemon answers the poll, and an untouched node's row is
+// the template's idle load, the poll counted once for the fleet.
+// Placement sees the larger of measured utilisation and declared
+// reservations, so idle-but-reserved capacity is not double-booked.
 func (m *Master) buildView() (*placement.View, []hw.MIPS) {
 	v := &placement.View{
 		Nodes:  make([]placement.NodeView, len(m.nodes)),
 		Locate: make(map[string]netsim.NodeID),
 	}
+	p, idle := m.poll(), m.idle.Load()
 	for i, ref := range m.nodes {
-		v.Nodes[i] = m.pollNode(ref)
+		if h := m.polled(i, p); h != nil {
+			v.Nodes[i] = viewRow(ref, h.Daemon.LoadDirect())
+		} else {
+			v.Nodes[i] = viewRow(ref, idle)
+		}
 	}
 	reserved := make([]hw.MIPS, len(m.nodes))
 	m.mu.Lock()
@@ -418,7 +539,7 @@ func (m *Master) SpawnVMs(reqs []SpawnVMRequest) ([]*VMRecord, error) {
 		}
 		recs = append(recs, rec)
 		reserved[i] += hw.MIPS(rec.CPUDemandMIPS)
-		row := m.pollNode(m.nodes[i])
+		row := viewRow(m.nodes[i], m.nodes[i].Daemon().LoadDirect())
 		row.CPUUsed = max(row.CPUUsed, reserved[i])
 		view.SetRow(i, row)
 		view.Locate[rec.Name] = m.nodes[i].Host
@@ -487,7 +608,7 @@ func (m *Master) spawn(req SpawnVMRequest, placer placement.Placer, view *placem
 		return nil, 0, err
 	}
 	// Boot through the node's daemon.
-	if _, err := ref.Daemon.SpawnDirect(restapi.SpawnRequest{
+	if _, err := ref.Daemon().SpawnDirect(restapi.SpawnRequest{
 		Name:          req.Name,
 		Image:         req.Image,
 		MemLimitBytes: req.MemLimitBytes,
@@ -530,7 +651,7 @@ func (m *Master) DestroyVM(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := ref.Daemon.DeleteDirect(name); err != nil {
+	if err := ref.Daemon().DeleteDirect(name); err != nil {
 		return err
 	}
 	m.dns.RemoveName(rec.FQDN)
@@ -613,8 +734,8 @@ func (m *Master) MigrateVM(name string, req MigrateVMRequest, onDone func(migrat
 		Container: name,
 		SrcHost:   srcRef.Host,
 		DstHost:   dstRef.Host,
-		SrcSuite:  srcRef.Suite,
-		DstSuite:  dstRef.Suite,
+		SrcSuite:  srcRef.Suite(),
+		DstSuite:  dstRef.Suite(),
 		Routing:   mode,
 		Label:     rec.Label,
 		OnDone: func(rep migration.Report) {
@@ -701,11 +822,8 @@ func (m *Master) writeErr(w http.ResponseWriter, err error) {
 }
 
 func (m *Master) handleNodes(w http.ResponseWriter, _ *http.Request) {
-	out := make([]restapi.NodeStatus, 0, len(m.nodes))
-	for _, ref := range m.nodes {
-		out = append(out, ref.Daemon.StatusDirect())
-	}
-	writeJSON(w, http.StatusOK, out)
+	statuses, _ := m.statuses()
+	writeJSON(w, http.StatusOK, statuses)
 }
 
 func (m *Master) handleNode(w http.ResponseWriter, r *http.Request) {
@@ -714,7 +832,7 @@ func (m *Master) handleNode(w http.ResponseWriter, r *http.Request) {
 		m.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ref.Daemon.StatusDirect())
+	writeJSON(w, http.StatusOK, ref.Daemon().StatusDirect())
 }
 
 func (m *Master) handleVMList(w http.ResponseWriter, _ *http.Request) {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/migration"
 	"repro/internal/pimaster"
 	"repro/internal/placement"
+	"repro/internal/restapi"
 )
 
 func newCloud(t *testing.T, cfg core.Config) *core.Cloud {
@@ -64,6 +65,11 @@ func (p planRows) RowOfMAC(mac dhcp.MAC) (int, bool) {
 	return p.scan(func(i int) bool { m, _, _ := p.Reservation(i); return m == mac })
 }
 
+// Boot is never called: the test touches no host.
+func (p planRows) Boot(int) *pimaster.Booted { panic("planRows boots no host") }
+
+func (p planRows) Idle() restapi.NodeStatus { return restapi.NodeStatus{} }
+
 func (p planRows) scan(match func(int) bool) (int, bool) {
 	for i := range p {
 		if match(i) {
@@ -74,8 +80,8 @@ func (p planRows) scan(match func(int) bool) (int, bool) {
 }
 
 // TestRegisterNodeValidation: RegisterNodes, the only way a node enters
-// pimaster, refuses a fleet holding a node without a daemon, a node
-// that names no fabric host, a host registered twice, a node whose
+// pimaster, refuses a fleet holding a node that names no fabric host, a
+// host registered twice, a node whose
 // name is not its host id or a row whose netsim index names another
 // node or none. Each fleet goes to a fresh master over the same
 // fabric, which registers nothing from a refused fleet and then takes
@@ -90,8 +96,7 @@ func TestRegisterNodeValidation(t *testing.T) {
 		rows planRows
 	}{
 		{"valid", nil, nil},
-		{"nil daemon", func(n []pimaster.NodeRef) { n[0].Daemon = nil }, nil},
-		{"incomplete ref", func(n []pimaster.NodeRef) { n[0] = pimaster.NodeRef{Daemon: n[0].Daemon} }, nil},
+		{"incomplete ref", func(n []pimaster.NodeRef) { n[0] = pimaster.NodeRef{} }, nil},
 		{"duplicate host", func(n []pimaster.NodeRef) { n[1].Name, n[1].Host = n[0].Name, n[0].Host }, nil},
 		{"name is not its host id", func(n []pimaster.NodeRef) { n[0].Name = "pi-r00-n09" }, nil},
 		{"index names another host", nil, planRows{{0, 0, at(1)}, {0, 1, at(1)}}},
@@ -166,7 +171,7 @@ func TestSpawnValidation(t *testing.T) {
 // the label enters the SDN state (and the kernel digest).
 func TestFailedSpawnBindsNoLabel(t *testing.T) {
 	c := newCloud(t, core.Config{Racks: 1, HostsPerRack: 2})
-	before := string(c.Ctrl.AppendState(nil))
+	before := string(c.Ctrl.AppendState(nil, nil))
 	if _, err := c.Master.SpawnVM(pimaster.SpawnVMRequest{Name: "x", Image: "no-such"}); err == nil {
 		t.Fatal("bad image accepted")
 	}
@@ -174,7 +179,7 @@ func TestFailedSpawnBindsNoLabel(t *testing.T) {
 		host, _ := c.Ctrl.HostOfLabel(l)
 		t.Fatalf("failed spawn bound label %d to %s", l, host)
 	}
-	if after := string(c.Ctrl.AppendState(nil)); after != before {
+	if after := string(c.Ctrl.AppendState(nil, nil)); after != before {
 		t.Fatalf("failed spawn moved the SDN state:\n%s→\n%s", before, after)
 	}
 	// The next successful spawn takes the first label.
@@ -564,7 +569,7 @@ func TestSpawnVMsPollsOnce(t *testing.T) {
 	const nodes, vms = 12, 5
 	requests := func(c *core.Cloud) (n uint64) {
 		for _, ref := range c.Master.Nodes() {
-			n += ref.Daemon.Status().APIRequests
+			n += ref.Daemon().Status().APIRequests
 		}
 		return n
 	}

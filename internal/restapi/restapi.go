@@ -11,6 +11,13 @@
 // A daemon holds only what every node uses: its monitoring series are
 // made by its first StartSampling, and a daemon never sampled serves
 // the same three empty series.
+//
+// A fleet boots a node's daemon only when something first touches the
+// node. Until then pimaster answers its fleet-wide polls (placement
+// views, node listings) for it from the fleet template's idle status
+// and counts them once for the whole fleet; a daemon booted later
+// starts its api_requests at that count (Polled), so every node's
+// counter reads as if its daemon had served every poll.
 package restapi
 
 import (
@@ -124,11 +131,17 @@ func New(mu *sync.Mutex, engine *sim.Engine, node string, rack int, suite *lxc.S
 }
 
 // Init builds a daemon in d, a zero Daemon, as New would, in place, so
-// a fleet can keep its daemons in one slab.
+// a fleet can stamp a host's parts into one allocation.
 func (d *Daemon) Init(mu *sync.Mutex, engine *sim.Engine, node string, rack int, suite *lxc.Suite, meter *energy.Meter) {
 	d.mu, d.engine, d.node, d.rack = mu, engine, node, rack
 	d.suite, d.meter = suite, meter
 }
+
+// Suite returns the LXC suite the daemon fronts.
+func (d *Daemon) Suite() *lxc.Suite { return d.suite }
+
+// Meter returns the node's energy meter, nil if it has none.
+func (d *Daemon) Meter() *energy.Meter { return d.meter }
 
 // Handler returns the daemon's HTTP handler.
 func (d *Daemon) Handler() http.Handler {
@@ -251,6 +264,20 @@ type NodeLoad struct {
 	MaxComfort int
 	PoweredOn  bool
 }
+
+// Load returns the part of the status that placement reads.
+func (s *NodeStatus) Load() NodeLoad {
+	return NodeLoad{
+		CPUMIPS: s.CPUMIPS, CPUUtil: s.CPUUtil, MemUsed: s.MemUsed, MemTotal: s.MemTotal,
+		Containers: s.Containers, MaxComfort: s.MaxComfort, PoweredOn: s.PoweredOn,
+	}
+}
+
+// Polled counts n API requests that were answered for the daemon before
+// it booted: fleet-wide polls its master served from the fleet
+// template's idle status while the node was untouched. Call it right
+// after Init, before the daemon is shared: it takes no lock.
+func (d *Daemon) Polled(n uint64) { d.requests += n }
 
 // LoadDirect is StatusDirect trimmed to what placement reads: it counts
 // one API request, as StatusDirect does, and under the same lock reads

@@ -318,11 +318,7 @@ func TestLoadDirectMatchesStatus(t *testing.T) {
 	poll := func(after string) {
 		t.Helper()
 		st, got := full.daemon.StatusDirect(), load.daemon.LoadDirect()
-		want := NodeLoad{
-			CPUMIPS: st.CPUMIPS, CPUUtil: st.CPUUtil, MemUsed: st.MemUsed, MemTotal: st.MemTotal,
-			Containers: st.Containers, MaxComfort: st.MaxComfort, PoweredOn: st.PoweredOn,
-		}
-		if got != want {
+		if want := st.Load(); got != want {
 			t.Fatalf("after %s: LoadDirect %+v, StatusDirect %+v", after, got, want)
 		}
 		if a, b := full.daemon.Status().APIRequests, load.daemon.Status().APIRequests; a != b {

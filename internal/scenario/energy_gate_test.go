@@ -42,8 +42,8 @@ func TestCloudMeterHierarchicalMatchesFlat(t *testing.T) {
 			now := cloud.Engine.Now()
 			flatW, flatJ := 0.0, 0.0
 			for _, node := range cloud.Nodes() {
-				flatW += node.Meter.CurrentWatts()
-				flatJ += node.Meter.EnergyJoules(now)
+				flatW += node.Meter().CurrentWatts()
+				flatJ += node.Meter().EnergyJoules(now)
 			}
 			gotW := cloud.Meter.TotalWatts()
 			gotJ := cloud.Meter.TotalEnergyJoules(now)

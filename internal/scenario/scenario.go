@@ -888,10 +888,11 @@ func crashNode(r *Run, node string) (int, error) {
 	if err != nil {
 		return killed, err
 	}
+	suite := nref.Suite()
 	r.Cloud.Mu.Lock()
-	for _, cn := range nref.Suite.List() {
-		if info, err := nref.Suite.InfoOf(cn); err == nil && info.State != "STOPPED" {
-			if err := nref.Suite.Stop(cn); err != nil {
+	for _, cn := range suite.List() {
+		if info, err := suite.InfoOf(cn); err == nil && info.State != "STOPPED" {
+			if err := suite.Stop(cn); err != nil {
 				r.Cloud.Mu.Unlock()
 				return killed, fmt.Errorf("killing stray %s on %s: %w", cn, node, err)
 			}
@@ -935,7 +936,7 @@ func (f NodeChurn) actions(r *Run) []timedAction {
 			r.Cloud.Mu.Lock()
 			nodes := r.Cloud.Nodes()
 			victim := nodes[r.Cloud.Engine.Rand().Intn(len(nodes))]
-			dark := !victim.Meter.On()
+			dark := !victim.Meter().On()
 			r.Cloud.Mu.Unlock()
 			if dark {
 				return nil // already dark from an overlapping fault
@@ -969,7 +970,7 @@ func powerOnLocked(r *Run, name string) error {
 	if err != nil {
 		return err
 	}
-	node.Meter.PowerOn(r.Cloud.Engine.Now())
+	node.Meter().PowerOn(r.Cloud.Engine.Now())
 	return nil
 }
 

@@ -85,7 +85,7 @@ func TestRackFailDownsPodUplinksOnFatTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := node.Meter.On(); got != on {
+			if got := node.Meter().On(); got != on {
 				t.Fatalf("host %s of rack %d powered=%v during the blackout, want %v", h, rack, got, on)
 			}
 		}

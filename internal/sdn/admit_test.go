@@ -126,7 +126,7 @@ func BenchmarkAdmitPacketIn(b *testing.B) {
 // counting it twice.
 func TestRegisterSwitch(t *testing.T) {
 	r := newRig(t)
-	state := func() string { return string(r.ctrl.AppendState(nil)) }
+	state := func() string { return string(r.ctrl.AppendState(nil, nil)) }
 	want := state()
 	if err := r.ctrl.RegisterSwitch(openflow.NewSwitch("nope", r.engine)); !errors.Is(err, ErrUnknownSwitch) {
 		t.Fatalf("unknown switch: err = %v, want ErrUnknownSwitch", err)

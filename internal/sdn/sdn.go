@@ -251,8 +251,9 @@ func (c *Controller) RouteSynthHitsByTier() [numSynthTiers]uint64 { return c.syn
 // counters, and the route-cache epoch/occupancy statistics. Two
 // controllers that served the same admission history append the same
 // bytes. The names are sorted in a buffer the controller keeps
-// for the next call.
-func (c *Controller) AppendState(buf []byte) []byte {
+// for the next call. The buffer is handed to spill after each line (nil
+// keeps it all).
+func (c *Controller) AppendState(buf []byte, spill *sim.StateHash) []byte {
 	buf = append(buf, "sdn switches="...)
 	buf = strconv.AppendInt(buf, int64(len(c.registered)), 10)
 	buf = append(buf, " packetIns="...)
@@ -288,6 +289,7 @@ func (c *Controller) AppendState(buf []byte) []byte {
 		buf = append(buf, '@')
 		buf = append(buf, c.labels[l]...)
 		buf = append(buf, '\n')
+		buf = spill.Spill(buf)
 	}
 	clear(names)
 	c.nameBuf = names[:0]

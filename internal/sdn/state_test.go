@@ -65,7 +65,7 @@ func TestStateRenderMatchesFmt(t *testing.T) {
 		}
 		var want bytes.Buffer
 		writeStateFmt(r.ctrl, &want)
-		buf = r.ctrl.AppendState(buf[:0])
+		buf = r.ctrl.AppendState(buf[:0], nil)
 		if !bytes.Equal(buf, want.Bytes()) {
 			t.Fatalf("step %d:\n%s\nwant\n%s", step, buf, want.Bytes())
 		}

@@ -262,8 +262,9 @@ func comparePending(a, b PendingEvent) int {
 // text form. It is one layer of the cross-layer kernel fingerprint
 // core.KernelState hashes: two engines that executed the same
 // event history append the same bytes. The pending events are sorted
-// in a buffer the engine keeps for the next call.
-func (e *Engine) AppendState(buf []byte) []byte {
+// in a buffer the engine keeps for the next call. The buffer is handed
+// to spill after each line (nil keeps it all).
+func (e *Engine) AppendState(buf []byte, spill *StateHash) []byte {
 	buf = append(buf, "sim now="...)
 	buf = strconv.AppendInt(buf, int64(e.now), 10)
 	buf = append(buf, " seq="...)
@@ -278,6 +279,7 @@ func (e *Engine) AppendState(buf []byte) []byte {
 		buf = append(buf, ' ')
 		buf = strconv.AppendUint(buf, p.Seq, 10)
 		buf = append(buf, '\n')
+		buf = spill.Spill(buf)
 	}
 	e.pendBuf = pend
 	return buf

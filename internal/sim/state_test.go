@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"math"
@@ -56,7 +57,7 @@ func TestStateRenderMatchesFmt(t *testing.T) {
 			}
 			var want bytes.Buffer
 			writeStateFmt(e, &want)
-			buf = e.AppendState(buf[:0])
+			buf = e.AppendState(buf[:0], nil)
 			if !bytes.Equal(buf, want.Bytes()) {
 				t.Fatalf("trial %d step %d:\n%s\nwant\n%s", trial, step, buf, want.Bytes())
 			}
@@ -76,5 +77,35 @@ func TestAppendHex64MatchesFmt(t *testing.T) {
 		if got, want := string(AppendHex64(nil, v)), fmt.Sprintf("%016x", v); got != want {
 			t.Fatalf("AppendHex64(%#x) = %q, want %q", v, got, want)
 		}
+	}
+}
+
+// TestStateHashMatchesWholeRendering: a rendering handed to Spill line
+// by line, across several full chunks and a line longer than the
+// chunk's slack, hashes to the SHA-256 of the whole rendering, and a
+// nil StateHash keeps every line in the buffer.
+func TestStateHashMatchesWholeRendering(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sh := NewStateHash()
+	buf := sh.Buf()
+	var whole, kept []byte
+	for i := 0; i < 2000; i++ {
+		line := bytes.Repeat([]byte{byte('a' + i%26)}, 1+rng.Intn(200))
+		if i == 1000 {
+			line = bytes.Repeat([]byte{'L'}, 2*chunkSlack)
+		}
+		line = append(line, '\n')
+		whole = append(whole, line...)
+		buf = sh.Spill(append(buf, line...))
+		kept = (*StateHash)(nil).Spill(append(kept, line...))
+	}
+	if len(whole) < 3*stateChunk {
+		t.Fatalf("the rendering is %d bytes, under three chunks", len(whole))
+	}
+	if got, want := sh.Sum(buf), sha256.Sum256(whole); got != want {
+		t.Fatalf("chunked digest %x, whole rendering %x", got, want)
+	}
+	if !bytes.Equal(kept, whole) {
+		t.Fatal("a nil StateHash spilled")
 	}
 }
